@@ -31,7 +31,7 @@ import (
 
 	"mpq"
 	"mpq/internal/cliutil"
-	"mpq/internal/netrun"
+	"mpq/internal/sched"
 	"mpq/internal/spec"
 	"mpq/internal/workload"
 )
@@ -92,8 +92,8 @@ func runMaster(args []string) error {
 		fmt.Sprintf("uncertainty band B for -robust (0 = default %g)", mpq.DefaultRobustBand))
 	nf := cliutil.RegisterNoise(fs)
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-job deadline (dial + send + compute + receive)")
-	retries := fs.Int("retries", netrun.DefaultMaxAttempts, "attempts per partition before giving up")
-	workerFailures := fs.Int("max-worker-failures", netrun.DefaultMaxWorkerFailures,
+	retries := fs.Int("retries", sched.DefaultMaxAttempts, "attempts per partition before giving up")
+	workerFailures := fs.Int("max-worker-failures", sched.DefaultMaxWorkerFailures,
 		"consecutive failures before a worker is excluded for the query")
 	speculate := fs.Bool("speculate", false,
 		"race straggling partitions against speculative clones on idle workers")

@@ -26,6 +26,7 @@ import (
 	"mpq/internal/core"
 	"mpq/internal/plan"
 	"mpq/internal/query"
+	"mpq/internal/sched"
 	"mpq/internal/wire"
 )
 
@@ -51,14 +52,15 @@ type Model struct {
 	FinalPrunePerPlan time.Duration
 	// Nodes bounds the simulated node pool. Zero keeps the classic
 	// one-node-per-partition layout; a positive value runs the adaptive
-	// scheduler, which interleaves partitions over the pool largest-
-	// estimated-cost first (each to the node with the earliest projected
-	// finish).
+	// schedule, which shares the partitions out over the pool exactly as
+	// the TCP master does (internal/sched): round-robin, one request in
+	// flight per node.
 	Nodes int
 	// Resources gives per-node capacities for the multi-resource model;
-	// non-empty Resources also selects the adaptive scheduler, and the
-	// slice length must equal the node count (Nodes, or the partition
-	// count when Nodes is zero). Empty means homogeneous unit-CPU nodes.
+	// non-empty Resources also selects the adaptive schedule, whose
+	// assignment weights are the nodes' CPU capacities, and the slice
+	// length must equal the node count (Nodes, or the partition count
+	// when Nodes is zero). Empty means homogeneous unit-CPU nodes.
 	Resources []NodeResources
 }
 
@@ -160,18 +162,19 @@ type Faults struct {
 	// StallFactor is the stalled nodes' compute slowdown. Zero means
 	// DefaultStallFactor; values below 1 are an error.
 	StallFactor float64
-	// Speculate enables speculative re-dispatch in the simulated master,
-	// mirroring netrun.Options.Speculate: a partition whose master-
-	// observed elapsed time exceeds the straggler threshold is cloned to
-	// an idle node, the first answer wins, the loser is canceled and its
-	// burned work recorded in Metrics.WastedWork.
+	// Speculate is netrun.Options.Speculate for the simulated master (the
+	// same internal/sched policy): idle nodes steal queued partitions, a
+	// partition whose master-observed elapsed time exceeds the straggler
+	// threshold is cloned to an idle node, the first answer wins, the
+	// loser is canceled and its burned work recorded in
+	// Metrics.WastedWork.
 	Speculate bool
 	// SpecMultiplier scales the straggler threshold (multiple of the
 	// median completed service time). Zero means
-	// DefaultSpeculationMultiplier; values below 1 are an error.
+	// sched.DefaultSpeculationMultiplier; values below 1 are an error.
 	SpecMultiplier float64
 	// SpecFloor bounds the straggler threshold from below. Zero means
-	// DefaultSpeculationFloor; negative is an error.
+	// sched.DefaultSpeculationFloor; negative is an error.
 	SpecFloor time.Duration
 }
 
@@ -213,11 +216,9 @@ func (f Faults) Validate(m int) error {
 	if f.StallFactor != 0 && f.StallFactor < 1 {
 		return fmt.Errorf("cluster: stall factor %g below 1", f.StallFactor)
 	}
-	if f.SpecMultiplier != 0 && f.SpecMultiplier < 1 {
-		return fmt.Errorf("cluster: speculation multiplier %g below 1", f.SpecMultiplier)
-	}
-	if f.SpecFloor < 0 {
-		return fmt.Errorf("cluster: negative speculation floor %v", f.SpecFloor)
+	policy := sched.Config{Workers: m, SpeculationMultiplier: f.SpecMultiplier, SpeculationFloor: f.SpecFloor}
+	if err := policy.Validate(); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
 }
@@ -371,7 +372,7 @@ func RunMPQWithFaultsContext(ctx context.Context, model Model, q *query.Query, s
 	m := spec.Workers
 	// The closed-form one-round formulas cover the classic layout; a
 	// bounded node pool, per-node resources, stall scripts or
-	// speculation need the event-driven adaptive scheduler (sched.go).
+	// speculation need the event-driven adaptive schedule (sched.go).
 	adaptive := model.Nodes > 0 || len(model.Resources) > 0 || faults.adaptive()
 
 	// Master builds and "sends" one request per worker. The master NIC

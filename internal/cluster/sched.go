@@ -1,19 +1,27 @@
 package cluster
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
+
+	"mpq/internal/sched"
+	"mpq/internal/wire"
 )
 
-// This file is the adaptive virtual-time scheduler: an event-driven
-// mirror of the netrun master's straggler handling, driven entirely by
-// the deterministic cluster model. It activates when the run needs more
-// than the closed-form one-round schedule — a bounded node pool
-// (Model.Nodes), per-node resource capacities (Model.Resources), a
-// stall script (Faults.Stalled), or speculation (Faults.Speculate).
-// Without any of those, RunMPQWithFaultsContext keeps using the legacy
-// MPQTime/faultSchedule formulas bit for bit.
+// This file is the adaptive virtual-time schedule: the cost model of
+// the cluster — NIC serialization, latency, task setup, per-node CPU,
+// memory and bandwidth, stalls — wrapped around the scheduling policy
+// the TCP master runs (internal/sched), stepped on a virtual clock. It
+// decides nothing itself: every request it simulates was dispatched,
+// and every cancel issued, by the policy core. It activates when the
+// run needs more than the closed-form one-round schedule — a bounded
+// node pool (Model.Nodes), per-node resource capacities
+// (Model.Resources), a stall script (Faults.Stalled), or speculation
+// (Faults.Speculate). Without any of those, RunMPQWithFaultsContext
+// keeps using the legacy MPQTime/faultSchedule formulas bit for bit.
 
 // NodeResources describes one simulated node's capacities for the
 // multi-resource cluster model (after Garofalakis & Ioannidis: a
@@ -39,21 +47,19 @@ type NodeResources struct {
 // checking a partition's footprint against NodeResources.MemoryBytes.
 const memoEntryBytes = 64
 
-// Defaults for adaptive-scheduling fault fields left at zero.
-const (
-	// DefaultStallFactor is the compute slowdown of a node listed in
-	// Faults.Stalled when StallFactor is zero.
-	DefaultStallFactor = 100
-	// DefaultSpeculationMultiplier mirrors the TCP master's straggler
-	// threshold: speculate once a partition's master-observed elapsed
-	// time exceeds this multiple of the median completed service time.
-	DefaultSpeculationMultiplier = 2
-	// DefaultSpeculationFloor bounds the virtual straggler threshold
-	// from below, mirroring netrun.DefaultSpeculationFloor.
-	DefaultSpeculationFloor = 250 * time.Millisecond
+// DefaultStallFactor is the compute slowdown of a node listed in
+// Faults.Stalled when StallFactor is zero.
+const DefaultStallFactor = 100
+
+// Sizes of the two control frames of a speculative race, taken from the
+// encoder like every other simulated message: the master's cancel and
+// the loser's acknowledgment.
+var (
+	cancelFrameBytes = len(wire.EncodeCancelRequest(&wire.CancelRequest{}))
+	cancelAckBytes   = len(wire.EncodeWorkerError(&wire.WorkerError{Code: wire.ErrCanceled, Msg: wire.CanceledMsg}))
 )
 
-// simInput is the per-partition data the scheduler needs: exact message
+// simInput is the per-partition data the schedule needs: exact message
 // sizes, the DP's work meter, and its memo size (for the spill model).
 type simInput struct {
 	reqBytes  []int
@@ -71,37 +77,26 @@ type simOutcome struct {
 	speculations int
 	wasted       uint64 // work units burned by race losers
 	redispatches int
+	copies       []simCopy // every request sent, in dispatch order
 }
 
-// simCopy is one dispatched instance of a partition: the original, a
-// post-detection re-dispatch, or a speculative clone.
+// simCopy is one request the policy dispatched: an original, a retry
+// after a detected death, or a speculative clone.
 type simCopy struct {
-	part     int
-	node     int
-	sendDone time.Duration // request fully serialized out of the master
-	arrive   time.Duration // request arrival at the node
-	start    time.Duration // compute start (post task setup)
-	finish   time.Duration // compute completion at the node
-	computeT time.Duration
-	gen      int  // invalidates stale scheduled events
-	canceled bool // master canceled it (speculative race loser)
-	truncAt  time.Duration
-	occupies bool // the cancel landed mid-compute, not pre-start
-	done     bool // its response was processed by the master
-}
-
-// effFinish is when the copy stops occupying its node.
-func (c *simCopy) effFinish() time.Duration {
-	if c.canceled {
-		return c.truncAt
-	}
-	return c.finish
+	part       int
+	node       int
+	dispatched time.Duration // when the policy issued it: service time runs from here
+	arrive     time.Duration // request arrival at the node
+	start      time.Duration // compute start (post task setup)
+	finish     time.Duration // compute completion at the node
+	canceled   bool          // a cancel reached the node before it finished
+	gen        int           // invalidates the arrival scheduled before the cancel
 }
 
 const (
-	evArrive = iota // a response reached the master NIC
-	evDetect        // a dead node's silence crossed the detection timeout
-	evSpec          // a straggler threshold may have been crossed
+	evArrive  = iota // a response or cancel acknowledgment reached the master NIC
+	evDeliver        // the master finished receiving it
+	evDetect         // a dead node's silence crossed the detection timeout
 )
 
 type simEvent struct {
@@ -112,8 +107,8 @@ type simEvent struct {
 }
 
 // adaptiveSchedule runs the event-driven simulation. Everything is
-// deterministic: ties break on (time, kind, copy index), node choices
-// break on the lowest index.
+// deterministic: events tie-break on (time, kind, copy index) and the
+// policy core is deterministic by construction.
 func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 	nParts := len(in.units)
 	n := m.Nodes
@@ -123,352 +118,175 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 	if len(m.Resources) > 0 && len(m.Resources) != n {
 		return simOutcome{}, fmt.Errorf("cluster: %d resource entries for %d nodes", len(m.Resources), n)
 	}
-	res := func(ni int) NodeResources {
-		if len(m.Resources) > 0 {
-			return m.Resources[ni]
-		}
-		return NodeResources{CPU: 1}
+	resources := m.Resources
+	if len(resources) == 0 {
+		resources = slices.Repeat([]NodeResources{{CPU: 1}}, n)
 	}
-	detect := f.DetectTimeout
-	if detect == 0 {
-		detect = DefaultDetectTimeout
+	detect := cmp.Or(f.DetectTimeout, DefaultDetectTimeout)
+	stallFactor := cmp.Or(f.StallFactor, DefaultStallFactor)
+	dead := func(ni int) bool { return slices.Contains(f.Dead, ni) }
+	// Declared CPU capacities are what the master knows about its nodes:
+	// they are the policy's assignment weights. Faults are not knowable —
+	// dead and stalled nodes get their share like everyone else.
+	var weights []float64
+	for _, r := range m.Resources {
+		weights = append(weights, r.CPU)
 	}
-	stallFactor := f.StallFactor
-	if stallFactor == 0 {
-		stallFactor = DefaultStallFactor
-	}
-	specMult := f.SpecMultiplier
-	if specMult == 0 {
-		specMult = DefaultSpeculationMultiplier
-	}
-	specFloor := f.SpecFloor
-	if specFloor == 0 {
-		specFloor = DefaultSpeculationFloor
-	}
-	dead := make([]bool, n)
-	for _, d := range f.Dead {
-		dead[d] = true
-	}
-	stalled := make([]bool, n)
-	for _, s := range f.Stalled {
-		stalled[s] = true
+	policy, err := sched.New(sched.Config{
+		Workers:               n,
+		Weights:               weights,
+		Speculate:             f.Speculate,
+		SpeculationMultiplier: f.SpecMultiplier,
+		SpeculationFloor:      f.SpecFloor,
+	}, []int{nParts})
+	if err != nil {
+		return simOutcome{}, fmt.Errorf("cluster: %w", err)
 	}
 
-	// estPerUnit is the master's cost estimate for one work unit of a
-	// partition on a node: baseline rate over CPU speed, inflated by the
-	// memory spill multiplier. Declared resources are knowable; faults
-	// are not — the estimate deliberately ignores stalls and deaths.
-	estPerUnit := func(part, ni int) float64 {
-		r := res(ni)
+	// perUnit is a node's effective rate for one work unit of a
+	// partition: baseline over CPU speed, inflated by the memory spill
+	// multiplier and the stall script.
+	perUnit := func(part, ni int) float64 {
+		r := resources[ni]
 		pu := m.NsPerWorkUnit / r.CPU
 		if r.MemoryBytes > 0 {
 			if fp := float64(in.memo[part]) * memoEntryBytes; fp > float64(r.MemoryBytes) {
 				pu *= fp / float64(r.MemoryBytes)
 			}
 		}
-		return pu
-	}
-	// perUnit is the node's actual effective rate, stall included.
-	perUnit := func(part, ni int) float64 {
-		pu := estPerUnit(part, ni)
-		if stalled[ni] {
+		if slices.Contains(f.Stalled, ni) {
 			pu *= stallFactor
 		}
 		return pu
 	}
-	computeT := func(part, ni int) time.Duration {
-		return time.Duration(float64(in.units[part]) * perUnit(part, ni))
-	}
-	estimateT := func(part, ni int) time.Duration {
-		return time.Duration(float64(in.units[part]) * estPerUnit(part, ni))
-	}
 	// nodeTransfer is a transfer capped by the node's NIC.
 	nodeTransfer := func(bytes, ni int) time.Duration {
 		bw := m.Bandwidth
-		if r := res(ni); r.Bandwidth > 0 && r.Bandwidth < bw {
+		if r := resources[ni]; r.Bandwidth > 0 && r.Bandwidth < bw {
 			bw = r.Bandwidth
 		}
 		return time.Duration(float64(bytes) / bw * float64(time.Second))
 	}
 
-	// Assignment: largest partition first (by the master's cost
-	// estimate — the work meter), each to the node with the earliest
-	// projected finish given what it already holds. The master does not
-	// know which nodes are dead or stalled, so they participate.
-	order := make([]int, nParts)
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		if in.units[a] != in.units[b] {
-			if in.units[a] > in.units[b] {
-				return -1
-			}
-			return 1
-		}
-		return a - b
-	})
-	avail := make([]time.Duration, n)
-	var copies []*simCopy
-	queues := make([][]int, n) // copy indices per node, dispatch order
-	var sendFree time.Duration
-	dispatchTo := func(part, ni int, at time.Duration) *simCopy {
-		if at > sendFree {
-			sendFree = at
-		}
-		sendFree += m.DispatchPerTask + nodeTransfer(in.reqBytes[part], ni)
-		c := &simCopy{part: part, node: ni, sendDone: sendFree, computeT: computeT(part, ni)}
-		c.arrive = c.sendDone + m.Latency
-		prevFree := time.Duration(0)
-		if q := queues[ni]; len(q) > 0 {
-			prevFree = copies[q[len(q)-1]].effFinish()
-		}
-		c.start = max(c.arrive, prevFree) + m.TaskSetup
-		c.finish = c.start + c.computeT
-		copies = append(copies, c)
-		queues[ni] = append(queues[ni], len(copies)-1)
-		return c
-	}
-	for _, part := range order {
-		best, bestFin := -1, time.Duration(0)
-		for ni := 0; ni < n; ni++ {
-			fin := avail[ni] + estimateT(part, ni)
-			if best < 0 || fin < bestFin {
-				best, bestFin = ni, fin
-			}
-		}
-		avail[best] += m.TaskSetup + estimateT(part, best)
-		dispatchTo(part, best, 0)
-	}
+	var out simOutcome
+	var events []simEvent // kept in (time, kind, copy index) order
 
-	out := simOutcome{}
-	var events []simEvent
-	push := func(e simEvent) { events = append(events, e) }
-	pop := func() (simEvent, bool) {
-		if len(events) == 0 {
-			return simEvent{}, false
-		}
-		bi := 0
-		for i := 1; i < len(events); i++ {
-			e, b := events[i], events[bi]
-			if e.t < b.t || (e.t == b.t && (e.kind < b.kind || (e.kind == b.kind && e.copy < b.copy))) {
-				bi = i
-			}
-		}
-		e := events[bi]
-		events = append(events[:bi], events[bi+1:]...)
-		return e, true
-	}
-	scheduleCopy := func(ci int) {
-		c := copies[ci]
-		out.bytes += uint64(in.reqBytes[c.part])
+	inFlight := make([]int, n) // the copy each node's one request slot holds
+	busy := make([]time.Duration, n)
+	var sendFree, recvFree time.Duration
+	// send puts one dispatched request on the wire: the master NIC
+	// serializes it behind earlier sends, and the node — idle, because the
+	// policy keeps one request in flight per worker — starts computing
+	// one task setup after it arrives. A dead node never answers; its
+	// silence becomes a transport failure at the detection timeout.
+	send := func(d sched.Dispatch, now time.Duration) {
+		part, ni := d.Unit.Part, d.Worker
+		sendFree = max(sendFree, now) + m.DispatchPerTask + nodeTransfer(in.reqBytes[part], ni)
+		c := simCopy{part: part, node: ni, dispatched: now, arrive: sendFree + m.Latency}
+		c.start = c.arrive + m.TaskSetup
+		c.finish = c.start + time.Duration(float64(in.units[part])*perUnit(part, ni))
+		ci := len(out.copies)
+		out.copies = append(out.copies, c)
+		inFlight[ni] = ci
+		out.bytes += uint64(in.reqBytes[part])
 		out.messages++
-		if dead[c.node] {
-			push(simEvent{t: c.arrive + detect, kind: evDetect, copy: ci, gen: c.gen})
+		if dead(ni) {
+			events = append(events, simEvent{t: c.arrive + detect, kind: evDetect, copy: ci})
 		} else {
-			push(simEvent{t: c.finish + m.Latency, kind: evArrive, copy: ci, gen: c.gen})
+			busy[ni] += c.finish - c.start
+			events = append(events, simEvent{t: c.finish + m.Latency, kind: evArrive, copy: ci})
 		}
 	}
-	for ci := range copies {
-		scheduleCopy(ci)
-	}
-
-	firstDone := make([]time.Duration, nParts)
-	for i := range firstDone {
-		firstDone[i] = -1
-	}
-	nDone := 0
-	var svcTimes []time.Duration
-	threshold := func() (time.Duration, bool) {
-		if len(svcTimes) == 0 {
-			return 0, false
-		}
-		sorted := slices.Clone(svcTimes)
-		slices.Sort(sorted)
-		thr := time.Duration(float64(sorted[len(sorted)/2]) * specMult)
-		return max(thr, specFloor), true
-	}
-	// liveCopies reports the in-flight (not done, not canceled) copies
-	// of a partition.
-	liveCopies := func(part int) []int {
-		var out []int
-		for ci, c := range copies {
-			if c.part == part && !c.done && !c.canceled {
-				out = append(out, ci)
-			}
-		}
-		return out
-	}
-	nodeFree := func(ni int) time.Duration {
-		var t time.Duration
-		for _, ci := range queues[ni] {
-			c := copies[ci]
-			if c.canceled && !c.occupies {
-				continue
-			}
-			if f := c.effFinish(); f > t {
-				t = f
-			}
-		}
-		return t
-	}
-	// recomputeNode replays a node's queue after a truncation shifted it.
-	recomputeNode := func(ni int) {
-		prevFree := time.Duration(0)
-		for _, ci := range queues[ni] {
-			c := copies[ci]
-			if c.canceled {
-				if c.occupies && c.truncAt > prevFree {
-					prevFree = c.truncAt
-				}
-				continue
-			}
-			start := max(c.arrive, prevFree) + m.TaskSetup
-			if start != c.start {
-				c.start = start
-				c.finish = start + c.computeT
-				c.gen++
-				if !c.done && !dead[ni] {
-					push(simEvent{t: c.finish + m.Latency, kind: evArrive, copy: ci, gen: c.gen})
-				}
-			}
-			prevFree = c.finish
-		}
-	}
-	scheduleSpecChecks := func(now time.Duration) {
-		if !f.Speculate {
+	// cancel sends the loser of a race its cancel frame. If the frame
+	// lands after the node finished, the response is already on the wire
+	// and will be delivered (and discarded as stale); otherwise the node
+	// stops where it is and acknowledges. Either way the compute it
+	// burned is wasted work.
+	cancel := func(ni int, now time.Duration) {
+		out.bytes += uint64(cancelFrameBytes)
+		out.messages++
+		c := &out.copies[inFlight[ni]]
+		lands := max(now+m.Latency, c.arrive)
+		if dead(ni) {
 			return
 		}
-		thr, ok := threshold()
-		if !ok {
+		if lands >= c.finish {
+			out.wasted += in.units[c.part]
 			return
 		}
-		for ci, c := range copies {
-			if c.done || c.canceled || len(liveCopies(c.part)) > 1 || firstDone[c.part] >= 0 {
-				continue
-			}
-			push(simEvent{t: max(now, c.sendDone+thr), kind: evSpec, copy: ci, gen: c.gen})
+		c.canceled = true
+		c.gen++
+		if lands > c.start {
+			burned := uint64(float64(lands-c.start) / perUnit(c.part, ni))
+			out.wasted += min(burned, in.units[c.part])
 		}
+		busy[ni] -= c.finish - max(lands, c.start)
+		events = append(events, simEvent{t: lands + m.Latency, kind: evArrive, copy: inFlight[ni], gen: c.gen})
 	}
-	cancelFrameBytes := 8 // header (4) + sequence number (4)
 
-	var recvFree time.Duration
-	for nDone < nParts {
-		e, ok := pop()
-		if !ok {
-			return simOutcome{}, fmt.Errorf("cluster: adaptive schedule stalled with %d of %d partitions unanswered", nParts-nDone, nParts)
+	// step feeds the policy one event and executes what it answers.
+	var act sched.Actions
+	step := func(ev sched.Event) (err error) {
+		if act, err = policy.Step(ev); err != nil {
+			return fmt.Errorf("cluster: %w", err)
 		}
-		c := copies[e.copy]
-		if e.gen != c.gen || c.canceled || c.done {
+		for _, ni := range act.Cancel {
+			cancel(ni, ev.Now)
+		}
+		for _, d := range act.Dispatch {
+			send(d, ev.Now)
+		}
+		return nil
+	}
+	err = step(sched.Tick(0))
+	for err == nil && !act.Done {
+		slices.SortFunc(events, func(a, b simEvent) int {
+			return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.kind, b.kind), cmp.Compare(a.copy, b.copy))
+		})
+		if act.Wake > 0 && (len(events) == 0 || act.Wake < events[0].t) {
+			err = step(sched.Tick(act.Wake))
 			continue
+		}
+		if len(events) == 0 {
+			return simOutcome{}, errors.New("cluster: adaptive schedule stalled with nothing in flight")
+		}
+		e := events[0]
+		events = events[1:]
+		c := &out.copies[e.copy]
+		if e.gen != c.gen {
+			continue // the arrival a cancel replaced
 		}
 		switch e.kind {
 		case evArrive:
-			c.done = true
-			done := max(e.t, recvFree) + nodeTransfer(in.respBytes[c.part], c.node)
-			recvFree = done
-			out.bytes += uint64(in.respBytes[c.part])
+			// The master NIC receives one frame at a time.
+			size := in.respBytes[c.part]
+			if c.canceled {
+				size = cancelAckBytes
+			}
+			recvFree = max(e.t, recvFree) + nodeTransfer(size, c.node)
+			out.bytes += uint64(size)
 			out.messages++
-			if firstDone[c.part] >= 0 {
-				// A race loser that outran its cancel: full compute burned.
-				out.wasted += in.units[c.part]
-				continue
+			events = append(events, simEvent{t: recvFree, kind: evDeliver, copy: e.copy, gen: e.gen})
+		case evDeliver, evDetect:
+			ev := sched.Event{Now: e.t, Worker: c.node, Outcome: sched.OK, Elapsed: e.t - c.dispatched}
+			switch {
+			case e.kind == evDetect:
+				ev.Outcome = sched.Failed
+			case c.canceled:
+				ev.Outcome = sched.Canceled
 			}
-			firstDone[c.part] = done
-			nDone++
-			if done > out.total {
-				out.total = done
+			if err = step(ev); act.Accepted {
+				out.total = e.t
 			}
-			svcTimes = append(svcTimes, done-c.sendDone)
-			// Cancel any sibling still running the same partition.
-			for _, li := range liveCopies(c.part) {
-				l := copies[li]
-				out.bytes += uint64(cancelFrameBytes)
-				out.messages++
-				cancelArrive := done + m.Latency
-				if cancelArrive >= l.finish {
-					continue // its response is already on the wire; it delivers and is counted wasted
-				}
-				l.canceled = true
-				l.gen++
-				l.truncAt = cancelArrive
-				l.occupies = cancelArrive > l.start
-				if l.occupies {
-					burned := uint64(float64(cancelArrive-l.start) / perUnit(l.part, l.node))
-					out.wasted += min(burned, in.units[l.part])
-				}
-				recomputeNode(l.node)
-			}
-			scheduleSpecChecks(done)
-		case evDetect:
-			if firstDone[c.part] >= 0 || len(liveCopies(c.part)) > 1 {
-				continue // a clone beat the detector to it
-			}
-			c.canceled = true // the dead node burned nothing observable
-			out.redispatches++
-			// Re-dispatch to the live node with the earliest projected finish.
-			best, bestFin := -1, time.Duration(0)
-			for ni := 0; ni < n; ni++ {
-				if dead[ni] {
-					continue
-				}
-				fin := max(nodeFree(ni), e.t) + m.TaskSetup + estimateT(c.part, ni)
-				if best < 0 || fin < bestFin {
-					best, bestFin = ni, fin
-				}
-			}
-			nc := dispatchTo(c.part, best, e.t)
-			scheduleCopy(len(copies) - 1)
-			if f.Speculate {
-				if thr, ok := threshold(); ok {
-					push(simEvent{t: nc.sendDone + thr, kind: evSpec, copy: len(copies) - 1, gen: nc.gen})
-				}
-			}
-		case evSpec:
-			if firstDone[c.part] >= 0 || len(liveCopies(c.part)) > 1 {
-				continue
-			}
-			thr, ok := threshold()
-			if !ok {
-				continue
-			}
-			if e.t < c.sendDone+thr {
-				push(simEvent{t: c.sendDone + thr, kind: evSpec, copy: e.copy, gen: c.gen})
-				continue
-			}
-			// Clone to the idle live node with the best projected finish.
-			best, bestFin := -1, time.Duration(0)
-			for ni := 0; ni < n; ni++ {
-				if ni == c.node || dead[ni] || nodeFree(ni) > e.t {
-					continue
-				}
-				fin := e.t + m.TaskSetup + estimateT(c.part, ni)
-				if best < 0 || fin < bestFin {
-					best, bestFin = ni, fin
-				}
-			}
-			if best < 0 {
-				continue // no idle node; a completion will re-trigger the check
-			}
-			out.speculations++
-			dispatchTo(c.part, best, e.t)
-			scheduleCopy(len(copies) - 1)
 		}
 	}
-
-	busy := make([]time.Duration, n)
-	for _, c := range copies {
-		switch {
-		case c.canceled && c.occupies:
-			busy[c.node] += c.truncAt - c.start
-		case !c.canceled && !dead[c.node]:
-			busy[c.node] += c.computeT
-		}
+	if err != nil {
+		return simOutcome{}, err
 	}
+	n0 := policy.Counters(0)
+	out.speculations, out.redispatches = n0.Speculations, n0.Redispatched
 	for _, b := range busy {
-		if b > out.maxWorker {
-			out.maxWorker = b
-		}
+		out.maxWorker = max(out.maxWorker, b)
 	}
 	return out, nil
 }

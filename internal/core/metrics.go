@@ -116,9 +116,4 @@ type ClusterMetrics struct {
 	// race losers before their cancel arrived — compute that produced no
 	// aggregated answer. Zero when nothing was speculated.
 	WastedWork uint64
-	// Probes counts re-admission probes sent to excluded nodes. The
-	// one-round simulator only reports this when a fault script drives
-	// exclusion and re-admission; the TCP runtime's equivalent lives on
-	// NetStats.Probes.
-	Probes int
 }

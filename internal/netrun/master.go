@@ -1,35 +1,25 @@
 package netrun
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net"
-	"slices"
-	"sort"
 	"sync"
 	"time"
 
 	"mpq/internal/core"
 	"mpq/internal/plan"
 	"mpq/internal/query"
+	"mpq/internal/sched"
 	"mpq/internal/wire"
 )
 
-// Defaults for Options fields left at zero.
 const (
-	DefaultTimeout           = 2 * time.Minute
-	DefaultMaxAttempts       = 3
-	DefaultMaxWorkerFailures = 2
-	// DefaultSpeculationMultiplier is the straggler threshold multiplier
-	// used when Options.Speculate is set and SpeculationMultiplier is
-	// zero: a partition is a straggler once its elapsed time exceeds
-	// twice the median service time of the query's completed partitions.
-	DefaultSpeculationMultiplier = 2
-	// DefaultSpeculationFloor bounds the straggler threshold from below
-	// so near-instant medians (tiny queries) cannot trigger speculation
-	// on ordinary scheduling jitter.
-	DefaultSpeculationFloor = 250 * time.Millisecond
+	// DefaultTimeout is the per-attempt deadline when Options.Timeout is
+	// zero. The policy fields' defaults live in internal/sched.
+	DefaultTimeout = 2 * time.Minute
 	// cancelWriteTimeout bounds the advisory CancelRequest frame write
 	// to a speculative loser; a peer too wedged to accept 8 bytes loses
 	// its connection on the next use anyway.
@@ -51,11 +41,11 @@ type Options struct {
 	Timeout time.Duration
 	// MaxAttempts is the per-partition attempt budget: a partition that
 	// fails this many times (across all workers) aborts the query. Zero
-	// means DefaultMaxAttempts; negative is an error.
+	// means sched.DefaultMaxAttempts; negative is an error.
 	MaxAttempts int
 	// MaxWorkerFailures is the number of consecutive job failures after
 	// which a worker is excluded from the rest of the query. Zero means
-	// DefaultMaxWorkerFailures; negative is an error.
+	// sched.DefaultMaxWorkerFailures; negative is an error.
 	MaxWorkerFailures int
 	// Speculate enables adaptive scheduling: an idle worker steals queued
 	// partitions from loaded peers, and a partition whose elapsed time
@@ -69,11 +59,11 @@ type Options struct {
 	// SpeculationMultiplier scales the straggler threshold: a partition
 	// is speculated once its elapsed time exceeds Multiplier × the median
 	// service time of its query's completed partitions. Zero means
-	// DefaultSpeculationMultiplier; values below 1 (which would speculate
-	// faster-than-median partitions) are an error.
+	// sched.DefaultSpeculationMultiplier; values below 1 (which would
+	// speculate faster-than-median partitions) are an error.
 	SpeculationMultiplier float64
 	// SpeculationFloor bounds the straggler threshold from below. Zero
-	// means DefaultSpeculationFloor; negative is an error.
+	// means sched.DefaultSpeculationFloor; negative is an error.
 	SpeculationFloor time.Duration
 	// ReadmitAfter enables re-admission probes: a worker excluded by
 	// MaxWorkerFailures is sent a low-priority probe clone of a pending
@@ -109,17 +99,17 @@ type Job struct {
 	Spec  core.JobSpec
 }
 
-// Master coordinates remote workers.
+// Master coordinates remote workers. It is the transport half of the
+// runtime — connections, frames, deadlines, byte accounting; every
+// scheduling decision comes from the sched.Core it drives on the wall
+// clock.
 type Master struct {
-	addrs             []string
-	weights           []float64
-	timeout           time.Duration
-	maxAttempts       int
-	maxWorkerFailures int
-	speculate         bool
-	specMultiplier    float64
-	specFloor         time.Duration
-	readmitAfter      time.Duration
+	addrs   []string
+	timeout time.Duration
+	policy  sched.Config // defaults applied
+	// trace, when set (tests only), sees every event the master feeds the
+	// core and the actions it goes on to execute.
+	trace func(sched.Event, sched.Actions)
 }
 
 // NewMaster returns a master that will distribute work over the given
@@ -150,116 +140,23 @@ func NewMasterWithOptions(addrs []string, opts Options) (*Master, error) {
 		}
 		seen[a] = struct{}{}
 	}
-	if opts.Weights != nil {
-		if len(opts.Weights) != len(addrs) {
-			return nil, fmt.Errorf("netrun: %d weights for %d workers", len(opts.Weights), len(addrs))
-		}
-		for i, w := range opts.Weights {
-			if !(w > 0) {
-				return nil, fmt.Errorf("netrun: weight %d is %g, must be positive", i, w)
-			}
-		}
-	}
 	if opts.Timeout < 0 {
 		return nil, fmt.Errorf("netrun: negative timeout %v", opts.Timeout)
 	}
-	if opts.MaxAttempts < 0 {
-		return nil, fmt.Errorf("netrun: negative attempt budget %d", opts.MaxAttempts)
+	policy := sched.Config{
+		Workers:               len(addrs),
+		Weights:               opts.Weights,
+		MaxAttempts:           opts.MaxAttempts,
+		MaxWorkerFailures:     opts.MaxWorkerFailures,
+		Speculate:             opts.Speculate,
+		SpeculationMultiplier: opts.SpeculationMultiplier,
+		SpeculationFloor:      opts.SpeculationFloor,
+		ReadmitAfter:          opts.ReadmitAfter,
 	}
-	if opts.MaxWorkerFailures < 0 {
-		return nil, fmt.Errorf("netrun: negative worker failure limit %d", opts.MaxWorkerFailures)
+	if err := policy.Validate(); err != nil {
+		return nil, fmt.Errorf("netrun: %w", err)
 	}
-	if opts.SpeculationMultiplier != 0 && opts.SpeculationMultiplier < 1 {
-		return nil, fmt.Errorf("netrun: speculation multiplier %g below 1", opts.SpeculationMultiplier)
-	}
-	if opts.SpeculationFloor < 0 {
-		return nil, fmt.Errorf("netrun: negative speculation floor %v", opts.SpeculationFloor)
-	}
-	if opts.ReadmitAfter < 0 {
-		return nil, fmt.Errorf("netrun: negative re-admission backoff %v", opts.ReadmitAfter)
-	}
-	ms := &Master{
-		addrs:             addrs,
-		weights:           opts.Weights,
-		timeout:           opts.Timeout,
-		maxAttempts:       opts.MaxAttempts,
-		maxWorkerFailures: opts.MaxWorkerFailures,
-		speculate:         opts.Speculate,
-		specMultiplier:    opts.SpeculationMultiplier,
-		specFloor:         opts.SpeculationFloor,
-		readmitAfter:      opts.ReadmitAfter,
-	}
-	if ms.timeout == 0 {
-		ms.timeout = DefaultTimeout
-	}
-	if ms.maxAttempts == 0 {
-		ms.maxAttempts = DefaultMaxAttempts
-	}
-	if ms.maxWorkerFailures == 0 {
-		ms.maxWorkerFailures = DefaultMaxWorkerFailures
-	}
-	if ms.specMultiplier == 0 {
-		ms.specMultiplier = DefaultSpeculationMultiplier
-	}
-	if ms.specFloor == 0 {
-		ms.specFloor = DefaultSpeculationFloor
-	}
-	return ms, nil
-}
-
-// assignPartitions splits partition IDs 0..m-1 over the workers. With
-// nil weights it round-robins; with weights it hands out contiguous
-// shares proportional to each worker's performance (largest-remainder
-// rounding, every worker with weight > 0 and m >= workers gets at least
-// one partition when possible).
-func (ms *Master) assignPartitions(m int) [][]int {
-	k := len(ms.addrs)
-	out := make([][]int, k)
-	if ms.weights == nil {
-		for p := 0; p < m; p++ {
-			out[p%k] = append(out[p%k], p)
-		}
-		return out
-	}
-	var total float64
-	for _, w := range ms.weights {
-		total += w
-	}
-	// Largest-remainder apportionment of m partitions.
-	counts := make([]int, k)
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	rems := make([]rem, k)
-	assigned := 0
-	for i, w := range ms.weights {
-		exact := float64(m) * w / total
-		counts[i] = int(exact)
-		rems[i] = rem{idx: i, frac: exact - float64(counts[i])}
-		assigned += counts[i]
-	}
-	sort.Slice(rems, func(a, b int) bool { return rems[a].frac > rems[b].frac })
-	for i := 0; assigned < m; i++ {
-		counts[rems[i%k].idx]++
-		assigned++
-	}
-	p := 0
-	for i, c := range counts {
-		for j := 0; j < c; j++ {
-			out[i] = append(out[i], p)
-			p++
-		}
-	}
-	return out
-}
-
-// unit is one (query, partition, retry state) piece of work.
-type unit struct {
-	qi       int   // index into the batch's jobs
-	partID   int   // plan-space partition within that query
-	attempts int   // failed attempts so far
-	failedOn []int // workers that already failed this unit
+	return &Master{addrs: addrs, timeout: cmp.Or(opts.Timeout, DefaultTimeout), policy: policy.WithDefaults()}, nil
 }
 
 // ignoredFrame is one well-formed frame the master discarded for a
@@ -272,10 +169,10 @@ type ignoredFrame struct {
 	bytes uint64
 }
 
-// jobResult is one job attempt's outcome, reported by a worker loop.
+// jobResult is one job attempt's outcome, reported by runJob.
 type jobResult struct {
 	worker  int
-	unit    unit
+	unit    sched.Unit
 	resp    *wire.JobResponse
 	elapsed time.Duration
 	sent    uint64
@@ -284,11 +181,11 @@ type jobResult struct {
 	dialed  bool // this attempt opened a new connection
 	ignored []ignoredFrame
 	err     error
-	fatal   bool // deterministic failure: retrying cannot help
+	outcome sched.Outcome
 }
 
 // connReg tracks the master's live connections so an aborting
-// coordinator can force-close them and unblock worker loops stuck in
+// coordinator can force-close them and unblock attempts stuck in
 // read; ctx cancellation aborts dials still in flight (a dialing
 // connection is not yet in the registry).
 type connReg struct {
@@ -326,7 +223,7 @@ func (r *connReg) closeAll() {
 	r.conns = map[net.Conn]struct{}{}
 }
 
-// connState is one worker loop's keep-alive connection plus its
+// connState is one worker's keep-alive connection plus its
 // request sequence counter. The counter survives redials — sequence
 // numbers only ever need to be unique per connection, and a
 // monotonically increasing one is unique per master lifetime. owner
@@ -337,14 +234,29 @@ func (r *connReg) closeAll() {
 //
 // mu serializes writes on the connection and guards the conn pointer
 // and inflight field: the coordinator goroutine injects advisory
-// CancelRequest frames (cancelInFlight) into a stream the worker loop
-// otherwise owns. seq and owner stay worker-loop-private.
+// CancelRequest frames (cancelInFlight) into a stream runJob otherwise
+// owns. seq and owner are private to runJob, whose calls for
+// one worker never overlap.
 type connState struct {
 	mu       sync.Mutex
 	conn     net.Conn
 	inflight uint32 // seq awaiting a response; 0 = none
 	seq      uint32
 	owner    map[uint32]int
+}
+
+// hangUp closes the connection, if any; nothing is in flight on it any
+// more, and the next attempt redials. Called from runJob only.
+func (st *connState) hangUp(reg *connReg) {
+	st.mu.Lock()
+	conn := st.conn
+	st.conn, st.inflight = nil, 0
+	st.mu.Unlock()
+	if conn != nil {
+		reg.drop(conn)
+		conn.Close()
+		st.owner = nil // a fresh stream cannot replay old frames
+	}
 }
 
 // cancelInFlight asks the worker to abort the request currently
@@ -371,33 +283,12 @@ func (st *connState) cancelInFlight() int {
 	return len(payload) + 4
 }
 
-// workerLoop executes jobs for one worker address: it dials lazily,
-// keeps the connection across jobs (and across the queries of a
-// batch), and reports every outcome on results. At most one job is in
-// flight per worker, so a results buffer with one slot per worker can
-// never block a loop after the coordinator stops receiving. st is
-// shared with the coordinator, which uses it only through
-// cancelInFlight.
-func (ms *Master) workerLoop(ctx context.Context, ni int, jobs []Job, give <-chan unit, results chan<- jobResult, reg *connReg, st *connState) {
-	defer func() {
-		st.mu.Lock()
-		conn := st.conn
-		st.conn = nil
-		st.mu.Unlock()
-		if conn != nil {
-			reg.drop(conn)
-			conn.Close()
-		}
-	}()
-	for u := range give {
-		results <- ms.runJob(ctx, ni, jobs[u.qi], u, st, reg)
-	}
-}
-
-// runJob performs one job attempt under the per-job deadline: the
-// configured Timeout, tightened by the context deadline if that comes
-// first.
-func (ms *Master) runJob(ctx context.Context, ni int, job Job, u unit, st *connState, reg *connReg) jobResult {
+// runJob performs one job attempt on worker ni under the per-job
+// deadline: the configured Timeout, tightened by the context deadline if
+// that comes first. It dials lazily and keeps the connection in st
+// across jobs (and across the queries of a batch). st is shared with
+// the coordinator, which uses it only through cancelInFlight.
+func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, st *connState, reg *connReg) jobResult {
 	addr := ms.addrs[ni]
 	res := jobResult{worker: ni, unit: u}
 	t0 := time.Now()
@@ -416,18 +307,9 @@ func (ms *Master) runJob(ctx context.Context, ni int, job Job, u unit, st *connS
 	// fail records a transport-level error and drops the connection: the
 	// stream may be out of sync, and the next attempt should redial.
 	fail := func(err error) jobResult {
-		res.err = err
+		res.err, res.outcome = err, sched.Failed
 		res.elapsed = time.Since(t0)
-		st.mu.Lock()
-		conn := st.conn
-		st.conn = nil
-		st.inflight = 0
-		st.mu.Unlock()
-		if conn != nil {
-			reg.drop(conn)
-			conn.Close()
-			st.owner = nil // a fresh stream cannot replay old frames
-		}
+		st.hangUp(reg)
 		return res
 	}
 	if st.conn == nil {
@@ -448,8 +330,8 @@ func (ms *Master) runJob(ctx context.Context, ni int, job Job, u unit, st *connS
 	conn := st.conn
 	st.seq++
 	seq := st.seq
-	st.owner[seq] = u.qi
-	payload := wire.EncodeJobRequest(&wire.JobRequest{Seq: seq, Spec: job.Spec, PartID: u.partID, Query: job.Query})
+	st.owner[seq] = u.Job
+	payload := wire.EncodeJobRequest(&wire.JobRequest{Seq: seq, Spec: job.Spec, PartID: u.Part, Query: job.Query})
 	// The request write and the in-flight marker share one critical
 	// section so a concurrent cancel frame can never interleave with (or
 	// target a request that precedes) the request bytes.
@@ -493,13 +375,20 @@ func (ms *Master) runJob(ctx context.Context, ni int, job Job, u unit, st *connS
 			if we.Seq != 0 && we.Seq != seq {
 				// A stale error frame for an earlier request (duplicated or
 				// replayed on the wire). Ignore it and keep reading.
-				res.ignored = append(res.ignored, ignoredFrame{qi: st.ownerOf(we.Seq, u.qi), bytes: frameBytes})
+				res.ignored = append(res.ignored, ignoredFrame{qi: st.ownerOf(we.Seq, u.Job), bytes: frameBytes})
 				continue
 			}
 			accept()
 			// The frame itself arrived intact, so the connection stays usable.
-			res.err = fmt.Errorf("worker %s partition %d: %w", addr, u.partID, we)
-			res.fatal = we.Code == wire.ErrJobFailed
+			res.err = fmt.Errorf("worker %s partition %d: %w", addr, u.Part, we)
+			switch we.Code {
+			case wire.ErrCanceled:
+				res.outcome = sched.Canceled
+			case wire.ErrJobFailed:
+				res.outcome = sched.Fatal
+			default:
+				res.outcome = sched.Failed
+			}
 			res.elapsed = time.Since(t0)
 			return res
 		case wire.TagJobResponse:
@@ -512,7 +401,7 @@ func (ms *Master) runJob(ctx context.Context, ni int, job Job, u unit, st *connS
 				// Duplicate or stale response: a chaos proxy (or a confused
 				// network) replayed a frame. The sequence echo proves it is
 				// not the answer to the request in flight — discard it.
-				res.ignored = append(res.ignored, ignoredFrame{qi: st.ownerOf(resp.Seq, u.qi), bytes: frameBytes})
+				res.ignored = append(res.ignored, ignoredFrame{qi: st.ownerOf(resp.Seq, u.Job), bytes: frameBytes})
 				continue
 			}
 			accept()
@@ -522,8 +411,8 @@ func (ms *Master) runJob(ctx context.Context, ni int, job Job, u unit, st *connS
 				// an error code we cannot tell transit damage from a
 				// deterministic failure, and guessing "retryable" could burn the
 				// whole retry budget on a job every worker rejects. Fail fast.
-				res.err = fmt.Errorf("worker %s partition %d: %s", addr, u.partID, resp.Err)
-				res.fatal = true
+				res.err = fmt.Errorf("worker %s partition %d: %s", addr, u.Part, resp.Err)
+				res.outcome = sched.Fatal
 				res.elapsed = time.Since(t0)
 				return res
 			}
@@ -562,7 +451,7 @@ func (ms *Master) Optimize(q *query.Query, spec core.JobSpec) (*Answer, error) {
 
 // OptimizeContext is Optimize with cooperative cancellation: when ctx
 // is canceled the dispatcher stops handing out work, force-closes every
-// connection it opened (unblocking worker loops stuck in reads), aborts
+// connection it opened (unblocking attempts stuck in reads), aborts
 // in-flight dials, waits for all its goroutines, and returns an error
 // wrapping ctx's cause. A ctx deadline also tightens each job attempt's
 // transport deadline, so per-job deadlines flow from
@@ -582,8 +471,9 @@ func (ms *Master) OptimizeContext(ctx context.Context, q *query.Query, spec core
 // on the same connections — in a failure-free batch the master dials
 // each worker exactly once instead of once per query (a transport
 // failure drops that worker's connection, so recovery adds redials).
-// Failed units are re-dispatched exactly as in Optimize;
-// worker-exclusion state spans the whole batch.
+// Which worker runs which unit when — retries, exclusion, stealing,
+// speculation, probes — is decided by internal/sched; worker-exclusion
+// state spans the whole batch.
 //
 // Answers are returned in input order and are bit-identical to running
 // each job through Optimize by itself: partitions of one query are
@@ -594,7 +484,8 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, err
 	if len(jobs) == 0 {
 		return nil, errors.New("netrun: empty batch")
 	}
-	for _, job := range jobs {
+	parts := make([]int, len(jobs))
+	for qi, job := range jobs {
 		if err := job.Query.Validate(); err != nil {
 			return nil, err
 		}
@@ -602,555 +493,181 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, err
 			return nil, err
 		}
 		job.Query.Freeze() // the query is shared across worker goroutines
+		parts[qi] = job.Spec.Workers
+	}
+	sch, err := sched.New(ms.policy, parts)
+	if err != nil {
+		return nil, fmt.Errorf("netrun: %w", err)
 	}
 	start := time.Now()
 	k := len(ms.addrs)
 
-	// Seed each worker's own queue with its static share of every query
-	// — preserving the weighted apportionment per query — and
-	// re-dispatch failures dynamically.
-	queues := make([][]unit, k)
-	totalParts := 0
-	for qi, job := range jobs {
-		for ni, parts := range ms.assignPartitions(job.Spec.Workers) {
-			for _, p := range parts {
-				queues[ni] = append(queues[ni], unit{qi: qi, partID: p})
-			}
-		}
-		totalParts += job.Spec.Workers
-	}
-
-	gives := make([]chan unit, k)
+	// At most one job is in flight per worker, so a results buffer with
+	// one slot per worker never blocks an attempt after the coordinator
+	// stops receiving.
 	results := make(chan jobResult, k)
 	regCtx, regCancel := context.WithCancel(ctx)
 	reg := &connReg{ctx: regCtx, cancel: regCancel, conns: map[net.Conn]struct{}{}}
-	sts := make([]*connState, k)
+	sts := make([]connState, k)
 	var wg sync.WaitGroup
-	for ni := 0; ni < k; ni++ {
-		gives[ni] = make(chan unit, 1)
-		sts[ni] = &connState{}
-		wg.Add(1)
-		go func(ni int) {
-			defer wg.Done()
-			ms.workerLoop(ctx, ni, jobs, gives[ni], results, reg, sts[ni])
-		}(ni)
-	}
 	defer func() {
-		for _, g := range gives {
-			close(g)
-		}
 		reg.closeAll() // cancels in-flight dials, closes open conns
 		wg.Wait()
 	}()
 
-	type partDone struct {
-		resp    *wire.JobResponse
-		elapsed time.Duration
-	}
 	done := make([][]partDone, len(jobs))
-	remaining := make([]int, len(jobs))
+	answers := make([]*Answer, len(jobs))
 	for qi, job := range jobs {
 		done[qi] = make([]partDone, job.Spec.Workers)
-		remaining[qi] = job.Spec.Workers
-	}
-	nDone := 0
-	alive := make([]bool, k)
-	idle := make([]bool, k)
-	for i := range alive {
-		alive[i], idle[i] = true, true
-	}
-	aliveCount := k
-	consecFails := make([]int, k)
-	var retryQ []unit
-	outstanding := 0
-	answers := make([]*Answer, len(jobs))
-	for qi := range answers {
 		answers[qi] = &Answer{Answer: core.Answer{Net: &core.NetStats{}}}
 	}
-
-	// Adaptive-scheduling state, inert unless Speculate or ReadmitAfter
-	// is set: what each worker runs and since when, how many copies of
-	// each partition are in flight, each query's completed-partition
-	// service times (the straggler threshold's median source), and the
-	// per-worker probe backoff bookkeeping.
-	type partKey struct{ qi, partID int }
-	adaptive := ms.speculate || ms.readmitAfter > 0
-	runningU := make([]unit, k)
-	runningActive := make([]bool, k)
-	runningSince := make([]time.Time, k)
-	probing := make([]bool, k)
-	excludedAt := make([]time.Time, k)
-	probeBackoff := make([]time.Duration, k)
-	inflightCnt := map[partKey]int{}
-	svcTimes := make([][]time.Duration, len(jobs))
-
-	isDone := func(u unit) bool { return done[u.qi][u.partID].resp != nil }
-
-	// threshold is one query's straggler bar: SpeculationMultiplier × the
-	// median service time of its completed partitions, never below
-	// SpeculationFloor. Unknown until at least one partition finished —
-	// with no baseline there is no notion of "slow".
-	threshold := func(qi int) (time.Duration, bool) {
-		ts := svcTimes[qi]
-		if len(ts) == 0 {
-			return 0, false
-		}
-		sorted := slices.Clone(ts)
-		slices.Sort(sorted)
-		thr := time.Duration(float64(sorted[len(sorted)/2]) * ms.specMultiplier)
-		if thr < ms.specFloor {
-			thr = ms.specFloor
-		}
-		return thr, true
+	canceled := func() ([]*Answer, error) {
+		// The deferred cleanup force-closes every connection, aborting
+		// in-flight work, and waits for the attempts to return.
+		return nil, fmt.Errorf("netrun: %w", context.Cause(ctx))
 	}
 
-	sendTo := func(ni int, u unit, probe bool) {
-		idle[ni] = false
-		outstanding++
-		runningU[ni], runningActive[ni], runningSince[ni] = u, true, time.Now()
-		probing[ni] = probe
-		inflightCnt[partKey{u.qi, u.partID}]++
-		gives[ni] <- u
+	// step feeds the core one event; the actions it returns are executed
+	// by the loop below and nowhere else.
+	step := func(ev sched.Event) (sched.Actions, error) {
+		act, err := sch.Step(ev)
+		if ms.trace != nil {
+			ms.trace(ev, act)
+		}
+		return act, err
 	}
-
-	// failedOnAllAlive reports whether every surviving worker has already
-	// failed this unit; if so, any survivor may retry it (the alternative
-	// is giving up while budget remains).
-	failedOnAllAlive := func(u unit) bool {
-		for ni := 0; ni < k; ni++ {
-			if alive[ni] && !slices.Contains(u.failedOn, ni) {
-				return false
-			}
+	act, err := step(sched.Tick(0))
+	for err == nil && !act.Done {
+		if ctx.Err() != nil {
+			return canceled()
 		}
-		return true
-	}
-
-	// specSource picks what an otherwise-idle worker should clone: the
-	// longest-over-threshold partition that has exactly one copy in
-	// flight. Probe jobs are never speculated — they are already clones.
-	specSource := func(ni int, now time.Time) (int, bool) {
-		best := -1
-		var bestElapsed time.Duration
-		for nj := 0; nj < k; nj++ {
-			if nj == ni || !runningActive[nj] || probing[nj] {
-				continue
-			}
-			r := runningU[nj]
-			if isDone(r) || inflightCnt[partKey{r.qi, r.partID}] > 1 {
-				continue
-			}
-			thr, ok := threshold(r.qi)
-			if !ok {
-				continue
-			}
-			if el := now.Sub(runningSince[nj]); el >= thr && el > bestElapsed {
-				best, bestElapsed = nj, el
-			}
+		for _, d := range act.Dispatch {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results <- ms.runJob(ctx, d.Worker, jobs[d.Unit.Job], d.Unit, &sts[d.Worker], reg)
+			}()
 		}
-		return best, best >= 0
-	}
-
-	// probeUnitFor picks a low-priority clone for a re-admission probe:
-	// the head of the longest pending queue, a retry unit the excluded
-	// worker has not already failed, or the oldest in-flight unit — in
-	// that order. Originals stay where they are; whichever copy answers
-	// second is reconciled by the duplicate-discard machinery.
-	probeUnitFor := func(ni int) (unit, bool) {
-		best := -1
-		for nj := 0; nj < k; nj++ {
-			if len(queues[nj]) > 0 && (best < 0 || len(queues[nj]) > len(queues[best])) {
-				best = nj
-			}
+		var wake <-chan time.Time
+		if act.Wake > 0 {
+			// Never sleep less than a millisecond: a wake already due must
+			// not turn the loop into a spin.
+			wake = time.After(max(act.Wake-time.Since(start), time.Millisecond))
 		}
-		if best >= 0 {
-			for _, cand := range queues[best] {
-				if !isDone(cand) {
-					return cand, true
-				}
-			}
-		}
-		for _, r := range retryQ {
-			if !isDone(r) && !slices.Contains(r.failedOn, ni) {
-				return r, true
-			}
-		}
-		oldest := -1
-		for nj := 0; nj < k; nj++ {
-			if nj == ni || !runningActive[nj] || probing[nj] || isDone(runningU[nj]) {
-				continue
-			}
-			if oldest < 0 || runningSince[nj].Before(runningSince[oldest]) {
-				oldest = nj
-			}
-		}
-		if oldest >= 0 {
-			return runningU[oldest], true
-		}
-		return unit{}, false
-	}
-
-	dispatch := func() {
-		now := time.Now()
-		if adaptive {
-			// Partitions answered by a winning clone may still sit in the
-			// retry queue; purge it eagerly (worker queues purge on pop).
-			kept := retryQ[:0]
-			for _, r := range retryQ {
-				if !isDone(r) {
-					kept = append(kept, r)
-				}
-			}
-			retryQ = kept
-		}
-		for ni := 0; ni < k; ni++ {
-			if !alive[ni] || !idle[ni] {
-				continue
-			}
-			var u unit
-			ok := false
-			for len(queues[ni]) > 0 {
-				cand := queues[ni][0]
-				queues[ni] = queues[ni][1:]
-				if !isDone(cand) {
-					u, ok = cand, true
-					break
-				}
-			}
-			if !ok {
-				for i := range retryQ {
-					r := retryQ[i]
-					if !slices.Contains(r.failedOn, ni) || failedOnAllAlive(r) {
-						u = r
-						retryQ = append(retryQ[:i], retryQ[i+1:]...)
-						ok = true
-						break
-					}
-				}
-			}
-			if !ok && ms.speculate {
-				// Work stealing: an idle worker drains the most loaded peer's
-				// queue instead of watching it struggle.
-				src := -1
-				for nj := 0; nj < k; nj++ {
-					if nj != ni && len(queues[nj]) > 0 && (src < 0 || len(queues[nj]) > len(queues[src])) {
-						src = nj
-					}
-				}
-				for src >= 0 && len(queues[src]) > 0 {
-					cand := queues[src][0]
-					queues[src] = queues[src][1:]
-					if !isDone(cand) {
-						u, ok = cand, true
-						break
-					}
-				}
-			}
-			if ok {
-				sendTo(ni, u, false)
-				continue
-			}
-			if !ms.speculate {
-				continue
-			}
-			// Speculative re-dispatch: clone the worst straggler onto this
-			// otherwise-idle worker; first answer wins.
-			if nj, found := specSource(ni, now); found {
-				orig := runningU[nj]
-				clone := unit{qi: orig.qi, partID: orig.partID, attempts: orig.attempts,
-					failedOn: append(slices.Clone(orig.failedOn), nj)}
-				answers[orig.qi].Net.Speculations++
-				sendTo(ni, clone, false)
-			}
-		}
-		// Re-admission probes for excluded workers past their backoff.
-		if ms.readmitAfter > 0 {
-			for ni := 0; ni < k; ni++ {
-				if alive[ni] || !idle[ni] || now.Sub(excludedAt[ni]) < probeBackoff[ni] {
-					continue
-				}
-				if u, ok := probeUnitFor(ni); ok {
-					answers[u.qi].Net.Probes++
-					sendTo(ni, u, true)
-				} else {
-					// Nothing suitable to probe with; look again one backoff
-					// from now instead of spinning.
-					excludedAt[ni] = now
-				}
-			}
-		}
-	}
-
-	// nextWake is the earliest instant at which dispatch could do
-	// something it cannot do now: a running partition crossing the
-	// straggler bar while an idle worker waits, or a probe backoff
-	// expiring. It mirrors dispatch's eligibility rules exactly — a timer
-	// that fired into a dispatch that refuses to act would busy-loop.
-	nextWake := func() (time.Time, bool) {
-		var wake time.Time
-		if ms.speculate {
-			idleAlive := false
-			for ni := 0; ni < k; ni++ {
-				if alive[ni] && idle[ni] {
-					idleAlive = true
-					break
-				}
-			}
-			if idleAlive {
-				for nj := 0; nj < k; nj++ {
-					if !runningActive[nj] || probing[nj] {
-						continue
-					}
-					r := runningU[nj]
-					if isDone(r) || inflightCnt[partKey{r.qi, r.partID}] > 1 {
-						continue
-					}
-					thr, ok := threshold(r.qi)
-					if !ok {
-						continue
-					}
-					if t := runningSince[nj].Add(thr); wake.IsZero() || t.Before(wake) {
-						wake = t
-					}
-				}
-			}
-		}
-		if ms.readmitAfter > 0 {
-			for ni := 0; ni < k; ni++ {
-				if alive[ni] || !idle[ni] {
-					continue
-				}
-				if t := excludedAt[ni].Add(probeBackoff[ni]); wake.IsZero() || t.Before(wake) {
-					wake = t
-				}
-			}
-		}
-		return wake, !wake.IsZero()
-	}
-
-	for nDone < totalParts {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("netrun: %w", context.Cause(ctx))
-		}
-		if aliveCount == 0 {
-			return nil, fmt.Errorf("netrun: all %d workers failed with %d of %d partitions unanswered",
-				k, totalParts-nDone, totalParts)
-		}
-		dispatch()
-		if outstanding == 0 {
-			// Unreachable while a worker is alive: an idle survivor always
-			// accepts pending work. Guard against coordination bugs anyway.
-			return nil, fmt.Errorf("netrun: stalled with %d of %d partitions unanswered", totalParts-nDone, totalParts)
-		}
-		var timerC <-chan time.Time
-		var timer *time.Timer
-		if adaptive {
-			if wake, ok := nextWake(); ok {
-				d := time.Until(wake)
-				if d < time.Millisecond {
-					d = time.Millisecond
-				}
-				timer = time.NewTimer(d)
-				timerC = timer.C
-			}
-		}
-		var res jobResult
-		gotRes := false
 		select {
-		case res = <-results:
-			gotRes = true
-		case <-timerC:
-			// A straggler threshold or probe backoff just expired; loop so
-			// dispatch can act on it.
-		case <-ctx.Done():
-			if timer != nil {
-				timer.Stop()
+		case res := <-results:
+			ans := answers[res.unit.Job]
+			bill(answers, res)
+			// A transport failure at or past the caller's deadline is the
+			// deadline's doing, not the worker's: the attempt deadline was
+			// tightened to the ctx deadline, and conn timeouts can fire a
+			// beat before the context's own timer. Wait for the (imminent)
+			// timer so the error is the deadline, deterministically.
+			if dl, ok := ctx.Deadline(); ok && res.outcome == sched.Failed && !time.Now().Before(dl) {
+				<-ctx.Done()
+				return canceled()
 			}
-			// The deferred cleanup force-closes every connection, aborting
-			// in-flight work, and waits for the worker loops to exit.
-			return nil, fmt.Errorf("netrun: %w", context.Cause(ctx))
-		}
-		if timer != nil {
-			timer.Stop()
-		}
-		if !gotRes {
-			continue
-		}
-		outstanding--
-		ni := res.worker
-		idle[ni] = true
-		wasProbe := probing[ni]
-		probing[ni] = false
-		runningActive[ni] = false
-		key := partKey{res.unit.qi, res.unit.partID}
-		if inflightCnt[key]--; inflightCnt[key] <= 0 {
-			delete(inflightCnt, key)
-		}
-		// stale: some other copy of this partition already won the race
-		// and was aggregated; whatever this attempt brought back is
-		// redundant by construction.
-		stale := isDone(res.unit)
-		ans := answers[res.unit.qi]
-		ans.Net.BytesSent += res.sent
-		ans.Net.BytesReceived += res.rcvd
-		ans.Net.Messages += res.msgs
-		for _, ig := range res.ignored {
-			origin := answers[ig.qi].Net
-			origin.BytesReceived += ig.bytes
-			origin.Messages++
-			origin.IgnoredFrames++
-		}
-		if res.dialed {
-			ans.Net.Dials++
-		}
-		if res.err == nil {
-			consecFails[ni] = 0
-			if wasProbe && !alive[ni] {
-				// The excluded worker answered a probe correctly: readmit it.
-				alive[ni] = true
-				aliveCount++
-				ans.Net.Readmitted++
+			act, err = step(sched.Event{Now: time.Since(start), Worker: res.worker, Outcome: res.outcome, Elapsed: res.elapsed})
+			if err != nil {
+				return nil, schedError(err, res.err)
 			}
-			if stale {
-				// The race's loser finished anyway (our cancel lost its own
-				// race with the response): correct but redundant, discarded.
-				ans.Net.SpeculationWasted++
-				continue
-			}
-			done[res.unit.qi][res.unit.partID] = partDone{resp: res.resp, elapsed: res.elapsed}
-			svcTimes[res.unit.qi] = append(svcTimes[res.unit.qi], res.elapsed)
-			nDone++
-			if remaining[res.unit.qi]--; remaining[res.unit.qi] == 0 {
-				ans.Elapsed = time.Since(start)
-			}
-			if _, racing := inflightCnt[key]; racing {
-				// This partition is still running elsewhere: tell the losers
-				// to abort their dynamic programs.
-				for nj := 0; nj < k; nj++ {
-					if nj != ni && runningActive[nj] && runningU[nj].qi == key.qi && runningU[nj].partID == key.partID {
-						if n := sts[nj].cancelInFlight(); n > 0 {
-							ans.Net.BytesSent += uint64(n)
-							ans.Net.Messages++
-						}
-					}
+			if act.Accepted {
+				done[res.unit.Job][res.unit.Part] = partDone{resp: res.resp, elapsed: res.elapsed}
+				if act.JobDone {
+					ans.Elapsed = time.Since(start)
 				}
 			}
-			continue
-		}
-		var we *wire.WorkerError
-		if errors.As(res.err, &we) && we.Code == wire.ErrCanceled {
-			// The loser acknowledged our cancel: benign — no penalty, no
-			// connection drop, nothing to re-dispatch.
-			ans.Net.SpeculationWasted++
-			if wasProbe {
-				// The probe's own partition finished elsewhere before the
-				// probe did. Proves nothing about the worker's health either
-				// way: stay excluded, try again one backoff from now.
-				excludedAt[ni] = time.Now()
-				continue
+			// This partition is still running elsewhere: tell the losers to
+			// abort their dynamic programs.
+			for _, nj := range act.Cancel {
+				if n := sts[nj].cancelInFlight(); n > 0 {
+					ans.Net.BytesSent += uint64(n)
+					ans.Net.Messages++
+				}
 			}
-			if stale {
-				continue
-			}
-			// A worker canceled a job the master still wants — spurious, but
-			// recoverable: re-queue under the attempt budget.
-			u := res.unit
-			u.attempts++
-			u.failedOn = append(u.failedOn, ni)
-			if u.attempts >= ms.maxAttempts {
-				return nil, fmt.Errorf("netrun: partition %d failed %d times, giving up: %w",
-					u.partID, u.attempts, res.err)
-			}
-			ans.Redispatched++
-			ans.Net.Redispatched++
-			retryQ = append(retryQ, u)
-			continue
+		case <-wake:
+			act, err = step(sched.Tick(time.Since(start)))
+		case <-ctx.Done():
+			return canceled()
 		}
-		if res.fatal {
-			if stale {
-				// A deterministic failure from a race's loser, for a
-				// partition that already has a correct answer: it cannot
-				// poison the batch (the canceled DP may legitimately error
-				// out mid-abort).
-				ans.Net.SpeculationWasted++
-				continue
-			}
-			return nil, fmt.Errorf("netrun: %w", res.err)
-		}
-		// A transport failure at or past the caller's deadline is the
-		// deadline's doing, not the worker's: the attempt deadline was
-		// tightened to the ctx deadline, and conn timeouts can fire a
-		// beat before the context's own timer. Wait for the (imminent)
-		// timer so the error is the deadline, deterministically.
-		if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
-			<-ctx.Done()
-			return nil, fmt.Errorf("netrun: %w", context.Cause(ctx))
-		}
-		// Transport-level failure: hold the worker accountable and
-		// re-dispatch the unit.
-		consecFails[ni]++
-		if alive[ni] && consecFails[ni] >= ms.maxWorkerFailures {
-			alive[ni] = false
-			aliveCount--
-			excludedAt[ni] = time.Now()
-			probeBackoff[ni] = ms.readmitAfter
-			// Hand the excluded worker's untouched share to the survivors.
-			retryQ = append(retryQ, queues[ni]...)
-			queues[ni] = nil
-		}
-		if wasProbe {
-			// A failed probe: stay excluded and back off harder. The probe
-			// was a clone, so its original is still queued or running —
-			// nothing needs re-dispatching.
-			excludedAt[ni] = time.Now()
-			probeBackoff[ni] *= 2
-			continue
-		}
-		if stale {
-			// The loser's connection died — often our own cancel tearing
-			// down a chaos proxy mid-stall. The partition is answered;
-			// nothing to re-dispatch. The consecutive-failure penalty above
-			// stands: the worker did fail at the transport level.
-			ans.Net.SpeculationWasted++
-			continue
-		}
-		u := res.unit
-		u.attempts++
-		u.failedOn = append(u.failedOn, ni)
-		if u.attempts >= ms.maxAttempts {
-			return nil, fmt.Errorf("netrun: partition %d failed %d times, giving up: %w",
-				u.partID, u.attempts, res.err)
-		}
-		ans.Redispatched++
-		ans.Net.Redispatched++
-		retryQ = append(retryQ, u)
+	}
+	if err != nil {
+		return nil, schedError(err, nil)
 	}
 
-	// Aggregate each query in partition-ID order: arrival order varies
-	// with retries, scheduling and batch interleaving, but the answers
-	// must not.
 	for qi, job := range jobs {
 		ans := answers[qi]
-		m := job.Spec.Workers
-		frontiers := make([][]*plan.Node, 0, m)
-		for partID := 0; partID < m; partID++ {
-			pd := done[qi][partID]
-			ans.Stats.Add(pd.resp.Stats)
-			if pd.resp.Stats.WorkUnits() > ans.MaxWorkerStats.WorkUnits() {
-				ans.MaxWorkerStats = pd.resp.Stats
-			}
-			if pd.elapsed > ans.MaxWorkerElapsed {
-				ans.MaxWorkerElapsed = pd.elapsed
-			}
-			ans.PerWorker = append(ans.PerWorker, core.WorkerReport{
-				PartID: partID, Plans: len(pd.resp.Plans), Stats: pd.resp.Stats, Elapsed: pd.elapsed,
-			})
-			frontiers = append(frontiers, pd.resp.Plans)
-		}
-		best, frontier, err := core.FinalPrune(job.Spec, frontiers)
-		if err != nil {
+		n := sch.Counters(qi)
+		ans.Redispatched, ans.Net.Redispatched = n.Redispatched, n.Redispatched
+		ans.Net.Speculations, ans.Net.SpeculationWasted = n.Speculations, n.SpeculationWasted
+		ans.Net.Probes, ans.Net.Readmitted = n.Probes, n.Readmitted
+		if err := aggregate(ans, job.Spec, done[qi]); err != nil {
 			return nil, err
 		}
-		ans.Best, ans.Frontier = best, frontier
 	}
 	return answers, nil
+}
+
+// schedError renders an error of the scheduling core the way the master
+// always has; cause is the transport error of the attempt that tripped
+// it, if any.
+func schedError(err, cause error) error {
+	var budget *sched.BudgetError
+	switch {
+	case errors.Is(err, sched.ErrFatal):
+		return fmt.Errorf("netrun: %w", cause)
+	case errors.As(err, &budget):
+		return fmt.Errorf("netrun: %v: %w", err, cause)
+	}
+	return fmt.Errorf("netrun: %w", err)
+}
+
+// bill charges one attempt's traffic to the query it served, and every
+// stale frame it read to the query that originally produced it.
+func bill(answers []*Answer, res jobResult) {
+	stats := answers[res.unit.Job].Net
+	stats.BytesSent += res.sent
+	stats.BytesReceived += res.rcvd
+	stats.Messages += res.msgs
+	if res.dialed {
+		stats.Dials++
+	}
+	for _, ig := range res.ignored {
+		origin := answers[ig.qi].Net
+		origin.BytesReceived += ig.bytes
+		origin.Messages++
+		origin.IgnoredFrames++
+	}
+}
+
+// partDone is one partition's accepted answer.
+type partDone struct {
+	resp    *wire.JobResponse
+	elapsed time.Duration
+}
+
+// aggregate folds one query's partition answers into ans in
+// partition-ID order: arrival order varies with retries, scheduling and
+// batch interleaving, but the answers must not.
+func aggregate(ans *Answer, spec core.JobSpec, parts []partDone) error {
+	frontiers := make([][]*plan.Node, 0, len(parts))
+	for partID, pd := range parts {
+		ans.Stats.Add(pd.resp.Stats)
+		if pd.resp.Stats.WorkUnits() > ans.MaxWorkerStats.WorkUnits() {
+			ans.MaxWorkerStats = pd.resp.Stats
+		}
+		if pd.elapsed > ans.MaxWorkerElapsed {
+			ans.MaxWorkerElapsed = pd.elapsed
+		}
+		ans.PerWorker = append(ans.PerWorker, core.WorkerReport{
+			PartID: partID, Plans: len(pd.resp.Plans), Stats: pd.resp.Stats, Elapsed: pd.elapsed,
+		})
+		frontiers = append(frontiers, pd.resp.Plans)
+	}
+	best, frontier, err := core.FinalPrune(spec, frontiers)
+	if err != nil {
+		return err
+	}
+	ans.Best, ans.Frontier = best, frontier
+	return nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"mpq/internal/core"
 	"mpq/internal/partition"
+	"mpq/internal/sched"
 )
 
 // Table-driven constructor validation: these error strings are part of
@@ -94,11 +95,11 @@ func TestNewMasterDefaults(t *testing.T) {
 	if ms.timeout != DefaultTimeout {
 		t.Fatalf("timeout = %v, want %v", ms.timeout, DefaultTimeout)
 	}
-	if ms.maxAttempts != DefaultMaxAttempts {
-		t.Fatalf("maxAttempts = %d, want %d", ms.maxAttempts, DefaultMaxAttempts)
+	if ms.policy.MaxAttempts != sched.DefaultMaxAttempts {
+		t.Fatalf("maxAttempts = %d, want %d", ms.policy.MaxAttempts, sched.DefaultMaxAttempts)
 	}
-	if ms.maxWorkerFailures != DefaultMaxWorkerFailures {
-		t.Fatalf("maxWorkerFailures = %d, want %d", ms.maxWorkerFailures, DefaultMaxWorkerFailures)
+	if ms.policy.MaxWorkerFailures != sched.DefaultMaxWorkerFailures {
+		t.Fatalf("maxWorkerFailures = %d, want %d", ms.policy.MaxWorkerFailures, sched.DefaultMaxWorkerFailures)
 	}
 	// Explicit values survive.
 	ms, err = NewMasterWithOptions([]string{"a:1"}, Options{
@@ -107,7 +108,7 @@ func TestNewMasterDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms.timeout != time.Second || ms.maxAttempts != 7 || ms.maxWorkerFailures != 4 {
+	if ms.timeout != time.Second || ms.policy.MaxAttempts != 7 || ms.policy.MaxWorkerFailures != 4 {
 		t.Fatalf("options not applied: %+v", ms)
 	}
 }

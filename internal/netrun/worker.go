@@ -122,7 +122,7 @@ func (w *Worker) serveConn(conn net.Conn) {
 			// Per-sequence cancel: the master explicitly no longer wants
 			// this answer but is still reading — acknowledge and move on.
 			resp = wire.EncodeWorkerError(&wire.WorkerError{
-				Seq: seq, Code: wire.ErrCanceled, Msg: "canceled by master",
+				Seq: seq, Code: wire.ErrCanceled, Msg: wire.CanceledMsg,
 			})
 		}
 		if err := WriteFrame(conn, resp); err != nil {

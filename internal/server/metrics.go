@@ -83,7 +83,6 @@ func (m *metrics) observeAnswer(ans *mpq.Answer) {
 	}
 	if c := ans.Cluster; c != nil {
 		m.straggler.speculations += uint64(c.Speculations)
-		m.straggler.probes += uint64(c.Probes)
 		m.straggler.redispatched += uint64(c.Redispatches)
 	}
 }

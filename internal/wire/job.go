@@ -129,6 +129,11 @@ const (
 	ErrCanceled ErrCode = 4
 )
 
+// CanceledMsg is the message of the ErrCanceled acknowledgment a worker
+// sends for a CancelRequest. It is fixed so the cluster simulator can
+// account the acknowledgment frame's exact length.
+const CanceledMsg = "canceled by master"
+
 // String names the error code.
 func (c ErrCode) String() string {
 	switch c {

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Unified static-analysis entry point: the one invocation every Go file
-# in the module — root library, cmd/, examples/, internal/ — must pass.
-# CI's verify job runs exactly this script, so a clean local run means
-# the lint gates are green.
+# in the repository — root library, cmd/, examples/, internal/, and the
+# nested benchmark module bench/ — must pass. CI's verify job runs
+# exactly this script, so a clean local run means the lint gates are
+# green.
 #
 #   sh scripts/lint.sh
 #
@@ -25,3 +26,7 @@ go vet ./...
 
 echo "==> mpqlint ./..."
 go run ./cmd/mpqlint ./...
+
+# bench/ is its own module (bench/README.md), invisible to the root ./...
+echo "==> bench: go vet + go test -short"
+(cd bench && go vet ./... && go test -short ./...)

@@ -1,5 +1,3 @@
-//lint:file-ignore SA1019 TestArenaOnOffBitIdenticalLegacySerial pins the deprecated serial wrapper to the arena bit-identity guarantee on purpose.
-
 package mpq_test
 
 import (
@@ -105,8 +103,10 @@ func TestArenaOnOffBitIdenticalAcrossEngines(t *testing.T) {
 	}
 }
 
-// The deprecated free functions ride the same arena path; pin one of
-// them too so the legacy surface keeps the bit-identity guarantee.
+// The serial engine with interesting orders in both plan spaces: the
+// cross-engine sweep above has an order-aware row only in the linear
+// space, and skips under -short. (The name predates the Engine API: the
+// test used to drive the removed OptimizeSerial wrapper.)
 func TestArenaOnOffBitIdenticalLegacySerial(t *testing.T) {
 	for _, space := range []mpq.Space{mpq.Linear, mpq.Bushy} {
 		t.Run(fmt.Sprint(space), func(t *testing.T) {
@@ -116,12 +116,12 @@ func TestArenaOnOffBitIdenticalLegacySerial(t *testing.T) {
 			}
 			spec := mpq.JobSpec{Space: space, Workers: 1, InterestingOrders: true}
 			wantBest, _ := arenaOffReference(t, q, spec)
-			got, err := mpq.OptimizeSerial(q, space, true)
+			got, err := mpq.NewSerialEngine().Optimize(context.Background(), q, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mpq.PlanFingerprint(got) != wantBest {
-				t.Fatalf("%v: legacy serial plan differs from heap reference", space)
+			if mpq.PlanFingerprint(got.Best) != wantBest {
+				t.Fatalf("%v: serial plan differs from heap reference", space)
 			}
 		})
 	}

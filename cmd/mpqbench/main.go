@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	mpqbench -experiment fig1|fig2|fig3|fig4|fig5|table1|speedups|workloads|micro|cache|stragglers|regret|all [flags]
+//	mpqbench -experiment fig1|fig2|fig3|fig4|fig5|table1|speedups|workloads|cache|stragglers|regret|all [flags]
 //
 // Flags:
 //
@@ -36,7 +36,7 @@ func main() {
 }
 
 func run() error {
-	experiment := flag.String("experiment", "all", "which experiment to run (fig1..fig5, table1, speedups, workloads, micro, cache, stragglers, regret, all)")
+	experiment := flag.String("experiment", "all", "which experiment to run (fig1..fig5, table1, speedups, workloads, cache, stragglers, regret, all)")
 	full := flag.Bool("full", false, "paper-scale sizes (slow)")
 	queries := flag.Int("queries", 0, "queries per data point (0 = scale default)")
 	seed := flag.Int64("seed", 0, "base workload seed")
@@ -137,14 +137,6 @@ func run() error {
 			render([]*experiments.Table{experiments.WorkloadsTable(rows)})
 			return nil
 		},
-		"micro": func() error {
-			rows, err := experiments.Micro(cfg)
-			if err != nil {
-				return err
-			}
-			render([]*experiments.Table{experiments.MicroTable(rows)})
-			return nil
-		},
 		"cache": func() error {
 			rows, err := experiments.CacheServing(cfg)
 			if err != nil {
@@ -172,7 +164,7 @@ func run() error {
 	}
 
 	if *experiment == "all" {
-		for _, name := range []string{"fig1", "fig2", "fig3", "fig4", "fig5", "table1", "speedups", "workloads", "micro", "cache", "stragglers", "regret"} {
+		for _, name := range []string{"fig1", "fig2", "fig3", "fig4", "fig5", "table1", "speedups", "workloads", "cache", "stragglers", "regret"} {
 			if err := ctx.Err(); err != nil {
 				return interrupted(err)
 			}

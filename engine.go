@@ -3,7 +3,6 @@ package mpq
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"mpq/internal/cache"
 	"mpq/internal/cluster"
@@ -13,17 +12,18 @@ import (
 )
 
 // Engine is the unified optimizer interface: one partitioning scheme,
-// four execution substrates. Every engine runs the identical worker
+// three execution substrates. Every engine runs the identical worker
 // code on the identical plan-space partitions, so for the same query
 // and JobSpec all engines return the same optimal plan (bit-identical
 // under wire encoding) — the paper's central claim, expressed as an
 // interface.
 //
-//   - NewSerialEngine   — the classical single-node dynamic program.
-//   - NewInProcessEngine — goroutine workers in this process.
-//   - NewSimEngine      — the deterministic shared-nothing cluster
+//   - NewInProcessEngine — goroutine workers in this process;
+//     NewSerialEngine is the same engine pinned to one partition, the
+//     classical single-node dynamic program.
+//   - NewSimEngine — the deterministic shared-nothing cluster
 //     simulator; answers carry ClusterMetrics.
-//   - NewTCPEngine      — the fault-tolerant TCP master/worker runtime;
+//   - NewTCPEngine — the fault-tolerant TCP master/worker runtime;
 //     answers carry NetStats.
 //
 // Optimize runs one query. OptimizeBatch pipelines a batch of
@@ -40,10 +40,7 @@ type Engine interface {
 }
 
 // Job is one (query, job spec) unit of an OptimizeBatch call.
-type Job struct {
-	Query *Query
-	Spec  JobSpec
-}
+type Job = core.Job
 
 // NetStats records the measured TCP traffic of a distributed answer
 // (TCPEngine); see Answer.Net.
@@ -64,7 +61,6 @@ type engineConfig struct {
 	parallelism  int
 	clusterModel ClusterModel
 	faults       ClusterFaults
-	faultsSet    bool
 	masterOpts   MasterOptions
 	costModel    CostModel
 }
@@ -102,7 +98,7 @@ func WithClusterModel(m ClusterModel) EngineOption {
 // WithClusterFaults scripts worker deaths for every query a SimEngine
 // optimizes; the recovery overhead shows up in Answer.Cluster.
 func WithClusterFaults(f ClusterFaults) EngineOption {
-	return func(c *engineConfig) { c.faults = f; c.faultsSet = true }
+	return func(c *engineConfig) { c.faults = f }
 }
 
 // WithMasterOptions sets the fault-tolerance configuration of a
@@ -135,33 +131,6 @@ func sequentialBatch(ctx context.Context, eng Engine, jobs []Job) ([]*Answer, er
 	return answers, nil
 }
 
-// SerialEngine is the classical single-node dynamic program — the
-// baseline every speedup is measured against. It ignores
-// JobSpec.Workers and always searches the unpartitioned plan space
-// with one worker.
-type SerialEngine struct {
-	cfg engineConfig
-}
-
-// NewSerialEngine returns the baseline serial engine. Applicable
-// options: WithCostModel.
-func NewSerialEngine(opts ...EngineOption) *SerialEngine {
-	return &SerialEngine{cfg: newEngineConfig(opts)}
-}
-
-// Optimize implements Engine by running the unconstrained dynamic
-// program (JobSpec.Workers is overridden to 1).
-func (e *SerialEngine) Optimize(ctx context.Context, q *Query, spec JobSpec) (*Answer, error) {
-	spec = e.cfg.applySpec(spec)
-	spec.Workers = 1
-	return core.OptimizeContext(ctx, q, spec, 1)
-}
-
-// OptimizeBatch implements Engine by optimizing the jobs sequentially.
-func (e *SerialEngine) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, error) {
-	return sequentialBatch(ctx, e, jobs)
-}
-
 // InProcessEngine runs MPQ with goroutine workers — the shared-nothing
 // algorithm on a single machine, one goroutine per plan-space
 // partition (capped by WithParallelism).
@@ -174,6 +143,8 @@ func (e *SerialEngine) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer
 // numbers.
 type InProcessEngine struct {
 	cfg engineConfig
+	// serial pins every job to one partition (NewSerialEngine).
+	serial bool
 }
 
 // NewInProcessEngine returns the goroutine-worker engine. Applicable
@@ -182,9 +153,22 @@ func NewInProcessEngine(opts ...EngineOption) *InProcessEngine {
 	return &InProcessEngine{cfg: newEngineConfig(opts)}
 }
 
+// NewSerialEngine returns the classical single-node dynamic program —
+// the baseline every speedup is measured against: the in-process engine
+// with JobSpec.Workers overridden to 1, so it always searches the
+// unpartitioned plan space with one worker. Applicable options:
+// WithCostModel.
+func NewSerialEngine(opts ...EngineOption) *InProcessEngine {
+	return &InProcessEngine{cfg: newEngineConfig(opts), serial: true}
+}
+
 // Optimize implements Engine.
 func (e *InProcessEngine) Optimize(ctx context.Context, q *Query, spec JobSpec) (*Answer, error) {
-	return core.OptimizeContext(ctx, q, e.cfg.applySpec(spec), e.cfg.parallelism)
+	spec = e.cfg.applySpec(spec)
+	if e.serial {
+		spec.Workers = 1
+	}
+	return core.OptimizeContext(ctx, q, spec, e.cfg.parallelism)
 }
 
 // OptimizeBatch implements Engine by optimizing the jobs sequentially;
@@ -215,29 +199,7 @@ func NewSimEngine(opts ...EngineOption) *SimEngine {
 // model, and the cluster's virtual time, traffic and per-worker memory
 // peak are in Answer.Cluster.
 func (e *SimEngine) Optimize(ctx context.Context, q *Query, spec JobSpec) (*Answer, error) {
-	spec = e.cfg.applySpec(spec)
-	start := time.Now()
-	var res *cluster.Result
-	var err error
-	if e.cfg.faultsSet {
-		res, err = cluster.RunMPQWithFaultsContext(ctx, e.cfg.clusterModel, q, spec, e.cfg.faults)
-	} else {
-		res, err = cluster.RunMPQContext(ctx, e.cfg.clusterModel, q, spec)
-	}
-	if err != nil {
-		return nil, err
-	}
-	met := res.Metrics
-	return &Answer{
-		Best:             res.Best,
-		Frontier:         res.Frontier,
-		Stats:            met.Work,
-		MaxWorkerStats:   res.MaxWorkerStats,
-		PerWorker:        res.PerWorker,
-		Elapsed:          time.Since(start),
-		MaxWorkerElapsed: met.MaxWorkerTime,
-		Cluster:          &met,
-	}, nil
+	return cluster.Run(ctx, e.cfg.clusterModel, q, e.cfg.applySpec(spec), e.cfg.faults)
 }
 
 // OptimizeBatch implements Engine by simulating the jobs sequentially
@@ -262,7 +224,7 @@ type TCPEngine struct {
 // options: WithMasterOptions, WithCostModel.
 func NewTCPEngine(addrs []string, opts ...EngineOption) (*TCPEngine, error) {
 	cfg := newEngineConfig(opts)
-	ms, err := netrun.NewMasterWithOptions(addrs, cfg.masterOpts)
+	ms, err := netrun.NewMaster(addrs, cfg.masterOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -271,29 +233,17 @@ func NewTCPEngine(addrs []string, opts ...EngineOption) (*TCPEngine, error) {
 
 // Optimize implements Engine. The runtime fills Answer.Net directly.
 func (e *TCPEngine) Optimize(ctx context.Context, q *Query, spec JobSpec) (*Answer, error) {
-	na, err := e.ms.OptimizeContext(ctx, q, e.cfg.applySpec(spec))
-	if err != nil {
-		return nil, err
-	}
-	return &na.Answer, nil
+	return e.ms.Optimize(ctx, q, e.cfg.applySpec(spec))
 }
 
 // OptimizeBatch implements Engine; see netrun.Master.OptimizeBatch for
 // the dispatch and failure semantics.
 func (e *TCPEngine) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, error) {
-	njobs := make([]netrun.Job, len(jobs))
+	specced := make([]Job, len(jobs))
 	for i, job := range jobs {
-		njobs[i] = netrun.Job{Query: job.Query, Spec: e.cfg.applySpec(job.Spec)}
+		specced[i] = Job{Query: job.Query, Spec: e.cfg.applySpec(job.Spec)}
 	}
-	nas, err := e.ms.OptimizeBatch(ctx, njobs)
-	if err != nil {
-		return nil, err
-	}
-	answers := make([]*Answer, len(nas))
-	for i, na := range nas {
-		answers[i] = &na.Answer
-	}
-	return answers, nil
+	return e.ms.OptimizeBatch(ctx, specced)
 }
 
 // CacheConfig parameterizes the plan cache of a CachedEngine.
@@ -354,17 +304,7 @@ func (e *CachedEngine) Optimize(ctx context.Context, q *Query, spec JobSpec) (*A
 // wrapped engine's OptimizeBatch — in a single call, so its batch
 // pipelining (e.g. the TCP master's connection reuse) is preserved.
 func (e *CachedEngine) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, error) {
-	cjobs := make([]cache.BatchJob, len(jobs))
-	for i, job := range jobs {
-		cjobs[i] = cache.BatchJob{Query: job.Query, Spec: job.Spec}
-	}
-	return e.cache.OptimizeBatch(ctx, cjobs, func(ctx context.Context, miss []cache.BatchJob) ([]*Answer, error) {
-		inner := make([]Job, len(miss))
-		for i, job := range miss {
-			inner[i] = Job{Query: job.Query, Spec: job.Spec}
-		}
-		return e.inner.OptimizeBatch(ctx, inner)
-	})
+	return e.cache.OptimizeBatch(ctx, jobs, e.inner.OptimizeBatch)
 }
 
 // CacheTotals returns a snapshot of the cache-wide counters.
@@ -372,7 +312,6 @@ func (e *CachedEngine) CacheTotals() CacheTotals { return e.cache.Totals() }
 
 // Compile-time proof that all engines implement Engine.
 var (
-	_ Engine = (*SerialEngine)(nil)
 	_ Engine = (*InProcessEngine)(nil)
 	_ Engine = (*SimEngine)(nil)
 	_ Engine = (*TCPEngine)(nil)

@@ -7,27 +7,24 @@ package suite
 import (
 	"mpq/internal/analysis"
 	"mpq/internal/analysis/arenaescape"
-	"mpq/internal/analysis/copylocks"
 	"mpq/internal/analysis/ctxflow"
 	"mpq/internal/analysis/lockorder"
-	"mpq/internal/analysis/lostcancel"
 	"mpq/internal/analysis/nilness"
 	"mpq/internal/analysis/tagswitch"
 )
 
 // All returns the full analyzer suite in the order findings are
 // attributed: the four repository-invariant analyzers first, then the
-// stdlib-only ports of the upstream nilness, copylocks and lostcancel
-// passes (the offline build cannot vendor golang.org/x/tools; `go vet`
-// in CI additionally runs the upstream copylocks and lostcancel).
+// stdlib-only port of the upstream nilness pass, which `go vet` does not
+// run by default (the offline build cannot vendor golang.org/x/tools).
+// copylocks and lostcancel are left to `go vet`, which scripts/lint.sh
+// runs beside this suite.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		arenaescape.Analyzer,
 		ctxflow.Analyzer,
 		lockorder.Analyzer,
 		tagswitch.Analyzer,
-		copylocks.Analyzer,
-		lostcancel.Analyzer,
 		nilness.Analyzer,
 	}
 }

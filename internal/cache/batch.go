@@ -5,14 +5,10 @@ import (
 	"fmt"
 
 	"mpq/internal/core"
-	"mpq/internal/query"
 )
 
 // BatchJob is one (query, spec) unit of a cached batch.
-type BatchJob struct {
-	Query *query.Query
-	Spec  core.JobSpec
-}
+type BatchJob = core.Job
 
 // BatchComputeFunc optimizes the batch's distinct cache misses —
 // typically the wrapped engine's OptimizeBatch method, so the inner

@@ -23,7 +23,7 @@ func genQuery(t *testing.T, n int, seed int64) *query.Query {
 
 func mustAnswer(t *testing.T, q *query.Query, spec core.JobSpec) *core.Answer {
 	t.Helper()
-	ans, err := core.Optimize(q, spec)
+	ans, err := core.OptimizeContext(context.Background(), q, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,4 +243,16 @@ func TestOptimizeMissThenHit(t *testing.T) {
 	if wire.PlanFingerprint(first.Best) != wire.PlanFingerprint(second.Best) {
 		t.Fatal("hit is not bit-identical to the miss")
 	}
+	// The hit path is the serving steady state: a key encode plus a
+	// stamped shallow copy (about 10 allocations), never a plan clone or
+	// a dynamic program.
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.Optimize(ctx, q, spec, compute); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 100 {
+		t.Fatalf("cache hit allocates %.0f objects, want <= 100", allocs)
+	}
+	t.Logf("cache hit: %.0f allocs", allocs)
 }

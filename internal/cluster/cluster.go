@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"mpq/internal/core"
-	"mpq/internal/plan"
 	"mpq/internal/query"
 	"mpq/internal/sched"
 	"mpq/internal/wire"
@@ -307,51 +306,28 @@ func (m Model) faultSchedule(reqBytes, respBytes []int, units []uint64, dead map
 // answers can carry it without importing this package.
 type Metrics = core.ClusterMetrics
 
-// Result is the outcome of one simulated optimization.
-type Result struct {
-	Best     *plan.Node
-	Frontier []*plan.Node // multi-objective only
-	Metrics  Metrics
-	// PerWorker lists each virtual worker's report in partition-ID
-	// order; Elapsed is the worker's virtual compute time under the
-	// model's work-unit rate.
-	PerWorker []core.WorkerReport
-	// MaxWorkerStats is the largest per-worker work counter set — the
-	// critical path of skew-free parallel execution.
-	MaxWorkerStats plan.Stats
-}
-
-// RunMPQ simulates Algorithm 1: the master serializes (query, partition
+// Run simulates Algorithm 1: the master serializes (query, partition
 // ID, m) for each worker; workers decode their request bytes, run the
 // real constrained DP, and serialize their partition-optimal plans back;
-// the master decodes and FinalPrunes. One round, no worker↔worker
-// traffic.
-func RunMPQ(model Model, q *query.Query, spec core.JobSpec) (*Result, error) { //lint:allow ctxflow deprecated no-ctx wrapper, frozen by api_compat_test; use RunMPQContext
-	return RunMPQWithFaultsContext(context.Background(), model, q, spec, Faults{})
-}
-
-// RunMPQContext is RunMPQ with cooperative cancellation: every virtual
-// worker's dynamic program checks ctx, and the run returns an error
-// wrapping ctx's cause once all workers have stopped.
-func RunMPQContext(ctx context.Context, model Model, q *query.Query, spec core.JobSpec) (*Result, error) {
-	return RunMPQWithFaultsContext(ctx, model, q, spec, Faults{})
-}
-
-// RunMPQWithFaults simulates Algorithm 1 under the scripted failure
-// model: dead workers receive their request, crash, and never answer;
-// the master detects each death DetectTimeout after the request arrived
-// and re-dispatches the partition to a surviving worker (round-robin),
-// which runs it after its own share. The chosen plans are bit-identical
-// to the failure-free run — partitions are disjoint and workers
-// stateless — while VirtualTime, traffic, and Redispatches expose the
+// the master decodes and gathers (core.Gather). One round, no
+// worker↔worker traffic.
+//
+// Under a non-empty fault script, dead workers receive their request,
+// crash, and never answer; the master detects each death DetectTimeout
+// after the request arrived and re-dispatches the partition to a
+// surviving worker (round-robin), which runs it after its own share.
+// The chosen plans are bit-identical to the failure-free run —
+// partitions are disjoint and workers stateless — while the answer's
+// Cluster record (VirtualTime, traffic, Redispatches) exposes the
 // recovery overhead.
-func RunMPQWithFaults(model Model, q *query.Query, spec core.JobSpec, faults Faults) (*Result, error) { //lint:allow ctxflow deprecated no-ctx wrapper, frozen by api_compat_test; use RunMPQWithFaultsContext
-	return RunMPQWithFaultsContext(context.Background(), model, q, spec, faults)
-}
-
-// RunMPQWithFaultsContext is RunMPQWithFaults with cooperative
-// cancellation (see RunMPQContext).
-func RunMPQWithFaultsContext(ctx context.Context, model Model, q *query.Query, spec core.JobSpec, faults Faults) (*Result, error) {
+//
+// Answer.Elapsed is the real wall-clock time of the simulation;
+// MaxWorkerElapsed and the per-worker Elapsed values are virtual compute
+// times under the model. Every virtual worker's dynamic program checks
+// ctx, and the run returns an error wrapping ctx's cause once all
+// workers have stopped.
+func Run(ctx context.Context, model Model, q *query.Query, spec core.JobSpec, faults Faults) (*core.Answer, error) {
+	wallStart := time.Now()
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
@@ -437,15 +413,13 @@ func RunMPQWithFaultsContext(ctx context.Context, model Model, q *query.Query, s
 	if len(dead) > 0 {
 		met.Rounds = 2 // the re-dispatch adds one extra communication round
 	}
-	out := &Result{}
-	frontiers := make([][]*plan.Node, 0, m)
+	parts := make([]core.PartResult, m)
 	reqBytes := make([]int, m)
 	respBytes := make([]int, m)
 	units := make([]uint64, m)
 	memo := make([]uint64, m)
 	var planCount int
-	for partID := 0; partID < m; partID++ {
-		r := runs[partID]
+	for partID, r := range runs {
 		if r.err != nil {
 			return nil, fmt.Errorf("cluster: worker %d: %w", partID, r.err)
 		}
@@ -458,23 +432,12 @@ func RunMPQWithFaultsContext(ctx context.Context, model Model, q *query.Query, s
 			met.Bytes += uint64(len(r.req))
 			met.Messages++
 		}
-		met.Work.Add(r.resp.Stats)
-		if r.resp.Stats.MemoEntries > met.MaxMemoEntries {
-			met.MaxMemoEntries = r.resp.Stats.MemoEntries
-		}
 		reqBytes[partID] = len(r.req)
 		respBytes[partID] = r.respBytes
 		units[partID] = r.resp.Stats.WorkUnits()
 		memo[partID] = r.resp.Stats.MemoEntries
-		frontiers = append(frontiers, r.resp.Plans)
 		planCount += len(r.resp.Plans)
-		out.PerWorker = append(out.PerWorker, core.WorkerReport{
-			PartID: partID, Plans: len(r.resp.Plans), Stats: r.resp.Stats,
-			Elapsed: model.compute(r.resp.Stats.WorkUnits()),
-		})
-		if r.resp.Stats.WorkUnits() > out.MaxWorkerStats.WorkUnits() {
-			out.MaxWorkerStats = r.resp.Stats
-		}
+		parts[partID] = core.PartResult{Plans: r.resp.Plans, Stats: r.resp.Stats, Elapsed: model.compute(units[partID])}
 	}
 	if adaptive {
 		in := simInput{reqBytes: reqBytes, respBytes: respBytes, units: units, memo: memo}
@@ -512,11 +475,13 @@ func RunMPQWithFaultsContext(ctx context.Context, model Model, q *query.Query, s
 		}
 	}
 
-	best, frontier, err := core.FinalPrune(spec, frontiers)
+	ans, err := core.Gather(spec, parts)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	out.Best, out.Frontier = best, frontier
-	out.Metrics = met
-	return out, nil
+	met.Work, met.MaxMemoEntries = ans.Stats, ans.Stats.MemoEntries
+	ans.MaxWorkerElapsed = met.MaxWorkerTime
+	ans.Cluster = &met
+	ans.Elapsed = time.Since(wallStart)
+	return ans, nil
 }

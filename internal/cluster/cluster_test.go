@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -46,11 +47,11 @@ func TestSimulationMatchesInProcess(t *testing.T) {
 		q := gen(t, 8, seed)
 		for _, m := range []int{1, 4, 16} {
 			spec := core.JobSpec{Space: partition.Linear, Workers: m}
-			sim, err := RunMPQ(Default(), q, spec)
+			sim, err := Run(context.Background(), Default(), q, spec, Faults{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			local, err := core.Optimize(q, spec)
+			local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,11 +86,11 @@ func TestSimulationMatchesInProcessOnAllWorkloads(t *testing.T) {
 	}
 	for i, q := range queries {
 		spec := core.JobSpec{Space: partition.Linear, Workers: 4}
-		sim, err := RunMPQ(Default(), q, spec)
+		sim, err := Run(context.Background(), Default(), q, spec, Faults{})
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		local, err := core.Optimize(q, spec)
+		local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -103,11 +104,11 @@ func TestNetworkBytesLinearInWorkers(t *testing.T) {
 	q := gen(t, 12, 1)
 	var bytesPerWorker []float64
 	for _, m := range []int{2, 4, 8, 16} {
-		res, err := RunMPQ(Default(), q, core.JobSpec{Space: partition.Linear, Workers: m})
+		res, err := Run(context.Background(), Default(), q, core.JobSpec{Space: partition.Linear, Workers: m}, Faults{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bytesPerWorker = append(bytesPerWorker, float64(res.Metrics.Bytes)/float64(m))
+		bytesPerWorker = append(bytesPerWorker, float64(res.Cluster.Bytes)/float64(m))
 	}
 	// Theorem 1: traffic is O(m · (bq + bp)) — per-worker bytes are flat.
 	for i := 1; i < len(bytesPerWorker); i++ {
@@ -120,15 +121,15 @@ func TestNetworkBytesLinearInWorkers(t *testing.T) {
 
 func TestOneRoundTwoMessagesPerWorker(t *testing.T) {
 	q := gen(t, 8, 0)
-	res, err := RunMPQ(Default(), q, core.JobSpec{Space: partition.Linear, Workers: 8})
+	res, err := Run(context.Background(), Default(), q, core.JobSpec{Space: partition.Linear, Workers: 8}, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.Rounds != 1 {
-		t.Fatalf("rounds = %d", res.Metrics.Rounds)
+	if res.Cluster.Rounds != 1 {
+		t.Fatalf("rounds = %d", res.Cluster.Rounds)
 	}
-	if res.Metrics.Messages != 16 {
-		t.Fatalf("messages = %d want 16", res.Metrics.Messages)
+	if res.Cluster.Messages != 16 {
+		t.Fatalf("messages = %d want 16", res.Cluster.Messages)
 	}
 }
 
@@ -138,14 +139,14 @@ func TestWorkerTimeDecreasesWithParallelism(t *testing.T) {
 	q := gen(t, 14, 2)
 	var prev time.Duration = 1<<62 - 1
 	for _, m := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		res, err := RunMPQ(Default(), q, core.JobSpec{Space: partition.Linear, Workers: m})
+		res, err := Run(context.Background(), Default(), q, core.JobSpec{Space: partition.Linear, Workers: m}, Faults{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Metrics.MaxWorkerTime >= prev {
-			t.Fatalf("m=%d: W-time %v did not decrease from %v", m, res.Metrics.MaxWorkerTime, prev)
+		if res.Cluster.MaxWorkerTime >= prev {
+			t.Fatalf("m=%d: W-time %v did not decrease from %v", m, res.Cluster.MaxWorkerTime, prev)
 		}
-		prev = res.Metrics.MaxWorkerTime
+		prev = res.Cluster.MaxWorkerTime
 	}
 }
 
@@ -155,12 +156,12 @@ func TestWorkReductionMatchesTheory(t *testing.T) {
 	model := Default()
 	var prevMax uint64
 	for i, m := range []int{1, 2, 4, 8, 16} {
-		res, err := RunMPQ(model, q, core.JobSpec{Space: partition.Linear, Workers: m})
+		res, err := Run(context.Background(), model, q, core.JobSpec{Space: partition.Linear, Workers: m}, Faults{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Recover the slowest worker's units from its virtual compute time.
-		maxUnits := uint64(float64(res.Metrics.MaxWorkerTime.Nanoseconds()) / model.NsPerWorkUnit)
+		maxUnits := uint64(float64(res.Cluster.MaxWorkerTime.Nanoseconds()) / model.NsPerWorkUnit)
 		if i > 0 {
 			ratio := float64(maxUnits) / float64(prevMax)
 			if ratio < 0.70 || ratio > 0.80 {
@@ -177,14 +178,14 @@ func TestMultiObjectiveSimulation(t *testing.T) {
 		Space: partition.Linear, Workers: 4,
 		Objective: core.MultiObjective, Alpha: 1,
 	}
-	sim, err := RunMPQ(Default(), q, spec)
+	sim, err := Run(context.Background(), Default(), q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sim.Frontier) == 0 {
 		t.Fatal("no frontier")
 	}
-	local, err := core.Optimize(q, spec)
+	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,18 +194,18 @@ func TestMultiObjectiveSimulation(t *testing.T) {
 	}
 	// MO responses carry whole frontiers, so traffic exceeds the
 	// single-objective run's.
-	single, err := RunMPQ(Default(), q, core.JobSpec{Space: partition.Linear, Workers: 4})
+	single, err := Run(context.Background(), Default(), q, core.JobSpec{Space: partition.Linear, Workers: 4}, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.Metrics.Bytes <= single.Metrics.Bytes {
-		t.Fatalf("MO bytes %d not above single-objective %d", sim.Metrics.Bytes, single.Metrics.Bytes)
+	if sim.Cluster.Bytes <= single.Cluster.Bytes {
+		t.Fatalf("MO bytes %d not above single-objective %d", sim.Cluster.Bytes, single.Cluster.Bytes)
 	}
 }
 
 func TestMemoryMetricMatchesDP(t *testing.T) {
 	q := gen(t, 10, 5)
-	res, err := RunMPQ(Default(), q, core.JobSpec{Space: partition.Linear, Workers: 4})
+	res, err := Run(context.Background(), Default(), q, core.JobSpec{Space: partition.Linear, Workers: 4}, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +215,8 @@ func TestMemoryMetricMatchesDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.MaxMemoEntries != ref.Stats.MemoEntries {
-		t.Fatalf("memory metric %d != DP %d", res.Metrics.MaxMemoEntries, ref.Stats.MemoEntries)
+	if res.Cluster.MaxMemoEntries != ref.Stats.MemoEntries {
+		t.Fatalf("memory metric %d != DP %d", res.Cluster.MaxMemoEntries, ref.Stats.MemoEntries)
 	}
 }
 
@@ -249,37 +250,37 @@ func TestFaultsValidate(t *testing.T) {
 func TestFaultedSimulationBitIdentical(t *testing.T) {
 	q := gen(t, 10, 7)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
-	clean, err := RunMPQ(Default(), q, spec)
+	clean, err := Run(context.Background(), Default(), q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, deadSet := range [][]int{{0}, {3, 5}, {0, 1, 2, 3, 4, 5, 6}} {
 		faults := Faults{Dead: deadSet, DetectTimeout: 5 * time.Second}
-		res, err := RunMPQWithFaults(Default(), q, spec, faults)
+		res, err := Run(context.Background(), Default(), q, spec, faults)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if wire.PlanFingerprint(res.Best) != wire.PlanFingerprint(clean.Best) {
 			t.Fatalf("dead=%v: recovered plan differs", deadSet)
 		}
-		if res.Metrics.Redispatches != len(deadSet) {
-			t.Fatalf("dead=%v: Redispatches = %d", deadSet, res.Metrics.Redispatches)
+		if res.Cluster.Redispatches != len(deadSet) {
+			t.Fatalf("dead=%v: Redispatches = %d", deadSet, res.Cluster.Redispatches)
 		}
-		if res.Metrics.Rounds != 2 {
-			t.Fatalf("dead=%v: rounds = %d, want 2", deadSet, res.Metrics.Rounds)
+		if res.Cluster.Rounds != 2 {
+			t.Fatalf("dead=%v: rounds = %d, want 2", deadSet, res.Cluster.Rounds)
 		}
-		if res.Metrics.VirtualTime <= clean.Metrics.VirtualTime {
+		if res.Cluster.VirtualTime <= clean.Cluster.VirtualTime {
 			t.Fatalf("dead=%v: recovery is free: %v <= %v",
-				deadSet, res.Metrics.VirtualTime, clean.Metrics.VirtualTime)
+				deadSet, res.Cluster.VirtualTime, clean.Cluster.VirtualTime)
 		}
-		if got, want := res.Metrics.RecoveryOverhead, res.Metrics.VirtualTime-clean.Metrics.VirtualTime; got != want {
+		if got, want := res.Cluster.RecoveryOverhead, res.Cluster.VirtualTime-clean.Cluster.VirtualTime; got != want {
 			t.Fatalf("dead=%v: RecoveryOverhead = %v, want %v", deadSet, got, want)
 		}
-		if res.Metrics.Bytes <= clean.Metrics.Bytes {
+		if res.Cluster.Bytes <= clean.Cluster.Bytes {
 			t.Fatalf("dead=%v: no re-dispatch traffic accounted", deadSet)
 		}
-		if want := 2*spec.Workers + len(deadSet); res.Metrics.Messages != want {
-			t.Fatalf("dead=%v: messages = %d, want %d", deadSet, res.Metrics.Messages, want)
+		if want := 2*spec.Workers + len(deadSet); res.Cluster.Messages != want {
+			t.Fatalf("dead=%v: messages = %d, want %d", deadSet, res.Cluster.Messages, want)
 		}
 	}
 }
@@ -296,11 +297,11 @@ func TestRecoveryOverheadGrowsWithDeaths(t *testing.T) {
 		for i := range dead {
 			dead[i] = i
 		}
-		res, err := RunMPQWithFaults(Default(), q, spec, Faults{Dead: dead})
+		res, err := Run(context.Background(), Default(), q, spec, Faults{Dead: dead})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wtime := res.Metrics.MaxWorkerTime
+		wtime := res.Cluster.MaxWorkerTime
 		if k == 0 {
 			baseline = wtime
 		} else if wtime <= baseline {
@@ -331,10 +332,10 @@ func TestFaultScheduleReducesToMPQTime(t *testing.T) {
 
 func TestRunMPQRejectsInvalid(t *testing.T) {
 	q := gen(t, 8, 0)
-	if _, err := RunMPQ(Model{}, q, core.JobSpec{Space: partition.Linear, Workers: 2}); err == nil {
+	if _, err := Run(context.Background(), Model{}, q, core.JobSpec{Space: partition.Linear, Workers: 2}, Faults{}); err == nil {
 		t.Fatal("invalid model accepted")
 	}
-	if _, err := RunMPQ(Default(), q, core.JobSpec{Space: partition.Linear, Workers: 3}); err == nil {
+	if _, err := Run(context.Background(), Default(), q, core.JobSpec{Space: partition.Linear, Workers: 3}, Faults{}); err == nil {
 		t.Fatal("invalid worker count accepted")
 	}
 }
@@ -342,13 +343,13 @@ func TestRunMPQRejectsInvalid(t *testing.T) {
 func TestVirtualTimeIncludesLatencyFloor(t *testing.T) {
 	q := gen(t, 6, 0)
 	model := Default()
-	res, err := RunMPQ(model, q, core.JobSpec{Space: partition.Linear, Workers: 2})
+	res, err := Run(context.Background(), model, q, core.JobSpec{Space: partition.Linear, Workers: 2}, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// At minimum: task setup + 2 latencies must be present.
 	floor := model.TaskSetup + 2*model.Latency
-	if res.Metrics.VirtualTime < floor {
-		t.Fatalf("virtual time %v below floor %v", res.Metrics.VirtualTime, floor)
+	if res.Cluster.VirtualTime < floor {
+		t.Fatalf("virtual time %v below floor %v", res.Cluster.VirtualTime, floor)
 	}
 }

@@ -20,8 +20,8 @@ import (
 // run needs more than the closed-form one-round schedule — a bounded
 // node pool (Model.Nodes), per-node resource capacities
 // (Model.Resources), a stall script (Faults.Stalled), or speculation
-// (Faults.Speculate). Without any of those, RunMPQWithFaultsContext
-// keeps using the legacy MPQTime/faultSchedule formulas bit for bit.
+// (Faults.Speculate). Without any of those, Run keeps using the
+// closed-form MPQTime/faultSchedule formulas bit for bit.
 
 // NodeResources describes one simulated node's capacities for the
 // multi-resource cluster model (after Garofalakis & Ioannidis: a

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -15,21 +16,21 @@ import (
 func TestAdaptivePlanMatchesLegacy(t *testing.T) {
 	q := gen(t, 10, 7)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
-	legacy, err := RunMPQ(Default(), q, spec)
+	legacy, err := Run(context.Background(), Default(), q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	model := Default()
 	model.Nodes = 3
-	adaptive, err := RunMPQ(model, q, spec)
+	adaptive, err := Run(context.Background(), model, q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lf, af := wire.PlanFingerprint(legacy.Best), wire.PlanFingerprint(adaptive.Best); lf != af {
 		t.Fatalf("adaptive plan diverged: %s != %s", af, lf)
 	}
-	if adaptive.Metrics.Speculations != 0 || adaptive.Metrics.WastedWork != 0 {
-		t.Fatalf("fault-free adaptive run speculated: %+v", adaptive.Metrics)
+	if adaptive.Cluster.Speculations != 0 || adaptive.Cluster.WastedWork != 0 {
+		t.Fatalf("fault-free adaptive run speculated: %+v", adaptive.Cluster)
 	}
 }
 
@@ -44,52 +45,52 @@ func TestStallSpeculationBeatsWaitingDeterministically(t *testing.T) {
 	model := Default()
 	model.Nodes = 4
 
-	clean, err := RunMPQ(model, q, spec)
+	clean, err := Run(context.Background(), model, q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stall := Faults{Stalled: []int{0}, StallFactor: 50}
-	slow, err := RunMPQWithFaults(model, q, spec, stall)
+	slow, err := Run(context.Background(), model, q, spec, stall)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stallSpec := stall
 	stallSpec.Speculate = true
-	fast, err := RunMPQWithFaults(model, q, spec, stallSpec)
+	fast, err := Run(context.Background(), model, q, spec, stallSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cf := wire.PlanFingerprint(clean.Best)
-	for name, r := range map[string]*Result{"stalled": slow, "speculative": fast} {
+	for name, r := range map[string]*core.Answer{"stalled": slow, "speculative": fast} {
 		if f := wire.PlanFingerprint(r.Best); f != cf {
 			t.Fatalf("%s plan diverged from fault-free run: %s != %s", name, f, cf)
 		}
 	}
-	if slow.Metrics.VirtualTime <= clean.Metrics.VirtualTime {
-		t.Fatalf("stall had no effect: stalled %v <= clean %v", slow.Metrics.VirtualTime, clean.Metrics.VirtualTime)
+	if slow.Cluster.VirtualTime <= clean.Cluster.VirtualTime {
+		t.Fatalf("stall had no effect: stalled %v <= clean %v", slow.Cluster.VirtualTime, clean.Cluster.VirtualTime)
 	}
-	if limit := slow.Metrics.VirtualTime * 6 / 10; fast.Metrics.VirtualTime >= limit {
+	if limit := slow.Cluster.VirtualTime * 6 / 10; fast.Cluster.VirtualTime >= limit {
 		t.Fatalf("speculation too slow: %v, want < 60%% of %v (= %v)",
-			fast.Metrics.VirtualTime, slow.Metrics.VirtualTime, limit)
+			fast.Cluster.VirtualTime, slow.Cluster.VirtualTime, limit)
 	}
-	if fast.Metrics.Speculations == 0 {
+	if fast.Cluster.Speculations == 0 {
 		t.Fatal("speculative run recorded no speculations")
 	}
-	if fast.Metrics.WastedWork == 0 {
+	if fast.Cluster.WastedWork == 0 {
 		t.Fatal("speculative run recorded no wasted work — the canceled straggler burned compute")
 	}
-	if fast.Metrics.RecoveryOverhead <= 0 {
-		t.Fatalf("speculative run under a stall should still report overhead, got %v", fast.Metrics.RecoveryOverhead)
+	if fast.Cluster.RecoveryOverhead <= 0 {
+		t.Fatalf("speculative run under a stall should still report overhead, got %v", fast.Cluster.RecoveryOverhead)
 	}
 
 	// Determinism: the virtual schedule must replay bit for bit.
-	again, err := RunMPQWithFaults(model, q, spec, stallSpec)
+	again, err := Run(context.Background(), model, q, spec, stallSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Metrics != fast.Metrics {
-		t.Fatalf("speculative schedule not deterministic:\n first %+v\nsecond %+v", fast.Metrics, again.Metrics)
+	if *again.Cluster != *fast.Cluster {
+		t.Fatalf("speculative schedule not deterministic:\n first %+v\nsecond %+v", fast.Cluster, again.Cluster)
 	}
 }
 
@@ -101,21 +102,21 @@ func TestAdaptiveDeadNodeRecovers(t *testing.T) {
 	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
 	model := Default()
 	model.Nodes = 3
-	clean, err := RunMPQ(model, q, spec)
+	clean, err := Run(context.Background(), model, q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead, err := RunMPQWithFaults(model, q, spec, Faults{Dead: []int{1}, DetectTimeout: time.Second})
+	dead, err := Run(context.Background(), model, q, spec, Faults{Dead: []int{1}, DetectTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cf, df := wire.PlanFingerprint(clean.Best), wire.PlanFingerprint(dead.Best); cf != df {
 		t.Fatalf("dead-node plan diverged: %s != %s", df, cf)
 	}
-	if dead.Metrics.Redispatches == 0 {
+	if dead.Cluster.Redispatches == 0 {
 		t.Fatal("dead node produced no re-dispatches")
 	}
-	if dead.Metrics.VirtualTime <= clean.Metrics.VirtualTime {
+	if dead.Cluster.VirtualTime <= clean.Cluster.VirtualTime {
 		t.Fatal("death and recovery cost no virtual time")
 	}
 }
@@ -128,19 +129,19 @@ func TestMultiResourceCPUShapesSchedule(t *testing.T) {
 	model := Default()
 	model.Nodes = 2
 	model.Resources = []NodeResources{{CPU: 1}, {CPU: 1}}
-	base, err := RunMPQ(model, q, spec)
+	base, err := Run(context.Background(), model, q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fast := model
 	fast.Resources = []NodeResources{{CPU: 4}, {CPU: 4}}
-	quick, err := RunMPQ(fast, q, spec)
+	quick, err := Run(context.Background(), fast, q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if quick.Metrics.VirtualTime >= base.Metrics.VirtualTime {
+	if quick.Cluster.VirtualTime >= base.Cluster.VirtualTime {
 		t.Fatalf("4x CPUs did not shorten the schedule: %v >= %v",
-			quick.Metrics.VirtualTime, base.Metrics.VirtualTime)
+			quick.Cluster.VirtualTime, base.Cluster.VirtualTime)
 	}
 	if bf, qf := wire.PlanFingerprint(base.Best), wire.PlanFingerprint(quick.Best); bf != qf {
 		t.Fatalf("resource model changed the plan: %s != %s", qf, bf)
@@ -155,18 +156,18 @@ func TestMultiResourceMemorySpill(t *testing.T) {
 	model := Default()
 	model.Nodes = 2
 	model.Resources = []NodeResources{{CPU: 1}, {CPU: 1}}
-	roomy, err := RunMPQ(model, q, spec)
+	roomy, err := Run(context.Background(), model, q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tight := model
 	tight.Resources = []NodeResources{{CPU: 1, MemoryBytes: 256}, {CPU: 1, MemoryBytes: 256}}
-	spilled, err := RunMPQ(tight, q, spec)
+	spilled, err := Run(context.Background(), tight, q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spilled.Metrics.VirtualTime <= roomy.Metrics.VirtualTime {
-		t.Fatalf("spill cost no time: %v <= %v", spilled.Metrics.VirtualTime, roomy.Metrics.VirtualTime)
+	if spilled.Cluster.VirtualTime <= roomy.Cluster.VirtualTime {
+		t.Fatalf("spill cost no time: %v <= %v", spilled.Cluster.VirtualTime, roomy.Cluster.VirtualTime)
 	}
 	if rf, sf := wire.PlanFingerprint(roomy.Best), wire.PlanFingerprint(spilled.Best); rf != sf {
 		t.Fatalf("spill changed the plan: %s != %s", sf, rf)
@@ -181,7 +182,7 @@ func TestAdaptiveValidation(t *testing.T) {
 	model := Default()
 	model.Nodes = 3
 	model.Resources = []NodeResources{{CPU: 1}, {CPU: 1}} // 2 entries, 3 nodes
-	if _, err := RunMPQ(model, q, spec); err == nil {
+	if _, err := Run(context.Background(), model, q, spec, Faults{}); err == nil {
 		t.Fatal("mismatched resource slice accepted")
 	}
 	if err := (Faults{Stalled: []int{0}, StallFactor: 0.5}).Validate(4); err == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mpq/internal/brute"
@@ -16,7 +17,7 @@ func TestBushyOrdersMPQMatchesBruteForce(t *testing.T) {
 		q := workload.MustGenerate(workload.NewParams(5, workload.Chain), seed)
 		want := brute.BestCost(q, partition.Bushy, brute.Options{InterestingOrders: true})
 		for _, m := range []int{1, 2} {
-			ans, err := Optimize(q, JobSpec{Space: partition.Bushy, Workers: m, InterestingOrders: true})
+			ans, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Bushy, Workers: m, InterestingOrders: true}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -31,13 +32,13 @@ func TestBushyOrdersMPQMatchesBruteForce(t *testing.T) {
 func TestBushyMultiObjectiveEqualsSerial(t *testing.T) {
 	q := workload.MustGenerate(workload.NewParams(7, workload.Star), 4)
 	spec := JobSpec{Space: partition.Bushy, Workers: 4, Objective: MultiObjective, Alpha: 1}
-	ans, err := Optimize(q, spec)
+	ans, err := OptimizeContext(context.Background(), q, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serialSpec := spec
 	serialSpec.Workers = 1
-	ref, err := Optimize(q, serialSpec)
+	ref, err := OptimizeContext(context.Background(), q, serialSpec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

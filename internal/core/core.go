@@ -16,7 +16,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -206,17 +205,13 @@ func (s JobSpec) DPOptions() dp.Options {
 // root plans out of the arena.
 var workerPool = sync.Pool{New: func() any { return dp.NewRuntime() }}
 
-// RunWorker executes one worker task (Algorithm 2): decode the partition
-// ID into constraints, enumerate admissible join results, and run the
-// constrained dynamic program. It is the single entry point shared by
-// the goroutine engine, the cluster simulator and the TCP runtime.
-func RunWorker(q *query.Query, spec JobSpec, partID int) (*dp.Result, error) {
-	return RunWorkerContext(context.Background(), q, spec, partID)
-}
-
-// RunWorkerContext is RunWorker with cooperative cancellation: the
-// dynamic program checks ctx between cardinality levels (and
-// periodically within one) and returns an error wrapping ctx's cause.
+// RunWorkerContext executes one worker task (Algorithm 2): decode the
+// partition ID into constraints, enumerate admissible join results, and
+// run the constrained dynamic program. It is the single entry point
+// shared by the goroutine engine, the cluster simulator and the TCP
+// runtime. The dynamic program checks ctx between cardinality levels
+// (and periodically within one) and returns an error wrapping ctx's
+// cause.
 func RunWorkerContext(ctx context.Context, q *query.Query, spec JobSpec, partID int) (*dp.Result, error) {
 	if err := spec.Validate(q.N()); err != nil {
 		return nil, err
@@ -230,6 +225,14 @@ func RunWorkerContext(ctx context.Context, q *query.Query, spec JobSpec, partID 
 	opts := spec.DPOptions()
 	opts.Runtime = rt
 	return dp.RunContext(ctx, q, cs, opts)
+}
+
+// Job is one (query, job spec) unit of work: what an engine's
+// OptimizeBatch takes a slice of, and what the TCP master and the plan
+// cache pipeline.
+type Job struct {
+	Query *query.Query
+	Spec  JobSpec
 }
 
 // WorkerReport is the master's record of one worker's contribution.
@@ -311,22 +314,44 @@ func FinalPrune(spec JobSpec, frontiers [][]*plan.Node) (best *plan.Node, fronti
 	return best, frontier, nil
 }
 
-// Optimize runs MPQ with in-process goroutine workers: the Master
-// function of Algorithm 1 with goroutines standing in for cluster nodes.
-// Parallelism defaults to one goroutine per partition.
-func Optimize(q *query.Query, spec JobSpec) (*Answer, error) {
-	return OptimizeParallelism(q, spec, spec.Workers)
+// PartResult is one plan-space partition's result as the master
+// accepted it: the partition-optimal plans, the worker's work counters
+// and how long the worker took (on whatever clock the substrate runs).
+type PartResult struct {
+	Plans   []*plan.Node
+	Stats   plan.Stats
+	Elapsed time.Duration
 }
 
-// OptimizeParallelism runs MPQ with at most maxParallel concurrent worker
-// goroutines (the paper's executors-per-node knob). maxParallel < 1
-// means one goroutine per partition.
-func OptimizeParallelism(q *query.Query, spec JobSpec, maxParallel int) (*Answer, error) {
-	return OptimizeContext(context.Background(), q, spec, maxParallel)
+// Gather is the master's epilogue, the same on every substrate: fold
+// the partition results — indexed by partition ID, so the answer never
+// depends on arrival order, retries or batch interleaving — into the
+// work totals and per-worker reports, then FinalPrune. The caller adds
+// what only it knows: Elapsed and its substrate's Net or Cluster record.
+func Gather(spec JobSpec, parts []PartResult) (*Answer, error) {
+	ans := &Answer{PerWorker: make([]WorkerReport, len(parts))}
+	frontiers := make([][]*plan.Node, len(parts))
+	for partID, p := range parts {
+		ans.PerWorker[partID] = WorkerReport{PartID: partID, Plans: len(p.Plans), Stats: p.Stats, Elapsed: p.Elapsed}
+		ans.Stats.Add(p.Stats)
+		if p.Stats.WorkUnits() > ans.MaxWorkerStats.WorkUnits() {
+			ans.MaxWorkerStats = p.Stats
+		}
+		ans.MaxWorkerElapsed = max(ans.MaxWorkerElapsed, p.Elapsed)
+		frontiers[partID] = p.Plans
+	}
+	var err error
+	if ans.Best, ans.Frontier, err = FinalPrune(spec, frontiers); err != nil {
+		return nil, err
+	}
+	return ans, nil
 }
 
-// OptimizeContext is OptimizeParallelism with cooperative cancellation:
-// every worker goroutine checks ctx between cardinality levels (and
+// OptimizeContext runs MPQ with in-process goroutine workers: the
+// Master function of Algorithm 1 with goroutines standing in for
+// cluster nodes. At most maxParallel workers run concurrently (the
+// paper's executors-per-node knob); maxParallel < 1 means one goroutine
+// per partition. Every worker checks ctx between cardinality levels (and
 // periodically within one), queued workers never start once ctx is
 // done, and the master returns an error wrapping ctx's cause after all
 // workers have stopped — no goroutine outlives the call.
@@ -345,13 +370,8 @@ func OptimizeContext(ctx context.Context, q *query.Query, spec JobSpec, maxParal
 		maxParallel = m
 	}
 
-	type outcome struct {
-		partID  int
-		res     *dp.Result
-		elapsed time.Duration
-		err     error
-	}
-	results := make([]outcome, m)
+	parts := make([]PartResult, m)
+	errs := make([]error, m)
 	sem := make(chan struct{}, maxParallel)
 	var wg sync.WaitGroup
 	for partID := 0; partID < m; partID++ {
@@ -361,48 +381,32 @@ func OptimizeContext(ctx context.Context, q *query.Query, spec JobSpec, maxParal
 			select {
 			case sem <- struct{}{}:
 			case <-ctx.Done():
-				results[partID] = outcome{partID: partID, err: ctx.Err()}
+				errs[partID] = ctx.Err()
 				return
 			}
 			defer func() { <-sem }()
 			t0 := time.Now()
 			res, err := RunWorkerContext(ctx, q, spec, partID)
-			results[partID] = outcome{partID: partID, res: res, elapsed: time.Since(t0), err: err}
+			if err != nil {
+				errs[partID] = err
+				return
+			}
+			parts[partID] = PartResult{Plans: res.Plans, Stats: res.Stats, Elapsed: time.Since(t0)}
 		}(partID)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: optimization canceled: %w", context.Cause(ctx))
 	}
-
-	ans := &Answer{}
-	frontiers := make([][]*plan.Node, 0, m)
-	for _, oc := range results {
-		if oc.err != nil {
-			return nil, fmt.Errorf("core: worker %d: %w", oc.partID, oc.err)
+	for partID, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("core: worker %d: %w", partID, err)
 		}
-		ans.PerWorker = append(ans.PerWorker, WorkerReport{
-			PartID:  oc.partID,
-			Plans:   len(oc.res.Plans),
-			Stats:   oc.res.Stats,
-			Elapsed: oc.elapsed,
-		})
-		ans.Stats.Add(oc.res.Stats)
-		if oc.res.Stats.WorkUnits() > ans.MaxWorkerStats.WorkUnits() {
-			ans.MaxWorkerStats = oc.res.Stats
-		}
-		if oc.elapsed > ans.MaxWorkerElapsed {
-			ans.MaxWorkerElapsed = oc.elapsed
-		}
-		frontiers = append(frontiers, oc.res.Plans)
 	}
-	sort.Slice(ans.PerWorker, func(i, j int) bool { return ans.PerWorker[i].PartID < ans.PerWorker[j].PartID })
-
-	best, frontier, err := FinalPrune(spec, frontiers)
+	ans, err := Gather(spec, parts)
 	if err != nil {
 		return nil, err
 	}
-	ans.Best, ans.Frontier = best, frontier
 	ans.Elapsed = time.Since(start)
 	return ans, nil
 }

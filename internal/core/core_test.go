@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestMPQEqualsSerialAllWorkerCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range c.ms {
-				ans, err := Optimize(q, JobSpec{Space: c.space, Workers: m})
+				ans, err := OptimizeContext(context.Background(), q, JobSpec{Space: c.space, Workers: m}, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,10 +97,10 @@ func TestMPQMultiObjectiveExactMatchesSerialFrontier(t *testing.T) {
 		}
 		want := mo.ExactFrontier(serial.Plans)
 		for _, m := range []int{2, 8} {
-			ans, err := Optimize(q, JobSpec{
+			ans, err := OptimizeContext(context.Background(), q, JobSpec{
 				Space: partition.Linear, Workers: m,
 				Objective: MultiObjective, Alpha: 1,
-			})
+			}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,10 +128,10 @@ func TestMPQMultiObjectiveAlphaCoverage(t *testing.T) {
 	}
 	exact := mo.ExactFrontier(serial.Plans)
 	for _, alpha := range []float64{1.01, 1.25, 2, 10} {
-		ans, err := Optimize(q, JobSpec{
+		ans, err := OptimizeContext(context.Background(), q, JobSpec{
 			Space: partition.Linear, Workers: 4,
 			Objective: MultiObjective, Alpha: alpha,
-		})
+		}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +149,7 @@ func TestMPQMultiObjectiveAlphaCoverage(t *testing.T) {
 func TestAnswerAccounting(t *testing.T) {
 	q := gen(t, 10, workload.Star, 1)
 	m := 8
-	ans, err := Optimize(q, JobSpec{Space: partition.Linear, Workers: m})
+	ans, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: m}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestPartitionsAreSkewFree(t *testing.T) {
 		space partition.Space
 		m     int
 	}{{partition.Linear, 16}, {partition.Bushy, 8}} {
-		ans, err := Optimize(q, JobSpec{Space: tc.space, Workers: tc.m})
+		ans, err := OptimizeContext(context.Background(), q, JobSpec{Space: tc.space, Workers: tc.m}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +205,7 @@ func TestPartitionsAreSkewFree(t *testing.T) {
 func TestOptimizeParallelismCap(t *testing.T) {
 	q := gen(t, 8, workload.Star, 0)
 	for _, cap := range []int{-1, 1, 2, 100} {
-		ans, err := OptimizeParallelism(q, JobSpec{Space: partition.Linear, Workers: 8}, cap)
+		ans, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: 8}, cap)
 		if err != nil {
 			t.Fatalf("cap=%d: %v", cap, err)
 		}
@@ -217,15 +218,15 @@ func TestOptimizeParallelismCap(t *testing.T) {
 
 func TestOptimizeRejectsInvalid(t *testing.T) {
 	q := gen(t, 8, workload.Star, 0)
-	if _, err := Optimize(q, JobSpec{Space: partition.Linear, Workers: 3}); err == nil {
+	if _, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: 3}, 0); err == nil {
 		t.Error("non-power-of-two worker count accepted")
 	}
-	if _, err := Optimize(q, JobSpec{Space: partition.Bushy, Workers: 8}); err == nil {
+	if _, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Bushy, Workers: 8}, 0); err == nil {
 		t.Error("too many bushy workers accepted for n=8 (max 4)")
 	}
 	bad := query.MustNew([]query.Table{{Cardinality: 1}, {Cardinality: 1}})
 	bad.Preds = append(bad.Preds, query.Predicate{Left: 0, Right: 1, Selectivity: 7})
-	if _, err := Optimize(bad, JobSpec{Space: partition.Linear, Workers: 1}); err == nil {
+	if _, err := OptimizeContext(context.Background(), bad, JobSpec{Space: partition.Linear, Workers: 1}, 0); err == nil {
 		t.Error("invalid query accepted")
 	}
 }
@@ -234,7 +235,7 @@ func TestRunWorkerRespectsPartition(t *testing.T) {
 	q := gen(t, 6, workload.Chain, 2)
 	spec := JobSpec{Space: partition.Linear, Workers: 8}
 	for partID := 0; partID < 8; partID++ {
-		res, err := RunWorker(q, spec, partID)
+		res, err := RunWorkerContext(context.Background(), q, spec, partID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,11 +256,11 @@ func TestRunWorkerRespectsPartition(t *testing.T) {
 func TestInterestingOrdersNeverHurt(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		q := gen(t, 8, workload.Chain, seed)
-		blind, err := Optimize(q, JobSpec{Space: partition.Linear, Workers: 4})
+		blind, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: 4}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		aware, err := Optimize(q, JobSpec{Space: partition.Linear, Workers: 4, InterestingOrders: true})
+		aware, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: 4, InterestingOrders: true}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +275,7 @@ func BenchmarkMPQLinear14Workers8(b *testing.B) {
 	spec := JobSpec{Space: partition.Linear, Workers: 8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(q, spec); err != nil {
+		if _, err := OptimizeContext(context.Background(), q, spec, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,6 +31,10 @@ func TestWorkerPoolReusesRuntimes(t *testing.T) {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep pool contents alive
+	// sync.Pool keeps returned items in a per-P slot: on one P the second
+	// job finds what the first one put back wherever the scheduler runs
+	// its workers.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	q := gen(t, 12, workload.Star, 3)
 	spec := JobSpec{Space: partition.Linear, Workers: 4}
 	ctx := context.Background()

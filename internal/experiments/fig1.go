@@ -66,14 +66,14 @@ func fig1Panel(cfg Config, space partition.Space, n int) (Fig1Panel, error) {
 			if err != nil {
 				return panel, err
 			}
-			mpqT = append(mpqT, ms(mres.Metrics.VirtualTime))
-			mpqB = append(mpqB, float64(mres.Metrics.Bytes))
+			mpqT = append(mpqT, ms(mres.Cluster.VirtualTime))
+			mpqB = append(mpqB, float64(mres.Cluster.Bytes))
 			sres, err := sma.Run(cfg.Model, q, spec)
 			if err != nil {
 				return panel, err
 			}
-			smaT = append(smaT, ms(sres.Metrics.VirtualTime))
-			smaB = append(smaB, float64(sres.Metrics.Bytes))
+			smaT = append(smaT, ms(sres.Cluster.VirtualTime))
+			smaB = append(smaB, float64(sres.Cluster.Bytes))
 		}
 		panel.MPQ.Points = append(panel.MPQ.Points, Point{Workers: m, TimeMs: median(mpqT), Bytes: median(mpqB)})
 		panel.SMA.Points = append(panel.SMA.Points, Point{Workers: m, TimeMs: median(smaT), Bytes: median(smaB)})

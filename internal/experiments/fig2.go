@@ -12,8 +12,8 @@ import (
 
 // runMPQ simulates one MPQ job on the configured cluster, honoring the
 // experiment's cancellation context.
-func runMPQ(cfg Config, q *query.Query, spec core.JobSpec) (*cluster.Result, error) {
-	return cluster.RunMPQContext(cfg.context(), cfg.Model, q, spec)
+func runMPQ(cfg Config, q *query.Query, spec core.JobSpec) (*core.Answer, error) {
+	return cluster.Run(cfg.context(), cfg.Model, q, spec, cluster.Faults{})
 }
 
 // Fig2Panel is one curve set of Figure 2: MPQ scaling for one plan space
@@ -75,10 +75,10 @@ func fig2Panel(cfg Config, space partition.Space, n int) (Fig2Panel, error) {
 			if err != nil {
 				return panel, err
 			}
-			t = append(t, ms(res.Metrics.VirtualTime))
-			wt = append(wt, ms(res.Metrics.MaxWorkerTime))
-			mem = append(mem, float64(res.Metrics.MaxMemoEntries))
-			bytes = append(bytes, float64(res.Metrics.Bytes))
+			t = append(t, ms(res.Cluster.VirtualTime))
+			wt = append(wt, ms(res.Cluster.MaxWorkerTime))
+			mem = append(mem, float64(res.Cluster.MaxMemoEntries))
+			bytes = append(bytes, float64(res.Cluster.Bytes))
 		}
 		panel.Points = append(panel.Points, Point{
 			Workers: m, TimeMs: median(t), WTimeMs: median(wt),

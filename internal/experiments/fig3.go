@@ -73,13 +73,13 @@ func fig3Panel(cfg Config, algo string, n int) (Fig3Panel, error) {
 					if err != nil {
 						return panel, err
 					}
-					t = ms(res.Metrics.VirtualTime)
+					t = ms(res.Cluster.VirtualTime)
 				} else {
 					res, err := runMPQ(cfg, q, spec)
 					if err != nil {
 						return panel, err
 					}
-					t = ms(res.Metrics.VirtualTime)
+					t = ms(res.Cluster.VirtualTime)
 				}
 				times = append(times, t)
 			}

@@ -61,10 +61,10 @@ func fig5Panel(cfg Config, n, minWorkers int) (Fig5Panel, error) {
 			if err != nil {
 				return panel, err
 			}
-			t = append(t, ms(res.Metrics.VirtualTime))
-			wt = append(wt, ms(res.Metrics.MaxWorkerTime))
-			mem = append(mem, float64(res.Metrics.MaxMemoEntries))
-			bytes = append(bytes, float64(res.Metrics.Bytes))
+			t = append(t, ms(res.Cluster.VirtualTime))
+			wt = append(wt, ms(res.Cluster.MaxWorkerTime))
+			mem = append(mem, float64(res.Cluster.MaxMemoEntries))
+			bytes = append(bytes, float64(res.Cluster.Bytes))
 		}
 		panel.Points = append(panel.Points, Point{
 			Workers: m, TimeMs: median(t), WTimeMs: median(wt),

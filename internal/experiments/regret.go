@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mpq/internal/core"
@@ -98,7 +99,7 @@ func Regret(cfg Config) ([]RegretRow, error) {
 						qerr = e
 					}
 				}
-				p, r, err := regretPair(noisy, q, m, spec, 1+sw.eps)
+				p, r, err := regretPair(cfg.context(), noisy, q, m, spec, 1+sw.eps)
 				if err != nil {
 					return nil, err
 				}
@@ -137,8 +138,8 @@ func Regret(cfg Config) ([]RegretRow, error) {
 // plan's regret under the true query. Both the chosen plans and the
 // true optimum are costed by Reannotate, so identical plans yield
 // regret exactly 1.
-func regretPair(noisy, truth *query.Query, m cost.Model, spec core.JobSpec, band float64) (point, robust float64, err error) {
-	trueAns, err := core.Optimize(truth, spec)
+func regretPair(ctx context.Context, noisy, truth *query.Query, m cost.Model, spec core.JobSpec, band float64) (point, robust float64, err error) {
+	trueAns, err := core.OptimizeContext(ctx, truth, spec, 0)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -146,14 +147,14 @@ func regretPair(noisy, truth *query.Query, m cost.Model, spec core.JobSpec, band
 	if err != nil {
 		return 0, 0, err
 	}
-	pointAns, err := core.Optimize(noisy, spec)
+	pointAns, err := core.OptimizeContext(ctx, noisy, spec, 0)
 	if err != nil {
 		return 0, 0, err
 	}
 	rspec := spec
 	rspec.Objective = core.RobustObjective
 	rspec.RobustBand = band
-	robustAns, err := core.Optimize(noisy, rspec)
+	robustAns, err := core.OptimizeContext(ctx, noisy, rspec, 0)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -199,7 +200,7 @@ func regretMeasured(cfg Config, skew float64) (RegretRow, error) {
 	}
 	m := cost.Default()
 	spec := core.JobSpec{Space: partition.Linear, Workers: 1}
-	point, robust, err := regretPair(est, truth, m, spec, core.DefaultRobustBand)
+	point, robust, err := regretPair(cfg.context(), est, truth, m, spec, core.DefaultRobustBand)
 	if err != nil {
 		return RegretRow{}, err
 	}

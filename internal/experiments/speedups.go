@@ -95,7 +95,7 @@ func speedupCase(cfg Config, space partition.Space, n, m int, obj core.Objective
 		if err != nil {
 			return row, err
 		}
-		virt = append(virt, float64(serialVirtual)/float64(parRes.Metrics.VirtualTime))
+		virt = append(virt, float64(serialVirtual)/float64(parRes.Cluster.VirtualTime))
 
 		if measureReal {
 			t0 := time.Now()

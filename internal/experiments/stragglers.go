@@ -75,11 +75,11 @@ func Stragglers(cfg Config) ([]StragglerRow, error) {
 		if err := cfg.canceled(); err != nil {
 			return nil, err
 		}
-		res, err := cluster.RunMPQWithFaultsContext(cfg.context(), model, q, spec, cluster.Faults{})
+		res, err := cluster.Run(cfg.context(), model, q, spec, cluster.Faults{})
 		if err != nil {
 			return nil, err
 		}
-		cleanTimes[i] = ms(res.Metrics.VirtualTime)
+		cleanTimes[i] = ms(res.Cluster.VirtualTime)
 		cleanFPs[i] = wire.PlanFingerprint(res.Best)
 	}
 	cleanMedian := median(append([]float64{}, cleanTimes...))
@@ -102,15 +102,15 @@ func Stragglers(cfg Config) ([]StragglerRow, error) {
 			times := make([]float64, 0, len(queries))
 			var wasted, work uint64
 			for i, q := range queries {
-				res, err := cluster.RunMPQWithFaultsContext(cfg.context(), model, q, spec, faults)
+				res, err := cluster.Run(cfg.context(), model, q, spec, faults)
 				if err != nil {
 					return nil, err
 				}
-				times = append(times, ms(res.Metrics.VirtualTime))
-				row.Speculations += res.Metrics.Speculations
-				row.Redispatches += res.Metrics.Redispatches
-				wasted += res.Metrics.WastedWork
-				work += res.Metrics.Work.WorkUnits()
+				times = append(times, ms(res.Cluster.VirtualTime))
+				row.Speculations += res.Cluster.Speculations
+				row.Redispatches += res.Cluster.Redispatches
+				wasted += res.Cluster.WastedWork
+				work += res.Cluster.Work.WorkUnits()
 				if wire.PlanFingerprint(res.Best) != cleanFPs[i] {
 					row.PlanSafe = false
 				}

@@ -52,9 +52,9 @@ func Workloads(cfg Config) ([]WorkloadsRow, error) {
 			if err != nil {
 				return err
 			}
-			times = append(times, ms(res.Metrics.VirtualTime))
-			bytes = append(bytes, float64(res.Metrics.Bytes))
-			memo = append(memo, float64(res.Metrics.MaxMemoEntries))
+			times = append(times, ms(res.Cluster.VirtualTime))
+			bytes = append(bytes, float64(res.Cluster.Bytes))
+			memo = append(memo, float64(res.Cluster.MaxMemoEntries))
 		}
 		rows = append(rows, WorkloadsRow{
 			Workload: name, N: qs[0].N(), Preds: len(qs[0].Preds), Workers: spec.Workers,

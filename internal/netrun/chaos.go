@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"mpq/internal/wire"
 )
 
 // FaultAction selects what the chaos proxy does to one relayed job.
@@ -195,7 +197,7 @@ func (p *ChaosProxy) serve(master net.Conn) {
 		backend.Close()
 	}()
 	for {
-		req, err := ReadFrame(master)
+		req, err := wire.ReadFrame(master)
 		if err != nil {
 			return
 		}
@@ -209,10 +211,10 @@ func (p *ChaosProxy) serve(master net.Conn) {
 		case CorruptRequest:
 			req[0] ^= 0xFF // breaks the wire magic: deterministic reject
 		}
-		if err := WriteFrame(backend, req); err != nil {
+		if err := wire.WriteFrame(backend, req); err != nil {
 			return
 		}
-		resp, err := ReadFrame(backend)
+		resp, err := wire.ReadFrame(backend)
 		if err != nil {
 			return
 		}
@@ -224,7 +226,7 @@ func (p *ChaosProxy) serve(master net.Conn) {
 			return
 		case CorruptResponse:
 			resp[0] ^= 0xFF
-			if err := WriteFrame(master, resp); err != nil {
+			if err := wire.WriteFrame(master, resp); err != nil {
 				return
 			}
 		case SlowDrip:
@@ -232,14 +234,14 @@ func (p *ChaosProxy) serve(master net.Conn) {
 				return
 			}
 		case DuplicateResponse:
-			if err := WriteFrame(master, resp); err != nil {
+			if err := wire.WriteFrame(master, resp); err != nil {
 				return
 			}
-			if err := WriteFrame(master, resp); err != nil {
+			if err := wire.WriteFrame(master, resp); err != nil {
 				return
 			}
 		default:
-			if err := WriteFrame(master, resp); err != nil {
+			if err := wire.WriteFrame(master, resp); err != nil {
 				return
 			}
 		}

@@ -1,6 +1,7 @@
 package netrun
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -65,16 +66,16 @@ func assertBitIdentical(t *testing.T, faulted *plan.Node, clean *plan.Node, loca
 func TestAnyMinorityFaultedBitIdentical(t *testing.T) {
 	q := gen(t, 8, 11)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
-	local, err := core.Optimize(q, spec)
+	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cleanAddrs := startWorkers(t, 4)
-	cleanMaster, err := NewMaster(cleanAddrs, 30*time.Second)
+	cleanMaster, err := NewMaster(cleanAddrs, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := cleanMaster.Optimize(q, spec)
+	clean, err := cleanMaster.Optimize(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestAnyMinorityFaultedBitIdentical(t *testing.T) {
 					plans[i] = FaultPlan{0: action}
 				}
 				addrs, _ := startChaosWorkers(t, 4, plans)
-				ms, err := NewMasterWithOptions(addrs, Options{
+				ms, err := NewMaster(addrs, Options{
 					Timeout:           700 * time.Millisecond,
 					MaxAttempts:       4,
 					MaxWorkerFailures: 2,
@@ -99,13 +100,13 @@ func TestAnyMinorityFaultedBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ans, err := ms.Optimize(q, spec)
+				ans, err := ms.Optimize(context.Background(), q, spec)
 				if err != nil {
 					t.Fatalf("%v with k=%d not survived: %v", action, k, err)
 				}
 				assertBitIdentical(t, ans.Best, clean.Best, local.Best)
-				if ans.Redispatched < k {
-					t.Fatalf("Redispatched = %d, want >= %d", ans.Redispatched, k)
+				if ans.Net.Redispatched < k {
+					t.Fatalf("Redispatched = %d, want >= %d", ans.Net.Redispatched, k)
 				}
 			})
 		}
@@ -137,16 +138,16 @@ func TestEndToEndEquivalenceUnderRandomFaults(t *testing.T) {
 			spec = core.JobSpec{Space: partition.Bushy, Workers: 4}
 		}
 
-		local, err := core.Optimize(q, spec)
+		local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cleanAddrs := startWorkers(t, 4)
-		cleanMaster, err := NewMaster(cleanAddrs, 30*time.Second)
+		cleanMaster, err := NewMaster(cleanAddrs, Options{Timeout: 30 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
-		clean, err := cleanMaster.Optimize(q, spec)
+		clean, err := cleanMaster.Optimize(context.Background(), q, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +173,7 @@ func TestEndToEndEquivalenceUnderRandomFaults(t *testing.T) {
 			plans[0][0] = KillBeforeResponse
 		}
 		addrs, _ := startChaosWorkers(t, 4, plans)
-		ms, err := NewMasterWithOptions(addrs, Options{
+		ms, err := NewMaster(addrs, Options{
 			Timeout:           5 * time.Second,
 			MaxAttempts:       6,
 			MaxWorkerFailures: 3,
@@ -180,7 +181,7 @@ func TestEndToEndEquivalenceUnderRandomFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		faulted, err := ms.Optimize(q, spec)
+		faulted, err := ms.Optimize(context.Background(), q, spec)
 		if err != nil {
 			t.Fatalf("iter %d (%v %d tables): %v", it, shape, n, err)
 		}
@@ -196,17 +197,17 @@ func TestMultiObjectiveFaultedFrontierIdentical(t *testing.T) {
 		Space: partition.Linear, Workers: 4,
 		Objective: core.MultiObjective, Alpha: 1,
 	}
-	local, err := core.Optimize(q, spec)
+	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plans := []FaultPlan{{0: KillBeforeResponse}, {0: CorruptResponse}, nil, nil}
 	addrs, _ := startChaosWorkers(t, 4, plans)
-	ms, err := NewMasterWithOptions(addrs, Options{Timeout: 5 * time.Second})
+	ms, err := NewMaster(addrs, Options{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := ms.Optimize(q, spec)
+	dist, err := ms.Optimize(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestMultiObjectiveFaultedFrontierIdentical(t *testing.T) {
 func TestWorkerExclusionAfterRepeatedFailures(t *testing.T) {
 	q := gen(t, 8, 5)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
-	local, err := core.Optimize(q, spec)
+	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestWorkerExclusionAfterRepeatedFailures(t *testing.T) {
 		killAll[i] = KillBeforeResponse
 	}
 	addrs, proxies := startChaosWorkers(t, 2, []FaultPlan{killAll, nil})
-	ms, err := NewMasterWithOptions(addrs, Options{
+	ms, err := NewMaster(addrs, Options{
 		Timeout:           2 * time.Second,
 		MaxAttempts:       3,
 		MaxWorkerFailures: 2,
@@ -243,15 +244,15 @@ func TestWorkerExclusionAfterRepeatedFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ms.Optimize(q, spec)
+	ans, err := ms.Optimize(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wire.PlanFingerprint(ans.Best) != wire.PlanFingerprint(local.Best) {
 		t.Fatal("plan differs after worker exclusion")
 	}
-	if ans.Redispatched < 2 {
-		t.Fatalf("Redispatched = %d, want >= 2", ans.Redispatched)
+	if ans.Net.Redispatched < 2 {
+		t.Fatalf("Redispatched = %d, want >= 2", ans.Net.Redispatched)
 	}
 	// Exclusion after 2 consecutive failures: the dead worker saw exactly
 	// its failure-budget worth of jobs, not its whole share of 4.
@@ -269,24 +270,24 @@ func TestWorkerExclusionAfterRepeatedFailures(t *testing.T) {
 func TestDuplicateResponseIgnored(t *testing.T) {
 	q := gen(t, 8, 3)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 4}
-	local, err := core.Optimize(q, spec)
+	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrs, _ := startChaosWorkers(t, 1, []FaultPlan{{0: DuplicateResponse, 2: DuplicateResponse}})
-	ms, err := NewMaster(addrs, 10*time.Second)
+	ms, err := NewMaster(addrs, Options{Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ms.Optimize(q, spec)
+	ans, err := ms.Optimize(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wire.PlanFingerprint(ans.Best) != wire.PlanFingerprint(local.Best) {
 		t.Fatal("plan differs under duplicated responses")
 	}
-	if ans.Redispatched != 0 {
-		t.Fatalf("Redispatched = %d: duplicates must not look like failures", ans.Redispatched)
+	if ans.Net.Redispatched != 0 {
+		t.Fatalf("Redispatched = %d: duplicates must not look like failures", ans.Net.Redispatched)
 	}
 	if ans.Net.IgnoredFrames != 2 {
 		t.Fatalf("IgnoredFrames = %d, want 2 (one per duplicated frame)", ans.Net.IgnoredFrames)
@@ -308,7 +309,7 @@ func TestDuplicateAttributionAcrossBatchQueries(t *testing.T) {
 	// proxy duplicates the response of A's last unit (arrival index 3),
 	// so the duplicate is read while B's first unit is in flight.
 	addrs, _ := startChaosWorkers(t, 1, []FaultPlan{{3: DuplicateResponse}})
-	ms, err := NewMaster(addrs, 10*time.Second)
+	ms, err := NewMaster(addrs, Options{Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,11 +341,11 @@ func TestBatchBitIdenticalUnderFaults(t *testing.T) {
 	qa, qb := gen(t, 8, 21), gen(t, 7, 22)
 	ja := Job{Query: qa, Spec: core.JobSpec{Space: partition.Linear, Workers: 8}}
 	jb := Job{Query: qb, Spec: core.JobSpec{Space: partition.Bushy, Workers: 4}}
-	localA, err := core.Optimize(qa, ja.Spec)
+	localA, err := core.OptimizeContext(context.Background(), qa, ja.Spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	localB, err := core.Optimize(qb, jb.Spec)
+	localB, err := core.OptimizeContext(context.Background(), qb, jb.Spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +354,7 @@ func TestBatchBitIdenticalUnderFaults(t *testing.T) {
 		{1: TruncateResponse},
 	}
 	addrs, _ := startChaosWorkers(t, 2, plans)
-	ms, err := NewMasterWithOptions(addrs, Options{
+	ms, err := NewMaster(addrs, Options{
 		Timeout:           5 * time.Second,
 		MaxAttempts:       6,
 		MaxWorkerFailures: 4,
@@ -371,7 +372,7 @@ func TestBatchBitIdenticalUnderFaults(t *testing.T) {
 	if wire.PlanFingerprint(answers[1].Best) != wire.PlanFingerprint(localB.Best) {
 		t.Fatal("batch answer 1 differs from the in-process plan")
 	}
-	redispatched := answers[0].Redispatched + answers[1].Redispatched
+	redispatched := answers[0].Net.Redispatched + answers[1].Net.Redispatched
 	if redispatched < 3 {
 		t.Fatalf("Redispatched = %d across the batch, want >= 3", redispatched)
 	}
@@ -385,7 +386,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 		killAll[i] = KillBeforeResponse
 	}
 	addrs, _ := startChaosWorkers(t, 1, []FaultPlan{killAll})
-	ms, err := NewMasterWithOptions(addrs, Options{
+	ms, err := NewMaster(addrs, Options{
 		Timeout:           time.Second,
 		MaxAttempts:       3,
 		MaxWorkerFailures: 10, // don't exclude: exercise the attempt budget
@@ -394,7 +395,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := gen(t, 6, 0)
-	_, err = ms.Optimize(q, core.JobSpec{Space: partition.Linear, Workers: 2})
+	_, err = ms.Optimize(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 2})
 	if err == nil {
 		t.Fatal("exhausted retry budget not reported")
 	}
@@ -407,24 +408,24 @@ func TestRetryBudgetExhausted(t *testing.T) {
 func TestSlowDripWithinDeadlineSucceeds(t *testing.T) {
 	q := gen(t, 7, 2)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 4}
-	local, err := core.Optimize(q, spec)
+	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrs, _ := startChaosWorkers(t, 2, []FaultPlan{{0: SlowDrip}, nil})
-	ms, err := NewMasterWithOptions(addrs, Options{Timeout: 30 * time.Second})
+	ms, err := NewMaster(addrs, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ms.Optimize(q, spec)
+	ans, err := ms.Optimize(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wire.PlanFingerprint(ans.Best) != wire.PlanFingerprint(local.Best) {
 		t.Fatal("plan differs under slow drip")
 	}
-	if ans.Redispatched != 0 {
-		t.Fatalf("Redispatched = %d for a within-deadline drip", ans.Redispatched)
+	if ans.Net.Redispatched != 0 {
+		t.Fatalf("Redispatched = %d for a within-deadline drip", ans.Net.Redispatched)
 	}
 }
 
@@ -433,25 +434,25 @@ func TestSlowDripWithinDeadlineSucceeds(t *testing.T) {
 func TestSlowDripBeyondDeadlineRedispatches(t *testing.T) {
 	q := gen(t, 7, 2)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 4}
-	local, err := core.Optimize(q, spec)
+	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrs, proxies := startChaosWorkers(t, 2, []FaultPlan{{0: SlowDrip}, nil})
 	proxies[0].Drip = 300 * time.Millisecond
 	proxies[0].DripChunk = 1
-	ms, err := NewMasterWithOptions(addrs, Options{Timeout: 500 * time.Millisecond})
+	ms, err := NewMaster(addrs, Options{Timeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ms.Optimize(q, spec)
+	ans, err := ms.Optimize(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wire.PlanFingerprint(ans.Best) != wire.PlanFingerprint(local.Best) {
 		t.Fatal("plan differs after drip timeout")
 	}
-	if ans.Redispatched == 0 {
+	if ans.Net.Redispatched == 0 {
 		t.Fatal("over-deadline drip was not re-dispatched")
 	}
 }

@@ -41,7 +41,7 @@ func TestWorkerCancelsOnDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(conn, req); err != nil {
+	if err := wire.WriteFrame(conn, req); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond) // let the worker start computing
@@ -83,10 +83,10 @@ func TestWorkerStillAnswersAfterDisconnectOfOtherConn(t *testing.T) {
 		Spec:  core.JobSpec{Space: partition.Linear, Workers: 2},
 		Query: q,
 	})
-	if err := WriteFrame(conn, req); err != nil {
+	if err := wire.WriteFrame(conn, req); err != nil {
 		t.Fatal(err)
 	}
-	respB, err := ReadFrame(conn)
+	respB, err := wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package netrun
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 func frame(tb testing.TB, payload []byte) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, payload); err != nil {
+	if err := wire.WriteFrame(&buf, payload); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -30,7 +31,7 @@ func frameSeeds(f *testing.F) {
 		Query: q,
 	})
 	f.Add(frame(f, req))
-	res, err := core.RunWorker(q, core.JobSpec{Space: partition.Linear, Workers: 2}, 1)
+	res, err := core.RunWorkerContext(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 2}, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func frameSeeds(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 10, 1, 2})                 // claims 10 bytes, has 2
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})            // 4 GB length prefix
-	f.Add([]byte{0x40, 0, 0, 1, 0})                  // just above MaxFrameBytes
+	f.Add([]byte{0x40, 0, 0, 1, 0})                  // just above wire.MaxFrameSize
 	f.Add(append(frame(f, req), 0xDE, 0xAD))         // trailing bytes beyond the frame
 	f.Add(frame(f, bytes.Repeat([]byte{7}, 70<<10))) // spans multiple read chunks
 }
@@ -52,7 +53,7 @@ func frameSeeds(f *testing.F) {
 func FuzzReadFrame(f *testing.F) {
 	frameSeeds(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		payload, err := ReadFrame(bytes.NewReader(b))
+		payload, err := wire.ReadFrame(bytes.NewReader(b))
 		if err != nil {
 			return
 		}
@@ -63,7 +64,7 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("payload length %d, header says %d", len(payload), want)
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, payload); err != nil {
+		if err := wire.WriteFrame(&buf, payload); err != nil {
 			t.Fatalf("re-frame failed: %v", err)
 		}
 		if !bytes.Equal(buf.Bytes(), b[:4+len(payload)]) {
@@ -76,13 +77,13 @@ func FuzzReadFrame(f *testing.F) {
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("hello frames"))
-	f.Add(bytes.Repeat([]byte{0xAB}, 3*frameChunk+17))
+	f.Add(bytes.Repeat([]byte{0xAB}, 3*(64<<10)+17)) // spans several of wire's 64 KiB read-ahead chunks
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, payload); err != nil {
+		if err := wire.WriteFrame(&buf, payload); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadFrame(&buf)
+		got, err := wire.ReadFrame(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}

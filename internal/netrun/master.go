@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mpq/internal/core"
-	"mpq/internal/plan"
 	"mpq/internal/query"
 	"mpq/internal/sched"
 	"mpq/internal/wire"
@@ -36,7 +35,7 @@ type Options struct {
 	// Timeout bounds one job attempt end-to-end: dialing the worker,
 	// sending the request, worker compute, and receiving the response.
 	// A context deadline shorter than the remaining Timeout takes
-	// precedence (see Master.OptimizeContext). Zero means
+	// precedence (see Master.Optimize). Zero means
 	// DefaultTimeout; negative is an error.
 	Timeout time.Duration
 	// MaxAttempts is the per-partition attempt budget: a partition that
@@ -79,25 +78,10 @@ type Options struct {
 // it without importing the transport.
 type NetStats = core.NetStats
 
-// Answer is the in-process answer with measured network statistics:
-// the embedded core.Answer.Net is always non-nil for answers produced
-// by this master.
-type Answer struct {
-	core.Answer
-	// Redispatched counts job attempts that failed at the transport level
-	// and were re-queued onto another worker (or retried). Zero in a
-	// failure-free run. It mirrors Net.Redispatched; both are kept so
-	// pre-Engine callers keep compiling.
-	Redispatched int
-}
-
 // Job is one (query, job spec) unit of a batch: OptimizeBatch pipelines
 // the plan-space partitions of many independent queries through one
 // pool of keep-alive worker connections.
-type Job struct {
-	Query *query.Query
-	Spec  core.JobSpec
-}
+type Job = core.Job
 
 // Master coordinates remote workers. It is the transport half of the
 // runtime — connections, frames, deadlines, byte accounting; every
@@ -113,23 +97,9 @@ type Master struct {
 }
 
 // NewMaster returns a master that will distribute work over the given
-// worker addresses. timeout bounds each job attempt end-to-end — the
-// dial, the request send, the worker's compute and the response receive
-// all share it (zero means DefaultTimeout). It is exactly
-// NewMasterWithOptions(addrs, Options{Timeout: timeout}).
-func NewMaster(addrs []string, timeout time.Duration) (*Master, error) {
-	return NewMasterWithOptions(addrs, Options{Timeout: timeout})
-}
-
-// NewWeightedMaster additionally takes per-worker performance weights;
-// see Options.Weights. nil weights mean homogeneous workers.
-func NewWeightedMaster(addrs []string, weights []float64, timeout time.Duration) (*Master, error) {
-	return NewMasterWithOptions(addrs, Options{Weights: weights, Timeout: timeout})
-}
-
-// NewMasterWithOptions returns a master with full fault-tolerance
-// configuration.
-func NewMasterWithOptions(addrs []string, opts Options) (*Master, error) {
+// worker addresses under opts: per-attempt timeout, retry budget,
+// worker exclusion, weights and the adaptive-scheduling switches.
+func NewMaster(addrs []string, opts Options) (*Master, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("netrun: no worker addresses")
 	}
@@ -277,7 +247,7 @@ func (st *connState) cancelInFlight() int {
 	}
 	payload := wire.EncodeCancelRequest(&wire.CancelRequest{Seq: st.inflight})
 	st.conn.SetWriteDeadline(time.Now().Add(cancelWriteTimeout))
-	if err := WriteFrame(st.conn, payload); err != nil {
+	if err := wire.WriteFrame(st.conn, payload); err != nil {
 		return 0
 	}
 	return len(payload) + 4
@@ -337,7 +307,7 @@ func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, st 
 	// target a request that precedes) the request bytes.
 	st.mu.Lock()
 	conn.SetDeadline(deadline)
-	werr := WriteFrame(conn, payload)
+	werr := wire.WriteFrame(conn, payload)
 	if werr == nil {
 		st.inflight = seq
 	}
@@ -348,7 +318,7 @@ func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, st 
 	res.sent = uint64(len(payload) + 4)
 	res.msgs++
 	for {
-		respB, err := ReadFrame(conn)
+		respB, err := wire.ReadFrame(conn)
 		if err != nil {
 			return fail(fmt.Errorf("receive from %s: %w", addr, err))
 		}
@@ -444,19 +414,15 @@ func (st *connState) ownerOf(seq uint32, fallback int) int {
 // Optimize survives worker failures: see the package comment for the
 // failure model. Whenever at least one worker survives and the retry
 // budget suffices, the returned plan is bit-identical to a failure-free
-// run, because responses are aggregated in partition-ID order.
-func (ms *Master) Optimize(q *query.Query, spec core.JobSpec) (*Answer, error) { //lint:allow ctxflow deprecated no-ctx wrapper, frozen by api_compat_test; use OptimizeContext
-	return ms.OptimizeContext(context.Background(), q, spec)
-}
-
-// OptimizeContext is Optimize with cooperative cancellation: when ctx
-// is canceled the dispatcher stops handing out work, force-closes every
-// connection it opened (unblocking attempts stuck in reads), aborts
-// in-flight dials, waits for all its goroutines, and returns an error
-// wrapping ctx's cause. A ctx deadline also tightens each job attempt's
-// transport deadline, so per-job deadlines flow from
+// run, because responses are gathered in partition-ID order.
+//
+// When ctx is canceled the dispatcher stops handing out work,
+// force-closes every connection it opened (unblocking attempts stuck in
+// reads), aborts in-flight dials, waits for all its goroutines, and
+// returns an error wrapping ctx's cause. A ctx deadline also tightens
+// each job attempt's transport deadline, so per-job deadlines flow from
 // context.WithDeadline rather than a bespoke field.
-func (ms *Master) OptimizeContext(ctx context.Context, q *query.Query, spec core.JobSpec) (*Answer, error) {
+func (ms *Master) Optimize(ctx context.Context, q *query.Query, spec core.JobSpec) (*core.Answer, error) {
 	answers, err := ms.OptimizeBatch(ctx, []Job{{Query: q, Spec: spec}})
 	if err != nil {
 		return nil, err
@@ -480,7 +446,7 @@ func (ms *Master) OptimizeContext(ctx context.Context, q *query.Query, spec core
 // aggregated in partition-ID order regardless of how the batch
 // interleaved them. Any fatal error or exhausted retry budget aborts
 // the whole batch.
-func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, error) {
+func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer, error) {
 	if len(jobs) == 0 {
 		return nil, errors.New("netrun: empty batch")
 	}
@@ -515,13 +481,15 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, err
 		wg.Wait()
 	}()
 
-	done := make([][]partDone, len(jobs))
-	answers := make([]*Answer, len(jobs))
+	// What the loop collects per query: the accepted partition results by
+	// partition ID, the traffic bill, and when the last partition landed.
+	done := make([][]core.PartResult, len(jobs))
+	nets := make([]core.NetStats, len(jobs))
+	elapsed := make([]time.Duration, len(jobs))
 	for qi, job := range jobs {
-		done[qi] = make([]partDone, job.Spec.Workers)
-		answers[qi] = &Answer{Answer: core.Answer{Net: &core.NetStats{}}}
+		done[qi] = make([]core.PartResult, job.Spec.Workers)
 	}
-	canceled := func() ([]*Answer, error) {
+	canceled := func() ([]*core.Answer, error) {
 		// The deferred cleanup force-closes every connection, aborting
 		// in-flight work, and waits for the attempts to return.
 		return nil, fmt.Errorf("netrun: %w", context.Cause(ctx))
@@ -556,8 +524,7 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, err
 		}
 		select {
 		case res := <-results:
-			ans := answers[res.unit.Job]
-			bill(answers, res)
+			bill(nets, res)
 			// A transport failure at or past the caller's deadline is the
 			// deadline's doing, not the worker's: the attempt deadline was
 			// tightened to the ctx deadline, and conn timeouts can fire a
@@ -572,17 +539,17 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, err
 				return nil, schedError(err, res.err)
 			}
 			if act.Accepted {
-				done[res.unit.Job][res.unit.Part] = partDone{resp: res.resp, elapsed: res.elapsed}
+				done[res.unit.Job][res.unit.Part] = core.PartResult{Plans: res.resp.Plans, Stats: res.resp.Stats, Elapsed: res.elapsed}
 				if act.JobDone {
-					ans.Elapsed = time.Since(start)
+					elapsed[res.unit.Job] = time.Since(start)
 				}
 			}
 			// This partition is still running elsewhere: tell the losers to
 			// abort their dynamic programs.
 			for _, nj := range act.Cancel {
 				if n := sts[nj].cancelInFlight(); n > 0 {
-					ans.Net.BytesSent += uint64(n)
-					ans.Net.Messages++
+					nets[res.unit.Job].BytesSent += uint64(n)
+					nets[res.unit.Job].Messages++
 				}
 			}
 		case <-wake:
@@ -595,15 +562,18 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, err
 		return nil, schedError(err, nil)
 	}
 
+	answers := make([]*core.Answer, len(jobs))
 	for qi, job := range jobs {
-		ans := answers[qi]
-		n := sch.Counters(qi)
-		ans.Redispatched, ans.Net.Redispatched = n.Redispatched, n.Redispatched
-		ans.Net.Speculations, ans.Net.SpeculationWasted = n.Speculations, n.SpeculationWasted
-		ans.Net.Probes, ans.Net.Readmitted = n.Probes, n.Readmitted
-		if err := aggregate(ans, job.Spec, done[qi]); err != nil {
+		ans, err := core.Gather(job.Spec, done[qi])
+		if err != nil {
 			return nil, err
 		}
+		n, ns := sch.Counters(qi), &nets[qi]
+		ns.Redispatched = n.Redispatched
+		ns.Speculations, ns.SpeculationWasted = n.Speculations, n.SpeculationWasted
+		ns.Probes, ns.Readmitted = n.Probes, n.Readmitted
+		ans.Net, ans.Elapsed = ns, elapsed[qi]
+		answers[qi] = ans
 	}
 	return answers, nil
 }
@@ -624,8 +594,8 @@ func schedError(err, cause error) error {
 
 // bill charges one attempt's traffic to the query it served, and every
 // stale frame it read to the query that originally produced it.
-func bill(answers []*Answer, res jobResult) {
-	stats := answers[res.unit.Job].Net
+func bill(nets []core.NetStats, res jobResult) {
+	stats := &nets[res.unit.Job]
 	stats.BytesSent += res.sent
 	stats.BytesReceived += res.rcvd
 	stats.Messages += res.msgs
@@ -633,41 +603,9 @@ func bill(answers []*Answer, res jobResult) {
 		stats.Dials++
 	}
 	for _, ig := range res.ignored {
-		origin := answers[ig.qi].Net
+		origin := &nets[ig.qi]
 		origin.BytesReceived += ig.bytes
 		origin.Messages++
 		origin.IgnoredFrames++
 	}
-}
-
-// partDone is one partition's accepted answer.
-type partDone struct {
-	resp    *wire.JobResponse
-	elapsed time.Duration
-}
-
-// aggregate folds one query's partition answers into ans in
-// partition-ID order: arrival order varies with retries, scheduling and
-// batch interleaving, but the answers must not.
-func aggregate(ans *Answer, spec core.JobSpec, parts []partDone) error {
-	frontiers := make([][]*plan.Node, 0, len(parts))
-	for partID, pd := range parts {
-		ans.Stats.Add(pd.resp.Stats)
-		if pd.resp.Stats.WorkUnits() > ans.MaxWorkerStats.WorkUnits() {
-			ans.MaxWorkerStats = pd.resp.Stats
-		}
-		if pd.elapsed > ans.MaxWorkerElapsed {
-			ans.MaxWorkerElapsed = pd.elapsed
-		}
-		ans.PerWorker = append(ans.PerWorker, core.WorkerReport{
-			PartID: partID, Plans: len(pd.resp.Plans), Stats: pd.resp.Stats, Elapsed: pd.elapsed,
-		})
-		frontiers = append(frontiers, pd.resp.Plans)
-	}
-	best, frontier, err := core.FinalPrune(spec, frontiers)
-	if err != nil {
-		return err
-	}
-	ans.Best, ans.Frontier = best, frontier
-	return nil
 }

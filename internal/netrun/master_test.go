@@ -1,6 +1,7 @@
 package netrun
 
 import (
+	"context"
 	"io"
 	"net"
 	"strings"
@@ -70,7 +71,7 @@ func TestNewMasterValidationTable(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := NewMasterWithOptions(c.addrs, c.opts)
+			_, err := NewMaster(c.addrs, c.opts)
 			if err == nil {
 				t.Fatalf("invalid config accepted: %+v", c.opts)
 			}
@@ -88,7 +89,7 @@ func nan() float64 {
 
 // Zero values mean defaults, not zero budgets.
 func TestNewMasterDefaults(t *testing.T) {
-	ms, err := NewMaster([]string{"a:1"}, 0)
+	ms, err := NewMaster([]string{"a:1"}, Options{Timeout: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestNewMasterDefaults(t *testing.T) {
 		t.Fatalf("maxWorkerFailures = %d, want %d", ms.policy.MaxWorkerFailures, sched.DefaultMaxWorkerFailures)
 	}
 	// Explicit values survive.
-	ms, err = NewMasterWithOptions([]string{"a:1"}, Options{
+	ms, err = NewMaster([]string{"a:1"}, Options{
 		Timeout: time.Second, MaxAttempts: 7, MaxWorkerFailures: 4,
 	})
 	if err != nil {
@@ -125,12 +126,12 @@ func TestOptimizeAllWorkersDead(t *testing.T) {
 		addrs[i] = ln.Addr().String()
 		ln.Close()
 	}
-	ms, err := NewMaster(addrs, 2*time.Second)
+	ms, err := NewMaster(addrs, Options{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := gen(t, 6, 0)
-	_, err = ms.Optimize(q, core.JobSpec{Space: partition.Linear, Workers: 2})
+	_, err = ms.Optimize(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 2})
 	if err == nil {
 		t.Fatal("all-dead cluster not reported")
 	}
@@ -165,7 +166,7 @@ func TestOptimizeClosesHalfOpenConnections(t *testing.T) {
 		}
 	}()
 
-	ms, err := NewMasterWithOptions([]string{ln.Addr().String()}, Options{
+	ms, err := NewMaster([]string{ln.Addr().String()}, Options{
 		Timeout:           300 * time.Millisecond,
 		MaxAttempts:       2,
 		MaxWorkerFailures: 1,
@@ -174,7 +175,7 @@ func TestOptimizeClosesHalfOpenConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := gen(t, 6, 0)
-	if _, err := ms.Optimize(q, core.JobSpec{Space: partition.Linear, Workers: 2}); err == nil {
+	if _, err := ms.Optimize(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 2}); err == nil {
 		t.Fatal("mute worker not reported")
 	}
 	select {

@@ -44,7 +44,7 @@
 //
 // # Cancellation and batches
 //
-// Master.OptimizeContext aborts on context cancellation: the dispatcher
+// Master.Optimize aborts on context cancellation: the dispatcher
 // stops handing out work, force-closes its connections to unblock
 // reads, and waits for every goroutine before returning. A context
 // deadline tightens each attempt's transport deadline.
@@ -54,32 +54,3 @@
 // failure drops that worker's connection and the next attempt redials
 // — and returns answers bit-identical to one-query-at-a-time runs.
 package netrun
-
-import (
-	"io"
-
-	"mpq/internal/wire"
-)
-
-// MaxFrameBytes caps a frame payload. Framing lives in internal/wire
-// (shared with the resident daemon's listener); this package re-exports
-// it under its historical names for the master/worker runtime.
-const MaxFrameBytes = wire.MaxFrameSize
-
-// frameChunk mirrors wire's read-ahead chunk size for the framing tests.
-const frameChunk = 64 << 10
-
-// WriteFrame writes one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	return wire.WriteFrame(w, payload)
-}
-
-// ReadFrame reads one length-prefixed frame under the MaxFrameBytes
-// cap. The payload buffer grows as bytes actually arrive, so a
-// malicious or corrupted length prefix cannot force a huge up-front
-// allocation; a prefix above the cap fails with wire.ErrFrameTooLarge
-// (retryable) before any payload byte is read. Listeners facing
-// untrusted peers should use wire.ReadFrameLimit with a tighter limit.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	return wire.ReadFrame(r)
-}

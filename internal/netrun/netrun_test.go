@@ -2,6 +2,7 @@ package netrun
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"net"
 	"strings"
@@ -43,10 +44,10 @@ func startWorkers(t *testing.T, k int) []string {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello frames")
-	if err := WriteFrame(&buf, payload); err != nil {
+	if err := wire.WriteFrame(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	got, err := wire.ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +58,10 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, nil); err != nil {
+	if err := wire.WriteFrame(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	got, err := wire.ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestFrameEmptyPayload(t *testing.T) {
 func TestReadFrameRejectsOversized(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := wire.ReadFrame(&buf); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -80,7 +81,7 @@ func TestReadFrameRejectsOversized(t *testing.T) {
 func TestReadFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0, 0, 0, 10, 1, 2}) // claims 10 bytes, has 2
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := wire.ReadFrame(&buf); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }
@@ -89,18 +90,18 @@ func TestReadFrameTruncated(t *testing.T) {
 // as the in-process engine.
 func TestDistributedMatchesInProcess(t *testing.T) {
 	addrs := startWorkers(t, 4)
-	ms, err := NewMaster(addrs, 30*time.Second)
+	ms, err := NewMaster(addrs, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 3; seed++ {
 		q := gen(t, 8, seed)
 		spec := core.JobSpec{Space: partition.Linear, Workers: 4}
-		dist, err := ms.Optimize(q, spec)
+		dist, err := ms.Optimize(context.Background(), q, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		local, err := core.Optimize(q, spec)
+		local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,17 +121,17 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 // whole plan space.
 func TestMorePartitionsThanWorkers(t *testing.T) {
 	addrs := startWorkers(t, 3)
-	ms, err := NewMaster(addrs, 30*time.Second)
+	ms, err := NewMaster(addrs, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := gen(t, 8, 7)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 16}
-	dist, err := ms.Optimize(q, spec)
+	dist, err := ms.Optimize(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := core.Optimize(q, spec)
+	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestMorePartitionsThanWorkers(t *testing.T) {
 
 func TestDistributedMultiObjective(t *testing.T) {
 	addrs := startWorkers(t, 2)
-	ms, err := NewMaster(addrs, 30*time.Second)
+	ms, err := NewMaster(addrs, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +154,11 @@ func TestDistributedMultiObjective(t *testing.T) {
 		Space: partition.Linear, Workers: 4,
 		Objective: core.MultiObjective, Alpha: 1,
 	}
-	dist, err := ms.Optimize(q, spec)
+	dist, err := ms.Optimize(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := core.Optimize(q, spec)
+	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +169,14 @@ func TestDistributedMultiObjective(t *testing.T) {
 
 func TestWorkerReportsJobErrorsInBand(t *testing.T) {
 	addrs := startWorkers(t, 1)
-	ms, err := NewMaster(addrs, 10*time.Second)
+	ms, err := NewMaster(addrs, Options{Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := gen(t, 4, 0)
 	// 64 workers exceeds max for 4 tables; the wire decoder on the worker
 	// rejects the spec and the master sees an in-band error.
-	_, err = ms.Optimize(q, core.JobSpec{Space: partition.Linear, Workers: 64})
+	_, err = ms.Optimize(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 64})
 	if err == nil {
 		t.Fatal("invalid job accepted")
 	}
@@ -188,10 +189,10 @@ func TestWorkerSurvivesGarbageFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteFrame(conn, []byte("not a job request")); err != nil {
+	if err := wire.WriteFrame(conn, []byte("not a job request")); err != nil {
 		t.Fatal(err)
 	}
-	respB, err := ReadFrame(conn)
+	respB, err := wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,10 +209,10 @@ func TestWorkerSurvivesGarbageFrame(t *testing.T) {
 		Spec:   core.JobSpec{Space: partition.Linear, Workers: 2},
 		PartID: 0, Query: q,
 	})
-	if err := WriteFrame(conn, req); err != nil {
+	if err := wire.WriteFrame(conn, req); err != nil {
 		t.Fatal(err)
 	}
-	respB, err = ReadFrame(conn)
+	respB, err = wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,18 +233,18 @@ func TestMasterFailsOnDeadWorker(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	ms, err := NewMaster([]string{addr}, 2*time.Second)
+	ms, err := NewMaster([]string{addr}, Options{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := gen(t, 6, 0)
-	if _, err := ms.Optimize(q, core.JobSpec{Space: partition.Linear, Workers: 2}); err == nil {
+	if _, err := ms.Optimize(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 2}); err == nil {
 		t.Fatal("dead worker not reported")
 	}
 }
 
 func TestNewMasterValidation(t *testing.T) {
-	if _, err := NewMaster(nil, 0); err == nil {
+	if _, err := NewMaster(nil, Options{Timeout: 0}); err == nil {
 		t.Fatal("empty address list accepted")
 	}
 }
@@ -264,14 +265,14 @@ func TestWorkerCloseIdempotentEnough(t *testing.T) {
 
 func TestSequentialQueriesReuseConnections(t *testing.T) {
 	addrs := startWorkers(t, 2)
-	ms, err := NewMaster(addrs, 30*time.Second)
+	ms, err := NewMaster(addrs, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Several queries back to back through the same master.
 	for seed := int64(0); seed < 3; seed++ {
 		q := gen(t, 6, seed)
-		if _, err := ms.Optimize(q, core.JobSpec{Space: partition.Bushy, Workers: 2}); err != nil {
+		if _, err := ms.Optimize(context.Background(), q, core.JobSpec{Space: partition.Bushy, Workers: 2}); err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package netrun
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -27,7 +28,7 @@ func TestRecordedRunReplaysThroughCore(t *testing.T) {
 	q := gen(t, 8, 7)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 4}
 	addrs, proxies := startChaosWorkers(t, 2, []FaultPlan{{0: Stall}, nil})
-	ms, err := NewMasterWithOptions(addrs, Options{
+	ms, err := NewMaster(addrs, Options{
 		Timeout:          30 * time.Second,
 		Speculate:        true,
 		SpeculationFloor: 150 * time.Millisecond,
@@ -41,7 +42,7 @@ func TestRecordedRunReplaysThroughCore(t *testing.T) {
 	}
 	var steps []step
 	ms.trace = func(ev sched.Event, act sched.Actions) { steps = append(steps, step{ev, act}) }
-	if _, err := ms.Optimize(q, spec); err != nil {
+	if _, err := ms.Optimize(context.Background(), q, spec); err != nil {
 		t.Fatal(err)
 	}
 

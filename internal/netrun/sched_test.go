@@ -1,6 +1,7 @@
 package netrun
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -20,22 +21,22 @@ import (
 func TestStallSpeculativeCloneWins(t *testing.T) {
 	q := gen(t, 8, 7)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 4}
-	local, err := core.Optimize(q, spec)
+	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cleanAddrs := startWorkers(t, 2)
-	cleanMaster, err := NewMaster(cleanAddrs, 30*time.Second)
+	cleanMaster, err := NewMaster(cleanAddrs, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := cleanMaster.Optimize(q, spec)
+	clean, err := cleanMaster.Optimize(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	addrs, proxies := startChaosWorkers(t, 2, []FaultPlan{{0: Stall}, nil})
-	ms, err := NewMasterWithOptions(addrs, Options{
+	ms, err := NewMaster(addrs, Options{
 		// Without speculation the stalled partition would sit for the full
 		// attempt timeout before the ordinary retry path touched it; the
 		// wall-clock bound below is an order of magnitude tighter.
@@ -47,7 +48,7 @@ func TestStallSpeculativeCloneWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	ans, err := ms.Optimize(q, spec)
+	ans, err := ms.Optimize(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +59,8 @@ func TestStallSpeculativeCloneWins(t *testing.T) {
 	if ans.Net.Speculations == 0 {
 		t.Fatal("no speculative re-dispatch recorded under a stall")
 	}
-	if ans.Redispatched != 0 {
-		t.Fatalf("Redispatched = %d: speculation must pre-empt the timeout retry path", ans.Redispatched)
+	if ans.Net.Redispatched != 0 {
+		t.Fatalf("Redispatched = %d: speculation must pre-empt the timeout retry path", ans.Net.Redispatched)
 	}
 	// The stalled worker saw exactly its first job; its queued share was
 	// stolen, not dispatched into the stall.
@@ -79,16 +80,16 @@ func TestStallSpeculativeCloneWins(t *testing.T) {
 func TestSpeculativeLoserLateFrameDiscarded(t *testing.T) {
 	q := gen(t, 8, 7)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 4}
-	local, err := core.Optimize(q, spec)
+	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cleanAddrs := startWorkers(t, 3)
-	cleanMaster, err := NewMaster(cleanAddrs, 30*time.Second)
+	cleanMaster, err := NewMaster(cleanAddrs, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := cleanMaster.Optimize(q, spec)
+	clean, err := cleanMaster.Optimize(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestSpeculativeLoserLateFrameDiscarded(t *testing.T) {
 	proxies[0].Drip = 8 * time.Millisecond
 	proxies[1].Drip = 10 * time.Millisecond
 	proxies[2].Drip = 40 * time.Millisecond
-	ms, err := NewMasterWithOptions(addrs, Options{
+	ms, err := NewMaster(addrs, Options{
 		Timeout:          30 * time.Second,
 		Speculate:        true,
 		SpeculationFloor: 100 * time.Millisecond,
@@ -112,7 +113,7 @@ func TestSpeculativeLoserLateFrameDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ms.Optimize(q, spec)
+	ans, err := ms.Optimize(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +130,8 @@ func TestSpeculativeLoserLateFrameDiscarded(t *testing.T) {
 	if ans.Net.IgnoredFrames != 0 {
 		t.Fatalf("IgnoredFrames = %d: the loser's frame matches its own request's Seq", ans.Net.IgnoredFrames)
 	}
-	if ans.Redispatched != 0 {
-		t.Fatalf("Redispatched = %d: races are not failures", ans.Redispatched)
+	if ans.Net.Redispatched != 0 {
+		t.Fatalf("Redispatched = %d: races are not failures", ans.Net.Redispatched)
 	}
 }
 
@@ -141,7 +142,7 @@ func TestSpeculativeLoserLateFrameDiscarded(t *testing.T) {
 func TestProbeReadmitsExcludedWorker(t *testing.T) {
 	q := gen(t, 8, 9)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
-	local, err := core.Optimize(q, spec)
+	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestProbeReadmitsExcludedWorker(t *testing.T) {
 		{0: KillBeforeResponse, 1: KillBeforeResponse}, drip,
 	})
 	proxies[1].Drip = 5 * time.Millisecond
-	ms, err := NewMasterWithOptions(addrs, Options{
+	ms, err := NewMaster(addrs, Options{
 		Timeout:           5 * time.Second,
 		MaxWorkerFailures: 2,
 		ReadmitAfter:      120 * time.Millisecond,
@@ -161,7 +162,7 @@ func TestProbeReadmitsExcludedWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ms.Optimize(q, spec)
+	ans, err := ms.Optimize(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +175,8 @@ func TestProbeReadmitsExcludedWorker(t *testing.T) {
 	if ans.Net.Readmitted != 1 {
 		t.Fatalf("Readmitted = %d, want 1", ans.Net.Readmitted)
 	}
-	if ans.Redispatched != 2 {
-		t.Fatalf("Redispatched = %d, want 2 (the two killed attempts)", ans.Redispatched)
+	if ans.Net.Redispatched != 2 {
+		t.Fatalf("Redispatched = %d, want 2 (the two killed attempts)", ans.Net.Redispatched)
 	}
 	// The worker saw its two scripted kills, the probe, and then real
 	// work again after rejoining the pool.
@@ -194,7 +195,7 @@ func TestNoProbesWithoutReadmitAfter(t *testing.T) {
 		killAll[i] = KillBeforeResponse
 	}
 	addrs, proxies := startChaosWorkers(t, 2, []FaultPlan{killAll, nil})
-	ms, err := NewMasterWithOptions(addrs, Options{
+	ms, err := NewMaster(addrs, Options{
 		Timeout:           2 * time.Second,
 		MaxAttempts:       3,
 		MaxWorkerFailures: 2,
@@ -202,7 +203,7 @@ func TestNoProbesWithoutReadmitAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ms.Optimize(q, spec)
+	ans, err := ms.Optimize(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,15 +244,15 @@ func TestWorkerCancelAbortsInFlightJob(t *testing.T) {
 		Spec:  core.JobSpec{Space: partition.Bushy, Workers: 1},
 		Query: big,
 	})
-	if err := WriteFrame(conn, req); err != nil {
+	if err := wire.WriteFrame(conn, req); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond) // let the DP get going
-	if err := WriteFrame(conn, wire.EncodeCancelRequest(&wire.CancelRequest{Seq: 1})); err != nil {
+	if err := wire.WriteFrame(conn, wire.EncodeCancelRequest(&wire.CancelRequest{Seq: 1})); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	respB, err := ReadFrame(conn)
+	respB, err := wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,10 +275,10 @@ func TestWorkerCancelAbortsInFlightJob(t *testing.T) {
 		Spec:  core.JobSpec{Space: partition.Linear, Workers: 2},
 		Query: small,
 	})
-	if err := WriteFrame(conn, req2); err != nil {
+	if err := wire.WriteFrame(conn, req2); err != nil {
 		t.Fatal(err)
 	}
-	respB, err = ReadFrame(conn)
+	respB, err = wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestWorkerCancelRacesAheadOfRequest(t *testing.T) {
 	defer conn.Close()
 
 	// Cancel for seq 1 lands before the request it targets.
-	if err := WriteFrame(conn, wire.EncodeCancelRequest(&wire.CancelRequest{Seq: 1})); err != nil {
+	if err := wire.WriteFrame(conn, wire.EncodeCancelRequest(&wire.CancelRequest{Seq: 1})); err != nil {
 		t.Fatal(err)
 	}
 	q := gen(t, 10, 3)
@@ -315,10 +316,10 @@ func TestWorkerCancelRacesAheadOfRequest(t *testing.T) {
 		Spec:  core.JobSpec{Space: partition.Linear, Workers: 2},
 		Query: q,
 	})
-	if err := WriteFrame(conn, req); err != nil {
+	if err := wire.WriteFrame(conn, req); err != nil {
 		t.Fatal(err)
 	}
-	respB, err := ReadFrame(conn)
+	respB, err := wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +333,7 @@ func TestWorkerCancelRacesAheadOfRequest(t *testing.T) {
 
 	// A stale cancel (for the already-answered seq 1) must not leak onto
 	// the next request.
-	if err := WriteFrame(conn, wire.EncodeCancelRequest(&wire.CancelRequest{Seq: 1})); err != nil {
+	if err := wire.WriteFrame(conn, wire.EncodeCancelRequest(&wire.CancelRequest{Seq: 1})); err != nil {
 		t.Fatal(err)
 	}
 	req2 := wire.EncodeJobRequest(&wire.JobRequest{
@@ -340,10 +341,10 @@ func TestWorkerCancelRacesAheadOfRequest(t *testing.T) {
 		Spec:  core.JobSpec{Space: partition.Linear, Workers: 2},
 		Query: q,
 	})
-	if err := WriteFrame(conn, req2); err != nil {
+	if err := wire.WriteFrame(conn, req2); err != nil {
 		t.Fatal(err)
 	}
-	respB, err = ReadFrame(conn)
+	respB, err = wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}

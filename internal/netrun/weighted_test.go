@@ -1,6 +1,7 @@
 package netrun
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -10,16 +11,16 @@ import (
 )
 
 func TestWeightedMasterValidation(t *testing.T) {
-	if _, err := NewWeightedMaster([]string{"a:1"}, []float64{1, 2}, 0); err == nil {
+	if _, err := NewMaster([]string{"a:1"}, Options{Weights: []float64{1, 2}, Timeout: 0}); err == nil {
 		t.Fatal("mismatched weight count accepted")
 	}
-	if _, err := NewWeightedMaster([]string{"a:1", "b:1"}, []float64{1, 0}, 0); err == nil {
+	if _, err := NewMaster([]string{"a:1", "b:1"}, Options{Weights: []float64{1, 0}, Timeout: 0}); err == nil {
 		t.Fatal("zero weight accepted")
 	}
-	if _, err := NewWeightedMaster([]string{"a:1", "b:1"}, []float64{1, -2}, 0); err == nil {
+	if _, err := NewMaster([]string{"a:1", "b:1"}, Options{Weights: []float64{1, -2}, Timeout: 0}); err == nil {
 		t.Fatal("negative weight accepted")
 	}
-	if _, err := NewWeightedMaster([]string{"a:1", "b:1"}, nil, 0); err != nil {
+	if _, err := NewMaster([]string{"a:1", "b:1"}, Options{Weights: nil, Timeout: 0}); err != nil {
 		t.Fatalf("nil weights rejected: %v", err)
 	}
 }
@@ -27,17 +28,17 @@ func TestWeightedMasterValidation(t *testing.T) {
 // End-to-end: a weighted master returns the same optimum.
 func TestWeightedMasterEndToEnd(t *testing.T) {
 	addrs := startWorkers(t, 2)
-	ms, err := NewWeightedMaster(addrs, []float64{3, 1}, 30*time.Second)
+	ms, err := NewMaster(addrs, Options{Weights: []float64{3, 1}, Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := gen(t, 8, 3)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 16}
-	dist, err := ms.Optimize(q, spec)
+	dist, err := ms.Optimize(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := core.Optimize(q, spec)
+	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

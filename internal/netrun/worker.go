@@ -92,7 +92,7 @@ func (w *Worker) serveConn(conn net.Conn) {
 		defer cancel()
 		defer close(frames)
 		for {
-			payload, err := ReadFrame(conn)
+			payload, err := wire.ReadFrame(conn)
 			if err != nil {
 				return // EOF or closed
 			}
@@ -125,7 +125,7 @@ func (w *Worker) serveConn(conn net.Conn) {
 				Seq: seq, Code: wire.ErrCanceled, Msg: wire.CanceledMsg,
 			})
 		}
-		if err := WriteFrame(conn, resp); err != nil {
+		if err := wire.WriteFrame(conn, resp); err != nil {
 			return
 		}
 	}

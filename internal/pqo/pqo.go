@@ -15,6 +15,7 @@
 package pqo
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -148,7 +149,8 @@ func SpecializedModel(spill, theta float64) cost.Model {
 // Optimize runs parametric MPQ and returns the frontier of
 // parametric-optimal plans (sorted by c0).
 func Optimize(q *query.Query, space partition.Space, workers int, spill float64) ([]*plan.Node, error) {
-	ans, err := core.Optimize(q, JobSpec(space, workers, spill))
+	// The parametric API predates contexts and takes none.
+	ans, err := core.OptimizeContext(context.TODO(), q, JobSpec(space, workers, spill), 0)
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,6 @@ import (
 	"mpq/internal/cluster"
 	"mpq/internal/core"
 	"mpq/internal/dp"
-	"mpq/internal/mo"
 	"mpq/internal/partition"
 	"mpq/internal/plan"
 	"mpq/internal/query"
@@ -75,8 +74,9 @@ func encodeDelta(entries []deltaEntry) []byte {
 
 // Run simulates SMA on the cluster described by model. spec.Workers may
 // be any count ≥ 1 (SMA has no power-of-two restriction); spec.Space,
-// Objective, Alpha and InterestingOrders mean the same as for MPQ.
-func Run(model cluster.Model, q *query.Query, spec core.JobSpec) (*cluster.Result, error) {
+// Objective, Alpha and InterestingOrders mean the same as for MPQ. The
+// measurement record is the answer's Cluster field.
+func Run(model cluster.Model, q *query.Query, spec core.JobSpec) (*core.Answer, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
@@ -181,25 +181,14 @@ func Run(model cluster.Model, q *query.Query, spec core.JobSpec) (*cluster.Resul
 	met.VirtualTime = virtual + time.Duration(len(res.Plans))*model.FinalPrunePerPlan
 	met.MaxWorkerTime = virtual // workers are barrier-synchronized every round
 
-	out := &cluster.Result{Metrics: met}
-	if spec.Objective == core.MultiObjective {
-		alpha := spec.Alpha
-		if alpha < 1 {
-			alpha = 1
-		}
-		out.Frontier = mo.Merge([][]*plan.Node{res.Plans}, alpha)
-		for _, p := range out.Frontier {
-			if out.Best == nil || p.Cost < out.Best.Cost {
-				out.Best = p
-			}
-		}
-	} else {
-		out.Best = res.Best()
+	// The shared memotable is one result, not one per worker: the same
+	// epilogue as MPQ's master, over a single part.
+	ans, err := core.Gather(spec, []core.PartResult{{Plans: res.Plans, Stats: res.Stats, Elapsed: virtual}})
+	if err != nil {
+		return nil, fmt.Errorf("sma: %w", err)
 	}
-	if out.Best == nil {
-		return nil, fmt.Errorf("sma: no plan found")
-	}
-	return out, nil
+	ans.Cluster = &met
+	return ans, nil
 }
 
 func validateSpec(q *query.Query, spec core.JobSpec) error {

@@ -1,6 +1,7 @@
 package sma
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestSMAMatchesMPQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpqRes, err := cluster.RunMPQ(cluster.Default(), q, spec)
+	mpqRes, err := cluster.Run(context.Background(), cluster.Default(), q, spec, cluster.Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +76,12 @@ func TestSMATrafficDwarfsMPQ(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mpqRes, err := cluster.RunMPQ(cluster.Default(), q, spec)
+		mpqRes, err := cluster.Run(context.Background(), cluster.Default(), q, spec, cluster.Faults{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if smaRes.Metrics.Bytes < 10*mpqRes.Metrics.Bytes {
-			t.Fatalf("m=%d: SMA bytes %d not >> MPQ bytes %d", m, smaRes.Metrics.Bytes, mpqRes.Metrics.Bytes)
+		if smaRes.Cluster.Bytes < 10*mpqRes.Cluster.Bytes {
+			t.Fatalf("m=%d: SMA bytes %d not >> MPQ bytes %d", m, smaRes.Cluster.Bytes, mpqRes.Cluster.Bytes)
 		}
 	}
 }
@@ -93,10 +94,10 @@ func TestSMATrafficGrowsWithWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i > 0 && res.Metrics.Bytes <= prev {
-			t.Fatalf("m=%d: bytes %d did not grow from %d", m, res.Metrics.Bytes, prev)
+		if i > 0 && res.Cluster.Bytes <= prev {
+			t.Fatalf("m=%d: bytes %d did not grow from %d", m, res.Cluster.Bytes, prev)
 		}
-		prev = res.Metrics.Bytes
+		prev = res.Cluster.Bytes
 	}
 }
 
@@ -108,12 +109,12 @@ func TestSMARoundsAndMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One round per join-result cardinality: 2..n.
-	if res.Metrics.Rounds != 7 {
-		t.Fatalf("rounds = %d want 7", res.Metrics.Rounds)
+	if res.Cluster.Rounds != 7 {
+		t.Fatalf("rounds = %d want 7", res.Cluster.Rounds)
 	}
 	// Per round: m task/delta messages down + m responses up.
-	if res.Metrics.Messages != res.Metrics.Rounds*2*m {
-		t.Fatalf("messages = %d want %d", res.Metrics.Messages, res.Metrics.Rounds*2*m)
+	if res.Cluster.Messages != res.Cluster.Rounds*2*m {
+		t.Fatalf("messages = %d want %d", res.Cluster.Messages, res.Cluster.Rounds*2*m)
 	}
 }
 
@@ -128,9 +129,9 @@ func TestSMAMemoryConstantInWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			first = res.Metrics.MaxMemoEntries
-		} else if res.Metrics.MaxMemoEntries != first {
-			t.Fatalf("m=%d: memo %d != %d", m, res.Metrics.MaxMemoEntries, first)
+			first = res.Cluster.MaxMemoEntries
+		} else if res.Cluster.MaxMemoEntries != first {
+			t.Fatalf("m=%d: memo %d != %d", m, res.Cluster.MaxMemoEntries, first)
 		}
 	}
 	if first != uint64(1<<9-1) {
@@ -151,7 +152,7 @@ func TestSMAMultiObjective(t *testing.T) {
 	if !mo.IsFrontier(res.Frontier) {
 		t.Fatal("SMA frontier contains dominated plans")
 	}
-	mpqRes, err := core.Optimize(q, spec)
+	mpqRes, err := core.OptimizeContext(context.Background(), q, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestEncodeJobRequestAllocs(t *testing.T) {
 
 func TestEncodeJobResponseAllocs(t *testing.T) {
 	q := genQuery(t, 10, 1)
-	res, err := core.RunWorker(q, core.JobSpec{Space: partition.Linear, Workers: 4}, 1)
+	res, err := core.RunWorkerContext(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"testing"
 
 	"mpq/internal/core"
@@ -19,7 +20,7 @@ func seedCorpus(f *testing.F) {
 		Spec:  core.JobSpec{Space: partition.Linear, Workers: 4},
 		Query: q,
 	}))
-	res, err := core.RunWorker(q, core.JobSpec{Space: partition.Linear, Workers: 2}, 1)
+	res, err := core.RunWorkerContext(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 2}, 1)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -328,7 +329,7 @@ func TestJobRequestRejectsInvalidSpec(t *testing.T) {
 
 func TestJobResponseRoundTrip(t *testing.T) {
 	q := genQuery(t, 7, 2)
-	res, err := core.RunWorker(q, core.JobSpec{
+	res, err := core.RunWorkerContext(context.Background(), q, core.JobSpec{
 		Space: partition.Linear, Workers: 4, Objective: core.MultiObjective, Alpha: 1,
 	}, 2)
 	if err != nil {

@@ -1,8 +1,7 @@
-//lint:file-ignore SA1019 this file is the behavioral coverage of the deprecated legacy wrappers; api_compat_test.go only pins that they compile.
-
 package mpq_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -10,6 +9,17 @@ import (
 
 	"mpq"
 )
+
+// serialBest is the classical single-node optimum: the baseline the
+// public-API tests compare every other engine against.
+func serialBest(t testing.TB, q *mpq.Query, space mpq.Space, interestingOrders bool) *mpq.Plan {
+	t.Helper()
+	ans, err := mpq.NewSerialEngine().Optimize(context.Background(), q, mpq.JobSpec{Space: space, InterestingOrders: interestingOrders})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ans.Best
+}
 
 func demoQuery(t testing.TB) *mpq.Query {
 	t.Helper()
@@ -28,12 +38,10 @@ func demoQuery(t testing.TB) *mpq.Query {
 
 func TestPublicAPIEndToEnd(t *testing.T) {
 	q := demoQuery(t)
-	serial, err := mpq.OptimizeSerial(q, mpq.Linear, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := serialBest(t, q, mpq.Linear, false)
+	eng := mpq.NewInProcessEngine()
 	for _, m := range []int{1, 2, 4} {
-		ans, err := mpq.Optimize(q, mpq.JobSpec{Space: mpq.Linear, Workers: m})
+		ans, err := eng.Optimize(context.Background(), q, mpq.JobSpec{Space: mpq.Linear, Workers: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,12 +71,13 @@ func TestPublicAPIWorkloadAndSimulation(t *testing.T) {
 	if cat.Len() != 8 || q.N() != 8 {
 		t.Fatal("workload shape")
 	}
-	res, err := mpq.SimulateMPQ(mpq.DefaultClusterModel(), q, mpq.JobSpec{Space: mpq.Linear, Workers: 4})
+	sim := mpq.NewSimEngine(mpq.WithClusterModel(mpq.DefaultClusterModel()))
+	res, err := sim.Optimize(context.Background(), q, mpq.JobSpec{Space: mpq.Linear, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.Bytes == 0 || res.Metrics.VirtualTime <= 0 {
-		t.Fatalf("metrics %+v", res.Metrics)
+	if res.Cluster.Bytes == 0 || res.Cluster.VirtualTime <= 0 {
+		t.Fatalf("metrics %+v", res.Cluster)
 	}
 }
 
@@ -81,10 +90,7 @@ func TestPublicAPISerialization(t *testing.T) {
 	if q2.N() != q.N() {
 		t.Fatal("query round trip")
 	}
-	p, err := mpq.OptimizeSerial(q, mpq.Bushy, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := serialBest(t, q, mpq.Bushy, true)
 	p2, err := mpq.DecodePlan(mpq.EncodePlan(p))
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +102,7 @@ func TestPublicAPISerialization(t *testing.T) {
 
 func TestPublicAPIMultiObjective(t *testing.T) {
 	q := demoQuery(t)
-	ans, err := mpq.Optimize(q, mpq.JobSpec{
+	ans, err := mpq.NewInProcessEngine().Optimize(context.Background(), q, mpq.JobSpec{
 		Space: mpq.Linear, Workers: 2,
 		Objective: mpq.MultiObjective, Alpha: 1,
 	})
@@ -122,27 +128,25 @@ func TestPublicAPIDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	master, err := mpq.NewMaster([]string{w1.Addr(), w2.Addr()}, 30*time.Second)
+	tcp, err := mpq.NewTCPEngine([]string{w1.Addr(), w2.Addr()},
+		mpq.WithMasterOptions(mpq.MasterOptions{Timeout: 30 * time.Second}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := demoQuery(t)
-	ans, err := master.Optimize(q, mpq.JobSpec{Space: mpq.Linear, Workers: 4})
+	ans, err := tcp.Optimize(context.Background(), q, mpq.JobSpec{Space: mpq.Linear, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := mpq.OptimizeSerial(q, mpq.Linear, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := serialBest(t, q, mpq.Linear, false)
 	if math.Abs(ans.Best.Cost-serial.Cost) > 1e-9*serial.Cost {
 		t.Fatal("distributed optimum differs")
 	}
 }
 
-// ExampleOptimize demonstrates the quick-start flow from the package
+// ExampleEngine demonstrates the quick-start flow from the package
 // documentation.
-func ExampleOptimize() {
+func ExampleEngine() {
 	q := mpq.MustNewQuery([]mpq.QueryTable{
 		{Name: "A", Cardinality: 1000},
 		{Name: "B", Cardinality: 100},
@@ -151,7 +155,8 @@ func ExampleOptimize() {
 	q.MustAddPredicate(mpq.Predicate{Left: 0, Right: 1, Selectivity: 0.01})
 	q.MustAddPredicate(mpq.Predicate{Left: 1, Right: 2, Selectivity: 0.1})
 
-	ans, err := mpq.Optimize(q, mpq.JobSpec{Space: mpq.Linear, Workers: 2})
+	var eng mpq.Engine = mpq.NewInProcessEngine()
+	ans, err := eng.Optimize(context.Background(), q, mpq.JobSpec{Space: mpq.Linear, Workers: 2})
 	if err != nil {
 		panic(err)
 	}

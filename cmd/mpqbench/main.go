@@ -15,6 +15,9 @@
 //	-csv         emit CSV instead of aligned text
 //	-json        emit JSON Lines (one object per table), for the
 //	             benchmark-trajectory tooling (BENCH_*.json)
+//	-cpuprofile F  write a CPU profile of the run to F (runtime/pprof;
+//	             docs/perf.md §4 has the recipe for ranking inner-loop
+//	             candidates with it)
 package main
 
 import (
@@ -23,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 
 	"mpq/internal/cliutil"
 	"mpq/internal/experiments"
@@ -44,12 +48,24 @@ func run() error {
 	quiet := flag.Bool("quiet", false, "suppress progress output")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	jsonOut := flag.Bool("json", false, "emit JSON Lines (one object per table) instead of aligned text")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
 	if *csvOut && *jsonOut {
 		return fmt.Errorf("-csv and -json are mutually exclusive")
 	}
 	emitCSV = *csvOut
 	emitJSON = *jsonOut
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
+	}
 
 	cfg := experiments.Quick()
 	if *full {

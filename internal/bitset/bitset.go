@@ -25,12 +25,19 @@ const MaxTables = 63
 // Empty returns the empty set.
 func Empty() Set { return 0 }
 
-// Single returns the singleton set {i}.
+// Single returns the singleton set {i}. The range check's failure path
+// lives out of line so that Single — and Contains, Add, Remove on top of
+// it — inlines into the optimizer's loops.
 func Single(i int) Set {
-	if i < 0 || i >= MaxTables {
-		panic(fmt.Sprintf("bitset: table index %d out of range [0,%d)", i, MaxTables))
+	if uint(i) >= MaxTables {
+		panicIndex(i)
 	}
 	return Set(1) << uint(i)
+}
+
+//go:noinline
+func panicIndex(i int) {
+	panic(fmt.Sprintf("bitset: table index %d out of range [0,%d)", i, MaxTables))
 }
 
 // Range returns the set {0, 1, ..., n-1}.

@@ -158,25 +158,67 @@ func log2(x float64) float64 {
 	return math.Log2(x)
 }
 
+// SortTerm is the cost of sorting an input of the given cardinality:
+// SortFactor·card·log2(card), with log2 clamped to 1 below two tuples.
+// It is the single definition of the sort-merge join's per-input term —
+// JoinCost adds it for every unsorted input, and the dynamic program
+// stores it once per table set so that costing a candidate join adds
+// stored terms instead of taking logarithms. The conversion rounds the
+// product, so no architecture fuses it into the addition that follows
+// and a stored term is bit-identical to one computed in place.
+func (m Model) SortTerm(card float64) float64 {
+	return float64(m.SortFactor * card * log2(card))
+}
+
+// sortMerge is the sort-merge operator formula of every metric: a base
+// plus one term per unsorted input, left first.
+func sortMerge(base, lTerm, rTerm float64, leftSorted, rightSorted bool) float64 {
+	if !leftSorted {
+		base += lTerm
+	}
+	if !rightSorted {
+		base += rTerm
+	}
+	return base
+}
+
+// SortMergeCost is JoinCost(SortMerge, l, r, …) with the inputs' sort
+// terms lSort = SortTerm(l) and rSort = SortTerm(r) supplied by the
+// caller: l + r + [!leftSorted]·lSort + [!rightSorted]·rSort, in that
+// order.
+func (m Model) SortMergeCost(l, r, lSort, rSort float64, leftSorted, rightSorted bool) float64 {
+	return sortMerge(l+r, lSort, rSort, leftSorted, rightSorted)
+}
+
+// NestedLoopCost is JoinCost(NestedLoop, l, r, …): every outer block
+// scans the inner input once.
+func (m Model) NestedLoopCost(l, r float64) float64 { return l * r / m.NLBlock }
+
+// HashCost is JoinCost(Hash, l, r, …): linear build and probe passes.
+// The conversion keeps the product from fusing into a later addition.
+func (m Model) HashCost(l, r float64) float64 { return float64(m.HashFactor * (l + r)) }
+
 // JoinCost returns the cost of joining an outer input of cardinality l
 // with an inner input of cardinality r using algorithm alg.
 // leftSorted/rightSorted report whether the respective input is already
-// sorted on the join attribute (only SortMerge cares).
+// sorted on the join attribute (only SortMerge cares). The per-algorithm
+// methods it dispatches to are the single definitions of the formulas;
+// the dynamic program calls them directly, once per operand split.
 func (m Model) JoinCost(alg JoinAlg, l, r float64, leftSorted, rightSorted bool) float64 {
 	switch alg {
 	case NestedLoop:
-		return l * r / m.NLBlock
+		return m.NestedLoopCost(l, r)
 	case Hash:
-		return m.HashFactor * (l + r)
+		return m.HashCost(l, r)
 	case SortMerge:
-		c := l + r
+		var lSort, rSort float64
 		if !leftSorted {
-			c += m.SortFactor * l * log2(l)
+			lSort = m.SortTerm(l)
 		}
 		if !rightSorted {
-			c += m.SortFactor * r * log2(r)
+			rSort = m.SortTerm(r)
 		}
-		return c
+		return m.SortMergeCost(l, r, lSort, rSort, leftSorted, rightSorted)
 	default:
 		panic(fmt.Sprintf("cost: unknown join algorithm %d", int(alg)))
 	}
@@ -193,14 +235,7 @@ func (m Model) JoinBuffer(alg JoinAlg, l, r float64, leftSorted, rightSorted boo
 	case Hash:
 		return r + 1
 	case SortMerge:
-		b := 2.0
-		if !leftSorted {
-			b += l
-		}
-		if !rightSorted {
-			b += r
-		}
-		return b
+		return sortMerge(2, l, r, leftSorted, rightSorted)
 	default:
 		panic(fmt.Sprintf("cost: unknown join algorithm %d", int(alg)))
 	}
@@ -234,6 +269,31 @@ func (m Model) JoinSecond(alg JoinAlg, l, r float64, leftSorted, rightSorted boo
 		return m.JoinCost(alg, l, r, leftSorted, rightSorted)
 	}
 	return m.JoinBuffer(alg, l, r, leftSorted, rightSorted)
+}
+
+// SecondSortTerm is what an unsorted sort-merge input adds to the
+// operator's second metric: its cardinality for BufferFootprint, its
+// sort term for ParametricCost, and the sort term of its high-endpoint
+// cardinality cardHi for RobustCost. Like SortTerm it depends on the
+// input's table set only.
+func (m Model) SecondSortTerm(card, cardHi float64) float64 {
+	switch m.Second {
+	case ParametricCost:
+		return m.SortTerm(card)
+	case RobustCost:
+		return m.SortTerm(cardHi)
+	}
+	return card
+}
+
+// SortMergeSecond is JoinSecond(SortMerge, l, r, …) with the inputs'
+// SecondSortTerm values supplied by the caller (l and r are the
+// high-endpoint cardinalities under RobustCost, as for JoinSecond).
+func (m Model) SortMergeSecond(l, r, lTerm, rTerm float64, leftSorted, rightSorted bool) float64 {
+	if m.Second == BufferFootprint {
+		return sortMerge(2, lTerm, rTerm, leftSorted, rightSorted)
+	}
+	return sortMerge(l+r, lTerm, rTerm, leftSorted, rightSorted)
 }
 
 // CombineSecond folds operand second-metric values with the operator's:

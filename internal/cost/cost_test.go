@@ -173,3 +173,62 @@ func TestCostMonotonicity(t *testing.T) {
 		}
 	}
 }
+
+// The sort-merge formulas over stored per-input terms are the JoinCost
+// and JoinSecond formulas themselves, bit for bit: the dynamic program
+// computes SortTerm/SecondSortTerm once per table set and must get, for
+// every candidate, exactly the value the reference formula gives.
+func TestSortMergeOverStoredTermsIsExact(t *testing.T) {
+	cards := []float64{0.25, 1, 1.999, 2, 3, 7.5, 1e3, 123456.789, 3.3e11}
+	flags := []bool{false, true}
+	for _, m := range []Model{Default(), {HashFactor: 1.7, SortFactor: 0.37, NLBlock: 3}, Parametric(2.5), Robust(4)} {
+		for _, l := range cards {
+			for _, r := range cards {
+				if m.NestedLoopCost(l, r) != m.JoinCost(NestedLoop, l, r, false, false) ||
+					m.HashCost(l, r) != m.JoinCost(Hash, l, r, true, true) {
+					t.Fatalf("NestedLoopCost/HashCost(%g, %g) differ from JoinCost", l, r)
+				}
+				for _, ls := range flags {
+					for _, rs := range flags {
+						// JoinCost(SortMerge) == l + r + [!ls]SortTerm(l) + [!rs]SortTerm(r), in that order.
+						want := l + r
+						if !ls {
+							want += m.SortTerm(l)
+						}
+						if !rs {
+							want += m.SortTerm(r)
+						}
+						if got := m.JoinCost(SortMerge, l, r, ls, rs); got != want {
+							t.Fatalf("JoinCost(SMJ, %g, %g, %v, %v) = %b, terms sum to %b", l, r, ls, rs, got, want)
+						}
+						if got := m.SortMergeCost(l, r, m.SortTerm(l), m.SortTerm(r), ls, rs); got != want {
+							t.Fatalf("SortMergeCost(%g, %g, %v, %v) = %b, want %b", l, r, ls, rs, got, want)
+						}
+						// Second metric: the operands' high-endpoint cardinalities
+						// differ from the nominal ones only under RobustCost.
+						lHi, rHi := l, r
+						if m.Second == RobustCost {
+							lHi, rHi = 3*l, 1.5*r
+						}
+						got := m.SortMergeSecond(lHi, rHi, m.SecondSortTerm(l, lHi), m.SecondSortTerm(r, rHi), ls, rs)
+						if ref := m.JoinSecond(SortMerge, lHi, rHi, ls, rs); got != ref {
+							t.Fatalf("second %d: SortMergeSecond(%g, %g, %v, %v) = %b, JoinSecond = %b", m.Second, lHi, rHi, ls, rs, got, ref)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSortTermClamp(t *testing.T) {
+	m := Model{HashFactor: 1, SortFactor: 0.5, NLBlock: 1}
+	for _, c := range []float64{0.1, 1, 1.999} {
+		if got := m.SortTerm(c); got != 0.5*c {
+			t.Errorf("SortTerm(%g) = %g, want the log2 clamp 0.5·card·1 = %g", c, got, 0.5*c)
+		}
+	}
+	if got, want := m.SortTerm(8), 0.5*8*3; got != want {
+		t.Errorf("SortTerm(8) = %g, want %g", got, want)
+	}
+}

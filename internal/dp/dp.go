@@ -13,17 +13,24 @@
 // # Cost-first candidate evaluation
 //
 // Pruning is a two-phase, cost-first protocol. For every candidate join
-// the engine first computes only the scalar annotations a plan node would
-// carry — cost, buffer and output order, via plan.JoinScalars — and asks
-// the Pruner's Admits whether a plan with those scalars would survive
-// against the plans already retained for the table set. Only admitted
-// candidates are materialized as plan.Node values (plan.Join) and handed
-// to Insert. Since the vast majority of candidates are pruned (for
-// SingleBest, all but the running minimum), the hot loop performs pure
-// float arithmetic with zero heap allocations per pruned candidate; node
-// construction cost is paid only for survivors. The split between Admits
-// and Insert must agree — Admits answers exactly "would Insert keep this
-// plan?" — which the engine relies on for its kept/pruned accounting.
+// the engine first computes only the scalars pruning reads — cost, output
+// order and, for pruners that read it, the second metric — and asks the
+// Pruner's Admits whether a plan with those scalars would survive against
+// the plans already retained for the table set. Only admitted candidates
+// are materialized as plan.Node values and handed to Insert. The split
+// between Admits and Insert must agree — Admits answers exactly "would
+// Insert keep this plan?" — which the engine relies on for its
+// kept/pruned accounting.
+//
+// Most candidates are pruned, so a candidate must cost a handful of flops.
+// Everything a join's scalars read from an operand that depends on the
+// operand's table set only — cardinalities, the sort-merge sort terms
+// (the one place the cost model takes a logarithm), the set's neighbour
+// mask — is computed once per set and stored in its memo entry; the
+// three operator costs are formed once per split from those facts, by
+// the cost.Model formulas themselves and in plan.JoinScalars' association
+// order, so every scalar is bit-identical to the reference formula that
+// Validate recomputes. See docs/perf.md, "Per-set operand facts".
 //
 // The admissible join results themselves are streamed per cardinality
 // from partition.Enumerator instead of being materialized up front,
@@ -46,6 +53,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"mpq/internal/bitset"
 	"mpq/internal/cost"
@@ -56,13 +64,15 @@ import (
 )
 
 // Candidate is the scalar summary of a prospective join plan: exactly the
-// annotations pruning decisions depend on, precomputed by the engine via
-// plan.JoinScalars without building the plan.Node.
+// annotations pruning decisions depend on, computed by the engine —
+// bit-identical to plan.JoinScalars — without building the plan.Node.
 type Candidate struct {
 	// Cost is the cumulative time-metric cost the plan would have.
 	Cost float64
-	// Buffer is the cumulative second-metric value (buffer footprint, or
-	// the θ=1 cost under a parametric model).
+	// Buffer is the cumulative second-metric value (buffer footprint, the
+	// θ=1 cost under a parametric model, the worst-case cost under a
+	// robust one). SingleBest and OrderAware never read it and are
+	// handed zero.
 	Buffer float64
 	// Order is the output sort order (query.AttrID or query.NoOrder).
 	Order int
@@ -86,6 +96,15 @@ type Pruner interface {
 	Admits(f *Frontier, cand Candidate) bool
 	Insert(f *Frontier, p *plan.Node)
 }
+
+// costOnlyPruner marks the pruners whose decisions never read
+// Candidate.Buffer. NewEngine checks for it once: such a pruner is handed
+// candidates with Buffer left zero and the second metric is computed for
+// survivors only; any other pruner gets both metrics on every candidate.
+type costOnlyPruner interface{ costOnly() }
+
+func (SingleBest) costOnly() {}
+func (OrderAware) costOnly() {}
 
 // SingleBest retains exactly one plan: the cheapest by the time metric.
 // This is the classical pruning function of [17] without interesting
@@ -205,18 +224,35 @@ func (r *Result) Best() *plan.Node {
 	return best
 }
 
-// entry is the memo record for one table set. It is stored by value in
-// the memo (no per-set heap allocation) and holds its 1–2-plan frontier
-// inline, so looking a set up touches one contiguous slot instead of
-// chasing an entry pointer and a slice header.
+// entry is the memo record for one table set: its retained plans plus
+// the per-set operand facts — everything a candidate join reads from an
+// operand that depends on the operand's table set only, computed once
+// when the set is stored. It is held by value in the memo (no per-set
+// heap allocation) with its 1–2-plan frontier inline, so looking a set
+// up touches one contiguous slot instead of chasing an entry pointer
+// and a slice header.
 type entry struct {
 	card float64
 	// cardHi is the set's cardinality at the high endpoint of the
 	// selectivity-uncertainty band (RobustCost models); equal to card
-	// otherwise. Tracked once per set, like card, so robust candidate
-	// evaluation stays pure float arithmetic per split.
+	// otherwise. It is the cardinality the second metric's operator
+	// formulas read.
 	cardHi float64
-	f      Frontier
+	// sort is Model.SortTerm(card) and sort2 Model.SecondSortTerm(card,
+	// cardHi): what this set adds, as an unsorted sort-merge input, to
+	// the operator's cost and second metric.
+	sort, sort2 float64
+	// nbr is query.Neighbors of the set: a predicate connects this set
+	// to a disjoint set r iff nbr meets r.
+	nbr bitset.Set
+	f   Frontier
+}
+
+// setSortTerms fills sort and sort2 from card and cardHi — the only
+// logarithms the dynamic program takes, one or two per table set.
+func (e *entry) setSortTerms(m *cost.Model) {
+	e.sort = m.SortTerm(e.card)
+	e.sort2 = m.SecondSortTerm(e.card, e.cardHi)
 }
 
 // Run searches the plan-space partition cs of query q and returns the
@@ -277,10 +313,7 @@ var ErrWorkLimit = errors.New("dp: work limit exceeded")
 // schedulers other than the straight Algorithm 2 loop — in particular
 // the SMA baseline, which assigns sets to workers in rounds — drive the
 // exact same plan generation and pruning logic.
-type Engine struct {
-	w *worker
-	n int
-}
+type Engine struct{ w worker }
 
 // NewEngine validates the inputs and initializes the memo with scan
 // plans for every table.
@@ -298,45 +331,48 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 	q.Freeze()
 
 	n := q.N()
-	res := &Result{}
+	_, costOnly := opts.Pruner.(costOnlyPruner)
+	eng := &Engine{w: worker{q: q, cs: cs, opts: opts, second: !costOnly}}
+	w := &eng.w
 	// Size the memo from the closed-form admissible-set count so it never
 	// rehashes mid-run: the memo stores at most one entry per admissible
 	// set (the empty set lives out of line in the map). With a runtime
-	// the memo and the arena are borrowed (and reset) instead of built,
-	// so a worker recycles both across the queries of a batch.
+	// the memo, the arena and the scan entries are borrowed (and reset)
+	// instead of built, so a worker recycles them across the queries of
+	// a batch.
 	hint := int(cs.CountAdmissible())
-	var memo *setmap.Map[entry]
-	var arena *plan.Arena
-	var spills *spillArena
 	if opts.DisableArena {
-		memo = setmap.New[entry](hint)
+		w.memo = setmap.New[entry](hint)
+		w.scans = make([]entry, n)
 	} else {
 		rt := opts.Runtime
 		if rt == nil {
 			rt = NewRuntime()
 		}
-		arena = rt.arena
-		arena.Reset()
+		w.arena, w.nursery = rt.arena, rt.nursery
+		w.arena.Reset()
 		rt.spills.reset()
-		spills = &rt.spills
-		memo = rt.memoFor(hint)
+		w.spills = &rt.spills
+		w.memo = rt.memoFor(hint)
+		w.scans = rt.scansFor(n)
 	}
 	for t := 0; t < n; t++ {
 		var sp *plan.Node
-		if arena != nil {
-			sp = arena.Scan(opts.Model, q, t)
+		if w.arena != nil {
+			sp = w.arena.Scan(opts.Model, q, t)
 		} else {
 			sp = plan.Scan(opts.Model, q, t)
 		}
-		memo.Put(sp.Tables, entry{card: sp.Card, cardHi: sp.Card, f: FrontierOf(sp)})
-		res.Stats.PlansKept++
+		e := &w.scans[t]
+		*e = entry{card: sp.Card, cardHi: sp.Card, nbr: q.Neighbors(sp.Tables), f: FrontierOf(sp)}
+		e.setSortTerms(&w.opts.Model)
+		w.memo.Put(sp.Tables, *e)
+		w.stats.PlansKept++
 	}
-	w := &worker{q: q, cs: cs, opts: opts, memo: memo, arena: arena, spills: spills, res: res,
-		robust: opts.Model.Second == cost.RobustCost}
 	if cs.Space == partition.Bushy {
 		w.splitter = cs.NewSplitter()
 	}
-	return &Engine{w: w, n: n}, nil
+	return eng, nil
 }
 
 // ProcessSet treats one admissible join result: all admissible splits
@@ -347,26 +383,17 @@ func (e *Engine) ProcessSet(u bitset.Set) uint64 {
 	if e.w.opts.DisableCrossProducts && !e.w.q.Connected(u) {
 		return 0
 	}
-	before := e.w.res.Stats.WorkUnits()
+	before := e.w.stats.WorkUnits()
 	e.w.trySplits(u)
-	return e.w.res.Stats.WorkUnits() - before
-}
-
-// PlansFor returns the retained plans for table set u (nil if u is not
-// in the memo) as a fresh slice. Plans may live in the engine's arena:
-// they are valid for the engine's lifetime but must not be retained
-// past it (Finish returns recycling-safe copies of the root plans).
-func (e *Engine) PlansFor(u bitset.Set) []*plan.Node {
-	ent, ok := e.w.memo.GetRef(u)
-	if !ok {
-		return nil
-	}
-	return ent.f.Slice()
+	return e.w.stats.WorkUnits() - before
 }
 
 // ForEachPlan calls fn for each retained plan of table set u, in
-// frontier order, without allocating (the streaming form of PlansFor —
-// the SMA driver reads every set's plans once per round through this).
+// frontier order, without allocating (the SMA driver reads every set's
+// plans once per round through this). Plans may live in the engine's
+// arena: they are valid for the engine's lifetime but must not be
+// retained past it (Finish returns recycling-safe copies of the root
+// plans).
 func (e *Engine) ForEachPlan(u bitset.Set, fn func(*plan.Node)) {
 	ent, ok := e.w.memo.GetRef(u)
 	if !ok {
@@ -383,12 +410,12 @@ func (e *Engine) MemoLen() int { return e.w.memo.Len() }
 // LimitExceeded reports whether the work meter has passed
 // Options.MaxWorkUnits.
 func (e *Engine) LimitExceeded() bool {
-	return e.w.opts.MaxWorkUnits > 0 && e.w.res.Stats.WorkUnits() > e.w.opts.MaxWorkUnits
+	return e.w.opts.MaxWorkUnits > 0 && e.w.stats.WorkUnits() > e.w.opts.MaxWorkUnits
 }
 
 // Stats returns the cumulative work counters so far.
 func (e *Engine) Stats() plan.Stats {
-	s := e.w.res.Stats
+	s := e.w.stats
 	s.MemoEntries = uint64(e.w.memo.Len())
 	return s
 }
@@ -402,16 +429,14 @@ func (e *Engine) Finish() (*Result, error) {
 	q := e.w.q
 	root, ok := e.w.memo.GetRef(q.All())
 	if !ok || root.f.Len() == 0 {
-		return nil, fmt.Errorf("dp: no complete plan found (n=%d, partition %s)", e.n, e.w.cs.Describe())
+		return nil, fmt.Errorf("dp: no complete plan found (n=%d, partition %s)", q.N(), e.w.cs.Describe())
 	}
-	res := e.w.res
-	res.Plans = root.f.Slice()
+	res := &Result{Plans: root.f.Slice(), Stats: e.Stats()}
 	if e.w.arena != nil {
 		for i, p := range res.Plans {
 			res.Plans[i] = plan.CloneTree(p)
 		}
 	}
-	res.Stats.MemoEntries = uint64(e.w.memo.Len())
 	return res, nil
 }
 
@@ -421,15 +446,17 @@ type worker struct {
 	cs       *partition.ConstraintSet
 	opts     Options
 	memo     *setmap.Map[entry]
-	arena    *plan.Arena // nil iff Options.DisableArena
+	scans    []entry     // scans[t] = the memo entry of {t}: linear inner operands skip the hash probe
+	arena    *plan.Arena // the memo's plans; nil iff Options.DisableArena
+	nursery  *plan.Arena // the plans of the set under construction; nil iff arena is
 	spills   *spillArena // nil iff Options.DisableArena
-	res      *Result
+	stats    plan.Stats
 	splitter *partition.Splitter
 	predBuf  []int
-	// robust caches Model.Second == cost.RobustCost: candidate scalars
-	// then come from plan.JoinScalarsRobust over the operands'
-	// high-endpoint cardinalities.
-	robust bool
+	// second: the pruner reads Candidate.Buffer (see costOnlyPruner).
+	second bool
+	// le and re are the operand entries of the split under evaluation.
+	le, re *entry
 	// scratch is the entry under construction. It lives in the worker —
 	// not on trySplits' stack — because its frontier's address crosses
 	// the Pruner interface, which would force a per-set heap escape.
@@ -442,23 +469,24 @@ type worker struct {
 // through GetRef (no copy — the memo is presized and never rehashes
 // mid-run, so the references stay put).
 func (w *worker) trySplits(u bitset.Set) {
-	w.res.Stats.SetsProcessed++
+	w.stats.SetsProcessed++
 	e := &w.scratch
 	e.card = -1
 	e.f.reset()
 	if w.cs.Space == partition.Linear {
-		u.ForEach(func(t int) {
+		for rem := u; rem != 0; rem &= rem - 1 {
+			t := bits.TrailingZeros64(uint64(rem))
 			if !w.cs.InnerAllowed(u, t) {
-				return
+				continue
 			}
-			rest := u.Remove(t)
-			le, ok := w.memo.GetRef(rest)
+			inner := rem & -rem
+			outer := u &^ inner
+			le, ok := w.memo.GetRef(outer)
 			if !ok || le.f.Len() == 0 {
-				return
+				continue
 			}
-			re, _ := w.memo.GetRef(bitset.Single(t))
-			w.combine(e, u, rest, bitset.Single(t), le, re)
-		})
+			w.combine(outer, inner, le, &w.scans[t])
+		}
 	} else {
 		w.splitter.ForEachLeft(u, func(left bitset.Set) {
 			right := u.Minus(left)
@@ -467,10 +495,19 @@ func (w *worker) trySplits(u bitset.Set) {
 			if !lok || !rok || le.f.Len() == 0 || re.f.Len() == 0 {
 				return
 			}
-			w.combine(e, u, left, right, le, re)
+			w.combine(left, right, le, re)
 		})
 	}
 	if e.f.Len() > 0 {
+		e.setSortTerms(&w.opts.Model)
+		if w.nursery != nil {
+			// Of the set's admitted candidates only the plans still
+			// retained move to the memo's arena, which so stays dense.
+			for i, n := 0, e.f.Len(); i < n; i++ {
+				e.f.Set(i, w.arena.Copy(e.f.At(i)))
+			}
+			w.nursery.Reset()
+		}
 		stored := *e
 		if len(stored.f.spill) > 0 {
 			// The scratch frontier keeps its spill array for the next set,
@@ -488,79 +525,105 @@ func (w *worker) trySplits(u bitset.Set) {
 
 // combine generates candidate plans for every operand-plan pair and join
 // algorithm of the split (left, right) and offers them to the pruner.
-func (w *worker) combine(e *entry, u, left, right bitset.Set, le, re *entry) {
-	w.res.Stats.SplitsTried++
+// The operator costs and whether a merge predicate exists are formed
+// once per split from the entries' stored facts; a candidate then costs
+// two additions — (l.Cost + r.Cost) + op, plan.JoinScalars' association
+// — and one Admits.
+func (w *worker) combine(left, right bitset.Set, le, re *entry) {
+	w.stats.SplitsTried++
+	e, m := &w.scratch, &w.opts.Model
 	if e.card < 0 {
 		e.card = le.card * re.card * w.q.SelBetween(left, right)
 		e.cardHi = e.card
-		if w.robust {
-			e.cardHi = le.cardHi * re.cardHi *
-				w.q.SelBetweenInflated(left, right, w.opts.Model.RobustBand)
+		if m.Second == cost.RobustCost {
+			e.cardHi = le.cardHi * re.cardHi * w.q.SelBetweenInflated(left, right, m.RobustBand)
 		}
+		e.nbr = le.nbr | re.nbr
 	}
-	w.predBuf = w.q.ConnectingPreds(w.predBuf[:0], left, right)
-	preds := w.predBuf
-	hasPred := len(preds) > 0
+	// A sort-merge join needs a merge predicate: one exists iff a
+	// neighbour of left lies in right. Which ones matters to interesting
+	// orders only.
+	hasPred := le.nbr&right != 0
+	orders := w.opts.InterestingOrders
+	if hasPred && orders {
+		w.predBuf = w.q.ConnectingPreds(w.predBuf[:0], left, right)
+	}
+	w.le, w.re = le, re
+	lc, rc := le.card, re.card
+	nl, hash := m.NestedLoopCost(lc, rc), m.HashCost(lc, rc)
+	sm := m.SortMergeCost(lc, rc, le.sort, re.sort, false, false)
 
 	for li, ln := 0, le.f.Len(); li < ln; li++ {
 		lp := le.f.At(li)
 		for ri, rn := 0, re.f.Len(); ri < rn; ri++ {
 			rp := re.f.At(ri)
+			in := lp.Cost + rp.Cost
 			// Nested-loop join: preserves the outer order.
-			w.offer(e, lp, rp, le, re, plan.JoinSpec{
-				Alg: cost.NestedLoop, OutCard: e.card, Pred: plan.NoPred, Order: lp.Order,
-			})
+			w.offer(lp, rp, cost.NestedLoop, plan.NoPred, lp.Order, false, false, in+nl)
 			// Hash join: order destroyed.
-			w.offer(e, lp, rp, le, re, plan.JoinSpec{
-				Alg: cost.Hash, OutCard: e.card, Pred: plan.NoPred, Order: query.NoOrder,
-			})
-			// Sort-merge join: needs a merge predicate.
+			w.offer(lp, rp, cost.Hash, plan.NoPred, query.NoOrder, false, false, in+hash)
 			if !hasPred {
 				continue
 			}
-			if !w.opts.InterestingOrders {
-				w.offer(e, lp, rp, le, re, plan.JoinSpec{
-					Alg: cost.SortMerge, OutCard: e.card, Pred: plan.NoPred, Order: query.NoOrder,
-				})
+			if !orders {
+				w.offer(lp, rp, cost.SortMerge, plan.NoPred, query.NoOrder, false, false, in+sm)
 				continue
 			}
-			for _, pi := range preds {
+			// One sort-merge candidate per merge predicate: an input
+			// already sorted on its merge attribute drops its sort term.
+			for _, pi := range w.predBuf {
 				p := w.q.Preds[pi]
 				la, ra := plan.MergeAttrs(p, left)
-				order := plan.CanonicalMergeOrder(p)
-				w.offer(e, lp, rp, le, re, plan.JoinSpec{
-					Alg: cost.SortMerge, OutCard: e.card, Pred: pi, Order: order,
-					LSorted: lp.Order == la, RSorted: rp.Order == ra,
-				})
+				ls, rs := lp.Order == la, rp.Order == ra
+				w.offer(lp, rp, cost.SortMerge, pi, plan.CanonicalMergeOrder(p), ls, rs,
+					in+m.SortMergeCost(lc, rc, le.sort, re.sort, ls, rs))
 			}
 		}
 	}
 }
 
-// offer evaluates one candidate join cost-first: the scalar annotations
-// are computed without building a node and checked against the pruner;
-// only admitted candidates are materialized — from the arena's slabs,
-// so survivors cost no individual heap allocation either. Pruned
-// candidates cost zero heap allocations.
-func (w *worker) offer(e *entry, lp, rp *plan.Node, le, re *entry, spec plan.JoinSpec) {
-	var c, buf float64
-	if w.robust {
-		c, buf = plan.JoinScalarsRobust(w.opts.Model, lp, rp, spec, le.cardHi, re.cardHi)
+// secondMetric returns the Buffer annotation of the join of lp and rp
+// over the current split, as plan.JoinScalars(Robust) computes it: the
+// operator's value over the entries' cardHi (the sort-merge one from the
+// stored SecondSortTerms), folded with the inputs' by CombineSecond.
+func (w *worker) secondMetric(lp, rp *plan.Node, alg cost.JoinAlg, lSorted, rSorted bool) float64 {
+	m, le, re := &w.opts.Model, w.le, w.re
+	var op float64
+	if alg == cost.SortMerge {
+		op = m.SortMergeSecond(le.cardHi, re.cardHi, le.sort2, re.sort2, lSorted, rSorted)
 	} else {
-		c, buf = plan.JoinScalars(w.opts.Model, lp, rp, spec)
+		op = m.JoinSecond(alg, le.cardHi, re.cardHi, lSorted, rSorted)
 	}
-	if !w.opts.Pruner.Admits(&e.f, Candidate{Cost: c, Buffer: buf, Order: spec.Order}) {
-		w.res.Stats.PlansPruned++
+	return m.CombineSecond(lp.Buffer, rp.Buffer, op)
+}
+
+// offer evaluates one candidate join of cost c cost-first: its scalars
+// are checked against the pruner without building a node; only an
+// admitted candidate gets its plan.JoinSpec and is materialized, in the
+// nursery's slabs. The second metric is part of the check only for
+// pruners that read it; otherwise survivors alone get one.
+func (w *worker) offer(lp, rp *plan.Node, alg cost.JoinAlg, pred, order int, lSorted, rSorted bool, c float64) {
+	e := &w.scratch
+	var buf float64
+	if w.second {
+		buf = w.secondMetric(lp, rp, alg, lSorted, rSorted)
+	}
+	if !w.opts.Pruner.Admits(&e.f, Candidate{Cost: c, Buffer: buf, Order: order}) {
+		w.stats.PlansPruned++
 		return
 	}
+	if !w.second {
+		buf = w.secondMetric(lp, rp, alg, lSorted, rSorted)
+	}
+	spec := plan.JoinSpec{Alg: alg, OutCard: e.card, Pred: pred, Order: order, LSorted: lSorted, RSorted: rSorted}
 	var p *plan.Node
 	if w.arena != nil {
-		p = w.arena.JoinWithScalars(lp, rp, spec, c, buf)
+		p = w.nursery.JoinWithScalars(lp, rp, spec, c, buf)
 	} else {
 		p = plan.JoinWithScalars(lp, rp, spec, c, buf)
 	}
 	w.opts.Pruner.Insert(&e.f, p)
-	w.res.Stats.PlansKept++
+	w.stats.PlansKept++
 }
 
 // Serial runs the classical (unpartitioned) dynamic program for the given

@@ -462,16 +462,6 @@ func binom(n, k int) int {
 	return r
 }
 
-func BenchmarkSerialLinear12(b *testing.B) {
-	b.ReportAllocs()
-	q := genQuery(b, 12, workload.Star, 0)
-	for i := 0; i < b.N; i++ {
-		if _, err := Serial(q, partition.Linear, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // RunContext aborts between cardinality levels (and periodically
 // within one) once the context is canceled, wrapping the cause.
 func TestRunContextCanceled(t *testing.T) {
@@ -498,26 +488,49 @@ func TestRunContextCanceled(t *testing.T) {
 	}
 }
 
-func BenchmarkPartitionedLinear12m16(b *testing.B) {
-	b.ReportAllocs()
-	q := genQuery(b, 12, workload.Star, 0)
-	cs, err := partition.ForPartition(partition.Linear, 12, 3, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(q, cs, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSerialBushy10(b *testing.B) {
-	b.ReportAllocs()
-	q := genQuery(b, 10, workload.Star, 0)
-	for i := 0; i < b.N; i++ {
-		if _, err := Serial(q, partition.Bushy, Options{}); err != nil {
-			b.Fatal(err)
+// BenchmarkJobClasses runs the dynamic program on the job classes of
+// the bench/ workloads — serial-large's linear-16 and bushy-12, one
+// constrained partition of each, an interesting-orders run — on a
+// reused Runtime, as every engine does, and reports nanoseconds per
+// work unit. It is the instrument for A/B-ing inner-loop variants while
+// working (docs/perf.md §6 quotes it); claims are made with bench/.
+// The multi-objective class needs mo.ParetoPruner and cannot live in
+// this package; its runs go through bench/'s tcp-mo12.
+//
+//	go test ./internal/dp -run '^$' -bench JobClasses -benchtime 10x
+func BenchmarkJobClasses(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		space partition.Space
+		n, m  int
+		opts  Options
+	}{
+		{"linear16", partition.Linear, 16, 1, Options{}},
+		{"bushy12", partition.Bushy, 12, 1, Options{}},
+		{"linear16m8", partition.Linear, 16, 8, Options{}},
+		{"bushy12m8", partition.Bushy, 12, 8, Options{}},
+		{"linear13orders", partition.Linear, 13, 1, Options{InterestingOrders: true, Pruner: OrderAware{}}},
+	} {
+		for _, shape := range []workload.Shape{workload.Star, workload.Chain, workload.Cycle} {
+			b.Run(c.name+"/"+shape.String(), func(b *testing.B) {
+				q := genQuery(b, c.n, shape, 1)
+				cs, err := partition.ForPartition(c.space, c.n, c.m/2, c.m)
+				if err != nil {
+					b.Fatal(err)
+				}
+				opts := c.opts
+				opts.Runtime = NewRuntime()
+				var units uint64
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := Run(q, cs, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					units = res.Stats.WorkUnits()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(units), "ns/wu")
+			})
 		}
 	}
 }

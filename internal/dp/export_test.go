@@ -1,0 +1,14 @@
+package dp
+
+import "mpq/internal/bitset"
+
+// CardHiFor exposes the high-endpoint cardinality the memo tracks for
+// table set u, which a plan tree does not carry: the exact-arithmetic
+// test needs it to recompute a robust plan's Buffer annotation.
+func (e *Engine) CardHiFor(u bitset.Set) (float64, bool) {
+	ent, ok := e.w.memo.GetRef(u)
+	if !ok {
+		return 0, false
+	}
+	return ent.cardHi, true
+}

@@ -6,14 +6,15 @@ import (
 )
 
 // Runtime bundles the reusable per-run memory of one DP worker: the
-// plan-node arena survivors are allocated from and the memo table. A
-// fresh run borrows both through Options.Runtime instead of growing
-// them from scratch, so a worker that optimizes a stream of queries —
-// the in-process engine's goroutine pool, a long-lived TCP worker —
-// reaches a steady state where the dynamic program performs (almost) no
-// heap allocation at all: candidates were already free (PR 1),
-// survivors come out of recycled slabs, and the memo reuses its
-// capacity.
+// plan-node arena the memo's plans live in, the nursery arena the table
+// set under construction builds its survivors in, the memo table and
+// the per-table scan entries. A fresh run borrows them through
+// Options.Runtime instead of growing them from scratch, so a worker that
+// optimizes a stream of queries — the in-process engine's goroutine
+// pool, a long-lived TCP worker — reaches a steady state where the
+// dynamic program performs (almost) no heap allocation at all:
+// candidates were already free (PR 1), survivors come out of recycled
+// slabs, and the memo reuses its capacity.
 //
 // A Runtime may back at most one engine at a time: NewEngine resets the
 // arena and memo, invalidating every node of the previous run. The
@@ -25,14 +26,18 @@ import (
 // Not safe for concurrent use; pool Runtimes (sync.Pool) to share them
 // across goroutine workers.
 type Runtime struct {
-	arena  *plan.Arena
-	memo   *setmap.Map[entry]
-	spills spillArena
+	arena   *plan.Arena
+	nursery *plan.Arena // reset after every table set
+	memo    *setmap.Map[entry]
+	scans   []entry
+	spills  spillArena
 }
 
 // NewRuntime returns an empty runtime; the arena and memo grow on
 // first use and are recycled afterwards.
-func NewRuntime() *Runtime { return &Runtime{arena: plan.NewArena()} }
+func NewRuntime() *Runtime {
+	return &Runtime{arena: plan.NewArena(), nursery: plan.NewArena()}
+}
 
 // memoFor returns the runtime's memo reset for a run of sizeHint
 // entries, building it on first use. Reused backing arrays may be
@@ -47,9 +52,14 @@ func (rt *Runtime) memoFor(sizeHint int) *setmap.Map[entry] {
 	return rt.memo
 }
 
-// Arena exposes the runtime's arena for tests that assert slab
-// recycling.
-func (rt *Runtime) Arena() *plan.Arena { return rt.arena }
+// scansFor returns the runtime's per-table scan-entry slice sized for an
+// n-table query; NewEngine overwrites every element.
+func (rt *Runtime) scansFor(n int) []entry {
+	if cap(rt.scans) < n {
+		rt.scans = make([]entry, n)
+	}
+	return rt.scans[:n]
+}
 
 // spillSlabLen is the pointer count per spill slab (8 KiB of plan
 // pointers).

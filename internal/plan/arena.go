@@ -80,6 +80,16 @@ func (a *Arena) JoinWithScalars(l, r *Node, spec JoinSpec, costv, buffer float64
 	return n
 }
 
+// Copy returns an arena-allocated copy of n (a shallow one: operands are
+// shared). The dynamic program builds a table set's candidate survivors
+// in a scratch arena and copies only the plans still retained when the
+// set is complete.
+func (a *Arena) Copy(n *Node) *Node {
+	c := a.alloc()
+	*c = *n
+	return c
+}
+
 // Reset recycles every slab for a new run: nodes handed out so far are
 // invalidated (their memory will be overwritten) but no slab memory is
 // released, so a run of similar size allocates nothing. Slot contents

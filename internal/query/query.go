@@ -9,6 +9,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mpq/internal/bitset"
 )
@@ -45,7 +46,19 @@ type Query struct {
 	Preds  []Predicate
 
 	frozen bool
-	adj    [][]int // adj[t] = indices into Preds touching table t
+	adj    [][]int      // adj[t] = indices into Preds touching table t
+	nbr    []bitset.Set // nbr[t] = tables sharing a predicate with t
+	ends   []predEnds   // ends[i] = endpoint masks of Preds[i]
+}
+
+// predEnds holds a predicate's two endpoints as singleton masks, so the
+// straddle test of SelBetween is four ANDs.
+type predEnds struct{ l, r bitset.Set }
+
+// straddles reports whether the predicate has one endpoint in a and the
+// other in b.
+func (e predEnds) straddles(a, b bitset.Set) bool {
+	return (a&e.l != 0 && b&e.r != 0) || (a&e.r != 0 && b&e.l != 0)
 }
 
 // New creates a query over the given tables. At least two tables and at
@@ -108,16 +121,26 @@ func (q *Query) MustAddPredicate(p Predicate) {
 }
 
 // Freeze finalizes the query: no further predicates may be added and the
-// adjacency index is built. Freeze is idempotent.
+// adjacency index, the per-table neighbour masks and the per-predicate
+// endpoint masks are built. Freeze is idempotent.
 func (q *Query) Freeze() {
-	if q.frozen {
-		return
+	if !q.frozen {
+		q.freeze()
 	}
+}
+
+func (q *Query) freeze() {
 	q.frozen = true
 	q.adj = make([][]int, len(q.Tables))
+	q.nbr = make([]bitset.Set, len(q.Tables))
+	q.ends = make([]predEnds, len(q.Preds))
 	for i, p := range q.Preds {
 		q.adj[p.Left] = append(q.adj[p.Left], i)
 		q.adj[p.Right] = append(q.adj[p.Right], i)
+		e := predEnds{l: bitset.Single(p.Left), r: bitset.Single(p.Right)}
+		q.ends[i] = e
+		q.nbr[p.Left] |= e.r
+		q.nbr[p.Right] |= e.l
 	}
 }
 
@@ -130,16 +153,41 @@ func (q *Query) All() bitset.Set { return bitset.Range(len(q.Tables)) }
 // Card returns the base cardinality of table t.
 func (q *Query) Card(t int) float64 { return q.Tables[t].Cardinality }
 
+// Neighbors returns the tables that share a predicate with some table
+// of s (members of s included when s has an internal predicate). A
+// predicate connects disjoint sets a and b iff Neighbors(a) meets b;
+// the union distributes, so the DP keeps it per memo entry at one OR
+// per set.
+func (q *Query) Neighbors(s bitset.Set) bitset.Set {
+	q.Freeze()
+	var out bitset.Set
+	for ; s != 0; s &= s - 1 {
+		out |= q.nbr[bits.TrailingZeros64(uint64(s))]
+	}
+	return out
+}
+
+// connects reports whether any predicate has one endpoint in a and the
+// other in b, walking the neighbour masks of the smaller side.
+func (q *Query) connects(a, b bitset.Set) bool {
+	if a.Count() > b.Count() {
+		a, b = b, a
+	}
+	return q.Neighbors(a)&b != 0
+}
+
 // SelBetween returns the combined selectivity of all predicates with one
 // endpoint in a and the other in b. For disjoint a, b this is the factor
 // by which the join of a-result and b-result shrinks the Cartesian
 // product. Returns 1 if no predicate connects them (cross product).
 func (q *Query) SelBetween(a, b bitset.Set) float64 {
 	sel := 1.0
-	for _, p := range q.Preds {
-		l, r := bitset.Single(p.Left), bitset.Single(p.Right)
-		if (a&l != 0 && b&r != 0) || (a&r != 0 && b&l != 0) {
-			sel *= p.Selectivity
+	if !q.connects(a, b) {
+		return sel
+	}
+	for i, e := range q.ends {
+		if e.straddles(a, b) {
+			sel *= q.Preds[i].Selectivity
 		}
 	}
 	return sel
@@ -153,10 +201,12 @@ func (q *Query) SelBetween(a, b bitset.Set) float64 {
 // keeps robust annotations reproducible across engines.
 func (q *Query) SelBetweenInflated(a, b bitset.Set, band float64) float64 {
 	sel := 1.0
-	for _, p := range q.Preds {
-		l, r := bitset.Single(p.Left), bitset.Single(p.Right)
-		if (a&l != 0 && b&r != 0) || (a&r != 0 && b&l != 0) {
-			sel *= math.Min(1, p.Selectivity*band)
+	if !q.connects(a, b) {
+		return sel
+	}
+	for i, e := range q.ends {
+		if e.straddles(a, b) {
+			sel *= math.Min(1, q.Preds[i].Selectivity*band)
 		}
 	}
 	return sel
@@ -164,30 +214,31 @@ func (q *Query) SelBetweenInflated(a, b bitset.Set, band float64) float64 {
 
 // ConnectingPreds appends to dst the indices of predicates with one
 // endpoint in a and the other in b, and returns the extended slice.
-// It iterates over the adjacency lists of the smaller side.
+// It iterates over the adjacency lists of the smaller side (a on a
+// tie), tables ascending — callers enumerate merge predicates in this
+// order, so it is part of the plan-determinism contract.
 func (q *Query) ConnectingPreds(dst []int, a, b bitset.Set) []int {
 	q.Freeze()
 	small, big := a, b
 	if small.Count() > big.Count() {
 		small, big = big, small
 	}
-	small.ForEach(func(t int) {
+	for rem := small; rem != 0; rem &= rem - 1 {
+		t := bits.TrailingZeros64(uint64(rem))
+		if q.nbr[t]&big == 0 {
+			continue
+		}
+		self := rem & -rem
 		for _, pi := range q.adj[t] {
-			p := q.Preds[pi]
-			other := p.Left
-			if other == t {
-				other = p.Right
-			}
-			if big.Contains(other) {
-				// Avoid double-adding predicates with both endpoints in
-				// "small" (impossible: endpoints straddle a and b which
-				// are disjoint in DP use; guarded anyway).
-				if !small.Contains(other) {
-					dst = append(dst, pi)
-				}
+			// The far endpoint must lie in big and not in small (the
+			// latter cannot happen for the disjoint sets the DP passes;
+			// guarded anyway so a predicate is never reported twice).
+			e := q.ends[pi]
+			if other := (e.l | e.r) &^ self; other&big != 0 && other&small == 0 {
+				dst = append(dst, pi)
 			}
 		}
-	})
+	}
 	return dst
 }
 
@@ -209,29 +260,21 @@ func (q *Query) CardOf(s bitset.Set) float64 {
 // Connected reports whether the join graph restricted to s is connected.
 // Cross products make disconnected sets legal plans; the optimizer does
 // not require connectivity (the paper explicitly allows Cartesian
-// products), but workload tooling uses this to classify queries.
+// products), but workload tooling uses this to classify queries and the
+// DP's DisableCrossProducts ablation asks it once per set — a mask
+// flood fill, no allocation.
 func (q *Query) Connected(s bitset.Set) bool {
 	if s.IsEmpty() {
 		return true
 	}
 	q.Freeze()
-	start := s.Min()
-	visited := bitset.Single(start)
-	frontier := []int{start}
-	for len(frontier) > 0 {
-		t := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		for _, pi := range q.adj[t] {
-			p := q.Preds[pi]
-			other := p.Left
-			if other == t {
-				other = p.Right
-			}
-			if s.Contains(other) && !visited.Contains(other) {
-				visited = visited.Add(other)
-				frontier = append(frontier, other)
-			}
-		}
+	visited := s & -s
+	for frontier := visited; frontier != 0; {
+		t := bits.TrailingZeros64(uint64(frontier))
+		frontier &= frontier - 1
+		fresh := q.nbr[t] & s &^ visited
+		visited |= fresh
+		frontier |= fresh
 	}
 	return visited == s
 }

@@ -218,3 +218,119 @@ func TestString(t *testing.T) {
 		t.Fatalf("String = %q", got)
 	}
 }
+
+// The mask-based accessors must agree with the definitions they replaced
+// — bit for bit where they return floats, element for element (order
+// included: callers enumerate merge predicates in it) where they return
+// predicate lists — on random graphs with parallel edges, isolated
+// tables and arbitrary (also overlapping) set pairs.
+func TestMaskAccessorsMatchDefinitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	in := func(s bitset.Set, t int) bool { return s&(1<<uint(t)) != 0 }
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(12)
+		ts := make([]Table, n)
+		for i := range ts {
+			ts[i] = Table{Cardinality: float64(1 + rng.Intn(1000))}
+		}
+		q := MustNew(ts)
+		for e, edges := 0, rng.Intn(2*n); e < edges; e++ {
+			if a, b := rng.Intn(n), rng.Intn(n); a != b {
+				q.MustAddPredicate(Predicate{Left: a, Right: b, Selectivity: rng.Float64()*0.95 + 0.05})
+			}
+		}
+		a := bitset.Set(rng.Uint64()) & q.All()
+		b := bitset.Set(rng.Uint64()) & q.All()
+		if trial%2 == 0 {
+			b = b.Minus(a) // the DP's case: disjoint operands
+		}
+		band := 1 + 3*rng.Float64()
+
+		sel, selHi := 1.0, 1.0
+		var nbr bitset.Set
+		for _, p := range q.Preds {
+			if (in(a, p.Left) && in(b, p.Right)) || (in(a, p.Right) && in(b, p.Left)) {
+				sel *= p.Selectivity
+				selHi *= math.Min(1, p.Selectivity*band)
+			}
+			if in(a, p.Left) {
+				nbr = nbr.Add(p.Right)
+			}
+			if in(a, p.Right) {
+				nbr = nbr.Add(p.Left)
+			}
+		}
+		if got := q.SelBetween(a, b); got != sel {
+			t.Fatalf("SelBetween(%v, %v) = %b, definition gives %b", a, b, got, sel)
+		}
+		if got := q.SelBetweenInflated(a, b, band); got != selHi {
+			t.Fatalf("SelBetweenInflated(%v, %v, %g) = %b, definition gives %b", a, b, band, got, selHi)
+		}
+		if got := q.Neighbors(a); got != nbr {
+			t.Fatalf("Neighbors(%v) = %v, want %v", a, got, nbr)
+		}
+
+		// ConnectingPreds: adjacency lists of the smaller side (a on a
+		// tie), tables ascending, predicates in index order per table.
+		small, big := a, b
+		if small.Count() > big.Count() {
+			small, big = big, small
+		}
+		var want []int
+		small.ForEach(func(tb int) {
+			for pi, p := range q.Preds {
+				other := -1
+				if p.Left == tb {
+					other = p.Right
+				} else if p.Right == tb {
+					other = p.Left
+				}
+				if other >= 0 && in(big, other) && !in(small, other) {
+					want = append(want, pi)
+				}
+			}
+		})
+		got := q.ConnectingPreds(nil, a, b)
+		if len(got) != len(want) {
+			t.Fatalf("ConnectingPreds(%v, %v) = %v, want %v", a, b, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("ConnectingPreds(%v, %v) = %v, want %v", a, b, got, want)
+			}
+		}
+
+		// Connected: reachability from the smallest member within a.
+		reach := bitset.Empty()
+		if !a.IsEmpty() {
+			reach = bitset.Single(a.Min())
+			for changed := true; changed; {
+				changed = false
+				for _, p := range q.Preds {
+					if in(a, p.Left) && in(a, p.Right) && in(reach, p.Left) != in(reach, p.Right) {
+						reach = reach.Add(p.Left).Add(p.Right)
+						changed = true
+					}
+				}
+			}
+		}
+		if got := q.Connected(a); got != (reach == a) {
+			t.Fatalf("Connected(%v) = %v, reachable set is %v", a, got, reach)
+		}
+	}
+}
+
+// The DP asks Connected once per table set under DisableCrossProducts
+// and SelBetween once per set: neither may allocate.
+func TestSetAccessorsAllocFree(t *testing.T) {
+	q := chain4(t)
+	var sink bool
+	var fsink float64
+	if allocs := testing.AllocsPerRun(100, func() {
+		sink = q.Connected(q.All())
+		fsink = q.SelBetween(bitset.Of(0, 2), bitset.Of(1, 3))
+	}); allocs != 0 {
+		t.Fatalf("Connected + SelBetween allocate %.1f times per call", allocs)
+	}
+	_, _ = sink, fsink
+}

@@ -40,12 +40,19 @@
 // # Memory locality
 //
 // The survivor side is allocation-free too: admitted plans are
-// materialized into a per-run plan.Arena (contiguous slabs), the memo
-// stores its entries by value in an open-addressing table presized from
-// the closed-form admissible-set count, and each entry's 1–2-plan
-// frontier lives inline in the entry (Frontier). A Runtime bundles the
-// arena and memo so a worker optimizing a batch of queries recycles
-// both — the steady state performs (almost) no heap allocation. See
+// materialized into a per-run plan.Arena (contiguous slabs) and each
+// memo entry's 1–2-plan frontier lives inline in the entry (Frontier).
+//
+// The memo is an array of exactly partition.CountAdmissible entries —
+// the paper's per-worker space bound (¾ resp. ⅞ of the memory per
+// doubling of the workers) made literal — addressed by partition.Index,
+// a set's rank in Algorithm 4's enumeration: no hashing, no keys, no
+// probing, and as the rank rises along the enumeration the dynamic
+// program writes the array front to back while the operands it reads
+// walk forward. Singletons, some of which have no rank in a linear
+// partition, live in a per-table scan slice. A Runtime bundles arenas
+// and memo so a worker optimizing a batch of queries recycles them —
+// the steady state performs (almost) no heap allocation. See
 // docs/perf.md for the design and the measured trajectory.
 package dp
 
@@ -53,14 +60,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
+	"unsafe"
 
 	"mpq/internal/bitset"
 	"mpq/internal/cost"
 	"mpq/internal/partition"
 	"mpq/internal/plan"
 	"mpq/internal/query"
-	"mpq/internal/setmap"
 )
 
 // Candidate is the scalar summary of a prospective join plan: exactly the
@@ -178,7 +186,7 @@ type Options struct {
 	// exactly "the time budget ran out".
 	MaxWorkUnits uint64
 	// Runtime supplies reusable per-run memory (plan-node arena + memo
-	// table). nil means the run builds a private runtime; supplying one
+	// array). nil means the run builds a private runtime; supplying one
 	// lets a worker recycle slabs and memo capacity across queries. The
 	// run resets the runtime, so a Runtime may back at most one engine
 	// at a time. Ignored when DisableArena is set.
@@ -230,7 +238,8 @@ func (r *Result) Best() *plan.Node {
 // when the set is stored. It is held by value in the memo (no per-set
 // heap allocation) with its 1–2-plan frontier inline, so looking a set
 // up touches one contiguous slot instead of chasing an entry pointer
-// and a slice header.
+// and a slice header. The zero entry — empty frontier — means "no plan
+// for this set".
 type entry struct {
 	card float64
 	// cardHi is the set's cardinality at the high endpoint of the
@@ -309,14 +318,36 @@ func RunContext(ctx context.Context, q *query.Query, cs *partition.ConstraintSet
 // ErrWorkLimit is returned when Options.MaxWorkUnits is exceeded.
 var ErrWorkLimit = errors.New("dp: work limit exceeded")
 
+// ErrMemoTooLarge is returned (wrapped) by NewEngine when the partition's
+// memo — one entry per admissible join result — cannot be allocated at
+// all: a valid query may have bitset.MaxTables tables, and the memo is
+// exponential in that number.
+var ErrMemoTooLarge = errors.New("dp: memo too large")
+
+// maxMemoBytes keeps the memo array below the size at which make panics
+// instead of allocating (2^47–2^48 bytes on 64-bit ports).
+const maxMemoBytes = min(1<<46, math.MaxInt)
+
+// memoSlots returns the length of the memo array for a run over cs.
+func memoSlots(cs *partition.ConstraintSet) (int, error) {
+	const size = uint64(unsafe.Sizeof(entry{}))
+	slots := cs.CountAdmissible()
+	if hi, bytes := bits.Mul64(slots, size); hi != 0 || bytes > maxMemoBytes {
+		return 0, fmt.Errorf("%w: %d tables in %d partitions take %d entries of %d bytes (%.3g bytes, limit %d)",
+			ErrMemoTooLarge, cs.N, 1<<uint(len(cs.List)), slots, size, float64(slots)*float64(size), uint64(maxMemoBytes))
+	}
+	return int(slots), nil
+}
+
 // Engine exposes the dynamic program one table set at a time, so that
 // schedulers other than the straight Algorithm 2 loop — in particular
 // the SMA baseline, which assigns sets to workers in rounds — drive the
 // exact same plan generation and pruning logic.
 type Engine struct{ w worker }
 
-// NewEngine validates the inputs and initializes the memo with scan
-// plans for every table.
+// NewEngine validates the inputs, sizes the memo and builds the scan
+// plan of every table. It returns an error wrapping ErrMemoTooLarge for
+// a query whose memo cannot be allocated.
 func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	if err := q.Validate(); err != nil {
@@ -328,21 +359,20 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 	if cs.N != q.N() {
 		return nil, fmt.Errorf("dp: constraint set is for %d tables, query has %d", cs.N, q.N())
 	}
+	slots, err := memoSlots(cs)
+	if err != nil {
+		return nil, err
+	}
 	q.Freeze()
 
 	n := q.N()
 	_, costOnly := opts.Pruner.(costOnlyPruner)
-	eng := &Engine{w: worker{q: q, cs: cs, opts: opts, second: !costOnly}}
+	eng := &Engine{w: worker{q: q, cs: cs, index: cs.Index(), opts: opts, second: !costOnly}}
 	w := &eng.w
-	// Size the memo from the closed-form admissible-set count so it never
-	// rehashes mid-run: the memo stores at most one entry per admissible
-	// set (the empty set lives out of line in the map). With a runtime
-	// the memo, the arena and the scan entries are borrowed (and reset)
-	// instead of built, so a worker recycles them across the queries of
-	// a batch.
-	hint := int(cs.CountAdmissible())
+	// With a runtime the memo, the arenas and the scan entries are borrowed
+	// (and reset), so a worker recycles them across the queries of a batch.
 	if opts.DisableArena {
-		w.memo = setmap.New[entry](hint)
+		w.memo = make([]entry, slots)
 		w.scans = make([]entry, n)
 	} else {
 		rt := opts.Runtime
@@ -353,7 +383,7 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 		w.arena.Reset()
 		rt.spills.reset()
 		w.spills = &rt.spills
-		w.memo = rt.memoFor(hint)
+		w.memo = rt.memoFor(slots)
 		w.scans = rt.scansFor(n)
 	}
 	for t := 0; t < n; t++ {
@@ -366,8 +396,8 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 		e := &w.scans[t]
 		*e = entry{card: sp.Card, cardHi: sp.Card, nbr: q.Neighbors(sp.Tables), f: FrontierOf(sp)}
 		e.setSortTerms(&w.opts.Model)
-		w.memo.Put(sp.Tables, *e)
 		w.stats.PlansKept++
+		w.stats.MemoEntries++
 	}
 	if cs.Space == partition.Bushy {
 		w.splitter = cs.NewSplitter()
@@ -375,11 +405,16 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 	return eng, nil
 }
 
-// ProcessSet treats one admissible join result: all admissible splits
+// ProcessSet treats one admissible join result — a set of two or more
+// tables that the partition's Enumerator yields: all admissible splits
 // are tried and surviving plans stored in the memo. Sets must be
 // processed in non-decreasing cardinality. It returns the work units
-// (1 + splits tried) this set cost.
+// (1 + splits tried) this set cost. Any other set has no memo slot of
+// its own; passing one is a bug in the caller and panics.
 func (e *Engine) ProcessSet(u bitset.Set) uint64 {
+	if u.Count() < 2 || !e.w.q.All().ContainsAll(u) || !e.w.cs.Admissible(u) {
+		panic(fmt.Sprintf("dp: ProcessSet(%v): not an admissible join result of partition %s", u, e.w.cs.Describe()))
+	}
 	if e.w.opts.DisableCrossProducts && !e.w.q.Connected(u) {
 		return 0
 	}
@@ -388,24 +423,22 @@ func (e *Engine) ProcessSet(u bitset.Set) uint64 {
 	return e.w.stats.WorkUnits() - before
 }
 
-// ForEachPlan calls fn for each retained plan of table set u, in
-// frontier order, without allocating (the SMA driver reads every set's
-// plans once per round through this). Plans may live in the engine's
-// arena: they are valid for the engine's lifetime but must not be
-// retained past it (Finish returns recycling-safe copies of the root
-// plans).
+// ForEachPlan calls fn for each retained plan of table set u — a single
+// table or an admissible join result — in frontier order, without
+// allocating (the SMA driver reads every set's plans once per round
+// through this). Plans may live in the engine's arena: they are valid
+// for the engine's lifetime but must not be retained past it (Finish
+// returns recycling-safe copies of the root plans).
 func (e *Engine) ForEachPlan(u bitset.Set, fn func(*plan.Node)) {
-	ent, ok := e.w.memo.GetRef(u)
-	if !ok {
-		return
-	}
+	ent := e.w.lookup(u)
 	for i, n := 0, ent.f.Len(); i < n; i++ {
 		fn(ent.f.At(i))
 	}
 }
 
-// MemoLen returns the number of table sets currently in the memo.
-func (e *Engine) MemoLen() int { return e.w.memo.Len() }
+// MemoLen returns the number of table sets that currently have plans:
+// the scans plus the join results stored so far.
+func (e *Engine) MemoLen() int { return int(e.w.stats.MemoEntries) }
 
 // LimitExceeded reports whether the work meter has passed
 // Options.MaxWorkUnits.
@@ -414,11 +447,7 @@ func (e *Engine) LimitExceeded() bool {
 }
 
 // Stats returns the cumulative work counters so far.
-func (e *Engine) Stats() plan.Stats {
-	s := e.w.stats
-	s.MemoEntries = uint64(e.w.memo.Len())
-	return s
-}
+func (e *Engine) Stats() plan.Stats { return e.w.stats }
 
 // Finish validates that a complete plan exists and returns the result.
 // When the run allocated from an arena, the surviving root plans are
@@ -427,8 +456,8 @@ func (e *Engine) Stats() plan.Stats {
 // are not pinned by a handful of returned plans).
 func (e *Engine) Finish() (*Result, error) {
 	q := e.w.q
-	root, ok := e.w.memo.GetRef(q.All())
-	if !ok || root.f.Len() == 0 {
+	root := e.w.lookup(q.All())
+	if root.f.Len() == 0 {
 		return nil, fmt.Errorf("dp: no complete plan found (n=%d, partition %s)", q.N(), e.w.cs.Describe())
 	}
 	res := &Result{Plans: root.f.Slice(), Stats: e.Stats()}
@@ -445,8 +474,9 @@ type worker struct {
 	q        *query.Query
 	cs       *partition.ConstraintSet
 	opts     Options
-	memo     *setmap.Map[entry]
-	scans    []entry     // scans[t] = the memo entry of {t}: linear inner operands skip the hash probe
+	index    *partition.Index
+	memo     []entry     // memo[index.Of(s)] = the entry of admissible set s, |s| ≥ 2
+	scans    []entry     // scans[t] = the entry of {t}
 	arena    *plan.Arena // the memo's plans; nil iff Options.DisableArena
 	nursery  *plan.Arena // the plans of the set under construction; nil iff arena is
 	spills   *spillArena // nil iff Options.DisableArena
@@ -463,11 +493,20 @@ type worker struct {
 	scratch entry
 }
 
+// lookup returns the entry of s, a single table or an admissible join
+// result; an empty frontier means no plan is known for s. It is the
+// per-split hot path and written to fit the compiler's inlining budget.
+func (w *worker) lookup(s bitset.Set) *entry {
+	if s&(s-1) == 0 {
+		return &w.scans[bits.TrailingZeros64(uint64(s))]
+	}
+	return &w.memo[w.index.Of(s)]
+}
+
 // trySplits generates and prunes all plans for join result u
 // (Algorithm 5, both variants). The entry is assembled in the worker's
-// scratch slot and stored by value once complete; memo entries are read
-// through GetRef (no copy — the memo is presized and never rehashes
-// mid-run, so the references stay put).
+// scratch slot and stored by value once complete; operand entries are
+// read in place.
 func (w *worker) trySplits(u bitset.Set) {
 	w.stats.SetsProcessed++
 	e := &w.scratch
@@ -481,8 +520,8 @@ func (w *worker) trySplits(u bitset.Set) {
 			}
 			inner := rem & -rem
 			outer := u &^ inner
-			le, ok := w.memo.GetRef(outer)
-			if !ok || le.f.Len() == 0 {
+			le := w.lookup(outer)
+			if le.f.Len() == 0 {
 				continue
 			}
 			w.combine(outer, inner, le, &w.scans[t])
@@ -490,9 +529,8 @@ func (w *worker) trySplits(u bitset.Set) {
 	} else {
 		w.splitter.ForEachLeft(u, func(left bitset.Set) {
 			right := u.Minus(left)
-			le, lok := w.memo.GetRef(left)
-			re, rok := w.memo.GetRef(right)
-			if !lok || !rok || le.f.Len() == 0 || re.f.Len() == 0 {
+			le, re := w.lookup(left), w.lookup(right)
+			if le.f.Len() == 0 || re.f.Len() == 0 {
 				return
 			}
 			w.combine(left, right, le, re)
@@ -519,7 +557,11 @@ func (w *worker) trySplits(u bitset.Set) {
 				stored.f.spill = append([]*plan.Node(nil), e.f.spill...)
 			}
 		}
-		w.memo.Put(u, stored)
+		slot := &w.memo[w.index.Of(u)]
+		if slot.f.Len() == 0 {
+			w.stats.MemoEntries++
+		}
+		*slot = stored
 	}
 }
 

@@ -490,8 +490,8 @@ func TestRunContextCanceled(t *testing.T) {
 
 // BenchmarkJobClasses runs the dynamic program on the job classes of
 // the bench/ workloads — serial-large's linear-16 and bushy-12, one
-// constrained partition of each, an interesting-orders run — on a
-// reused Runtime, as every engine does, and reports nanoseconds per
+// constrained partition of each, an interesting-orders run, one of
+// serve-zipf8's 50 µs partitions — on a reused Runtime, as every engine does, and reports nanoseconds per
 // work unit. It is the instrument for A/B-ing inner-loop variants while
 // working (docs/perf.md §6 quotes it); claims are made with bench/.
 // The multi-objective class needs mo.ParetoPruner and cannot live in
@@ -510,6 +510,7 @@ func BenchmarkJobClasses(b *testing.B) {
 		{"linear16m8", partition.Linear, 16, 8, Options{}},
 		{"bushy12m8", partition.Bushy, 12, 8, Options{}},
 		{"linear13orders", partition.Linear, 13, 1, Options{InterestingOrders: true, Pruner: OrderAware{}}},
+		{"linear8m2", partition.Linear, 8, 2, Options{}},
 	} {
 		for _, shape := range []workload.Shape{workload.Star, workload.Chain, workload.Cycle} {
 			b.Run(c.name+"/"+shape.String(), func(b *testing.B) {
@@ -520,8 +521,14 @@ func BenchmarkJobClasses(b *testing.B) {
 				}
 				opts := c.opts
 				opts.Runtime = NewRuntime()
+				// One untimed job grows the runtime's memo and slabs, so
+				// B/op and allocs/op are the steady state also at -benchtime 1x.
+				if _, err := Run(q, cs, opts); err != nil {
+					b.Fatal(err)
+				}
 				var units uint64
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					res, err := Run(q, cs, opts)
 					if err != nil {

@@ -6,9 +6,6 @@ import "mpq/internal/bitset"
 // table set u, which a plan tree does not carry: the exact-arithmetic
 // test needs it to recompute a robust plan's Buffer annotation.
 func (e *Engine) CardHiFor(u bitset.Set) (float64, bool) {
-	ent, ok := e.w.memo.GetRef(u)
-	if !ok {
-		return 0, false
-	}
-	return ent.cardHi, true
+	ent := e.w.lookup(u)
+	return ent.cardHi, ent.f.Len() > 0
 }

@@ -1,13 +1,10 @@
 package dp
 
-import (
-	"mpq/internal/plan"
-	"mpq/internal/setmap"
-)
+import "mpq/internal/plan"
 
 // Runtime bundles the reusable per-run memory of one DP worker: the
 // plan-node arena the memo's plans live in, the nursery arena the table
-// set under construction builds its survivors in, the memo table and
+// set under construction builds its survivors in, the memo array and
 // the per-table scan entries. A fresh run borrows them through
 // Options.Runtime instead of growing them from scratch, so a worker that
 // optimizes a stream of queries — the in-process engine's goroutine
@@ -28,7 +25,7 @@ import (
 type Runtime struct {
 	arena   *plan.Arena
 	nursery *plan.Arena // reset after every table set
-	memo    *setmap.Map[entry]
+	memo    []entry
 	scans   []entry
 	spills  spillArena
 }
@@ -39,17 +36,17 @@ func NewRuntime() *Runtime {
 	return &Runtime{arena: plan.NewArena(), nursery: plan.NewArena()}
 }
 
-// memoFor returns the runtime's memo reset for a run of sizeHint
-// entries, building it on first use. Reused backing arrays may be
-// larger than a fresh map's ("stale capacity"); setmap.Reset documents
-// the iteration-order consequences.
-func (rt *Runtime) memoFor(sizeHint int) *setmap.Map[entry] {
-	if rt.memo == nil {
-		rt.memo = setmap.New[entry](sizeHint)
+// memoFor returns the runtime's memo array as slots empty entries,
+// growing it for the largest run so far. Only the returned prefix is
+// cleared: a run cannot reach what a larger earlier run left beyond it,
+// and a small query does not pay for a multi-megabyte memset.
+func (rt *Runtime) memoFor(slots int) []entry {
+	if len(rt.memo) < slots {
+		rt.memo = make([]entry, slots)
 	} else {
-		rt.memo.Reset(sizeHint)
+		clear(rt.memo[:slots])
 	}
-	return rt.memo
+	return rt.memo[:slots:slots]
 }
 
 // scansFor returns the runtime's per-table scan-entry slice sized for an

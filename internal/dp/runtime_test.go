@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -13,6 +14,23 @@ import (
 // shape, algorithms, predicates and the scalar annotations.
 func planKey(p *plan.Node) string {
 	return fmt.Sprintf("%s|card=%b|cost=%b|buf=%b|ord=%d", p, p.Card, p.Cost, p.Buffer, p.Order)
+}
+
+// requireSameResult fails the test unless got and want hold the same
+// plans, bit for bit, found with the same work.
+func requireSameResult(t *testing.T, got, want *Result) {
+	t.Helper()
+	if got.Stats != want.Stats {
+		t.Fatalf("stats differ:\ngot  %+v\nwant %+v", got.Stats, want.Stats)
+	}
+	if len(got.Plans) != len(want.Plans) {
+		t.Fatalf("plan count %d != %d", len(got.Plans), len(want.Plans))
+	}
+	for i := range got.Plans {
+		if g, w := planKey(got.Plans[i]), planKey(want.Plans[i]); g != w {
+			t.Fatalf("plan %d differs:\ngot  %s\nwant %s", i, g, w)
+		}
+	}
 }
 
 // Arena-backed runs must be bit-identical to heap-backed runs — same
@@ -52,19 +70,83 @@ func TestArenaOnOffBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if got.Stats != want.Stats {
-				t.Fatalf("stats differ:\narena %+v\nheap  %+v", got.Stats, want.Stats)
-			}
-			if len(got.Plans) != len(want.Plans) {
-				t.Fatalf("plan count %d != %d", len(got.Plans), len(want.Plans))
-			}
-			for i := range got.Plans {
-				g, w := planKey(got.Plans[i]), planKey(want.Plans[i])
-				if g != w {
-					t.Fatalf("plan %d differs:\narena %s\nheap  %s", i, g, w)
-				}
-			}
+			requireSameResult(t, got, want)
 		})
+	}
+}
+
+// A pooled Runtime's memo array keeps the entries of every earlier run;
+// no later run may see one. Jobs of different size, space and partition
+// share one Runtime — large, small, large again; a run without cross
+// products right after a full run of the same partition, whose skipped
+// sets' slots the full run filled; a run that a work limit aborts half
+// way — and each returns what a fresh Runtime returns, bit for bit.
+func TestRuntimeReuseNeverReadsAnEarlierRun(t *testing.T) {
+	shared := NewRuntime()
+	noCross := Options{DisableCrossProducts: true}
+	for i, tc := range []struct {
+		n       int
+		shape   workload.Shape
+		space   partition.Space
+		part, m int
+		opts    Options
+		aborted bool
+	}{
+		{12, workload.Chain, partition.Linear, 0, 1, Options{}, false},
+		{12, workload.Chain, partition.Linear, 0, 1, noCross, false},
+		{6, workload.Star, partition.Bushy, 1, 2, Options{}, false},
+		{9, workload.Chain, partition.Bushy, 5, 8, Options{}, false},
+		{9, workload.Chain, partition.Bushy, 5, 8, noCross, false},
+		{11, workload.Cycle, partition.Linear, 3, 4, Options{MaxWorkUnits: 2000}, true},
+		{11, workload.Cycle, partition.Linear, 3, 4, noCross, false},
+		{5, workload.Clique, partition.Linear, 2, 4, Options{}, false},
+		{12, workload.Star, partition.Linear, 0, 1, Options{InterestingOrders: true, Pruner: OrderAware{}}, false},
+		{10, workload.Cycle, partition.Bushy, 0, 1, noCross, false},
+	} {
+		t.Run(fmt.Sprintf("%d-%v-%v-n%d-m%d", i, tc.shape, tc.space, tc.n, tc.m), func(t *testing.T) {
+			q := genQuery(t, tc.n, tc.shape, 5)
+			cs, err := partition.ForPartition(tc.space, tc.n, tc.part, tc.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, pooled := tc.opts, tc.opts
+			fresh.Runtime, pooled.Runtime = NewRuntime(), shared
+			want, wantErr := Run(q, cs, fresh)
+			got, gotErr := Run(q, cs, pooled)
+			if tc.aborted {
+				if !errors.Is(wantErr, ErrWorkLimit) || !errors.Is(gotErr, ErrWorkLimit) {
+					t.Fatalf("errors %v / %v, want the work limit on both", wantErr, gotErr)
+				}
+				return
+			}
+			if wantErr != nil || gotErr != nil {
+				t.Fatal(wantErr, gotErr)
+			}
+			requireSameResult(t, got, want)
+		})
+	}
+}
+
+// A query may have 63 tables; a dynamic program over it cannot have a
+// memo. NewEngine says so with a typed error instead of handing make a
+// length it panics on.
+func TestMemoTooLarge(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		space partition.Space
+		m     int
+	}{{48, partition.Linear, 1}, {63, partition.Linear, 1}, {63, partition.Bushy, 1}, {63, partition.Linear, 1 << 20}} {
+		q := genQuery(t, tc.n, workload.Chain, 1)
+		cs, err := partition.ForPartition(tc.space, tc.n, tc.m-1, tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewEngine(q, cs, Options{}); !errors.Is(err, ErrMemoTooLarge) {
+			t.Errorf("%v n=%d m=%d: NewEngine returned %v, want ErrMemoTooLarge", tc.space, tc.n, tc.m, err)
+		}
+		if _, err := Run(q, cs, Options{DisableArena: true}); !errors.Is(err, ErrMemoTooLarge) {
+			t.Errorf("%v n=%d m=%d: Run returned %v, want ErrMemoTooLarge", tc.space, tc.n, tc.m, err)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mpq/internal/core"
+	"mpq/internal/dp"
 	"mpq/internal/partition"
 	"mpq/internal/query"
 	"mpq/internal/wire"
@@ -179,6 +180,47 @@ func TestWorkerReportsJobErrorsInBand(t *testing.T) {
 	_, err = ms.Optimize(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 64})
 	if err == nil {
 		t.Fatal("invalid job accepted")
+	}
+}
+
+// A legal query can be too large for any memo (q.Validate admits 63
+// tables): the worker answers with the dynamic program's typed error
+// instead of dying in make, and the connection serves the next job.
+func TestWorkerRejectsOversizedJobAndKeepsServing(t *testing.T) {
+	addrs := startWorkers(t, 1)
+	conn, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	spec := core.JobSpec{Space: partition.Linear, Workers: 1}
+	roundTrip := func(seq uint32, q *query.Query) []byte {
+		t.Helper()
+		if err := wire.WriteFrame(conn, wire.EncodeJobRequest(&wire.JobRequest{Seq: seq, Spec: spec, Query: q})); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for i, n := range []int{48, 63} {
+		big := workload.MustGenerate(workload.NewParams(n, workload.Chain), 1)
+		we, err := wire.DecodeWorkerError(roundTrip(uint32(i+1), big))
+		if err != nil {
+			t.Fatalf("%d-table job: no error frame: %v", n, err)
+		}
+		if we.Code != wire.ErrJobFailed || !strings.Contains(we.Msg, dp.ErrMemoTooLarge.Error()) {
+			t.Fatalf("%d-table job: %+v, want a failed job saying %q", n, we, dp.ErrMemoTooLarge)
+		}
+	}
+	resp, err := wire.DecodeJobResponse(roundTrip(3, gen(t, 6, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Err != "" || len(resp.Plans) == 0 {
+		t.Fatalf("job after the oversized ones failed: %+v", resp)
 	}
 }
 

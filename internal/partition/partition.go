@@ -14,6 +14,14 @@
 // Every worker derives its constraint set deterministically from
 // (partition ID, worker count); the union of all partitions' admissible
 // plans is exactly the unconstrained plan space.
+//
+// A partition's admissible join results are a product of per-group
+// admissible subsets (Algorithm 4), which the package reads three ways:
+// CountAdmissible is its size (the closed forms of Theorems 2 and 3),
+// Enumerator streams its elements cardinality by cardinality, and Index
+// ranks them — a perfect index into [0, CountAdmissible) that rises
+// along the Enumerator's order, so the dynamic program's memo can be a
+// plain array.
 package partition
 
 import (
@@ -122,6 +130,8 @@ type ConstraintSet struct {
 	// group contains table i (-1 if none).
 	constrainedTables bitset.Set
 	groupMask         []bitset.Set // per constraint: the pair/triple mask
+
+	index Index
 }
 
 // ForPartition translates partition ID partID (0-based, 0 ≤ partID < m)
@@ -178,6 +188,7 @@ func ForPartition(space Space, n, partID, m int) (*ConstraintSet, error) {
 		cs.groupMask = append(cs.groupMask, mask)
 		cs.constrainedTables = cs.constrainedTables.Union(mask)
 	}
+	cs.buildIndex()
 	return cs, nil
 }
 
@@ -240,8 +251,10 @@ func (cs *ConstraintSet) groups() [][]bitset.Set {
 	}
 	// Unconstrained groups: remaining pairs/triples carry no constraint,
 	// so each remaining table contributes {∅, {t}} independently; we
-	// group them per-table for a flatter product tree.
-	for t := 0; t < cs.N; t++ {
+	// group them per-table for a flatter product tree. Highest table
+	// outermost: with every group's subsets in ascending mask order that
+	// makes the Enumerator visit sets in ascending Index order.
+	for t := cs.N - 1; t >= 0; t-- {
 		if !covered.Contains(t) {
 			out = append(out, []bitset.Set{bitset.Empty(), bitset.Single(t)})
 		}
@@ -351,22 +364,86 @@ func (cs *ConstraintSet) AdmissibleSets() [][]bitset.Set {
 // CountAdmissible returns the exact number of admissible join results in
 // closed form: 4^(p-l)·3^l·2^r for linear (p pairs, r leftover tables)
 // and 8^(t-l)·7^l·2^r for bushy (t triples) — the finite-n counterparts
-// of Theorems 2 and 3.
-func (cs *ConstraintSet) CountAdmissible() uint64 {
-	g := cs.Space.groupSize()
-	groups := cs.N / g
-	leftover := cs.N % g
-	l := len(cs.List)
-	full := uint64(1) << uint(g)
-	constrained := full - 1
-	count := uint64(1)
-	for i := 0; i < groups-l; i++ {
-		count *= full
+// of Theorems 2 and 3. It is the slot count of the partition's Index.
+func (cs *ConstraintSet) CountAdmissible() uint64 { return cs.index.slots }
+
+// Index is the perfect index of one partition's admissible join results:
+// Algorithm 4's product of per-group admissible subsets read as a
+// mixed-radix number. Of maps the admissible sets one-to-one onto
+// [0, CountAdmissible), so an array indexed by it is a memo with no
+// hashing, no keys and no empty slots.
+//
+// The digits of Of(s), most significant first, are the ordinals of s's
+// part in each constrained group among the group's admissible subsets
+// in ascending mask order — base 3 per pair x ≺ y (∅, {x}, {x,y}),
+// base 7 per triple x ⪯ y|z (all subsets but {y,z}), group 0 first —
+// then one bit per unconstrained table, highest table first; with no
+// constraints Of(s) is s itself. That is the nesting of the Enumerator's
+// loops, so Of rises strictly along ForEachAdmissible(k) for every k: a
+// dynamic program that treats sets in that order writes its array front
+// to back, and the operands it reads walk forward too.
+//
+// An inadmissible set lands on the slot of some admissible one. The
+// linear singleton {y} of a pair x ≺ y, admissible only as a singleton
+// (see Admissible), therefore has no slot: callers keep singletons
+// elsewhere.
+type Index struct {
+	slots uint64
+	shift uint   // tables [0, shift) are in constrained groups, the rest free
+	mask  uint64 // the constrained tables' bits, 1<<shift - 1, kept so Of stays cheap enough to inline
+	// tab holds one table per chunk of indexChunkBits constrained-table
+	// bits (the last may be narrower): the summed digit·weight of the
+	// chunk's groups. Of costs one lookup per chunk, and no table
+	// outgrows a chunk however many groups there are.
+	tab []int
+}
+
+// indexChunkBits holds a whole number of pairs (3) and of triples (2).
+const indexChunkBits = 6
+
+// Index returns the partition's perfect index.
+func (cs *ConstraintSet) Index() *Index { return &cs.index }
+
+// buildIndex fills cs.index from the constraint list, in O(l) time and
+// space.
+func (cs *ConstraintSet) buildIndex() {
+	const chunkLen = 1 << indexChunkBits
+	g, ix := uint(cs.Space.groupSize()), &cs.index
+	ix.shift = g * uint(len(cs.List))
+	ix.mask = uint64(cs.constrainedTables)
+	ix.slots = 1 << (uint(cs.N) - ix.shift)
+	size := ix.shift / indexChunkBits * chunkLen
+	if rest := ix.shift % indexChunkBits; rest > 0 {
+		size += 1 << rest // the last, narrower chunk
 	}
-	for i := 0; i < l; i++ {
-		count *= constrained
+	ix.tab = make([]int, size)
+	for i := len(cs.List) - 1; i >= 0; i-- { // least significant group first
+		lo := g * uint(i)
+		var digit [8]int // by the group's bits; an inadmissible subset shares its successor's
+		ord := 0
+		for b := range 1 << g {
+			digit[b] = ord
+			if !violates(cs.Space, cs.List[i], bitset.Set(b)<<lo) {
+				ord++
+			}
+		}
+		chunk := ix.tab[lo/indexChunkBits*chunkLen:]
+		chunk = chunk[:min(len(chunk), chunkLen)]
+		for b := range chunk {
+			chunk[b] += digit[b>>(lo%indexChunkBits)&(1<<g-1)] * int(ix.slots)
+		}
+		ix.slots *= uint64(ord)
 	}
-	return count << uint(leftover)
+}
+
+// Of returns the slot of admissible set s.
+func (ix *Index) Of(s bitset.Set) int {
+	idx := int(uint64(s) >> (ix.shift & 63)) // shift < 63; saying so spares the shift its range check
+	for v, off := uint64(s)&ix.mask, 0; off < len(ix.tab); off += 1 << indexChunkBits {
+		idx += ix.tab[off+int(v&(1<<indexChunkBits-1))]
+		v >>= indexChunkBits
+	}
+	return idx
 }
 
 // ForEachLeft enumerates every admissible left operand L of join result u

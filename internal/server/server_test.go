@@ -17,6 +17,7 @@ import (
 
 	"mpq"
 	"mpq/internal/core"
+	"mpq/internal/dp"
 	"mpq/internal/partition"
 	"mpq/internal/spec"
 	"mpq/internal/wire"
@@ -677,6 +678,29 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+}
+
+// TestOversizedJobGetsAnErrorReply: a valid query with more tables than
+// any memo can hold (q.Validate admits 63) is answered with the dynamic
+// program's typed error — the daemon does not die in make — and the same
+// connection serves the next job.
+func TestOversizedJobGetsAnErrorReply(t *testing.T) {
+	s := startServer(t, Config{Engine: mpq.NewInProcessEngine()})
+	c, err := Dial(s.WireAddr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	js := mpq.JobSpec{Space: partition.Linear, Workers: 1}
+	for _, n := range []int{48, 63} {
+		big := workload.MustGenerate(workload.NewParams(n, workload.Chain), 1)
+		if _, err := c.Optimize(context.Background(), big, js); err == nil || !strings.Contains(err.Error(), dp.ErrMemoTooLarge.Error()) {
+			t.Fatalf("%d-table job: error %v, want %q", n, err, dp.ErrMemoTooLarge)
+		}
+	}
+	if _, err := c.Optimize(context.Background(), testQuery(t, 6, 1), js); err != nil {
+		t.Fatalf("job after the oversized ones: %v", err)
 	}
 }
 

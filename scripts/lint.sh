@@ -27,6 +27,11 @@ go vet ./...
 echo "==> mpqlint ./..."
 go run ./cmd/mpqlint ./...
 
+# The A/B microbenchmark docs/perf.md quotes is not run by go test; one
+# iteration per class keeps it compiling and its job classes valid.
+echo "==> dp job-class microbenchmark, one iteration"
+go test ./internal/dp -run '^$' -bench JobClasses -benchtime 1x
+
 # bench/ is its own module (bench/README.md), invisible to the root ./...
 echo "==> bench: go vet + go test -short"
 (cd bench && go vet ./... && go test -short ./...)

@@ -3,7 +3,10 @@
 //
 // Usage:
 //
-//	mpqbench -experiment fig1|fig2|fig3|fig4|fig5|table1|speedups|workloads|cache|stragglers|regret|all [flags]
+//	mpqbench -experiment NAME [flags]
+//
+// NAME is an experiment registered in internal/experiments (-help lists
+// them, in the paper's order) or "all", which runs them in that order.
 //
 // Flags:
 //
@@ -27,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
+	"strings"
 
 	"mpq/internal/cliutil"
 	"mpq/internal/experiments"
@@ -40,7 +44,7 @@ func main() {
 }
 
 func run() error {
-	experiment := flag.String("experiment", "all", "which experiment to run (fig1..fig5, table1, speedups, workloads, cache, stragglers, regret, all)")
+	experiment := flag.String("experiment", "all", "which experiment to run ("+strings.Join(experiments.Names(), ", ")+")")
 	full := flag.Bool("full", false, "paper-scale sizes (slow)")
 	queries := flag.Int("queries", 0, "queries per data point (0 = scale default)")
 	seed := flag.Int64("seed", 0, "base workload seed")
@@ -67,6 +71,10 @@ func run() error {
 		defer pprof.StopCPUProfile()
 	}
 
+	selected, err := experiments.Select(*experiment)
+	if err != nil {
+		return err
+	}
 	cfg := experiments.Quick()
 	if *full {
 		cfg = experiments.FullScale()
@@ -75,6 +83,7 @@ func run() error {
 		cfg.Queries = *queries
 	}
 	cfg.BaseSeed = *seed
+	cfg.Real = *real
 	if !*quiet {
 		cfg.Progress = os.Stderr
 	}
@@ -88,120 +97,18 @@ func run() error {
 	defer stop()
 	cfg.Ctx = ctx
 
-	runners := map[string]func() error{
-		"fig1": func() error {
-			panels, err := experiments.Fig1(cfg)
-			if err != nil {
-				return err
-			}
-			render(experiments.Fig1Tables(panels))
-			return nil
-		},
-		"fig2": func() error {
-			panels, err := experiments.Fig2(cfg)
-			if err != nil {
-				return err
-			}
-			render(experiments.Fig2Tables(panels))
-			return nil
-		},
-		"fig3": func() error {
-			panels, err := experiments.Fig3(cfg)
-			if err != nil {
-				return err
-			}
-			render(experiments.Fig3Tables(panels))
-			return nil
-		},
-		"fig4": func() error {
-			panels, err := experiments.Fig4(cfg)
-			if err != nil {
-				return err
-			}
-			render(experiments.Fig4Tables(panels))
-			return nil
-		},
-		"fig5": func() error {
-			panels, err := experiments.Fig5(cfg)
-			if err != nil {
-				return err
-			}
-			render(experiments.Fig5Tables(panels))
-			return nil
-		},
-		"table1": func() error {
-			res, err := experiments.Table1(cfg, experiments.DefaultTable1Options(cfg.Full))
-			if err != nil {
-				return err
-			}
-			render([]*experiments.Table{experiments.Table1Table(res)})
-			return nil
-		},
-		"speedups": func() error {
-			rows, err := experiments.Speedups(cfg, *real)
-			if err != nil {
-				return err
-			}
-			render([]*experiments.Table{experiments.SpeedupsTable(rows, *real)})
-			return nil
-		},
-		"workloads": func() error {
-			rows, err := experiments.Workloads(cfg)
-			if err != nil {
-				return err
-			}
-			render([]*experiments.Table{experiments.WorkloadsTable(rows)})
-			return nil
-		},
-		"cache": func() error {
-			rows, err := experiments.CacheServing(cfg)
-			if err != nil {
-				return err
-			}
-			render([]*experiments.Table{experiments.CacheServingTable(rows)})
-			return nil
-		},
-		"stragglers": func() error {
-			rows, err := experiments.Stragglers(cfg)
-			if err != nil {
-				return err
-			}
-			render([]*experiments.Table{experiments.StragglersTable(rows)})
-			return nil
-		},
-		"regret": func() error {
-			rows, err := experiments.Regret(cfg)
-			if err != nil {
-				return err
-			}
-			render([]*experiments.Table{experiments.RegretTable(rows)})
-			return nil
-		},
-	}
-
-	if *experiment == "all" {
-		for _, name := range []string{"fig1", "fig2", "fig3", "fig4", "fig5", "table1", "speedups", "workloads", "cache", "stragglers", "regret"} {
-			if err := ctx.Err(); err != nil {
-				return interrupted(err)
-			}
-			if err := runners[name](); err != nil {
-				if errors.Is(err, context.Canceled) {
-					return interrupted(err)
-				}
-				return fmt.Errorf("%s: %w", name, err)
-			}
+	for _, e := range selected {
+		if err := ctx.Err(); err != nil {
+			return interrupted(err)
 		}
-		return nil
-	}
-	r, ok := runners[*experiment]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q", *experiment)
-	}
-	if err := r(); err != nil {
+		tables, err := e.Run(cfg)
 		if errors.Is(err, context.Canceled) {
 			return interrupted(err)
 		}
-		return err
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+		render(tables)
 	}
 	return nil
 }

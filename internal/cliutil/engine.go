@@ -36,7 +36,7 @@ type EngineFlags struct {
 	Retries int
 	// WorkerFailures is the exclusion threshold (tcp engine).
 	WorkerFailures int
-	// Kill crashes this many simulated workers mid-query (sim engine).
+	// Kill crashes simulated nodes 0..Kill-1 mid-query (sim engine).
 	Kill int
 	// Detect is the failure-detection timeout for Kill (sim engine).
 	Detect time.Duration
@@ -53,8 +53,8 @@ type EngineFlags struct {
 	Stall int
 	// StallFactor is the stalled workers' slowdown (sim engine).
 	StallFactor float64
-	// Nodes bounds the simulated node pool (sim engine; 0 = one node per
-	// partition).
+	// Nodes is the size of the simulated node pool (sim engine; 0 = one
+	// node per partition).
 	Nodes int
 	// DaemonAddr is a resident mpqd's wire address (daemon engine).
 	DaemonAddr string
@@ -78,7 +78,7 @@ func Register(fs *flag.FlagSet, def string) *EngineFlags {
 	fs.IntVar(&ef.WorkerFailures, "max-worker-failures", 0,
 		"tcp engine: consecutive failures before a worker is excluded (0 = default)")
 	fs.IntVar(&ef.Kill, "kill", 0,
-		"sim engine: crash this many workers mid-query and measure recovery")
+		"sim engine: crash nodes 0..N-1 mid-query and measure recovery (the master's attempt budget applies: 3 adjacent deaths fail the query)")
 	fs.DurationVar(&ef.Detect, "detect", 0,
 		"sim engine: failure-detection timeout for -kill (default 10s)")
 	fs.BoolVar(&ef.Speculate, "speculate", false,
@@ -94,7 +94,7 @@ func Register(fs *flag.FlagSet, def string) *EngineFlags {
 	fs.Float64Var(&ef.StallFactor, "stall-factor", 0,
 		"sim engine: compute slowdown of -stall workers (0 = default 100)")
 	fs.IntVar(&ef.Nodes, "nodes", 0,
-		"sim engine: bound the simulated node pool (0 = one node per partition)")
+		"sim engine: size of the simulated node pool (0 = one node per partition)")
 	fs.StringVar(&ef.DaemonAddr, "daemon-addr", "",
 		"daemon engine: wire address of a running mpqd (start one with: mpqd -wire ADDR)")
 	return ef

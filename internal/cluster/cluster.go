@@ -14,10 +14,15 @@
 //
 // The simulator runs the real optimizer (workers decode their request
 // bytes and run the full constrained DP), so results are bit-identical
-// to the in-process engine; only the clock is virtual.
+// to the in-process engine; only the clock is virtual. Every run goes
+// through one event-driven schedule (sched.go) that steps the TCP
+// master's own policy core, internal/sched: the simulated master assigns,
+// retries, gives up and speculates exactly as netrun.Master with default
+// options does.
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -49,17 +54,15 @@ type Model struct {
 	// FinalPrunePerPlan is the master-side cost of comparing one
 	// returned plan during FinalPrune.
 	FinalPrunePerPlan time.Duration
-	// Nodes bounds the simulated node pool. Zero keeps the classic
-	// one-node-per-partition layout; a positive value runs the adaptive
-	// schedule, which shares the partitions out over the pool exactly as
-	// the TCP master does (internal/sched): round-robin, one request in
-	// flight per node.
+	// Nodes is the size of the simulated node pool; zero means one node
+	// per partition. The partitions are shared out over the pool exactly
+	// as the TCP master does (internal/sched): round-robin, one request
+	// in flight per node.
 	Nodes int
-	// Resources gives per-node capacities for the multi-resource model;
-	// non-empty Resources also selects the adaptive schedule, whose
-	// assignment weights are the nodes' CPU capacities, and the slice
-	// length must equal the node count (Nodes, or the partition count
-	// when Nodes is zero). Empty means homogeneous unit-CPU nodes.
+	// Resources gives per-node capacities for the multi-resource model.
+	// The nodes' CPU capacities are the master's assignment weights, and
+	// the slice length must equal the node count (Nodes, or the partition
+	// count when Nodes is zero). Empty means homogeneous unit-CPU nodes.
 	Resources []NodeResources
 }
 
@@ -100,43 +103,26 @@ func (m Model) Validate() error {
 	return nil
 }
 
-// transfer returns the time to push n bytes through one link.
-func (m Model) transfer(n int) time.Duration {
-	return time.Duration(float64(n) / m.Bandwidth * float64(time.Second))
-}
-
 // compute converts work units into virtual compute time.
 func (m Model) compute(units uint64) time.Duration {
 	return time.Duration(float64(units) * m.NsPerWorkUnit)
 }
 
-// MPQTime evaluates the one-round MPQ schedule on this cluster model:
-// reqBytes[i] and respBytes[i] are worker i's request and response sizes,
-// units[i] its compute work. It returns the master-observed total time
-// (excluding FinalPrune, which the caller adds per returned plan) and the
-// slowest worker's compute time. The master NIC serializes sends and
-// receives, making the master's share linear in the worker count
-// (Theorem 5).
+// MPQTime evaluates the fault-free schedule on this cluster model
+// without running any optimizer: reqBytes[i] and respBytes[i] are
+// partition i's request and response sizes, units[i] its compute work
+// (memo footprints are taken as zero, so no node spills). It returns the
+// master-observed total time (excluding FinalPrune, which the caller adds
+// per returned plan) and the busiest node's compute time. The master NIC
+// serializes sends and receives, making the master's share linear in the
+// worker count (Theorem 5). It panics on a model Run would reject.
 func (m Model) MPQTime(reqBytes, respBytes []int, units []uint64) (total, maxWorker time.Duration) {
-	var masterSendBusy, masterRecvBusy time.Duration
-	starts := make([]time.Duration, len(reqBytes))
-	for i, rb := range reqBytes {
-		masterSendBusy += m.DispatchPerTask + m.transfer(rb)
-		// Task launch happens on the workers, concurrently.
-		starts[i] = masterSendBusy + m.Latency + m.TaskSetup
+	in := simInput{reqBytes: reqBytes, respBytes: respBytes, units: units, memo: make([]uint64, len(units))}
+	out, err := m.schedule(in, Faults{})
+	if err != nil {
+		panic(err)
 	}
-	for i := range reqBytes {
-		computeT := m.compute(units[i])
-		if computeT > maxWorker {
-			maxWorker = computeT
-		}
-		arrival := starts[i] + computeT + m.Latency
-		if arrival > masterRecvBusy {
-			masterRecvBusy = arrival
-		}
-		masterRecvBusy += m.transfer(respBytes[i])
-	}
-	return masterRecvBusy, maxWorker
+	return out.total, out.maxWorker
 }
 
 // Faults mirrors the failure model of the TCP runtime (internal/netrun)
@@ -144,19 +130,20 @@ func (m Model) MPQTime(reqBytes, respBytes []int, units []uint64) (total, maxWor
 // timeout, so Fig-style experiments can quantify recovery overhead
 // without a wall clock.
 type Faults struct {
-	// Dead lists virtual nodes that crash after receiving their request
-	// and never answer. With Model.Nodes zero, nodes and partition
-	// indices coincide (the classic layout). At least one node must
-	// survive.
+	// Dead lists virtual nodes that crash after receiving a request and
+	// never answer. With Model.Nodes zero, partition i starts on node i.
+	// At least one node must survive, and the simulated master has the
+	// real master's attempt budget: a partition that lands on dead nodes
+	// sched.DefaultMaxAttempts times fails the run with a
+	// *sched.BudgetError.
 	Dead []int
 	// DetectTimeout is the virtual time after a request's arrival at
 	// which the master declares an unanswered worker dead and
-	// re-dispatches its partition to a survivor. Zero means
+	// re-dispatches its partition to another node. Zero means
 	// DefaultDetectTimeout.
 	DetectTimeout time.Duration
 	// Stalled lists nodes that compute StallFactor× slower than the
-	// model's rate — the straggler script. A non-empty Stalled selects
-	// the adaptive scheduler.
+	// model's rate — the straggler script.
 	Stalled []int
 	// StallFactor is the stalled nodes' compute slowdown. Zero means
 	// DefaultStallFactor; values below 1 are an error.
@@ -222,85 +209,6 @@ func (f Faults) Validate(m int) error {
 	return nil
 }
 
-// adaptive reports whether the fault script needs the event-driven
-// adaptive scheduler rather than the closed-form one-round formulas.
-func (f Faults) adaptive() bool {
-	return len(f.Stalled) > 0 || f.Speculate
-}
-
-// faultSchedule evaluates the MPQ schedule with scripted worker deaths:
-// round one is MPQTime's schedule restricted to the survivors; each dead
-// partition is then re-dispatched — the master's send NIC becomes free,
-// waits for the detection timeout, re-serializes the request to a
-// survivor chosen round-robin, and the survivor runs the extra partition
-// after finishing its own share. With no deaths this reduces exactly to
-// MPQTime.
-func (m Model) faultSchedule(reqBytes, respBytes []int, units []uint64, dead map[int]bool, detect time.Duration) (total, maxWorker time.Duration) {
-	n := len(reqBytes)
-	var masterSendBusy, masterRecvBusy time.Duration
-	starts := make([]time.Duration, n)
-	arrivals := make([]time.Duration, n) // request arrival, before task setup
-	for i, rb := range reqBytes {
-		masterSendBusy += m.DispatchPerTask + m.transfer(rb)
-		arrivals[i] = masterSendBusy + m.Latency
-		starts[i] = arrivals[i] + m.TaskSetup
-	}
-	// Round one: responses from the survivors only.
-	computeBusy := make([]time.Duration, n) // per-worker total busy time
-	free := make([]time.Duration, n)        // when a survivor finishes its share
-	survivors := make([]int, 0, n)
-	for i := range reqBytes {
-		if dead[i] {
-			continue
-		}
-		survivors = append(survivors, i)
-		computeT := m.compute(units[i])
-		computeBusy[i] = computeT
-		free[i] = starts[i] + computeT
-		arrival := free[i] + m.Latency
-		if arrival > masterRecvBusy {
-			masterRecvBusy = arrival
-		}
-		masterRecvBusy += m.transfer(respBytes[i])
-	}
-	// Recovery round: re-dispatch each dead partition.
-	sendFree := masterSendBusy
-	si := 0
-	for i := range reqBytes {
-		if !dead[i] {
-			continue
-		}
-		// Detection runs from the request's arrival at the (crashed)
-		// worker, as documented on Faults.DetectTimeout — not from the end
-		// of its task setup, which the crash may have interrupted.
-		detectAt := arrivals[i] + detect
-		if detectAt > sendFree {
-			sendFree = detectAt
-		}
-		sendFree += m.DispatchPerTask + m.transfer(reqBytes[i])
-		s := survivors[si%len(survivors)]
-		si++
-		begin := sendFree + m.Latency + m.TaskSetup
-		if free[s] > begin {
-			begin = free[s]
-		}
-		fin := begin + m.compute(units[i])
-		free[s] = fin
-		computeBusy[s] += m.compute(units[i])
-		arrival := fin + m.Latency
-		if arrival > masterRecvBusy {
-			masterRecvBusy = arrival
-		}
-		masterRecvBusy += m.transfer(respBytes[i])
-	}
-	for _, cb := range computeBusy {
-		if cb > maxWorker {
-			maxWorker = cb
-		}
-	}
-	return masterRecvBusy, maxWorker
-}
-
 // Metrics is the simulator's measurement record — one row of the paper's
 // figures. It is an alias of core.ClusterMetrics so engine-agnostic
 // answers can carry it without importing this package.
@@ -312,14 +220,13 @@ type Metrics = core.ClusterMetrics
 // the master decodes and gathers (core.Gather). One round, no
 // worker↔worker traffic.
 //
-// Under a non-empty fault script, dead workers receive their request,
-// crash, and never answer; the master detects each death DetectTimeout
-// after the request arrived and re-dispatches the partition to a
-// surviving worker (round-robin), which runs it after its own share.
-// The chosen plans are bit-identical to the failure-free run —
-// partitions are disjoint and workers stateless — while the answer's
-// Cluster record (VirtualTime, traffic, Redispatches) exposes the
-// recovery overhead.
+// Under a fault script, dead nodes receive their requests, crash, and
+// never answer; the master detects each death DetectTimeout after the
+// request arrived and re-dispatches the partition as the TCP master
+// would, within the same attempt budget. The chosen plans are
+// bit-identical to the failure-free run — partitions are disjoint and
+// workers stateless — while the answer's Cluster record (VirtualTime,
+// traffic, Redispatches) exposes the recovery overhead.
 //
 // Answer.Elapsed is the real wall-clock time of the simulation;
 // MaxWorkerElapsed and the per-worker Elapsed values are virtual compute
@@ -337,23 +244,13 @@ func Run(ctx context.Context, model Model, q *query.Query, spec core.JobSpec, fa
 	if err := spec.Validate(q.N()); err != nil {
 		return nil, err
 	}
-	nodeCount := model.Nodes
-	if nodeCount <= 0 {
-		nodeCount = spec.Workers
-	}
-	if err := faults.Validate(nodeCount); err != nil {
+	if err := faults.Validate(cmp.Or(model.Nodes, spec.Workers)); err != nil {
 		return nil, err
 	}
 	q.Freeze()
 	m := spec.Workers
-	// The closed-form one-round formulas cover the classic layout; a
-	// bounded node pool, per-node resources, stall scripts or
-	// speculation need the event-driven adaptive schedule (sched.go).
-	adaptive := model.Nodes > 0 || len(model.Resources) > 0 || faults.adaptive()
 
-	// Master builds and "sends" one request per worker. The master NIC
-	// serializes outbound messages, so send completions are cumulative
-	// (Theorem 5's O(m·bq) master time).
+	// Master builds one request per partition.
 	type workerRun struct {
 		req       []byte
 		respBytes int
@@ -400,79 +297,45 @@ func Run(ctx context.Context, model Model, q *query.Query, spec core.JobSpec, fa
 		return nil, fmt.Errorf("cluster: simulation canceled: %w", context.Cause(ctx))
 	}
 
-	dead := make(map[int]bool, len(faults.Dead))
-	for _, d := range faults.Dead {
-		dead[d] = true
-	}
-	detect := faults.DetectTimeout
-	if detect == 0 {
-		detect = DefaultDetectTimeout
-	}
-
-	met := Metrics{Rounds: 1, Redispatches: len(dead)}
-	if len(dead) > 0 {
-		met.Rounds = 2 // the re-dispatch adds one extra communication round
-	}
 	parts := make([]core.PartResult, m)
-	reqBytes := make([]int, m)
-	respBytes := make([]int, m)
-	units := make([]uint64, m)
-	memo := make([]uint64, m)
+	in := simInput{reqBytes: make([]int, m), respBytes: make([]int, m), units: make([]uint64, m), memo: make([]uint64, m)}
 	var planCount int
 	for partID, r := range runs {
 		if r.err != nil {
 			return nil, fmt.Errorf("cluster: worker %d: %w", partID, r.err)
 		}
-		met.Bytes += uint64(len(r.req) + r.respBytes)
-		met.Messages += 2
-		if dead[partID] {
-			// The job is sent twice: the crashed worker got the request but
-			// never answered, and the survivor both receives the request
-			// again and sends the one response.
-			met.Bytes += uint64(len(r.req))
-			met.Messages++
-		}
-		reqBytes[partID] = len(r.req)
-		respBytes[partID] = r.respBytes
-		units[partID] = r.resp.Stats.WorkUnits()
-		memo[partID] = r.resp.Stats.MemoEntries
+		in.reqBytes[partID] = len(r.req)
+		in.respBytes[partID] = r.respBytes
+		in.units[partID] = r.resp.Stats.WorkUnits()
+		in.memo[partID] = r.resp.Stats.MemoEntries
 		planCount += len(r.resp.Plans)
-		parts[partID] = core.PartResult{Plans: r.resp.Plans, Stats: r.resp.Stats, Elapsed: model.compute(units[partID])}
+		parts[partID] = core.PartResult{Plans: r.resp.Plans, Stats: r.resp.Stats, Elapsed: model.compute(in.units[partID])}
 	}
-	if adaptive {
-		in := simInput{reqBytes: reqBytes, respBytes: respBytes, units: units, memo: memo}
-		sim, err := model.adaptiveSchedule(in, faults)
+	// The schedule accounts time and traffic (clones, cancels and
+	// re-dispatches included) for the requests the policy core issued.
+	sim, err := model.schedule(in, faults)
+	if err != nil {
+		return nil, err
+	}
+	met := Metrics{
+		Rounds:        1,
+		Bytes:         sim.bytes,
+		Messages:      sim.messages,
+		Redispatches:  sim.redispatches,
+		VirtualTime:   sim.total + time.Duration(planCount)*model.FinalPrunePerPlan,
+		MaxWorkerTime: sim.maxWorker,
+		Speculations:  sim.speculations,
+		WastedWork:    sim.wasted,
+	}
+	if sim.redispatches > 0 {
+		met.Rounds = 2 // a re-dispatch adds one extra communication round
+	}
+	if len(faults.Dead) > 0 || len(faults.Stalled) > 0 {
+		clean, err := model.schedule(in, Faults{})
 		if err != nil {
 			return nil, err
 		}
-		// The event simulation accounts traffic itself (clones, cancels
-		// and re-dispatches included): override the per-partition tallies.
-		met.Bytes = sim.bytes
-		met.Messages = sim.messages
-		met.Redispatches = sim.redispatches
-		met.Rounds = 1
-		if sim.redispatches > 0 {
-			met.Rounds = 2
-		}
-		met.VirtualTime = sim.total + time.Duration(planCount)*model.FinalPrunePerPlan
-		met.MaxWorkerTime = sim.maxWorker
-		met.Speculations = sim.speculations
-		met.WastedWork = sim.wasted
-		if len(dead) > 0 || len(faults.Stalled) > 0 {
-			clean, err := model.adaptiveSchedule(in, Faults{})
-			if err != nil {
-				return nil, err
-			}
-			met.RecoveryOverhead = sim.total - clean.total
-		}
-	} else {
-		total, maxWorker := model.faultSchedule(reqBytes, respBytes, units, dead, detect)
-		met.VirtualTime = total + time.Duration(planCount)*model.FinalPrunePerPlan
-		met.MaxWorkerTime = maxWorker
-		if len(dead) > 0 {
-			cleanTotal, _ := model.MPQTime(reqBytes, respBytes, units)
-			met.RecoveryOverhead = total - cleanTotal
-		}
+		met.RecoveryOverhead = sim.total - clean.total
 	}
 
 	ans, err := core.Gather(spec, parts)

@@ -25,7 +25,7 @@ func TestSimulatorMakesTheMastersDecisions(t *testing.T) {
 		units:     []uint64{1000, 1000, 1000, 1000},
 		memo:      []uint64{10, 10, 10, 10},
 	}
-	out, err := model.adaptiveSchedule(in, Faults{
+	out, err := model.schedule(in, Faults{
 		Stalled: []int{0}, StallFactor: 1e4, Speculate: true, SpecFloor: 150 * time.Millisecond,
 	})
 	if err != nil {
@@ -64,7 +64,7 @@ func TestRaceTrafficIsByteExact(t *testing.T) {
 		units:     []uint64{1000, 1000, 400000},
 		memo:      []uint64{10, 10, 10},
 	}
-	out, err := model.adaptiveSchedule(in, Faults{Stalled: []int{0}, StallFactor: 1e4, Speculate: true})
+	out, err := model.schedule(in, Faults{Stalled: []int{0}, StallFactor: 1e4, Speculate: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,26 +2,25 @@ package cluster
 
 import (
 	"cmp"
+	"container/heap"
 	"errors"
 	"fmt"
 	"slices"
 	"time"
 
+	"mpq/internal/dp"
 	"mpq/internal/sched"
 	"mpq/internal/wire"
 )
 
-// This file is the adaptive virtual-time schedule: the cost model of
-// the cluster — NIC serialization, latency, task setup, per-node CPU,
-// memory and bandwidth, stalls — wrapped around the scheduling policy
-// the TCP master runs (internal/sched), stepped on a virtual clock. It
-// decides nothing itself: every request it simulates was dispatched,
-// and every cancel issued, by the policy core. It activates when the
-// run needs more than the closed-form one-round schedule — a bounded
-// node pool (Model.Nodes), per-node resource capacities
-// (Model.Resources), a stall script (Faults.Stalled), or speculation
-// (Faults.Speculate). Without any of those, Run keeps using the
-// closed-form MPQTime/faultSchedule formulas bit for bit.
+// This file is the simulator's one virtual-time schedule: the cost
+// model of the cluster — NIC serialization, latency, task setup,
+// per-node CPU, memory and bandwidth, stalls, deaths — wrapped around the
+// scheduling policy the TCP master runs (internal/sched), stepped on a
+// virtual clock. It decides nothing itself: every request it simulates
+// was dispatched, and every cancel issued, by the policy core. The
+// paper's one-node-per-partition experiment is the input Nodes = 0, not
+// a separate path.
 
 // NodeResources describes one simulated node's capacities for the
 // multi-resource cluster model (after Garofalakis & Ioannidis: a
@@ -33,19 +32,15 @@ type NodeResources struct {
 	// rate (Model.NsPerWorkUnit per work unit).
 	CPU float64
 	// MemoryBytes caps the memo a partition's DP can hold resident.
-	// A partition whose memo footprint (MemoEntries × an assumed entry
-	// size) exceeds it computes slower by footprint/capacity — a crude
-	// spill model. Zero means unlimited.
+	// A partition whose memo footprint (MemoEntries × dp.EntryBytes)
+	// exceeds it computes slower by footprint/capacity — a crude spill
+	// model. Zero means unlimited.
 	MemoryBytes uint64
 	// Bandwidth is the node's NIC throughput in bytes/second; transfers
 	// to and from the node run at min(link, node) speed. Zero means the
 	// model's link bandwidth.
 	Bandwidth float64
 }
-
-// memoEntryBytes is the assumed resident size of one memo entry when
-// checking a partition's footprint against NodeResources.MemoryBytes.
-const memoEntryBytes = 64
 
 // DefaultStallFactor is the compute slowdown of a node listed in
 // Faults.Stalled when StallFactor is zero.
@@ -106,15 +101,30 @@ type simEvent struct {
 	gen  int
 }
 
-// adaptiveSchedule runs the event-driven simulation. Everything is
-// deterministic: events tie-break on (time, kind, copy index) and the
-// policy core is deterministic by construction.
-func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
+// eventQueue is a min-heap of pending events on the total key (time,
+// kind, copy index), which makes the simulation deterministic.
+type eventQueue []simEvent
+
+func (q eventQueue) Len() int { return len(q) }
+func (q eventQueue) Less(i, j int) bool {
+	a, b := q[i], q[j]
+	return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.kind, b.kind), cmp.Compare(a.copy, b.copy)) < 0
+}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(e any)   { *q = append(*q, e.(simEvent)) }
+func (q *eventQueue) Pop() any {
+	last := len(*q) - 1
+	e := (*q)[last]
+	*q = (*q)[:last]
+	return e
+}
+
+// schedule runs the event-driven simulation. Everything is
+// deterministic: events are totally ordered and the policy core is
+// deterministic by construction.
+func (m Model) schedule(in simInput, f Faults) (simOutcome, error) {
 	nParts := len(in.units)
-	n := m.Nodes
-	if n <= 0 {
-		n = nParts
-	}
+	n := cmp.Or(m.Nodes, nParts)
 	if len(m.Resources) > 0 && len(m.Resources) != n {
 		return simOutcome{}, fmt.Errorf("cluster: %d resource entries for %d nodes", len(m.Resources), n)
 	}
@@ -150,7 +160,7 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 		r := resources[ni]
 		pu := m.NsPerWorkUnit / r.CPU
 		if r.MemoryBytes > 0 {
-			if fp := float64(in.memo[part]) * memoEntryBytes; fp > float64(r.MemoryBytes) {
+			if fp := float64(in.memo[part] * dp.EntryBytes); fp > float64(r.MemoryBytes) {
 				pu *= fp / float64(r.MemoryBytes)
 			}
 		}
@@ -169,7 +179,7 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 	}
 
 	var out simOutcome
-	var events []simEvent // kept in (time, kind, copy index) order
+	var events eventQueue
 
 	inFlight := make([]int, n) // the copy each node's one request slot holds
 	busy := make([]time.Duration, n)
@@ -191,10 +201,10 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 		out.bytes += uint64(in.reqBytes[part])
 		out.messages++
 		if dead(ni) {
-			events = append(events, simEvent{t: c.arrive + detect, kind: evDetect, copy: ci})
+			heap.Push(&events, simEvent{t: c.arrive + detect, kind: evDetect, copy: ci})
 		} else {
 			busy[ni] += c.finish - c.start
-			events = append(events, simEvent{t: c.finish + m.Latency, kind: evArrive, copy: ci})
+			heap.Push(&events, simEvent{t: c.finish + m.Latency, kind: evArrive, copy: ci})
 		}
 	}
 	// cancel sends the loser of a race its cancel frame. If the frame
@@ -221,7 +231,7 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 			out.wasted += min(burned, in.units[c.part])
 		}
 		busy[ni] -= c.finish - max(lands, c.start)
-		events = append(events, simEvent{t: lands + m.Latency, kind: evArrive, copy: inFlight[ni], gen: c.gen})
+		heap.Push(&events, simEvent{t: lands + m.Latency, kind: evArrive, copy: inFlight[ni], gen: c.gen})
 	}
 
 	// step feeds the policy one event and executes what it answers.
@@ -240,18 +250,14 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 	}
 	err = step(sched.Tick(0))
 	for err == nil && !act.Done {
-		slices.SortFunc(events, func(a, b simEvent) int {
-			return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.kind, b.kind), cmp.Compare(a.copy, b.copy))
-		})
 		if act.Wake > 0 && (len(events) == 0 || act.Wake < events[0].t) {
 			err = step(sched.Tick(act.Wake))
 			continue
 		}
 		if len(events) == 0 {
-			return simOutcome{}, errors.New("cluster: adaptive schedule stalled with nothing in flight")
+			return simOutcome{}, errors.New("cluster: schedule stalled with nothing in flight")
 		}
-		e := events[0]
-		events = events[1:]
+		e := heap.Pop(&events).(simEvent)
 		c := &out.copies[e.copy]
 		if e.gen != c.gen {
 			continue // the arrival a cancel replaced
@@ -266,7 +272,7 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 			recvFree = max(e.t, recvFree) + nodeTransfer(size, c.node)
 			out.bytes += uint64(size)
 			out.messages++
-			events = append(events, simEvent{t: recvFree, kind: evDeliver, copy: e.copy, gen: e.gen})
+			heap.Push(&events, simEvent{t: recvFree, kind: evDeliver, copy: e.copy, gen: e.gen})
 		case evDeliver, evDetect:
 			ev := sched.Event{Now: e.t, Worker: c.node, Outcome: sched.OK, Elapsed: e.t - c.dispatched}
 			switch {

@@ -2,17 +2,19 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"mpq/internal/core"
+	"mpq/internal/dp"
 	"mpq/internal/partition"
 	"mpq/internal/wire"
 )
 
-// The adaptive scheduler must not change what is computed — only when.
-// Fault-free, with a bounded node pool, the chosen plan is fingerprint-
-// identical to the classic one-node-per-partition run.
+// The size of the node pool must not change what is computed — only
+// when. Fault-free, with a bounded node pool, the chosen plan is
+// fingerprint-identical to the one-node-per-partition run.
 func TestAdaptivePlanMatchesLegacy(t *testing.T) {
 	q := gen(t, 10, 7)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
@@ -173,6 +175,48 @@ func TestMultiResourceMemorySpill(t *testing.T) {
 		t.Fatalf("spill changed the plan: %s != %s", sf, rf)
 	}
 }
+
+// The spill model measures a partition's footprint in the DP's real
+// entry size: a node that holds exactly MemoEntries × dp.EntryBytes runs
+// at full speed, one byte less and it slows down.
+func TestMemorySpillBoundary(t *testing.T) {
+	in := simInput{reqBytes: []int{300}, respBytes: []int{200}, units: []uint64{1e9}, memo: []uint64{1000}}
+	run := func(memory uint64) time.Duration {
+		model := Default()
+		model.Resources = []NodeResources{{CPU: 1, MemoryBytes: memory}}
+		out, err := model.schedule(in, Faults{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.total
+	}
+	unlimited, fits, spills := run(0), run(1000*dp.EntryBytes), run(1000*dp.EntryBytes-1)
+	if fits != unlimited {
+		t.Fatalf("a memo that exactly fits slowed the node: %v != %v", fits, unlimited)
+	}
+	if spills <= fits {
+		t.Fatalf("one byte short of the memo cost no time: %v <= %v", spills, fits)
+	}
+}
+
+// The schedule is evaluated once per Table 1 cell, so its cost at the
+// paper's worker counts matters: fault-free, one node per partition.
+func BenchmarkSchedule(b *testing.B) {
+	for _, m := range []int{8, 128, 256} {
+		reqs, resps, units := make([]int, m), make([]int, m), make([]uint64, m)
+		for i := range reqs {
+			reqs[i], resps[i], units[i] = 500, 300, uint64(10000+i)
+		}
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			model := Default()
+			for i := 0; i < b.N; i++ {
+				benchSink, _ = model.MPQTime(reqs, resps, units)
+			}
+		})
+	}
+}
+
+var benchSink time.Duration
 
 // Resource slices must match the node pool, and fault scripts must be
 // internally consistent.

@@ -328,13 +328,16 @@ var ErrMemoTooLarge = errors.New("dp: memo too large")
 // instead of allocating (2^47–2^48 bytes on 64-bit ports).
 const maxMemoBytes = min(1<<46, math.MaxInt)
 
+// EntryBytes is the resident size of one memo entry: what a partition's
+// Stats.MemoEntries are multiplied by to get its memory footprint.
+const EntryBytes = uint64(unsafe.Sizeof(entry{}))
+
 // memoSlots returns the length of the memo array for a run over cs.
 func memoSlots(cs *partition.ConstraintSet) (int, error) {
-	const size = uint64(unsafe.Sizeof(entry{}))
 	slots := cs.CountAdmissible()
-	if hi, bytes := bits.Mul64(slots, size); hi != 0 || bytes > maxMemoBytes {
+	if hi, bytes := bits.Mul64(slots, EntryBytes); hi != 0 || bytes > maxMemoBytes {
 		return 0, fmt.Errorf("%w: %d tables in %d partitions take %d entries of %d bytes (%.3g bytes, limit %d)",
-			ErrMemoTooLarge, cs.N, 1<<uint(len(cs.List)), slots, size, float64(slots)*float64(size), uint64(maxMemoBytes))
+			ErrMemoTooLarge, cs.N, 1<<uint(len(cs.List)), slots, EntryBytes, float64(slots)*float64(EntryBytes), uint64(maxMemoBytes))
 	}
 	return int(slots), nil
 }

@@ -42,6 +42,9 @@ type Config struct {
 	Full bool
 	// MaxWorkers caps the degrees of parallelism tried.
 	MaxWorkers int
+	// Real also measures wall-clock speedups on this machine (the
+	// speedups experiment only).
+	Real bool
 	// Progress, when non-nil, receives one line per completed panel.
 	Progress io.Writer
 	// Ctx, when non-nil, cancels a running experiment: the simulated

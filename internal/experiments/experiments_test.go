@@ -147,8 +147,8 @@ func TestFig1ShapesHold(t *testing.T) {
 			t.Fatalf("panel %v-%d: MPQ not faster than SMA at max parallelism", p.Space, p.N)
 		}
 	}
-	if tables := Fig1Tables(panels); len(tables) != 4 || len(tables[0].Rows) == 0 {
-		t.Fatal("Fig1Tables rendering")
+	if tables := PanelTables(panels); len(tables) != 4 || len(tables[0].Rows) == 0 {
+		t.Fatal("Fig1: PanelTables rendering")
 	}
 }
 
@@ -162,7 +162,7 @@ func TestFig2ShapesHold(t *testing.T) {
 		t.Fatalf("%d panels", len(panels))
 	}
 	for _, p := range panels {
-		pts := p.Points
+		pts := p.MPQ.Points
 		if len(pts) < 3 {
 			t.Fatalf("panel %v-%d has %d points", p.Space, p.N, len(pts))
 		}
@@ -185,8 +185,8 @@ func TestFig2ShapesHold(t *testing.T) {
 				p.Space, p.N, pts[0].TimeMs, pts[len(pts)-1].TimeMs)
 		}
 	}
-	if tables := Fig2Tables(panels); len(tables) != 4 {
-		t.Fatal("Fig2Tables rendering")
+	if tables := PanelTables(panels); len(tables) != 4 {
+		t.Fatal("Fig2: PanelTables rendering")
 	}
 }
 
@@ -240,8 +240,8 @@ func TestFig4MPQBeatsSMA(t *testing.T) {
 			}
 		}
 	}
-	if tables := Fig4Tables(panels); len(tables) != 2 {
-		t.Fatal("Fig4Tables rendering")
+	if tables := PanelTables(panels); len(tables) != 2 {
+		t.Fatal("Fig4: PanelTables rendering")
 	}
 }
 
@@ -255,7 +255,7 @@ func TestFig5ScalingSteady(t *testing.T) {
 		t.Fatalf("%d panels", len(panels))
 	}
 	for _, p := range panels {
-		pts := p.Points
+		pts := p.MPQ.Points
 		if len(pts) < 2 {
 			t.Fatalf("panel %d: %d points", p.N, len(pts))
 		}
@@ -265,8 +265,8 @@ func TestFig5ScalingSteady(t *testing.T) {
 			}
 		}
 	}
-	if tables := Fig5Tables(panels); len(tables) != 2 {
-		t.Fatal("Fig5Tables rendering")
+	if tables := PanelTables(panels); len(tables) != 2 {
+		t.Fatal("Fig5: PanelTables rendering")
 	}
 }
 
@@ -332,7 +332,7 @@ func TestSpeedupsPositive(t *testing.T) {
 	figureScale(t)
 	cfg := tiny()
 	cfg.Queries = 2
-	rows, err := Speedups(cfg, false)
+	rows, err := Speedups(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestSpeedupsPositive(t *testing.T) {
 			t.Fatalf("%v-%d m=%d: virtual speedup %.2f not > 1", r.Space, r.N, r.Workers, r.Virtual)
 		}
 	}
-	tbl := SpeedupsTable(rows, false)
+	tbl := SpeedupsTable(rows)
 	if len(tbl.Rows) != 4 {
 		t.Fatal("SpeedupsTable rendering")
 	}

@@ -5,7 +5,6 @@ import (
 
 	"mpq/internal/core"
 	"mpq/internal/partition"
-	"mpq/internal/sma"
 	"mpq/internal/workload"
 )
 
@@ -62,28 +61,11 @@ func fig3Panel(cfg Config, algo string, n int) (Fig3Panel, error) {
 				continue
 			}
 			spec := core.JobSpec{Space: partition.Linear, Workers: m}
-			var times []float64
-			for _, q := range qs {
-				if err := cfg.canceled(); err != nil {
-					return panel, err
-				}
-				var t float64
-				if algo == "SMA" {
-					res, err := sma.Run(cfg.Model, q, spec)
-					if err != nil {
-						return panel, err
-					}
-					t = ms(res.Cluster.VirtualTime)
-				} else {
-					res, err := runMPQ(cfg, q, spec)
-					if err != nil {
-						return panel, err
-					}
-					t = ms(res.Cluster.VirtualTime)
-				}
-				times = append(times, t)
+			sm, err := cfg.measure(qs, spec, algo == "SMA")
+			if err != nil {
+				return panel, err
 			}
-			mean, ci := meanCI(times)
+			mean, ci := meanCI(sm.time)
 			s.Points = append(s.Points, Point{Workers: m, TimeMs: mean, CI95: ci})
 		}
 		panel.Shapes = append(panel.Shapes, s)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mpq/internal/core"
-	"mpq/internal/dp"
 	"mpq/internal/partition"
 	"mpq/internal/workload"
 )
@@ -21,15 +20,16 @@ type SpeedupRow struct {
 	Objective core.Objective
 	// Virtual is the speedup in simulated-cluster time.
 	Virtual float64
-	// Real is the wall-clock speedup of the goroutine engine over the
-	// serial DP on this machine (0 if not measured).
+	// Real is the wall-clock speedup of the goroutine engine with m
+	// partitions over the same engine with one, on this machine (0 if
+	// not measured: Config.Real unset).
 	Real float64
 }
 
 // Speedups reproduces the speedup numbers quoted in §6.2 (e.g. 8.1x for
 // Linear-24 at 128 workers, 9.4x for multi-objective Linear-20). Full
 // scale uses the paper's sizes; quick scale shrinks them.
-func Speedups(cfg Config, measureReal bool) ([]SpeedupRow, error) {
+func Speedups(cfg Config) ([]SpeedupRow, error) {
 	type cse struct {
 		space partition.Space
 		n     int
@@ -57,7 +57,7 @@ func Speedups(cfg Config, measureReal bool) ([]SpeedupRow, error) {
 	}
 	var out []SpeedupRow
 	for _, c := range cases {
-		row, err := speedupCase(cfg, c.space, c.n, c.m, c.obj, measureReal)
+		row, err := speedupCase(cfg, c.space, c.n, c.m, c.obj)
 		if err != nil {
 			return nil, err
 		}
@@ -67,7 +67,7 @@ func Speedups(cfg Config, measureReal bool) ([]SpeedupRow, error) {
 	return out, nil
 }
 
-func speedupCase(cfg Config, space partition.Space, n, m int, obj core.Objective, measureReal bool) (SpeedupRow, error) {
+func speedupCase(cfg Config, space partition.Space, n, m int, obj core.Objective) (SpeedupRow, error) {
 	row := SpeedupRow{Space: space, N: n, Workers: m, Objective: obj}
 	qs, err := cfg.batch(n, workload.Star)
 	if err != nil {
@@ -97,9 +97,11 @@ func speedupCase(cfg Config, space partition.Space, n, m int, obj core.Objective
 		}
 		virt = append(virt, float64(serialVirtual)/float64(parRes.Cluster.VirtualTime))
 
-		if measureReal {
+		if cfg.Real {
+			// Both sides go through the engine users run (pooled
+			// runtimes), so the ratio compares partitioning, not set-up.
 			t0 := time.Now()
-			if _, err := dp.RunContext(cfg.context(), q, partition.Unconstrained(space, n), spec.DPOptions()); err != nil {
+			if _, err := core.OptimizeContext(cfg.context(), q, serialSpec, 1); err != nil {
 				return row, err
 			}
 			serialWall := time.Since(t0)
@@ -112,14 +114,14 @@ func speedupCase(cfg Config, space partition.Space, n, m int, obj core.Objective
 		}
 	}
 	row.Virtual = median(virt)
-	if measureReal {
+	if cfg.Real {
 		row.Real = median(real)
 	}
 	return row, nil
 }
 
 // SpeedupsTable renders the speedup rows.
-func SpeedupsTable(rows []SpeedupRow, measuredReal bool) *Table {
+func SpeedupsTable(rows []SpeedupRow) *Table {
 	t := &Table{
 		Title:   "§6.2 — speedup of parallel over serial optimization (medians)",
 		Caption: "virtual: simulated cluster including communication; real: goroutine engine wall clock on this machine",
@@ -127,7 +129,7 @@ func SpeedupsTable(rows []SpeedupRow, measuredReal bool) *Table {
 	}
 	for _, r := range rows {
 		realCell := "-"
-		if measuredReal {
+		if r.Real > 0 {
 			realCell = fmtFloat(r.Real)
 		}
 		t.Rows = append(t.Rows, []string{

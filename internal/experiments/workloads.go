@@ -46,19 +46,13 @@ func Workloads(cfg Config) ([]WorkloadsRow, error) {
 		if m := partition.MaxWorkers(partition.Linear, qs[0].N()); spec.Workers > m {
 			spec.Workers = m
 		}
-		var times, bytes, memo []float64
-		for _, q := range qs {
-			res, err := runMPQ(cfg, q, spec)
-			if err != nil {
-				return err
-			}
-			times = append(times, ms(res.Cluster.VirtualTime))
-			bytes = append(bytes, float64(res.Cluster.Bytes))
-			memo = append(memo, float64(res.Cluster.MaxMemoEntries))
+		s, err := cfg.measure(qs, spec, false)
+		if err != nil {
+			return err
 		}
 		rows = append(rows, WorkloadsRow{
 			Workload: name, N: qs[0].N(), Preds: len(qs[0].Preds), Workers: spec.Workers,
-			TimeMs: median(times), Bytes: median(bytes), Memo: median(memo),
+			TimeMs: median(s.time), Bytes: median(s.bytes), Memo: median(s.memo),
 		})
 		cfg.progressf("workloads: %s done", name)
 		return nil

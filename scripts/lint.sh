@@ -32,6 +32,11 @@ go run ./cmd/mpqlint ./...
 echo "==> dp job-class microbenchmark, one iteration"
 go test ./internal/dp -run '^$' -bench JobClasses -benchtime 1x
 
+# cmd/mpqbench has no test files: one sub-second experiment through the
+# registry keeps its dispatch and -json output working.
+echo "==> mpqbench dispatch smoke (fig3, 2 queries)"
+go run ./cmd/mpqbench -experiment fig3 -queries 2 -quiet -json >/dev/null
+
 # bench/ is its own module (bench/README.md), invisible to the root ./...
 echo "==> bench: go vet + go test -short"
 (cd bench && go vet ./... && go test -short ./...)

@@ -35,10 +35,10 @@ var (
 	_ func(*mpq.Plan, *mpq.Query, mpq.CostModel) error                  = mpq.ValidatePlan
 
 	// Parametric query optimization — stable surface.
-	_ func(*mpq.Query, mpq.Space, int, float64) ([]*mpq.Plan, error) = mpq.OptimizeParametric
-	_ func(*mpq.Plan, float64) float64                               = mpq.ParametricCostAt
-	_ func([]*mpq.Plan, float64) (*mpq.Plan, error)                  = mpq.ParametricBest
-	_ func([]*mpq.Plan) ([]float64, error)                           = mpq.ParametricBreakpoints
+	_ func(mpq.Space, int, float64) mpq.JobSpec     = mpq.ParametricSpec
+	_ func(*mpq.Plan, float64) float64              = mpq.ParametricCostAt
+	_ func([]*mpq.Plan, float64) (*mpq.Plan, error) = mpq.ParametricBest
+	_ func([]*mpq.Plan) ([]float64, error)          = mpq.ParametricBreakpoints
 
 	// The unified Engine surface.
 	_ func(...mpq.EngineOption) *mpq.InProcessEngine              = mpq.NewSerialEngine
@@ -49,7 +49,6 @@ var (
 	_ func(mpq.ClusterModel) mpq.EngineOption                     = mpq.WithClusterModel
 	_ func(mpq.ClusterFaults) mpq.EngineOption                    = mpq.WithClusterFaults
 	_ func(mpq.MasterOptions) mpq.EngineOption                    = mpq.WithMasterOptions
-	_ func(mpq.CostModel) mpq.EngineOption                        = mpq.WithCostModel
 )
 
 // The Engine interface shape itself is part of the contract.

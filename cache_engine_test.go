@@ -2,6 +2,7 @@ package mpq_test
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -71,6 +72,95 @@ func TestCachedEngineBitIdenticalAcrossEngines(t *testing.T) {
 		}
 		if tt := cached.CacheTotals(); tt.Hits != uint64(len(rows)) || tt.Misses != uint64(len(rows)) {
 			t.Fatalf("%s: totals = %+v, want %d hits and %d misses", e.name, tt, len(rows), len(rows))
+		}
+	}
+}
+
+// TestCachedParametricBitIdentical: parametric reuse is the one plan
+// cache. The second Optimize of a parametric job is a hit, and picking
+// a plan from the hit's frontier is bit-identical to picking from a
+// fresh uncached run's at every θ that could tell them apart — the
+// endpoints, every breakpoint (where two cost lines tie exactly), one
+// ulp either side of each (inside ParametricBest's relative tie band),
+// and every cell midpoint. A different spill factor or worker count is
+// a different job and misses.
+func TestCachedParametricBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	for _, cb := range []struct {
+		tables int
+		shape  mpq.Shape
+		seed   int64
+		space  mpq.Space
+		spill  float64
+	}{
+		{7, mpq.Star, 8, mpq.Linear, 8}, // several interior breakpoints
+		{6, mpq.Chain, 3, mpq.Linear, 2},
+		{6, mpq.Star, 5, mpq.Bushy, 5},
+	} {
+		_, q, err := mpq.GenerateWorkload(mpq.NewWorkloadParams(cb.tables, cb.shape), cb.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := mpq.ParametricSpec(cb.space, 2, cb.spill)
+		fresh, err := mpq.NewInProcessEngine().Optimize(ctx, q, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached := mpq.WithCache(mpq.NewInProcessEngine(), mpq.CacheConfig{})
+		if _, err := cached.Optimize(ctx, q, spec); err != nil {
+			t.Fatal(err)
+		}
+		hit, err := cached.Optimize(ctx, q, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit.Cache == nil || !hit.Cache.Hit {
+			t.Fatalf("second parametric Optimize not served from the cache: %+v", hit.Cache)
+		}
+
+		breaks, err := mpq.ParametricBreakpoints(fresh.Frontier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cb.spill == 8 && len(breaks) < 3 {
+			t.Fatalf("want a frontier with interior breakpoints, got %v", breaks)
+		}
+		thetas := []float64{0, 1}
+		for i, b := range breaks[:len(breaks)-1] {
+			thetas = append(thetas, (b+breaks[i+1])/2)
+			if i > 0 {
+				thetas = append(thetas, b, math.Nextafter(b, 0), math.Nextafter(b, 1))
+			}
+		}
+		for _, theta := range thetas {
+			want, err := mpq.ParametricBest(fresh.Frontier, theta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := mpq.ParametricBest(hit.Frontier, theta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mpq.PlanFingerprint(got) != mpq.PlanFingerprint(want) {
+				t.Errorf("%d-table %v seed %d spill %g: θ=%.20g: cached pick %s, fresh pick %s",
+					cb.tables, cb.shape, cb.seed, cb.spill, theta, got, want)
+			}
+		}
+
+		for _, other := range []mpq.JobSpec{
+			mpq.ParametricSpec(cb.space, 2, cb.spill+1),
+			mpq.ParametricSpec(cb.space, 4, cb.spill),
+		} {
+			ans, err := cached.Optimize(ctx, q, other)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ans.Cache.Hit {
+				t.Fatalf("spec %+v was served from another parametric job's entry", other)
+			}
+		}
+		if tt := cached.CacheTotals(); tt.Hits != 1 || tt.Misses != 3 || tt.Entries != 3 {
+			t.Fatalf("totals = %+v, want 1 hit, 3 misses, 3 entries", tt)
 		}
 	}
 }

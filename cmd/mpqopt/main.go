@@ -1,15 +1,20 @@
-// Command mpqopt optimizes a single join query and prints the chosen
-// plan, either from a JSON query spec (see cmd/mpqgen) or from a
-// generated random workload. The query runs on any of the four
-// execution engines behind the unified mpq.Engine API; Ctrl-C cancels
-// a long optimization cleanly (the context aborts the dynamic program
-// and tears down workers).
+// Command mpqopt optimizes a join query and prints the chosen plan,
+// either from a JSON query spec (see cmd/mpqgen) or from a generated
+// random workload. The query runs on any of the five engines (serial,
+// local, sim, tcp, daemon) behind the unified mpq.Engine API; Ctrl-C
+// cancels a long optimization cleanly (the context aborts the dynamic
+// program and tears down workers).
 //
 // Usage:
 //
 //	mpqopt -query q.json [flags]
 //	mpqopt -tables 12 -shape Star -seed 3 [flags]
 //	mpqopt -schema tpch -sf 1 [flags]
+//	mpqopt [flags] q1.json q2.json q3.json
+//
+// Positional query files run as one Engine.OptimizeBatch call under the
+// same flags, one output line per file; on -engine tcp the batch shares
+// keep-alive connections, one dial per worker for the whole batch.
 //
 // Flags:
 //
@@ -34,10 +39,12 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"mpq"
 	"mpq/internal/catalog"
 	"mpq/internal/cliutil"
+	"mpq/internal/partition"
 	"mpq/internal/spec"
 	"mpq/internal/workload"
 )
@@ -80,23 +87,10 @@ func run() error {
 	ctx, stop := cliutil.SignalContext(context.Background())
 	defer stop()
 
-	q, err := loadQuery(*queryFile, *tables, *shape, *seed, *schemaName, *sf)
+	jobSpace, err := partition.ParseSpace(*space)
 	if err != nil {
 		return err
 	}
-	if q, err = nf.Apply(q); err != nil {
-		return err
-	}
-
-	jobSpace := mpq.Linear
-	switch strings.ToLower(*space) {
-	case "linear":
-	case "bushy":
-		jobSpace = mpq.Bushy
-	default:
-		return fmt.Errorf("unknown plan space %q", *space)
-	}
-
 	jspec := mpq.JobSpec{
 		Space:             jobSpace,
 		Workers:           *workers,
@@ -119,6 +113,21 @@ func run() error {
 		return err
 	}
 
+	if files := flag.Args(); len(files) > 0 {
+		if *queryFile != "" || *tables != 0 || *schemaName != "" || *dot {
+			return fmt.Errorf("positional query files are exclusive with -query, -tables, -schema and -dot")
+		}
+		return runBatch(ctx, eng, files, jspec, nf, *fingerprint)
+	}
+
+	q, err := loadQuery(*queryFile, *tables, *shape, *seed, *schemaName, *sf)
+	if err != nil {
+		return err
+	}
+	if q, err = nf.Apply(q); err != nil {
+		return err
+	}
+
 	// The serial engine always runs the unpartitioned DP; report the
 	// worker count it actually uses rather than the -workers request.
 	effectiveWorkers := *workers
@@ -130,10 +139,7 @@ func run() error {
 
 	ans, err := eng.Optimize(ctx, q, jspec)
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			return fmt.Errorf("interrupted — optimization canceled cleanly: %w", err)
-		}
-		return err
+		return interrupted(err)
 	}
 	render := ans.Best.Format()
 	if *dot {
@@ -168,12 +174,7 @@ func loadQuery(file string, tables int, shape string, seed int64, schemaName str
 	case file == "-":
 		return spec.Read(os.Stdin)
 	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return spec.Read(f)
+		return readQueryFile(file)
 	default:
 		sh, err := workload.ParseShape(shape)
 		if err != nil {
@@ -182,6 +183,64 @@ func loadQuery(file string, tables int, shape string, seed int64, schemaName str
 		_, q, err := mpq.GenerateWorkload(mpq.NewWorkloadParams(tables, sh), seed)
 		return q, err
 	}
+}
+
+func readQueryFile(file string) (*mpq.Query, error) {
+	f, err := os.Open(file)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	q, err := spec.Read(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", file, err)
+	}
+	return q, nil
+}
+
+// runBatch optimizes every file's query in one Engine.OptimizeBatch call.
+func runBatch(ctx context.Context, eng mpq.Engine, files []string, jspec mpq.JobSpec, nf *cliutil.NoiseFlags, fingerprint bool) error {
+	jobs := make([]mpq.Job, len(files))
+	for i, file := range files {
+		q, err := readQueryFile(file)
+		if err != nil {
+			return err
+		}
+		if q, err = nf.Apply(q); err != nil {
+			return fmt.Errorf("%s: %w", file, err)
+		}
+		jobs[i] = mpq.Job{Query: q, Spec: jspec}
+	}
+	start := time.Now()
+	answers, err := eng.OptimizeBatch(ctx, jobs)
+	if err != nil {
+		return interrupted(err)
+	}
+	for i, ans := range answers {
+		line := fmt.Sprintf("%s: best %s (cost %.4g), %d work units", files[i], ans.Best, ans.Best.Cost, ans.Stats.WorkUnits())
+		if fingerprint {
+			line += ", fingerprint " + mpq.PlanFingerprint(ans.Best)
+		}
+		fmt.Println(line)
+	}
+	summary := fmt.Sprintf("batch of %d queries in %v", len(jobs), time.Since(start).Round(time.Millisecond))
+	if answers[0].Net != nil { // the TCP engine: the batch shares its connections
+		dials := 0
+		for _, ans := range answers {
+			dials += ans.Net.Dials
+		}
+		summary += fmt.Sprintf(" — %d connection(s) dialed for the whole batch", dials)
+	}
+	fmt.Println(summary)
+	return nil
+}
+
+// interrupted rewords the error of a run the user's Ctrl-C canceled.
+func interrupted(err error) error {
+	if errors.Is(err, context.Canceled) {
+		return fmt.Errorf("interrupted — optimization canceled cleanly: %w", err)
+	}
+	return err
 }
 
 func printAnswer(planTree string, ans *mpq.Answer, engineLine string, robust bool) {

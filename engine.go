@@ -7,24 +7,15 @@ import (
 	"mpq/internal/cache"
 	"mpq/internal/cluster"
 	"mpq/internal/core"
-	"mpq/internal/cost"
 	"mpq/internal/netrun"
 )
 
 // Engine is the unified optimizer interface: one partitioning scheme,
-// three execution substrates. Every engine runs the identical worker
-// code on the identical plan-space partitions, so for the same query
-// and JobSpec all engines return the same optimal plan (bit-identical
-// under wire encoding) — the paper's central claim, expressed as an
-// interface.
-//
-//   - NewInProcessEngine — goroutine workers in this process;
-//     NewSerialEngine is the same engine pinned to one partition, the
-//     classical single-node dynamic program.
-//   - NewSimEngine — the deterministic shared-nothing cluster
-//     simulator; answers carry ClusterMetrics.
-//   - NewTCPEngine — the fault-tolerant TCP master/worker runtime;
-//     answers carry NetStats.
+// five engines (serial, local, sim, tcp, daemon — the package comment
+// lists them). Every engine runs the identical worker code on the
+// identical plan-space partitions, so for the same query and JobSpec
+// all engines return the same optimal plan (bit-identical under wire
+// encoding) — the paper's central claim, expressed as an interface.
 //
 // Optimize runs one query. OptimizeBatch pipelines a batch of
 // independent queries through the engine; answers come back in input
@@ -54,7 +45,9 @@ type NetStats = core.NetStats
 //	WithClusterModel  — SimEngine
 //	WithClusterFaults — SimEngine
 //	WithMasterOptions — TCPEngine
-//	WithCostModel     — every engine
+//
+// What describes the job rather than the substrate — the cost model
+// included — is a JobSpec field, not an option.
 type EngineOption func(*engineConfig)
 
 type engineConfig struct {
@@ -62,7 +55,6 @@ type engineConfig struct {
 	clusterModel ClusterModel
 	faults       ClusterFaults
 	masterOpts   MasterOptions
-	costModel    CostModel
 }
 
 func newEngineConfig(opts []EngineOption) engineConfig {
@@ -71,15 +63,6 @@ func newEngineConfig(opts []EngineOption) engineConfig {
 		o(&cfg)
 	}
 	return cfg
-}
-
-// applySpec fills spec defaults the engine was configured with: a job
-// that does not choose its own cost model inherits the engine's.
-func (c *engineConfig) applySpec(spec JobSpec) JobSpec {
-	if spec.CostModel == (cost.Model{}) {
-		spec.CostModel = c.costModel
-	}
-	return spec
 }
 
 // WithParallelism caps the number of concurrently running worker
@@ -106,13 +89,6 @@ func WithClusterFaults(f ClusterFaults) EngineOption {
 // per-worker weights.
 func WithMasterOptions(o MasterOptions) EngineOption {
 	return func(c *engineConfig) { c.masterOpts = o }
-}
-
-// WithCostModel sets the engine's default cost model, used by every
-// job whose JobSpec.CostModel is the zero value. The zero default is
-// DefaultCostModel().
-func WithCostModel(m CostModel) EngineOption {
-	return func(c *engineConfig) { c.costModel = m }
 }
 
 // sequentialBatch runs a batch one job at a time through eng — the
@@ -148,7 +124,7 @@ type InProcessEngine struct {
 }
 
 // NewInProcessEngine returns the goroutine-worker engine. Applicable
-// options: WithParallelism, WithCostModel.
+// option: WithParallelism.
 func NewInProcessEngine(opts ...EngineOption) *InProcessEngine {
 	return &InProcessEngine{cfg: newEngineConfig(opts)}
 }
@@ -156,15 +132,13 @@ func NewInProcessEngine(opts ...EngineOption) *InProcessEngine {
 // NewSerialEngine returns the classical single-node dynamic program —
 // the baseline every speedup is measured against: the in-process engine
 // with JobSpec.Workers overridden to 1, so it always searches the
-// unpartitioned plan space with one worker. Applicable options:
-// WithCostModel.
+// unpartitioned plan space with one worker. No option applies.
 func NewSerialEngine(opts ...EngineOption) *InProcessEngine {
 	return &InProcessEngine{cfg: newEngineConfig(opts), serial: true}
 }
 
 // Optimize implements Engine.
 func (e *InProcessEngine) Optimize(ctx context.Context, q *Query, spec JobSpec) (*Answer, error) {
-	spec = e.cfg.applySpec(spec)
 	if e.serial {
 		spec.Workers = 1
 	}
@@ -188,7 +162,7 @@ type SimEngine struct {
 }
 
 // NewSimEngine returns the cluster-simulation engine. Applicable
-// options: WithClusterModel, WithClusterFaults, WithCostModel.
+// options: WithClusterModel, WithClusterFaults.
 func NewSimEngine(opts ...EngineOption) *SimEngine {
 	return &SimEngine{cfg: newEngineConfig(opts)}
 }
@@ -199,7 +173,7 @@ func NewSimEngine(opts ...EngineOption) *SimEngine {
 // model, and the cluster's virtual time, traffic and per-worker memory
 // peak are in Answer.Cluster.
 func (e *SimEngine) Optimize(ctx context.Context, q *Query, spec JobSpec) (*Answer, error) {
-	return cluster.Run(ctx, e.cfg.clusterModel, q, e.cfg.applySpec(spec), e.cfg.faults)
+	return cluster.Run(ctx, e.cfg.clusterModel, q, spec, e.cfg.faults)
 }
 
 // OptimizeBatch implements Engine by simulating the jobs sequentially
@@ -215,35 +189,29 @@ func (e *SimEngine) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, e
 // dials each worker exactly once (observable as Answer.Net.Dials;
 // transport failures force redials).
 type TCPEngine struct {
-	ms  *netrun.Master
-	cfg engineConfig
+	ms *netrun.Master
 }
 
 // NewTCPEngine returns a TCP engine over the given worker addresses
 // (start workers with ListenWorker or `mpqnode worker`). Applicable
-// options: WithMasterOptions, WithCostModel.
+// option: WithMasterOptions.
 func NewTCPEngine(addrs []string, opts ...EngineOption) (*TCPEngine, error) {
-	cfg := newEngineConfig(opts)
-	ms, err := netrun.NewMaster(addrs, cfg.masterOpts)
+	ms, err := netrun.NewMaster(addrs, newEngineConfig(opts).masterOpts)
 	if err != nil {
 		return nil, err
 	}
-	return &TCPEngine{ms: ms, cfg: cfg}, nil
+	return &TCPEngine{ms: ms}, nil
 }
 
 // Optimize implements Engine. The runtime fills Answer.Net directly.
 func (e *TCPEngine) Optimize(ctx context.Context, q *Query, spec JobSpec) (*Answer, error) {
-	return e.ms.Optimize(ctx, q, e.cfg.applySpec(spec))
+	return e.ms.Optimize(ctx, q, spec)
 }
 
 // OptimizeBatch implements Engine; see netrun.Master.OptimizeBatch for
 // the dispatch and failure semantics.
 func (e *TCPEngine) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, error) {
-	specced := make([]Job, len(jobs))
-	for i, job := range jobs {
-		specced[i] = Job{Query: job.Query, Spec: e.cfg.applySpec(job.Spec)}
-	}
-	return e.ms.OptimizeBatch(ctx, specced)
+	return e.ms.OptimizeBatch(ctx, jobs)
 }
 
 // CacheConfig parameterizes the plan cache of a CachedEngine.
@@ -272,11 +240,9 @@ type CacheTotals = cache.Totals
 // The cache keys on the canonical wire encoding of (query, JobSpec) —
 // join graph, cardinalities, selectivities, plan space, worker count,
 // objective and cost model — so anything that could change the chosen
-// plan changes the key. Note that a zero JobSpec.CostModel is resolved
-// to the engine's default *inside* the wrapped engine: each
-// CachedEngine owns a private cache, so a zero-model key can never
-// alias across engines configured with different WithCostModel
-// defaults.
+// plan changes the key: the spec is the whole job, no engine rewrites
+// it. Parametric jobs (ParametricSpec) are cached like any other; one
+// stored frontier answers every θ through ParametricBest.
 type CachedEngine struct {
 	inner Engine
 	cache *cache.Cache

@@ -101,6 +101,13 @@ func engineWorkloads(t *testing.T) []struct {
 	add("Cycle-orders", q, mpq.JobSpec{
 		Space: mpq.Linear, Workers: 4, InterestingOrders: true,
 	})
+	// Parametric: exact pruning over (cost(θ=0), cost(θ=1)) under a
+	// non-default JobSpec.CostModel — a spec like the others.
+	_, q, err = mpq.GenerateWorkload(mpq.NewWorkloadParams(8, mpq.Star), 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("Star-parametric", q, mpq.ParametricSpec(mpq.Linear, 4, 20))
 	return rows
 }
 
@@ -341,7 +348,8 @@ func TestCancelMidDP(t *testing.T) {
 }
 
 // TestCancelBeforeStart: an already-canceled context never starts the
-// search, on every engine.
+// search, on every engine and for every kind of job, parametric
+// included.
 func TestCancelBeforeStart(t *testing.T) {
 	_, q, err := mpq.GenerateWorkload(mpq.NewWorkloadParams(8, mpq.Star), 2)
 	if err != nil {
@@ -356,11 +364,18 @@ func TestCancelBeforeStart(t *testing.T) {
 	}{
 		{"serial", mpq.NewSerialEngine()},
 		{"inprocess", mpq.NewInProcessEngine()},
+		{"inprocess-capped", mpq.NewInProcessEngine(mpq.WithParallelism(2))},
 		{"sim", mpq.NewSimEngine()},
 		{"tcp", tcp},
+		{"cached", mpq.WithCache(mpq.NewInProcessEngine(), mpq.CacheConfig{})},
 	} {
-		if _, err := e.eng.Optimize(ctx, q, mpq.JobSpec{Space: mpq.Linear, Workers: 4}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v, want context.Canceled", e.name, err)
+		for _, spec := range []mpq.JobSpec{
+			{Space: mpq.Linear, Workers: 4},
+			mpq.ParametricSpec(mpq.Linear, 4, 20),
+		} {
+			if _, err := e.eng.Optimize(ctx, q, spec); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s, %v: err = %v, want context.Canceled", e.name, spec.Objective, err)
+			}
 		}
 	}
 }
@@ -457,46 +472,6 @@ func TestTCPEngineDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("deadline abort took %v", elapsed)
-	}
-}
-
-// TestEngineWithCostModel: an engine-level cost model applies to jobs
-// that don't choose their own, and changes the chosen plan costs
-// consistently across engines.
-func TestEngineWithCostModel(t *testing.T) {
-	_, q, err := mpq.GenerateWorkload(mpq.NewWorkloadParams(7, mpq.Chain), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := mpq.DefaultCostModel()
-	m.HashFactor *= 50 // make hash joins much more expensive
-	ctx := context.Background()
-	spec := mpq.JobSpec{Space: mpq.Linear, Workers: 4}
-
-	a, err := mpq.NewInProcessEngine(mpq.WithCostModel(m)).Optimize(ctx, q, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := mpq.NewSerialEngine(mpq.WithCostModel(m)).Optimize(ctx, q, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mpq.PlanFingerprint(a.Best) != mpq.PlanFingerprint(b.Best) {
-		t.Fatal("engines disagree under a shared custom cost model")
-	}
-	// The explicit spec-level model must win over the engine default.
-	specExplicit := spec
-	specExplicit.CostModel = mpq.DefaultCostModel()
-	c, err := mpq.NewInProcessEngine(mpq.WithCostModel(m)).Optimize(ctx, q, specExplicit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := mpq.NewInProcessEngine().Optimize(ctx, q, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mpq.PlanFingerprint(c.Best) != mpq.PlanFingerprint(d.Best) {
-		t.Fatal("spec-level cost model did not override the engine default")
 	}
 }
 

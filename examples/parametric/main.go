@@ -5,13 +5,14 @@
 // parallelizes this variant unchanged — only the pruning function
 // differs (§2, §4).
 //
-// The example cross-checks the parametric frontier against the Engine
-// API: an engine configured (via WithCostModel) with the scalar cost
-// model specialized at a fixed θ must find a plan exactly as cheap as
-// the frontier plan chosen for that θ.
+// A parametric job is a JobSpec like any other (mpq.ParametricSpec), so
+// every step below — the frontier and both cross-checks — runs on the
+// engine the -engine flag selects. The cross-check: a scalar job whose
+// JobSpec.CostModel is specialized at a fixed θ must find a plan
+// exactly as cheap as the frontier plan chosen for that θ.
 //
 // Run with: go run ./examples/parametric
-// Try:      go run ./examples/parametric -engine serial
+// Try:      go run ./examples/parametric -engine serial   (or sim)
 package main
 
 import (
@@ -35,10 +36,11 @@ func main() {
 
 	// Hash joins cost 25x more at full memory pressure (θ=1).
 	const spill = 25.0
-	frontier, err := mpq.OptimizeParametric(q, mpq.Linear, 4, spill)
+	param, err := eng.Optimize(ctx, q, mpq.ParametricSpec(mpq.Linear, 4, spill))
 	if err != nil {
 		log.Fatal(err)
 	}
+	frontier := param.Frontier
 	fmt.Printf("parametric-optimal plan set: %d plans\n", len(frontier))
 	for i, p := range frontier {
 		if i == 5 {
@@ -65,14 +67,13 @@ func main() {
 			bps[i], bps[i+1], best, mpq.ParametricCostAt(best, mid))
 	}
 
-	// Cross-check against the unified Engine API: specialize the cost
-	// model at θ = 0.5 and re-optimize from scratch. The scalar optimum
-	// must cost exactly what the frontier's θ=0.5 plan costs.
+	// Cross-check: specialize the cost model at θ = 0.5 and re-optimize
+	// from scratch as a scalar job. The scalar optimum must cost exactly
+	// what the frontier's θ=0.5 plan costs.
 	const theta = 0.5
 	m := mpq.DefaultCostModel()
 	m.HashFactor *= 1 + theta*(spill-1)
-	specialized := mpq.NewInProcessEngine(mpq.WithCostModel(m))
-	ans, err := specialized.Optimize(ctx, q, mpq.JobSpec{Space: mpq.Linear, Workers: 4})
+	ans, err := eng.Optimize(ctx, q, mpq.JobSpec{Space: mpq.Linear, Workers: 4, CostModel: m})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func main() {
 	}
 	fmt.Println("the frontier plan is exactly the scalar optimum at that θ ✓")
 
-	// And θ=0 is the plain cost model — any engine finds it.
+	// And θ=0 is the plain cost model.
 	plain, err := eng.Optimize(ctx, q, mpq.JobSpec{Space: mpq.Linear, Workers: 4})
 	if err != nil {
 		log.Fatal(err)
@@ -100,5 +101,5 @@ func main() {
 	if math.Abs(plain.Best.Cost-zero.Cost) > 1e-9*zero.Cost {
 		log.Fatal("θ=0 frontier plan disagrees with the default-model optimum")
 	}
-	fmt.Println("θ=0 matches the default cost model's optimum on the flag-selected engine ✓")
+	fmt.Println("θ=0 matches the default cost model's optimum ✓")
 }

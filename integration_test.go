@@ -131,10 +131,11 @@ func TestParametricThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frontier, err := mpq.OptimizeParametric(q, mpq.Linear, 4, 20)
+	ans, err := mpq.NewInProcessEngine().Optimize(context.Background(), q, mpq.ParametricSpec(mpq.Linear, 4, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
+	frontier := ans.Frontier
 	bps, err := mpq.ParametricBreakpoints(frontier)
 	if err != nil {
 		t.Fatal(err)

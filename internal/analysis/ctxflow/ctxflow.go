@@ -1,6 +1,8 @@
 // Package ctxflow enforces the repository's cancellation invariant
-// (established in PR 4): in the serving-path packages — netrun, server,
-// cluster and cache — contexts must flow through every blocking path.
+// (established in PR 4): in the packages an optimization passes through
+// on its way to the dynamic program — netrun, server, cluster, cache,
+// pqo and the root package mpq — contexts must flow through every
+// blocking path.
 // Concretely, context.Background() and context.TODO() are forbidden in
 // these library packages (a detached context severs the caller's
 // cancellation chain), and an exported function that calls
@@ -20,17 +22,21 @@ var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc: `contexts must thread through the serving-path packages
 
-In netrun, server, cluster and cache: calls to context.Background or
-context.TODO are forbidden (only main packages and tests may mint root
-contexts), and every exported function that calls a context-taking
-function must accept a context.Context parameter so cancellation can
-reach the blocking work.`,
+In netrun, server, cluster, cache, pqo and the root package mpq: calls
+to context.Background or
+context.TODO are forbidden (only main packages and tests may mint
+root contexts), and every exported function that calls a
+context-taking function must accept a context.Context parameter so
+cancellation can reach the blocking work.`,
 	Run: run,
 }
 
-// targetPkgs are the serving-path packages the invariant covers,
-// matched by the last element of the package path.
-var targetPkgs = []string{"netrun", "server", "cluster", "cache"}
+// targetPkgs are the packages the invariant covers, matched by the last
+// element of the package path. pqo and the root package mpq are doors
+// into the dynamic program: an exported function there that mints its
+// own context starts an optimization no deadline can reach (the pqo
+// fixture is such a function, as it once stood in the real package).
+var targetPkgs = []string{"netrun", "server", "cluster", "cache", "pqo", "mpq"}
 
 // interfaceMethods are conventional method names pinned by interfaces
 // whose contracts have no context parameter; flagging them would force

@@ -8,5 +8,7 @@ import (
 )
 
 func TestCtxFlow(t *testing.T) {
-	analysistest.Run(t, "testdata", ctxflow.Analyzer, "cache")
+	for _, pkg := range []string{"cache", "pqo"} {
+		analysistest.Run(t, "testdata", ctxflow.Analyzer, pkg)
+	}
 }

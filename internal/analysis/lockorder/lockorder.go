@@ -10,8 +10,10 @@
 // PR 8's concurrency canary caught a real deadlock of this shape at
 // runtime under -race: pqo.CellCache.Stats held the cache mutex while
 // taking entry mutexes, while BestAt held an entry mutex while taking
-// the cache mutex. This analyzer flags that pre-fix shape statically;
-// the regression fixture under testdata/ reproduces it.
+// the cache mutex. This analyzer flags that pre-fix shape statically.
+// CellCache itself was deleted in PR 22 (parametric reuse is the one
+// plan cache); the shape survives only as the regression fixture under
+// testdata/.
 package lockorder
 
 import (

@@ -24,7 +24,7 @@ func EngineNames() []string { return []string{"serial", "local", "sim", "tcp", "
 // EngineFlags collects the shared engine-selection flags after
 // parsing. Zero values mean engine defaults.
 type EngineFlags struct {
-	// Engine is the -engine value: serial, local, sim or tcp.
+	// Engine is the -engine value: serial, local, sim, tcp or daemon.
 	Engine string
 	// Parallelism caps concurrent goroutine workers (local engine).
 	Parallelism int
@@ -66,7 +66,7 @@ func Register(fs *flag.FlagSet, def string) *EngineFlags {
 	ef := &EngineFlags{}
 	fs.StringVar(&ef.Engine, "engine", def,
 		"execution engine: "+strings.Join(EngineNames(), ", ")+
-			" (serial DP, goroutine workers, cluster simulation, remote TCP workers)")
+			" (serial DP, goroutine workers, cluster simulation, remote TCP workers, a resident mpqd)")
 	fs.IntVar(&ef.Parallelism, "parallelism", 0,
 		"local engine: cap on concurrent worker goroutines (0 = one per partition)")
 	fs.StringVar(&ef.TCPWorkers, "tcp-workers", "",

@@ -16,6 +16,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -60,6 +61,22 @@ func (o Objective) String() string {
 	}
 }
 
+// ParseObjective converts an objective name — "single", "multi" or
+// "robust", ignoring case; the empty string means SingleObjective — to
+// an Objective.
+func ParseObjective(name string) (Objective, error) {
+	switch strings.ToLower(name) {
+	case "", "single":
+		return SingleObjective, nil
+	case "multi":
+		return MultiObjective, nil
+	case "robust":
+		return RobustObjective, nil
+	default:
+		return 0, fmt.Errorf("unknown objective %q (want single, multi, or robust)", name)
+	}
+}
+
 // HasFrontier reports whether answers for this objective carry a plan
 // frontier beyond Best — true for the frontier-producing modes
 // (MultiObjective and RobustObjective). Serving paths use this to
@@ -84,11 +101,11 @@ type JobSpec struct {
 	Workers int
 	// Objective selects single- or multi-objective pruning.
 	Objective Objective
-	// Alpha is the approximation factor for multi-objective pruning
-	// (ignored for single-objective jobs; the paper's default is 10).
-	// Robust jobs honor it too — α > 1 trades frontier precision for
-	// speed; the default 1 keeps robust answers exact and
-	// engine-identical.
+	// Alpha is the approximation factor α ≥ 1 of multi-objective and
+	// robust pruning (ignored for single-objective jobs). Zero means
+	// α = 1, the exact frontier — there is no other default; the paper's
+	// experiments and the CLIs' -alpha flag use 10. α > 1 trades
+	// frontier precision for speed.
 	Alpha float64
 	// RobustBand is the selectivity-uncertainty band for
 	// RobustObjective jobs: the worst case inflates every predicate

@@ -54,6 +54,20 @@ func (s Space) String() string {
 	}
 }
 
+// ParseSpace converts a space name to a Space, ignoring case; the empty
+// string means Linear. It is the one spelling of the -space flag and
+// the HTTP API's "space" field.
+func ParseSpace(name string) (Space, error) {
+	switch strings.ToLower(name) {
+	case "", "linear":
+		return Linear, nil
+	case "bushy":
+		return Bushy, nil
+	default:
+		return 0, fmt.Errorf("unknown plan space %q (want linear or bushy)", name)
+	}
+}
+
 // Valid reports whether s names a real space.
 func (s Space) Valid() bool { return s == Linear || s == Bushy }
 

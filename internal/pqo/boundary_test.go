@@ -4,10 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"mpq/internal/partition"
 	"mpq/internal/plan"
-	"mpq/internal/wire"
-	"mpq/internal/workload"
 )
 
 // TestBestExactTieKeepsEarliest pins Best's tie-break on a synthetic
@@ -37,60 +34,6 @@ func TestBestExactTieKeepsEarliest(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("Best(θ=%.20g) = plan with cost line (%g,%g), want (%g,%g)",
 				tc.theta, got.Cost, got.Buffer, tc.want.Cost, tc.want.Buffer)
-		}
-	}
-}
-
-// TestCellCacheBoundaryAgreesWithBest sweeps every interior breakpoint
-// of real frontiers — at the exact break value, one ulp below, and one
-// ulp above — and requires CellCache.BestAt to return a plan
-// wire-identical to Best's pick at the same θ. The one-ulp-above probes
-// are the sharp case: the cell search alone switches cells there while
-// Best's relative tie band still keeps the earlier plan.
-func TestCellCacheBoundaryAgreesWithBest(t *testing.T) {
-	combos := []struct {
-		tables int
-		shape  workload.Shape
-		seed   int64
-		space  partition.Space
-		spill  float64
-	}{
-		{7, workload.Star, 8, partition.Linear, 8},
-		{6, workload.Chain, 3, partition.Linear, 2},
-		{6, workload.Star, 5, partition.Bushy, 5},
-	}
-	for _, cb := range combos {
-		_, q, err := workload.Generate(workload.NewParams(cb.tables, cb.shape), cb.seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frontier, err := Optimize(q, cb.space, 2, cb.spill)
-		if err != nil {
-			t.Fatal(err)
-		}
-		breaks, err := Breakpoints(frontier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := NewCellCache()
-		probes := []float64{0, 1}
-		for _, b := range breaks[1 : len(breaks)-1] {
-			probes = append(probes, b, math.Nextafter(b, 0), math.Nextafter(b, 1))
-		}
-		for _, theta := range probes {
-			want, err := Best(frontier, theta)
-			if err != nil {
-				t.Fatalf("Best(θ=%v): %v", theta, err)
-			}
-			got, err := c.BestAt(q, cb.space, 2, cb.spill, theta)
-			if err != nil {
-				t.Fatalf("BestAt(θ=%v): %v", theta, err)
-			}
-			if wire.PlanFingerprint(got) != wire.PlanFingerprint(want) {
-				t.Errorf("%d-table %v seed %d spill %g: θ=%.20g: BestAt=%s (cost %g) but Best=%s (cost %g)",
-					cb.tables, cb.shape, cb.seed, cb.spill, theta,
-					got, CostAt(got, theta), want, CostAt(want, theta))
-			}
 		}
 	}
 }

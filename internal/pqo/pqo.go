@@ -11,11 +11,12 @@
 // be optimal for some θ iff the pair (c0, c1) is Pareto-optimal, so the
 // exact parametric-optimal plan set is obtained by running the engine
 // with the ParametricCost second metric and α=1 Pareto pruning. MPQ
-// parallelizes it unchanged.
+// parallelizes it unchanged: a parametric job is JobSpec's spec run
+// through any engine, and its answer's Frontier is the input of Best
+// and Breakpoints.
 package pqo
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -23,7 +24,6 @@ import (
 	"mpq/internal/cost"
 	"mpq/internal/partition"
 	"mpq/internal/plan"
-	"mpq/internal/query"
 )
 
 // DefaultSpill is the default θ=1 hash-join cost multiplier.
@@ -31,7 +31,8 @@ const DefaultSpill = 3.0
 
 // JobSpec builds the MPQ job specification for parametric optimization
 // over m workers: multi-objective exact pruning over (cost(0), cost(1))
-// with the parametric cost model.
+// with the parametric cost model. The answer's Frontier is the
+// parametric-optimal plan set, sorted by c0.
 func JobSpec(space partition.Space, workers int, spill float64) core.JobSpec {
 	return core.JobSpec{
 		Space:     space,
@@ -144,15 +145,4 @@ func SpecializedModel(spill, theta float64) cost.Model {
 	m := cost.Default()
 	m.HashFactor *= 1 + theta*(spill-1)
 	return m
-}
-
-// Optimize runs parametric MPQ and returns the frontier of
-// parametric-optimal plans (sorted by c0).
-func Optimize(q *query.Query, space partition.Space, workers int, spill float64) ([]*plan.Node, error) {
-	// The parametric API predates contexts and takes none.
-	ans, err := core.OptimizeContext(context.TODO(), q, JobSpec(space, workers, spill), 0)
-	if err != nil {
-		return nil, err
-	}
-	return ans.Frontier, nil
 }

@@ -1,6 +1,7 @@
 package pqo
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,6 +18,17 @@ func gen(t testing.TB, n int, seed int64) *query.Query {
 	return workload.MustGenerate(workload.NewParams(n, workload.Star), seed)
 }
 
+// frontierOf runs the parametric job on the in-process engine's entry
+// point and returns the parametric-optimal plan set.
+func frontierOf(t testing.TB, q *query.Query, space partition.Space, workers int, spill float64) []*plan.Node {
+	t.Helper()
+	ans, err := core.OptimizeContext(context.Background(), q, JobSpec(space, workers, spill), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ans.Frontier
+}
+
 func approx(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
@@ -28,10 +40,7 @@ func TestEnvelopeMatchesSpecializedDP(t *testing.T) {
 	const spill = DefaultSpill
 	for seed := int64(0); seed < 4; seed++ {
 		q := gen(t, 7, seed)
-		frontier, err := Optimize(q, partition.Linear, 4, spill)
-		if err != nil {
-			t.Fatal(err)
-		}
+		frontier := frontierOf(t, q, partition.Linear, 4, spill)
 		if len(frontier) == 0 {
 			t.Fatal("empty frontier")
 		}
@@ -58,15 +67,9 @@ func TestEnvelopeMatchesSpecializedDP(t *testing.T) {
 // every worker count.
 func TestParametricMPQIndependentOfWorkers(t *testing.T) {
 	q := gen(t, 8, 5)
-	ref, err := Optimize(q, partition.Linear, 1, DefaultSpill)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := frontierOf(t, q, partition.Linear, 1, DefaultSpill)
 	for _, m := range []int{2, 8, 16} {
-		got, err := Optimize(q, partition.Linear, m, DefaultSpill)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := frontierOf(t, q, partition.Linear, m, DefaultSpill)
 		if len(got) != len(ref) {
 			t.Fatalf("m=%d: frontier size %d != %d", m, len(got), len(ref))
 		}
@@ -129,10 +132,7 @@ func TestBreakpoints(t *testing.T) {
 // plan, and adjacent regions have different ones.
 func TestBreakpointsDelimitConstantRegions(t *testing.T) {
 	q := gen(t, 7, 2)
-	frontier, err := Optimize(q, partition.Linear, 4, DefaultSpill)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frontier := frontierOf(t, q, partition.Linear, 4, DefaultSpill)
 	bps, err := Breakpoints(frontier)
 	if err != nil {
 		t.Fatal(err)
@@ -165,10 +165,7 @@ func TestBreakpointsDelimitConstantRegions(t *testing.T) {
 // Spill factor 1 collapses the parametric problem to the scalar one.
 func TestSpillOneIsScalar(t *testing.T) {
 	q := gen(t, 6, 1)
-	frontier, err := Optimize(q, partition.Linear, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frontier := frontierOf(t, q, partition.Linear, 2, 1)
 	if len(frontier) != 1 {
 		t.Fatalf("spill=1 frontier has %d plans", len(frontier))
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"time"
@@ -24,14 +23,16 @@ type OptimizeRequest struct {
 	// Query is the join query in the repo's standard JSON spec (the
 	// same document mpqopt -query reads).
 	Query spec.QuerySpec `json:"query"`
-	// Space is "linear" (default) or "bushy".
+	// Space is "linear" (default) or "bushy", in any case.
 	Space string `json:"space,omitempty"`
 	// Workers is the plan-space partition count m (power of two,
 	// default 1).
 	Workers int `json:"workers,omitempty"`
-	// Objective is "single" (default), "multi", or "robust".
+	// Objective is "single" (default), "multi", or "robust", in any case.
 	Objective string `json:"objective,omitempty"`
-	// Alpha is the multi-objective approximation factor (default 10).
+	// Alpha is the approximation factor α ≥ 1 of multi-objective and
+	// robust jobs; omitted or 0 means α = 1, the exact frontier (10 is
+	// the CLIs' -alpha default, not this API's).
 	Alpha float64 `json:"alpha,omitempty"`
 	// RobustBand is the selectivity uncertainty band B ≥ 1 for robust
 	// jobs; 0 means the engine default.
@@ -126,23 +127,11 @@ func parseJob(or *OptimizeRequest) (*mpq.Query, mpq.JobSpec, error) {
 	if js.Workers == 0 {
 		js.Workers = 1
 	}
-	switch or.Space {
-	case "", "linear":
-		js.Space = partition.Linear
-	case "bushy":
-		js.Space = partition.Bushy
-	default:
-		return nil, mpq.JobSpec{}, fmt.Errorf("unknown space %q (want linear or bushy)", or.Space)
+	if js.Space, err = partition.ParseSpace(or.Space); err != nil {
+		return nil, mpq.JobSpec{}, err
 	}
-	switch or.Objective {
-	case "", "single":
-		js.Objective = core.SingleObjective
-	case "multi":
-		js.Objective = core.MultiObjective
-	case "robust":
-		js.Objective = core.RobustObjective
-	default:
-		return nil, mpq.JobSpec{}, fmt.Errorf("unknown objective %q (want single, multi, or robust)", or.Objective)
+	if js.Objective, err = core.ParseObjective(or.Objective); err != nil {
+		return nil, mpq.JobSpec{}, err
 	}
 	if err := js.Validate(q.N()); err != nil {
 		return nil, mpq.JobSpec{}, err
@@ -179,22 +168,17 @@ func (s *Server) buildRequest(parent context.Context, or *OptimizeRequest, tenan
 	return req, done
 }
 
-// buildResponse converts an engine answer to the API shape. Queue time
-// is everything between admission and the answer that the engine's own
-// clock does not account for.
+// buildResponse converts an engine answer to the API shape. The two
+// times are the ones the plan log records for the same request.
 func buildResponse(req *request, res result) *OptimizeResponse {
-	served := time.Since(req.enq)
 	resp := &OptimizeResponse{
 		ID:          req.id,
 		Fingerprint: mpq.PlanFingerprint(res.ans.Best),
 		Cost:        res.ans.Best.Cost,
 		Plan:        res.ans.Best.String(),
 		WorkUnits:   res.ans.Stats.WorkUnits(),
-		QueueMicros: served.Microseconds() - res.ans.Elapsed.Microseconds(),
-		ServeMicros: res.ans.Elapsed.Microseconds(),
-	}
-	if resp.QueueMicros < 0 {
-		resp.QueueMicros = 0
+		QueueMicros: res.queueWait.Microseconds(),
+		ServeMicros: res.served.Microseconds(),
 	}
 	for _, p := range res.ans.Frontier {
 		resp.Frontier = append(resp.Frontier, p.String())

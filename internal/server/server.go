@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"mpq"
-	"mpq/internal/core"
 )
 
 // Defaults for Config fields left at zero.
@@ -138,10 +137,15 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// result is one request's outcome.
+// result is one request's outcome. queueWait and served are this
+// request's own times — admission to dispatch, and the engine call —
+// as Server.serve measured them; Answer.Elapsed is not a substitute,
+// because a cached answer carries the original computation's.
 type result struct {
-	ans *mpq.Answer
-	err error
+	ans       *mpq.Answer
+	err       error
+	queueWait time.Duration
+	served    time.Duration
 }
 
 // request is one admitted optimization request.
@@ -404,23 +408,16 @@ func (s *Server) serve(req *request) {
 		}
 		req.cancel()
 	}()
-	queueWait := time.Since(req.enq)
-	res := result{}
 	start := time.Now()
+	res := result{queueWait: start.Sub(req.enq)}
 	if err := req.ctx.Err(); err != nil {
 		// Canceled or expired while queued: the client is gone or out of
 		// time; do not burn an engine call.
 		res.err = err
 	} else {
-		ctx := core.WithRequestMeta(req.ctx, core.RequestMeta{
-			ID:         req.id,
-			Tenant:     req.tenant,
-			Source:     req.source,
-			EnqueuedAt: req.enq,
-		})
-		res.ans, res.err = s.cfg.Engine.Optimize(ctx, req.query, req.spec)
+		res.ans, res.err = s.cfg.Engine.Optimize(req.ctx, req.query, req.spec)
 	}
-	served := time.Since(start)
+	res.served = time.Since(start)
 	outcome := "served"
 	switch {
 	case res.err == nil:
@@ -431,16 +428,16 @@ func (s *Server) serve(req *request) {
 	default:
 		outcome = "failed"
 	}
-	s.metrics.observe(req.tenant, req.source, outcome, served)
+	s.metrics.observe(req.tenant, req.source, outcome, res.served)
 	if res.ans != nil {
 		s.metrics.observeAnswer(res.ans)
 	}
-	s.logDecision(req, res, queueWait, served)
+	s.logDecision(req, res)
 	req.respond(res)
 }
 
 // logDecision emits the plan-log record for one finished request.
-func (s *Server) logDecision(req *request, res result, queueWait, served time.Duration) {
+func (s *Server) logDecision(req *request, res result) {
 	if s.plog == nil {
 		return
 	}
@@ -454,8 +451,8 @@ func (s *Server) logDecision(req *request, res result, queueWait, served time.Du
 		Space:       req.spec.Space.String(),
 		Workers:     req.spec.Workers,
 		Objective:   req.spec.Objective.String(),
-		QueueMicros: queueWait.Microseconds(),
-		ServeMicros: served.Microseconds(),
+		QueueMicros: res.queueWait.Microseconds(),
+		ServeMicros: res.served.Microseconds(),
 	}
 	if res.err != nil {
 		rec.Error = res.err.Error()

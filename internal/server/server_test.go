@@ -25,19 +25,17 @@ import (
 )
 
 // gatedEngine wraps a real engine behind a token gate so tests control
-// exactly when each request executes. started (if set) reports the
-// tenant of each request the moment a dispatcher picks it up, read
-// from the core.RequestMeta stamp.
+// exactly when each request executes. started (if set) signals the
+// moment a dispatcher picks a request up.
 type gatedEngine struct {
 	inner   mpq.Engine
 	gate    chan struct{} // nil = ungated; else one token per serve
-	started chan string   // nil = silent
+	started chan struct{} // nil = silent
 }
 
 func (e *gatedEngine) Optimize(ctx context.Context, q *mpq.Query, js mpq.JobSpec) (*mpq.Answer, error) {
 	if e.started != nil {
-		meta, _ := core.RequestMetaFrom(ctx)
-		e.started <- meta.Tenant
+		e.started <- struct{}{}
 	}
 	if e.gate != nil {
 		select {
@@ -162,35 +160,40 @@ func TestFingerprintParityAcrossFronts(t *testing.T) {
 	}
 }
 
-// TestMultiObjectiveOverWire: frontiers survive the wire round trip.
+// TestMultiObjectiveOverWire: frontiers survive the wire round trip —
+// the multi-objective one and the parametric one, which is the same
+// kind of job under another cost model.
 func TestMultiObjectiveOverWire(t *testing.T) {
-	s := startServer(t, Config{})
-	q := testQuery(t, 5, 2)
-	js := mpq.JobSpec{Space: partition.Linear, Workers: 1, Objective: core.MultiObjective, Alpha: 10}
-
-	direct, err := mpq.NewSerialEngine().Optimize(context.Background(), q, js)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := startServer(t, Config{Engine: mpq.NewInProcessEngine()})
+	q := testQuery(t, 8, 31)
 	c, err := Dial(s.WireAddr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ans, err := c.Optimize(context.Background(), q, js)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ans.Frontier) != len(direct.Frontier) {
-		t.Fatalf("frontier size %d over wire, %d direct", len(ans.Frontier), len(direct.Frontier))
-	}
-	for i := range ans.Frontier {
-		if mpq.PlanFingerprint(ans.Frontier[i]) != mpq.PlanFingerprint(direct.Frontier[i]) {
-			t.Errorf("frontier[%d] fingerprint diverges", i)
+	for name, js := range map[string]mpq.JobSpec{
+		"multi-objective": {Space: partition.Linear, Workers: 1, Objective: core.MultiObjective, Alpha: 10},
+		"parametric":      mpq.ParametricSpec(partition.Linear, 4, 20),
+	} {
+		direct, err := mpq.NewInProcessEngine().Optimize(context.Background(), q, js)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if mpq.PlanFingerprint(ans.Best) != mpq.PlanFingerprint(direct.Best) {
-		t.Errorf("best plan diverges")
+		ans, err := c.Optimize(context.Background(), q, js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ans.Frontier) != len(direct.Frontier) {
+			t.Fatalf("%s: frontier size %d over wire, %d direct", name, len(ans.Frontier), len(direct.Frontier))
+		}
+		for i := range ans.Frontier {
+			if mpq.PlanFingerprint(ans.Frontier[i]) != mpq.PlanFingerprint(direct.Frontier[i]) {
+				t.Errorf("%s: frontier[%d] fingerprint diverges", name, i)
+			}
+		}
+		if mpq.PlanFingerprint(ans.Best) != mpq.PlanFingerprint(direct.Best) {
+			t.Errorf("%s: best plan diverges", name)
+		}
 	}
 }
 
@@ -200,7 +203,7 @@ func TestMultiObjectiveOverWire(t *testing.T) {
 // bound.
 func TestOverloadRejection(t *testing.T) {
 	gate := make(chan struct{})
-	eng := &gatedEngine{inner: mpq.NewSerialEngine(), gate: gate, started: make(chan string, 16)}
+	eng := &gatedEngine{inner: mpq.NewSerialEngine(), gate: gate, started: make(chan struct{}, 16)}
 	s := startServer(t, Config{Engine: eng, QueueDepth: 1, Dispatchers: 1})
 	q := testQuery(t, 4, 3)
 	qs := *spec.FromQuery(q)
@@ -260,7 +263,7 @@ func TestOverloadRejection(t *testing.T) {
 // light one 2.
 func TestWeightedFairness(t *testing.T) {
 	gate := make(chan struct{})
-	eng := &gatedEngine{inner: mpq.NewSerialEngine(), gate: gate, started: make(chan string, 32)}
+	eng := &gatedEngine{inner: mpq.NewSerialEngine(), gate: gate, started: make(chan struct{}, 32)}
 	s := startServer(t, Config{
 		Engine:        eng,
 		QueueDepth:    32,
@@ -272,12 +275,17 @@ func TestWeightedFairness(t *testing.T) {
 
 	// Stall the dispatcher with a throwaway request so both tenants'
 	// queues fill before any fairness decision happens.
+	// Each client reports its tenant when its answer arrives: with one
+	// dispatcher and one gate token at a time, answers arrive in
+	// dispatch order.
+	finished := make(chan string, 13)
 	var wg sync.WaitGroup
 	post := func(tenant string) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			postOptimize(s, OptimizeRequest{Query: qs, Tenant: tenant})
+			finished <- tenant
 		}()
 	}
 	post("warmup")
@@ -294,14 +302,16 @@ func TestWeightedFairness(t *testing.T) {
 
 	// Release the 13 requests one at a time; each token finishes the
 	// running request and lets the dispatcher pick the next queued one.
+	// The first answer is the warmup's; the next eight are the first
+	// eight fairness decisions.
 	served := []string{}
 	for i := 0; i < 13; i++ {
 		gate <- struct{}{}
+		if tn := <-finished; 1 <= i && i <= 8 {
+			served = append(served, tn)
+		}
 		if i < 12 {
-			tn := <-eng.started
-			if i < 8 {
-				served = append(served, tn)
-			}
+			<-eng.started
 		}
 	}
 	wg.Wait()
@@ -321,7 +331,7 @@ func TestWeightedFairness(t *testing.T) {
 // on the same connection returns first.
 func TestCompletionOrderOverWire(t *testing.T) {
 	gate := make(chan struct{}, 2)
-	eng := &gatedEngine{inner: mpq.NewSerialEngine(), gate: gate, started: make(chan string, 2)}
+	eng := &gatedEngine{inner: mpq.NewSerialEngine(), gate: gate, started: make(chan struct{}, 2)}
 	s := startServer(t, Config{Engine: eng, Dispatchers: 2})
 	q := testQuery(t, 4, 5)
 	js := mpq.JobSpec{Space: partition.Linear, Workers: 1}
@@ -363,7 +373,7 @@ func TestCompletionOrderOverWire(t *testing.T) {
 // returns nil; later submissions fail with ErrDraining.
 func TestDrainGraceful(t *testing.T) {
 	gate := make(chan struct{}, 8)
-	eng := &gatedEngine{inner: mpq.NewSerialEngine(), gate: gate, started: make(chan string, 8)}
+	eng := &gatedEngine{inner: mpq.NewSerialEngine(), gate: gate, started: make(chan struct{}, 8)}
 	s := startServer(t, Config{Engine: eng, Dispatchers: 1})
 	q := testQuery(t, 4, 6)
 	qs := *spec.FromQuery(q)
@@ -412,7 +422,7 @@ func TestDrainGraceful(t *testing.T) {
 // TestDrainDeadlineForcesCancel: when the drain deadline passes,
 // in-flight requests are canceled rather than awaited forever.
 func TestDrainDeadlineForcesCancel(t *testing.T) {
-	eng := &gatedEngine{inner: mpq.NewSerialEngine(), gate: make(chan struct{}), started: make(chan string, 1)}
+	eng := &gatedEngine{inner: mpq.NewSerialEngine(), gate: make(chan struct{}), started: make(chan struct{}, 1)}
 	s := startServer(t, Config{Engine: eng, Dispatchers: 1})
 	q := testQuery(t, 4, 7)
 	qs := *spec.FromQuery(q)
@@ -501,7 +511,7 @@ func (c *closeRecorder) Close() error {
 // cannot hold reply(), pending.Wait and wg.Wait open past the bounded
 // -drain-timeout guarantee.
 func TestForcedDrainClosesStuckWireConns(t *testing.T) {
-	eng := &gatedEngine{inner: mpq.NewSerialEngine(), gate: make(chan struct{}), started: make(chan string, 1)}
+	eng := &gatedEngine{inner: mpq.NewSerialEngine(), gate: make(chan struct{}), started: make(chan struct{}, 1)}
 	s := startServer(t, Config{Engine: eng, Dispatchers: 1})
 	q := testQuery(t, 4, 12)
 
@@ -659,6 +669,99 @@ func TestPlanLogRotation(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".3"); err == nil {
 		t.Errorf("rotation kept more than MaxFiles files")
+	}
+}
+
+// TestHTTPTimesAreTheRequestsOwn: queueMicros and serveMicros describe
+// the request that carries them. A cache hit copies Answer.Elapsed from
+// the computation that filled the entry, so deriving the reply's times
+// from it reported the miss's DP time on every hit; they are the times
+// Server.serve measures, the same two the plan log records.
+func TestHTTPTimesAreTheRequestsOwn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plans.log")
+	s := startServer(t, Config{
+		Engine:  mpq.WithCache(mpq.NewSerialEngine(), mpq.CacheConfig{}),
+		PlanLog: PlanLogConfig{Path: path},
+	})
+	qs := *spec.FromQuery(testQuery(t, 14, 11)) // milliseconds of DP on a miss
+	post := func() (or OptimizeResponse, roundTrip time.Duration) {
+		start := time.Now()
+		resp, body := mustPost(t, s, OptimizeRequest{Query: qs})
+		roundTrip = time.Since(start)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &or); err != nil {
+			t.Fatal(err)
+		}
+		return or, roundTrip
+	}
+	miss, _ := post()
+	hit, roundTrip := post()
+	if hit.Cache == nil || !hit.Cache.Hit {
+		t.Fatalf("second request not served from the cache: %+v", hit.Cache)
+	}
+	if hit.QueueMicros+hit.ServeMicros > roundTrip.Microseconds() {
+		t.Errorf("hit reports %d µs queued + %d µs served inside a %d µs round trip",
+			hit.QueueMicros, hit.ServeMicros, roundTrip.Microseconds())
+	}
+	if hit.ServeMicros >= miss.ServeMicros {
+		t.Errorf("hit serveMicros %d is not below the miss's %d", hit.ServeMicros, miss.ServeMicros)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil { // flushes the log
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := map[string]Record{}
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		var rec Record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad plan-log line %q: %v", line, err)
+		}
+		logged[rec.ID] = rec
+	}
+	for _, or := range []OptimizeResponse{miss, hit} {
+		rec, ok := logged[or.ID]
+		if !ok || rec.QueueMicros != or.QueueMicros || rec.ServeMicros != or.ServeMicros {
+			t.Errorf("request %s: HTTP says queued %d served %d, plan log says %+v",
+				or.ID, or.QueueMicros, or.ServeMicros, rec)
+		}
+	}
+}
+
+// TestParseJobNames feeds one list of names to both of parseJob's
+// string fields: partition.ParseSpace and core.ParseObjective accept
+// their own names in any case and the empty string as the default,
+// and nothing else (cmd/mpqopt's -space test feeds the same list).
+func TestParseJobNames(t *testing.T) {
+	qs := *spec.FromQuery(testQuery(t, 6, 1))
+	for _, tc := range []struct {
+		name      string
+		space     partition.Space
+		spaceOK   bool
+		objective core.Objective
+		objOK     bool
+	}{
+		{"Bushy", partition.Bushy, true, 0, false},
+		{"LINEAR", partition.Linear, true, 0, false},
+		{"multi", 0, false, core.MultiObjective, true},
+		{"bogus", 0, false, 0, false},
+		{"", partition.Linear, true, core.SingleObjective, true},
+	} {
+		_, js, err := parseJob(&OptimizeRequest{Query: qs, Space: tc.name})
+		if (err == nil) != tc.spaceOK || (err == nil && js.Space != tc.space) {
+			t.Errorf("space %q: spec %+v, err %v", tc.name, js, err)
+		}
+		_, js, err = parseJob(&OptimizeRequest{Query: qs, Objective: tc.name})
+		if (err == nil) != tc.objOK || (err == nil && js.Objective != tc.objective) {
+			t.Errorf("objective %q: spec %+v, err %v", tc.name, js, err)
+		}
 	}
 }
 

@@ -154,12 +154,6 @@ func (s *Server) serveWireConn(conn net.Conn) {
 			}))
 			continue
 		}
-		if err := jr.Spec.Validate(jr.Query.N()); err != nil {
-			reply(wire.EncodeWorkerError(&wire.WorkerError{
-				Seq: jr.Seq, Code: wire.ErrBadRequest, Msg: err.Error(),
-			}))
-			continue
-		}
 		seq := jr.Seq
 		multi := jr.Spec.Objective.HasFrontier()
 		ctx, reqCancel := context.WithTimeout(connCtx, s.cfg.DefaultTimeout)

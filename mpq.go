@@ -28,23 +28,31 @@
 //
 // All engines implement the Engine interface — context-aware Optimize
 // plus batch-capable OptimizeBatch — run the same worker code on the
-// same plan-space partitions, and return identical plans:
+// same plan-space partitions, and return identical plans. There are
+// five, named as the CLIs' -engine flag names them:
 //
-//   - NewInProcessEngine — goroutine workers in this process
-//     (WithParallelism caps concurrency). NewSerialEngine is this engine
-//     pinned to one partition: the classical single-node dynamic
-//     program, the baseline every speedup is measured against.
-//   - NewSimEngine — deterministic shared-nothing cluster simulation
-//     with byte-exact network accounting (the engine behind the paper's
-//     figures); answers carry ClusterMetrics in Answer.Cluster.
-//   - NewTCPEngine — real TCP master/worker deployment (start workers
-//     with ListenWorker); answers carry NetStats in Answer.Net.
+//   - serial: NewSerialEngine — the in-process engine pinned to one
+//     partition, the classical single-node dynamic program every
+//     speedup is measured against.
+//   - local: NewInProcessEngine — goroutine workers in this process
+//     (WithParallelism caps concurrency).
+//   - sim: NewSimEngine — deterministic shared-nothing cluster
+//     simulation with byte-exact network accounting (the engine behind
+//     the paper's figures); answers carry ClusterMetrics in
+//     Answer.Cluster.
+//   - tcp: NewTCPEngine — real TCP master/worker deployment (start
+//     workers with ListenWorker); answers carry NetStats in Answer.Net.
+//   - daemon: internal/server.Client — a thin client of a resident mpqd.
 //
 // Constructors take functional options (WithParallelism,
-// WithClusterModel, WithMasterOptions, WithCostModel, ...).
-// Cancellation and per-job deadlines flow through context.Context; the
-// Engine interface is the only way in. See docs/api.md for the full
-// engine guide.
+// WithClusterModel, WithClusterFaults, WithMasterOptions) for what
+// belongs to the substrate; everything that belongs to the job — plan
+// space, partitions, objective, cost model — is a JobSpec field.
+// Cancellation and per-job deadlines flow through context.Context.
+// (Query, JobSpec) through Engine.Optimize or OptimizeBatch is the only
+// way an optimization is described or started; multi-objective, robust
+// and parametric (ParametricSpec) optimization are specs, not entry
+// points. See docs/api.md for the full engine guide.
 //
 // Any engine composes with WithCache, which serves repeated requests
 // from a fingerprint-keyed plan cache (singleflight collapsing,
@@ -322,13 +330,15 @@ func ReannotatePlan(p *Plan, q *Query, m CostModel) (*Plan, error) {
 
 // --- Parametric query optimization (see internal/pqo) ---
 
-// OptimizeParametric runs parametric MPQ: plan costs are linear in a
-// run-time parameter θ ∈ [0,1] (memory pressure; hash joins cost spill
-// times more at θ=1) and the returned frontier contains an optimal plan
-// for every θ. The paper's partitioning covers this variant unchanged
-// (§2, §4).
-func OptimizeParametric(q *Query, space Space, workers int, spill float64) ([]*Plan, error) {
-	return pqo.Optimize(q, space, workers, spill)
+// ParametricSpec describes a parametric MPQ job: plan costs are linear
+// in a run-time parameter θ ∈ [0,1] (memory pressure; hash joins cost
+// spill times more at θ=1) and the answer's Frontier contains an
+// optimal plan for every θ. The paper's partitioning covers this
+// variant unchanged (§2, §4), so the spec runs on every Engine like any
+// other — cancellation, batches and WithCache included; pick a plan
+// for a concrete θ with ParametricBest.
+func ParametricSpec(space Space, workers int, spill float64) JobSpec {
+	return pqo.JobSpec(space, workers, spill)
 }
 
 // ParametricCostAt evaluates a parametric plan's cost at θ.
@@ -344,20 +354,6 @@ func ParametricBest(frontier []*Plan, theta float64) (*Plan, error) {
 func ParametricBreakpoints(frontier []*Plan) ([]float64, error) {
 	return pqo.Breakpoints(frontier)
 }
-
-// ParametricCellCache caches parametric optimizations per parameter-
-// space cell: one parametric MPQ run per (query, space, workers, spill)
-// serves every point query θ ∈ [0,1] from the covering cell. Point
-// answers are bit-identical to ParametricBest over a fresh
-// OptimizeParametric run.
-type ParametricCellCache = pqo.CellCache
-
-// ParametricCellCacheStats is a snapshot of a ParametricCellCache's
-// counters.
-type ParametricCellCacheStats = pqo.CellCacheStats
-
-// NewParametricCellCache returns an empty parametric plan cache.
-func NewParametricCellCache() *ParametricCellCache { return pqo.NewCellCache() }
 
 // GenerateWorkloadStream builds a Zipf-popularity repeat stream of
 // queries: p.Distinct distinct queries arriving p.Length times with

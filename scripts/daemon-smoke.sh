@@ -8,26 +8,36 @@
 # equivalence the daemon promises. Then SIGTERMs the daemon and
 # requires a clean drain (exit 0 and the "drained cleanly" line).
 #
+# A last leg covers the TCP master's CLI path, mpqopt -engine tcp
+# against an mpqnode worker: same fingerprint as -engine local at the
+# same -workers, and a batch of positional query files that dials the
+# worker once.
+#
 # Run from the repository root:  sh scripts/daemon-smoke.sh
 set -eu
 
 HTTP_PORT="${HTTP_PORT:-18080}"
 WIRE_PORT="${WIRE_PORT:-19990}"
+WORKER_PORT="${WORKER_PORT:-19991}"
 WORK="$(mktemp -d)"
 MPQD_PID=""
+WORKER_PID=""
 
 cleanup() {
-    if [ -n "$MPQD_PID" ] && kill -0 "$MPQD_PID" 2>/dev/null; then
-        kill -KILL "$MPQD_PID" 2>/dev/null || true
-    fi
+    for pid in $MPQD_PID $WORKER_PID; do
+        if kill -0 "$pid" 2>/dev/null; then
+            kill -KILL "$pid" 2>/dev/null || true
+        fi
+    done
     rm -rf "$WORK"
 }
 trap cleanup EXIT
 
-echo "==> building mpqd, mpqopt, mpqgen"
+echo "==> building mpqd, mpqopt, mpqgen, mpqnode"
 go build -o "$WORK/mpqd" ./cmd/mpqd
 go build -o "$WORK/mpqopt" ./cmd/mpqopt
 go build -o "$WORK/mpqgen" ./cmd/mpqgen
+go build -o "$WORK/mpqnode" ./cmd/mpqnode
 
 echo "==> generating a deterministic 6-table query"
 "$WORK/mpqgen" -tables 6 -shape Star -seed 7 -out "$WORK/q.json"
@@ -112,4 +122,49 @@ if ! grep -q '"fingerprint"' "$WORK/plans.log"; then
     exit 1
 fi
 
-echo "PASS: fingerprints identical across fronts, drain clean, plan log written"
+echo "==> starting an mpqnode worker (:$WORKER_PORT)"
+"$WORK/mpqnode" worker -listen "127.0.0.1:$WORKER_PORT" >"$WORK/worker.out" 2>&1 &
+WORKER_PID=$!
+i=0
+until grep -q "listening" "$WORK/worker.out" 2>/dev/null; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ] || ! kill -0 "$WORKER_PID" 2>/dev/null; then
+        echo "mpqnode worker never came up; output:" >&2
+        cat "$WORK/worker.out" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+
+# Fingerprints agree across engines at equal -workers (the daemon above
+# runs -engine serial, so its fingerprint is the m=1 one: ROADMAP item 2).
+echo "==> mpqopt -engine tcp against the worker vs -engine local"
+"$WORK/mpqopt" -engine tcp -tcp-workers "127.0.0.1:$WORKER_PORT" \
+    -query "$WORK/q.json" -workers 2 -fingerprint >"$WORK/tcp.out"
+"$WORK/mpqopt" -engine local \
+    -query "$WORK/q.json" -workers 2 -fingerprint >"$WORK/local.out"
+tcp_fp=$(grep '^fingerprint: ' "$WORK/tcp.out" | cut -d' ' -f2)
+local_fp=$(grep '^fingerprint: ' "$WORK/local.out" | cut -d' ' -f2)
+echo "    tcp fingerprint:   $tcp_fp"
+echo "    local fingerprint: $local_fp"
+if [ -z "$tcp_fp" ] || [ "$tcp_fp" != "$local_fp" ]; then
+    echo "FAIL: tcp and local fingerprints differ or are missing" >&2
+    cat "$WORK/tcp.out" "$WORK/local.out" >&2
+    exit 1
+fi
+
+echo "==> mpqopt -engine tcp, two positional query files as one batch"
+"$WORK/mpqgen" -tables 7 -shape Chain -seed 8 -out "$WORK/q2.json"
+"$WORK/mpqopt" -engine tcp -tcp-workers "127.0.0.1:$WORKER_PORT" -workers 2 \
+    "$WORK/q.json" "$WORK/q2.json" >"$WORK/batch.out"
+if ! grep -q "batch of 2 queries .* 1 connection(s) dialed for the whole batch" "$WORK/batch.out"; then
+    echo "FAIL: the batch did not dial its one worker exactly once:" >&2
+    cat "$WORK/batch.out" >&2
+    exit 1
+fi
+
+kill -TERM "$WORKER_PID"
+wait "$WORKER_PID" || true
+WORKER_PID=""
+
+echo "PASS: fingerprints identical across fronts and engines, drain clean, plan log written, TCP batch dialed once"

@@ -305,7 +305,7 @@ func TestCachedEngineZipfThroughput(t *testing.T) {
 		t.Fatalf("only %d of %d DP runs avoided, want >= 90%%", avoided, arrivals)
 	}
 	t.Logf("uncached %v, cached %v, speedup %.1fx, hit rate %.3f",
-		uncached, cached, uncached.Seconds()/cached.Seconds(), float64(tt.Hits)/float64(arrivals))
+		uncached, cached, uncached.Seconds()/cached.Seconds(), float64(tt.Hits)/float64(arrivals)) //lint:allow sinceratio logged, never asserted
 }
 
 // TestCachedEngineBudgetedEviction: a budget smaller than the working

@@ -60,7 +60,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	eng, err := ef.Build(1 << 20)
+	eng, err := ef.Build()
 	if err != nil {
 		return err
 	}

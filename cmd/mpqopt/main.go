@@ -108,7 +108,7 @@ func run() error {
 		jspec.RobustBand = *robustBand
 	}
 
-	eng, err := ef.Build(*workers)
+	eng, err := ef.Build()
 	if err != nil {
 		return err
 	}

@@ -67,7 +67,7 @@ func newEngineConfig(opts []EngineOption) engineConfig {
 
 // WithParallelism caps the number of concurrently running worker
 // goroutines of an InProcessEngine (the paper's executors-per-node
-// knob). n < 1 means one goroutine per plan-space partition.
+// knob). n < 1 means the default, min(m, GOMAXPROCS).
 func WithParallelism(n int) EngineOption {
 	return func(c *engineConfig) { c.parallelism = n }
 }
@@ -78,15 +78,17 @@ func WithClusterModel(m ClusterModel) EngineOption {
 	return func(c *engineConfig) { c.clusterModel = m }
 }
 
-// WithClusterFaults scripts worker deaths for every query a SimEngine
-// optimizes; the recovery overhead shows up in Answer.Cluster.
+// WithClusterFaults sets, for every query a SimEngine optimizes, the
+// fault script (deaths, stalls) and the simulated master's policy
+// (ClusterFaults.Policy, the same type as MasterOptions); the recovery
+// overhead shows up in Answer.Cluster.
 func WithClusterFaults(f ClusterFaults) EngineOption {
 	return func(c *engineConfig) { c.faults = f }
 }
 
-// WithMasterOptions sets the fault-tolerance configuration of a
-// TCPEngine: per-attempt timeout, retry budget, worker exclusion, and
-// per-worker weights.
+// WithMasterOptions sets the policy of a TCPEngine's master:
+// per-attempt timeout, retry budget, worker exclusion, per-worker
+// weights and the adaptive-scheduling switches.
 func WithMasterOptions(o MasterOptions) EngineOption {
 	return func(c *engineConfig) { c.masterOpts = o }
 }
@@ -108,8 +110,8 @@ func sequentialBatch(ctx context.Context, eng Engine, jobs []Job) ([]*Answer, er
 }
 
 // InProcessEngine runs MPQ with goroutine workers — the shared-nothing
-// algorithm on a single machine, one goroutine per plan-space
-// partition (capped by WithParallelism).
+// algorithm on a single machine, min(m, GOMAXPROCS) plan-space
+// partitions at a time (WithParallelism sets another width).
 //
 // Worker goroutines draw their DP memory (plan-node arena + memo
 // table) from a process-wide recycled pool, so a stream of queries —

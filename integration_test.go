@@ -56,7 +56,7 @@ func TestAllEnginesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		smaRes, err := sma.Run(mpq.DefaultClusterModel(), q, core.JobSpec{Space: partition.Space(space), Workers: 3})
+		smaRes, err := sma.Run(ctx, mpq.DefaultClusterModel(), q, core.JobSpec{Space: partition.Space(space), Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,8 +35,9 @@ cancellation can reach the blocking work.`,
 // element of the package path. pqo and the root package mpq are doors
 // into the dynamic program: an exported function there that mints its
 // own context starts an optimization no deadline can reach (the pqo
-// fixture is such a function, as it once stood in the real package).
-var targetPkgs = []string{"netrun", "server", "cluster", "cache", "pqo", "mpq"}
+// fixture is such a function, as it once stood in the real package);
+// sma is the simulated competitor, whose rounds a SIGINT must reach.
+var targetPkgs = []string{"netrun", "server", "cluster", "sma", "cache", "pqo", "mpq"}
 
 // interfaceMethods are conventional method names pinned by interfaces
 // whose contracts have no context parameter; flagging them would force

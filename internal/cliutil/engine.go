@@ -8,6 +8,7 @@
 package cliutil
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"mpq"
+	"mpq/internal/sched"
 	"mpq/internal/server"
 )
 
@@ -30,25 +32,14 @@ type EngineFlags struct {
 	Parallelism int
 	// TCPWorkers is the comma-separated worker address list (tcp engine).
 	TCPWorkers string
-	// Timeout is the per-attempt deadline (tcp engine).
-	Timeout time.Duration
-	// Retries is the per-partition attempt budget (tcp engine).
-	Retries int
-	// WorkerFailures is the exclusion threshold (tcp engine).
-	WorkerFailures int
+	// Policy is the master's policy (tcp and sim engines): -timeout (also
+	// spelled -detect), -retries, -max-worker-failures, -speculate,
+	// -spec-multiplier, -spec-floor and -readmit-after bind straight into
+	// it, and Build hands it unchanged to either engine. Policy.Timeout
+	// doubles as the daemon engine's dial timeout.
+	Policy sched.Config
 	// Kill crashes simulated nodes 0..Kill-1 mid-query (sim engine).
 	Kill int
-	// Detect is the failure-detection timeout for Kill (sim engine).
-	Detect time.Duration
-	// Speculate races straggling partitions against speculative clones
-	// (tcp and sim engines).
-	Speculate bool
-	// SpecMultiplier scales the straggler threshold (tcp and sim).
-	SpecMultiplier float64
-	// SpecFloor bounds the straggler threshold from below (tcp and sim).
-	SpecFloor time.Duration
-	// ReadmitAfter probes excluded workers after this backoff (tcp engine).
-	ReadmitAfter time.Duration
 	// Stall slows this many simulated workers by StallFactor (sim engine).
 	Stall int
 	// StallFactor is the stalled workers' slowdown (sim engine).
@@ -68,27 +59,27 @@ func Register(fs *flag.FlagSet, def string) *EngineFlags {
 		"execution engine: "+strings.Join(EngineNames(), ", ")+
 			" (serial DP, goroutine workers, cluster simulation, remote TCP workers, a resident mpqd)")
 	fs.IntVar(&ef.Parallelism, "parallelism", 0,
-		"local engine: cap on concurrent worker goroutines (0 = one per partition)")
+		"local engine: cap on concurrent worker goroutines (0 = default min(m, GOMAXPROCS))")
 	fs.StringVar(&ef.TCPWorkers, "tcp-workers", "",
 		"tcp engine: comma-separated worker addresses (start them with: mpqnode worker)")
-	fs.DurationVar(&ef.Timeout, "timeout", 0,
-		"tcp engine: per-job-attempt deadline, also bounding the dial (0 = default 2m); daemon engine: dial timeout (0 = 10s)")
-	fs.IntVar(&ef.Retries, "retries", 0,
-		"tcp engine: attempts per partition before giving up (0 = default)")
-	fs.IntVar(&ef.WorkerFailures, "max-worker-failures", 0,
-		"tcp engine: consecutive failures before a worker is excluded (0 = default)")
+	fs.DurationVar(&ef.Policy.Timeout, "timeout", 0,
+		"tcp/sim: per-attempt deadline — tcp bounds dial, send, compute and receive (0 = default 2m), sim declares a silent node dead this long after its request arrived (0 = default 10s); daemon engine: dial timeout (0 = 10s)")
+	fs.DurationVar(&ef.Policy.Timeout, "detect", 0,
+		"tcp/sim: a second spelling of -timeout")
+	fs.IntVar(&ef.Policy.MaxAttempts, "retries", 0,
+		"tcp/sim: attempts per partition before giving up (0 = default 3)")
+	fs.IntVar(&ef.Policy.MaxWorkerFailures, "max-worker-failures", 0,
+		"tcp/sim: consecutive failures before a worker is excluded (0 = default 2)")
+	fs.BoolVar(&ef.Policy.Speculate, "speculate", false,
+		"tcp/sim: race straggling partitions against speculative clones on idle workers")
+	fs.Float64Var(&ef.Policy.SpeculationMultiplier, "spec-multiplier", 0,
+		"tcp/sim: straggler threshold as a multiple of the median service time (0 = default 2)")
+	fs.DurationVar(&ef.Policy.SpeculationFloor, "spec-floor", 0,
+		"tcp/sim: lower bound on the straggler threshold (0 = default 250ms)")
+	fs.DurationVar(&ef.Policy.ReadmitAfter, "readmit-after", 0,
+		"tcp/sim: probe excluded workers with a pending partition after this backoff (0 = never)")
 	fs.IntVar(&ef.Kill, "kill", 0,
 		"sim engine: crash nodes 0..N-1 mid-query and measure recovery (the master's attempt budget applies: 3 adjacent deaths fail the query)")
-	fs.DurationVar(&ef.Detect, "detect", 0,
-		"sim engine: failure-detection timeout for -kill (default 10s)")
-	fs.BoolVar(&ef.Speculate, "speculate", false,
-		"tcp/sim engine: race straggling partitions against speculative clones on idle workers")
-	fs.Float64Var(&ef.SpecMultiplier, "spec-multiplier", 0,
-		"tcp/sim engine: straggler threshold as a multiple of the median service time (0 = default)")
-	fs.DurationVar(&ef.SpecFloor, "spec-floor", 0,
-		"tcp/sim engine: lower bound on the straggler threshold (0 = default)")
-	fs.DurationVar(&ef.ReadmitAfter, "readmit-after", 0,
-		"tcp engine: probe excluded workers with a pending partition after this backoff (0 = never)")
 	fs.IntVar(&ef.Stall, "stall", 0,
 		"sim engine: slow this many simulated workers by -stall-factor")
 	fs.Float64Var(&ef.StallFactor, "stall-factor", 0,
@@ -100,78 +91,46 @@ func Register(fs *flag.FlagSet, def string) *EngineFlags {
 	return ef
 }
 
-// Build constructs the selected engine. partitions is the job's worker
-// count, used to validate -kill (pass a large value when it varies).
-func (ef *EngineFlags) Build(partitions int) (mpq.Engine, error) {
+// Build constructs the selected engine. The policy and the sim engine's
+// fault script are checked where the pool size is known: NewTCPEngine
+// for tcp, the first Optimize for sim.
+func (ef *EngineFlags) Build() (mpq.Engine, error) {
 	switch strings.ToLower(ef.Engine) {
 	case "serial":
 		return mpq.NewSerialEngine(), nil
 	case "local", "inprocess":
 		return mpq.NewInProcessEngine(mpq.WithParallelism(ef.Parallelism)), nil
 	case "sim":
-		model := mpq.DefaultClusterModel()
 		if ef.Nodes < 0 {
 			return nil, fmt.Errorf("-nodes %d must not be negative", ef.Nodes)
 		}
-		model.Nodes = ef.Nodes
-		opts := []mpq.EngineOption{mpq.WithClusterModel(model)}
 		if ef.Kill < 0 {
 			return nil, fmt.Errorf("-kill %d must not be negative", ef.Kill)
 		}
 		if ef.Stall < 0 {
 			return nil, fmt.Errorf("-stall %d must not be negative", ef.Stall)
 		}
-		pool := partitions
-		if ef.Nodes > 0 {
-			pool = ef.Nodes
+		model := mpq.DefaultClusterModel()
+		model.Nodes = ef.Nodes
+		faults := mpq.ClusterFaults{StallFactor: ef.StallFactor, Policy: ef.Policy}
+		for i := 0; i < ef.Kill; i++ {
+			faults.Dead = append(faults.Dead, i)
 		}
-		if ef.Kill+ef.Stall > 0 || ef.Speculate {
-			if ef.Kill >= pool {
-				return nil, fmt.Errorf("-kill %d must leave at least one of %d nodes alive", ef.Kill, pool)
-			}
-			if ef.Kill+ef.Stall > pool {
-				return nil, fmt.Errorf("-kill %d plus -stall %d exceeds the %d-node pool", ef.Kill, ef.Stall, pool)
-			}
-			faults := mpq.ClusterFaults{
-				DetectTimeout:  ef.Detect,
-				StallFactor:    ef.StallFactor,
-				Speculate:      ef.Speculate,
-				SpecMultiplier: ef.SpecMultiplier,
-				SpecFloor:      ef.SpecFloor,
-			}
-			for i := 0; i < ef.Kill; i++ {
-				faults.Dead = append(faults.Dead, i)
-			}
-			// Stalled nodes follow the dead ones so the scripts don't overlap.
-			for i := 0; i < ef.Stall; i++ {
-				faults.Stalled = append(faults.Stalled, ef.Kill+i)
-			}
-			opts = append(opts, mpq.WithClusterFaults(faults))
+		// Stalled nodes follow the dead ones so the scripts don't overlap.
+		for i := 0; i < ef.Stall; i++ {
+			faults.Stalled = append(faults.Stalled, ef.Kill+i)
 		}
-		return mpq.NewSimEngine(opts...), nil
+		return mpq.NewSimEngine(mpq.WithClusterModel(model), mpq.WithClusterFaults(faults)), nil
 	case "tcp":
 		if ef.TCPWorkers == "" {
 			return nil, fmt.Errorf("-engine tcp requires -tcp-workers host:port[,host:port...]")
 		}
-		return mpq.NewTCPEngine(strings.Split(ef.TCPWorkers, ","),
-			mpq.WithMasterOptions(mpq.MasterOptions{
-				Timeout:               ef.Timeout,
-				MaxAttempts:           ef.Retries,
-				MaxWorkerFailures:     ef.WorkerFailures,
-				Speculate:             ef.Speculate,
-				SpeculationMultiplier: ef.SpecMultiplier,
-				SpeculationFloor:      ef.SpecFloor,
-				ReadmitAfter:          ef.ReadmitAfter,
-			}))
+		return mpq.NewTCPEngine(strings.Split(ef.TCPWorkers, ","), mpq.WithMasterOptions(ef.Policy))
 	case "daemon":
 		if ef.DaemonAddr == "" {
 			return nil, fmt.Errorf("-engine daemon requires -daemon-addr host:port")
 		}
-		timeout := ef.Timeout
-		if timeout == 0 {
-			timeout = 10 * time.Second
-		}
-		c, err := server.Dial(ef.DaemonAddr, timeout)
+		c, err := server.Dial(ef.DaemonAddr, cmp.Or(ef.Policy.Timeout, 10*time.Second))
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +182,7 @@ func Describe(ans *mpq.Answer) string {
 func MustParseEngine(def string) mpq.Engine {
 	ef := Register(flag.CommandLine, def)
 	flag.Parse()
-	eng, err := ef.Build(1 << 20)
+	eng, err := ef.Build()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "engine:", err)
 		os.Exit(1)

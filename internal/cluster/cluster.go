@@ -17,15 +17,14 @@
 // to the in-process engine; only the clock is virtual. Every run goes
 // through one event-driven schedule (sched.go) that steps the TCP
 // master's own policy core, internal/sched: the simulated master assigns,
-// retries, gives up and speculates exactly as netrun.Master with default
-// options does.
+// retries, gives up and speculates exactly as netrun.Master does under
+// the same options (Faults.Policy).
 package cluster
 
 import (
 	"cmp"
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"mpq/internal/core"
@@ -125,54 +124,44 @@ func (m Model) MPQTime(reqBytes, respBytes []int, units []uint64) (total, maxWor
 	return out.total, out.maxWorker
 }
 
-// Faults mirrors the failure model of the TCP runtime (internal/netrun)
-// in virtual time: scripted worker deaths plus the master's detection
-// timeout, so Fig-style experiments can quantify recovery overhead
-// without a wall clock.
+// Faults is the simulator's counterpart of a TCP deployment's bad day:
+// the script of what goes wrong (Dead, Stalled, StallFactor) and the
+// policy the simulated master answers it with — the same sched.Config a
+// netrun.Master takes, so the two can be held against each other under
+// one value.
+//
+// One divergence is deliberately left (ROADMAP item 4): the TCP master's
+// Timeout fires on any attempt that outlives it, a live but slow worker
+// included; the simulator's fires only on a dead node's silence, and a
+// stalled node is waited for however long it takes.
 type Faults struct {
 	// Dead lists virtual nodes that crash after receiving a request and
 	// never answer. With Model.Nodes zero, partition i starts on node i.
 	// At least one node must survive, and the simulated master has the
 	// real master's attempt budget: a partition that lands on dead nodes
-	// sched.DefaultMaxAttempts times fails the run with a
-	// *sched.BudgetError.
+	// Policy.MaxAttempts times fails the run with a *sched.BudgetError.
 	Dead []int
-	// DetectTimeout is the virtual time after a request's arrival at
-	// which the master declares an unanswered worker dead and
-	// re-dispatches its partition to another node. Zero means
-	// DefaultDetectTimeout.
-	DetectTimeout time.Duration
 	// Stalled lists nodes that compute StallFactor× slower than the
 	// model's rate — the straggler script.
 	Stalled []int
 	// StallFactor is the stalled nodes' compute slowdown. Zero means
 	// DefaultStallFactor; values below 1 are an error.
 	StallFactor float64
-	// Speculate is netrun.Options.Speculate for the simulated master (the
-	// same internal/sched policy): idle nodes steal queued partitions, a
-	// partition whose master-observed elapsed time exceeds the straggler
-	// threshold is cloned to an idle node, the first answer wins, the
-	// loser is canceled and its burned work recorded in
-	// Metrics.WastedWork.
-	Speculate bool
-	// SpecMultiplier scales the straggler threshold (multiple of the
-	// median completed service time). Zero means
-	// sched.DefaultSpeculationMultiplier; values below 1 are an error.
-	SpecMultiplier float64
-	// SpecFloor bounds the straggler threshold from below. Zero means
-	// sched.DefaultSpeculationFloor; negative is an error.
-	SpecFloor time.Duration
+	// Policy is the simulated master's policy; sched.Config documents its
+	// fields. Timeout is the virtual time after a request's arrival at
+	// which the master declares an unanswered node dead (zero means
+	// DefaultDetectTimeout); nil Weights mean the nodes' declared CPU
+	// capacities (Model.Resources[i].CPU). Under Speculate the burned
+	// work of race losers is recorded in Metrics.WastedWork.
+	Policy sched.Config
 }
 
 // DefaultDetectTimeout is the virtual failure-detection timeout used
-// when Faults.DetectTimeout is zero.
+// when Faults.Policy.Timeout is zero.
 const DefaultDetectTimeout = 10 * time.Second
 
-// Validate checks the fault script against m nodes.
+// Validate checks the fault script and the policy against m nodes.
 func (f Faults) Validate(m int) error {
-	if f.DetectTimeout < 0 {
-		return fmt.Errorf("cluster: negative detect timeout %v", f.DetectTimeout)
-	}
 	seen := make(map[int]bool, len(f.Dead))
 	for _, d := range f.Dead {
 		if d < 0 || d >= m {
@@ -202,12 +191,15 @@ func (f Faults) Validate(m int) error {
 	if f.StallFactor != 0 && f.StallFactor < 1 {
 		return fmt.Errorf("cluster: stall factor %g below 1", f.StallFactor)
 	}
-	policy := sched.Config{Workers: m, SpeculationMultiplier: f.SpecMultiplier, SpeculationFloor: f.SpecFloor}
-	if err := policy.Validate(); err != nil {
+	if err := f.Policy.Validate(m); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
 }
+
+// runWorker is the worker entry point every engine shares; a variable so
+// a test can count how many partitions are resident at a time.
+var runWorker = core.RunWorkerContext
 
 // Metrics is the simulator's measurement record — one row of the paper's
 // figures. It is an alias of core.ClusterMetrics so engine-agnostic
@@ -221,7 +213,7 @@ type Metrics = core.ClusterMetrics
 // worker↔worker traffic.
 //
 // Under a fault script, dead nodes receive their requests, crash, and
-// never answer; the master detects each death DetectTimeout after the
+// never answer; the master detects each death Policy.Timeout after the
 // request arrived and re-dispatches the partition as the TCP master
 // would, within the same attempt budget. The chosen plans are
 // bit-identical to the failure-free run — partitions are disjoint and
@@ -238,78 +230,45 @@ func Run(ctx context.Context, model Model, q *query.Query, spec core.JobSpec, fa
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if err := spec.Validate(q.N()); err != nil {
+	if err := (core.Job{Query: q, Spec: spec}).Prepare(); err != nil {
 		return nil, err
 	}
 	if err := faults.Validate(cmp.Or(model.Nodes, spec.Workers)); err != nil {
 		return nil, err
 	}
-	q.Freeze()
 	m := spec.Workers
 
-	// Master builds one request per partition.
-	type workerRun struct {
-		req       []byte
-		respBytes int
-		resp      *wire.JobResponse
-		err       error
-	}
-	runs := make([]workerRun, m)
-	for partID := 0; partID < m; partID++ {
-		b := wire.EncodeJobRequest(&wire.JobRequest{Spec: spec, PartID: partID, Query: q})
-		runs[partID] = workerRun{req: b}
-	}
-
-	// Workers decode and run the real DP concurrently (wall-clock
-	// speedup for the simulation itself; virtual time uses work units).
-	var wg sync.WaitGroup
-	for partID := 0; partID < m; partID++ {
-		wg.Add(1)
-		go func(partID int) {
-			defer wg.Done()
-			decoded, err := wire.DecodeJobRequest(runs[partID].req)
-			if err != nil {
-				runs[partID].err = err
-				return
-			}
-			res, err := core.RunWorkerContext(ctx, decoded.Query, decoded.Spec, decoded.PartID)
-			if err != nil {
-				runs[partID].err = err
-				return
-			}
-			resp := &wire.JobResponse{Plans: res.Plans, Stats: res.Stats}
-			rb := wire.EncodeJobResponse(resp)
-			// Decode on the master side to stay honest about the protocol.
-			back, err := wire.DecodeJobResponse(rb)
-			if err != nil {
-				runs[partID].err = err
-				return
-			}
-			runs[partID].resp = back
-			runs[partID].respBytes = len(rb)
-		}(partID)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("cluster: simulation canceled: %w", context.Cause(ctx))
-	}
-
-	parts := make([]core.PartResult, m)
+	// Every partition crosses the wire format both ways: the master
+	// encodes its request, the worker decodes it and runs the real DP,
+	// encodes its plans, and the master decodes them. Virtual time uses
+	// work units, so how many partitions this machine runs at a time
+	// (core.RunPartitions' default) moves only the wall clock.
 	in := simInput{reqBytes: make([]int, m), respBytes: make([]int, m), units: make([]uint64, m), memo: make([]uint64, m)}
-	var planCount int
-	for partID, r := range runs {
-		if r.err != nil {
-			return nil, fmt.Errorf("cluster: worker %d: %w", partID, r.err)
+	parts, err := core.RunPartitions(ctx, m, 0, func(ctx context.Context, partID int) (core.PartResult, error) {
+		req := wire.EncodeJobRequest(&wire.JobRequest{Spec: spec, PartID: partID, Query: q})
+		decoded, err := wire.DecodeJobRequest(req)
+		if err != nil {
+			return core.PartResult{}, err
 		}
-		in.reqBytes[partID] = len(r.req)
-		in.respBytes[partID] = r.respBytes
-		in.units[partID] = r.resp.Stats.WorkUnits()
-		in.memo[partID] = r.resp.Stats.MemoEntries
-		planCount += len(r.resp.Plans)
-		parts[partID] = core.PartResult{Plans: r.resp.Plans, Stats: r.resp.Stats, Elapsed: model.compute(in.units[partID])}
+		res, err := runWorker(ctx, decoded.Query, decoded.Spec, decoded.PartID)
+		if err != nil {
+			return core.PartResult{}, err
+		}
+		rb := wire.EncodeJobResponse(&wire.JobResponse{Plans: res.Plans, Stats: res.Stats})
+		back, err := wire.DecodeJobResponse(rb)
+		if err != nil {
+			return core.PartResult{}, err
+		}
+		in.reqBytes[partID], in.respBytes[partID] = len(req), len(rb)
+		in.units[partID], in.memo[partID] = back.Stats.WorkUnits(), back.Stats.MemoEntries
+		return core.PartResult{Plans: back.Plans, Stats: back.Stats, Elapsed: model.compute(in.units[partID])}, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	var planCount int
+	for _, p := range parts {
+		planCount += len(p.Plans)
 	}
 	// The schedule accounts time and traffic (clones, cancels and
 	// re-dispatches included) for the requests the policy core issued.
@@ -331,7 +290,7 @@ func Run(ctx context.Context, model Model, q *query.Query, spec core.JobSpec, fa
 		met.Rounds = 2 // a re-dispatch adds one extra communication round
 	}
 	if len(faults.Dead) > 0 || len(faults.Stalled) > 0 {
-		clean, err := model.schedule(in, Faults{})
+		clean, err := model.schedule(in, Faults{Policy: faults.Policy})
 		if err != nil {
 			return nil, err
 		}

@@ -237,7 +237,7 @@ func TestFaultsValidate(t *testing.T) {
 		{"negative index", Faults{Dead: []int{-1}}, 4, false},
 		{"duplicate", Faults{Dead: []int{1, 1}}, 4, false},
 		{"all dead", Faults{Dead: []int{0, 1, 2, 3}}, 4, false},
-		{"negative detect", Faults{DetectTimeout: -time.Second}, 4, false},
+		{"negative detect", Faults{Policy: sched.Config{Timeout: -time.Second}}, 4, false},
 	}
 	for _, c := range cases {
 		err := c.faults.Validate(c.m)
@@ -258,7 +258,7 @@ func TestFaultedSimulationBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, deadSet := range [][]int{{0}, {3, 5}, {0, 1}, {0, 2, 4, 6}} {
-		faults := Faults{Dead: deadSet, DetectTimeout: 5 * time.Second}
+		faults := Faults{Dead: deadSet, Policy: sched.Config{Timeout: 5 * time.Second}}
 		res, err := Run(context.Background(), Default(), q, spec, faults)
 		if err != nil {
 			t.Fatal(err)

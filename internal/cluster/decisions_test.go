@@ -1,21 +1,33 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"mpq/internal/sched"
 	"mpq/internal/wire"
 )
+
+// nonDefaultPolicy sets every policy field the straggler script leaves
+// at its default. internal/netrun's TestRecordedRunReplaysThroughCore
+// gives the TCP master the same value, field for field.
+var nonDefaultPolicy = sched.Config{
+	Timeout: 30 * time.Second, MaxAttempts: 2, MaxWorkerFailures: 1, ReadmitAfter: time.Minute,
+	Speculate: true, SpeculationFloor: 150 * time.Millisecond,
+}
 
 // The simulator makes no scheduling decision of its own. The straggler
 // script internal/netrun's TestRecordedRunReplaysThroughCore records
 // over TCP — two workers, four partitions, worker 0 stalls on its first
-// request — runs here through the simulator's cost model, and every
-// request it simulated must be one of the same decisions: which
-// partition went to which worker in which order, which one was cloned,
-// who was canceled.
+// request — runs here through the simulator's cost model, under the same
+// two policies, and every request it simulated must be one of the same
+// decisions: which partition went to which worker in which order, which
+// one was cloned, who was canceled. That test's second script — two
+// adjacent deaths under nonDefaultPolicy — ends here in the same
+// *sched.BudgetError text.
 func TestSimulatorMakesTheMastersDecisions(t *testing.T) {
 	model := Default()
 	model.Nodes = 2
@@ -25,27 +37,45 @@ func TestSimulatorMakesTheMastersDecisions(t *testing.T) {
 		units:     []uint64{1000, 1000, 1000, 1000},
 		memo:      []uint64{10, 10, 10, 10},
 	}
-	out, err := model.schedule(in, Faults{
-		Stalled: []int{0}, StallFactor: 1e4, Speculate: true, SpecFloor: 150 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dispatched, canceled []string
-	for _, c := range out.copies {
-		dispatched = append(dispatched, fmt.Sprintf("w%d<-p%d", c.node, c.part))
-		if c.canceled {
-			canceled = append(canceled, fmt.Sprintf("w%d", c.node))
+	for _, policy := range []sched.Config{
+		{Timeout: 30 * time.Second, Speculate: true, SpeculationFloor: 150 * time.Millisecond},
+		nonDefaultPolicy,
+	} {
+		out, err := model.schedule(in, Faults{Stalled: []int{0}, StallFactor: 1e4, Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dispatched, canceled []string
+		for _, c := range out.copies {
+			dispatched = append(dispatched, fmt.Sprintf("w%d<-p%d", c.node, c.part))
+			if c.canceled {
+				canceled = append(canceled, fmt.Sprintf("w%d", c.node))
+			}
+		}
+		wantDispatched := []string{"w0<-p0", "w1<-p1", "w1<-p3", "w1<-p2", "w1<-p0"}
+		wantCanceled := []string{"w0"}
+		if !reflect.DeepEqual(dispatched, wantDispatched) || !reflect.DeepEqual(canceled, wantCanceled) {
+			t.Fatalf("%+v: decisions: dispatched %v canceled %v, want %v and %v",
+				policy, dispatched, canceled, wantDispatched, wantCanceled)
+		}
+		if out.speculations != 1 || out.redispatches != 0 {
+			t.Fatalf("speculations %d, redispatches %d, want 1 and 0", out.speculations, out.redispatches)
 		}
 	}
-	wantDispatched := []string{"w0<-p0", "w1<-p1", "w1<-p3", "w1<-p2", "w1<-p0"}
-	wantCanceled := []string{"w0"}
-	if !reflect.DeepEqual(dispatched, wantDispatched) || !reflect.DeepEqual(canceled, wantCanceled) {
-		t.Fatalf("decisions: dispatched %v canceled %v, want %v and %v",
-			dispatched, canceled, wantDispatched, wantCanceled)
+
+	// Three nodes, the first two dead, one partition: it lands on node 0,
+	// then on node 1, and an attempt budget of two is spent before the
+	// survivor is asked. The default budget of three reaches node 2.
+	model.Nodes = 3
+	one := simInput{reqBytes: []int{300}, respBytes: []int{200}, units: []uint64{1000}, memo: []uint64{10}}
+	_, err := model.schedule(one, Faults{Dead: []int{0, 1}, Policy: nonDefaultPolicy})
+	var budget *sched.BudgetError
+	if want := "partition 0 failed 2 times, giving up"; !errors.As(err, &budget) || budget.Error() != want {
+		t.Fatalf("two adjacent deaths: %v, want %q", err, want)
 	}
-	if out.speculations != 1 || out.redispatches != 0 {
-		t.Fatalf("speculations %d, redispatches %d, want 1 and 0", out.speculations, out.redispatches)
+	out, err := model.schedule(one, Faults{Dead: []int{0, 1}})
+	if err != nil || len(out.copies) != 3 || out.copies[2].node != 2 {
+		t.Fatalf("two adjacent deaths, default budget: copies %+v, error %v; want the third attempt on node 2", out.copies, err)
 	}
 }
 
@@ -64,7 +94,7 @@ func TestRaceTrafficIsByteExact(t *testing.T) {
 		units:     []uint64{1000, 1000, 400000},
 		memo:      []uint64{10, 10, 10},
 	}
-	out, err := model.schedule(in, Faults{Stalled: []int{0}, StallFactor: 1e4, Speculate: true})
+	out, err := model.schedule(in, Faults{Stalled: []int{0}, StallFactor: 1e4, Policy: sched.Config{Speculate: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

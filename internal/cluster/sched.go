@@ -132,23 +132,20 @@ func (m Model) schedule(in simInput, f Faults) (simOutcome, error) {
 	if len(resources) == 0 {
 		resources = slices.Repeat([]NodeResources{{CPU: 1}}, n)
 	}
-	detect := cmp.Or(f.DetectTimeout, DefaultDetectTimeout)
+	detect := cmp.Or(f.Policy.Timeout, DefaultDetectTimeout)
 	stallFactor := cmp.Or(f.StallFactor, DefaultStallFactor)
 	dead := func(ni int) bool { return slices.Contains(f.Dead, ni) }
 	// Declared CPU capacities are what the master knows about its nodes:
-	// they are the policy's assignment weights. Faults are not knowable —
-	// dead and stalled nodes get their share like everyone else.
-	var weights []float64
-	for _, r := range m.Resources {
-		weights = append(weights, r.CPU)
+	// unless the policy brings its own, they are its assignment weights.
+	// Faults are not knowable — dead and stalled nodes get their share
+	// like everyone else.
+	cfg := f.Policy
+	if cfg.Weights == nil {
+		for _, r := range m.Resources {
+			cfg.Weights = append(cfg.Weights, r.CPU)
+		}
 	}
-	policy, err := sched.New(sched.Config{
-		Workers:               n,
-		Weights:               weights,
-		Speculate:             f.Speculate,
-		SpeculationMultiplier: f.SpecMultiplier,
-		SpeculationFloor:      f.SpecFloor,
-	}, []int{nParts})
+	policy, err := sched.New(n, cfg, []int{nParts})
 	if err != nil {
 		return simOutcome{}, fmt.Errorf("cluster: %w", err)
 	}

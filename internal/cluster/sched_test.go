@@ -3,12 +3,16 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mpq/internal/core"
 	"mpq/internal/dp"
 	"mpq/internal/partition"
+	"mpq/internal/query"
+	"mpq/internal/sched"
 	"mpq/internal/wire"
 )
 
@@ -57,7 +61,7 @@ func TestStallSpeculationBeatsWaitingDeterministically(t *testing.T) {
 		t.Fatal(err)
 	}
 	stallSpec := stall
-	stallSpec.Speculate = true
+	stallSpec.Policy.Speculate = true
 	fast, err := Run(context.Background(), model, q, spec, stallSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +112,7 @@ func TestAdaptiveDeadNodeRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead, err := Run(context.Background(), model, q, spec, Faults{Dead: []int{1}, DetectTimeout: time.Second})
+	dead, err := Run(context.Background(), model, q, spec, Faults{Dead: []int{1}, Policy: sched.Config{Timeout: time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +242,40 @@ func TestAdaptiveValidation(t *testing.T) {
 	if err := (Faults{Stalled: []int{9}}).Validate(4); err == nil {
 		t.Fatal("out-of-range stalled node accepted")
 	}
-	if err := (Faults{Speculate: true, SpecMultiplier: 0.3}).Validate(4); err == nil {
+	if err := (Faults{Policy: sched.Config{Speculate: true, SpeculationMultiplier: 0.3}}).Validate(4); err == nil {
 		t.Fatal("speculation multiplier below 1 accepted")
+	}
+}
+
+// A Workers: 16 job keeps at most GOMAXPROCS memos resident — the
+// simulator used to run all sixteen dynamic programs at once — and none
+// of what it measures moves: virtual time is a function of work units,
+// not of how this machine interleaved them. The pinned values are what
+// the unbounded fan-out produced for this job.
+func TestSimulatorBoundsResidentMemos(t *testing.T) {
+	var running, peak atomic.Int32
+	orig := runWorker
+	defer func() { runWorker = orig }()
+	runWorker = func(ctx context.Context, q *query.Query, spec core.JobSpec, partID int) (*dp.Result, error) {
+		now := running.Add(1)
+		defer running.Add(-1)
+		for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {
+		}
+		return orig(ctx, q, spec, partID)
+	}
+	ans, err := Run(context.Background(), Default(), gen(t, 12, 7), core.JobSpec{Space: partition.Linear, Workers: 16}, Faults{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := int(peak.Load()), runtime.GOMAXPROCS(0); got < 1 || got > limit {
+		t.Fatalf("%d partitions resident at once, want at most GOMAXPROCS = %d", got, limit)
+	}
+	if got, want := wire.PlanFingerprint(ans.Best), "8eada7ed2634473c1d2427a856a43c935a494e14477d984a70e1a3d34e73c046"; got != want {
+		t.Errorf("fingerprint %s, want %s", got, want)
+	}
+	met := ans.Cluster
+	if met.VirtualTime != 152547950 || met.Bytes != 19280 || met.Messages != 32 || met.MaxMemoEntries != 1299 {
+		t.Errorf("VirtualTime %d, Bytes %d, Messages %d, MaxMemoEntries %d; want 152547950, 19280, 32, 1299",
+			met.VirtualTime, met.Bytes, met.Messages, met.MaxMemoEntries)
 	}
 }

@@ -16,8 +16,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mpq/internal/cost"
@@ -252,6 +254,21 @@ type Job struct {
 	Spec  JobSpec
 }
 
+// Prepare is the master's prologue, the same on every substrate:
+// validate the query, validate the spec against it, and freeze the query
+// so goroutines can share it. Workers validate again what they decode —
+// that guards wire input, this guards the caller's.
+func (j Job) Prepare() error {
+	if err := j.Query.Validate(); err != nil {
+		return err
+	}
+	if err := j.Spec.Validate(j.Query.N()); err != nil {
+		return err
+	}
+	j.Query.Freeze()
+	return nil
+}
+
 // WorkerReport is the master's record of one worker's contribution.
 type WorkerReport struct {
 	PartID  int
@@ -364,61 +381,71 @@ func Gather(spec JobSpec, parts []PartResult) (*Answer, error) {
 	return ans, nil
 }
 
+// RunPartitions is the master's fan-out, the same on every in-process
+// substrate: it calls work once for every partition ID in [0, m), on at
+// most width goroutines that pull IDs in rising order, and returns the
+// results indexed by partition ID. width < 1 means min(m, GOMAXPROCS):
+// partitions are CPU-bound and each holds a memo, so more of them in
+// flight than cores costs memory and buys no time. The first error —
+// work's, named by its partition, or the cause of ctx ending — stops
+// the hand-out, cancels the ctx the running calls were given, and is
+// returned once they have; no goroutine outlives the call.
+func RunPartitions[T any](ctx context.Context, m, width int, work func(ctx context.Context, partID int) (T, error)) ([]T, error) {
+	if width < 1 {
+		width = runtime.GOMAXPROCS(0)
+	}
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	results := make([]T, m)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(width, m) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				partID := int(next.Add(1)) - 1
+				if partID >= m {
+					return
+				}
+				res, err := work(ctx, partID)
+				if err != nil {
+					cancel(fmt.Errorf("partition %d: %w", partID, err))
+					return
+				}
+				results[partID] = res
+			}
+		}()
+	}
+	wg.Wait()
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
+	}
+	return results, nil
+}
+
 // OptimizeContext runs MPQ with in-process goroutine workers: the
 // Master function of Algorithm 1 with goroutines standing in for
 // cluster nodes. At most maxParallel workers run concurrently (the
-// paper's executors-per-node knob); maxParallel < 1 means one goroutine
-// per partition. Every worker checks ctx between cardinality levels (and
-// periodically within one), queued workers never start once ctx is
-// done, and the master returns an error wrapping ctx's cause after all
-// workers have stopped — no goroutine outlives the call.
+// paper's executors-per-node knob; < 1 means RunPartitions' default).
+// Every worker checks ctx between cardinality levels (and periodically
+// within one), and the master returns an error wrapping ctx's cause
+// after all workers have stopped.
 func OptimizeContext(ctx context.Context, q *query.Query, spec JobSpec, maxParallel int) (*Answer, error) {
-	if err := q.Validate(); err != nil {
+	if err := (Job{Query: q, Spec: spec}).Prepare(); err != nil {
 		return nil, err
 	}
-	if err := spec.Validate(q.N()); err != nil {
-		return nil, err
-	}
-	q.Freeze() // freeze before sharing across goroutines
-
 	start := time.Now()
-	m := spec.Workers
-	if maxParallel < 1 || maxParallel > m {
-		maxParallel = m
-	}
-
-	parts := make([]PartResult, m)
-	errs := make([]error, m)
-	sem := make(chan struct{}, maxParallel)
-	var wg sync.WaitGroup
-	for partID := 0; partID < m; partID++ {
-		wg.Add(1)
-		go func(partID int) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[partID] = ctx.Err()
-				return
-			}
-			defer func() { <-sem }()
-			t0 := time.Now()
-			res, err := RunWorkerContext(ctx, q, spec, partID)
-			if err != nil {
-				errs[partID] = err
-				return
-			}
-			parts[partID] = PartResult{Plans: res.Plans, Stats: res.Stats, Elapsed: time.Since(t0)}
-		}(partID)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: optimization canceled: %w", context.Cause(ctx))
-	}
-	for partID, err := range errs {
+	parts, err := RunPartitions(ctx, spec.Workers, maxParallel, func(ctx context.Context, partID int) (PartResult, error) {
+		t0 := time.Now()
+		res, err := RunWorkerContext(ctx, q, spec, partID)
 		if err != nil {
-			return nil, fmt.Errorf("core: worker %d: %w", partID, err)
+			return PartResult{}, err
 		}
+		return PartResult{Plans: res.Plans, Stats: res.Stats, Elapsed: time.Since(t0)}, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	ans, err := Gather(spec, parts)
 	if err != nil {

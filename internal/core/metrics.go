@@ -108,7 +108,7 @@ type ClusterMetrics struct {
 	// re-running the optimizer.
 	RecoveryOverhead time.Duration
 	// Speculations counts speculative clones the simulated master
-	// dispatched under speculation (cluster.Faults.Speculate):
+	// dispatched under speculation (cluster.Faults.Policy.Speculate):
 	// partitions whose elapsed time exceeded the straggler threshold and
 	// were re-sent to an idle node.
 	Speculations int

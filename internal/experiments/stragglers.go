@@ -6,6 +6,7 @@ import (
 	"mpq/internal/cluster"
 	"mpq/internal/core"
 	"mpq/internal/partition"
+	"mpq/internal/sched"
 	"mpq/internal/wire"
 	"mpq/internal/workload"
 )
@@ -94,7 +95,7 @@ func Stragglers(cfg Config) ([]StragglerRow, error) {
 			if err := cfg.canceled(); err != nil {
 				return nil, err
 			}
-			faults := cluster.Faults{Stalled: []int{0}, StallFactor: factor, Speculate: speculate}
+			faults := cluster.Faults{Stalled: []int{0}, StallFactor: factor, Policy: sched.Config{Speculate: speculate}}
 			row := StragglerRow{
 				Tables: tables, Workers: workers, Nodes: nodes,
 				StallFactor: factor, Speculate: speculate, PlanSafe: true,

@@ -39,7 +39,7 @@ func (c Config) measure(qs []*query.Query, spec core.JobSpec, baseline bool) (sa
 		var ans *core.Answer
 		var err error
 		if baseline {
-			ans, err = sma.Run(c.Model, q, spec)
+			ans, err = sma.Run(c.context(), c.Model, q, spec)
 		} else {
 			ans, err = runMPQ(c, q, spec)
 		}

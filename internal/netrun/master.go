@@ -17,7 +17,7 @@ import (
 
 const (
 	// DefaultTimeout is the per-attempt deadline when Options.Timeout is
-	// zero. The policy fields' defaults live in internal/sched.
+	// zero. The other policy fields' defaults live in internal/sched.
 	DefaultTimeout = 2 * time.Minute
 	// cancelWriteTimeout bounds the advisory CancelRequest frame write
 	// to a speculative loser; a peer too wedged to accept 8 bytes loses
@@ -25,53 +25,12 @@ const (
 	cancelWriteTimeout = 2 * time.Second
 )
 
-// Options configures a Master beyond its worker addresses.
-type Options struct {
-	// Weights are per-worker performance weights: when there are more
-	// plan-space partitions than workers, worker i is assigned a share of
-	// partitions proportional to Weights[i] — the paper's provision for
-	// heterogeneous nodes (§4.1, footnote 1). nil means homogeneous.
-	Weights []float64
-	// Timeout bounds one job attempt end-to-end: dialing the worker,
-	// sending the request, worker compute, and receiving the response.
-	// A context deadline shorter than the remaining Timeout takes
-	// precedence (see Master.Optimize). Zero means
-	// DefaultTimeout; negative is an error.
-	Timeout time.Duration
-	// MaxAttempts is the per-partition attempt budget: a partition that
-	// fails this many times (across all workers) aborts the query. Zero
-	// means sched.DefaultMaxAttempts; negative is an error.
-	MaxAttempts int
-	// MaxWorkerFailures is the number of consecutive job failures after
-	// which a worker is excluded from the rest of the query. Zero means
-	// sched.DefaultMaxWorkerFailures; negative is an error.
-	MaxWorkerFailures int
-	// Speculate enables adaptive scheduling: an idle worker steals queued
-	// partitions from loaded peers, and a partition whose elapsed time
-	// exceeds the straggler threshold (see SpeculationMultiplier) is
-	// cloned to an idle worker. The first answer wins; the loser is
-	// canceled with a CancelRequest frame and its late response — carrying
-	// a sequence number for a partition already aggregated — is discarded.
-	// Off by default: the static schedule is then byte-for-byte the
-	// pre-adaptive behavior.
-	Speculate bool
-	// SpeculationMultiplier scales the straggler threshold: a partition
-	// is speculated once its elapsed time exceeds Multiplier × the median
-	// service time of its query's completed partitions. Zero means
-	// sched.DefaultSpeculationMultiplier; values below 1 (which would
-	// speculate faster-than-median partitions) are an error.
-	SpeculationMultiplier float64
-	// SpeculationFloor bounds the straggler threshold from below. Zero
-	// means sched.DefaultSpeculationFloor; negative is an error.
-	SpeculationFloor time.Duration
-	// ReadmitAfter enables re-admission probes: a worker excluded by
-	// MaxWorkerFailures is sent a low-priority probe clone of a pending
-	// partition after this backoff (doubling after every failed probe)
-	// and rejoins the pool if it answers correctly. Zero disables probes
-	// — excluded workers then stay excluded for the rest of the batch,
-	// the pre-adaptive behavior. Negative is an error.
-	ReadmitAfter time.Duration
-}
+// Options is the master's policy: per-attempt Timeout (zero means
+// DefaultTimeout), retry budget, worker exclusion, weights and the
+// adaptive-scheduling switches. It is sched.Config — the one place the
+// fields are documented, validated and defaulted — so the same value
+// configures this master and the simulated one (cluster.Faults.Policy).
+type Options = sched.Config
 
 // NetStats records measured traffic of one distributed optimization.
 // It is an alias of core.NetStats so engine-agnostic answers can carry
@@ -88,17 +47,15 @@ type Job = core.Job
 // scheduling decision comes from the sched.Core it drives on the wall
 // clock.
 type Master struct {
-	addrs   []string
-	timeout time.Duration
-	policy  sched.Config // defaults applied
+	addrs []string
+	opts  Options // defaults applied
 	// trace, when set (tests only), sees every event the master feeds the
 	// core and the actions it goes on to execute.
 	trace func(sched.Event, sched.Actions)
 }
 
 // NewMaster returns a master that will distribute work over the given
-// worker addresses under opts: per-attempt timeout, retry budget,
-// worker exclusion, weights and the adaptive-scheduling switches.
+// worker addresses under the policy opts.
 func NewMaster(addrs []string, opts Options) (*Master, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("netrun: no worker addresses")
@@ -110,23 +67,12 @@ func NewMaster(addrs []string, opts Options) (*Master, error) {
 		}
 		seen[a] = struct{}{}
 	}
-	if opts.Timeout < 0 {
-		return nil, fmt.Errorf("netrun: negative timeout %v", opts.Timeout)
-	}
-	policy := sched.Config{
-		Workers:               len(addrs),
-		Weights:               opts.Weights,
-		MaxAttempts:           opts.MaxAttempts,
-		MaxWorkerFailures:     opts.MaxWorkerFailures,
-		Speculate:             opts.Speculate,
-		SpeculationMultiplier: opts.SpeculationMultiplier,
-		SpeculationFloor:      opts.SpeculationFloor,
-		ReadmitAfter:          opts.ReadmitAfter,
-	}
-	if err := policy.Validate(); err != nil {
+	if err := opts.Validate(len(addrs)); err != nil {
 		return nil, fmt.Errorf("netrun: %w", err)
 	}
-	return &Master{addrs: addrs, timeout: cmp.Or(opts.Timeout, DefaultTimeout), policy: policy.WithDefaults()}, nil
+	opts = opts.WithDefaults()
+	opts.Timeout = cmp.Or(opts.Timeout, DefaultTimeout)
+	return &Master{addrs: addrs, opts: opts}, nil
 }
 
 // ignoredFrame is one well-formed frame the master discarded for a
@@ -262,7 +208,7 @@ func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, st 
 	addr := ms.addrs[ni]
 	res := jobResult{worker: ni, unit: u}
 	t0 := time.Now()
-	deadline := t0.Add(ms.timeout)
+	deadline := t0.Add(ms.opts.Timeout)
 	if cd, ok := ctx.Deadline(); ok && cd.Before(deadline) {
 		deadline = cd
 	}
@@ -452,16 +398,12 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 	}
 	parts := make([]int, len(jobs))
 	for qi, job := range jobs {
-		if err := job.Query.Validate(); err != nil {
+		if err := job.Prepare(); err != nil {
 			return nil, err
 		}
-		if err := job.Spec.Validate(job.Query.N()); err != nil {
-			return nil, err
-		}
-		job.Query.Freeze() // the query is shared across worker goroutines
 		parts[qi] = job.Spec.Workers
 	}
-	sch, err := sched.New(ms.policy, parts)
+	sch, err := sched.New(len(ms.addrs), ms.opts, parts)
 	if err != nil {
 		return nil, fmt.Errorf("netrun: %w", err)
 	}

@@ -93,14 +93,14 @@ func TestNewMasterDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms.timeout != DefaultTimeout {
-		t.Fatalf("timeout = %v, want %v", ms.timeout, DefaultTimeout)
+	if ms.opts.Timeout != DefaultTimeout {
+		t.Fatalf("timeout = %v, want %v", ms.opts.Timeout, DefaultTimeout)
 	}
-	if ms.policy.MaxAttempts != sched.DefaultMaxAttempts {
-		t.Fatalf("maxAttempts = %d, want %d", ms.policy.MaxAttempts, sched.DefaultMaxAttempts)
+	if ms.opts.MaxAttempts != sched.DefaultMaxAttempts {
+		t.Fatalf("maxAttempts = %d, want %d", ms.opts.MaxAttempts, sched.DefaultMaxAttempts)
 	}
-	if ms.policy.MaxWorkerFailures != sched.DefaultMaxWorkerFailures {
-		t.Fatalf("maxWorkerFailures = %d, want %d", ms.policy.MaxWorkerFailures, sched.DefaultMaxWorkerFailures)
+	if ms.opts.MaxWorkerFailures != sched.DefaultMaxWorkerFailures {
+		t.Fatalf("maxWorkerFailures = %d, want %d", ms.opts.MaxWorkerFailures, sched.DefaultMaxWorkerFailures)
 	}
 	// Explicit values survive.
 	ms, err = NewMaster([]string{"a:1"}, Options{
@@ -109,7 +109,7 @@ func TestNewMasterDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms.timeout != time.Second || ms.policy.MaxAttempts != 7 || ms.policy.MaxWorkerFailures != 4 {
+	if ms.opts.Timeout != time.Second || ms.opts.MaxAttempts != 7 || ms.opts.MaxWorkerFailures != 4 {
 		t.Fatalf("options not applied: %+v", ms)
 	}
 }

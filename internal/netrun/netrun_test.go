@@ -3,8 +3,11 @@ package netrun
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -264,6 +267,40 @@ func TestWorkerSurvivesGarbageFrame(t *testing.T) {
 	}
 	if resp.Err != "" || len(resp.Plans) == 0 {
 		t.Fatalf("valid request after garbage failed: %+v", resp)
+	}
+
+	// A header announcing 512 MiB — under wire.MaxFrameSize, far over
+	// wire.MaxRequestFrame — costs the worker four bytes: it hangs up on
+	// the header instead of buffering whatever follows, ...
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := conn.Write([]byte{0x20, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	// ... so payload bytes are never read (a worker waiting for them would
+	// sit in read until the deadline), ...
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := wire.ReadFrame(conn); !errors.Is(err, io.EOF) {
+		t.Fatalf("after a 512 MiB length prefix: %v, want the connection closed", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a lying length prefix made the process allocate %d bytes", grew)
+	}
+	// ... and the worker goes on serving other connections.
+	conn2, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Close()
+	if err := wire.WriteFrame(conn2, req); err != nil {
+		t.Fatal(err)
+	}
+	if respB, err = wire.ReadFrame(conn2); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err = wire.DecodeJobResponse(respB); err != nil || resp.Err != "" || len(resp.Plans) == 0 {
+		t.Fatalf("second connection after the oversized header: %+v, %v", resp, err)
 	}
 }
 

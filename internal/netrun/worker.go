@@ -92,9 +92,9 @@ func (w *Worker) serveConn(conn net.Conn) {
 		defer cancel()
 		defer close(frames)
 		for {
-			payload, err := wire.ReadFrame(conn)
+			payload, err := wire.ReadFrameLimit(conn, wire.MaxRequestFrame)
 			if err != nil {
-				return // EOF or closed
+				return // EOF, closed, or a length prefix no request has
 			}
 			if tag, err := wire.MessageTag(payload); err == nil && tag == wire.TagCancelRequest {
 				if c, err := wire.DecodeCancelRequest(payload); err == nil {

@@ -36,40 +36,75 @@ const (
 	DefaultSpeculationFloor = 250 * time.Millisecond
 )
 
-// Config is the policy's configuration; netrun.Options documents the
-// fields it is filled from.
+// Config is the master's policy — the one description of it, shared by
+// every driver: netrun.Options is this type, cluster.Faults carries one,
+// and the CLIs' policy flags bind straight into one. Zero fields mean
+// their defaults; Validate rejects the rest.
 type Config struct {
-	Workers int
-	// Weights are per-worker shares of every job's partitions; nil means
-	// round-robin.
+	// Weights are per-worker performance weights: when there are more
+	// plan-space partitions than workers, worker i is assigned a
+	// contiguous share of every job's partitions proportional to
+	// Weights[i] — the paper's provision for heterogeneous nodes (§4.1,
+	// footnote 1). nil means homogeneous (round-robin); otherwise one
+	// positive weight per worker.
 	Weights []float64
-	// MaxAttempts is the per-partition attempt budget.
+	// Timeout is the per-attempt deadline. The driver enforces it on its
+	// own clock and reports an attempt that crosses it to the core as
+	// Failed: the TCP master bounds dial, send, worker compute and receive
+	// end to end (a shorter context deadline takes precedence), the
+	// simulator declares a silent node dead this long after its request
+	// arrived. Zero means the driver's default (netrun.DefaultTimeout,
+	// cluster.DefaultDetectTimeout); negative is an error.
+	Timeout time.Duration
+	// MaxAttempts is the per-partition attempt budget: a partition that
+	// fails this many times (across all workers) aborts the batch with a
+	// *BudgetError. Zero means DefaultMaxAttempts; negative is an error.
 	MaxAttempts int
-	// MaxWorkerFailures consecutive transport failures exclude a worker.
+	// MaxWorkerFailures is the number of consecutive transport failures
+	// after which a worker is excluded from the rest of the batch. Zero
+	// means DefaultMaxWorkerFailures; negative is an error.
 	MaxWorkerFailures int
-	// Speculate enables work stealing and speculative clones of
-	// partitions in flight longer than
-	// max(SpeculationFloor, SpeculationMultiplier × median service time).
-	Speculate             bool
+	// Speculate enables adaptive scheduling: an idle worker steals queued
+	// partitions from loaded peers, and a partition in flight longer than
+	// max(SpeculationFloor, SpeculationMultiplier × the median service
+	// time of its job's completed partitions) is cloned to an idle
+	// worker. The first answer wins; the loser is canceled and whatever
+	// it still sends is discarded as stale. Off by default: the schedule
+	// is then the static assignment plus retries.
+	Speculate bool
+	// SpeculationMultiplier scales the straggler threshold. Zero means
+	// DefaultSpeculationMultiplier; values below 1 (which would speculate
+	// faster-than-median partitions) are an error.
 	SpeculationMultiplier float64
-	SpeculationFloor      time.Duration
-	// ReadmitAfter is the first re-admission probe backoff (it doubles on
-	// every failed probe); zero leaves excluded workers excluded.
+	// SpeculationFloor bounds the straggler threshold from below. Zero
+	// means DefaultSpeculationFloor; negative is an error.
+	SpeculationFloor time.Duration
+	// ReadmitAfter enables re-admission probes: an excluded worker is
+	// sent a probe clone of a pending partition after this backoff
+	// (doubling after every failed probe) and rejoins the pool if it
+	// answers correctly. Zero leaves excluded workers excluded for the
+	// rest of the batch; negative is an error.
 	ReadmitAfter time.Duration
 }
 
-// Validate checks the policy fields. Errors carry no package prefix:
-// the caller adds its own.
-func (c Config) Validate() error {
+// Validate checks the policy for a pool of the given size. Errors carry
+// no package prefix: the caller adds its own.
+func (c Config) Validate(workers int) error {
+	if workers < 1 {
+		return errors.New("no workers")
+	}
 	if c.Weights != nil {
-		if len(c.Weights) != c.Workers {
-			return fmt.Errorf("%d weights for %d workers", len(c.Weights), c.Workers)
+		if len(c.Weights) != workers {
+			return fmt.Errorf("%d weights for %d workers", len(c.Weights), workers)
 		}
 		for i, w := range c.Weights {
 			if !(w > 0) {
 				return fmt.Errorf("weight %d is %g, must be positive", i, w)
 			}
 		}
+	}
+	if c.Timeout < 0 {
+		return fmt.Errorf("negative timeout %v", c.Timeout)
 	}
 	if c.MaxAttempts < 0 {
 		return fmt.Errorf("negative attempt budget %d", c.MaxAttempts)
@@ -89,7 +124,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// WithDefaults returns c with every zero field replaced by its default.
+// WithDefaults returns c with every zero field the core reads replaced
+// by its default (Timeout's default is its driver's).
 func (c Config) WithDefaults() Config {
 	c.MaxAttempts = cmp.Or(c.MaxAttempts, DefaultMaxAttempts)
 	c.MaxWorkerFailures = cmp.Or(c.MaxWorkerFailures, DefaultMaxWorkerFailures)
@@ -98,11 +134,10 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// assign splits partition IDs 0..m-1 over the workers. With nil weights
+// assign splits partition IDs 0..m-1 over k workers. With nil weights
 // it round-robins; with weights it hands out contiguous shares
 // proportional to each worker's weight (largest-remainder rounding).
-func (c Config) assign(m int) [][]int {
-	k := c.Workers
+func (c Config) assign(k, m int) [][]int {
 	out := make([][]int, k)
 	if c.Weights == nil {
 		for p := 0; p < m; p++ {
@@ -267,21 +302,19 @@ type Core struct {
 }
 
 // New returns the core for a batch whose job j has parts[j] partitions,
-// with every worker's queue seeded with its share of every job.
-func New(cfg Config, parts []int) (*Core, error) {
-	if cfg.Workers < 1 {
-		return nil, errors.New("no workers")
-	}
-	if err := cfg.Validate(); err != nil {
+// run by the given number of workers under cfg, with every worker's
+// queue seeded with its share of every job.
+func New(workers int, cfg Config, parts []int) (*Core, error) {
+	if err := cfg.Validate(workers); err != nil {
 		return nil, err
 	}
-	c := &Core{cfg: cfg.WithDefaults(), jobs: make([]job, len(parts)), workers: make([]worker, cfg.Workers), alive: cfg.Workers}
+	c := &Core{cfg: cfg.WithDefaults(), jobs: make([]job, len(parts)), workers: make([]worker, workers), alive: workers}
 	for i := range c.workers {
 		c.workers[i].alive = true
 	}
 	for j, m := range parts {
 		c.jobs[j] = job{done: make([]bool, m), inflight: make([]int, m), remaining: m}
-		for ni, share := range c.cfg.assign(m) {
+		for ni, share := range c.cfg.assign(workers, m) {
 			for _, p := range share {
 				c.workers[ni].queue = append(c.workers[ni].queue, unit{Unit: Unit{Job: j, Part: p}})
 			}

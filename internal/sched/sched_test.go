@@ -37,19 +37,20 @@ func probe(worker, part int) Dispatch {
 // time is whatever the script says it is.
 func TestCoreScenarios(t *testing.T) {
 	cases := []struct {
-		name  string
-		cfg   Config
-		parts []int
-		steps []step
-		want  Counters // job 0, after the last step
+		name    string
+		workers int
+		cfg     Config
+		parts   []int
+		steps   []step
+		want    Counters // job 0, after the last step
 	}{
 		{
 			// Speculate=false, ReadmitAfter=0: the static schedule. Each
 			// worker runs exactly its seeded queue, in order, across both
 			// jobs of the batch, and the core never asks to be woken.
-			name:  "static schedule dispatches the seeded queues in order",
-			cfg:   Config{Workers: 2},
-			parts: []int{4, 2},
+			name:    "static schedule dispatches the seeded queues in order",
+			workers: 2,
+			parts:   []int{4, 2},
 			steps: []step{
 				tick(0, Actions{Dispatch: []Dispatch{send(0, 0), send(1, 1)}}),
 				report(3*ms, 1, OK, 3*ms, Actions{Accepted: true, Dispatch: []Dispatch{send(1, 3)}}),
@@ -64,9 +65,10 @@ func TestCoreScenarios(t *testing.T) {
 			},
 		},
 		{
-			name:  "weighted static schedule hands out contiguous shares",
-			cfg:   Config{Workers: 2, Weights: []float64{3, 1}},
-			parts: []int{4},
+			name:    "weighted static schedule hands out contiguous shares",
+			workers: 2,
+			cfg:     Config{Weights: []float64{3, 1}},
+			parts:   []int{4},
 			steps: []step{
 				tick(0, Actions{Dispatch: []Dispatch{send(0, 0), send(1, 3)}}),
 				report(1*ms, 1, OK, 1*ms, Actions{Accepted: true}),
@@ -81,9 +83,10 @@ func TestCoreScenarios(t *testing.T) {
 			// flight: the second idle worker gets nothing. The first answer
 			// wins; the cancel set is the other runner of that partition —
 			// not the worker busy with a different one.
-			name:  "speculation: one clone, first answer wins, losers canceled",
-			cfg:   Config{Workers: 4, Speculate: true, SpeculationFloor: 50 * ms},
-			parts: []int{3},
+			name:    "speculation: one clone, first answer wins, losers canceled",
+			workers: 4,
+			cfg:     Config{Speculate: true, SpeculationFloor: 50 * ms},
+			parts:   []int{3},
 			steps: []step{
 				tick(0, Actions{Dispatch: []Dispatch{send(0, 0), send(1, 1), send(2, 2)}}),
 				// No partition has completed: no baseline, no threshold, no wake.
@@ -105,9 +108,10 @@ func TestCoreScenarios(t *testing.T) {
 			// A worker that cancels a job nobody canceled is recoverable:
 			// the unit is re-queued, avoids the worker that dropped it, and
 			// counts against the attempt budget.
-			name:  "spurious cancel re-queues under the budget",
-			cfg:   Config{Workers: 2, MaxAttempts: 2},
-			parts: []int{2},
+			name:    "spurious cancel re-queues under the budget",
+			workers: 2,
+			cfg:     Config{MaxAttempts: 2},
+			parts:   []int{2},
 			steps: []step{
 				tick(0, Actions{Dispatch: []Dispatch{send(0, 0), send(1, 1)}}),
 				report(5*ms, 0, Canceled, 5*ms, Actions{}), // w0 idle, but it failed p0
@@ -117,9 +121,10 @@ func TestCoreScenarios(t *testing.T) {
 			want: Counters{Redispatched: 1, SpeculationWasted: 2},
 		},
 		{
-			name:  "transport failures exhaust the attempt budget",
-			cfg:   Config{Workers: 1, MaxWorkerFailures: 10},
-			parts: []int{1},
+			name:    "transport failures exhaust the attempt budget",
+			workers: 1,
+			cfg:     Config{MaxWorkerFailures: 10},
+			parts:   []int{1},
 			steps: []step{
 				tick(0, Actions{Dispatch: []Dispatch{send(0, 0)}}),
 				// The only survivor failed it: it may retry it all the same.
@@ -130,9 +135,10 @@ func TestCoreScenarios(t *testing.T) {
 			want: Counters{Redispatched: 2},
 		},
 		{
-			name:  "every worker excluded",
-			cfg:   Config{Workers: 2, MaxWorkerFailures: 1},
-			parts: []int{2},
+			name:    "every worker excluded",
+			workers: 2,
+			cfg:     Config{MaxWorkerFailures: 1},
+			parts:   []int{2},
 			steps: []step{
 				tick(0, Actions{Dispatch: []Dispatch{send(0, 0), send(1, 1)}}),
 				report(1*ms, 0, Failed, 1*ms, Actions{}),
@@ -141,9 +147,9 @@ func TestCoreScenarios(t *testing.T) {
 			want: Counters{Redispatched: 2},
 		},
 		{
-			name:  "a deterministic failure aborts unless the partition is answered",
-			cfg:   Config{Workers: 1},
-			parts: []int{1},
+			name:    "a deterministic failure aborts unless the partition is answered",
+			workers: 1,
+			parts:   []int{1},
 			steps: []step{
 				tick(0, Actions{Dispatch: []Dispatch{send(0, 0)}}),
 				failing(1*ms, 0, Fatal, 1*ms, ErrFatal.Error()),
@@ -153,9 +159,10 @@ func TestCoreScenarios(t *testing.T) {
 			// Exclusion hands the excluded worker's untouched share — then
 			// the unit it just failed — to the survivors, and the excluded
 			// worker is never dispatched to again.
-			name:  "exclusion hands the untouched share to survivors",
-			cfg:   Config{Workers: 2, MaxWorkerFailures: 1},
-			parts: []int{4},
+			name:    "exclusion hands the untouched share to survivors",
+			workers: 2,
+			cfg:     Config{MaxWorkerFailures: 1},
+			parts:   []int{4},
 			steps: []step{
 				tick(0, Actions{Dispatch: []Dispatch{send(0, 0), send(1, 1)}}),
 				report(1*ms, 0, Failed, 1*ms, Actions{}),
@@ -171,9 +178,10 @@ func TestCoreScenarios(t *testing.T) {
 			// queue once its backoff expires; a failed probe doubles the
 			// backoff, a correct one readmits the worker — and its answer,
 			// being the partition's first, is kept.
-			name:  "probes: backoff doubles on failure, success readmits",
-			cfg:   Config{Workers: 2, MaxWorkerFailures: 1, ReadmitAfter: 100 * ms},
-			parts: []int{4},
+			name:    "probes: backoff doubles on failure, success readmits",
+			workers: 2,
+			cfg:     Config{MaxWorkerFailures: 1, ReadmitAfter: 100 * ms},
+			parts:   []int{4},
 			steps: []step{
 				tick(0, Actions{Dispatch: []Dispatch{send(0, 0), send(1, 1)}}),
 				report(10*ms, 0, Failed, 10*ms, Actions{Wake: 110 * ms}),
@@ -191,7 +199,7 @@ func TestCoreScenarios(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := New(tc.cfg, tc.parts)
+			c, err := New(tc.workers, tc.cfg, tc.parts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,8 +243,8 @@ func TestStragglerThreshold(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Workers: 2, Speculate: true, SpeculationMultiplier: tc.mult, SpeculationFloor: tc.floor}
-			c, err := New(cfg, []int{len(tc.svc) + 1})
+			cfg := Config{Speculate: true, SpeculationMultiplier: tc.mult, SpeculationFloor: tc.floor}
+			c, err := New(2, cfg, []int{len(tc.svc) + 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,8 +278,8 @@ func TestStragglerThreshold(t *testing.T) {
 func TestWakeIsNeverANoOpAndRunsReplay(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		workers := 1 + rng.Intn(5)
 		cfg := Config{
-			Workers:           1 + rng.Intn(5),
 			MaxAttempts:       50,
 			MaxWorkerFailures: 1 + rng.Intn(3),
 			Speculate:         rng.Intn(2) == 0,
@@ -286,7 +294,7 @@ func TestWakeIsNeverANoOpAndRunsReplay(t *testing.T) {
 			parts[j] = 1 << rng.Intn(4)
 			total += parts[j]
 		}
-		c, err := New(cfg, parts)
+		c, err := New(workers, cfg, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +302,7 @@ func TestWakeIsNeverANoOpAndRunsReplay(t *testing.T) {
 			since time.Duration
 			busy  bool
 		}
-		flights := make([]flight, cfg.Workers)
+		flights := make([]flight, workers)
 		var log []step
 		accepted := 0
 		var now time.Duration
@@ -357,7 +365,7 @@ func TestWakeIsNeverANoOpAndRunsReplay(t *testing.T) {
 		if accepted != total {
 			t.Fatalf("seed %d: %d answers accepted for %d partitions", seed, accepted, total)
 		}
-		replay, err := New(cfg, parts)
+		replay, err := New(workers, cfg, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,31 +381,33 @@ func TestWakeIsNeverANoOpAndRunsReplay(t *testing.T) {
 func TestConfigValidate(t *testing.T) {
 	nan := func() float64 { var z float64; return z / z }
 	cases := []struct {
-		cfg  Config
-		want string
+		workers int
+		cfg     Config
+		want    string
 	}{
-		{Config{Workers: 1, Weights: []float64{1, 2}}, "2 weights for 1 workers"},
-		{Config{Workers: 2, Weights: []float64{1, 0}}, "weight 1 is 0, must be positive"},
-		{Config{Workers: 2, Weights: []float64{1, nan()}}, "weight 1 is NaN, must be positive"},
-		{Config{Workers: 1, MaxAttempts: -1}, "negative attempt budget -1"},
-		{Config{Workers: 1, MaxWorkerFailures: -2}, "negative worker failure limit -2"},
-		{Config{Workers: 1, SpeculationMultiplier: 0.5}, "speculation multiplier 0.5 below 1"},
-		{Config{Workers: 1, SpeculationFloor: -time.Second}, "negative speculation floor -1s"},
-		{Config{Workers: 1, ReadmitAfter: -time.Second}, "negative re-admission backoff -1s"},
+		{1, Config{Weights: []float64{1, 2}}, "2 weights for 1 workers"},
+		{2, Config{Weights: []float64{1, 0}}, "weight 1 is 0, must be positive"},
+		{2, Config{Weights: []float64{1, nan()}}, "weight 1 is NaN, must be positive"},
+		{1, Config{Timeout: -time.Second}, "negative timeout -1s"},
+		{1, Config{MaxAttempts: -1}, "negative attempt budget -1"},
+		{1, Config{MaxWorkerFailures: -2}, "negative worker failure limit -2"},
+		{1, Config{SpeculationMultiplier: 0.5}, "speculation multiplier 0.5 below 1"},
+		{1, Config{SpeculationFloor: -time.Second}, "negative speculation floor -1s"},
+		{1, Config{ReadmitAfter: -time.Second}, "negative re-admission backoff -1s"},
 	}
 	for _, tc := range cases {
-		if err := tc.cfg.Validate(); err == nil || err.Error() != tc.want {
+		if err := tc.cfg.Validate(tc.workers); err == nil || err.Error() != tc.want {
 			t.Errorf("%+v: error %v, want %q", tc.cfg, err, tc.want)
 		}
-		if _, err := New(tc.cfg, []int{1}); err == nil {
+		if _, err := New(tc.workers, tc.cfg, []int{1}); err == nil {
 			t.Errorf("%+v: New accepted an invalid config", tc.cfg)
 		}
 	}
-	if _, err := New(Config{}, []int{1}); err == nil {
+	if _, err := New(0, Config{}, []int{1}); err == nil {
 		t.Error("New accepted an empty worker pool")
 	}
-	got := Config{Workers: 1}.WithDefaults()
-	want := Config{Workers: 1, MaxAttempts: DefaultMaxAttempts, MaxWorkerFailures: DefaultMaxWorkerFailures,
+	got := Config{}.WithDefaults()
+	want := Config{MaxAttempts: DefaultMaxAttempts, MaxWorkerFailures: DefaultMaxWorkerFailures,
 		SpeculationMultiplier: DefaultSpeculationMultiplier, SpeculationFloor: DefaultSpeculationFloor}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("defaults = %+v, want %+v", got, want)
@@ -405,7 +415,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestAssignPartitionsRoundRobin(t *testing.T) {
-	parts := Config{Workers: 3}.assign(8)
+	parts := Config{}.assign(3, 8)
 	if len(parts[0]) != 3 || len(parts[1]) != 3 || len(parts[2]) != 2 {
 		t.Fatalf("round robin = %v", parts)
 	}
@@ -414,7 +424,7 @@ func TestAssignPartitionsRoundRobin(t *testing.T) {
 
 func TestAssignPartitionsProportional(t *testing.T) {
 	// A worker that is 3x as fast gets ~3x the partitions (footnote 1).
-	parts := Config{Workers: 2, Weights: []float64{3, 1}}.assign(16)
+	parts := Config{Weights: []float64{3, 1}}.assign(2, 16)
 	if len(parts[0]) != 12 || len(parts[1]) != 4 {
 		t.Fatalf("proportional assignment = %d/%d want 12/4", len(parts[0]), len(parts[1]))
 	}
@@ -422,7 +432,7 @@ func TestAssignPartitionsProportional(t *testing.T) {
 
 	// Largest-remainder rounding: 3 partitions over weights 1:1 gives
 	// 2:1 or 1:2, never 3:0.
-	parts = Config{Workers: 2, Weights: []float64{1, 1}}.assign(3)
+	parts = Config{Weights: []float64{1, 1}}.assign(2, 3)
 	if len(parts[0])+len(parts[1]) != 3 || len(parts[0]) == 0 || len(parts[1]) == 0 {
 		t.Fatalf("remainder assignment = %v", parts)
 	}

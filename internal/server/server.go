@@ -50,6 +50,7 @@ import (
 	"time"
 
 	"mpq"
+	"mpq/internal/wire"
 )
 
 // Defaults for Config fields left at zero.
@@ -58,7 +59,7 @@ const (
 	DefaultDispatchers      = 4
 	DefaultTimeout          = time.Minute
 	DefaultDrainWait        = 10 * time.Second
-	DefaultMaxWireMsg       = 8 << 20
+	DefaultMaxWireMsg       = wire.MaxRequestFrame
 	DefaultWireWriteTimeout = 10 * time.Second
 )
 

@@ -20,6 +20,7 @@
 package sma
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -75,8 +76,10 @@ func encodeDelta(entries []deltaEntry) []byte {
 // Run simulates SMA on the cluster described by model. spec.Workers may
 // be any count ≥ 1 (SMA has no power-of-two restriction); spec.Space,
 // Objective, Alpha and InterestingOrders mean the same as for MPQ. The
-// measurement record is the answer's Cluster field.
-func Run(model cluster.Model, q *query.Query, spec core.JobSpec) (*core.Answer, error) {
+// measurement record is the answer's Cluster field. ctx is checked once
+// per cardinality round; when it ends, Run returns an error wrapping its
+// cause.
+func Run(ctx context.Context, model cluster.Model, q *query.Query, spec core.JobSpec) (*core.Answer, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
@@ -115,6 +118,9 @@ func Run(model cluster.Model, q *query.Query, spec core.JobSpec) (*core.Answer, 
 	var virtual time.Duration
 	// Initial statistics distribution (query + selectivities), like MPQ.
 	for k := 2; k <= n; k++ {
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("sma: simulation canceled: %w", context.Cause(ctx))
+		}
 		sets = sets[:0]
 		enum.ForEachAdmissible(k, func(u bitset.Set) bool {
 			sets = append(sets, u)

@@ -2,6 +2,7 @@ package sma
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestSMAMatchesSerialDP(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range []int{1, 3, 8} {
-				res, err := Run(cluster.Default(), q, core.JobSpec{Space: space, Workers: m})
+				res, err := Run(context.Background(), cluster.Default(), q, core.JobSpec{Space: space, Workers: m})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -53,7 +54,7 @@ func TestSMAMatchesSerialDP(t *testing.T) {
 func TestSMAMatchesMPQ(t *testing.T) {
 	q := gen(t, 9, 5)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
-	smaRes, err := Run(cluster.Default(), q, spec)
+	smaRes, err := Run(context.Background(), cluster.Default(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestSMATrafficDwarfsMPQ(t *testing.T) {
 	q := gen(t, 10, 1)
 	for _, m := range []int{4, 16} {
 		spec := core.JobSpec{Space: partition.Linear, Workers: m}
-		smaRes, err := Run(cluster.Default(), q, spec)
+		smaRes, err := Run(context.Background(), cluster.Default(), q, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestSMATrafficGrowsWithWorkers(t *testing.T) {
 	q := gen(t, 10, 2)
 	var prev uint64
 	for i, m := range []int{1, 2, 4, 8, 16} {
-		res, err := Run(cluster.Default(), q, core.JobSpec{Space: partition.Linear, Workers: m})
+		res, err := Run(context.Background(), cluster.Default(), q, core.JobSpec{Space: partition.Linear, Workers: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func TestSMATrafficGrowsWithWorkers(t *testing.T) {
 func TestSMARoundsAndMessages(t *testing.T) {
 	q := gen(t, 8, 0)
 	m := 4
-	res, err := Run(cluster.Default(), q, core.JobSpec{Space: partition.Linear, Workers: m})
+	res, err := Run(context.Background(), cluster.Default(), q, core.JobSpec{Space: partition.Linear, Workers: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestSMAMemoryConstantInWorkers(t *testing.T) {
 	q := gen(t, 9, 3)
 	var first uint64
 	for i, m := range []int{1, 4, 16} {
-		res, err := Run(cluster.Default(), q, core.JobSpec{Space: partition.Linear, Workers: m})
+		res, err := Run(context.Background(), cluster.Default(), q, core.JobSpec{Space: partition.Linear, Workers: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func TestSMAMultiObjective(t *testing.T) {
 		Space: partition.Linear, Workers: 4,
 		Objective: core.MultiObjective, Alpha: 1,
 	}
-	res, err := Run(cluster.Default(), q, spec)
+	res, err := Run(context.Background(), cluster.Default(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,22 +164,22 @@ func TestSMAMultiObjective(t *testing.T) {
 
 func TestSMAValidation(t *testing.T) {
 	q := gen(t, 6, 0)
-	if _, err := Run(cluster.Default(), q, core.JobSpec{Space: partition.Linear, Workers: 0}); err == nil {
+	if _, err := Run(context.Background(), cluster.Default(), q, core.JobSpec{Space: partition.Linear, Workers: 0}); err == nil {
 		t.Fatal("zero workers accepted")
 	}
-	if _, err := Run(cluster.Default(), q, core.JobSpec{Space: partition.Space(9), Workers: 2}); err == nil {
+	if _, err := Run(context.Background(), cluster.Default(), q, core.JobSpec{Space: partition.Space(9), Workers: 2}); err == nil {
 		t.Fatal("invalid space accepted")
 	}
-	if _, err := Run(cluster.Model{}, q, core.JobSpec{Space: partition.Linear, Workers: 2}); err == nil {
+	if _, err := Run(context.Background(), cluster.Model{}, q, core.JobSpec{Space: partition.Linear, Workers: 2}); err == nil {
 		t.Fatal("invalid model accepted")
 	}
-	if _, err := Run(cluster.Default(), q, core.JobSpec{
+	if _, err := Run(context.Background(), cluster.Default(), q, core.JobSpec{
 		Space: partition.Linear, Workers: 2, Objective: core.MultiObjective, Alpha: 0.2,
 	}); err == nil {
 		t.Fatal("alpha < 1 accepted")
 	}
 	// Non-power-of-two worker counts are fine for SMA.
-	if _, err := Run(cluster.Default(), q, core.JobSpec{Space: partition.Linear, Workers: 5}); err != nil {
+	if _, err := Run(context.Background(), cluster.Default(), q, core.JobSpec{Space: partition.Linear, Workers: 5}); err != nil {
 		t.Fatalf("m=5 rejected: %v", err)
 	}
 }
@@ -196,5 +197,43 @@ func TestEncodeDeltaSize(t *testing.T) {
 	}
 	if len(encodeDelta(nil)) != 0 {
 		t.Fatal("empty delta should be empty")
+	}
+}
+
+// roundsCtx reports itself canceled from its (rounds+1)-th Err call on:
+// Run asks once per cardinality round, so it ends after exactly that
+// many rounds.
+type roundsCtx struct {
+	context.Context
+	rounds int
+}
+
+func (c *roundsCtx) Err() error {
+	if c.rounds == 0 {
+		return context.Canceled
+	}
+	c.rounds--
+	return nil
+}
+
+// Run stops at the next round boundary once its context ends — before
+// the first round or in the middle of the sweep — with an error wrapping
+// the cause and no answer.
+func TestRunHonoursCancel(t *testing.T) {
+	q := gen(t, 10, 3)
+	spec := core.JobSpec{Space: partition.Linear, Workers: 4}
+	before, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, ctx := range map[string]context.Context{
+		"canceled before the call": before,
+		"canceled after round 3":   &roundsCtx{Context: context.Background(), rounds: 3},
+	} {
+		ans, err := Run(ctx, cluster.Default(), q, spec)
+		if !errors.Is(err, context.Canceled) || ans != nil {
+			t.Errorf("%s: answer %v, error %v; want no answer and context.Canceled", name, ans, err)
+		}
+	}
+	if _, err := Run(&roundsCtx{Context: context.Background(), rounds: q.N() - 1}, cluster.Default(), q, spec); err != nil {
+		t.Errorf("a context that outlives the %d rounds: %v", q.N()-1, err)
 	}
 }

@@ -15,6 +15,11 @@ import (
 // read loop before being cut off.
 const MaxFrameSize = 1 << 30
 
+// MaxRequestFrame is that tighter limit for a listener's inbound
+// frames — job and cancel requests to a TCP worker, optimize requests
+// to mpqd's wire front.
+const MaxRequestFrame = 8 << 20
+
 // ErrFrameTooLarge reports a frame whose length prefix exceeds the
 // reader's size limit. It is a transport-level (retryable) condition:
 // the stream is out of sync or the peer is misbehaving, so the caller

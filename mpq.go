@@ -171,12 +171,14 @@ type (
 type (
 	// TCPWorker serves optimization jobs over TCP.
 	TCPWorker = netrun.Worker
-	// MasterOptions configures the fault-tolerant TCP master: per-job
-	// deadline, per-partition retry budget, worker-exclusion threshold,
-	// and per-worker weights.
+	// MasterOptions is the master's policy (internal/sched.Config, where
+	// every field is documented): per-attempt deadline, per-partition
+	// retry budget, worker-exclusion threshold, per-worker weights,
+	// speculation and re-admission.
 	MasterOptions = netrun.Options
-	// ClusterFaults scripts worker deaths, stalls and speculative
-	// re-dispatch for the cluster simulator.
+	// ClusterFaults scripts worker deaths and stalls for the cluster
+	// simulator, and carries the simulated master's policy as one
+	// MasterOptions value (Policy).
 	ClusterFaults = cluster.Faults
 )
 

@@ -24,6 +24,11 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
+# ROADMAP item 1(c): no test may divide one wall-clock reading by
+# another (bench/ measures in reference time and is its own module).
+echo "==> no time.Since ratios in tests"
+find . -name '*_test.go' -not -path './bench/*' | xargs awk -f scripts/sinceratio.awk
+
 echo "==> mpqlint ./..."
 go run ./cmd/mpqlint ./...
 
@@ -38,5 +43,9 @@ echo "==> mpqbench dispatch smoke (fig3, 2 queries)"
 go run ./cmd/mpqbench -experiment fig3 -queries 2 -quiet -json >/dev/null
 
 # bench/ is its own module (bench/README.md), invisible to the root ./...
-echo "==> bench: go vet + go test -short"
-(cd bench && go vet ./... && go test -short ./...)
+# TestSmoke is skipped until ROADMAP item 1(b) recalibrates it: it misses
+# its fixed 5-reference-second limit in two or three runs of six on the
+# reference box whatever the diff, and only a [benchmark] PR may edit
+# bench/ — until then it would fail this gate for reasons no change causes.
+echo "==> bench: go vet + go test -short (without TestSmoke)"
+(cd bench && go vet ./... && go test -short -skip '^TestSmoke$' ./...)

@@ -7,7 +7,7 @@
 //
 //	go run ./cmd/mpqlint ./...
 //	go run ./cmd/mpqlint -list
-//	go run ./cmd/mpqlint -facts ~/.cache/mpqlint ./... ./examples/...
+//	go run ./cmd/mpqlint -json ./internal/server
 //
 // Findings print as file:line:col: message (analyzer), one per line —
 // the format CI's problem matcher annotates — and a nonzero exit
@@ -36,10 +36,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	jsonOut := fs.Bool("json", false, "emit findings as JSON Lines instead of text")
-	factsDir := fs.String("facts", os.Getenv("MPQLINT_FACTS"),
-		"directory for the per-package findings cache (default $MPQLINT_FACTS; empty disables)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: mpqlint [-list] [-json] [-facts dir] [packages]\n")
+		fmt.Fprintf(stderr, "usage: mpqlint [-list] [-json] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -64,23 +62,14 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "mpqlint: %v\n", err)
 		return 2
 	}
-	facts, err := analysis.OpenFacts(*factsDir)
-	if err != nil {
-		fmt.Fprintf(stderr, "mpqlint: %v\n", err)
-		return 2
-	}
 
 	enc := json.NewEncoder(stdout)
 	total := 0
 	for _, pkg := range pkgs {
-		findings, cached := facts.Get(pkg, analyzers)
-		if !cached {
-			findings, err = analysis.RunSuite(pkg, analyzers)
-			if err != nil {
-				fmt.Fprintf(stderr, "mpqlint: %v\n", err)
-				return 2
-			}
-			facts.Put(pkg, analyzers, findings)
+		findings, err := analysis.RunSuite(pkg, analyzers)
+		if err != nil {
+			fmt.Fprintf(stderr, "mpqlint: %v\n", err)
+			return 2
 		}
 		for _, f := range findings {
 			total++

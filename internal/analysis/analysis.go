@@ -68,9 +68,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // PkgNameIs reports whether the package path's last element is name.
 // Analyzers match the repository's packages this way (for example
-// "mpq/internal/plan" by "plan") so the same analyzer works unchanged
-// against the analysistest fixture trees, whose packages live at short
-// import paths like "plan".
+// "mpq/internal/cache" by "cache") so the same analyzer applies to a
+// fixture package of that name under its testdata/src.
 func PkgNameIs(pkg *types.Package, name string) bool {
 	if pkg == nil {
 		return false

@@ -1,47 +1,46 @@
 // Package analysistest runs an analyzer over golden fixture packages,
-// mirroring golang.org/x/tools/go/analysis/analysistest: fixture
-// sources live under <analyzer>/testdata/src/<pkg>/, expected findings
-// are `// want "regexp"` comments on the offending line, and
-// //lint:allow directives are honored exactly as in production runs —
-// so every fixture can demonstrate both a flagged and an allowed case.
-//
-// Fixture imports resolve against testdata/src first (so fixtures can
-// stub repository packages like "plan" or "wire" at short import
-// paths), then against the standard library via compiled export data.
+// mirroring golang.org/x/tools/go/analysis/analysistest. A fixture is
+// an ordinary package under <analyzer>/testdata/src/<pkg>/ — it builds,
+// vets, and imports the repository's own packages (mpq/internal/plan,
+// mpq/internal/wire) rather than stubs of them, so an analyzer is
+// proven against the code it guards. Fixtures are loaded by
+// analysis.Load, the loader mpqlint itself uses; `./...` never matches
+// a testdata directory, so the build, vet and lint gates do not see
+// them. Expected findings are `// want "regexp"` comments on the
+// offending line, and //lint:allow directives are honored exactly as
+// in production runs — so every fixture can demonstrate both a flagged
+// and an allowed case.
 package analysistest
 
 import (
-	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"mpq/internal/analysis"
 )
 
-// Run loads the fixture package at testdata/src/<pkgPath> (relative to
-// dir, conventionally "testdata"), applies the analyzer, and compares
-// its findings against the fixture's // want comments.
-func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {
+// Run loads the one package the go-list pattern names (conventionally
+// "./testdata/src/<pkg>", relative to the test's directory), applies
+// the analyzer, and compares its findings against the package's
+// // want comments.
+func Run(t *testing.T, a *analysis.Analyzer, pattern string) {
 	t.Helper()
-	pkg, err := loadFixture(filepath.Join(dir, "src"), pkgPath)
+	pkgs, err := analysis.Load([]string{pattern})
 	if err != nil {
-		t.Fatalf("load fixture %s: %v", pkgPath, err)
+		t.Fatalf("load %s: %v", pattern, err)
 	}
+	if len(pkgs) != 1 {
+		t.Fatalf("load %s: %d packages, want exactly one", pattern, len(pkgs))
+	}
+	pkg := pkgs[0]
+	statModuleImports(pkg)
 	findings, err := analysis.RunAnalyzer(pkg, a)
 	if err != nil {
-		t.Fatalf("run %s on %s: %v", a.Name, pkgPath, err)
+		t.Fatalf("run %s on %s: %v", a.Name, pattern, err)
 	}
 	expects := parseWants(t, pkg)
 
@@ -65,6 +64,27 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {
 	for i, w := range expects {
 		if !matched[i] {
 			t.Errorf("%s:%d: expected finding matching %q, got none", w.file, w.line, w.re)
+		}
+	}
+}
+
+// statModuleImports stats the source files of the repository packages
+// pkg imports. go test replays a cached pass until a file the test
+// process itself touched changes, and the loader reads a fixture's
+// imports in a `go list` child it cannot see — so without this a new
+// wire.Tag or Arena method would replay yesterday's verdict instead of
+// rerunning the fixture.
+func statModuleImports(pkg *analysis.Package) {
+	module, rel, _ := strings.Cut(pkg.PkgPath, "/")
+	root := strings.TrimSuffix(pkg.Dir, filepath.FromSlash(rel))
+	for _, imp := range pkg.Types.Imports() {
+		dir, ok := strings.CutPrefix(imp.Path(), module+"/")
+		if !ok {
+			continue
+		}
+		files, _ := filepath.Glob(filepath.Join(root, filepath.FromSlash(dir), "*.go"))
+		for _, f := range files {
+			_, _ = os.Stat(f) // only the test log's record of the call matters
 		}
 	}
 }
@@ -112,125 +132,4 @@ func parseWants(t *testing.T, pkg *analysis.Package) []want {
 		return out[i].line < out[j].line
 	})
 	return out
-}
-
-// fixtureLoader type-checks fixture packages from source, resolving
-// fixture-local imports recursively and standard-library imports from
-// export data.
-type fixtureLoader struct {
-	srcRoot string
-	fset    *token.FileSet
-	pkgs    map[string]*analysis.Package
-	std     types.Importer
-}
-
-func loadFixture(srcRoot, pkgPath string) (*analysis.Package, error) {
-	fset := token.NewFileSet()
-	l := &fixtureLoader{
-		srcRoot: srcRoot,
-		fset:    fset,
-		pkgs:    map[string]*analysis.Package{},
-		std:     importer.ForCompiler(fset, "gc", stdExportLookup),
-	}
-	return l.load(pkgPath)
-}
-
-func (l *fixtureLoader) load(pkgPath string) (*analysis.Package, error) {
-	if pkg, ok := l.pkgs[pkgPath]; ok {
-		return pkg, nil
-	}
-	dir := filepath.Join(l.srcRoot, filepath.FromSlash(pkgPath))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		full := filepath.Join(dir, e.Name())
-		f, err := parser.ParseFile(l.fset, full, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		names = append(names, full)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	info := analysis.NewTypesInfo()
-	// Soft errors ("declared and not used", unused imports) are
-	// tolerated: fixtures often deliberately leave a variable unused —
-	// that is the very shape some analyzers flag.
-	hardErr := false
-	conf := types.Config{Error: func(err error) {
-		if te, ok := err.(types.Error); ok && te.Soft {
-			return
-		}
-		hardErr = true
-	}}
-	conf.Importer = importerFunc(func(path string) (*types.Package, error) {
-		if st, err := os.Stat(filepath.Join(l.srcRoot, filepath.FromSlash(path))); err == nil && st.IsDir() {
-			dep, err := l.load(path)
-			if err != nil {
-				return nil, err
-			}
-			return dep.Types, nil
-		}
-		return l.std.Import(path)
-	})
-	tpkg, err := conf.Check(pkgPath, l.fset, files, info)
-	if err != nil && hardErr {
-		return nil, fmt.Errorf("typecheck %s: %v", pkgPath, err)
-	}
-	pkg := &analysis.Package{
-		PkgPath: pkgPath,
-		Name:    tpkg.Name(),
-		Dir:     dir,
-		GoFiles: names,
-		Fset:    l.fset,
-		Files:   files,
-		Types:   tpkg,
-		Info:    info,
-	}
-	l.pkgs[pkgPath] = pkg
-	return pkg, nil
-}
-
-type importerFunc func(string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// Standard-library export data, discovered through `go list` once per
-// import path and shared across all fixture loads in the process.
-var (
-	stdMu      sync.Mutex
-	stdExports = map[string]string{}
-)
-
-func stdExportLookup(path string) (io.ReadCloser, error) {
-	stdMu.Lock()
-	defer stdMu.Unlock()
-	if f, ok := stdExports[path]; ok {
-		return os.Open(f)
-	}
-	out, err := exec.Command("go", "list", "-deps", "-export",
-		"-f", "{{.ImportPath}}\t{{.Export}}", path).Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list -export %s: %v", path, err)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		ip, export, ok := strings.Cut(line, "\t")
-		if ok && export != "" {
-			stdExports[ip] = export
-		}
-	}
-	f, ok := stdExports[path]
-	if !ok {
-		return nil, fmt.Errorf("no export data for %s", path)
-	}
-	return os.Open(f)
 }

@@ -22,7 +22,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: `arena-allocated plan nodes must not escape without CloneTree
 
 Values produced by plan.Arena constructors (Scan, Join,
-JoinWithScalars) are invalidated by the arena's next Reset. Storing
+JoinWithScalars, Copy) are invalidated by the arena's next Reset. Storing
 one to a struct field, returning it, or sending it on a channel lets
 it outlive the run that allocated it; route such escapes through
 plan.CloneTree (or dp.Engine.Finish) instead. Functions with a

@@ -8,7 +8,6 @@ import (
 )
 
 func TestCtxFlow(t *testing.T) {
-	for _, pkg := range []string{"cache", "pqo"} {
-		analysistest.Run(t, "testdata", ctxflow.Analyzer, pkg)
-	}
+	analysistest.Run(t, ctxflow.Analyzer, "./testdata/src/cache")
+	analysistest.Run(t, ctxflow.Analyzer, "./testdata/src/pqo")
 }

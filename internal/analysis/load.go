@@ -28,12 +28,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	// DepExports maps every dependency's import path to its compiled
-	// export-data file. The facts cache hashes these files so a change
-	// in a dependency's API invalidates cached findings for its
-	// importers.
-	DepExports map[string]string
 }
 
 // listEntry is the subset of `go list -json` output the loader reads.
@@ -42,10 +36,7 @@ type listEntry struct {
 	Name       string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
-	Deps       []string
 	Export     string
-	Standard   bool
 	DepOnly    bool
 }
 
@@ -58,7 +49,7 @@ type listEntry struct {
 func Load(patterns []string) ([]*Package, error) {
 	args := append([]string{
 		"list", "-deps", "-export",
-		"-json=ImportPath,Name,Dir,GoFiles,Imports,Deps,Export,Standard,DepOnly",
+		"-json=ImportPath,Name,Dir,GoFiles,Export,DepOnly",
 		"--",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -69,31 +60,26 @@ func Load(patterns []string) ([]*Package, error) {
 		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
 	}
 
-	entries := map[string]*listEntry{}
+	exports := map[string]string{} // import path -> compiled export data
 	var targets []*listEntry
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
-		var e listEntry
-		if err := dec.Decode(&e); err == io.EOF {
+		e := new(listEntry)
+		if err := dec.Decode(e); err == io.EOF {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("decode go list output: %v", err)
 		}
-		cp := e
-		entries[cp.ImportPath] = &cp
-		if !cp.DepOnly {
-			targets = append(targets, &cp)
+		if e.Export != "" {
+			exports[e.ImportPath] = e.Export
+		}
+		if !e.DepOnly {
+			targets = append(targets, e)
 		}
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	exports := map[string]string{}
-	for path, e := range entries {
-		if e.Export != "" {
-			exports[path] = e.Export
-		}
-	}
 	lookup := func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
@@ -111,12 +97,6 @@ func Load(patterns []string) ([]*Package, error) {
 		pkg, err := typecheckDir(fset, e, imp)
 		if err != nil {
 			return nil, err
-		}
-		pkg.DepExports = map[string]string{}
-		for _, dep := range e.Deps {
-			if f, ok := exports[dep]; ok {
-				pkg.DepExports[dep] = f
-			}
 		}
 		pkgs = append(pkgs, pkg)
 	}
@@ -136,7 +116,7 @@ func typecheckDir(fset *token.FileSet, e *listEntry, imp types.Importer) (*Packa
 		files = append(files, f)
 		names = append(names, full)
 	}
-	info := NewTypesInfo()
+	info := newTypesInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(e.ImportPath, fset, files, info)
 	if err != nil {
@@ -154,9 +134,9 @@ func typecheckDir(fset *token.FileSet, e *listEntry, imp types.Importer) (*Packa
 	}, nil
 }
 
-// NewTypesInfo returns a types.Info with every map analyzers consult
+// newTypesInfo returns a types.Info with every map analyzers consult
 // allocated.
-func NewTypesInfo() *types.Info {
+func newTypesInfo() *types.Info {
 	return &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},

@@ -11,5 +11,5 @@ import (
 // reproduces the pre-fix PR 8 CellCache deadlock (Stats vs BestAt) —
 // the shape the concurrency canary originally caught at runtime.
 func TestLockOrder(t *testing.T) {
-	analysistest.Run(t, "testdata", lockorder.Analyzer, "pqo")
+	analysistest.Run(t, lockorder.Analyzer, "./testdata/src/pqo")
 }

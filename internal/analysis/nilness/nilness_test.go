@@ -8,5 +8,5 @@ import (
 )
 
 func TestNilness(t *testing.T) {
-	analysistest.Run(t, "testdata", nilness.Analyzer, "nilcheck")
+	analysistest.Run(t, nilness.Analyzer, "./testdata/src/nilcheck")
 }

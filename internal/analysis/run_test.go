@@ -38,7 +38,7 @@ func demoPackage(t *testing.T) *Package {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := NewTypesInfo()
+	info := newTypesInfo()
 	tpkg, err := (&types.Config{}).Check("demo", fset, []*ast.File{f}, info)
 	if err != nil {
 		t.Fatal(err)

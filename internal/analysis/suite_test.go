@@ -13,8 +13,10 @@ import (
 // analyzer registered in suite.All() must ship golden fixtures that
 // demonstrate both a flagged case (a `// want` expectation) and a
 // deliberate exception (a `//lint:allow <name>` directive), plus the
-// analysistest runner that executes them. An analyzer nobody can see
-// fire — or nobody knows how to silence — does not belong in the
+// analysistest runner that executes them — and the runner must load
+// every fixture package it ships, by its literal ./testdata/src/<pkg>
+// path: a fixture no test loads proves nothing. An analyzer nobody can
+// see fire — or nobody knows how to silence — does not belong in the
 // blocking CI gate.
 func TestEveryAnalyzerShipsFixtures(t *testing.T) {
 	analyzers := suite.All()
@@ -38,11 +40,22 @@ func TestEveryAnalyzerShipsFixtures(t *testing.T) {
 		}
 
 		dir := a.Name // internal/analysis/<name>, relative to this test
-		if _, err := os.Stat(filepath.Join(dir, a.Name+"_test.go")); err != nil {
+		runner, err := os.ReadFile(filepath.Join(dir, a.Name+"_test.go"))
+		if err != nil {
 			t.Errorf("%s: missing analysistest runner %s/%s_test.go: %v", a.Name, dir, a.Name, err)
 			continue
 		}
-		wants, allows := scanFixtures(t, filepath.Join(dir, "testdata", "src"), a.Name)
+		src := filepath.Join(dir, "testdata", "src")
+		fixtures, err := os.ReadDir(src)
+		if err != nil {
+			t.Errorf("%s: %v", a.Name, err)
+		}
+		for _, fx := range fixtures {
+			if load := "./testdata/src/" + fx.Name(); !strings.Contains(string(runner), `"`+load+`"`) {
+				t.Errorf("%s: %s_test.go never loads fixture %q", a.Name, a.Name, load)
+			}
+		}
+		wants, allows := scanFixtures(t, src, a.Name)
 		if wants == 0 {
 			t.Errorf("%s: no `// want` expectation in any fixture under %s/testdata/src — the analyzer never demonstrably fires", a.Name, dir)
 		}

@@ -8,5 +8,5 @@ import (
 )
 
 func TestTagSwitch(t *testing.T) {
-	analysistest.Run(t, "testdata", tagswitch.Analyzer, "dispatch")
+	analysistest.Run(t, tagswitch.Analyzer, "./testdata/src/dispatch")
 }

@@ -1,11 +1,15 @@
 // Package dispatch exercises the tagswitch analyzer: switches on
 // wire.Tag must handle every exported tag constant or carry a default
-// clause that returns.
+// clause that returns. It imports the repository's own wire package:
+// the exhaustive case below names every tag the protocol has today, so
+// adding a tag fails this fixture until someone decides what dispatch
+// does with the new frame.
 package dispatch
 
 import (
 	"errors"
-	"wire"
+
+	"mpq/internal/wire"
 )
 
 var errUnknown = errors.New("unknown tag")
@@ -15,7 +19,20 @@ func missingNoDefault(t wire.Tag) error {
 	switch t { // want "switch on wire.Tag does not handle TagPlan and has no default clause"
 	case wire.TagQuery:
 		return nil
-	case wire.TagJobRequest:
+	case wire.TagJobRequest, wire.TagJobResponse, wire.TagWorkerError, wire.TagCancelRequest:
+		return nil
+	}
+	return nil
+}
+
+// missingCancel is the switch the analyzer was written for: a dispatch
+// that predates the CancelRequest frame and was never revisited.
+// Flagged.
+func missingCancel(t wire.Tag) error {
+	switch t { // want "switch on wire.Tag does not handle TagCancelRequest and has no default clause"
+	case wire.TagQuery, wire.TagPlan:
+		return nil
+	case wire.TagJobRequest, wire.TagJobResponse, wire.TagWorkerError:
 		return nil
 	}
 	return nil
@@ -44,6 +61,12 @@ func exhaustive(t wire.Tag) error {
 	case wire.TagPlan:
 		return nil
 	case wire.TagJobRequest:
+		return nil
+	case wire.TagJobResponse:
+		return nil
+	case wire.TagWorkerError:
+		return nil
+	case wire.TagCancelRequest:
 		return nil
 	}
 	return nil

@@ -36,9 +36,14 @@ func (c *Cache) OptimizeBatch(ctx context.Context, jobs []BatchJob, computeBatch
 	var miss []BatchJob
 	var missPos []int
 
-	c.mu.Lock()
+	// Keys first, lock second, as Lookup, Insert and Optimize do: a key
+	// is a full wire encoding of the job, and every concurrent user of
+	// the cache would wait behind it.
 	for i, job := range jobs {
 		keys[i] = c.KeyOf(job.Query, job.Spec)
+	}
+	c.mu.Lock()
+	for i, job := range jobs {
 		if e := c.lookupLocked(keys[i]); e != nil {
 			c.t.Hits++
 			c.touchLocked(e)

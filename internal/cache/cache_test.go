@@ -256,3 +256,43 @@ func TestOptimizeMissThenHit(t *testing.T) {
 	}
 	t.Logf("cache hit: %.0f allocs", allocs)
 }
+
+// TestOptimizeBatchKeysOutsideTheLock: a key is a full wire encoding of
+// the job plus a hash pass, and Lookup, Insert and Optimize all compute
+// it before taking the cache mutex. The batch path must too — every
+// concurrent request on the same cache waits behind that mutex. The
+// hash hook runs inside KeyOf, so it can see whether the lock is held.
+func TestOptimizeBatchKeysOutsideTheLock(t *testing.T) {
+	c := New(Config{})
+	hashed, locked := 0, 0
+	c.hashFn = func([]byte) uint64 {
+		hashed++
+		if c.mu.TryLock() {
+			c.mu.Unlock()
+		} else {
+			locked++
+		}
+		return uint64(hashed)
+	}
+	spec := core.JobSpec{Space: partition.Linear, Workers: 2}
+	jobs := make([]BatchJob, 4)
+	for i := range jobs {
+		jobs[i] = BatchJob{Query: genQuery(t, 6, int64(20+i)), Spec: spec}
+	}
+	compute := func(ctx context.Context, miss []BatchJob) ([]*core.Answer, error) {
+		out := make([]*core.Answer, len(miss))
+		for i, j := range miss {
+			out[i] = mustAnswer(t, j.Query, j.Spec)
+		}
+		return out, nil
+	}
+	if _, err := c.OptimizeBatch(context.Background(), jobs, compute); err != nil {
+		t.Fatal(err)
+	}
+	if hashed != len(jobs) {
+		t.Fatalf("hashed %d keys for a %d-job batch", hashed, len(jobs))
+	}
+	if locked != 0 {
+		t.Fatalf("%d of %d keys were encoded with the cache mutex held", locked, hashed)
+	}
+}

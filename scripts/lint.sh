@@ -6,9 +6,6 @@
 # green.
 #
 #   sh scripts/lint.sh
-#
-# Set MPQLINT_FACTS to a directory to reuse mpqlint's per-package
-# findings cache across runs (CI does; see .github/workflows/ci.yml).
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -13,12 +13,12 @@ import (
 	"mpq/internal/wire"
 )
 
-// arenaOffReference computes the answer the way the pre-arena optimizer
-// did: one heap-allocating DP run per partition (Options.DisableArena),
-// aggregated in partition-ID order by the shared FinalPrune. Every
-// engine — all of which now run arena-backed, pooled workers — must
+// freshRuntimeReference computes the answer with nothing pooled: one DP
+// run per partition on a fresh dp.Runtime, aggregated in partition-ID
+// order by the shared FinalPrune. Every engine — all of which run
+// pooled workers whose runtimes carry earlier queries' slabs — must
 // return bit-identical wire fingerprints.
-func arenaOffReference(t *testing.T, q *mpq.Query, spec mpq.JobSpec) (best string, frontier []string) {
+func freshRuntimeReference(t *testing.T, q *mpq.Query, spec mpq.JobSpec) (best string, frontier []string) {
 	t.Helper()
 	workers := spec.Workers
 	frontiers := make([][]*plan.Node, 0, workers)
@@ -28,7 +28,7 @@ func arenaOffReference(t *testing.T, q *mpq.Query, spec mpq.JobSpec) (best strin
 			t.Fatal(err)
 		}
 		opts := spec.DPOptions()
-		opts.DisableArena = true
+		opts.Runtime = dp.NewRuntime()
 		res, err := dp.Run(q, cs, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -46,10 +46,11 @@ func arenaOffReference(t *testing.T, q *mpq.Query, spec mpq.JobSpec) (best strin
 	return wire.PlanFingerprint(b), out
 }
 
-// TestArenaOnOffBitIdenticalAcrossEngines pins the tentpole's safety
-// claim end to end: arena-backed, pooled execution must be
-// bit-identical (wire fingerprints) to the heap-allocating reference on
-// every workload family and through all four engines. The engines run
+// TestArenaOnOffBitIdenticalAcrossEngines pins the pooling safety claim
+// end to end: pooled execution must be bit-identical (wire
+// fingerprints) to the fresh-runtime reference on every workload family
+// and through all four engines. (The name predates the removal of the
+// heap-allocating DP path the reference used to run.) The engines run
 // in sequence against the same worker pool, so later rows also exercise
 // pooled runtimes with stale capacity left by earlier (larger) rows.
 func TestArenaOnOffBitIdenticalAcrossEngines(t *testing.T) {
@@ -69,35 +70,35 @@ func TestArenaOnOffBitIdenticalAcrossEngines(t *testing.T) {
 	ctx := context.Background()
 	for _, row := range engineWorkloads(t) {
 		t.Run(row.name, func(t *testing.T) {
-			wantBest, wantFrontier := arenaOffReference(t, row.q, row.spec)
+			wantBest, wantFrontier := freshRuntimeReference(t, row.q, row.spec)
 			for _, e := range engines {
 				ans, err := e.eng.Optimize(ctx, row.q, row.spec)
 				if err != nil {
 					t.Fatalf("%s: %v", e.name, err)
 				}
 				if got := mpq.PlanFingerprint(ans.Best); got != wantBest {
-					t.Fatalf("%s: arena-backed best plan differs from heap reference: %s", e.name, ans.Best)
+					t.Fatalf("%s: pooled best plan differs from fresh-runtime reference: %s", e.name, ans.Best)
 				}
 				if len(ans.Frontier) != len(wantFrontier) {
 					t.Fatalf("%s: frontier size %d != %d", e.name, len(ans.Frontier), len(wantFrontier))
 				}
 				for i, p := range ans.Frontier {
 					if mpq.PlanFingerprint(p) != wantFrontier[i] {
-						t.Fatalf("%s: frontier plan %d differs from heap reference", e.name, i)
+						t.Fatalf("%s: frontier plan %d differs from fresh-runtime reference", e.name, i)
 					}
 				}
 			}
 			// The serial engine searches the unpartitioned space: compare
-			// against the heap reference of the same (workers=1) search.
+			// against the reference of the same (workers=1) search.
 			serialSpec := row.spec
 			serialSpec.Workers = 1
-			serialWant, _ := arenaOffReference(t, row.q, serialSpec)
+			serialWant, _ := freshRuntimeReference(t, row.q, serialSpec)
 			ans, err := serial.Optimize(ctx, row.q, row.spec)
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
 			if got := mpq.PlanFingerprint(ans.Best); got != serialWant {
-				t.Fatalf("serial: arena-backed best plan differs from heap reference: %s", ans.Best)
+				t.Fatalf("serial: pooled best plan differs from fresh-runtime reference: %s", ans.Best)
 			}
 		})
 	}
@@ -115,13 +116,13 @@ func TestArenaOnOffBitIdenticalLegacySerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec := mpq.JobSpec{Space: space, Workers: 1, InterestingOrders: true}
-			wantBest, _ := arenaOffReference(t, q, spec)
+			wantBest, _ := freshRuntimeReference(t, q, spec)
 			got, err := mpq.NewSerialEngine().Optimize(context.Background(), q, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if mpq.PlanFingerprint(got.Best) != wantBest {
-				t.Fatalf("%v: serial plan differs from heap reference", space)
+				t.Fatalf("%v: serial plan differs from fresh-runtime reference", space)
 			}
 		})
 	}

@@ -28,7 +28,7 @@
 //	-orders                track interesting orders
 //	-engine serial|local|sim|tcp|daemon
 //	                       execution engine (default local); tcp needs
-//	                       -tcp-workers, sim accepts -kill/-detect,
+//	                       -tcp-workers, sim accepts -kill/-timeout,
 //	                       daemon needs -daemon-addr (a running mpqd)
 package main
 

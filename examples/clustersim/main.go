@@ -35,14 +35,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		met := ans.Cluster
-		t := met.VirtualTime
+		t := ans.Cluster.VirtualTime
 		if m == 1 {
-			serial = float64(met.MaxWorkerTime)
+			serial = float64(ans.MaxWorkerElapsed)
 		}
 		fmt.Printf("%-8d %-12v %-12v %-12d %-16d %-10.2f\n",
-			m, t.Round(100_000), met.MaxWorkerTime.Round(100_000),
-			met.Bytes, met.MaxMemoEntries, serial/float64(t))
+			m, t.Round(100_000), ans.MaxWorkerElapsed.Round(100_000),
+			ans.Cluster.Bytes, ans.Stats.MemoEntries, serial/float64(t))
 	}
 
 	fmt.Println("\nEvery simulated run returns the exact same optimal plan:")

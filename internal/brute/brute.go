@@ -36,7 +36,7 @@ func (o Options) withDefaults() Options {
 func AllPlans(q *query.Query, space partition.Space, opts Options) []*plan.Node {
 	opts = opts.withDefaults()
 	q.Freeze()
-	e := enumerator{q: q, space: space, opts: opts, memo: map[bitset.Set][]*plan.Node{}}
+	e := enumerator{q: q, space: space, opts: opts, memo: map[bitset.Set][]*plan.Node{}, hi: map[bitset.Set]float64{}}
 	return e.plansFor(q.All())
 }
 
@@ -45,6 +45,9 @@ type enumerator struct {
 	space partition.Space
 	opts  Options
 	memo  map[bitset.Set][]*plan.Node
+	// hi is each set's high-endpoint cardinality under a RobustCost
+	// model, computed as dp.combine and plan.Node.Validate do.
+	hi map[bitset.Set]float64
 }
 
 func (e *enumerator) plansFor(s bitset.Set) []*plan.Node {
@@ -54,7 +57,7 @@ func (e *enumerator) plansFor(s bitset.Set) []*plan.Node {
 	var out []*plan.Node
 	if s.IsSingleton() {
 		out = []*plan.Node{plan.Scan(e.opts.Model, e.q, s.Min())}
-		e.memo[s] = out
+		e.memo[s], e.hi[s] = out, out[0].Card
 		return out
 	}
 	card := e.q.CardOf(s)
@@ -67,20 +70,23 @@ func (e *enumerator) plansFor(s bitset.Set) []*plan.Node {
 		}
 		lps := e.plansFor(left)
 		rps := e.plansFor(right)
+		if _, ok := e.hi[s]; !ok && e.opts.Model.Second == cost.RobustCost {
+			e.hi[s] = e.hi[left] * e.hi[right] * e.q.SelBetweenInflated(left, right, e.opts.Model.RobustBand)
+		}
 		preds := e.q.ConnectingPreds(nil, left, right)
 		for _, lp := range lps {
 			for _, rp := range rps {
-				out = append(out, plan.Join(e.opts.Model, lp, rp, plan.JoinSpec{
+				out = append(out, e.join(lp, rp, plan.JoinSpec{
 					Alg: cost.NestedLoop, OutCard: card, Pred: plan.NoPred, Order: lp.Order,
 				}))
-				out = append(out, plan.Join(e.opts.Model, lp, rp, plan.JoinSpec{
+				out = append(out, e.join(lp, rp, plan.JoinSpec{
 					Alg: cost.Hash, OutCard: card, Pred: plan.NoPred, Order: query.NoOrder,
 				}))
 				if len(preds) == 0 {
 					continue
 				}
 				if !e.opts.InterestingOrders {
-					out = append(out, plan.Join(e.opts.Model, lp, rp, plan.JoinSpec{
+					out = append(out, e.join(lp, rp, plan.JoinSpec{
 						Alg: cost.SortMerge, OutCard: card, Pred: plan.NoPred, Order: query.NoOrder,
 					}))
 					continue
@@ -88,7 +94,7 @@ func (e *enumerator) plansFor(s bitset.Set) []*plan.Node {
 				for _, pi := range preds {
 					p := e.q.Preds[pi]
 					la, ra := plan.MergeAttrs(p, left)
-					out = append(out, plan.Join(e.opts.Model, lp, rp, plan.JoinSpec{
+					out = append(out, e.join(lp, rp, plan.JoinSpec{
 						Alg: cost.SortMerge, OutCard: card, Pred: pi,
 						Order:   plan.CanonicalMergeOrder(p),
 						LSorted: lp.Order == la, RSorted: rp.Order == ra,
@@ -99,6 +105,17 @@ func (e *enumerator) plansFor(s bitset.Set) []*plan.Node {
 	})
 	e.memo[s] = out
 	return out
+}
+
+// join builds one plan. Under a RobustCost model its Buffer is the
+// worst-case cost over the operands' high-endpoint cardinalities.
+func (e *enumerator) join(lp, rp *plan.Node, spec plan.JoinSpec) *plan.Node {
+	m := e.opts.Model
+	if m.Second != cost.RobustCost {
+		return plan.Join(m, lp, rp, spec)
+	}
+	c, buf := plan.JoinScalarsRobust(m, lp, rp, spec, e.hi[lp.Tables], e.hi[rp.Tables])
+	return plan.JoinWithScalars(lp, rp, spec, c, buf)
 }
 
 // BestCost returns the exhaustive minimum time-metric cost over the plan

@@ -76,6 +76,23 @@ func TestAllPlansAreValid(t *testing.T) {
 	}
 }
 
+// Every enumerated plan carries the annotations Validate recomputes under
+// the model it was built with — including a robust model, whose Buffer is
+// the worst case over each set's high-endpoint cardinality, not the
+// nominal one.
+func TestAllPlansValidateUnderEveryModel(t *testing.T) {
+	q := workload.MustGenerate(workload.NewParams(5, workload.Chain), 3)
+	for _, m := range []cost.Model{cost.Default(), cost.Parametric(3), cost.Robust(2)} {
+		for _, space := range []partition.Space{partition.Linear, partition.Bushy} {
+			for _, p := range AllPlans(q, space, Options{Model: m}) {
+				if err := p.Validate(q, m); err != nil {
+					t.Fatalf("%v %v: invalid plan %v: %v", m.Second, space, p, err)
+				}
+			}
+		}
+	}
+}
+
 func TestFilter(t *testing.T) {
 	q := gen(t, 3, 0)
 	plans := AllPlans(q, partition.Linear, Options{})

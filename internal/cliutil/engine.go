@@ -32,10 +32,9 @@ type EngineFlags struct {
 	Parallelism int
 	// TCPWorkers is the comma-separated worker address list (tcp engine).
 	TCPWorkers string
-	// Policy is the master's policy (tcp and sim engines): -timeout (also
-	// spelled -detect), -retries, -max-worker-failures, -speculate,
-	// -spec-multiplier, -spec-floor and -readmit-after bind straight into
-	// it, and Build hands it unchanged to either engine. Policy.Timeout
+	// Policy is the master's policy (tcp and sim engines): -timeout,
+	// -retries, -max-worker-failures, -speculate, -spec-multiplier,
+	// -spec-floor and -readmit-after bind straight into it, and Build hands it unchanged to either engine. Policy.Timeout
 	// doubles as the daemon engine's dial timeout.
 	Policy sched.Config
 	// Kill crashes simulated nodes 0..Kill-1 mid-query (sim engine).
@@ -64,8 +63,6 @@ func Register(fs *flag.FlagSet, def string) *EngineFlags {
 		"tcp engine: comma-separated worker addresses (start them with: mpqnode worker)")
 	fs.DurationVar(&ef.Policy.Timeout, "timeout", 0,
 		"tcp/sim: per-attempt deadline — tcp bounds dial, send, compute and receive (0 = default 2m), sim declares a silent node dead this long after its request arrived (0 = default 10s); daemon engine: dial timeout (0 = 10s)")
-	fs.DurationVar(&ef.Policy.Timeout, "detect", 0,
-		"tcp/sim: a second spelling of -timeout")
 	fs.IntVar(&ef.Policy.MaxAttempts, "retries", 0,
 		"tcp/sim: attempts per partition before giving up (0 = default 3)")
 	fs.IntVar(&ef.Policy.MaxWorkerFailures, "max-worker-failures", 0,
@@ -98,7 +95,7 @@ func (ef *EngineFlags) Build() (mpq.Engine, error) {
 	switch strings.ToLower(ef.Engine) {
 	case "serial":
 		return mpq.NewSerialEngine(), nil
-	case "local", "inprocess":
+	case "local":
 		return mpq.NewInProcessEngine(mpq.WithParallelism(ef.Parallelism)), nil
 	case "sim":
 		if ef.Nodes < 0 {
@@ -144,36 +141,38 @@ func (ef *EngineFlags) Build() (mpq.Engine, error) {
 // the simulator's virtual time and traffic, the TCP runtime's measured
 // network stats, or the in-process wall clock.
 func Describe(ans *mpq.Answer) string {
-	switch {
-	case ans.Cluster != nil:
+	switch c := ans.Cluster; {
+	case c != nil:
 		line := fmt.Sprintf("virtual %v, network %d bytes in %d messages, peak memo %d relations",
-			ans.Cluster.VirtualTime.Round(1000), ans.Cluster.Bytes, ans.Cluster.Messages, ans.Cluster.MaxMemoEntries)
-		if ans.Cluster.Redispatches > 0 {
-			line += fmt.Sprintf("; %d re-dispatches, recovery overhead %v",
-				ans.Cluster.Redispatches, ans.Cluster.RecoveryOverhead.Round(1000))
-		}
-		if ans.Cluster.Speculations > 0 {
-			line += fmt.Sprintf("; %d speculations, %d work units wasted",
-				ans.Cluster.Speculations, ans.Cluster.WastedWork)
+			c.VirtualTime.Round(1000), c.Bytes, c.Messages, ans.Stats.MemoEntries) + describeCounters(c.Counters)
+		if c.RecoveryOverhead > 0 || c.WastedWork > 0 {
+			line += fmt.Sprintf("; recovery overhead %v, %d work units wasted", c.RecoveryOverhead.Round(1000), c.WastedWork)
 		}
 		return line
 	case ans.Net != nil:
-		line := fmt.Sprintf("wall %v; network %d bytes sent, %d received, %d messages over %d connections",
-			ans.Elapsed.Round(1000), ans.Net.BytesSent, ans.Net.BytesReceived, ans.Net.Messages, ans.Net.Dials)
-		if ans.Net.Redispatched > 0 {
-			line += fmt.Sprintf("; recovered from failures: %d re-dispatched", ans.Net.Redispatched)
-		}
-		if ans.Net.Speculations > 0 {
-			line += fmt.Sprintf("; %d speculations (%d wasted)", ans.Net.Speculations, ans.Net.SpeculationWasted)
-		}
-		if ans.Net.Probes > 0 {
-			line += fmt.Sprintf("; %d probes, %d workers readmitted", ans.Net.Probes, ans.Net.Readmitted)
-		}
-		return line
+		return fmt.Sprintf("wall %v; network %d bytes sent, %d received, %d messages over %d connections",
+			ans.Elapsed.Round(1000), ans.Net.BytesSent, ans.Net.BytesReceived, ans.Net.Messages, ans.Net.Dials) +
+			describeCounters(ans.Net.Counters)
 	default:
 		return fmt.Sprintf("wall %v (slowest worker %v)",
 			ans.Elapsed.Round(1000), ans.MaxWorkerElapsed.Round(1000))
 	}
+}
+
+// describeCounters renders the scheduling counters either master
+// reports, omitting the groups that stayed zero.
+func describeCounters(n sched.Counters) string {
+	var s string
+	if n.Redispatched > 0 {
+		s += fmt.Sprintf("; recovered from failures: %d re-dispatched", n.Redispatched)
+	}
+	if n.Speculations > 0 {
+		s += fmt.Sprintf("; %d speculations (%d wasted)", n.Speculations, n.SpeculationWasted)
+	}
+	if n.Probes > 0 {
+		s += fmt.Sprintf("; %d probes, %d workers readmitted", n.Probes, n.Readmitted)
+	}
+	return s
 }
 
 // MustParseEngine is the examples' one-liner: it registers the shared

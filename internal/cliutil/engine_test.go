@@ -60,13 +60,6 @@ func TestPolicyFlagsBindOnce(t *testing.T) {
 		t.Fatalf("engines built from one set of flags hold different policies:\nsim %+v\ntcp %+v\nwant %+v",
 			policies["sim"], policies["tcp"], want)
 	}
-
-	// -detect is a second spelling of -timeout.
-	fs := flag.NewFlagSet("detect", flag.ContinueOnError)
-	ef := Register(fs, "sim")
-	if err := fs.Parse([]string{"-detect", "4s"}); err != nil || ef.Policy.Timeout != 4*time.Second {
-		t.Fatalf("-detect 4s: timeout %v, error %v", ef.Policy.Timeout, err)
-	}
 }
 
 // Build no longer guesses the pool size: a fault script that names a

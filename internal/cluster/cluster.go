@@ -218,7 +218,7 @@ type Metrics = core.ClusterMetrics
 // would, within the same attempt budget. The chosen plans are
 // bit-identical to the failure-free run — partitions are disjoint and
 // workers stateless — while the answer's Cluster record (VirtualTime,
-// traffic, Redispatches) exposes the recovery overhead.
+// traffic, Redispatched) exposes the recovery overhead.
 //
 // Answer.Elapsed is the real wall-clock time of the simulation;
 // MaxWorkerElapsed and the per-worker Elapsed values are virtual compute
@@ -277,16 +277,14 @@ func Run(ctx context.Context, model Model, q *query.Query, spec core.JobSpec, fa
 		return nil, err
 	}
 	met := Metrics{
-		Rounds:        1,
-		Bytes:         sim.bytes,
-		Messages:      sim.messages,
-		Redispatches:  sim.redispatches,
-		VirtualTime:   sim.total + time.Duration(planCount)*model.FinalPrunePerPlan,
-		MaxWorkerTime: sim.maxWorker,
-		Speculations:  sim.speculations,
-		WastedWork:    sim.wasted,
+		Rounds:      1,
+		Bytes:       sim.bytes,
+		Messages:    sim.messages,
+		VirtualTime: sim.total + time.Duration(planCount)*model.FinalPrunePerPlan,
+		Counters:    sim.counters,
+		WastedWork:  sim.wasted,
 	}
-	if sim.redispatches > 0 {
+	if met.Redispatched > 0 {
 		met.Rounds = 2 // a re-dispatch adds one extra communication round
 	}
 	if len(faults.Dead) > 0 || len(faults.Stalled) > 0 {
@@ -301,8 +299,7 @@ func Run(ctx context.Context, model Model, q *query.Query, spec core.JobSpec, fa
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	met.Work, met.MaxMemoEntries = ans.Stats, ans.Stats.MemoEntries
-	ans.MaxWorkerElapsed = met.MaxWorkerTime
+	ans.MaxWorkerElapsed = sim.maxWorker
 	ans.Cluster = &met
 	ans.Elapsed = time.Since(wallStart)
 	return ans, nil

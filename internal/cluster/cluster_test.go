@@ -146,10 +146,10 @@ func TestWorkerTimeDecreasesWithParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Cluster.MaxWorkerTime >= prev {
-			t.Fatalf("m=%d: W-time %v did not decrease from %v", m, res.Cluster.MaxWorkerTime, prev)
+		if res.MaxWorkerElapsed >= prev {
+			t.Fatalf("m=%d: W-time %v did not decrease from %v", m, res.MaxWorkerElapsed, prev)
 		}
-		prev = res.Cluster.MaxWorkerTime
+		prev = res.MaxWorkerElapsed
 	}
 }
 
@@ -164,7 +164,7 @@ func TestWorkReductionMatchesTheory(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Recover the slowest worker's units from its virtual compute time.
-		maxUnits := uint64(float64(res.Cluster.MaxWorkerTime.Nanoseconds()) / model.NsPerWorkUnit)
+		maxUnits := uint64(float64(res.MaxWorkerElapsed.Nanoseconds()) / model.NsPerWorkUnit)
 		if i > 0 {
 			ratio := float64(maxUnits) / float64(prevMax)
 			if ratio < 0.70 || ratio > 0.80 {
@@ -218,8 +218,8 @@ func TestMemoryMetricMatchesDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cluster.MaxMemoEntries != ref.Stats.MemoEntries {
-		t.Fatalf("memory metric %d != DP %d", res.Cluster.MaxMemoEntries, ref.Stats.MemoEntries)
+	if res.Stats.MemoEntries != ref.Stats.MemoEntries {
+		t.Fatalf("memory metric %d != DP %d", res.Stats.MemoEntries, ref.Stats.MemoEntries)
 	}
 }
 
@@ -268,8 +268,8 @@ func TestFaultedSimulationBitIdentical(t *testing.T) {
 		}
 		// A retry can land on another dead node (the master cannot know),
 		// so every death costs at least one re-dispatch.
-		if res.Cluster.Redispatches < len(deadSet) {
-			t.Fatalf("dead=%v: Redispatches = %d", deadSet, res.Cluster.Redispatches)
+		if res.Cluster.Redispatched < len(deadSet) {
+			t.Fatalf("dead=%v: Redispatched = %d", deadSet, res.Cluster.Redispatched)
 		}
 		if res.Cluster.Rounds != 2 {
 			t.Fatalf("dead=%v: rounds = %d, want 2", deadSet, res.Cluster.Rounds)
@@ -284,7 +284,7 @@ func TestFaultedSimulationBitIdentical(t *testing.T) {
 		if res.Cluster.Bytes <= clean.Cluster.Bytes {
 			t.Fatalf("dead=%v: no re-dispatch traffic accounted", deadSet)
 		}
-		if want := 2*spec.Workers + res.Cluster.Redispatches; res.Cluster.Messages != want {
+		if want := 2*spec.Workers + res.Cluster.Redispatched; res.Cluster.Messages != want {
 			t.Fatalf("dead=%v: messages = %d, want %d", deadSet, res.Cluster.Messages, want)
 		}
 	}
@@ -305,7 +305,7 @@ func TestRecoveryOverheadGrowsWithDeaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wtime := res.Cluster.MaxWorkerTime
+		wtime := res.MaxWorkerElapsed
 		if len(dead) == 0 {
 			baseline = wtime
 		} else if wtime <= baseline {
@@ -322,7 +322,7 @@ func TestRecoveryOverheadGrowsWithDeaths(t *testing.T) {
 
 // MPQTime is the fault-free entry of the one schedule Run steps: fed a
 // run's own message sizes and work units it returns that run's
-// VirtualTime less the FinalPrune term, and its MaxWorkerTime.
+// VirtualTime less the FinalPrune term, and its MaxWorkerElapsed.
 func TestFaultScheduleReducesToMPQTime(t *testing.T) {
 	model := Default()
 	q := gen(t, 10, 7)
@@ -346,8 +346,8 @@ func TestFaultScheduleReducesToMPQTime(t *testing.T) {
 	}
 	gotTotal, gotMax := model.MPQTime(reqs, resps, units)
 	wantTotal := res.Cluster.VirtualTime - time.Duration(plans)*model.FinalPrunePerPlan
-	if gotTotal != wantTotal || gotMax != res.Cluster.MaxWorkerTime {
-		t.Fatalf("MPQTime (%v, %v) != fault-free Run (%v, %v)", gotTotal, gotMax, wantTotal, res.Cluster.MaxWorkerTime)
+	if gotTotal != wantTotal || gotMax != res.MaxWorkerElapsed {
+		t.Fatalf("MPQTime (%v, %v) != fault-free Run (%v, %v)", gotTotal, gotMax, wantTotal, res.MaxWorkerElapsed)
 	}
 }
 

@@ -25,7 +25,8 @@ var nonDefaultPolicy = sched.Config{
 // request — runs here through the simulator's cost model, under the same
 // two policies, and every request it simulated must be one of the same
 // decisions: which partition went to which worker in which order, which
-// one was cloned, who was canceled. That test's second script — two
+// one was cloned, who was canceled — and what the policy reports it did
+// must be the same sched.Counters value. That test's second script — two
 // adjacent deaths under nonDefaultPolicy — ends here in the same
 // *sched.BudgetError text.
 func TestSimulatorMakesTheMastersDecisions(t *testing.T) {
@@ -58,8 +59,8 @@ func TestSimulatorMakesTheMastersDecisions(t *testing.T) {
 			t.Fatalf("%+v: decisions: dispatched %v canceled %v, want %v and %v",
 				policy, dispatched, canceled, wantDispatched, wantCanceled)
 		}
-		if out.speculations != 1 || out.redispatches != 0 {
-			t.Fatalf("speculations %d, redispatches %d, want 1 and 0", out.speculations, out.redispatches)
+		if want := (sched.Counters{Speculations: 1}); out.counters != want {
+			t.Fatalf("%+v: counters %+v, want %+v", policy, out.counters, want)
 		}
 	}
 
@@ -104,8 +105,8 @@ func TestRaceTrafficIsByteExact(t *testing.T) {
 			canceled = append(canceled, ci)
 		}
 	}
-	if out.speculations != 2 || len(out.copies) != 5 || !reflect.DeepEqual(canceled, []int{0, 4}) {
-		t.Fatalf("expected two races lost by copies 0 and 4: %d speculations, copies %+v", out.speculations, out.copies)
+	if out.counters.Speculations != 2 || len(out.copies) != 5 || !reflect.DeepEqual(canceled, []int{0, 4}) {
+		t.Fatalf("expected two races lost by copies 0 and 4: %d speculations, copies %+v", out.counters.Speculations, out.copies)
 	}
 	cancelLen := len(wire.EncodeCancelRequest(&wire.CancelRequest{Seq: 7}))
 	ackLen := len(wire.EncodeWorkerError(&wire.WorkerError{Seq: 7, Code: wire.ErrCanceled, Msg: wire.CanceledMsg}))

@@ -65,14 +65,13 @@ type simInput struct {
 
 // simOutcome aggregates what the event simulation measured.
 type simOutcome struct {
-	total        time.Duration // master-observed completion of the last partition
-	maxWorker    time.Duration // slowest node's busy compute time
-	bytes        uint64
-	messages     int
-	speculations int
-	wasted       uint64 // work units burned by race losers
-	redispatches int
-	copies       []simCopy // every request sent, in dispatch order
+	total     time.Duration // master-observed completion of the last partition
+	maxWorker time.Duration // slowest node's busy compute time
+	bytes     uint64
+	messages  int
+	wasted    uint64         // work units burned by race losers
+	counters  sched.Counters // what the policy core did
+	copies    []simCopy      // every request sent, in dispatch order
 }
 
 // simCopy is one request the policy dispatched: an original, a retry
@@ -286,8 +285,7 @@ func (m Model) schedule(in simInput, f Faults) (simOutcome, error) {
 	if err != nil {
 		return simOutcome{}, err
 	}
-	n0 := policy.Counters(0)
-	out.speculations, out.redispatches = n0.Speculations, n0.Redispatched
+	out.counters = policy.Counters(0)
 	for _, b := range busy {
 		out.maxWorker = max(out.maxWorker, b)
 	}

@@ -119,11 +119,37 @@ func TestAdaptiveDeadNodeRecovers(t *testing.T) {
 	if cf, df := wire.PlanFingerprint(clean.Best), wire.PlanFingerprint(dead.Best); cf != df {
 		t.Fatalf("dead-node plan diverged: %s != %s", df, cf)
 	}
-	if dead.Cluster.Redispatches == 0 {
+	if dead.Cluster.Redispatched == 0 {
 		t.Fatal("dead node produced no re-dispatches")
 	}
 	if dead.Cluster.VirtualTime <= clean.Cluster.VirtualTime {
 		t.Fatal("death and recovery cost no virtual time")
+	}
+}
+
+// A dead node is excluded after its first failure and probed
+// ReadmitAfter later; the simulated master reports those probes in the
+// answer as the TCP master does. A dead node never answers its probe, so
+// it is never readmitted, and the plan does not change.
+func TestSimulatedProbesReachTheAnswer(t *testing.T) {
+	q := gen(t, 10, 5)
+	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
+	model := Default()
+	model.Nodes = 2
+	clean, err := Run(context.Background(), model, q, spec, Faults{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := sched.Config{Timeout: 100 * time.Millisecond, MaxWorkerFailures: 1, ReadmitAfter: 10 * time.Millisecond}
+	ans, err := Run(context.Background(), model, q, spec, Faults{Dead: []int{0}, Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ans.Cluster.Counters; n.Probes < 1 || n.Readmitted != 0 || n.Redispatched < 1 {
+		t.Fatalf("counters %+v, want probes, re-dispatches and no re-admission", n)
+	}
+	if cf, af := wire.PlanFingerprint(clean.Best), wire.PlanFingerprint(ans.Best); cf != af {
+		t.Fatalf("probed run's plan diverged: %s != %s", af, cf)
 	}
 }
 
@@ -274,8 +300,8 @@ func TestSimulatorBoundsResidentMemos(t *testing.T) {
 		t.Errorf("fingerprint %s, want %s", got, want)
 	}
 	met := ans.Cluster
-	if met.VirtualTime != 152547950 || met.Bytes != 19280 || met.Messages != 32 || met.MaxMemoEntries != 1299 {
-		t.Errorf("VirtualTime %d, Bytes %d, Messages %d, MaxMemoEntries %d; want 152547950, 19280, 32, 1299",
-			met.VirtualTime, met.Bytes, met.Messages, met.MaxMemoEntries)
+	if met.VirtualTime != 152547950 || met.Bytes != 19280 || met.Messages != 32 || ans.Stats.MemoEntries != 1299 {
+		t.Errorf("VirtualTime %d, Bytes %d, Messages %d, MemoEntries %d; want 152547950, 19280, 32, 1299",
+			met.VirtualTime, met.Bytes, met.Messages, ans.Stats.MemoEntries)
 	}
 }

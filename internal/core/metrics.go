@@ -3,7 +3,7 @@ package core
 import (
 	"time"
 
-	"mpq/internal/plan"
+	"mpq/internal/sched"
 )
 
 // NetStats records the measured TCP traffic of one distributed
@@ -31,28 +31,8 @@ type NetStats struct {
 	// connection is never read (the master has nothing left to wait
 	// for there) and therefore never counted.
 	IgnoredFrames int
-	// Redispatched counts job attempts that failed at the transport
-	// level and were re-queued onto another worker (or retried). Zero in
-	// a failure-free run.
-	Redispatched int
-	// Speculations counts speculative clones the master dispatched: a
-	// partition whose elapsed time exceeded the straggler threshold was
-	// re-sent to an idle worker, and the first answer won. Zero unless
-	// speculation is enabled (netrun.Options.Speculate).
-	Speculations int
-	// SpeculationWasted counts discarded speculative-race outcomes: a
-	// completed response for a partition the master had already
-	// aggregated from the other racer, or an explicit ErrCanceled
-	// acknowledgment from the loser. Wasted work is the price of the
-	// latency win; this counter is how it is audited.
-	SpeculationWasted int
-	// Probes counts re-admission probes sent to excluded workers: after
-	// Options.ReadmitAfter of exclusion, the master clones one pending
-	// partition to the excluded worker as a low-priority health check.
-	Probes int
-	// Readmitted counts excluded workers that answered a probe correctly
-	// and rejoined the pool.
-	Readmitted int
+	// Counters is what the scheduling policy did for this query.
+	sched.Counters
 }
 
 // CacheStats records how a plan cache served one answer, plus a
@@ -90,28 +70,16 @@ type ClusterMetrics struct {
 	// (always 1 for MPQ; n-1 for SMA).
 	Rounds int
 	// VirtualTime is the master-observed end-to-end optimization time,
-	// the "Time (ms)" axis.
+	// the "Time (ms)" axis. The "W-Time" and "Memory (relations)" axes
+	// are the Answer's MaxWorkerElapsed and Stats.MemoEntries.
 	VirtualTime time.Duration
-	// MaxWorkerTime is the slowest worker's busy time, the "W-Time" axis.
-	MaxWorkerTime time.Duration
-	// MaxMemoEntries is the peak per-worker memo size, the
-	// "Memory (relations)" axis.
-	MaxMemoEntries uint64
-	// Work aggregates the DP work counters over all workers.
-	Work plan.Stats
-	// Redispatches counts partitions whose worker died and whose job was
-	// re-sent to a survivor (zero in a failure-free run).
-	Redispatches int
+	// Counters is what the simulated master's policy did.
+	sched.Counters
 	// RecoveryOverhead is VirtualTime minus what the same run would have
 	// taken failure-free — the cost of detection plus re-dispatch (zero
 	// in a failure-free run). Computed from the schedule, not by
 	// re-running the optimizer.
 	RecoveryOverhead time.Duration
-	// Speculations counts speculative clones the simulated master
-	// dispatched under speculation (cluster.Faults.Policy.Speculate):
-	// partitions whose elapsed time exceeded the straggler threshold and
-	// were re-sent to an idle node.
-	Speculations int
 	// WastedWork is the DP work (in work units) burned by speculative-
 	// race losers before their cancel arrived — compute that produced no
 	// aggregated answer. Zero when nothing was speculated.

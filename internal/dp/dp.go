@@ -189,14 +189,8 @@ type Options struct {
 	// array). nil means the run builds a private runtime; supplying one
 	// lets a worker recycle slabs and memo capacity across queries. The
 	// run resets the runtime, so a Runtime may back at most one engine
-	// at a time. Ignored when DisableArena is set.
+	// at a time.
 	Runtime *Runtime
-	// DisableArena forces heap-allocated plan nodes and a fresh memo —
-	// the pre-arena allocation behaviour. Plans are bit-identical either
-	// way (the constructors share their code); the bit-identity tests
-	// pin that, and it remains as the escape hatch should an embedder
-	// need survivor nodes with independent lifetimes.
-	DisableArena bool
 }
 
 func (o Options) withDefaults() Options {
@@ -372,30 +366,21 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 	_, costOnly := opts.Pruner.(costOnlyPruner)
 	eng := &Engine{w: worker{q: q, cs: cs, index: cs.Index(), opts: opts, second: !costOnly}}
 	w := &eng.w
-	// With a runtime the memo, the arenas and the scan entries are borrowed
-	// (and reset), so a worker recycles them across the queries of a batch.
-	if opts.DisableArena {
-		w.memo = make([]entry, slots)
-		w.scans = make([]entry, n)
-	} else {
-		rt := opts.Runtime
-		if rt == nil {
-			rt = NewRuntime()
-		}
-		w.arena, w.nursery = rt.arena, rt.nursery
-		w.arena.Reset()
-		rt.spills.reset()
-		w.spills = &rt.spills
-		w.memo = rt.memoFor(slots)
-		w.scans = rt.scansFor(n)
+	// The memo, the arenas and the scan entries are borrowed from the
+	// runtime (and reset), so a worker recycles them across the queries of
+	// a batch.
+	rt := opts.Runtime
+	if rt == nil {
+		rt = NewRuntime()
 	}
+	w.arena, w.nursery = rt.arena, rt.nursery
+	w.arena.Reset()
+	rt.spills.reset()
+	w.spills = &rt.spills
+	w.memo = rt.memoFor(slots)
+	w.scans = rt.scansFor(n)
 	for t := 0; t < n; t++ {
-		var sp *plan.Node
-		if w.arena != nil {
-			sp = w.arena.Scan(opts.Model, q, t)
-		} else {
-			sp = plan.Scan(opts.Model, q, t)
-		}
+		sp := w.arena.Scan(opts.Model, q, t)
 		e := &w.scans[t]
 		*e = entry{card: sp.Card, cardHi: sp.Card, nbr: q.Neighbors(sp.Tables), f: FrontierOf(sp)}
 		e.setSortTerms(&w.opts.Model)
@@ -439,10 +424,6 @@ func (e *Engine) ForEachPlan(u bitset.Set, fn func(*plan.Node)) {
 	}
 }
 
-// MemoLen returns the number of table sets that currently have plans:
-// the scans plus the join results stored so far.
-func (e *Engine) MemoLen() int { return int(e.w.stats.MemoEntries) }
-
 // LimitExceeded reports whether the work meter has passed
 // Options.MaxWorkUnits.
 func (e *Engine) LimitExceeded() bool {
@@ -453,10 +434,10 @@ func (e *Engine) LimitExceeded() bool {
 func (e *Engine) Stats() plan.Stats { return e.w.stats }
 
 // Finish validates that a complete plan exists and returns the result.
-// When the run allocated from an arena, the surviving root plans are
-// deep-copied onto the heap: the Result then shares no memory with the
-// engine, so a pooled Runtime can be recycled (and the arena's slabs
-// are not pinned by a handful of returned plans).
+// The surviving root plans are deep-copied out of the arena onto the
+// heap: the Result then shares no memory with the engine, so a pooled
+// Runtime can be recycled (and the arena's slabs are not pinned by a
+// handful of returned plans).
 func (e *Engine) Finish() (*Result, error) {
 	q := e.w.q
 	root := e.w.lookup(q.All())
@@ -464,10 +445,8 @@ func (e *Engine) Finish() (*Result, error) {
 		return nil, fmt.Errorf("dp: no complete plan found (n=%d, partition %s)", q.N(), e.w.cs.Describe())
 	}
 	res := &Result{Plans: root.f.Slice(), Stats: e.Stats()}
-	if e.w.arena != nil {
-		for i, p := range res.Plans {
-			res.Plans[i] = plan.CloneTree(p)
-		}
+	for i, p := range res.Plans {
+		res.Plans[i] = plan.CloneTree(p)
 	}
 	return res, nil
 }
@@ -480,9 +459,9 @@ type worker struct {
 	index    *partition.Index
 	memo     []entry     // memo[index.Of(s)] = the entry of admissible set s, |s| ≥ 2
 	scans    []entry     // scans[t] = the entry of {t}
-	arena    *plan.Arena // the memo's plans; nil iff Options.DisableArena
-	nursery  *plan.Arena // the plans of the set under construction; nil iff arena is
-	spills   *spillArena // nil iff Options.DisableArena
+	arena    *plan.Arena // the memo's plans
+	nursery  *plan.Arena // the plans of the set under construction
+	spills   *spillArena // the memo frontiers' spilled plan pointers
 	stats    plan.Stats
 	splitter *partition.Splitter
 	predBuf  []int
@@ -541,24 +520,18 @@ func (w *worker) trySplits(u bitset.Set) {
 	}
 	if e.f.Len() > 0 {
 		e.setSortTerms(&w.opts.Model)
-		if w.nursery != nil {
-			// Of the set's admitted candidates only the plans still
-			// retained move to the memo's arena, which so stays dense.
-			for i, n := 0, e.f.Len(); i < n; i++ {
-				e.f.Set(i, w.arena.Copy(e.f.At(i)))
-			}
-			w.nursery.Reset()
+		// Of the set's admitted candidates only the plans still retained
+		// move to the memo's arena, which so stays dense.
+		for i, n := 0, e.f.Len(); i < n; i++ {
+			e.f.Set(i, w.arena.Copy(e.f.At(i)))
 		}
+		w.nursery.Reset()
 		stored := *e
 		if len(stored.f.spill) > 0 {
 			// The scratch frontier keeps its spill array for the next set,
-			// so the memo's copy gets its own exact-size region — from the
-			// runtime's recyclable spill slabs when available.
-			if w.spills != nil {
-				stored.f.spill = w.spills.clone(e.f.spill)
-			} else {
-				stored.f.spill = append([]*plan.Node(nil), e.f.spill...)
-			}
+			// so the memo's copy gets its own exact-size region from the
+			// runtime's recyclable spill slabs.
+			stored.f.spill = w.spills.clone(e.f.spill)
 		}
 		slot := &w.memo[w.index.Of(u)]
 		if slot.f.Len() == 0 {
@@ -661,13 +634,7 @@ func (w *worker) offer(lp, rp *plan.Node, alg cost.JoinAlg, pred, order int, lSo
 		buf = w.secondMetric(lp, rp, alg, lSorted, rSorted)
 	}
 	spec := plan.JoinSpec{Alg: alg, OutCard: e.card, Pred: pred, Order: order, LSorted: lSorted, RSorted: rSorted}
-	var p *plan.Node
-	if w.arena != nil {
-		p = w.nursery.JoinWithScalars(lp, rp, spec, c, buf)
-	} else {
-		p = plan.JoinWithScalars(lp, rp, spec, c, buf)
-	}
-	w.opts.Pruner.Insert(&e.f, p)
+	w.opts.Pruner.Insert(&e.f, w.nursery.JoinWithScalars(lp, rp, spec, c, buf))
 	w.stats.PlansKept++
 }
 

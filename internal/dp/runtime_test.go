@@ -33,10 +33,11 @@ func requireSameResult(t *testing.T, got, want *Result) {
 	}
 }
 
-// Arena-backed runs must be bit-identical to heap-backed runs — same
-// plans, same scalars, same work counters — including when one Runtime
-// is reused across queries of different sizes and spaces, so its memo
-// carries stale capacity and its arena recycled slabs.
+// A run on a long-reused Runtime must be bit-identical to a run on a
+// fresh one — same plans, same scalars, same work counters — when the
+// shared Runtime has served queries of different sizes and spaces, so
+// its memo carries stale capacity and its arena recycled slabs. (The
+// name predates the removal of the heap-allocating path.)
 func TestArenaOnOffBitIdentical(t *testing.T) {
 	rt := NewRuntime()
 	cases := []struct {
@@ -56,9 +57,9 @@ func TestArenaOnOffBitIdentical(t *testing.T) {
 			q := genQuery(t, tc.n, tc.shape, 3)
 			cs := partition.Unconstrained(tc.space, tc.n)
 
-			off := tc.opts
-			off.DisableArena = true
-			want, err := Run(q, cs, off)
+			fresh := tc.opts
+			fresh.Runtime = NewRuntime()
+			want, err := Run(q, cs, fresh)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +145,7 @@ func TestMemoTooLarge(t *testing.T) {
 		if _, err := NewEngine(q, cs, Options{}); !errors.Is(err, ErrMemoTooLarge) {
 			t.Errorf("%v n=%d m=%d: NewEngine returned %v, want ErrMemoTooLarge", tc.space, tc.n, tc.m, err)
 		}
-		if _, err := Run(q, cs, Options{DisableArena: true}); !errors.Is(err, ErrMemoTooLarge) {
+		if _, err := Run(q, cs, Options{}); !errors.Is(err, ErrMemoTooLarge) {
 			t.Errorf("%v n=%d m=%d: Run returned %v, want ErrMemoTooLarge", tc.space, tc.n, tc.m, err)
 		}
 	}

@@ -31,9 +31,8 @@ type StragglerRow struct {
 	// XClean is TimeMs over the fault-free median — the price of the
 	// stall under this policy.
 	XClean float64
-	// Speculations and Redispatches are totals over the query batch.
-	Speculations int
-	Redispatches int
+	// Counters are the simulated master's totals over the query batch.
+	sched.Counters
 	// WastedPct is speculative race losers' burned work as a share of
 	// the batch's useful DP work.
 	WastedPct float64
@@ -108,10 +107,9 @@ func Stragglers(cfg Config) ([]StragglerRow, error) {
 					return nil, err
 				}
 				times = append(times, ms(res.Cluster.VirtualTime))
-				row.Speculations += res.Cluster.Speculations
-				row.Redispatches += res.Cluster.Redispatches
+				row.Add(res.Cluster.Counters)
 				wasted += res.Cluster.WastedWork
-				work += res.Cluster.Work.WorkUnits()
+				work += res.Stats.WorkUnits()
 				if wire.PlanFingerprint(res.Best) != cleanFPs[i] {
 					row.PlanSafe = false
 				}
@@ -158,7 +156,7 @@ func StragglersTable(rows []StragglerRow) *Table {
 			fmtFloat(r.TimeMs),
 			fmt.Sprintf("%.2fx", r.XClean),
 			fmt.Sprintf("%d", r.Speculations),
-			fmt.Sprintf("%d", r.Redispatches),
+			fmt.Sprintf("%d", r.Redispatched),
 			fmt.Sprintf("%.1f", r.WastedPct),
 			safe,
 		})

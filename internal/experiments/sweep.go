@@ -47,9 +47,9 @@ func (c Config) measure(qs []*query.Query, spec core.JobSpec, baseline bool) (sa
 			return s, err
 		}
 		s.time = append(s.time, ms(ans.Cluster.VirtualTime))
-		s.wtime = append(s.wtime, ms(ans.Cluster.MaxWorkerTime))
+		s.wtime = append(s.wtime, ms(ans.MaxWorkerElapsed))
 		s.bytes = append(s.bytes, float64(ans.Cluster.Bytes))
-		s.memo = append(s.memo, float64(ans.Cluster.MaxMemoEntries))
+		s.memo = append(s.memo, float64(ans.Stats.MemoEntries))
 		s.frontier = append(s.frontier, float64(len(ans.Frontier)))
 	}
 	return s, nil

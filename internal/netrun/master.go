@@ -510,10 +510,8 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 		if err != nil {
 			return nil, err
 		}
-		n, ns := sch.Counters(qi), &nets[qi]
-		ns.Redispatched = n.Redispatched
-		ns.Speculations, ns.SpeculationWasted = n.Speculations, n.SpeculationWasted
-		ns.Probes, ns.Readmitted = n.Probes, n.Readmitted
+		ns := &nets[qi]
+		ns.Counters = sch.Counters(qi)
 		ans.Net, ans.Elapsed = ns, elapsed[qi]
 		answers[qi] = ans
 	}

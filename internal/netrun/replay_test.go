@@ -33,7 +33,8 @@ var nonDefaultPolicy = Options{
 // The script — two workers, four partitions, worker 0 stalls on its
 // first request — is the one internal/cluster's
 // TestSimulatorMakesTheMastersDecisions runs in virtual time, against
-// the same decision list, under the same two policies; so is the second
+// the same decision list and the same sched.Counters value, under the
+// same two policies; so is the second
 // script, two adjacent deaths under nonDefaultPolicy, and the
 // *sched.BudgetError text it ends in.
 func TestRecordedRunReplaysThroughCore(t *testing.T) {
@@ -54,7 +55,8 @@ func TestRecordedRunReplaysThroughCore(t *testing.T) {
 		}
 		var steps []step
 		ms.trace = func(ev sched.Event, act sched.Actions) { steps = append(steps, step{ev, act}) }
-		if _, err := ms.Optimize(context.Background(), q, spec); err != nil {
+		ans, err := ms.Optimize(context.Background(), q, spec)
+		if err != nil {
 			t.Fatal(err)
 		}
 
@@ -92,6 +94,9 @@ func TestRecordedRunReplaysThroughCore(t *testing.T) {
 		if !reflect.DeepEqual(dispatched, wantDispatched) || !reflect.DeepEqual(canceled, wantCanceled) {
 			t.Fatalf("%+v: decisions: dispatched %v canceled %v, want %v and %v",
 				opts, dispatched, canceled, wantDispatched, wantCanceled)
+		}
+		if want := (sched.Counters{Speculations: 1}); ans.Net.Counters != want {
+			t.Fatalf("%+v: counters %+v, want %+v", opts, ans.Net.Counters, want)
 		}
 	}
 

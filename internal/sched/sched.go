@@ -237,10 +237,35 @@ type Actions struct {
 	Done bool
 }
 
-// Counters are one job's scheduling counters; core.NetStats documents
-// the fields of the same names.
+// Counters are what the policy did for one job, carried whole by both
+// drivers: in core.NetStats (TCP) and core.ClusterMetrics (simulator).
 type Counters struct {
-	Redispatched, Speculations, SpeculationWasted, Probes, Readmitted int
+	// Redispatched counts attempts that failed at the transport level and
+	// were re-queued (zero in a failure-free run).
+	Redispatched int
+	// Speculations counts speculative clones dispatched: a partition past
+	// the straggler threshold re-sent to an idle worker, the first answer
+	// winning. Zero unless Config.Speculate.
+	Speculations int
+	// SpeculationWasted counts discarded race outcomes: a response for a
+	// partition the other racer already answered, or the loser's cancel
+	// acknowledgment — the audited price of the latency win.
+	SpeculationWasted int
+	// Probes counts re-admission probes: after Config.ReadmitAfter of
+	// exclusion, a pending partition cloned to the excluded worker.
+	Probes int
+	// Readmitted counts excluded workers that answered a probe correctly
+	// and rejoined the pool.
+	Readmitted int
+}
+
+// Add accumulates o into c.
+func (c *Counters) Add(o Counters) {
+	c.Redispatched += o.Redispatched
+	c.Speculations += o.Speculations
+	c.SpeculationWasted += o.SpeculationWasted
+	c.Probes += o.Probes
+	c.Readmitted += o.Readmitted
 }
 
 // ErrFatal is returned when a worker reports a deterministic failure

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mpq"
+	"mpq/internal/sched"
 )
 
 // latencyBuckets are the request-latency histogram's upper bounds, in
@@ -37,20 +38,10 @@ type metrics struct {
 	latSum    float64
 	latTotal  uint64
 
-	straggler stragglerCounters
-}
-
-// stragglerCounters aggregates the adaptive master's straggler handling
-// over every answer the daemon served: speculative clones raced, race
-// results discarded, re-admission probes, workers readmitted, and
-// transport-level re-dispatches. Filled from Answer.Net (TCP engine)
-// and Answer.Cluster (simulator); zero for engines without a scheduler.
-type stragglerCounters struct {
-	speculations uint64
-	specWasted   uint64
-	probes       uint64
-	readmitted   uint64
-	redispatched uint64
+	// counters totals the scheduling counters of every answer the daemon
+	// served, from Answer.Net (TCP engine) or Answer.Cluster (simulator);
+	// zero for engines without a scheduler.
+	counters sched.Counters
 }
 
 func newMetrics() *metrics {
@@ -72,19 +63,18 @@ func (m *metrics) observe(tenant, source, outcome string, served time.Duration) 
 // observeAnswer folds one served answer's scheduler counters into the
 // daemon-wide straggler totals.
 func (m *metrics) observeAnswer(ans *mpq.Answer) {
+	var n sched.Counters
+	switch {
+	case ans.Net != nil:
+		n = ans.Net.Counters
+	case ans.Cluster != nil:
+		n = ans.Cluster.Counters
+	default:
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if n := ans.Net; n != nil {
-		m.straggler.speculations += uint64(n.Speculations)
-		m.straggler.specWasted += uint64(n.SpeculationWasted)
-		m.straggler.probes += uint64(n.Probes)
-		m.straggler.readmitted += uint64(n.Readmitted)
-		m.straggler.redispatched += uint64(n.Redispatched)
-	}
-	if c := ans.Cluster; c != nil {
-		m.straggler.speculations += uint64(c.Speculations)
-		m.straggler.redispatched += uint64(c.Redispatches)
-	}
+	m.counters.Add(n)
 }
 
 // reject records one request refused at admission ("overloaded" or
@@ -110,7 +100,7 @@ type snapshot struct {
 	latCounts  [len(latencyBuckets) + 1]uint64
 	latSum     float64
 	latTotal   uint64
-	straggler  stragglerCounters
+	counters   sched.Counters
 }
 
 func (m *metrics) snapshot() snapshot {
@@ -122,7 +112,7 @@ func (m *metrics) snapshot() snapshot {
 		latCounts:  m.latCounts,
 		latSum:     m.latSum,
 		latTotal:   m.latTotal,
-		straggler:  m.straggler,
+		counters:   m.counters,
 	}
 	for k, v := range m.requests {
 		s.requests[k] = v
@@ -173,19 +163,19 @@ func (s snapshot) write(w io.Writer, extra []metricKV) {
 
 	fmt.Fprintf(w, "# HELP mpqd_speculations_total Speculative clones the master raced against stragglers.\n")
 	fmt.Fprintf(w, "# TYPE mpqd_speculations_total counter\n")
-	fmt.Fprintf(w, "mpqd_speculations_total %d\n", s.straggler.speculations)
+	fmt.Fprintf(w, "mpqd_speculations_total %d\n", s.counters.Speculations)
 	fmt.Fprintf(w, "# HELP mpqd_speculation_wasted_total Speculative race results discarded by the master.\n")
 	fmt.Fprintf(w, "# TYPE mpqd_speculation_wasted_total counter\n")
-	fmt.Fprintf(w, "mpqd_speculation_wasted_total %d\n", s.straggler.specWasted)
+	fmt.Fprintf(w, "mpqd_speculation_wasted_total %d\n", s.counters.SpeculationWasted)
 	fmt.Fprintf(w, "# HELP mpqd_probes_total Re-admission probes sent to excluded workers.\n")
 	fmt.Fprintf(w, "# TYPE mpqd_probes_total counter\n")
-	fmt.Fprintf(w, "mpqd_probes_total %d\n", s.straggler.probes)
+	fmt.Fprintf(w, "mpqd_probes_total %d\n", s.counters.Probes)
 	fmt.Fprintf(w, "# HELP mpqd_readmitted_total Excluded workers that answered a probe and rejoined.\n")
 	fmt.Fprintf(w, "# TYPE mpqd_readmitted_total counter\n")
-	fmt.Fprintf(w, "mpqd_readmitted_total %d\n", s.straggler.readmitted)
+	fmt.Fprintf(w, "mpqd_readmitted_total %d\n", s.counters.Readmitted)
 	fmt.Fprintf(w, "# HELP mpqd_redispatched_total Partitions re-sent after a worker failure.\n")
 	fmt.Fprintf(w, "# TYPE mpqd_redispatched_total counter\n")
-	fmt.Fprintf(w, "mpqd_redispatched_total %d\n", s.straggler.redispatched)
+	fmt.Fprintf(w, "mpqd_redispatched_total %d\n", s.counters.Redispatched)
 
 	for _, kv := range extra {
 		fmt.Fprintf(w, "# TYPE %s %s\n", kv.name, kv.kind)

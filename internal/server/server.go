@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"mpq"
-	"mpq/internal/wire"
 )
 
 // Defaults for Config fields left at zero.
@@ -59,7 +58,6 @@ const (
 	DefaultDispatchers      = 4
 	DefaultTimeout          = time.Minute
 	DefaultDrainWait        = 10 * time.Second
-	DefaultMaxWireMsg       = wire.MaxRequestFrame
 	DefaultWireWriteTimeout = 10 * time.Second
 )
 
@@ -103,10 +101,6 @@ type Config struct {
 	// TenantWeights are the stride-scheduling weights; tenants not
 	// listed get weight 1. Weights must be positive.
 	TenantWeights map[string]float64
-	// MaxWireFrame caps an inbound wire-protocol frame (the public
-	// listener's defense against lying length prefixes). Zero means
-	// DefaultMaxWireMsg.
-	MaxWireFrame int
 	// WireWriteTimeout bounds one response-frame write on a wire
 	// connection. A peer that stops reading trips it, which tears the
 	// connection down (canceling its in-flight requests) instead of
@@ -128,9 +122,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.DefaultTimeout == 0 {
 		cfg.DefaultTimeout = DefaultTimeout
-	}
-	if cfg.MaxWireFrame == 0 {
-		cfg.MaxWireFrame = DefaultMaxWireMsg
 	}
 	if cfg.WireWriteTimeout == 0 {
 		cfg.WireWriteTimeout = DefaultWireWriteTimeout

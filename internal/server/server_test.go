@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -590,6 +591,35 @@ func TestMetricsExposition(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)
+		}
+	}
+}
+
+// TestSimEngineFeedsSchedulingMetrics: a daemon backed by the simulator
+// reports its master's probes and re-dispatches in /metrics, from the
+// same counters the TCP engine's answers carry. Node 0 is dead; it is
+// excluded after one failure and probed ReadmitAfter later.
+func TestSimEngineFeedsSchedulingMetrics(t *testing.T) {
+	model := mpq.DefaultClusterModel()
+	model.Nodes = 2
+	faults := mpq.ClusterFaults{Dead: []int{0}, Policy: mpq.MasterOptions{
+		Timeout: 100 * time.Millisecond, MaxWorkerFailures: 1, ReadmitAfter: 10 * time.Millisecond,
+	}}
+	s := startServer(t, Config{Engine: mpq.NewSimEngine(mpq.WithClusterModel(model), mpq.WithClusterFaults(faults))})
+	resp, body := mustPost(t, s, OptimizeRequest{Query: *spec.FromQuery(testQuery(t, 10, 5)), Workers: 8})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("optimize %d: %s", resp.StatusCode, body)
+	}
+	mresp, err := http.Get("http://" + s.HTTPAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(mresp.Body)
+	for _, name := range []string{"mpqd_probes_total", "mpqd_redispatched_total"} {
+		if !regexp.MustCompile(`(?m)^` + name + ` [1-9][0-9]*$`).MatchString(buf.String()) {
+			t.Errorf("%s is not at least 1\n%s", name, buf.String())
 		}
 	}
 }

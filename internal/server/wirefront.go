@@ -127,7 +127,7 @@ func (s *Server) serveWireConn(conn net.Conn) {
 	}()
 
 	for {
-		payload, err := wire.ReadFrameLimit(conn, s.cfg.MaxWireFrame)
+		payload, err := wire.ReadFrameLimit(conn, wire.MaxRequestFrame)
 		if err != nil {
 			return // EOF, peer reset, drain half-close, or oversized frame
 		}

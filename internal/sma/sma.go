@@ -180,15 +180,14 @@ func Run(ctx context.Context, model cluster.Model, q *query.Query, spec core.Job
 	if err != nil {
 		return nil, err
 	}
-	met.Work = res.Stats
-	// Every worker holds a full replica of the memotable — the paper's
-	// point about SMA's memory footprint not shrinking with parallelism.
-	met.MaxMemoEntries = uint64(eng.MemoLen())
 	met.VirtualTime = virtual + time.Duration(len(res.Plans))*model.FinalPrunePerPlan
-	met.MaxWorkerTime = virtual // workers are barrier-synchronized every round
 
 	// The shared memotable is one result, not one per worker: the same
-	// epilogue as MPQ's master, over a single part.
+	// epilogue as MPQ's master, over a single part. Its memo entries are
+	// every worker's (each holds a full replica — the paper's point about
+	// SMA's memory footprint not shrinking with parallelism), and its
+	// elapsed time is every worker's: they are barrier-synchronized every
+	// round.
 	ans, err := core.Gather(spec, []core.PartResult{{Plans: res.Plans, Stats: res.Stats, Elapsed: virtual}})
 	if err != nil {
 		return nil, fmt.Errorf("sma: %w", err)

@@ -130,9 +130,9 @@ func TestSMAMemoryConstantInWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			first = res.Cluster.MaxMemoEntries
-		} else if res.Cluster.MaxMemoEntries != first {
-			t.Fatalf("m=%d: memo %d != %d", m, res.Cluster.MaxMemoEntries, first)
+			first = res.Stats.MemoEntries
+		} else if res.Stats.MemoEntries != first {
+			t.Fatalf("m=%d: memo %d != %d", m, res.Stats.MemoEntries, first)
 		}
 	}
 	if first != uint64(1<<9-1) {

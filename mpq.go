@@ -144,7 +144,7 @@ type (
 type (
 	// ClusterModel parameterizes the simulated shared-nothing cluster.
 	ClusterModel = cluster.Model
-	// ClusterMetrics holds bytes, messages, virtual times and memory.
+	// ClusterMetrics holds bytes, messages, virtual time and counters.
 	ClusterMetrics = cluster.Metrics
 	// NodeResources gives one simulated node's CPU/memory/network
 	// capacities for the multi-resource cluster model

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mpq"
+	"mpq/internal/brute"
 	"mpq/internal/cost"
 )
 
@@ -186,6 +187,43 @@ func TestRobustEngineEquivalence(t *testing.T) {
 	}
 	if d := math.Abs(serial.Best.Buffer - wantWC); d > 1e-9*wantWC {
 		t.Fatalf("serial worst-case cost %g != partitioned %g", serial.Best.Buffer, wantWC)
+	}
+}
+
+// TestRobustBestMatchesExhaustiveOracle is the robust half of the
+// brute-force oracle: the smallest worst-case cost (Buffer) over every
+// plan under Robust(2) is the Best.Buffer of a robust job with that band
+// and α = 1, on the serial engine and on two in-process partitions.
+func TestRobustBestMatchesExhaustiveOracle(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		n     int
+		shape mpq.Shape
+		seed  int64
+		space mpq.Space
+	}{
+		{5, mpq.Chain, 3, mpq.Linear},
+		{6, mpq.Star, 1, mpq.Linear},
+		{5, mpq.Cycle, 7, mpq.Bushy},
+	} {
+		_, q, err := mpq.GenerateWorkload(mpq.NewWorkloadParams(c.n, c.shape), c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := math.Inf(1)
+		for _, p := range brute.AllPlans(q, c.space, brute.Options{Model: cost.Robust(2)}) {
+			want = math.Min(want, p.Buffer)
+		}
+		spec := mpq.JobSpec{Space: c.space, Workers: 2, Objective: mpq.RobustObjective, RobustBand: 2, Alpha: 1}
+		for name, eng := range map[string]mpq.Engine{"serial": mpq.NewSerialEngine(), "local": mpq.NewInProcessEngine()} {
+			ans, err := eng.Optimize(ctx, q, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := math.Abs(ans.Best.Buffer - want); d > 1e-9*want {
+				t.Errorf("%v n=%d %v, %s: worst case %g, exhaustive minimum %g", c.shape, c.n, c.space, name, ans.Best.Buffer, want)
+			}
+		}
 	}
 }
 

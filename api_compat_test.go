@@ -45,7 +45,6 @@ var (
 	_ func(...mpq.EngineOption) *mpq.InProcessEngine              = mpq.NewInProcessEngine
 	_ func(...mpq.EngineOption) *mpq.SimEngine                    = mpq.NewSimEngine
 	_ func([]string, ...mpq.EngineOption) (*mpq.TCPEngine, error) = mpq.NewTCPEngine
-	_ func(int) mpq.EngineOption                                  = mpq.WithParallelism
 	_ func(mpq.ClusterModel) mpq.EngineOption                     = mpq.WithClusterModel
 	_ func(mpq.ClusterFaults) mpq.EngineOption                    = mpq.WithClusterFaults
 	_ func(mpq.MasterOptions) mpq.EngineOption                    = mpq.WithMasterOptions

@@ -19,7 +19,8 @@ import (
 //
 // Optimize runs one query. OptimizeBatch pipelines a batch of
 // independent queries through the engine; answers come back in input
-// order and are bit-identical to running each job by itself. Both
+// order and are bit-identical to running each job by itself, and the
+// first failure cancels the jobs still running. Both
 // honor ctx: cancellation stops the dynamic program between (and
 // periodically within) cardinality levels, aborts in-flight network
 // work, and returns an error wrapping context.Canceled (or
@@ -41,17 +42,16 @@ type NetStats = core.NetStats
 // engines they are meaningful for and are ignored by the others, so
 // one option list can configure a table of engines:
 //
-//	WithParallelism   — InProcessEngine
 //	WithClusterModel  — SimEngine
 //	WithClusterFaults — SimEngine
 //	WithMasterOptions — TCPEngine
 //
 // What describes the job rather than the substrate — the cost model
-// included — is a JobSpec field, not an option.
+// included — is a JobSpec field, not an option, and GOMAXPROCS sets how
+// many dynamic programs a process runs at once.
 type EngineOption func(*engineConfig)
 
 type engineConfig struct {
-	parallelism  int
 	clusterModel ClusterModel
 	faults       ClusterFaults
 	masterOpts   MasterOptions
@@ -63,13 +63,6 @@ func newEngineConfig(opts []EngineOption) engineConfig {
 		o(&cfg)
 	}
 	return cfg
-}
-
-// WithParallelism caps the number of concurrently running worker
-// goroutines of an InProcessEngine (the paper's executors-per-node
-// knob). n < 1 means the default, min(m, GOMAXPROCS).
-func WithParallelism(n int) EngineOption {
-	return func(c *engineConfig) { c.parallelism = n }
 }
 
 // WithClusterModel sets the simulated cluster parameters of a
@@ -93,42 +86,30 @@ func WithMasterOptions(o MasterOptions) EngineOption {
 	return func(c *engineConfig) { c.masterOpts = o }
 }
 
-// sequentialBatch runs a batch one job at a time through eng — the
-// batch semantics of the engines whose substrate has no cross-query
-// state to share. Answers are bit-identical to individual Optimize
-// calls by construction; the first failure aborts the batch.
-func sequentialBatch(ctx context.Context, eng Engine, jobs []Job) ([]*Answer, error) {
-	answers := make([]*Answer, len(jobs))
-	for i, job := range jobs {
-		ans, err := eng.Optimize(ctx, job.Query, job.Spec)
+// optimizeAll is the batch of the engines whose dynamic programs run on
+// this process's runtime slots: every job is submitted at once, answers
+// equal individual Optimize calls, and the first failure cancels the rest.
+func optimizeAll(ctx context.Context, jobs []Job, optimize func(context.Context, *Query, JobSpec) (*Answer, error)) ([]*Answer, error) {
+	return core.RunPartitions(ctx, len(jobs), func(ctx context.Context, i int) (*Answer, error) {
+		ans, err := optimize(ctx, jobs[i].Query, jobs[i].Spec)
 		if err != nil {
 			return nil, fmt.Errorf("batch job %d: %w", i, err)
 		}
-		answers[i] = ans
-	}
-	return answers, nil
+		return ans, nil
+	})
 }
 
 // InProcessEngine runs MPQ with goroutine workers — the shared-nothing
-// algorithm on a single machine, min(m, GOMAXPROCS) plan-space
-// partitions at a time (WithParallelism sets another width).
-//
-// Worker goroutines draw their DP memory (plan-node arena + memo
-// table) from a process-wide recycled pool, so a stream of queries —
-// in particular OptimizeBatch — reaches a steady state that allocates
-// almost nothing per job: the first job grows the pool, later jobs
-// borrow it back. See docs/perf.md for the design and measured
-// numbers.
+// algorithm on a single machine, each partition on one of the process's
+// GOMAXPROCS runtime slots (docs/perf.md), which all engines share.
 type InProcessEngine struct {
-	cfg engineConfig
 	// serial pins every job to one partition (NewSerialEngine).
 	serial bool
 }
 
-// NewInProcessEngine returns the goroutine-worker engine. Applicable
-// option: WithParallelism.
+// NewInProcessEngine returns the goroutine-worker engine. No option applies.
 func NewInProcessEngine(opts ...EngineOption) *InProcessEngine {
-	return &InProcessEngine{cfg: newEngineConfig(opts)}
+	return &InProcessEngine{}
 }
 
 // NewSerialEngine returns the classical single-node dynamic program —
@@ -136,7 +117,7 @@ func NewInProcessEngine(opts ...EngineOption) *InProcessEngine {
 // with JobSpec.Workers overridden to 1, so it always searches the
 // unpartitioned plan space with one worker. No option applies.
 func NewSerialEngine(opts ...EngineOption) *InProcessEngine {
-	return &InProcessEngine{cfg: newEngineConfig(opts), serial: true}
+	return &InProcessEngine{serial: true}
 }
 
 // Optimize implements Engine.
@@ -144,15 +125,12 @@ func (e *InProcessEngine) Optimize(ctx context.Context, q *Query, spec JobSpec) 
 	if e.serial {
 		spec.Workers = 1
 	}
-	return core.OptimizeContext(ctx, q, spec, e.cfg.parallelism)
+	return core.OptimizeContext(ctx, q, spec)
 }
 
-// OptimizeBatch implements Engine by optimizing the jobs sequentially;
-// each job already fans out across the configured goroutine workers,
-// and jobs after the first reuse the pooled worker memory (memo
-// capacity and arena slabs) the earlier jobs grew.
+// OptimizeBatch implements Engine by submitting every job at once.
 func (e *InProcessEngine) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, error) {
-	return sequentialBatch(ctx, e, jobs)
+	return optimizeAll(ctx, jobs, e.Optimize)
 }
 
 // SimEngine runs MPQ on the deterministic shared-nothing cluster
@@ -178,10 +156,10 @@ func (e *SimEngine) Optimize(ctx context.Context, q *Query, spec JobSpec) (*Answ
 	return cluster.Run(ctx, e.cfg.clusterModel, q, spec, e.cfg.faults)
 }
 
-// OptimizeBatch implements Engine by simulating the jobs sequentially
-// (the simulator models one query occupying the cluster at a time).
+// OptimizeBatch implements Engine by submitting every job at once; the
+// virtual clock still models each query occupying the cluster alone.
 func (e *SimEngine) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, error) {
-	return sequentialBatch(ctx, e, jobs)
+	return optimizeAll(ctx, jobs, e.Optimize)
 }
 
 // TCPEngine runs MPQ over the fault-tolerant TCP master/worker

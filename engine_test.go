@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,7 +128,6 @@ func TestEngineEquivalence(t *testing.T) {
 		eng  mpq.Engine
 	}{
 		{"inprocess", mpq.NewInProcessEngine()},
-		{"inprocess-capped", mpq.NewInProcessEngine(mpq.WithParallelism(2))},
 		{"sim", mpq.NewSimEngine()},
 		{"tcp", tcp},
 	}
@@ -364,7 +365,6 @@ func TestCancelBeforeStart(t *testing.T) {
 	}{
 		{"serial", mpq.NewSerialEngine()},
 		{"inprocess", mpq.NewInProcessEngine()},
-		{"inprocess-capped", mpq.NewInProcessEngine(mpq.WithParallelism(2))},
 		{"sim", mpq.NewSimEngine()},
 		{"tcp", tcp},
 		{"cached", mpq.WithCache(mpq.NewInProcessEngine(), mpq.CacheConfig{})},
@@ -475,8 +475,11 @@ func TestTCPEngineDeadline(t *testing.T) {
 	}
 }
 
-// TestSimEngineBatch and serial/in-process batches: answers equal the
-// one-at-a-time answers on every engine, not just TCP.
+// TestSequentialEnginesBatch: serial, in-process and sim batches run
+// their jobs at once on the shared runtime slots, and every answer
+// equals the one-at-a-time answer — plan, work counters and, for the
+// simulator, the whole cluster record, since its virtual clock still
+// models each query alone.
 func TestSequentialEnginesBatch(t *testing.T) {
 	var jobs []mpq.Job
 	for i, shape := range []mpq.Shape{mpq.Star, mpq.Chain} {
@@ -504,9 +507,45 @@ func TestSequentialEnginesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mpq.PlanFingerprint(batch[i].Best) != mpq.PlanFingerprint(one.Best) {
+			if mpq.PlanFingerprint(batch[i].Best) != mpq.PlanFingerprint(one.Best) || batch[i].Stats != one.Stats {
 				t.Fatalf("%s job %d: batch differs from single", e.name, i)
+			}
+			if (batch[i].Cluster == nil) != (one.Cluster == nil) ||
+				one.Cluster != nil && !reflect.DeepEqual(*batch[i].Cluster, *one.Cluster) {
+				t.Fatalf("%s job %d: batch cluster record %+v, single %+v", e.name, i, batch[i].Cluster, one.Cluster)
 			}
 		}
 	}
+}
+
+// TestBatchFirstFailureCancelsTheRest: an in-process batch whose second
+// job is invalid returns that job's error at once, canceling the
+// first job's multi-second dynamic program instead of finishing it, and
+// leaves no goroutine behind.
+func TestBatchFirstFailureCancelsTheRest(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("on one core the batch reaches its second job only after the first")
+	}
+	_, big, err := mpq.GenerateWorkload(mpq.NewWorkloadParams(17, mpq.Clique), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, small, err := mpq.GenerateWorkload(mpq.NewWorkloadParams(6, mpq.Star), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []mpq.Job{
+		{Query: big, Spec: mpq.JobSpec{Space: mpq.Bushy, Workers: 1}},
+		{Query: small, Spec: mpq.JobSpec{Space: mpq.Linear, Workers: 3}},
+	}
+	baseline := runtime.NumGoroutine()
+	start := time.Now()
+	_, err = mpq.NewInProcessEngine().OptimizeBatch(context.Background(), jobs)
+	if err == nil || !strings.HasPrefix(err.Error(), "batch job 1: ") {
+		t.Fatalf("batch error %v, want job 1's failure", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("batch failed after %v; job 0 was not canceled", elapsed)
+	}
+	waitGoroutines(t, baseline)
 }

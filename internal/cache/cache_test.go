@@ -23,7 +23,7 @@ func genQuery(t *testing.T, n int, seed int64) *query.Query {
 
 func mustAnswer(t *testing.T, q *query.Query, spec core.JobSpec) *core.Answer {
 	t.Helper()
-	ans, err := core.OptimizeContext(context.Background(), q, spec, 0)
+	ans, err := core.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestOptimizeMissThenHit(t *testing.T) {
 	calls := 0
 	compute := func(ctx context.Context, q *query.Query, s core.JobSpec) (*core.Answer, error) {
 		calls++
-		return core.OptimizeContext(ctx, q, s, 0)
+		return core.OptimizeContext(ctx, q, s)
 	}
 	ctx := context.Background()
 	first, err := c.Optimize(ctx, q, spec, compute)

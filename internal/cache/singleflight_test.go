@@ -30,7 +30,7 @@ func TestSingleflightOneComputeManyCallers(t *testing.T) {
 		computes.Add(1)
 		close(started) // only the singleflight leader gets here
 		<-release
-		return core.OptimizeContext(ctx, q, s, 0)
+		return core.OptimizeContext(ctx, q, s)
 	}
 
 	const n = 32
@@ -111,7 +111,7 @@ func TestSingleflightCanceledLeaderHandsOff(t *testing.T) {
 			<-ctx.Done() // a context-aware DP aborting mid-search
 			return nil, ctx.Err()
 		}
-		return core.OptimizeContext(ctx, q, s, 0)
+		return core.OptimizeContext(ctx, q, s)
 	}
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
@@ -219,7 +219,7 @@ func TestSingleflightFollowerCancellation(t *testing.T) {
 	compute := func(ctx context.Context, q *query.Query, s core.JobSpec) (*core.Answer, error) {
 		close(started)
 		<-release
-		return core.OptimizeContext(ctx, q, s, 0)
+		return core.OptimizeContext(ctx, q, s)
 	}
 
 	leaderDone := make(chan error, 1)

@@ -28,8 +28,6 @@ func EngineNames() []string { return []string{"serial", "local", "sim", "tcp", "
 type EngineFlags struct {
 	// Engine is the -engine value: serial, local, sim, tcp or daemon.
 	Engine string
-	// Parallelism caps concurrent goroutine workers (local engine).
-	Parallelism int
 	// TCPWorkers is the comma-separated worker address list (tcp engine).
 	TCPWorkers string
 	// Policy is the master's policy (tcp and sim engines): -timeout,
@@ -57,8 +55,6 @@ func Register(fs *flag.FlagSet, def string) *EngineFlags {
 	fs.StringVar(&ef.Engine, "engine", def,
 		"execution engine: "+strings.Join(EngineNames(), ", ")+
 			" (serial DP, goroutine workers, cluster simulation, remote TCP workers, a resident mpqd)")
-	fs.IntVar(&ef.Parallelism, "parallelism", 0,
-		"local engine: cap on concurrent worker goroutines (0 = default min(m, GOMAXPROCS))")
 	fs.StringVar(&ef.TCPWorkers, "tcp-workers", "",
 		"tcp engine: comma-separated worker addresses (start them with: mpqnode worker)")
 	fs.DurationVar(&ef.Policy.Timeout, "timeout", 0,
@@ -96,7 +92,7 @@ func (ef *EngineFlags) Build() (mpq.Engine, error) {
 	case "serial":
 		return mpq.NewSerialEngine(), nil
 	case "local":
-		return mpq.NewInProcessEngine(mpq.WithParallelism(ef.Parallelism)), nil
+		return mpq.NewInProcessEngine(), nil
 	case "sim":
 		if ef.Nodes < 0 {
 			return nil, fmt.Errorf("-nodes %d must not be negative", ef.Nodes)

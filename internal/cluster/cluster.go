@@ -242,9 +242,9 @@ func Run(ctx context.Context, model Model, q *query.Query, spec core.JobSpec, fa
 	// encodes its request, the worker decodes it and runs the real DP,
 	// encodes its plans, and the master decodes them. Virtual time uses
 	// work units, so how many partitions this machine runs at a time
-	// (core.RunPartitions' default) moves only the wall clock.
+	// (the runtime slots) moves only the wall clock.
 	in := simInput{reqBytes: make([]int, m), respBytes: make([]int, m), units: make([]uint64, m), memo: make([]uint64, m)}
-	parts, err := core.RunPartitions(ctx, m, 0, func(ctx context.Context, partID int) (core.PartResult, error) {
+	parts, err := core.RunPartitions(ctx, m, func(ctx context.Context, partID int) (core.PartResult, error) {
 		req := wire.EncodeJobRequest(&wire.JobRequest{Spec: spec, PartID: partID, Query: q})
 		decoded, err := wire.DecodeJobRequest(req)
 		if err != nil {

@@ -54,7 +54,7 @@ func TestSimulationMatchesInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+			local, err := core.OptimizeContext(context.Background(), q, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestSimulationMatchesInProcessOnAllWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+		local, err := core.OptimizeContext(context.Background(), q, spec)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -188,7 +188,7 @@ func TestMultiObjectiveSimulation(t *testing.T) {
 	if len(sim.Frontier) == 0 {
 		t.Fatal("no frontier")
 	}
-	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+	local, err := core.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func TestBushyOrdersMPQMatchesBruteForce(t *testing.T) {
 		q := workload.MustGenerate(workload.NewParams(5, workload.Chain), seed)
 		want := brute.BestCost(q, partition.Bushy, brute.Options{InterestingOrders: true})
 		for _, m := range []int{1, 2} {
-			ans, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Bushy, Workers: m, InterestingOrders: true}, 0)
+			ans, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Bushy, Workers: m, InterestingOrders: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,13 +32,13 @@ func TestBushyOrdersMPQMatchesBruteForce(t *testing.T) {
 func TestBushyMultiObjectiveEqualsSerial(t *testing.T) {
 	q := workload.MustGenerate(workload.NewParams(7, workload.Star), 4)
 	spec := JobSpec{Space: partition.Bushy, Workers: 4, Objective: MultiObjective, Alpha: 1}
-	ans, err := OptimizeContext(context.Background(), q, spec, 0)
+	ans, err := OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serialSpec := spec
 	serialSpec.Workers = 1
-	ref, err := OptimizeContext(context.Background(), q, serialSpec, 0)
+	ref, err := OptimizeContext(context.Background(), q, serialSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

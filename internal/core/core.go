@@ -211,39 +211,55 @@ func (s JobSpec) DPOptions() dp.Options {
 	}
 }
 
-// workerPool recycles per-worker DP runtimes — a plan-node arena plus a
-// memo table each — across worker tasks. Every execution path funnels
-// through RunWorkerContext, so goroutine workers of the in-process
-// engine, the virtual workers of the cluster simulator and long-lived
-// TCP workers all reach the same steady state: repeated jobs borrow
-// slabs and memo capacity sized by earlier jobs instead of re-growing
-// them from scratch (the ROADMAP's NUMA-friendly memo pool — each
-// goroutine gets its own memo shard and arena, never sharing hot
-// memory with another worker). Pooling is safe because a dp.Result
-// never references runtime memory: Finish deep-copies the surviving
-// root plans out of the arena.
-var workerPool = sync.Pool{New: func() any { return dp.NewRuntime() }}
+// slots hold the process's GOMAXPROCS DP runtimes (plan-node arena +
+// memo table), made at init and kept for the process's life: every
+// engine's dynamic programs run on them, so a process runs at most
+// cap(slots) at once and a job reuses the memory earlier jobs grew.
+// Reuse is safe because Finish deep-copies the surviving plans out of
+// the arena.
+var slots = make(chan *dp.Runtime, runtime.GOMAXPROCS(0))
 
-// RunWorkerContext executes one worker task (Algorithm 2): decode the
-// partition ID into constraints, enumerate admissible join results, and
-// run the constrained dynamic program. It is the single entry point
-// shared by the goroutine engine, the cluster simulator and the TCP
-// runtime. The dynamic program checks ctx between cardinality levels
-// (and periodically within one) and returns an error wrapping ctx's
-// cause.
+func init() {
+	for range cap(slots) {
+		slots <- dp.NewRuntime()
+	}
+}
+
+// runDP is a variable so a test can watch which runtimes run at a time.
+var runDP = dp.RunContext
+
+// RunWorkerContext executes one worker task (Algorithm 2) on a runtime
+// slot: decode the partition ID into constraints and run the constrained
+// dynamic program. Every engine's workers go through it. A wait for a
+// slot that ctx ends returns ctx's cause; the dynamic program checks ctx
+// between (and periodically within) cardinality levels.
 func RunWorkerContext(ctx context.Context, q *query.Query, spec JobSpec, partID int) (*dp.Result, error) {
+	res, _, err := runWorker(ctx, q, spec, partID)
+	return res, err
+}
+
+// runWorker is RunWorkerContext plus the task's own run time, measured
+// once it holds its slot.
+func runWorker(ctx context.Context, q *query.Query, spec JobSpec, partID int) (*dp.Result, time.Duration, error) {
+	var rt *dp.Runtime
+	select {
+	case rt = <-slots:
+	case <-ctx.Done():
+		return nil, 0, context.Cause(ctx)
+	}
+	defer func() { slots <- rt }()
+	start := time.Now()
 	if err := spec.Validate(q.N()); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	cs, err := partition.ForPartition(spec.Space, q.N(), partID, spec.Workers)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	rt := workerPool.Get().(*dp.Runtime)
-	defer workerPool.Put(rt)
 	opts := spec.DPOptions()
 	opts.Runtime = rt
-	return dp.RunContext(ctx, q, cs, opts)
+	res, err := runDP(ctx, q, cs, opts)
+	return res, time.Since(start), err
 }
 
 // Job is one (query, job spec) unit of work: what an engine's
@@ -382,38 +398,34 @@ func Gather(spec JobSpec, parts []PartResult) (*Answer, error) {
 }
 
 // RunPartitions is the master's fan-out, the same on every in-process
-// substrate: it calls work once for every partition ID in [0, m), on at
-// most width goroutines that pull IDs in rising order, and returns the
-// results indexed by partition ID. width < 1 means min(m, GOMAXPROCS):
-// partitions are CPU-bound and each holds a memo, so more of them in
-// flight than cores costs memory and buys no time. The first error —
-// work's, named by its partition, or the cause of ctx ending — stops
-// the hand-out, cancels the ctx the running calls were given, and is
-// returned once they have; no goroutine outlives the call.
-func RunPartitions[T any](ctx context.Context, m, width int, work func(ctx context.Context, partID int) (T, error)) ([]T, error) {
-	if width < 1 {
-		width = runtime.GOMAXPROCS(0)
-	}
+// substrate: it calls work once for every ID in [0, m) — the partitions
+// of a job, or the jobs of a batch — on min(m, GOMAXPROCS) goroutines
+// (more would only queue for the runtime slots) that pull IDs in rising
+// order, and returns the results indexed by ID. The first error —
+// work's, or the cause of ctx ending — stops the hand-out, cancels the
+// ctx the running calls were given, and is returned once they have; no
+// goroutine outlives the call.
+func RunPartitions[T any](ctx context.Context, m int, work func(ctx context.Context, id int) (T, error)) ([]T, error) {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	results := make([]T, m)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range min(width, m) {
+	for range min(cap(slots), m) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				partID := int(next.Add(1)) - 1
-				if partID >= m {
+				id := int(next.Add(1)) - 1
+				if id >= m {
 					return
 				}
-				res, err := work(ctx, partID)
+				res, err := work(ctx, id)
 				if err != nil {
-					cancel(fmt.Errorf("partition %d: %w", partID, err))
+					cancel(err)
 					return
 				}
-				results[partID] = res
+				results[id] = res
 			}
 		}()
 	}
@@ -426,23 +438,21 @@ func RunPartitions[T any](ctx context.Context, m, width int, work func(ctx conte
 
 // OptimizeContext runs MPQ with in-process goroutine workers: the
 // Master function of Algorithm 1 with goroutines standing in for
-// cluster nodes. At most maxParallel workers run concurrently (the
-// paper's executors-per-node knob; < 1 means RunPartitions' default).
+// cluster nodes, each partition's dynamic program on a runtime slot.
 // Every worker checks ctx between cardinality levels (and periodically
 // within one), and the master returns an error wrapping ctx's cause
 // after all workers have stopped.
-func OptimizeContext(ctx context.Context, q *query.Query, spec JobSpec, maxParallel int) (*Answer, error) {
+func OptimizeContext(ctx context.Context, q *query.Query, spec JobSpec) (*Answer, error) {
 	if err := (Job{Query: q, Spec: spec}).Prepare(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	parts, err := RunPartitions(ctx, spec.Workers, maxParallel, func(ctx context.Context, partID int) (PartResult, error) {
-		t0 := time.Now()
-		res, err := RunWorkerContext(ctx, q, spec, partID)
+	parts, err := RunPartitions(ctx, spec.Workers, func(ctx context.Context, partID int) (PartResult, error) {
+		res, elapsed, err := runWorker(ctx, q, spec, partID)
 		if err != nil {
 			return PartResult{}, err
 		}
-		return PartResult{Plans: res.Plans, Stats: res.Stats, Elapsed: time.Since(t0)}, nil
+		return PartResult{Plans: res.Plans, Stats: res.Stats, Elapsed: elapsed}, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -75,7 +75,7 @@ func TestMPQEqualsSerialAllWorkerCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range c.ms {
-				ans, err := OptimizeContext(context.Background(), q, JobSpec{Space: c.space, Workers: m}, 0)
+				ans, err := OptimizeContext(context.Background(), q, JobSpec{Space: c.space, Workers: m})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,7 +100,7 @@ func TestMPQMultiObjectiveExactMatchesSerialFrontier(t *testing.T) {
 			ans, err := OptimizeContext(context.Background(), q, JobSpec{
 				Space: partition.Linear, Workers: m,
 				Objective: MultiObjective, Alpha: 1,
-			}, 0)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func TestMPQMultiObjectiveAlphaCoverage(t *testing.T) {
 		ans, err := OptimizeContext(context.Background(), q, JobSpec{
 			Space: partition.Linear, Workers: 4,
 			Objective: MultiObjective, Alpha: alpha,
-		}, 0)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestMPQMultiObjectiveAlphaCoverage(t *testing.T) {
 func TestAnswerAccounting(t *testing.T) {
 	q := gen(t, 10, workload.Star, 1)
 	m := 8
-	ans, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: m}, 0)
+	ans, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestPartitionsAreSkewFree(t *testing.T) {
 		space partition.Space
 		m     int
 	}{{partition.Linear, 16}, {partition.Bushy, 8}} {
-		ans, err := OptimizeContext(context.Background(), q, JobSpec{Space: tc.space, Workers: tc.m}, 0)
+		ans, err := OptimizeContext(context.Background(), q, JobSpec{Space: tc.space, Workers: tc.m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,31 +202,17 @@ func TestPartitionsAreSkewFree(t *testing.T) {
 	}
 }
 
-func TestOptimizeParallelismCap(t *testing.T) {
-	q := gen(t, 8, workload.Star, 0)
-	for _, cap := range []int{-1, 1, 2, 100} {
-		ans, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: 8}, cap)
-		if err != nil {
-			t.Fatalf("cap=%d: %v", cap, err)
-		}
-		serial, _ := dp.Serial(q, partition.Linear, dp.Options{})
-		if !approx(ans.Best.Cost, serial.Best().Cost) {
-			t.Fatalf("cap=%d: wrong optimum", cap)
-		}
-	}
-}
-
 func TestOptimizeRejectsInvalid(t *testing.T) {
 	q := gen(t, 8, workload.Star, 0)
-	if _, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: 3}, 0); err == nil {
+	if _, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: 3}); err == nil {
 		t.Error("non-power-of-two worker count accepted")
 	}
-	if _, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Bushy, Workers: 8}, 0); err == nil {
+	if _, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Bushy, Workers: 8}); err == nil {
 		t.Error("too many bushy workers accepted for n=8 (max 4)")
 	}
 	bad := query.MustNew([]query.Table{{Cardinality: 1}, {Cardinality: 1}})
 	bad.Preds = append(bad.Preds, query.Predicate{Left: 0, Right: 1, Selectivity: 7})
-	if _, err := OptimizeContext(context.Background(), bad, JobSpec{Space: partition.Linear, Workers: 1}, 0); err == nil {
+	if _, err := OptimizeContext(context.Background(), bad, JobSpec{Space: partition.Linear, Workers: 1}); err == nil {
 		t.Error("invalid query accepted")
 	}
 }
@@ -256,11 +242,11 @@ func TestRunWorkerRespectsPartition(t *testing.T) {
 func TestInterestingOrdersNeverHurt(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		q := gen(t, 8, workload.Chain, seed)
-		blind, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: 4}, 0)
+		blind, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		aware, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: 4, InterestingOrders: true}, 0)
+		aware, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: 4, InterestingOrders: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +261,7 @@ func BenchmarkMPQLinear14Workers8(b *testing.B) {
 	spec := JobSpec{Space: partition.Linear, Workers: 8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OptimizeContext(context.Background(), q, spec, 0); err != nil {
+		if _, err := OptimizeContext(context.Background(), q, spec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -373,7 +373,7 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 	if rt == nil {
 		rt = NewRuntime()
 	}
-	w.arena, w.nursery = rt.arena, rt.nursery
+	w.arena, w.nursery = &rt.arena, &rt.nursery
 	w.arena.Reset()
 	rt.spills.reset()
 	w.spills = &rt.spills

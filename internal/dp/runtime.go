@@ -7,8 +7,8 @@ import "mpq/internal/plan"
 // set under construction builds its survivors in, the memo array and
 // the per-table scan entries. A fresh run borrows them through
 // Options.Runtime instead of growing them from scratch, so a worker that
-// optimizes a stream of queries — the in-process engine's goroutine
-// pool, a long-lived TCP worker — reaches a steady state where the
+// optimizes a stream of queries — one of core's runtime slots, which
+// every engine's partitions run on — reaches a steady state where the
 // dynamic program performs (almost) no heap allocation at all:
 // candidates were already free (PR 1), survivors come out of recycled
 // slabs, and the memo reuses its capacity.
@@ -17,24 +17,27 @@ import "mpq/internal/plan"
 // arena and memo, invalidating every node of the previous run. The
 // engine's Finish therefore deep-copies the surviving root plans out of
 // the arena (plan.CloneTree) before returning them, which is what makes
-// pooling runtimes safe — a returned Result never references runtime
+// reusing runtimes safe — a returned Result never references runtime
 // memory.
 //
-// Not safe for concurrent use; pool Runtimes (sync.Pool) to share them
-// across goroutine workers.
+// Not safe for concurrent use: hand a Runtime to one run at a time, as
+// core's slots do.
 type Runtime struct {
-	arena   *plan.Arena
-	nursery *plan.Arena // reset after every table set
+	// The padding keeps the arenas' counters, written on every plan
+	// node, off cache lines shared with another object — such as the
+	// runtime allocated next to this one that another core is running.
+	_       [64]byte
+	arena   plan.Arena
+	nursery plan.Arena // reset after every table set
 	memo    []entry
 	scans   []entry
 	spills  spillArena
+	_       [64]byte
 }
 
 // NewRuntime returns an empty runtime; the arena and memo grow on
 // first use and are recycled afterwards.
-func NewRuntime() *Runtime {
-	return &Runtime{arena: plan.NewArena(), nursery: plan.NewArena()}
-}
+func NewRuntime() *Runtime { return &Runtime{} }
 
 // memoFor returns the runtime's memo array as slots empty entries,
 // growing it for the largest run so far. Only the returned prefix is

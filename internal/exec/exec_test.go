@@ -142,7 +142,7 @@ func TestOptimalPlanMatchesReference(t *testing.T) {
 // MPQ's distributed answer executes to the same result as the serial one.
 func TestMPQPlanExecutes(t *testing.T) {
 	_, q, db := smallWorkload(t, 5, workload.Star, 6)
-	ans, err := core.OptimizeContext(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 4}, 0)
+	ans, err := core.OptimizeContext(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func CacheServing(cfg Config) ([]CacheRow, error) {
 	n, distinct, length, budgets := cacheScale(cfg)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 4}
 	compute := func(ctx context.Context, q *query.Query, spec core.JobSpec) (*core.Answer, error) {
-		return core.OptimizeContext(ctx, q, spec, 0)
+		return core.OptimizeContext(ctx, q, spec)
 	}
 
 	var rows []CacheRow

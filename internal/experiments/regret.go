@@ -139,7 +139,7 @@ func Regret(cfg Config) ([]RegretRow, error) {
 // true optimum are costed by Reannotate, so identical plans yield
 // regret exactly 1.
 func regretPair(ctx context.Context, noisy, truth *query.Query, m cost.Model, spec core.JobSpec, band float64) (point, robust float64, err error) {
-	trueAns, err := core.OptimizeContext(ctx, truth, spec, 0)
+	trueAns, err := core.OptimizeContext(ctx, truth, spec)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -147,14 +147,14 @@ func regretPair(ctx context.Context, noisy, truth *query.Query, m cost.Model, sp
 	if err != nil {
 		return 0, 0, err
 	}
-	pointAns, err := core.OptimizeContext(ctx, noisy, spec, 0)
+	pointAns, err := core.OptimizeContext(ctx, noisy, spec)
 	if err != nil {
 		return 0, 0, err
 	}
 	rspec := spec
 	rspec.Objective = core.RobustObjective
 	rspec.RobustBand = band
-	robustAns, err := core.OptimizeContext(ctx, noisy, rspec, 0)
+	robustAns, err := core.OptimizeContext(ctx, noisy, rspec)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -98,15 +98,15 @@ func speedupCase(cfg Config, space partition.Space, n, m int, obj core.Objective
 		virt = append(virt, float64(serialVirtual)/float64(parRes.Cluster.VirtualTime))
 
 		if cfg.Real {
-			// Both sides go through the engine users run (pooled
-			// runtimes), so the ratio compares partitioning, not set-up.
+			// Both sides go through the engine users run (runtime
+			// slots), so the ratio compares partitioning, not set-up.
 			t0 := time.Now()
-			if _, err := core.OptimizeContext(cfg.context(), q, serialSpec, 1); err != nil {
+			if _, err := core.OptimizeContext(cfg.context(), q, serialSpec); err != nil {
 				return row, err
 			}
 			serialWall := time.Since(t0)
 			t0 = time.Now()
-			if _, err := core.OptimizeContext(cfg.context(), q, spec, spec.Workers); err != nil {
+			if _, err := core.OptimizeContext(cfg.context(), q, spec); err != nil {
 				return row, err
 			}
 			parWall := time.Since(t0)

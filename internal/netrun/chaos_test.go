@@ -66,7 +66,7 @@ func assertBitIdentical(t *testing.T, faulted *plan.Node, clean *plan.Node, loca
 func TestAnyMinorityFaultedBitIdentical(t *testing.T) {
 	q := gen(t, 8, 11)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
-	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+	local, err := core.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestEndToEndEquivalenceUnderRandomFaults(t *testing.T) {
 			spec = core.JobSpec{Space: partition.Bushy, Workers: 4}
 		}
 
-		local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+		local, err := core.OptimizeContext(context.Background(), q, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestMultiObjectiveFaultedFrontierIdentical(t *testing.T) {
 		Space: partition.Linear, Workers: 4,
 		Objective: core.MultiObjective, Alpha: 1,
 	}
-	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+	local, err := core.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestMultiObjectiveFaultedFrontierIdentical(t *testing.T) {
 func TestWorkerExclusionAfterRepeatedFailures(t *testing.T) {
 	q := gen(t, 8, 5)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
-	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+	local, err := core.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestWorkerExclusionAfterRepeatedFailures(t *testing.T) {
 func TestDuplicateResponseIgnored(t *testing.T) {
 	q := gen(t, 8, 3)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 4}
-	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+	local, err := core.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,11 +341,11 @@ func TestBatchBitIdenticalUnderFaults(t *testing.T) {
 	qa, qb := gen(t, 8, 21), gen(t, 7, 22)
 	ja := Job{Query: qa, Spec: core.JobSpec{Space: partition.Linear, Workers: 8}}
 	jb := Job{Query: qb, Spec: core.JobSpec{Space: partition.Bushy, Workers: 4}}
-	localA, err := core.OptimizeContext(context.Background(), qa, ja.Spec, 0)
+	localA, err := core.OptimizeContext(context.Background(), qa, ja.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	localB, err := core.OptimizeContext(context.Background(), qb, jb.Spec, 0)
+	localB, err := core.OptimizeContext(context.Background(), qb, jb.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 func TestSlowDripWithinDeadlineSucceeds(t *testing.T) {
 	q := gen(t, 7, 2)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 4}
-	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+	local, err := core.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestSlowDripWithinDeadlineSucceeds(t *testing.T) {
 func TestSlowDripBeyondDeadlineRedispatches(t *testing.T) {
 	q := gen(t, 7, 2)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 4}
-	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+	local, err := core.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+		local, err := core.OptimizeContext(context.Background(), q, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestMorePartitionsThanWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+	local, err := core.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestDistributedMultiObjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+	local, err := core.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

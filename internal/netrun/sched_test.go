@@ -21,7 +21,7 @@ import (
 func TestStallSpeculativeCloneWins(t *testing.T) {
 	q := gen(t, 8, 7)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 4}
-	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+	local, err := core.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestStallSpeculativeCloneWins(t *testing.T) {
 func TestSpeculativeLoserLateFrameDiscarded(t *testing.T) {
 	q := gen(t, 8, 7)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 4}
-	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+	local, err := core.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestSpeculativeLoserLateFrameDiscarded(t *testing.T) {
 func TestProbeReadmitsExcludedWorker(t *testing.T) {
 	q := gen(t, 8, 9)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
-	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+	local, err := core.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

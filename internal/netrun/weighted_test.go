@@ -38,7 +38,7 @@ func TestWeightedMasterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := core.OptimizeContext(context.Background(), q, spec, 0)
+	local, err := core.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,8 +140,7 @@ func (w *Worker) serveConn(conn net.Conn) {
 type seqCancels struct {
 	mu       sync.Mutex
 	seq      uint32
-	active   bool
-	stop     context.CancelFunc
+	stop     context.CancelFunc // nil when no request is computing
 	canceled map[uint32]bool
 }
 
@@ -150,7 +149,7 @@ type seqCancels struct {
 func (s *seqCancels) begin(parent context.Context, seq uint32) (context.Context, context.CancelFunc) {
 	ctx, stop := context.WithCancel(parent)
 	s.mu.Lock()
-	s.seq, s.active, s.stop = seq, true, stop
+	s.seq, s.stop = seq, stop
 	if s.canceled[seq] {
 		delete(s.canceled, seq)
 		stop()
@@ -163,7 +162,7 @@ func (s *seqCancels) begin(parent context.Context, seq uint32) (context.Context,
 // sequence number are stale and must not touch the next job.
 func (s *seqCancels) end() {
 	s.mu.Lock()
-	s.active, s.stop = false, nil
+	s.stop = nil
 	s.mu.Unlock()
 }
 
@@ -171,14 +170,13 @@ func (s *seqCancels) end() {
 // job in flight, or on arrival if the request has not started yet.
 func (s *seqCancels) cancel(seq uint32) {
 	s.mu.Lock()
-	if s.active && s.seq == seq {
+	if s.stop != nil && s.seq == seq {
 		s.stop()
-	} else if !s.active || s.seq < seq {
-		// Not started yet (masters send at most one cancel, always after
-		// its request, so an unmatched cancel for a future seq is a
-		// read-ahead race). Cancels for already-answered sequence numbers
-		// fall through here too; the bound below keeps the map finite
-		// against a misbehaving peer.
+	} else if s.seq < seq {
+		// Not started yet (masters number requests from 1 up and cancel
+		// only after the request, so a cancel for a future seq is a
+		// read-ahead race). A cancel for a seq already begun is stale and
+		// dropped; the bound keeps the map finite against a bad peer.
 		if len(s.canceled) < 1024 {
 			s.canceled[seq] = true
 		}

@@ -27,7 +27,8 @@ const slabNodes = 1024
 // through an arena are bit-identical to the heap constructors' (they
 // share the construction code); only the allocation site differs.
 //
-// An arena is not safe for concurrent use; each DP worker owns one.
+// The zero value is an empty arena; slabs are allocated on demand. An
+// arena is not safe for concurrent use; each DP worker owns one.
 // All nodes handed out since the last Reset remain valid until the next
 // Reset — callers that retain plans past a Reset (e.g. a pooled runtime
 // recycling slabs between queries) must copy them out first, see
@@ -37,9 +38,6 @@ type Arena struct {
 	si    int // slab currently being filled
 	used  int // nodes handed out from slabs[si]
 }
-
-// NewArena returns an empty arena; slabs are allocated on demand.
-func NewArena() *Arena { return &Arena{} }
 
 // alloc returns a pointer to the next free slab slot, growing by one
 // slab when the recycled ones are exhausted.

@@ -24,7 +24,7 @@ func arenaQuery(t testing.TB) *query.Query {
 func TestArenaConstructorsMatchHeap(t *testing.T) {
 	q := arenaQuery(t)
 	m := cost.Default()
-	a := NewArena()
+	a := &Arena{}
 
 	for tbl := 0; tbl < q.N(); tbl++ {
 		heap := Scan(m, q, tbl)
@@ -56,7 +56,7 @@ func TestArenaConstructorsMatchHeap(t *testing.T) {
 func TestArenaResetRecyclesSlabs(t *testing.T) {
 	q := arenaQuery(t)
 	m := cost.Default()
-	a := NewArena()
+	a := &Arena{}
 
 	const nodes = 3 * slabNodes / 2 // force a second slab
 	for i := 0; i < nodes; i++ {
@@ -89,7 +89,7 @@ func TestArenaResetRecyclesSlabs(t *testing.T) {
 func TestArenaAllocFreeWhenWarm(t *testing.T) {
 	q := arenaQuery(t)
 	m := cost.Default()
-	a := NewArena()
+	a := &Arena{}
 	for i := 0; i < slabNodes; i++ { // warm one slab
 		a.Scan(m, q, 0)
 	}
@@ -109,7 +109,7 @@ func TestArenaAllocFreeWhenWarm(t *testing.T) {
 func TestCloneTreeEscapesArena(t *testing.T) {
 	q := arenaQuery(t)
 	m := cost.Default()
-	a := NewArena()
+	a := &Arena{}
 
 	l := a.Scan(m, q, 0)
 	r := a.Scan(m, q, 1)

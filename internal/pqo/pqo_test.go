@@ -22,7 +22,7 @@ func gen(t testing.TB, n int, seed int64) *query.Query {
 // point and returns the parametric-optimal plan set.
 func frontierOf(t testing.TB, q *query.Query, space partition.Space, workers int, spill float64) []*plan.Node {
 	t.Helper()
-	ans, err := core.OptimizeContext(context.Background(), q, JobSpec(space, workers, spill), 0)
+	ans, err := core.OptimizeContext(context.Background(), q, JobSpec(space, workers, spill))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,23 +206,26 @@ func buildClientAnswer(reply clientReply, spec mpq.JobSpec, elapsed time.Duratio
 // OptimizeBatch pipelines the jobs over the connection concurrently —
 // the daemon interleaves them under its fairness scheduler and replies
 // in completion order — and collects the answers back in input order.
-// Matching the Engine contract, the first failure fails the batch.
+// Matching the Engine contract, the first failure fails the batch at
+// once, abandoning the jobs still waiting.
 func (c *Client) OptimizeBatch(ctx context.Context, jobs []mpq.Job) ([]*mpq.Answer, error) {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	answers := make([]*mpq.Answer, len(jobs))
-	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
 	for i := range jobs {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			answers[i], errs[i] = c.Optimize(ctx, jobs[i].Query, jobs[i].Spec)
-		}(i)
+			var err error
+			if answers[i], err = c.Optimize(ctx, jobs[i].Query, jobs[i].Spec); err != nil {
+				cancel(fmt.Errorf("batch job %d: %w", i, err))
+			}
+		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("batch job %d: %w", i, err)
-		}
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
 	}
 	return answers, nil
 }

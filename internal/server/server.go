@@ -92,8 +92,8 @@ type Config struct {
 	// means DefaultQueueDepth.
 	QueueDepth int
 	// Dispatchers is the number of concurrent engine calls. Zero means
-	// DefaultDispatchers. (Each call may itself fan out goroutine
-	// workers; this bounds concurrent queries, not worker parallelism.)
+	// DefaultDispatchers. It bounds requests taken off the queue, not
+	// CPU: in-process DPs of all calls share GOMAXPROCS runtime slots.
 	Dispatchers int
 	// DefaultTimeout bounds a request that does not carry its own
 	// deadline. Zero means DefaultTimeout (one minute).

@@ -661,6 +661,40 @@ func TestBatchStreamsCompletionOrder(t *testing.T) {
 	}
 }
 
+// TestClientBatchFailsFast: a wire client's batch fails as soon as one
+// job does — job 0 is rejected at decode while job 1 waits on a gate
+// that never opens — reporting that job's error instead of waiting for
+// its siblings.
+func TestClientBatchFailsFast(t *testing.T) {
+	gate := make(chan struct{})
+	defer close(gate)
+	eng := &gatedEngine{inner: mpq.NewSerialEngine(), gate: gate}
+	s := startServer(t, Config{Engine: eng})
+	c, err := Dial(s.WireAddr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	q := testQuery(t, 4, 12)
+	jobs := []mpq.Job{
+		{Query: q, Spec: mpq.JobSpec{Space: partition.Linear, Workers: 3}},
+		{Query: q, Spec: mpq.JobSpec{Space: partition.Linear, Workers: 1}},
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.OptimizeBatch(context.Background(), jobs)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.HasPrefix(err.Error(), "batch job 0: ") {
+			t.Fatalf("batch error %v, want job 0's failure", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("batch still waiting on a sibling 2s after job 0 failed")
+	}
+}
+
 // TestPlanLogRotation: records land in the log as JSON lines and the
 // file rotates at its size cap.
 func TestPlanLogRotation(t *testing.T) {

@@ -153,7 +153,7 @@ func TestSMAMultiObjective(t *testing.T) {
 	if !mo.IsFrontier(res.Frontier) {
 		t.Fatal("SMA frontier contains dominated plans")
 	}
-	mpqRes, err := core.OptimizeContext(context.Background(), q, spec, 0)
+	mpqRes, err := core.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,9 @@
 //   - serial: NewSerialEngine — the in-process engine pinned to one
 //     partition, the classical single-node dynamic program every
 //     speedup is measured against.
-//   - local: NewInProcessEngine — goroutine workers in this process
-//     (WithParallelism caps concurrency).
+//   - local: NewInProcessEngine — goroutine workers in this process;
+//     every partition's dynamic program runs on one of GOMAXPROCS
+//     runtime slots the whole process shares.
 //   - sim: NewSimEngine — deterministic shared-nothing cluster
 //     simulation with byte-exact network accounting (the engine behind
 //     the paper's figures); answers carry ClusterMetrics in
@@ -44,9 +45,9 @@
 //     workers with ListenWorker); answers carry NetStats in Answer.Net.
 //   - daemon: internal/server.Client — a thin client of a resident mpqd.
 //
-// Constructors take functional options (WithParallelism,
-// WithClusterModel, WithClusterFaults, WithMasterOptions) for what
-// belongs to the substrate; everything that belongs to the job — plan
+// Constructors take functional options (WithClusterModel,
+// WithClusterFaults, WithMasterOptions) for what belongs to the
+// substrate; everything that belongs to the job — plan
 // space, partitions, objective, cost model — is a JobSpec field.
 // Cancellation and per-job deadlines flow through context.Context.
 // (Query, JobSpec) through Engine.Optimize or OptimizeBatch is the only

@@ -244,7 +244,8 @@ func TestCachedEngineBatchDedupe(t *testing.T) {
 // distinct queries, the cached in-process engine runs at most 64
 // dynamic programs for 1536 arrivals — at least 90 % of the uncached
 // engine's DP runs avoided — with every cached answer bit-identical to
-// the uncached one. The assertion is on counted work, which no machine
+// the uncached one, and the unlimited budget never evicts. The
+// assertions are on counted work, which no machine
 // load can move; the wall-clock ratio it buys is logged, and measured
 // properly by bench/ (serve-zipf8).
 func TestCachedEngineZipfThroughput(t *testing.T) {
@@ -303,6 +304,9 @@ func TestCachedEngineZipfThroughput(t *testing.T) {
 	}
 	if avoided*10 < uint64(arrivals)*9 {
 		t.Fatalf("only %d of %d DP runs avoided, want >= 90%%", avoided, arrivals)
+	}
+	if tt.Evictions != 0 {
+		t.Fatalf("unlimited cache evicted %d entries", tt.Evictions)
 	}
 	t.Logf("uncached %v, cached %v, speedup %.1fx, hit rate %.3f",
 		uncached, cached, uncached.Seconds()/cached.Seconds(), float64(tt.Hits)/float64(arrivals)) //lint:allow sinceratio logged, never asserted

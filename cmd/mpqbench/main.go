@@ -1,5 +1,7 @@
 // Command mpqbench regenerates the paper's tables and figures on the
-// simulated shared-nothing cluster.
+// simulated shared-nothing cluster. Every table is a pure function of
+// the flags: time is virtual, so two runs with the same flags print the
+// same bytes. Wall-clock performance is the bench module's job.
 //
 // Usage:
 //
@@ -13,11 +15,9 @@
 //	-full        paper-scale query sizes and worker counts (slow)
 //	-queries N   random queries per data point (default 5; paper used 20)
 //	-seed N      base workload seed
-//	-real        also measure real wall-clock speedups (speedups only)
 //	-quiet       suppress progress lines
-//	-csv         emit CSV instead of aligned text
-//	-json        emit JSON Lines (one object per table), for the
-//	             benchmark-trajectory tooling (BENCH_*.json)
+//	-json        emit JSON Lines (one object per table) instead of
+//	             aligned text
 //	-cpuprofile F  write a CPU profile of the run to F (runtime/pprof;
 //	             docs/perf.md §4 has the recipe for ranking inner-loop
 //	             candidates with it)
@@ -48,17 +48,10 @@ func run() error {
 	full := flag.Bool("full", false, "paper-scale sizes (slow)")
 	queries := flag.Int("queries", 0, "queries per data point (0 = scale default)")
 	seed := flag.Int64("seed", 0, "base workload seed")
-	real := flag.Bool("real", false, "measure real wall-clock speedups too")
 	quiet := flag.Bool("quiet", false, "suppress progress output")
-	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	jsonOut := flag.Bool("json", false, "emit JSON Lines (one object per table) instead of aligned text")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
-	if *csvOut && *jsonOut {
-		return fmt.Errorf("-csv and -json are mutually exclusive")
-	}
-	emitCSV = *csvOut
-	emitJSON = *jsonOut
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -83,7 +76,6 @@ func run() error {
 		cfg.Queries = *queries
 	}
 	cfg.BaseSeed = *seed
-	cfg.Real = *real
 	if !*quiet {
 		cfg.Progress = os.Stderr
 	}
@@ -108,7 +100,9 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		render(tables)
+		if err := render(tables, *jsonOut); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -119,27 +113,17 @@ func interrupted(err error) error {
 	return fmt.Errorf("interrupted — completed tables were flushed, the experiment in flight was discarded: %w", err)
 }
 
-var (
-	emitCSV  bool
-	emitJSON bool
-)
-
-func render(tables []*experiments.Table) {
+// render writes the tables to stdout. It returns a write error rather
+// than exiting, so run's deferred CPU-profile flush still happens.
+func render(tables []*experiments.Table, asJSON bool) error {
 	for _, t := range tables {
-		switch {
-		case emitJSON:
-			if err := t.WriteJSON(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "mpqbench: json:", err)
-				os.Exit(1)
-			}
-		case emitCSV:
-			if err := t.WriteCSV(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "mpqbench: csv:", err)
-				os.Exit(1)
-			}
-			fmt.Println()
-		default:
+		if !asJSON {
 			t.Render(os.Stdout)
+			continue
+		}
+		if err := t.WriteJSON(os.Stdout); err != nil {
+			return fmt.Errorf("json: %w", err)
 		}
 	}
+	return nil
 }

@@ -12,8 +12,8 @@ import (
 // matches packages by name, so a renamed package would silently leave
 // the invariant's scope. Every name must be the last path element of a
 // package `go list mpq/...` returns. That the analyzer fires on those
-// packages needs no seeded copy: three live //lint:allow ctxflow
-// directives (two in internal/server, one in internal/netrun) already
+// packages needs no seeded copy: two live //lint:allow ctxflow
+// directives (one in internal/server, one in internal/netrun) already
 // prove it — a directive that suppresses nothing is itself a finding,
 // so a clean `mpqlint ./...` means each still has a finding to suppress.
 func TestTargetPackagesExist(t *testing.T) {

@@ -118,7 +118,11 @@ func (ef *EngineFlags) Build() (mpq.Engine, error) {
 		if ef.TCPWorkers == "" {
 			return nil, fmt.Errorf("-engine tcp requires -tcp-workers host:port[,host:port...]")
 		}
-		return mpq.NewTCPEngine(strings.Split(ef.TCPWorkers, ","), mpq.WithMasterOptions(ef.Policy))
+		addrs := strings.Split(ef.TCPWorkers, ",")
+		for i, a := range addrs {
+			addrs[i] = strings.TrimSpace(a)
+		}
+		return mpq.NewTCPEngine(addrs, mpq.WithMasterOptions(ef.Policy))
 	case "daemon":
 		if ef.DaemonAddr == "" {
 			return nil, fmt.Errorf("-engine daemon requires -daemon-addr host:port")

@@ -13,9 +13,9 @@ import (
 	"mpq/internal/sched"
 )
 
-// policyAt reads the sched.Config an engine holds at the given path of
-// (unexported) field names.
-func policyAt(t *testing.T, eng mpq.Engine, path ...string) sched.Config {
+// fieldAt reads the value of type T an engine holds at the given path
+// of (unexported) field names.
+func fieldAt[T any](t *testing.T, eng mpq.Engine, path ...string) T {
 	t.Helper()
 	v := reflect.ValueOf(eng)
 	for _, name := range path {
@@ -24,7 +24,40 @@ func policyAt(t *testing.T, eng mpq.Engine, path ...string) sched.Config {
 			t.Fatalf("%T has no field %s of %v", eng, name, path)
 		}
 	}
-	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem().Interface().(sched.Config)
+	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem().Interface().(T)
+}
+
+// buildTCP parses -tcp-workers addrs for the tcp engine and builds it.
+func buildTCP(t *testing.T, addrs string) (mpq.Engine, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("tcp", flag.ContinueOnError)
+	ef := Register(fs, "tcp")
+	if err := fs.Parse([]string{"-tcp-workers", addrs}); err != nil {
+		t.Fatal(err)
+	}
+	return ef.Build()
+}
+
+// Worker addresses reach the master trimmed of the spaces around the
+// commas.
+func TestTCPWorkersTrimmed(t *testing.T) {
+	eng, err := buildTCP(t, " 127.0.0.1:1 ,127.0.0.1:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"127.0.0.1:1", "127.0.0.1:2"}
+	if got := fieldAt[[]string](t, eng, "ms", "addrs"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("master addresses %q, want %q", got, want)
+	}
+}
+
+// A trailing comma is an empty address, which the master rejects at
+// construction instead of failing every dispatch to it.
+func TestTCPWorkersTrailingComma(t *testing.T) {
+	_, err := buildTCP(t, "127.0.0.1:9991,")
+	if want := "netrun: empty worker address at position 1"; err == nil || err.Error() != want {
+		t.Fatalf("trailing comma: %v, want %q", err, want)
+	}
 }
 
 // Every policy flag is parsed once, into one sched.Config, and the tcp
@@ -54,7 +87,7 @@ func TestPolicyFlagsBindOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		policies[engine] = policyAt(t, eng, path...)
+		policies[engine] = fieldAt[sched.Config](t, eng, path...)
 	}
 	if !reflect.DeepEqual(policies["sim"], want) || !reflect.DeepEqual(policies["tcp"], want) {
 		t.Fatalf("engines built from one set of flags hold different policies:\nsim %+v\ntcp %+v\nwant %+v",

@@ -2,19 +2,21 @@
 // evaluation (§6): MPQ vs SMA comparisons, MPQ scaling curves, join-graph
 // sensitivity, multi-objective scaling, and the precision-vs-parallelism
 // table. Each experiment returns structured series and can render itself
-// as an aligned text table; cmd/mpqbench and the benchmark harness are
-// thin wrappers around this package.
+// as an aligned text table; cmd/mpqbench is a thin wrapper around this
+// package. Every table is a pure function of its Config: time is virtual,
+// on the simulated cluster of cluster.Default(), never read from a clock.
+// Wall-clock performance is measured by the separate bench module.
 //
 // Absolute milliseconds differ from the paper (our substrate is a
-// simulated cluster, not the authors' Spark testbed; see DESIGN.md §2.5),
-// but the comparisons the paper draws — who wins, by what order of
-// magnitude, and how curves scale with the worker count — are preserved
-// and asserted by this package's tests.
+// simulated cluster, not the authors' Spark testbed; see the paper's §6,
+// cited in PAPER.md, and docs/workloads.md), but the comparisons the
+// paper draws — who wins, by what order of magnitude, and how curves
+// scale with the worker count — are preserved and asserted by this
+// package's tests.
 package experiments
 
 import (
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,7 +24,6 @@ import (
 	"sort"
 	"time"
 
-	"mpq/internal/cluster"
 	"mpq/internal/query"
 	"mpq/internal/workload"
 )
@@ -36,15 +37,8 @@ type Config struct {
 	Queries int
 	// BaseSeed offsets workload generation for reproducibility.
 	BaseSeed int64
-	// Model is the simulated cluster.
-	Model cluster.Model
-	// Full selects paper-scale query sizes.
+	// Full selects paper-scale query sizes and worker counts.
 	Full bool
-	// MaxWorkers caps the degrees of parallelism tried.
-	MaxWorkers int
-	// Real also measures wall-clock speedups on this machine (the
-	// speedups experiment only).
-	Real bool
 	// Progress, when non-nil, receives one line per completed panel.
 	Progress io.Writer
 	// Ctx, when non-nil, cancels a running experiment: the simulated
@@ -74,12 +68,12 @@ func (c Config) canceled() error {
 
 // Quick returns the CI-scale configuration.
 func Quick() Config {
-	return Config{Queries: 5, Model: cluster.Default(), MaxWorkers: 128}
+	return Config{Queries: 5}
 }
 
 // FullScale returns the paper-scale configuration.
 func FullScale() Config {
-	return Config{Queries: 20, Model: cluster.Default(), Full: true, MaxWorkers: 256}
+	return Config{Queries: 20, Full: true}
 }
 
 func (c Config) progressf(format string, args ...any) {
@@ -119,8 +113,8 @@ type Table struct {
 }
 
 // WriteJSON writes the table as one JSON object. cmd/mpqbench -json
-// emits one such object per table (JSON Lines), the machine-readable
-// form consumed by benchmark-trajectory tooling.
+// emits one such object per table (JSON Lines), the one machine-readable
+// form; CI's sweeps job archives it per commit.
 func (t *Table) WriteJSON(w io.Writer) error {
 	type jsonTable struct {
 		Title   string     `json:"title"`
@@ -130,30 +124,6 @@ func (t *Table) WriteJSON(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(jsonTable{Title: t.Title, Caption: t.Caption, Columns: t.Columns, Rows: t.Rows})
-}
-
-// WriteCSV writes the table as CSV (title and caption as # comments),
-// for downstream plotting.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if _, err := fmt.Fprintf(w, "# %s\n", t.Title); err != nil {
-		return err
-	}
-	if t.Caption != "" {
-		if _, err := fmt.Fprintf(w, "# %s\n", t.Caption); err != nil {
-			return err
-		}
-	}
-	if err := cw.Write(t.Columns); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Render writes the table in aligned text form.

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 // figureScale skips t under -short: the guarded figure reproductions
@@ -345,8 +345,8 @@ func TestSpeedupsPositive(t *testing.T) {
 		}
 	}
 	tbl := SpeedupsTable(rows)
-	if len(tbl.Rows) != 4 {
-		t.Fatal("SpeedupsTable rendering")
+	if len(tbl.Rows) != 4 || len(tbl.Columns) != 5 {
+		t.Fatalf("SpeedupsTable rendering: %d rows, %d cols", len(tbl.Rows), len(tbl.Columns))
 	}
 }
 
@@ -383,11 +383,39 @@ func TestQuickAndFullConfigs(t *testing.T) {
 		t.Fatalf("Quick = %+v", q)
 	}
 	f := FullScale()
-	if !f.Full || f.Queries != 20 || f.MaxWorkers != 256 {
+	if !f.Full || f.Queries != 20 {
 		t.Fatalf("FullScale = %+v", f)
 	}
-	if err := f.Model.Validate(); err != nil {
+}
+
+func TestWriteJSON(t *testing.T) {
+	tbl := &Table{
+		Title:   "Figure X",
+		Caption: "a caption",
+		Columns: []string{"workers", "time"},
+		Rows:    [][]string{{"1", "10.5"}, {"2", "6.1"}},
+	}
+	var buf bytes.Buffer
+	if err := tbl.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	_ = time.Second
+	var got struct {
+		Title   string     `json:"title"`
+		Caption string     `json:"caption"`
+		Columns []string   `json:"columns"`
+		Rows    [][]string `json:"rows"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
+	}
+	if got.Title != "Figure X" || got.Caption != "a caption" {
+		t.Fatalf("round trip: %+v", got)
+	}
+	if len(got.Columns) != 2 || len(got.Rows) != 2 || got.Rows[1][1] != "6.1" {
+		t.Fatalf("round trip: %+v", got)
+	}
+	// One object per line (JSON Lines): exactly one trailing newline.
+	if strings.Count(buf.String(), "\n") != 1 {
+		t.Fatalf("not a single JSON line:\n%s", buf.String())
+	}
 }

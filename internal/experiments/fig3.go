@@ -57,7 +57,7 @@ func fig3Panel(cfg Config, algo string, n int) (Fig3Panel, error) {
 		}
 		s := Series{Label: shape.String()}
 		for _, m := range counts {
-			if m > partition.MaxWorkers(partition.Linear, n) || m > cfg.MaxWorkers {
+			if m > partition.MaxWorkers(partition.Linear, n) {
 				continue
 			}
 			spec := core.JobSpec{Space: partition.Linear, Workers: m}

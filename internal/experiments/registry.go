@@ -24,7 +24,6 @@ var registry = []Experiment{
 	}, one(Table1Table)),
 	experiment("speedups", Speedups, one(SpeedupsTable)),
 	experiment("workloads", Workloads, one(WorkloadsTable)),
-	experiment("cache", CacheServing, one(CacheServingTable)),
 	experiment("stragglers", Stragglers, one(StragglersTable)),
 	experiment("regret", Regret, one(RegretTable)),
 }

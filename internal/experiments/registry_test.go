@@ -11,7 +11,7 @@ import (
 // unique names in the paper's order, every printed name resolves, "all"
 // is the whole list in that order, and a typo is answered with the list.
 func TestRegistry(t *testing.T) {
-	want := []string{"fig1", "fig2", "fig3", "fig4", "fig5", "table1", "speedups", "workloads", "cache", "stragglers", "regret", "all"}
+	want := []string{"fig1", "fig2", "fig3", "fig4", "fig5", "table1", "speedups", "workloads", "stragglers", "regret", "all"}
 	if got := Names(); !slices.Equal(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}

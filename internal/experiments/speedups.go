@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"mpq/internal/cluster"
 	"mpq/internal/core"
 	"mpq/internal/partition"
 	"mpq/internal/workload"
@@ -20,10 +21,6 @@ type SpeedupRow struct {
 	Objective core.Objective
 	// Virtual is the speedup in simulated-cluster time.
 	Virtual float64
-	// Real is the wall-clock speedup of the goroutine engine with m
-	// partitions over the same engine with one, on this machine (0 if
-	// not measured: Config.Real unset).
-	Real float64
 }
 
 // Speedups reproduces the speedup numbers quoted in §6.2 (e.g. 8.1x for
@@ -81,7 +78,6 @@ func speedupCase(cfg Config, space partition.Space, n, m int, obj core.Objective
 	serialSpec.Workers = 1
 
 	var virt []float64
-	var real []float64
 	for _, q := range qs {
 		// Serial reference: worker time only, no communication (the
 		// paper measures the classical algorithm on a single node).
@@ -89,34 +85,15 @@ func speedupCase(cfg Config, space partition.Space, n, m int, obj core.Objective
 		if err != nil {
 			return row, err
 		}
-		serialVirtual := time.Duration(float64(serialRes.Stats.WorkUnits()) * cfg.Model.NsPerWorkUnit)
+		serialVirtual := time.Duration(float64(serialRes.Stats.WorkUnits()) * cluster.Default().NsPerWorkUnit)
 
 		parRes, err := runMPQ(cfg, q, spec)
 		if err != nil {
 			return row, err
 		}
 		virt = append(virt, float64(serialVirtual)/float64(parRes.Cluster.VirtualTime))
-
-		if cfg.Real {
-			// Both sides go through the engine users run (runtime
-			// slots), so the ratio compares partitioning, not set-up.
-			t0 := time.Now()
-			if _, err := core.OptimizeContext(cfg.context(), q, serialSpec); err != nil {
-				return row, err
-			}
-			serialWall := time.Since(t0)
-			t0 = time.Now()
-			if _, err := core.OptimizeContext(cfg.context(), q, spec); err != nil {
-				return row, err
-			}
-			parWall := time.Since(t0)
-			real = append(real, float64(serialWall)/float64(parWall))
-		}
 	}
 	row.Virtual = median(virt)
-	if cfg.Real {
-		row.Real = median(real)
-	}
 	return row, nil
 }
 
@@ -124,17 +101,13 @@ func speedupCase(cfg Config, space partition.Space, n, m int, obj core.Objective
 func SpeedupsTable(rows []SpeedupRow) *Table {
 	t := &Table{
 		Title:   "§6.2 — speedup of parallel over serial optimization (medians)",
-		Caption: "virtual: simulated cluster including communication; real: goroutine engine wall clock on this machine",
-		Columns: []string{"space", "tables", "workers", "objective", "virtual speedup", "real speedup"},
+		Caption: "virtual: simulated cluster including communication",
+		Columns: []string{"space", "tables", "workers", "objective", "virtual speedup"},
 	}
 	for _, r := range rows {
-		realCell := "-"
-		if r.Real > 0 {
-			realCell = fmtFloat(r.Real)
-		}
 		t.Rows = append(t.Rows, []string{
 			r.Space.String(), fmt.Sprintf("%d", r.N), fmt.Sprintf("%d", r.Workers),
-			r.Objective.String(), fmtFloat(r.Virtual), realCell,
+			r.Objective.String(), fmtFloat(r.Virtual),
 		})
 	}
 	return t

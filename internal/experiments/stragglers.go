@@ -64,7 +64,7 @@ func Stragglers(cfg Config) ([]StragglerRow, error) {
 		return nil, err
 	}
 	spec := core.JobSpec{Space: partition.Linear, Workers: workers}
-	model := cfg.Model
+	model := cluster.Default()
 	model.Nodes = nodes
 
 	// Fault-free baseline on the same bounded pool: the reference both

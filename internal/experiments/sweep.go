@@ -16,10 +16,10 @@ import (
 // multi-objective experiment series (§6.1).
 const DefaultAlpha = 10
 
-// runMPQ simulates one MPQ job on the configured cluster, honoring the
+// runMPQ simulates one MPQ job on the default cluster, honoring the
 // experiment's cancellation context.
 func runMPQ(cfg Config, q *query.Query, spec core.JobSpec) (*core.Answer, error) {
-	return cluster.Run(cfg.context(), cfg.Model, q, spec, cluster.Faults{})
+	return cluster.Run(cfg.context(), cluster.Default(), q, spec, cluster.Faults{})
 }
 
 // samples holds one data point's raw measurements, one value per query.
@@ -39,7 +39,7 @@ func (c Config) measure(qs []*query.Query, spec core.JobSpec, baseline bool) (sa
 		var ans *core.Answer
 		var err error
 		if baseline {
-			ans, err = sma.Run(c.context(), c.Model, q, spec)
+			ans, err = sma.Run(c.context(), cluster.Default(), q, spec)
 		} else {
 			ans, err = runMPQ(c, q, spec)
 		}
@@ -130,7 +130,8 @@ var (
 		fullSizes:  []panelSize{{partition.Linear, 10}, {partition.Bushy, 9}},
 	}
 	// Figure 5: multi-objective MPQ on linear spaces large enough to
-	// exploit up to 256 workers.
+	// exploit up to 256 workers. The quick panels stop at 128, the most
+	// Linear-14 partitions into.
 	fig5 = figure{
 		name: "fig5", title: "Figure 5 — multi-objective MPQ scaling, %v %d" + moNote,
 		alpha: DefaultAlpha, maxWorkers: 256, quickMin: 4, fullMin: 16,
@@ -167,7 +168,7 @@ func (f figure) run(cfg Config) ([]Panel, error) {
 			return nil, err
 		}
 		var frontier []float64
-		for _, m := range workerCounts(partition.MaxWorkers(size.space, size.n), min(cfg.MaxWorkers, f.maxWorkers)) {
+		for _, m := range workerCounts(partition.MaxWorkers(size.space, size.n), f.maxWorkers) {
 			if m < minWorkers {
 				continue
 			}

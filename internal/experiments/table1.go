@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"mpq/internal/cluster"
 	"mpq/internal/core"
 	"mpq/internal/dp"
 	"mpq/internal/partition"
@@ -22,7 +23,8 @@ type Table1Options struct {
 	// Budgets are the optimization-time budgets. The paper uses 10/30/60
 	// wall-clock seconds on its Spark testbed; our virtual cluster is
 	// faster per work unit, so the default budgets are scaled down to
-	// produce the same gradient (EXPERIMENTS.md documents the scaling).
+	// produce the same gradient (the paper's §6, cited in PAPER.md, has
+	// the original budgets).
 	Budgets []time.Duration
 }
 
@@ -91,16 +93,10 @@ func Table1(cfg Config, opts Table1Options) (*Table1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		maxM := partition.MaxWorkers(partition.Linear, n)
-		if maxM > cfg.MaxWorkers {
-			maxM = cfg.MaxWorkers
-		}
-		if maxM > 128 {
-			maxM = 128 // the paper tries up to 128 workers in Table 1
-		}
+		// The paper tries up to 128 workers in Table 1.
+		counts := workerCounts(partition.MaxWorkers(partition.Linear, n), 128)
 		// times[{ai,qi,mi}] = virtual time for query qi with alpha index
 		// ai and the mi-th worker count (-1: exceeded largest budget).
-		counts := workerCounts(maxM, maxM)
 		type key struct{ ai, qi, mi int }
 		times := map[key]time.Duration{}
 		for ai, alpha := range opts.Alphas {
@@ -159,9 +155,10 @@ func table1Time(cfg Config, q *query.Query, alpha float64, m int, maxBudget time
 	if err != nil {
 		return 0, false, err
 	}
+	model := cluster.Default()
 	// Allow 2x the largest budget's work before giving up, so comms
 	// overhead cannot push a passing run over the abort line.
-	limit := uint64(2*float64(maxBudget.Nanoseconds())/cfg.Model.NsPerWorkUnit) + 1
+	limit := uint64(2*float64(maxBudget.Nanoseconds())/model.NsPerWorkUnit) + 1
 	dpo := spec.DPOptions()
 	dpo.MaxWorkUnits = limit
 	res, err := dp.RunContext(cfg.context(), q, cs, dpo)
@@ -179,8 +176,8 @@ func table1Time(cfg Config, q *query.Query, alpha float64, m int, maxBudget time
 	for i := range reqs {
 		reqs[i], resps[i], units[i] = reqB, respB, res.Stats.WorkUnits()
 	}
-	total, _ := cfg.Model.MPQTime(reqs, resps, units)
-	total += time.Duration(m*len(res.Plans)) * cfg.Model.FinalPrunePerPlan
+	total, _ := model.MPQTime(reqs, resps, units)
+	total += time.Duration(m*len(res.Plans)) * model.FinalPrunePerPlan
 	return total, true, nil
 }
 

@@ -36,9 +36,6 @@ func Workloads(cfg Config) ([]WorkloadsRow, error) {
 		n = 13
 		workers = 32
 	}
-	if workers > cfg.MaxWorkers {
-		workers = cfg.MaxWorkers
-	}
 	var rows []WorkloadsRow
 
 	measure := func(name string, qs []*query.Query) error {

@@ -55,13 +55,17 @@ type Master struct {
 }
 
 // NewMaster returns a master that will distribute work over the given
-// worker addresses under the policy opts.
+// worker addresses under the policy opts. The addresses must be
+// non-empty and distinct.
 func NewMaster(addrs []string, opts Options) (*Master, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("netrun: no worker addresses")
 	}
 	seen := make(map[string]struct{}, len(addrs))
-	for _, a := range addrs {
+	for i, a := range addrs {
+		if a == "" {
+			return nil, fmt.Errorf("netrun: empty worker address at position %d", i)
+		}
 		if _, dup := seen[a]; dup {
 			return nil, fmt.Errorf("netrun: duplicate worker address %q", a)
 		}

@@ -33,6 +33,11 @@ func TestNewMasterValidationTable(t *testing.T) {
 			wantErr: `netrun: duplicate worker address "a:1"`,
 		},
 		{
+			name:    "empty address",
+			addrs:   []string{"a:1", ""},
+			wantErr: "netrun: empty worker address at position 1",
+		},
+		{
 			name:    "negative timeout",
 			addrs:   []string{"a:1"},
 			opts:    Options{Timeout: -time.Second},

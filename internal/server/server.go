@@ -564,23 +564,6 @@ func (s *Server) drain(ctx context.Context) error {
 	return nil
 }
 
-// Run starts the server and blocks until ctx is canceled, then drains
-// with the given grace period. It is the daemon main loop.
-func (s *Server) Run(ctx context.Context, grace time.Duration) error {
-	if err := s.Start(); err != nil {
-		return err
-	}
-	<-ctx.Done()
-	if grace <= 0 {
-		grace = DefaultDrainWait
-	}
-	// Run's ctx is already canceled by the time the drain begins — that
-	// is what triggered it — so the grace window must be a fresh root.
-	drainCtx, cancel := context.WithTimeout(context.Background(), grace) //lint:allow ctxflow the parent ctx is already canceled when the drain starts; the grace window must outlive it
-	defer cancel()
-	return s.Shutdown(drainCtx)
-}
-
 // tenantNames returns the known tenants sorted, for deterministic
 // metrics output.
 func (s *Server) tenantNames() []string {

@@ -58,11 +58,6 @@ type Model struct {
 	// as the TCP master does (internal/sched): round-robin, one request
 	// in flight per node.
 	Nodes int
-	// Resources gives per-node capacities for the multi-resource model.
-	// The nodes' CPU capacities are the master's assignment weights, and
-	// the slice length must equal the node count (Nodes, or the partition
-	// count when Nodes is zero). Empty means homogeneous unit-CPU nodes.
-	Resources []NodeResources
 }
 
 // Default returns the model used by the experiment harness: 1 ms
@@ -91,14 +86,6 @@ func (m Model) Validate() error {
 	if m.Nodes < 0 {
 		return fmt.Errorf("cluster: negative node count %d", m.Nodes)
 	}
-	for i, r := range m.Resources {
-		if !(r.CPU > 0) {
-			return fmt.Errorf("cluster: node %d CPU %g, must be positive", i, r.CPU)
-		}
-		if r.Bandwidth < 0 {
-			return fmt.Errorf("cluster: node %d negative bandwidth %g", i, r.Bandwidth)
-		}
-	}
 	return nil
 }
 
@@ -109,14 +96,14 @@ func (m Model) compute(units uint64) time.Duration {
 
 // MPQTime evaluates the fault-free schedule on this cluster model
 // without running any optimizer: reqBytes[i] and respBytes[i] are
-// partition i's request and response sizes, units[i] its compute work
-// (memo footprints are taken as zero, so no node spills). It returns the
-// master-observed total time (excluding FinalPrune, which the caller adds
-// per returned plan) and the busiest node's compute time. The master NIC
-// serializes sends and receives, making the master's share linear in the
-// worker count (Theorem 5). It panics on a model Run would reject.
+// partition i's request and response sizes, units[i] its compute work.
+// It returns the master-observed total time (excluding FinalPrune, which
+// the caller adds per returned plan) and the busiest node's compute
+// time. The master NIC serializes sends and receives, making the
+// master's share linear in the worker count (Theorem 5). It panics on a
+// model Run would reject.
 func (m Model) MPQTime(reqBytes, respBytes []int, units []uint64) (total, maxWorker time.Duration) {
-	in := simInput{reqBytes: reqBytes, respBytes: respBytes, units: units, memo: make([]uint64, len(units))}
+	in := simInput{reqBytes: reqBytes, respBytes: respBytes, units: units}
 	out, err := m.schedule(in, Faults{})
 	if err != nil {
 		panic(err)
@@ -150,9 +137,9 @@ type Faults struct {
 	// Policy is the simulated master's policy; sched.Config documents its
 	// fields. Timeout is the virtual time after a request's arrival at
 	// which the master declares an unanswered node dead (zero means
-	// DefaultDetectTimeout); nil Weights mean the nodes' declared CPU
-	// capacities (Model.Resources[i].CPU). Under Speculate the burned
-	// work of race losers is recorded in Metrics.WastedWork.
+	// DefaultDetectTimeout); nil Weights mean round-robin. Under
+	// Speculate the burned work of race losers is recorded in
+	// Metrics.WastedWork.
 	Policy sched.Config
 }
 
@@ -243,7 +230,7 @@ func Run(ctx context.Context, model Model, q *query.Query, spec core.JobSpec, fa
 	// encodes its plans, and the master decodes them. Virtual time uses
 	// work units, so how many partitions this machine runs at a time
 	// (the runtime slots) moves only the wall clock.
-	in := simInput{reqBytes: make([]int, m), respBytes: make([]int, m), units: make([]uint64, m), memo: make([]uint64, m)}
+	in := simInput{reqBytes: make([]int, m), respBytes: make([]int, m), units: make([]uint64, m)}
 	parts, err := core.RunPartitions(ctx, m, func(ctx context.Context, partID int) (core.PartResult, error) {
 		req := wire.EncodeJobRequest(&wire.JobRequest{Spec: spec, PartID: partID, Query: q})
 		decoded, err := wire.DecodeJobRequest(req)
@@ -260,7 +247,7 @@ func Run(ctx context.Context, model Model, q *query.Query, spec core.JobSpec, fa
 			return core.PartResult{}, err
 		}
 		in.reqBytes[partID], in.respBytes[partID] = len(req), len(rb)
-		in.units[partID], in.memo[partID] = back.Stats.WorkUnits(), back.Stats.MemoEntries
+		in.units[partID] = back.Stats.WorkUnits()
 		return core.PartResult{Plans: back.Plans, Stats: back.Stats, Elapsed: model.compute(in.units[partID])}, nil
 	})
 	if err != nil {

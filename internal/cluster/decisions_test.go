@@ -36,7 +36,6 @@ func TestSimulatorMakesTheMastersDecisions(t *testing.T) {
 		reqBytes:  []int{300, 300, 300, 300},
 		respBytes: []int{200, 200, 200, 200},
 		units:     []uint64{1000, 1000, 1000, 1000},
-		memo:      []uint64{10, 10, 10, 10},
 	}
 	for _, policy := range []sched.Config{
 		{Timeout: 30 * time.Second, Speculate: true, SpeculationFloor: 150 * time.Millisecond},
@@ -68,7 +67,7 @@ func TestSimulatorMakesTheMastersDecisions(t *testing.T) {
 	// then on node 1, and an attempt budget of two is spent before the
 	// survivor is asked. The default budget of three reaches node 2.
 	model.Nodes = 3
-	one := simInput{reqBytes: []int{300}, respBytes: []int{200}, units: []uint64{1000}, memo: []uint64{10}}
+	one := simInput{reqBytes: []int{300}, respBytes: []int{200}, units: []uint64{1000}}
 	_, err := model.schedule(one, Faults{Dead: []int{0, 1}, Policy: nonDefaultPolicy})
 	var budget *sched.BudgetError
 	if want := "partition 0 failed 2 times, giving up"; !errors.As(err, &budget) || budget.Error() != want {
@@ -93,7 +92,6 @@ func TestRaceTrafficIsByteExact(t *testing.T) {
 		reqBytes:  []int{300, 300, 300},
 		respBytes: []int{200, 200, 200},
 		units:     []uint64{1000, 1000, 400000},
-		memo:      []uint64{10, 10, 10},
 	}
 	out, err := model.schedule(in, Faults{Stalled: []int{0}, StallFactor: 1e4, Policy: sched.Config{Speculate: true}})
 	if err != nil {

@@ -8,39 +8,18 @@ import (
 	"slices"
 	"time"
 
-	"mpq/internal/dp"
 	"mpq/internal/sched"
 	"mpq/internal/wire"
 )
 
 // This file is the simulator's one virtual-time schedule: the cost
 // model of the cluster — NIC serialization, latency, task setup,
-// per-node CPU, memory and bandwidth, stalls, deaths — wrapped around the
+// per-worker compute, stalls, deaths — wrapped around the
 // scheduling policy the TCP master runs (internal/sched), stepped on a
 // virtual clock. It decides nothing itself: every request it simulates
 // was dispatched, and every cancel issued, by the policy core. The
 // paper's one-node-per-partition experiment is the input Nodes = 0, not
 // a separate path.
-
-// NodeResources describes one simulated node's capacities for the
-// multi-resource cluster model (after Garofalakis & Ioannidis: a
-// schedule should respect CPU, memory and network dimensions, not a
-// scalar speed).
-type NodeResources struct {
-	// CPU is the node's relative compute speed: compute time for a
-	// partition is divided by it. Must be positive; 1 is the baseline
-	// rate (Model.NsPerWorkUnit per work unit).
-	CPU float64
-	// MemoryBytes caps the memo a partition's DP can hold resident.
-	// A partition whose memo footprint (MemoEntries × dp.EntryBytes)
-	// exceeds it computes slower by footprint/capacity — a crude spill
-	// model. Zero means unlimited.
-	MemoryBytes uint64
-	// Bandwidth is the node's NIC throughput in bytes/second; transfers
-	// to and from the node run at min(link, node) speed. Zero means the
-	// model's link bandwidth.
-	Bandwidth float64
-}
 
 // DefaultStallFactor is the compute slowdown of a node listed in
 // Faults.Stalled when StallFactor is zero.
@@ -55,12 +34,11 @@ var (
 )
 
 // simInput is the per-partition data the schedule needs: exact message
-// sizes, the DP's work meter, and its memo size (for the spill model).
+// sizes and the DP's work meter.
 type simInput struct {
 	reqBytes  []int
 	respBytes []int
 	units     []uint64
-	memo      []uint64
 }
 
 // simOutcome aggregates what the event simulation measured.
@@ -124,54 +102,26 @@ func (q *eventQueue) Pop() any {
 func (m Model) schedule(in simInput, f Faults) (simOutcome, error) {
 	nParts := len(in.units)
 	n := cmp.Or(m.Nodes, nParts)
-	if len(m.Resources) > 0 && len(m.Resources) != n {
-		return simOutcome{}, fmt.Errorf("cluster: %d resource entries for %d nodes", len(m.Resources), n)
-	}
-	resources := m.Resources
-	if len(resources) == 0 {
-		resources = slices.Repeat([]NodeResources{{CPU: 1}}, n)
-	}
 	detect := cmp.Or(f.Policy.Timeout, DefaultDetectTimeout)
 	stallFactor := cmp.Or(f.StallFactor, DefaultStallFactor)
 	dead := func(ni int) bool { return slices.Contains(f.Dead, ni) }
-	// Declared CPU capacities are what the master knows about its nodes:
-	// unless the policy brings its own, they are its assignment weights.
-	// Faults are not knowable — dead and stalled nodes get their share
-	// like everyone else.
-	cfg := f.Policy
-	if cfg.Weights == nil {
-		for _, r := range m.Resources {
-			cfg.Weights = append(cfg.Weights, r.CPU)
-		}
-	}
-	policy, err := sched.New(n, cfg, []int{nParts})
+	// The master knows nothing of faults: dead and stalled nodes get
+	// their share like everyone else.
+	policy, err := sched.New(n, f.Policy, []int{nParts})
 	if err != nil {
 		return simOutcome{}, fmt.Errorf("cluster: %w", err)
 	}
 
-	// perUnit is a node's effective rate for one work unit of a
-	// partition: baseline over CPU speed, inflated by the memory spill
-	// multiplier and the stall script.
-	perUnit := func(part, ni int) float64 {
-		r := resources[ni]
-		pu := m.NsPerWorkUnit / r.CPU
-		if r.MemoryBytes > 0 {
-			if fp := float64(in.memo[part] * dp.EntryBytes); fp > float64(r.MemoryBytes) {
-				pu *= fp / float64(r.MemoryBytes)
-			}
-		}
+	// perUnit is a node's compute time for one work unit: the model's
+	// rate, inflated on a stalled node.
+	perUnit := func(ni int) float64 {
 		if slices.Contains(f.Stalled, ni) {
-			pu *= stallFactor
+			return m.NsPerWorkUnit * stallFactor
 		}
-		return pu
+		return m.NsPerWorkUnit
 	}
-	// nodeTransfer is a transfer capped by the node's NIC.
-	nodeTransfer := func(bytes, ni int) time.Duration {
-		bw := m.Bandwidth
-		if r := resources[ni]; r.Bandwidth > 0 && r.Bandwidth < bw {
-			bw = r.Bandwidth
-		}
-		return time.Duration(float64(bytes) / bw * float64(time.Second))
+	transfer := func(bytes int) time.Duration {
+		return time.Duration(float64(bytes) / m.Bandwidth * float64(time.Second))
 	}
 
 	var out simOutcome
@@ -187,10 +137,10 @@ func (m Model) schedule(in simInput, f Faults) (simOutcome, error) {
 	// silence becomes a transport failure at the detection timeout.
 	send := func(d sched.Dispatch, now time.Duration) {
 		part, ni := d.Unit.Part, d.Worker
-		sendFree = max(sendFree, now) + m.DispatchPerTask + nodeTransfer(in.reqBytes[part], ni)
+		sendFree = max(sendFree, now) + m.DispatchPerTask + transfer(in.reqBytes[part])
 		c := simCopy{part: part, node: ni, dispatched: now, arrive: sendFree + m.Latency}
 		c.start = c.arrive + m.TaskSetup
-		c.finish = c.start + time.Duration(float64(in.units[part])*perUnit(part, ni))
+		c.finish = c.start + time.Duration(float64(in.units[part])*perUnit(ni))
 		ci := len(out.copies)
 		out.copies = append(out.copies, c)
 		inFlight[ni] = ci
@@ -223,7 +173,7 @@ func (m Model) schedule(in simInput, f Faults) (simOutcome, error) {
 		c.canceled = true
 		c.gen++
 		if lands > c.start {
-			burned := uint64(float64(lands-c.start) / perUnit(c.part, ni))
+			burned := uint64(float64(lands-c.start) / perUnit(ni))
 			out.wasted += min(burned, in.units[c.part])
 		}
 		busy[ni] -= c.finish - max(lands, c.start)
@@ -265,7 +215,7 @@ func (m Model) schedule(in simInput, f Faults) (simOutcome, error) {
 			if c.canceled {
 				size = cancelAckBytes
 			}
-			recvFree = max(e.t, recvFree) + nodeTransfer(size, c.node)
+			recvFree = max(e.t, recvFree) + transfer(size)
 			out.bytes += uint64(size)
 			out.messages++
 			heap.Push(&events, simEvent{t: recvFree, kind: evDeliver, copy: e.copy, gen: e.gen})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -153,79 +154,38 @@ func TestSimulatedProbesReachTheAnswer(t *testing.T) {
 	}
 }
 
-// Per-node CPU capacities shape the schedule: doubling every node's CPU
-// halves compute, and a pool with one fast node beats an all-slow pool.
-func TestMultiResourceCPUShapesSchedule(t *testing.T) {
+// Policy.Weights are the simulator's one source of unequal shares, as
+// MasterOptions.Weights are the TCP master's: on two nodes weighted 3:1,
+// node 0 serves six of eight partitions and node 1 two, the shares
+// sched.Config gives the real master, and the plan does not move.
+func TestPolicyWeightsShareThePartitions(t *testing.T) {
 	q := gen(t, 10, 11)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
 	model := Default()
 	model.Nodes = 2
-	model.Resources = []NodeResources{{CPU: 1}, {CPU: 1}}
-	base, err := Run(context.Background(), model, q, spec, Faults{})
+	even, err := Run(context.Background(), model, q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast := model
-	fast.Resources = []NodeResources{{CPU: 4}, {CPU: 4}}
-	quick, err := Run(context.Background(), fast, q, spec, Faults{})
+	weighted, err := Run(context.Background(), model, q, spec, Faults{Policy: sched.Config{Weights: []float64{3, 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if quick.Cluster.VirtualTime >= base.Cluster.VirtualTime {
-		t.Fatalf("4x CPUs did not shorten the schedule: %v >= %v",
-			quick.Cluster.VirtualTime, base.Cluster.VirtualTime)
+	if ef, wf := wire.PlanFingerprint(even.Best), wire.PlanFingerprint(weighted.Best); ef != wf {
+		t.Fatalf("weights changed the plan: %s != %s", wf, ef)
 	}
-	if bf, qf := wire.PlanFingerprint(base.Best), wire.PlanFingerprint(quick.Best); bf != qf {
-		t.Fatalf("resource model changed the plan: %s != %s", qf, bf)
-	}
-}
 
-// A node whose memory cannot hold a partition's memo spills and slows
-// down; the schedule reflects it, the plan does not.
-func TestMultiResourceMemorySpill(t *testing.T) {
-	q := gen(t, 10, 13)
-	spec := core.JobSpec{Space: partition.Linear, Workers: 4}
-	model := Default()
-	model.Nodes = 2
-	model.Resources = []NodeResources{{CPU: 1}, {CPU: 1}}
-	roomy, err := Run(context.Background(), model, q, spec, Faults{})
+	in := simInput{reqBytes: slices.Repeat([]int{500}, 8), respBytes: slices.Repeat([]int{300}, 8), units: slices.Repeat([]uint64{10000}, 8)}
+	out, err := model.schedule(in, Faults{Policy: sched.Config{Weights: []float64{3, 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight := model
-	tight.Resources = []NodeResources{{CPU: 1, MemoryBytes: 256}, {CPU: 1, MemoryBytes: 256}}
-	spilled, err := Run(context.Background(), tight, q, spec, Faults{})
-	if err != nil {
-		t.Fatal(err)
+	served := make([]int, model.Nodes)
+	for _, c := range out.copies {
+		served[c.node]++
 	}
-	if spilled.Cluster.VirtualTime <= roomy.Cluster.VirtualTime {
-		t.Fatalf("spill cost no time: %v <= %v", spilled.Cluster.VirtualTime, roomy.Cluster.VirtualTime)
-	}
-	if rf, sf := wire.PlanFingerprint(roomy.Best), wire.PlanFingerprint(spilled.Best); rf != sf {
-		t.Fatalf("spill changed the plan: %s != %s", sf, rf)
-	}
-}
-
-// The spill model measures a partition's footprint in the DP's real
-// entry size: a node that holds exactly MemoEntries × dp.EntryBytes runs
-// at full speed, one byte less and it slows down.
-func TestMemorySpillBoundary(t *testing.T) {
-	in := simInput{reqBytes: []int{300}, respBytes: []int{200}, units: []uint64{1e9}, memo: []uint64{1000}}
-	run := func(memory uint64) time.Duration {
-		model := Default()
-		model.Resources = []NodeResources{{CPU: 1, MemoryBytes: memory}}
-		out, err := model.schedule(in, Faults{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out.total
-	}
-	unlimited, fits, spills := run(0), run(1000*dp.EntryBytes), run(1000*dp.EntryBytes-1)
-	if fits != unlimited {
-		t.Fatalf("a memo that exactly fits slowed the node: %v != %v", fits, unlimited)
-	}
-	if spills <= fits {
-		t.Fatalf("one byte short of the memo cost no time: %v <= %v", spills, fits)
+	if served[0] != 6 || served[1] != 2 || len(out.copies) != 8 {
+		t.Fatalf("nodes served %v in %d requests, want [6 2] in 8", served, len(out.copies))
 	}
 }
 
@@ -248,17 +208,8 @@ func BenchmarkSchedule(b *testing.B) {
 
 var benchSink time.Duration
 
-// Resource slices must match the node pool, and fault scripts must be
-// internally consistent.
+// Fault scripts must be internally consistent.
 func TestAdaptiveValidation(t *testing.T) {
-	q := gen(t, 8, 1)
-	spec := core.JobSpec{Space: partition.Linear, Workers: 4}
-	model := Default()
-	model.Nodes = 3
-	model.Resources = []NodeResources{{CPU: 1}, {CPU: 1}} // 2 entries, 3 nodes
-	if _, err := Run(context.Background(), model, q, spec, Faults{}); err == nil {
-		t.Fatal("mismatched resource slice accepted")
-	}
 	if err := (Faults{Stalled: []int{0}, StallFactor: 0.5}).Validate(4); err == nil {
 		t.Fatal("stall factor below 1 accepted")
 	}

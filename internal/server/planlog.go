@@ -12,8 +12,13 @@ import (
 const (
 	defaultPlanLogMaxBytes = 8 << 20
 	defaultPlanLogMaxFiles = 3
-	defaultPlanLogBuffer   = 1024
 )
+
+// planLogBuffer is the in-memory record buffer capacity. When the
+// writer falls behind and the buffer fills, new records are dropped and
+// counted (mpqd_planlog_dropped_total) — serving latency is never
+// sacrificed to logging.
+const planLogBuffer = 1024
 
 // PlanLogConfig configures the bounded asynchronous decision log. The
 // zero value disables logging.
@@ -27,11 +32,6 @@ type PlanLogConfig struct {
 	// MaxFiles is how many rotated files to keep besides the active
 	// one. Zero means 3.
 	MaxFiles int
-	// Buffer is the in-memory record buffer capacity. When the writer
-	// falls behind and the buffer fills, new records are dropped and
-	// counted (mpqd_planlog_dropped_total) — serving latency is never
-	// sacrificed to logging. Zero means 1024.
-	Buffer int
 }
 
 // Record is one plan-log line: the decision record of one optimization
@@ -90,9 +90,6 @@ func newPlanLog(cfg PlanLogConfig) (*planLog, error) {
 	if cfg.MaxFiles <= 0 {
 		cfg.MaxFiles = defaultPlanLogMaxFiles
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = defaultPlanLogBuffer
-	}
 	f, err := os.OpenFile(cfg.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("server: plan log: %w", err)
@@ -104,7 +101,7 @@ func newPlanLog(cfg PlanLogConfig) (*planLog, error) {
 	}
 	l := &planLog{
 		cfg:  cfg,
-		ch:   make(chan Record, cfg.Buffer),
+		ch:   make(chan Record, planLogBuffer),
 		done: make(chan struct{}),
 		f:    f,
 		size: st.Size(),

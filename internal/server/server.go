@@ -208,6 +208,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth < 0 || cfg.Dispatchers < 0 {
 		return nil, fmt.Errorf("server: negative queue depth %d or dispatchers %d", cfg.QueueDepth, cfg.Dispatchers)
 	}
+	if cfg.DefaultTimeout < 0 || cfg.WireWriteTimeout < 0 {
+		return nil, fmt.Errorf("server: negative default timeout %v or wire write timeout %v", cfg.DefaultTimeout, cfg.WireWriteTimeout)
+	}
 	for name, w := range cfg.TenantWeights {
 		if !(w > 0) {
 			return nil, fmt.Errorf("server: tenant %q weight %g must be positive", name, w)

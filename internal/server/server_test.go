@@ -848,6 +848,27 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadConfig: every configuration New refuses. A negative
+// DefaultTimeout used to be accepted and expire every request on
+// arrival.
+func TestNewRejectsBadConfig(t *testing.T) {
+	eng := mpq.NewSerialEngine()
+	for name, cfg := range map[string]Config{
+		"nil engine":               {HTTPAddr: "127.0.0.1:0"},
+		"no listen address":        {Engine: eng},
+		"negative queue depth":     {Engine: eng, HTTPAddr: "127.0.0.1:0", QueueDepth: -1},
+		"negative dispatchers":     {Engine: eng, HTTPAddr: "127.0.0.1:0", Dispatchers: -1},
+		"negative default timeout": {Engine: eng, HTTPAddr: "127.0.0.1:0", DefaultTimeout: -time.Second},
+		"negative write timeout":   {Engine: eng, WireAddr: "127.0.0.1:0", WireWriteTimeout: -time.Second},
+		"zero tenant weight":       {Engine: eng, HTTPAddr: "127.0.0.1:0", TenantWeights: map[string]float64{"a": 0}},
+		"negative tenant weight":   {Engine: eng, HTTPAddr: "127.0.0.1:0", TenantWeights: map[string]float64{"a": -1}},
+	} {
+		if s, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted %+v", name, s.cfg)
+		}
+	}
+}
+
 // TestOversizedJobGetsAnErrorReply: a valid query with more tables than
 // any memo can hold (q.Validate admits 63) is answered with the dynamic
 // program's typed error — the daemon does not die in make — and the same

@@ -147,10 +147,6 @@ type (
 	ClusterModel = cluster.Model
 	// ClusterMetrics holds bytes, messages, virtual time and counters.
 	ClusterMetrics = cluster.Metrics
-	// NodeResources gives one simulated node's CPU/memory/network
-	// capacities for the multi-resource cluster model
-	// (ClusterModel.Resources).
-	NodeResources = cluster.NodeResources
 )
 
 // Workload-generation types.

@@ -21,8 +21,9 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
-# ROADMAP item 1(c): no test may divide one wall-clock reading by
-# another (bench/ measures in reference time and is its own module).
+# ROADMAP aim 1 (measured performance): no test may divide one
+# wall-clock reading by another (bench/ measures in reference time and
+# is its own module).
 echo "==> no time.Since ratios in tests"
 find . -name '*_test.go' -not -path './bench/*' | xargs awk -f scripts/sinceratio.awk
 
@@ -40,7 +41,7 @@ echo "==> mpqbench dispatch smoke (fig3, 2 queries)"
 go run ./cmd/mpqbench -experiment fig3 -queries 2 -quiet -json >/dev/null
 
 # bench/ is its own module (bench/README.md), invisible to the root ./...
-# TestSmoke is skipped until ROADMAP item 1(b) recalibrates it: it misses
+# TestSmoke is skipped until ROADMAP item 1(a) recalibrates it: it misses
 # its fixed 5-reference-second limit in two or three runs of six on the
 # reference box whatever the diff, and only a [benchmark] PR may edit
 # bench/ — until then it would fail this gate for reasons no change causes.

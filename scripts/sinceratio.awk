@@ -1,6 +1,6 @@
 # A test must not divide one wall-clock reading by another: the quotient
 # moves with machine load, and asserting on it is how tier-1 used to
-# flake (ROADMAP item 1(c)). A reading is a time.Since(...) call or a
+# flake (ROADMAP aim 1). A reading is a time.Since(...) call or a
 # variable assigned from one earlier in the same file, seen through
 # .Seconds()-style accessors and float64(...). A ratio that is only
 # logged carries "//lint:allow sinceratio <reason>" on its line.

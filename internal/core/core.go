@@ -16,6 +16,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -141,12 +142,13 @@ func (s JobSpec) Validate(n int) error {
 	default:
 		return fmt.Errorf("core: invalid objective %d", int(s.Objective))
 	}
-	if s.Objective.HasFrontier() && s.Alpha != 0 && s.Alpha < 1 {
+	// Written so that NaN fails: a NaN α would never prune a frontier.
+	if s.Objective.HasFrontier() && s.Alpha != 0 && !(s.Alpha >= 1) {
 		return fmt.Errorf("core: approximation factor α=%g must be ≥ 1", s.Alpha)
 	}
 	if s.Objective == RobustObjective {
-		if s.RobustBand != 0 && !(s.RobustBand >= 1) {
-			return fmt.Errorf("core: robust band %g must be ≥ 1 (0 = default %g)", s.RobustBand, DefaultRobustBand)
+		if s.RobustBand != 0 && (!(s.RobustBand >= 1) || math.IsInf(s.RobustBand, 1)) {
+			return fmt.Errorf("core: robust band %g must be finite and ≥ 1 (0 = default %g)", s.RobustBand, DefaultRobustBand)
 		}
 		if s.CostModel.Second != cost.BufferFootprint {
 			return fmt.Errorf("core: robust jobs derive their own second metric; CostModel.Second must be left at the default")

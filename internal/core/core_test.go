@@ -33,9 +33,14 @@ func TestObjectiveString(t *testing.T) {
 }
 
 func TestJobSpecValidate(t *testing.T) {
-	good := JobSpec{Space: partition.Linear, Workers: 4}
-	if err := good.Validate(8); err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
+	for _, good := range []JobSpec{
+		{Space: partition.Linear, Workers: 4},
+		{Space: partition.Linear, Workers: 2, Objective: MultiObjective, Alpha: 1},
+		{Space: partition.Linear, Workers: 2, Objective: RobustObjective, Alpha: 1.5, RobustBand: 3},
+	} {
+		if err := good.Validate(8); err != nil {
+			t.Fatalf("valid spec %+v rejected: %v", good, err)
+		}
 	}
 	bad := []struct {
 		name string
@@ -48,6 +53,11 @@ func TestJobSpecValidate(t *testing.T) {
 		{"workers-max", JobSpec{Space: partition.Linear, Workers: 32}, 8},
 		{"objective", JobSpec{Space: partition.Linear, Workers: 2, Objective: Objective(5)}, 8},
 		{"alpha", JobSpec{Space: partition.Linear, Workers: 2, Objective: MultiObjective, Alpha: 0.5}, 8},
+		{"alpha-nan", JobSpec{Space: partition.Linear, Workers: 2, Objective: MultiObjective, Alpha: math.NaN()}, 8},
+		{"alpha-nan-robust", JobSpec{Space: partition.Linear, Workers: 2, Objective: RobustObjective, Alpha: math.NaN()}, 8},
+		{"band", JobSpec{Space: partition.Linear, Workers: 2, Objective: RobustObjective, RobustBand: 0.5}, 8},
+		{"band-nan", JobSpec{Space: partition.Linear, Workers: 2, Objective: RobustObjective, RobustBand: math.NaN()}, 8},
+		{"band-inf", JobSpec{Space: partition.Linear, Workers: 2, Objective: RobustObjective, RobustBand: math.Inf(1)}, 8},
 	}
 	for _, tc := range bad {
 		if err := tc.spec.Validate(tc.n); err == nil {

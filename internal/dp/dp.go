@@ -32,6 +32,10 @@
 // order, so every scalar is bit-identical to the reference formula that
 // Validate recomputes. See docs/perf.md, "Per-set operand facts".
 //
+// SingleBest also bounds: without interesting orders, an operand pair
+// whose cheapest candidate is not below the retained plan's cost is
+// counted as pruned unoffered (docs/perf.md, "Whole-pair pruning").
+//
 // The admissible join results themselves are streamed per cardinality
 // from partition.Enumerator instead of being materialized up front,
 // keeping the master/worker memory footprint within the paper's
@@ -99,7 +103,8 @@ type Candidate struct {
 // canonical shape). The engine only calls Insert after a successful
 // Admits, so implementations may assume p survives. Implementations
 // must keep the invariant that no retained plan dominates another (for
-// their notion of dominance).
+// their notion of dominance). SingleBest also carries a cost-only bound
+// (boundPruner) that lets the engine skip whole operand pairs.
 type Pruner interface {
 	Admits(f *Frontier, cand Candidate) bool
 	Insert(f *Frontier, p *plan.Node)
@@ -113,6 +118,19 @@ type costOnlyPruner interface{ costOnly() }
 
 func (SingleBest) costOnly() {}
 func (OrderAware) costOnly() {}
+
+// boundPruner marks the pruners that admit no candidate costing bound(f)
+// or more, whatever its order and buffer; NaN bounds nothing. NewEngine
+// checks for it once and ignores it under interesting orders.
+type boundPruner interface{ bound(f *Frontier) float64 }
+
+// bound implements boundPruner: Admits wants a strict new minimum.
+func (SingleBest) bound(f *Frontier) float64 {
+	if f.Len() == 0 {
+		return math.NaN()
+	}
+	return f.At(0).Cost
+}
 
 // SingleBest retains exactly one plan: the cheapest by the time metric.
 // This is the classical pruning function of [17] without interesting
@@ -366,6 +384,9 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 	_, costOnly := opts.Pruner.(costOnlyPruner)
 	eng := &Engine{w: worker{q: q, cs: cs, index: cs.Index(), opts: opts, second: !costOnly}}
 	w := &eng.w
+	if !opts.InterestingOrders {
+		w.bounder, _ = opts.Pruner.(boundPruner)
+	}
 	// The memo, the arenas and the scan entries are borrowed from the
 	// runtime (and reset), so a worker recycles them across the queries of
 	// a batch.
@@ -466,7 +487,9 @@ type worker struct {
 	splitter *partition.Splitter
 	predBuf  []int
 	// second: the pruner reads Candidate.Buffer (see costOnlyPruner).
-	second bool
+	second  bool
+	bounder boundPruner // nil without a bound or under interesting orders
+	best    float64     // bounder's bound on the scratch frontier; NaN skips nothing
 	// le and re are the operand entries of the split under evaluation.
 	le, re *entry
 	// scratch is the entry under construction. It lives in the worker —
@@ -494,6 +517,7 @@ func (w *worker) trySplits(u bitset.Set) {
 	e := &w.scratch
 	e.card = -1
 	e.f.reset()
+	w.best = math.NaN()
 	if w.cs.Space == partition.Linear {
 		for rem := u; rem != 0; rem &= rem - 1 {
 			t := bits.TrailingZeros64(uint64(rem))
@@ -546,7 +570,8 @@ func (w *worker) trySplits(u bitset.Set) {
 // The operator costs and whether a merge predicate exists are formed
 // once per split from the entries' stored facts; a candidate then costs
 // two additions — (l.Cost + r.Cost) + op, plan.JoinScalars' association
-// — and one Admits.
+// — and one Admits. A pair whose cheapest candidate is not below the
+// pruner's bound costs one comparison instead (docs/perf.md §9).
 func (w *worker) combine(left, right bitset.Set, le, re *entry) {
 	w.stats.SplitsTried++
 	e, m := &w.scratch, &w.opts.Model
@@ -570,12 +595,21 @@ func (w *worker) combine(left, right bitset.Set, le, re *entry) {
 	lc, rc := le.card, re.card
 	nl, hash := m.NestedLoopCost(lc, rc), m.HashCost(lc, rc)
 	sm := m.SortMergeCost(lc, rc, le.sort, re.sort, false, false)
+	// Without interesting orders a pair offers exactly these k candidates.
+	minOp, k := min(nl, hash), uint64(2)
+	if hasPred {
+		minOp, k = min(minOp, sm), 3
+	}
 
 	for li, ln := 0, le.f.Len(); li < ln; li++ {
 		lp := le.f.At(li)
 		for ri, rn := 0, re.f.Len(); ri < rn; ri++ {
 			rp := re.f.At(ri)
 			in := lp.Cost + rp.Cost
+			if in+minOp >= w.best {
+				w.stats.PlansPruned += k
+				continue
+			}
 			// Nested-loop join: preserves the outer order.
 			w.offer(lp, rp, cost.NestedLoop, plan.NoPred, lp.Order, false, false, in+nl)
 			// Hash join: order destroyed.
@@ -636,6 +670,9 @@ func (w *worker) offer(lp, rp *plan.Node, alg cost.JoinAlg, pred, order int, lSo
 	spec := plan.JoinSpec{Alg: alg, OutCard: e.card, Pred: pred, Order: order, LSorted: lSorted, RSorted: rSorted}
 	w.opts.Pruner.Insert(&e.f, w.nursery.JoinWithScalars(lp, rp, spec, c, buf))
 	w.stats.PlansKept++
+	if w.bounder != nil {
+		w.best = w.bounder.bound(&e.f)
+	}
 }
 
 // Serial runs the classical (unpartitioned) dynamic program for the given

@@ -15,7 +15,7 @@ import (
 // mid-compute must abort the dynamic program instead of finishing a job
 // nobody will read. Observable through Close(): it waits for the
 // connection handler, so if the in-flight job kept running, Close would
-// block for the job's full duration (~9s for this query); with
+// block for the job's full duration (~10s for this query); with
 // cancel-on-disconnect it returns as soon as the DP notices the
 // canceled context.
 func TestWorkerCancelsOnDisconnect(t *testing.T) {
@@ -28,9 +28,9 @@ func TestWorkerCancelsOnDisconnect(t *testing.T) {
 	}
 	defer w.Close()
 
-	// ~9s of single-partition bushy-clique DP (calibrated; the exact
-	// figure only needs to dwarf the shutdown bound asserted below).
-	q := workload.MustGenerate(workload.NewParams(15, workload.Clique), 1)
+	// ~10s of single-partition bushy-clique DP on a 2-vCPU Xeon VM (the
+	// exact figure only needs to dwarf the shutdown bound asserted below).
+	q := workload.MustGenerate(workload.NewParams(18, workload.Clique), 1)
 	req := wire.EncodeJobRequest(&wire.JobRequest{
 		Seq:   1,
 		Spec:  core.JobSpec{Space: partition.Bushy, Workers: 1},

@@ -230,10 +230,11 @@ func TestWorkerCancelAbortsInFlightJob(t *testing.T) {
 	}
 	defer w.Close()
 
-	// ~9s of single-partition bushy-clique DP when left alone (same
-	// calibrated workload as the disconnect test); the cancel must cut
-	// that to roughly one cardinality level.
-	big := workload.MustGenerate(workload.NewParams(15, workload.Clique), 1)
+	// ~10s of single-partition bushy-clique DP when left alone on a
+	// 2-vCPU Xeon VM (same workload as the disconnect test). It must
+	// outlast the 300ms head start below by far, or the answer beats the
+	// cancel; the cancel must cut it to roughly one cardinality level.
+	big := workload.MustGenerate(workload.NewParams(18, workload.Clique), 1)
 	conn, err := net.Dial("tcp", w.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -314,16 +315,21 @@ func TestJobFramesCarrySeq(t *testing.T) {
 	}
 }
 
+// A frame whose spec the master would have refused is refused on decode
+// too: a NaN α would run a Pareto DP that never prunes, and a +Inf band
+// would fail every worker's engine.
 func TestJobRequestRejectsInvalidSpec(t *testing.T) {
 	q := genQuery(t, 4, 0)
-	req := &JobRequest{
-		Spec:   core.JobSpec{Space: partition.Linear, Workers: 64}, // > max for n=4
-		PartID: 0,
-		Query:  q,
-	}
-	b := EncodeJobRequest(req)
-	if _, err := DecodeJobRequest(b); err == nil {
-		t.Fatal("invalid spec accepted on decode")
+	for name, spec := range map[string]core.JobSpec{
+		"workers":   {Space: partition.Linear, Workers: 64}, // > max for n=4
+		"alpha-nan": {Space: partition.Linear, Workers: 2, Objective: core.MultiObjective, Alpha: math.NaN()},
+		"band-inf":  {Space: partition.Linear, Workers: 2, Objective: core.RobustObjective, RobustBand: math.Inf(1)},
+		"band-nan":  {Space: partition.Linear, Workers: 2, Objective: core.RobustObjective, RobustBand: math.NaN()},
+	} {
+		b := EncodeJobRequest(&JobRequest{Spec: spec, Query: q})
+		if _, err := DecodeJobRequest(b); err == nil {
+			t.Errorf("%s: invalid spec accepted on decode", name)
+		}
 	}
 }
 

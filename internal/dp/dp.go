@@ -22,6 +22,11 @@
 // Insert keep this plan?" — which the engine relies on for its
 // kept/pruned accounting.
 //
+// SingleBest, whose frontier is one plan, is special cased: the engine
+// keeps the set's survivor as a pending record of its join arguments and
+// builds its plan.Node once, when the set is complete (docs/perf.md,
+// "One survivor, built once").
+//
 // Most candidates are pruned, so a candidate must cost a handful of flops.
 // Everything a join's scalars read from an operand that depends on the
 // operand's table set only — cardinalities, the sort-merge sort terms
@@ -33,7 +38,7 @@
 // Validate recomputes. See docs/perf.md, "Per-set operand facts".
 //
 // SingleBest also bounds: without interesting orders, an operand pair
-// whose cheapest candidate is not below the retained plan's cost is
+// whose cheapest candidate is not below the pending survivor's cost is
 // counted as pruned unoffered (docs/perf.md, "Whole-pair pruning").
 //
 // The admissible join results themselves are streamed per cardinality
@@ -43,9 +48,11 @@
 //
 // # Memory locality
 //
-// The survivor side is allocation-free too: admitted plans are
-// materialized into a per-run plan.Arena (contiguous slabs) and each
-// memo entry's 1–2-plan frontier lives inline in the entry (Frontier).
+// The survivor side is allocation-free too: retained plans are
+// materialized into a per-run plan.Arena (contiguous slabs) — once per
+// set under SingleBest; frontier pruners build admitted candidates in a
+// nursery arena and copy the set's final frontier — and each memo
+// entry's 1–2-plan frontier lives inline in the entry (Frontier).
 //
 // The memo is an array of exactly partition.CountAdmissible entries —
 // the paper's per-worker space bound (¾ resp. ⅞ of the memory per
@@ -83,8 +90,7 @@ type Candidate struct {
 	Cost float64
 	// Buffer is the cumulative second-metric value (buffer footprint, the
 	// θ=1 cost under a parametric model, the worst-case cost under a
-	// robust one). SingleBest and OrderAware never read it and are
-	// handed zero.
+	// robust one). OrderAware never reads it and is handed zero.
 	Buffer float64
 	// Order is the output sort order (query.AttrID or query.NoOrder).
 	Order int
@@ -103,38 +109,25 @@ type Candidate struct {
 // canonical shape). The engine only calls Insert after a successful
 // Admits, so implementations may assume p survives. Implementations
 // must keep the invariant that no retained plan dominates another (for
-// their notion of dominance). SingleBest also carries a cost-only bound
-// (boundPruner) that lets the engine skip whole operand pairs.
+// their notion of dominance). The engine applies SingleBest's rule
+// itself, without calling it.
 type Pruner interface {
 	Admits(f *Frontier, cand Candidate) bool
 	Insert(f *Frontier, p *plan.Node)
 }
 
-// costOnlyPruner marks the pruners whose decisions never read
+// costOnlyPruner marks the frontier pruners whose decisions never read
 // Candidate.Buffer. NewEngine checks for it once: such a pruner is handed
 // candidates with Buffer left zero and the second metric is computed for
 // survivors only; any other pruner gets both metrics on every candidate.
 type costOnlyPruner interface{ costOnly() }
 
-func (SingleBest) costOnly() {}
 func (OrderAware) costOnly() {}
-
-// boundPruner marks the pruners that admit no candidate costing bound(f)
-// or more, whatever its order and buffer; NaN bounds nothing. NewEngine
-// checks for it once and ignores it under interesting orders.
-type boundPruner interface{ bound(f *Frontier) float64 }
-
-// bound implements boundPruner: Admits wants a strict new minimum.
-func (SingleBest) bound(f *Frontier) float64 {
-	if f.Len() == 0 {
-		return math.NaN()
-	}
-	return f.At(0).Cost
-}
 
 // SingleBest retains exactly one plan: the cheapest by the time metric.
 // This is the classical pruning function of [17] without interesting
-// orders.
+// orders. The engine applies its rule to a pending record instead of
+// calling it; a type wrapping these methods gets the same plans.
 type SingleBest struct{}
 
 // Admits implements Pruner: only a new strict minimum survives.
@@ -384,9 +377,7 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 	_, costOnly := opts.Pruner.(costOnlyPruner)
 	eng := &Engine{w: worker{q: q, cs: cs, index: cs.Index(), opts: opts, second: !costOnly}}
 	w := &eng.w
-	if !opts.InterestingOrders {
-		w.bounder, _ = opts.Pruner.(boundPruner)
-	}
+	_, w.single = opts.Pruner.(SingleBest)
 	// The memo, the arenas and the scan entries are borrowed from the
 	// runtime (and reset), so a worker recycles them across the queries of
 	// a batch.
@@ -487,15 +478,29 @@ type worker struct {
 	splitter *partition.Splitter
 	predBuf  []int
 	// second: the pruner reads Candidate.Buffer (see costOnlyPruner).
-	second  bool
-	bounder boundPruner // nil without a bound or under interesting orders
-	best    float64     // bounder's bound on the scratch frontier; NaN skips nothing
+	second bool
+	// single: the pruner is SingleBest, whose survivor is pend.
+	single bool
+	pend   pending
 	// le and re are the operand entries of the split under evaluation.
 	le, re *entry
 	// scratch is the entry under construction. It lives in the worker —
 	// not on trySplits' stack — because its frontier's address crosses
 	// the Pruner interface, which would force a per-set heap escape.
 	scratch entry
+}
+
+// pending is SingleBest's survivor of the set under construction: the
+// arguments its plan.Node is built from once the set is complete. lp is
+// nil until a candidate is admitted, and cost is NaN then, which the
+// whole-pair skip never passes.
+type pending struct {
+	lp, rp           *plan.Node
+	le, re           *entry
+	alg              cost.JoinAlg
+	pred, order      int
+	lSorted, rSorted bool
+	cost             float64
 }
 
 // lookup returns the entry of s, a single table or an admissible join
@@ -517,7 +522,7 @@ func (w *worker) trySplits(u bitset.Set) {
 	e := &w.scratch
 	e.card = -1
 	e.f.reset()
-	w.best = math.NaN()
+	w.pend.lp, w.pend.cost = nil, math.NaN()
 	if w.cs.Space == partition.Linear {
 		for rem := u; rem != 0; rem &= rem - 1 {
 			t := bits.TrailingZeros64(uint64(rem))
@@ -542,26 +547,34 @@ func (w *worker) trySplits(u bitset.Set) {
 			w.combine(left, right, le, re)
 		})
 	}
-	if e.f.Len() > 0 {
-		e.setSortTerms(&w.opts.Model)
+	if p := &w.pend; p.lp != nil {
+		// SingleBest's one survivor is built where it is stored, with the
+		// second metric of its own split.
+		w.le, w.re = p.le, p.re
+		spec := plan.JoinSpec{Alg: p.alg, OutCard: e.card, Pred: p.pred, Order: p.order, LSorted: p.lSorted, RSorted: p.rSorted}
+		e.f.Append(w.arena.JoinWithScalars(p.lp, p.rp, spec, p.cost, w.secondMetric(p.lp, p.rp, p.alg, p.lSorted, p.rSorted)))
+	} else if e.f.Len() > 0 {
 		// Of the set's admitted candidates only the plans still retained
 		// move to the memo's arena, which so stays dense.
 		for i, n := 0, e.f.Len(); i < n; i++ {
 			e.f.Set(i, w.arena.Copy(e.f.At(i)))
 		}
 		w.nursery.Reset()
-		stored := *e
-		if len(stored.f.spill) > 0 {
-			// The scratch frontier keeps its spill array for the next set,
-			// so the memo's copy gets its own exact-size region from the
-			// runtime's recyclable spill slabs.
-			stored.f.spill = w.spills.clone(e.f.spill)
-		}
-		slot := &w.memo[w.index.Of(u)]
-		if slot.f.Len() == 0 {
-			w.stats.MemoEntries++
-		}
-		*slot = stored
+	}
+	if e.f.Len() == 0 {
+		return
+	}
+	e.setSortTerms(&w.opts.Model)
+	slot := &w.memo[w.index.Of(u)]
+	if slot.f.Len() == 0 {
+		w.stats.MemoEntries++
+	}
+	*slot = *e
+	if len(e.f.spill) > 0 {
+		// The scratch frontier keeps its spill array for the next set, so
+		// the memo's copy gets its own exact-size region from the
+		// runtime's recyclable spill slabs.
+		slot.f.spill = w.spills.clone(e.f.spill)
 	}
 }
 
@@ -570,8 +583,9 @@ func (w *worker) trySplits(u bitset.Set) {
 // The operator costs and whether a merge predicate exists are formed
 // once per split from the entries' stored facts; a candidate then costs
 // two additions — (l.Cost + r.Cost) + op, plan.JoinScalars' association
-// — and one Admits. A pair whose cheapest candidate is not below the
-// pruner's bound costs one comparison instead (docs/perf.md §9).
+// — and one admission check. Without interesting orders, a pair whose
+// cheapest candidate is not below SingleBest's pending survivor costs one
+// comparison instead (docs/perf.md §9).
 func (w *worker) combine(left, right bitset.Set, le, re *entry) {
 	w.stats.SplitsTried++
 	e, m := &w.scratch, &w.opts.Model
@@ -606,7 +620,8 @@ func (w *worker) combine(left, right bitset.Set, le, re *entry) {
 		for ri, rn := 0, re.f.Len(); ri < rn; ri++ {
 			rp := re.f.At(ri)
 			in := lp.Cost + rp.Cost
-			if in+minOp >= w.best {
+			// pend.cost stays NaN, skipping nothing, under other pruners.
+			if !orders && in+minOp >= w.pend.cost {
 				w.stats.PlansPruned += k
 				continue
 			}
@@ -650,11 +665,24 @@ func (w *worker) secondMetric(lp, rp *plan.Node, alg cost.JoinAlg, lSorted, rSor
 }
 
 // offer evaluates one candidate join of cost c cost-first: its scalars
-// are checked against the pruner without building a node; only an
-// admitted candidate gets its plan.JoinSpec and is materialized, in the
+// are checked against the pruner without building a node. Under
+// SingleBest an admitted candidate replaces the pending record; under
+// other pruners it gets its plan.JoinSpec and is materialized, in the
 // nursery's slabs. The second metric is part of the check only for
 // pruners that read it; otherwise survivors alone get one.
 func (w *worker) offer(lp, rp *plan.Node, alg cost.JoinAlg, pred, order int, lSorted, rSorted bool, c float64) {
+	if w.single {
+		p := &w.pend
+		if p.lp != nil && !(c < p.cost) {
+			w.stats.PlansPruned++
+			return
+		}
+		// Field by field: a composite literal compiles to a block copy.
+		p.lp, p.rp, p.le, p.re = lp, rp, w.le, w.re
+		p.alg, p.pred, p.order, p.lSorted, p.rSorted, p.cost = alg, pred, order, lSorted, rSorted, c
+		w.stats.PlansKept++
+		return
+	}
 	e := &w.scratch
 	var buf float64
 	if w.second {
@@ -670,9 +698,6 @@ func (w *worker) offer(lp, rp *plan.Node, alg cost.JoinAlg, pred, order int, lSo
 	spec := plan.JoinSpec{Alg: alg, OutCard: e.card, Pred: pred, Order: order, LSorted: lSorted, RSorted: rSorted}
 	w.opts.Pruner.Insert(&e.f, w.nursery.JoinWithScalars(lp, rp, spec, c, buf))
 	w.stats.PlansKept++
-	if w.bounder != nil {
-		w.best = w.bounder.bound(&e.f)
-	}
 }
 
 // Serial runs the classical (unpartitioned) dynamic program for the given

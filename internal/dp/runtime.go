@@ -3,9 +3,11 @@ package dp
 import "mpq/internal/plan"
 
 // Runtime bundles the reusable per-run memory of one DP worker: the
-// plan-node arena the memo's plans live in, the nursery arena the table
-// set under construction builds its survivors in, the memo array and
-// the per-table scan entries. A fresh run borrows them through
+// plan-node arena the memo's plans live in, the nursery arena in which a
+// frontier pruner (not SingleBest, whose one survivor is built straight
+// into the arena) builds the admitted plans of the table set under
+// construction, the memo array and the per-table scan entries. A fresh
+// run borrows them through
 // Options.Runtime instead of growing them from scratch, so a worker that
 // optimizes a stream of queries — one of core's runtime slots, which
 // every engine's partitions run on — reaches a steady state where the

@@ -128,6 +128,43 @@ func TestRuntimeReuseNeverReadsAnEarlierRun(t *testing.T) {
 	}
 }
 
+// SingleBest builds each set's one survivor once, straight into the
+// memo's arena: after a run on a fresh Runtime the nursery owns no slab
+// and the arena holds exactly one node per memo entry, scans included.
+// A frontier pruner on the same runtime still builds in the nursery.
+func TestSingleBestBuildsEachSurvivorOnce(t *testing.T) {
+	for _, tc := range []struct {
+		n       int
+		space   partition.Space
+		part, m int
+	}{{10, partition.Linear, 0, 1}, {9, partition.Bushy, 2, 4}} {
+		t.Run(fmt.Sprintf("%v-n%d-m%d", tc.space, tc.n, tc.m), func(t *testing.T) {
+			q := genQuery(t, tc.n, workload.Cycle, 2)
+			cs, err := partition.ForPartition(tc.space, tc.n, tc.part, tc.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := NewRuntime()
+			res, err := Run(q, cs, Options{Runtime: rt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rt.nursery.Slabs(); got != 0 {
+				t.Errorf("SingleBest grew the nursery to %d slabs", got)
+			}
+			if got, want := rt.arena.Allocated(), int(res.Stats.MemoEntries); got != want {
+				t.Errorf("arena holds %d nodes for %d memo entries", got, want)
+			}
+			if _, err := Run(q, cs, Options{Runtime: rt, InterestingOrders: true, Pruner: OrderAware{}}); err != nil {
+				t.Fatal(err)
+			}
+			if rt.nursery.Slabs() == 0 {
+				t.Error("OrderAware built no plan in the nursery")
+			}
+		})
+	}
+}
+
 // A query may have 63 tables; a dynamic program over it cannot have a
 // memo. NewEngine says so with a typed error instead of handing make a
 // length it panics on.

@@ -141,7 +141,7 @@ func TestIndexTablesGrowLinearly(t *testing.T) {
 	for _, c := range []struct {
 		space Space
 		n, m  int
-	}{{Linear, 16, 256}, {Linear, 62, 1 << 31}, {Bushy, 63, 1 << 21}} {
+	}{{Linear, 16, 256}, {Linear, 62, MaxWorkers(Linear, 62)}, {Bushy, 63, 1 << 21}} {
 		cs, err := ForPartition(c.space, c.n, c.m-1, c.m)
 		if err != nil {
 			t.Fatal(err)

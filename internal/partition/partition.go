@@ -102,14 +102,11 @@ func (c Constraint) String() string {
 
 // MaxWorkers returns the maximal number of workers (partitions) the
 // paper's scheme supports for a query of n tables: 2^⌊n/2⌋ for linear
-// and 2^⌊n/3⌋ for bushy plan spaces (§5). The result is capped at 2^62
-// to stay in int range.
+// and 2^⌊n/3⌋ for bushy plan spaces (§5). The result is capped at
+// 2^(bits.UintSize−2) to stay in int range on 32-bit targets too.
 func MaxWorkers(space Space, n int) int {
 	g := space.groupSize()
-	exp := n / g
-	if exp > 62 {
-		exp = 62
-	}
+	exp := min(n/g, bits.UintSize-2)
 	return 1 << uint(exp)
 }
 

@@ -130,8 +130,21 @@ func New(cfg Config) *Cache {
 // with sequence and partition fixed to zero — fingerprinted with
 // FNV-1a. Everything that changes the chosen plan (statistics, join
 // graph, plan space, worker count, objective, α, order flags, cost
-// model) is in the encoding; nothing else is.
+// model) is in the encoding; nothing else is: α and the robust band are
+// encoded as the objective reads them.
 func (c *Cache) KeyOf(q *query.Query, spec core.JobSpec) Key {
+	// Only frontier objectives read α, and they read 0 as 1; only robust
+	// jobs read the band, and they read 0 as the default.
+	if !spec.Objective.HasFrontier() {
+		spec.Alpha = 0
+	} else if spec.Alpha == 0 {
+		spec.Alpha = 1
+	}
+	if spec.Objective != core.RobustObjective {
+		spec.RobustBand = 0
+	} else if spec.RobustBand == 0 {
+		spec.RobustBand = core.DefaultRobustBand
+	}
 	b := wire.EncodeJobRequest(&wire.JobRequest{Spec: spec, Query: q})
 	var fp uint64
 	if c.hashFn != nil {

@@ -77,6 +77,45 @@ func TestKeyOfSensitivity(t *testing.T) {
 	}
 }
 
+// TestKeyOfIgnoresUnreadFields: spec pairs that differ only in a field
+// the objective does not read, or in its zero value versus the value
+// zero stands for, share a key — and the engine indeed returns the same
+// plans for them.
+func TestKeyOfIgnoresUnreadFields(t *testing.T) {
+	c := New(Config{})
+	q := genQuery(t, 7, 4)
+	single := core.JobSpec{Space: partition.Linear, Workers: 2}
+	multi := core.JobSpec{Space: partition.Linear, Workers: 2, Objective: core.MultiObjective}
+	robust := core.JobSpec{Space: partition.Linear, Workers: 2, Objective: core.RobustObjective, Alpha: 2}
+	with := func(s core.JobSpec, mut func(*core.JobSpec)) core.JobSpec {
+		mut(&s)
+		return s
+	}
+	for name, pair := range map[string][2]core.JobSpec{
+		"single alpha":       {single, with(single, func(s *core.JobSpec) { s.Alpha = 10 })},
+		"frontier alpha 0/1": {multi, with(multi, func(s *core.JobSpec) { s.Alpha = 1 })},
+		"robust band 0/default": {robust, with(robust, func(s *core.JobSpec) {
+			s.RobustBand = core.DefaultRobustBand
+		})},
+		"single band": {single, with(single, func(s *core.JobSpec) { s.RobustBand = 3 })},
+		"multi band":  {multi, with(multi, func(s *core.JobSpec) { s.RobustBand = 3 })},
+	} {
+		if c.KeyOf(q, pair[0]) != c.KeyOf(q, pair[1]) {
+			t.Errorf("%s: keys differ", name)
+		}
+		a, b := mustAnswer(t, q, pair[0]), mustAnswer(t, q, pair[1])
+		if wire.PlanFingerprint(a.Best) != wire.PlanFingerprint(b.Best) || len(a.Frontier) != len(b.Frontier) {
+			t.Errorf("%s: the engine's answers differ", name)
+			continue
+		}
+		for i := range a.Frontier {
+			if wire.PlanFingerprint(a.Frontier[i]) != wire.PlanFingerprint(b.Frontier[i]) {
+				t.Errorf("%s: frontier plan %d differs", name, i)
+			}
+		}
+	}
+}
+
 // TestLookupInsert: a round trip serves a shallow copy that is
 // bit-identical under the wire plan fingerprint and stamped as a hit.
 func TestLookupInsert(t *testing.T) {

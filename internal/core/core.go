@@ -163,19 +163,16 @@ func (s JobSpec) Validate(n int) error {
 }
 
 // Pruner builds the pruning function the spec asks for — the only thing
-// that differs between the optimization variants (§4). All three
-// families implement dp's two-phase cost-first contract: a scalar
-// Admits check per candidate, node materialization only for survivors.
+// that differs between the optimization variants (§4). All three are
+// dp's pruners, whose rules the engine applies itself where it can:
+// SingleBest always, Pareto without interesting orders.
 func (s JobSpec) Pruner() dp.Pruner {
 	if s.Objective.HasFrontier() {
 		// Robust jobs reuse the Pareto pruner unchanged: with the Buffer
 		// slot carrying worst-case band cost, dominance over (Cost,
-		// Buffer) is exactly "never better at either endpoint".
-		alpha := s.Alpha
-		if alpha < 1 {
-			alpha = 1
-		}
-		return mo.ParetoPruner{Alpha: alpha}
+		// Buffer) is exactly "never better at either endpoint". Pareto
+		// reads an α below 1 (the zero value) as 1.
+		return dp.Pareto{Alpha: s.Alpha}
 	}
 	if s.InterestingOrders {
 		return dp.OrderAware{}

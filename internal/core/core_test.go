@@ -101,7 +101,7 @@ func TestMPQEqualsSerialAllWorkerCounts(t *testing.T) {
 func TestMPQMultiObjectiveExactMatchesSerialFrontier(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		q := gen(t, 7, workload.Star, seed)
-		serial, err := dp.Serial(q, partition.Linear, dp.Options{Pruner: mo.ParetoPruner{Alpha: 1}})
+		serial, err := dp.Serial(q, partition.Linear, dp.Options{Pruner: dp.Pareto{Alpha: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestMPQMultiObjectiveExactMatchesSerialFrontier(t *testing.T) {
 
 func TestMPQMultiObjectiveAlphaCoverage(t *testing.T) {
 	q := gen(t, 7, workload.Star, 11)
-	serial, err := dp.Serial(q, partition.Linear, dp.Options{Pruner: mo.ParetoPruner{Alpha: 1}})
+	serial, err := dp.Serial(q, partition.Linear, dp.Options{Pruner: dp.Pareto{Alpha: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

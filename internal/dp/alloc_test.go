@@ -6,7 +6,6 @@ import (
 	"mpq/internal/bitset"
 	"mpq/internal/cost"
 	"mpq/internal/dp"
-	"mpq/internal/mo"
 	"mpq/internal/partition"
 	"mpq/internal/plan"
 	"mpq/internal/query"
@@ -60,9 +59,9 @@ func TestProcessSetPrunedCandidatesAllocFree(t *testing.T) {
 	}{
 		{"SingleBest", dp.Options{}},
 		{"OrderAware", dp.Options{InterestingOrders: true, Pruner: dp.OrderAware{}}},
-		{"Pareto", dp.Options{Pruner: mo.ParetoPruner{Alpha: 1}}},
-		{"ParetoOrders", dp.Options{InterestingOrders: true, Pruner: mo.ParetoPruner{Alpha: 2}}},
-		{"Robust", dp.Options{Model: cost.Robust(4), Pruner: mo.ParetoPruner{Alpha: 1}}},
+		{"Pareto", dp.Options{Pruner: dp.Pareto{Alpha: 1}}},
+		{"ParetoOrders", dp.Options{InterestingOrders: true, Pruner: dp.Pareto{Alpha: 2}}},
+		{"Robust", dp.Options{Model: cost.Robust(4), Pruner: dp.Pareto{Alpha: 1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q := genQuery(12, workload.Star, 0)

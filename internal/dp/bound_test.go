@@ -24,23 +24,55 @@ func (plainSingleBest) Admits(f *Frontier, c Candidate) bool { return SingleBest
 func (plainSingleBest) Insert(f *Frontier, p *plan.Node)     { SingleBest{}.Insert(f, p) }
 func (plainSingleBest) costOnly()                            {}
 
+// plainPareto is Pareto behind another type: the engine does not
+// recognize it, so every candidate gets its second metric from
+// secondMetric and goes through Admits and Insert via the interface.
+type plainPareto struct{ Pareto }
+
+// plainTwin returns the pruner that applies pr's rule through the
+// interface only.
+func plainTwin(pr Pruner) Pruner {
+	if p, ok := pr.(Pareto); ok {
+		return plainPareto{p}
+	}
+	return plainSingleBest{}
+}
+
+// boundAlphas are the approximation factors the Pareto rule is checked
+// with; +Inf times a zero cost is NaN, which no bound passes.
+var boundAlphas = []float64{1, 1.5, 2, 10, math.Inf(1)}
+
 // boundCases are the cost models × cardinality ranges the bound is
 // checked under. All models pass Model.Validate. "allinf" makes every
 // join +Inf (a tiny NLBlock overflows the nested loop), so after a set's
 // first admitted plan every pair is skipped on +Inf ≥ +Inf; "nlinf" on
 // huge cardinalities makes the nested loop Inf/Inf = NaN wherever an
 // operand product overflows, so minOp is NaN and pairs take the
-// ordinary path.
+// ordinary path. A NaN plan is never dominated, so under Pareto its
+// frontiers grow exponentially: paretoMax caps the tables there. The
+// parametric and robust models sum the second metric instead of taking
+// its maximum.
 var boundCases = []struct {
-	name  string
-	model cost.Model
-	huge  bool
+	name      string
+	model     cost.Model
+	huge      bool
+	paretoMax int
 }{
-	{"default", cost.Default(), false},
-	{"default-huge", cost.Default(), true},
-	{"allinf", cost.Model{HashFactor: math.Inf(1), SortFactor: math.Inf(1), NLBlock: math.SmallestNonzeroFloat64}, false},
-	{"nlinf", cost.Model{HashFactor: 1.2, SortFactor: 1, NLBlock: math.Inf(1)}, false},
-	{"nlinf-huge", cost.Model{HashFactor: 1.2, SortFactor: 1, NLBlock: math.Inf(1)}, true},
+	{"default", cost.Default(), false, 0},
+	{"default-huge", cost.Default(), true, 0},
+	{"allinf", cost.Model{HashFactor: math.Inf(1), SortFactor: math.Inf(1), NLBlock: math.SmallestNonzeroFloat64}, false, 0},
+	{"nlinf", cost.Model{HashFactor: 1.2, SortFactor: 1, NLBlock: math.Inf(1)}, false, 0},
+	{"nlinf-huge", cost.Model{HashFactor: 1.2, SortFactor: 1, NLBlock: math.Inf(1)}, true, 4},
+	{"parametric", cost.Parametric(3), false, 0},
+	{"robust", cost.Robust(4), false, 0},
+	{"robust-huge", cost.Robust(4), true, 0},
+}
+
+// tooWide reports whether pr is a Pareto pruner and boundCases[c] caps
+// its runs below n tables.
+func tooWide(c int, pr Pruner, n int) bool {
+	_, pareto := pr.(Pareto)
+	return pareto && boundCases[c].paretoMax > 0 && n > boundCases[c].paretoMax
 }
 
 func boundQuery(n int, shape workload.Shape, seed int64, huge bool) *query.Query {
@@ -79,23 +111,23 @@ func plansOf(eng *Engine, u bitset.Set) []*plan.Node {
 	return ps
 }
 
-// checkPairBound runs one partition with SingleBest and with
-// plainSingleBest and fails unless every memo entry — each scan and each
-// admissible set, whether or not it wins at the root — holds the same
-// plans, and the results and work counters agree.
-func checkPairBound(t testing.TB, q *query.Query, space partition.Space, m, part int, model cost.Model, orders bool) {
+// checkPairBound runs one partition with pr — SingleBest or a Pareto —
+// and with its plain twin and fails unless every memo entry — each scan
+// and each admissible set, whether or not it wins at the root — holds
+// the same plans, and the results and work counters agree.
+func checkPairBound(t testing.TB, q *query.Query, space partition.Space, m, part int, model cost.Model, orders bool, pr Pruner) {
 	t.Helper()
 	cs, err := partition.ForPartition(space, q.N(), part, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var engs [2]*Engine
-	for i, pr := range []Pruner{SingleBest{}, plainSingleBest{}} {
-		if engs[i], err = NewEngine(q, cs, Options{Model: model, InterestingOrders: orders, Pruner: pr}); err != nil {
+	for i, p := range []Pruner{pr, plainTwin(pr)} {
+		if engs[i], err = NewEngine(q, cs, Options{Model: model, InterestingOrders: orders, Pruner: p}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	where := fmt.Sprintf("%v n=%d partition %d/%d orders=%v", space, q.N(), part, m, orders)
+	where := fmt.Sprintf("%v n=%d partition %d/%d orders=%v %#v", space, q.N(), part, m, orders, pr)
 	sets := []bitset.Set{}
 	for tb := 0; tb < q.N(); tb++ {
 		sets = append(sets, bitset.Single(tb))
@@ -117,11 +149,11 @@ func checkPairBound(t testing.TB, q *query.Query, space partition.Space, m, part
 	for _, u := range sets {
 		g, w := plansOf(engs[0], u), plansOf(engs[1], u)
 		if len(g) != len(w) {
-			t.Fatalf("%s: set %v: %d plans with the pending record, %d without", where, u, len(g), len(w))
+			t.Fatalf("%s: set %v: %d plans engine-applied, %d without", where, u, len(g), len(w))
 		}
 		for i := range g {
 			if !sameNode(g[i], w[i]) || match[g[i].Left] != w[i].Left || match[g[i].Right] != w[i].Right {
-				t.Fatalf("%s: set %v plan %d with the pending record\n%s\nwithout\n%s", where, u, i, g[i].Format(), w[i].Format())
+				t.Fatalf("%s: set %v plan %d engine-applied\n%s\nwithout\n%s", where, u, i, g[i].Format(), w[i].Format())
 			}
 			match[g[i]] = w[i]
 		}
@@ -135,21 +167,22 @@ func checkPairBound(t testing.TB, q *query.Query, space partition.Space, m, part
 		t.Fatal(err)
 	}
 	if got.Stats != want.Stats {
-		t.Fatalf("%s: stats with the pending record %+v, without %+v", where, got.Stats, want.Stats)
+		t.Fatalf("%s: stats engine-applied %+v, without %+v", where, got.Stats, want.Stats)
 	}
 	if len(got.Plans) != len(want.Plans) {
-		t.Fatalf("%s: %d plans with the pending record, %d without", where, len(got.Plans), len(want.Plans))
+		t.Fatalf("%s: %d plans engine-applied, %d without", where, len(got.Plans), len(want.Plans))
 	}
 	for i := range got.Plans {
 		if !sameTree(got.Plans[i], want.Plans[i]) {
-			t.Fatalf("%s: plan %d with the pending record\n%s\nwithout\n%s", where, i, got.Plans[i].Format(), want.Plans[i].Format())
+			t.Fatalf("%s: plan %d engine-applied\n%s\nwithout\n%s", where, i, got.Plans[i].Format(), want.Plans[i].Format())
 		}
 	}
 }
 
-// SingleBest's pending record, and skipping a pair whose cheapest
-// candidate reaches its cost, change no memo entry: every shape, both
-// spaces, every partition of m ∈ {1, 2, 4, 8}, and cost models whose
+// The rules the engine applies itself change no memo entry: SingleBest's
+// pending record and Pareto's inline rule, each with its whole-pair
+// skip, on every shape, both spaces, every partition of m ∈ {1, 2, 4, 8},
+// the buffer, parametric and robust second metrics, and cost models whose
 // candidates are +Inf or NaN. With interesting orders the engine must
 // not skip at all.
 func TestPairBoundEqualsPlainAdmits(t *testing.T) {
@@ -157,15 +190,26 @@ func TestPairBoundEqualsPlainAdmits(t *testing.T) {
 	if testing.Short() {
 		ns = []int{4, 8}
 	}
-	for _, c := range boundCases {
+	for ci, c := range boundCases {
 		for si, shape := range workload.Shapes {
 			for _, n := range ns {
 				q := boundQuery(n, shape, int64(10*si+n), c.huge)
+				// Each α meets every model, shape and size, if not all at once.
+				pruners := []Pruner{SingleBest{}, Pareto{Alpha: boundAlphas[(ci+si+n)%len(boundAlphas)]}}
 				for _, space := range []partition.Space{partition.Linear, partition.Bushy} {
 					for m := 1; m <= min(8, partition.MaxWorkers(space, n)); m *= 2 {
 						for part := 0; part < m; part++ {
-							checkPairBound(t, q, space, m, part, c.model, false)
-							checkPairBound(t, q, space, m, part, c.model, true)
+							for _, pr := range pruners {
+								if tooWide(ci, pr, n) {
+									continue
+								}
+								checkPairBound(t, q, space, m, part, c.model, false, pr)
+								// Pareto frontiers with orders grow fast, and
+								// both engines take the interface path there.
+								if _, pareto := pr.(Pareto); !pareto || n < 10 {
+									checkPairBound(t, q, space, m, part, c.model, true, pr)
+								}
+							}
 						}
 					}
 				}
@@ -176,19 +220,30 @@ func TestPairBoundEqualsPlainAdmits(t *testing.T) {
 
 // FuzzPairBound is TestPairBoundEqualsPlainAdmits on any query: a wrong
 // skip or a wrongly built survivor is silent plan corruption, so CI
-// gives it real mutation time.
+// gives it real mutation time. rule picks SingleBest (0) or a Pareto
+// factor from boundAlphas.
 func FuzzPairBound(f *testing.F) {
-	f.Add(int64(1), uint8(6), uint8(0), uint8(0), uint8(3), uint8(5), uint8(0), false)
-	f.Add(int64(7), uint8(8), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), false)
-	f.Add(int64(3), uint8(7), uint8(4), uint8(1), uint8(0), uint8(0), uint8(4), false)
-	f.Add(int64(9), uint8(5), uint8(3), uint8(0), uint8(2), uint8(3), uint8(1), true)
-	f.Fuzz(func(t *testing.T, seed int64, n, shape, space, logM, part, kind uint8, orders bool) {
+	f.Add(int64(1), uint8(6), uint8(0), uint8(0), uint8(3), uint8(5), uint8(0), false, uint8(0))
+	f.Add(int64(7), uint8(8), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), false, uint8(0))
+	f.Add(int64(3), uint8(7), uint8(4), uint8(1), uint8(0), uint8(0), uint8(4), false, uint8(0))
+	f.Add(int64(9), uint8(5), uint8(3), uint8(0), uint8(2), uint8(3), uint8(1), true, uint8(0))
+	f.Add(int64(2), uint8(7), uint8(2), uint8(0), uint8(2), uint8(1), uint8(6), false, uint8(3))
+	f.Add(int64(5), uint8(6), uint8(0), uint8(1), uint8(1), uint8(0), uint8(4), false, uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, n, shape, space, logM, part, kind uint8, orders bool, rule uint8) {
 		sp := partition.Space(space % 2)
 		tables := 2 + int(n)%9
 		m := min(1<<(int(logM)%4), partition.MaxWorkers(sp, tables))
-		c := boundCases[int(kind)%len(boundCases)]
+		ci := int(kind) % len(boundCases)
+		c := boundCases[ci]
+		var pr Pruner = SingleBest{}
+		if r := int(rule) % (1 + len(boundAlphas)); r > 0 {
+			pr = Pareto{Alpha: boundAlphas[r-1]}
+		}
+		if tooWide(ci, pr, tables) {
+			t.Skip("NaN Pareto frontiers grow exponentially")
+		}
 		q := boundQuery(tables, workload.Shapes[int(shape)%len(workload.Shapes)], seed, c.huge)
-		checkPairBound(t, q, sp, m, int(part)%m, c.model, orders)
+		checkPairBound(t, q, sp, m, int(part)%m, c.model, orders, pr)
 	})
 }
 
@@ -214,6 +269,46 @@ func TestSingleBestBoundImpliesReject(t *testing.T) {
 					cand := Candidate{Cost: c, Buffer: buf, Order: order}
 					if got := (SingleBest{}).Admits(&f, cand); got != (c < f.At(0).Cost) {
 						t.Fatalf("retained cost %g, candidate %+v: Admits = %v, want c < retained", kept, cand, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Pareto's whole-pair skip rests on monotone admission: if a frontier
+// rejects the bound b, it rejects every candidate c ≥ b componentwise —
+// whatever the retained plans, including NaN, ±0, +Inf and α = +Inf
+// against zero costs, where Inf·0 = NaN must make the bound pass.
+func TestParetoBoundImpliesReject(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	vals := []float64{0, math.Copysign(0, -1), 1, 5, 5 + 1e-15, 1e300, inf, nan}
+	var frontiers []Frontier
+	for _, c := range vals {
+		for _, b := range vals {
+			frontiers = append(frontiers, FrontierOf(vecPlan(c, b, query.NoOrder)))
+		}
+	}
+	frontiers = append(frontiers, FrontierOf(vecPlan(10, 1, query.NoOrder), vecPlan(1, 10, query.NoOrder), vecPlan(3, 3, query.NoOrder)))
+	for _, alpha := range append([]float64{0, 0.5, nan}, boundAlphas...) {
+		pr := Pareto{Alpha: alpha}
+		for fi := range frontiers {
+			f := &frontiers[fi]
+			for _, bc := range vals {
+				for _, bb := range vals {
+					bound := Candidate{Cost: bc, Buffer: bb, Order: query.NoOrder}
+					if pr.Admits(f, bound) {
+						continue
+					}
+					for _, cc := range vals {
+						for _, cb := range vals {
+							if !(cc >= bc && cb >= bb) {
+								continue
+							}
+							if c := (Candidate{Cost: cc, Buffer: cb, Order: query.NoOrder}); pr.Admits(f, c) {
+								t.Fatalf("α=%g frontier %v: bound %+v rejected, candidate %+v admitted", alpha, f.Slice(), bound, c)
+							}
+						}
 					}
 				}
 			}

@@ -22,10 +22,13 @@
 // Insert keep this plan?" — which the engine relies on for its
 // kept/pruned accounting.
 //
-// SingleBest, whose frontier is one plan, is special cased: the engine
+// The engine applies two rules itself instead of calling them through
+// the interface. SingleBest, whose frontier is one plan: the engine
 // keeps the set's survivor as a pending record of its join arguments and
 // builds its plan.Node once, when the set is complete (docs/perf.md,
-// "One survivor, built once").
+// "One survivor, built once"). Pareto without interesting orders: the
+// engine forms the second metrics once per split and tests dominance
+// inline (docs/perf.md, "The Pareto rule in the engine").
 //
 // Most candidates are pruned, so a candidate must cost a handful of flops.
 // Everything a join's scalars read from an operand that depends on the
@@ -37,9 +40,11 @@
 // order, so every scalar is bit-identical to the reference formula that
 // Validate recomputes. See docs/perf.md, "Per-set operand facts".
 //
-// SingleBest also bounds: without interesting orders, an operand pair
-// whose cheapest candidate is not below the pending survivor's cost is
-// counted as pruned unoffered (docs/perf.md, "Whole-pair pruning").
+// Both also bound without interesting orders: an operand pair whose
+// cheapest candidate is not below SingleBest's pending survivor, or whose
+// componentwise lower bound a retained plan α-dominates, is counted as
+// pruned unoffered (docs/perf.md, "Whole-pair pruning" and "The Pareto
+// rule in the engine").
 //
 // The admissible join results themselves are streamed per cardinality
 // from partition.Enumerator instead of being materialized up front,
@@ -109,8 +114,8 @@ type Candidate struct {
 // canonical shape). The engine only calls Insert after a successful
 // Admits, so implementations may assume p survives. Implementations
 // must keep the invariant that no retained plan dominates another (for
-// their notion of dominance). The engine applies SingleBest's rule
-// itself, without calling it.
+// their notion of dominance). The engine applies SingleBest's rule, and
+// Pareto's without interesting orders, itself, without calling them.
 type Pruner interface {
 	Admits(f *Frontier, cand Candidate) bool
 	Insert(f *Frontier, p *plan.Node)
@@ -174,6 +179,49 @@ func (OrderAware) Admits(f *Frontier, cand Candidate) bool {
 func (OrderAware) Insert(f *Frontier, p *plan.Node) {
 	f.Filter(func(q *plan.Node) bool {
 		return !(p.Cost <= q.Cost && orderDominates(p.Order, q.Order))
+	})
+	f.Append(p)
+}
+
+// Pareto retains an α-approximate Pareto frontier over (Cost, Buffer)
+// per table set: the multi-objective pruning function of Trummer & Koch
+// [22, 23]. A plan q α-dominates a candidate c iff q.Cost ≤ α·c.Cost,
+// q.Buffer ≤ α·c.Buffer and q's order can substitute for c's. α = 1
+// keeps the exact frontier; α > 1 coarsens it, and every discarded plan
+// has an α-dominating witness among the retained ones. Without
+// interesting orders the engine applies this rule itself (docs/perf.md
+// §11); a type wrapping these methods gets the same plans.
+type Pareto struct {
+	// Alpha ≥ 1 is the approximation factor; below 1 means 1.
+	Alpha float64
+}
+
+// alpha is the clamped factor both paths apply.
+func (p Pareto) alpha() float64 {
+	if p.Alpha < 1 {
+		return 1
+	}
+	return p.Alpha
+}
+
+// Admits implements Pruner: the candidate is discarded iff a retained
+// plan α-dominates it. It performs no allocations.
+func (p Pareto) Admits(f *Frontier, cand Candidate) bool {
+	a := p.alpha()
+	for i, n := 0, f.Len(); i < n; i++ {
+		q := f.At(i)
+		if q.Cost <= a*cand.Cost && q.Buffer <= a*cand.Buffer && orderDominates(q.Order, cand.Order) {
+			return false
+		}
+	}
+	return true
+}
+
+// Insert implements Pruner: p joins the frontier and evicts the retained
+// plans it dominates exactly (α = 1).
+func (Pareto) Insert(f *Frontier, p *plan.Node) {
+	f.Filter(func(q *plan.Node) bool {
+		return !(p.Cost <= q.Cost && p.Buffer <= q.Buffer && orderDominates(p.Order, q.Order))
 	})
 	f.Append(p)
 }
@@ -378,6 +426,9 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 	eng := &Engine{w: worker{q: q, cs: cs, index: cs.Index(), opts: opts, second: !costOnly}}
 	w := &eng.w
 	_, w.single = opts.Pruner.(SingleBest)
+	if p, ok := opts.Pruner.(Pareto); ok && !opts.InterestingOrders {
+		w.pareto, w.alpha = true, p.alpha()
+	}
 	// The memo, the arenas and the scan entries are borrowed from the
 	// runtime (and reset), so a worker recycles them across the queries of
 	// a batch.
@@ -482,6 +533,10 @@ type worker struct {
 	// single: the pruner is SingleBest, whose survivor is pend.
 	single bool
 	pend   pending
+	// pareto: the pruner is Pareto with the clamped factor alpha and
+	// orders are off, so the splits go to combinePareto.
+	pareto bool
+	alpha  float64
 	// le and re are the operand entries of the split under evaluation.
 	le, re *entry
 	// scratch is the entry under construction. It lives in the worker —
@@ -523,7 +578,9 @@ func (w *worker) trySplits(u bitset.Set) {
 	e.card = -1
 	e.f.reset()
 	w.pend.lp, w.pend.cost = nil, math.NaN()
-	if w.cs.Space == partition.Linear {
+	if w.pareto {
+		w.paretoSplits(u)
+	} else if w.cs.Space == partition.Linear {
 		for rem := u; rem != 0; rem &= rem - 1 {
 			t := bits.TrailingZeros64(uint64(rem))
 			if !w.cs.InnerAllowed(u, t) {
@@ -578,6 +635,30 @@ func (w *worker) trySplits(u bitset.Set) {
 	}
 }
 
+// paretoSplits is trySplits' split loop for combinePareto. It is a loop
+// of its own so that combine's callers do not branch per split.
+func (w *worker) paretoSplits(u bitset.Set) {
+	if w.cs.Space == partition.Linear {
+		for rem := u; rem != 0; rem &= rem - 1 {
+			t := bits.TrailingZeros64(uint64(rem))
+			if !w.cs.InnerAllowed(u, t) {
+				continue
+			}
+			outer := u &^ (rem & -rem)
+			if le := w.lookup(outer); le.f.Len() > 0 {
+				w.combinePareto(outer, rem&-rem, le, &w.scans[t])
+			}
+		}
+		return
+	}
+	w.splitter.ForEachLeft(u, func(left bitset.Set) {
+		right := u.Minus(left)
+		if le, re := w.lookup(left), w.lookup(right); le.f.Len() > 0 && re.f.Len() > 0 {
+			w.combinePareto(left, right, le, re)
+		}
+	})
+}
+
 // combine generates candidate plans for every operand-plan pair and join
 // algorithm of the split (left, right) and offers them to the pruner.
 // The operator costs and whether a merge predicate exists are formed
@@ -590,12 +671,7 @@ func (w *worker) combine(left, right bitset.Set, le, re *entry) {
 	w.stats.SplitsTried++
 	e, m := &w.scratch, &w.opts.Model
 	if e.card < 0 {
-		e.card = le.card * re.card * w.q.SelBetween(left, right)
-		e.cardHi = e.card
-		if m.Second == cost.RobustCost {
-			e.cardHi = le.cardHi * re.cardHi * w.q.SelBetweenInflated(left, right, m.RobustBand)
-		}
-		e.nbr = le.nbr | re.nbr
+		w.firstSplit(left, right, le, re)
 	}
 	// A sort-merge join needs a merge predicate: one exists iff a
 	// neighbour of left lies in right. Which ones matters to interesting
@@ -647,6 +723,87 @@ func (w *worker) combine(left, right bitset.Set, le, re *entry) {
 			}
 		}
 	}
+}
+
+// firstSplit fills the scratch entry's cardinalities and neighbour mask,
+// which every split of the set gives alike, from its first split.
+func (w *worker) firstSplit(left, right bitset.Set, le, re *entry) {
+	e, m := &w.scratch, &w.opts.Model
+	e.card = le.card * re.card * w.q.SelBetween(left, right)
+	e.cardHi = e.card
+	if m.Second == cost.RobustCost {
+		e.cardHi = le.cardHi * re.cardHi * w.q.SelBetweenInflated(left, right, m.RobustBand)
+	}
+	e.nbr = le.nbr | re.nbr
+}
+
+// combinePareto is combine for a Pareto pruner without interesting
+// orders, where every plan has no order. The operators' second metrics
+// are formed once per split too, by the calls secondMetric makes, and
+// the engine applies Pareto's rule itself: dominated, then Insert. A
+// pair whose bound — the cheapest operator's cost and the smallest
+// second metric, each rounded as a candidate's is — is α-dominated by a
+// retained plan has every candidate dominated, so its k candidates are
+// counted as pruned unoffered (docs/perf.md §11).
+func (w *worker) combinePareto(left, right bitset.Set, le, re *entry) {
+	w.stats.SplitsTried++
+	e, m := &w.scratch, &w.opts.Model
+	if e.card < 0 {
+		w.firstSplit(left, right, le, re)
+	}
+	hasPred := le.nbr&right != 0
+	nl, hash := m.NestedLoopCost(le.card, re.card), m.HashCost(le.card, re.card)
+	sm := m.SortMergeCost(le.card, re.card, le.sort, re.sort, false, false)
+	nl2 := m.JoinSecond(cost.NestedLoop, le.cardHi, re.cardHi, false, false)
+	hash2 := m.JoinSecond(cost.Hash, le.cardHi, re.cardHi, false, false)
+	sm2 := m.SortMergeSecond(le.cardHi, re.cardHi, le.sort2, re.sort2, false, false)
+	minOp, minOp2, k := min(nl, hash), min(nl2, hash2), uint64(2)
+	if hasPred {
+		minOp, minOp2, k = min(minOp, sm), min(minOp2, sm2), 3
+	}
+	for li, ln := 0, le.f.Len(); li < ln; li++ {
+		lp := le.f.At(li)
+		for ri, rn := 0, re.f.Len(); ri < rn; ri++ {
+			rp := re.f.At(ri)
+			in := lp.Cost + rp.Cost
+			if w.dominated(in+minOp, m.CombineSecond(lp.Buffer, rp.Buffer, minOp2)) {
+				w.stats.PlansPruned += k
+				continue
+			}
+			w.offerPareto(lp, rp, cost.NestedLoop, lp.Order, in+nl, m.CombineSecond(lp.Buffer, rp.Buffer, nl2))
+			w.offerPareto(lp, rp, cost.Hash, query.NoOrder, in+hash, m.CombineSecond(lp.Buffer, rp.Buffer, hash2))
+			if hasPred {
+				w.offerPareto(lp, rp, cost.SortMerge, query.NoOrder, in+sm, m.CombineSecond(lp.Buffer, rp.Buffer, sm2))
+			}
+		}
+	}
+}
+
+// dominated is Pareto's Admits, negated, for a candidate with no order
+// against the set under construction: the same comparisons, without the
+// order test that every plan passes here.
+func (w *worker) dominated(c, buf float64) bool {
+	f, a := &w.scratch.f, w.alpha
+	for i, n := 0, f.Len(); i < n; i++ {
+		q := f.At(i)
+		if q.Cost <= a*c && q.Buffer <= a*buf {
+			return true
+		}
+	}
+	return false
+}
+
+// offerPareto is offer for combinePareto's candidates: an admitted one is
+// built in the nursery and inserted by Pareto's Insert, called directly.
+func (w *worker) offerPareto(lp, rp *plan.Node, alg cost.JoinAlg, order int, c, buf float64) {
+	if w.dominated(c, buf) {
+		w.stats.PlansPruned++
+		return
+	}
+	e := &w.scratch
+	spec := plan.JoinSpec{Alg: alg, OutCard: e.card, Pred: plan.NoPred, Order: order}
+	Pareto{}.Insert(&e.f, w.nursery.JoinWithScalars(lp, rp, spec, c, buf))
+	w.stats.PlansKept++
 }
 
 // secondMetric returns the Buffer annotation of the join of lp and rp

@@ -491,11 +491,10 @@ func TestRunContextCanceled(t *testing.T) {
 // BenchmarkJobClasses runs the dynamic program on the job classes of
 // the bench/ workloads — serial-large's linear-16 and bushy-12, one
 // constrained partition of each, an interesting-orders run, one of
-// serve-zipf8's 50 µs partitions — on a reused Runtime, as every engine does, and reports nanoseconds per
+// serve-zipf8's 50 µs partitions, tcp-mo12's multi-objective partitions —
+// on a reused Runtime, as every engine does, and reports nanoseconds per
 // work unit. It is the instrument for A/B-ing inner-loop variants while
 // working (docs/perf.md §6 quotes it); claims are made with bench/.
-// The multi-objective class needs mo.ParetoPruner and cannot live in
-// this package; its runs go through bench/'s tcp-mo12.
 //
 //	go test ./internal/dp -run '^$' -bench JobClasses -benchtime 10x
 func BenchmarkJobClasses(b *testing.B) {
@@ -511,6 +510,7 @@ func BenchmarkJobClasses(b *testing.B) {
 		{"bushy12m8", partition.Bushy, 12, 8, Options{}},
 		{"linear13orders", partition.Linear, 13, 1, Options{InterestingOrders: true, Pruner: OrderAware{}}},
 		{"linear8m2", partition.Linear, 8, 2, Options{}},
+		{"linear12mo", partition.Linear, 12, 4, Options{Pruner: Pareto{Alpha: 2}}},
 	} {
 		for _, shape := range []workload.Shape{workload.Star, workload.Chain, workload.Cycle} {
 			b.Run(c.name+"/"+shape.String(), func(b *testing.B) {

@@ -11,7 +11,6 @@ import (
 	"mpq/internal/bitset"
 	"mpq/internal/cost"
 	"mpq/internal/dp"
-	"mpq/internal/mo"
 	"mpq/internal/partition"
 	"mpq/internal/plan"
 	"mpq/internal/query"
@@ -32,19 +31,19 @@ var exactConfigs = []struct {
 }{
 	{"single", func() dp.Options { return dp.Options{} }},
 	{"orders", func() dp.Options { return dp.Options{InterestingOrders: true, Pruner: dp.OrderAware{}} }},
-	{"pareto1", func() dp.Options { return dp.Options{Pruner: mo.ParetoPruner{Alpha: 1}} }},
-	{"pareto2", func() dp.Options { return dp.Options{Pruner: mo.ParetoPruner{Alpha: 2}} }},
+	{"pareto1", func() dp.Options { return dp.Options{Pruner: dp.Pareto{Alpha: 1}} }},
+	{"pareto2", func() dp.Options { return dp.Options{Pruner: dp.Pareto{Alpha: 2}} }},
 	{"pareto2orders", func() dp.Options {
-		return dp.Options{InterestingOrders: true, Pruner: mo.ParetoPruner{Alpha: 2}}
+		return dp.Options{InterestingOrders: true, Pruner: dp.Pareto{Alpha: 2}}
 	}},
 	{"parametric", func() dp.Options {
-		return dp.Options{Model: cost.Parametric(3), Pruner: mo.ParetoPruner{Alpha: 1}}
+		return dp.Options{Model: cost.Parametric(3), Pruner: dp.Pareto{Alpha: 1}}
 	}},
 	{"robust", func() dp.Options {
-		return dp.Options{Model: cost.Robust(4), Pruner: mo.ParetoPruner{Alpha: 1}}
+		return dp.Options{Model: cost.Robust(4), Pruner: dp.Pareto{Alpha: 1}}
 	}},
 	{"robustorders", func() dp.Options {
-		return dp.Options{Model: cost.Robust(2), InterestingOrders: true, Pruner: mo.ParetoPruner{Alpha: 1.5}}
+		return dp.Options{Model: cost.Robust(2), InterestingOrders: true, Pruner: dp.Pareto{Alpha: 1.5}}
 	}},
 }
 

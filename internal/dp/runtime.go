@@ -3,12 +3,12 @@ package dp
 import "mpq/internal/plan"
 
 // Runtime bundles the reusable per-run memory of one DP worker: the
-// plan-node arena the memo's plans live in, the nursery arena in which a
-// frontier pruner (not SingleBest, whose one survivor is built straight
-// into the arena) builds the admitted plans of the table set under
-// construction, the memo array and the per-table scan entries. A fresh
-// run borrows them through
-// Options.Runtime instead of growing them from scratch, so a worker that
+// plan-node arena the memo's plans live in, the nursery arena in which
+// the admitted plans of the table set under construction are built —
+// by the engine's Pareto rule and the interface path alike, not under
+// SingleBest, whose one survivor is built straight into the arena — the
+// memo array and the per-table scan entries. A fresh run borrows them
+// through Options.Runtime instead of growing them from scratch, so a worker that
 // optimizes a stream of queries — one of core's runtime slots, which
 // every engine's partitions run on — reaches a steady state where the
 // dynamic program performs (almost) no heap allocation at all:

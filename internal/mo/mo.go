@@ -1,24 +1,24 @@
-// Package mo implements multi-objective query optimization: cost vectors,
-// Pareto frontiers, and the α-approximate pruning function of Trummer &
-// Koch [22, 23] that the paper plugs into the shared dynamic-programming
-// scheme for its second experiment series (§6).
+// Package mo implements the master's side of multi-objective query
+// optimization: cost vectors, the merge of per-partition Pareto
+// frontiers (FinalPrune), the robust winner, and the exact-frontier and
+// coverage measurements of Table 1. The per-table-set α-approximate
+// pruning function of Trummer & Koch [22, 23], which the paper plugs
+// into the shared dynamic-programming scheme for its second experiment
+// series (§6), is dp.Pareto.
 //
 // The two metrics are the paper's: execution time (plan.Node.Cost) and
 // buffer space (plan.Node.Buffer). A plan p α-dominates q iff
-// p.time ≤ α·q.time and p.buffer ≤ α·q.buffer (and p's output order can
-// substitute for q's). With α = 1 the pruner retains the exact Pareto
-// frontier; α > 1 coarsens the frontier, trading precision for speed with
-// the formal guarantee that every discarded vector has an α-dominating
-// witness among the retained plans.
+// p.time ≤ α·q.time and p.buffer ≤ α·q.buffer. With α = 1 the merge
+// retains the exact Pareto frontier; α > 1 coarsens the frontier, trading
+// precision for speed with the formal guarantee that every discarded
+// vector has an α-dominating witness among the retained plans.
 package mo
 
 import (
 	"fmt"
 	"sort"
 
-	"mpq/internal/dp"
 	"mpq/internal/plan"
-	"mpq/internal/query"
 )
 
 // Vector is a plan's cost in the two objectives.
@@ -45,54 +45,6 @@ func (v Vector) AlphaDominates(w Vector, alpha float64) bool {
 // String renders the vector for logs.
 func (v Vector) String() string { return fmt.Sprintf("(time=%.4g, buffer=%.4g)", v.Time, v.Buffer) }
 
-// orderDominates mirrors dp's order-compatibility rule: a plan with order
-// qo can substitute for one with order po iff the orders match or po is
-// "no order".
-func orderDominates(qo, po int) bool {
-	return qo == po || po == query.NoOrder
-}
-
-// ParetoPruner retains an α-approximate Pareto frontier per table set and
-// implements dp.Pruner, turning the shared DP engine into the
-// multi-objective optimizer of [22].
-type ParetoPruner struct {
-	// Alpha ≥ 1 is the approximation factor; 1 keeps the exact frontier.
-	Alpha float64
-}
-
-var _ dp.Pruner = ParetoPruner{}
-
-// Admits implements dp.Pruner's cost-first admission check: the
-// candidate is discarded iff an incumbent α-dominates its scalars (and
-// the incumbent's order can substitute for the candidate's). It performs
-// no allocations — the DP calls it once per generated candidate.
-func (pp ParetoPruner) Admits(f *dp.Frontier, cand dp.Candidate) bool {
-	alpha := pp.Alpha
-	if alpha < 1 {
-		alpha = 1
-	}
-	cv := Vector{Time: cand.Cost, Buffer: cand.Buffer}
-	for i, n := 0, f.Len(); i < n; i++ {
-		q := f.At(i)
-		if VecOf(q).AlphaDominates(cv, alpha) && orderDominates(q.Order, cand.Order) {
-			return false
-		}
-	}
-	return true
-}
-
-// Insert implements dp.Pruner: p was admitted, so it joins the frontier
-// and evicts incumbents it exactly dominates. Most table sets keep 1–2
-// plans, which the frontier stores inline; only wider Pareto frontiers
-// spill to a slice.
-func (pp ParetoPruner) Insert(f *dp.Frontier, p *plan.Node) {
-	pv := VecOf(p)
-	f.Filter(func(q *plan.Node) bool {
-		return !(pv.Dominates(VecOf(q)) && orderDominates(p.Order, q.Order))
-	})
-	f.Append(p)
-}
-
 // Merge combines per-partition frontiers into one (the master's
 // FinalPrune for multi-objective optimization): every plan is offered to
 // a fresh pruner with the same α. Orders are ignored at the root — a
@@ -111,7 +63,7 @@ func Merge(frontiers [][]*plan.Node, alpha float64) []*plan.Node {
 	return out
 }
 
-// insertRootPlan is ParetoPruner.Insert without order compatibility.
+// insertRootPlan is dp.Pareto's rule without order compatibility.
 func insertRootPlan(plans []*plan.Node, p *plan.Node, alpha float64) []*plan.Node {
 	pv := VecOf(p)
 	for _, q := range plans {

@@ -13,7 +13,7 @@ import (
 
 // offerTo drives the two-phase dp.Pruner protocol the way the DP engine
 // does: admission on the scalars first, insert only for survivors.
-func offerTo(pp ParetoPruner, f *dp.Frontier, p *plan.Node) bool {
+func offerTo(pp dp.Pareto, f *dp.Frontier, p *plan.Node) bool {
 	if !pp.Admits(f, dp.Candidate{Cost: p.Cost, Buffer: p.Buffer, Order: p.Order}) {
 		return false
 	}
@@ -60,77 +60,6 @@ func TestAlphaDominance(t *testing.T) {
 func TestVectorString(t *testing.T) {
 	if got := (Vector{Time: 1, Buffer: 2}).String(); got != "(time=1, buffer=2)" {
 		t.Fatalf("String = %q", got)
-	}
-}
-
-func TestParetoPrunerKeepsIncomparable(t *testing.T) {
-	pp := ParetoPruner{Alpha: 1}
-	var f dp.Frontier
-	if kept := offerTo(pp, &f, vecPlan(10, 1, query.NoOrder)); !kept {
-		t.Fatal("first plan dropped")
-	}
-	if kept := offerTo(pp, &f, vecPlan(1, 10, query.NoOrder)); !kept || f.Len() != 2 {
-		t.Fatal("incomparable plan dropped")
-	}
-	// Dominated candidate dropped.
-	if kept := offerTo(pp, &f, vecPlan(11, 2, query.NoOrder)); kept || f.Len() != 2 {
-		t.Fatal("dominated plan kept")
-	}
-	// Dominating candidate evicts.
-	if kept := offerTo(pp, &f, vecPlan(0.5, 0.5, query.NoOrder)); !kept || f.Len() != 1 {
-		t.Fatalf("dominating plan should evict all: %d plans", f.Len())
-	}
-}
-
-func TestParetoPrunerAlphaCoarsens(t *testing.T) {
-	exactP := ParetoPruner{Alpha: 1}
-	coarseP := ParetoPruner{Alpha: 10}
-	var exact, coarse dp.Frontier
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 300; i++ {
-		p := vecPlan(rng.Float64()*1000+1, rng.Float64()*1000+1, query.NoOrder)
-		offerTo(exactP, &exact, p)
-		offerTo(coarseP, &coarse, p)
-	}
-	if coarse.Len() > exact.Len() {
-		t.Fatalf("alpha=10 retained %d > exact %d", coarse.Len(), exact.Len())
-	}
-	// Every exact-frontier plan must be alpha-covered by the coarse set.
-	for _, e := range exact.Slice() {
-		covered := false
-		for _, c := range coarse.Slice() {
-			if VecOf(c).AlphaDominates(VecOf(e), 10) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			t.Fatalf("plan %v not 10-covered", VecOf(e))
-		}
-	}
-}
-
-func TestParetoPrunerOrderCompatibility(t *testing.T) {
-	pp := ParetoPruner{Alpha: 1}
-	var f dp.Frontier
-	offerTo(pp, &f, vecPlan(5, 5, query.NoOrder))
-	// Same vector but with an order: not dominated (order may help later).
-	kept := offerTo(pp, &f, vecPlan(5, 5, 42))
-	if !kept || f.Len() != 1 {
-		// The ordered plan dominates the unordered one with equal cost:
-		// it evicts it and takes its place.
-		t.Fatalf("ordered plan insert: kept=%v len=%d", kept, f.Len())
-	}
-	if f.At(0).Order != 42 {
-		t.Fatal("ordered plan should have replaced unordered equal-cost plan")
-	}
-	// Unordered plan with equal cost is dominated by the ordered one.
-	if kept := offerTo(pp, &f, vecPlan(5, 5, query.NoOrder)); kept || f.Len() != 1 {
-		t.Fatal("unordered equal-cost plan should be pruned")
-	}
-	// A different order with equal cost is incomparable.
-	if kept := offerTo(pp, &f, vecPlan(5, 5, 43)); !kept || f.Len() != 2 {
-		t.Fatal("differently-ordered plan should be retained")
 	}
 }
 
@@ -210,7 +139,7 @@ func TestQuickPrunerFrontierInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 50; trial++ {
 		alpha := 1 + rng.Float64()*4
-		pp := ParetoPruner{Alpha: alpha}
+		pp := dp.Pareto{Alpha: alpha}
 		var f dp.Frontier
 		var inserted []*plan.Node
 		for i := 0; i < 200; i++ {
@@ -245,37 +174,4 @@ func TestVecOf(t *testing.T) {
 	if v.Time != p.Cost || v.Buffer != p.Buffer {
 		t.Fatal("VecOf mismatch")
 	}
-}
-
-// Admission must be allocation-free: the DP calls it once per generated
-// candidate, and the multi-objective frontier makes that loop cubic in
-// the plans per table set (§5.4).
-func TestParetoAdmitsAllocFree(t *testing.T) {
-	pp := ParetoPruner{Alpha: 2}
-	f := dp.FrontierOf(vecPlan(10, 1, query.NoOrder), vecPlan(1, 10, query.NoOrder))
-	cand := dp.Candidate{Cost: 50, Buffer: 50, Order: query.NoOrder}
-	var sink bool
-	if allocs := testing.AllocsPerRun(1000, func() { sink = pp.Admits(&f, cand) }); allocs != 0 {
-		t.Errorf("ParetoPruner.Admits allocates %.1f times per call", allocs)
-	}
-	_ = sink
-}
-
-// Insert through a frontier that stays within its two inline slots must
-// not allocate either — the per-table-set slice header the pre-frontier
-// code paid for every set is gone.
-func TestParetoInsertInlineAllocFree(t *testing.T) {
-	pp := ParetoPruner{Alpha: 1}
-	a := vecPlan(10, 1, query.NoOrder)
-	b := vecPlan(1, 10, query.NoOrder)
-	var f dp.Frontier
-	allocs := testing.AllocsPerRun(1000, func() {
-		f = dp.Frontier{}
-		pp.Insert(&f, a)
-		pp.Insert(&f, b)
-	})
-	if allocs != 0 {
-		t.Errorf("inline ParetoPruner.Insert allocates %.1f times per run", allocs)
-	}
-	_ = f
 }

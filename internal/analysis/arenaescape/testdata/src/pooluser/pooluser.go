@@ -3,8 +3,8 @@
 // them — no field stores, returns or channel sends without a
 // plan.CloneTree deep copy. It imports the repository's own plan
 // package, so the analyzer is proven on today's Arena, not a stub of
-// it: every node-returning Arena method (Scan, Join, JoinWithScalars,
-// Copy) has a flagged case below.
+// it: every node-returning Arena method (Scan, Join, JoinWithScalars)
+// has a flagged case below.
 package pooluser
 
 import (
@@ -53,17 +53,17 @@ func (s *solver) survivor(l, r *plan.Node) *plan.Node {
 	return s.arena.JoinWithScalars(l, r, s.spec, c, buf) // want "arena-allocated plan node is returned"
 }
 
-// retain copies a nursery candidate into the arena and keeps the copy
-// in a field: the copy is arena memory like any other node. Flagged.
-func (s *solver) retain(candidate *plan.Node) {
-	s.best = s.arena.Copy(candidate) // want "arena-allocated plan node is stored to a struct field"
+// retain builds a survivor from precomputed scalars and keeps it in a
+// field: flagged.
+func (s *solver) retain(l, r *plan.Node) {
+	s.best = s.arena.JoinWithScalars(l, r, s.spec, 1, 0) // want "arena-allocated plan node is stored to a struct field"
 }
 
 // cloneOut deep-copies before every escape: compliant.
 func (s *solver) cloneOut(out chan *plan.Node) *plan.Node {
 	n := s.arena.Join(s.m, s.arena.Scan(s.m, s.q, 1), s.arena.Scan(s.m, s.q, 2), s.spec)
 	s.best = plan.CloneTree(n)
-	out <- plan.CloneTree(s.arena.Copy(n))
+	out <- plan.CloneTree(s.arena.JoinWithScalars(n, n, s.spec, 1, 0))
 	return plan.CloneTree(n)
 }
 

@@ -162,13 +162,11 @@ func (s JobSpec) Validate(n int) error {
 	return nil
 }
 
-// Pruner builds the pruning function the spec asks for — the only thing
-// that differs between the optimization variants (§4). All three are
-// dp's pruners, whose rules the engine applies itself where it can:
-// SingleBest always, Pareto without interesting orders.
+// Pruner picks the pruning rule the spec asks for — the only thing that
+// differs between the optimization variants (§4) — from dp's three.
 func (s JobSpec) Pruner() dp.Pruner {
 	if s.Objective.HasFrontier() {
-		// Robust jobs reuse the Pareto pruner unchanged: with the Buffer
+		// Robust jobs reuse the Pareto rule unchanged: with the Buffer
 		// slot carrying worst-case band cost, dominance over (Cost,
 		// Buffer) is exactly "never better at either endpoint". Pareto
 		// reads an α below 1 (the zero value) as 1.
@@ -334,11 +332,7 @@ type Answer struct {
 // is the member minimizing worst-case band cost (mo.MinWorstCase).
 func FinalPrune(spec JobSpec, frontiers [][]*plan.Node) (best *plan.Node, frontier []*plan.Node, err error) {
 	if spec.Objective.HasFrontier() {
-		alpha := spec.Alpha
-		if alpha < 1 {
-			alpha = 1
-		}
-		frontier = mo.Merge(frontiers, alpha)
+		frontier = mo.Merge(frontiers, spec.Alpha)
 		if spec.Objective == RobustObjective {
 			best = mo.MinWorstCase(frontier)
 		} else {

@@ -16,25 +16,8 @@ func genQuery(n int, shape workload.Shape, seed int64) *query.Query {
 	return workload.MustGenerate(workload.NewParams(n, shape), seed)
 }
 
-// Admission is called once per generated candidate — the optimizer's
-// hottest path — and must never allocate.
-func TestAdmitsAllocFree(t *testing.T) {
-	q := genQuery(4, workload.Star, 0)
-	a := plan.Scan(cost.Default(), q, 0)
-	b := plan.Scan(cost.Default(), q, 1)
-	f := dp.FrontierOf(a, b)
-	cand := dp.Candidate{Cost: a.Cost * 2, Buffer: a.Buffer, Order: query.NoOrder}
-	var sink bool
-	for _, pr := range []dp.Pruner{dp.SingleBest{}, dp.OrderAware{}} {
-		if allocs := testing.AllocsPerRun(1000, func() { sink = pr.Admits(&f, cand) }); allocs != 0 {
-			t.Errorf("%T.Admits allocates %.1f times per call", pr, allocs)
-		}
-	}
-	_ = sink
-}
-
 // Computing a candidate's scalars must not allocate either: together
-// with Admits this makes the whole pruned-candidate path free.
+// with admission this makes the whole pruned-candidate path free.
 func TestJoinScalarsAllocFree(t *testing.T) {
 	q := genQuery(4, workload.Star, 0)
 	m := cost.Default()
@@ -47,11 +30,12 @@ func TestJoinScalarsAllocFree(t *testing.T) {
 	_, _ = c, b
 }
 
-// End-to-end allocation gate for the DP inner loop, on every pruner and
-// cost-model family the one combine/offer path serves: with the arena
-// on, treating a join result allocates nothing at all — not per pruned
-// candidate, not per survivor (nursery and arena slabs), not for the memo
-// entry (stored by value) or a spilled frontier (spill slabs).
+// End-to-end allocation gate for the DP inner loop, on every rule and
+// cost-model family: with a warm runtime, treating a join result
+// allocates nothing at all — not per pruned candidate, not per kept
+// record (the runtime's records slice), not per survivor (arena slabs),
+// not for the memo entry (stored by value) or a spilled frontier (spill
+// slabs).
 func TestProcessSetPrunedCandidatesAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string

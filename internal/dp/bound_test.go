@@ -3,6 +3,7 @@ package dp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"mpq/internal/bitset"
@@ -13,29 +14,150 @@ import (
 	"mpq/internal/workload"
 )
 
-// plainSingleBest is SingleBest's rule as an ordinary frontier pruner:
-// the engine does not recognize the type, so every candidate of every
-// operand pair goes through Admits and every admitted one is built in
-// the nursery — no whole-pair skip and no pending record. It carries the
-// costOnly marker, so survivors alone get the second metric.
-type plainSingleBest struct{}
-
-func (plainSingleBest) Admits(f *Frontier, c Candidate) bool { return SingleBest{}.Admits(f, c) }
-func (plainSingleBest) Insert(f *Frontier, p *plan.Node)     { SingleBest{}.Insert(f, p) }
-func (plainSingleBest) costOnly()                            {}
-
-// plainPareto is Pareto behind another type: the engine does not
-// recognize it, so every candidate gets its second metric from
-// secondMetric and goes through Admits and Insert via the interface.
-type plainPareto struct{ Pareto }
-
-// plainTwin returns the pruner that applies pr's rule through the
-// interface only.
-func plainTwin(pr Pruner) Pruner {
-	if p, ok := pr.(Pareto); ok {
-		return plainPareto{p}
+// refAdmits and refInsert are the three rules' admission test and
+// insert over a plain slice of built plans: the reference the engine's
+// records are checked against, so they share none of its code.
+func refAdmits(pr Pruner, f []*plan.Node, c, buf float64, order int) bool {
+	switch p := pr.(type) {
+	case SingleBest:
+		return len(f) == 0 || c < f[0].Cost
+	case OrderAware:
+		for _, q := range f {
+			if q.Cost <= c && refOrderDominates(q.Order, order) {
+				return false
+			}
+		}
+	case Pareto:
+		a := p.Alpha
+		if a < 1 {
+			a = 1
+		}
+		for _, q := range f {
+			if q.Cost <= a*c && q.Buffer <= a*buf && refOrderDominates(q.Order, order) {
+				return false
+			}
+		}
 	}
-	return plainSingleBest{}
+	return true
+}
+
+func refInsert(pr Pruner, f []*plan.Node, p *plan.Node) []*plan.Node {
+	if _, single := pr.(SingleBest); single && len(f) > 0 {
+		f[0] = p
+		return f
+	}
+	_, pareto := pr.(Pareto)
+	kept := f[:0]
+	for _, q := range f {
+		if !(p.Cost <= q.Cost && (!pareto || p.Buffer <= q.Buffer) && refOrderDominates(p.Order, q.Order)) {
+			kept = append(kept, q)
+		}
+	}
+	return append(kept, p)
+}
+
+func refOrderDominates(qo, po int) bool { return qo == po || po == query.NoOrder }
+
+// refSet is a table set of the reference DP: its plans and its
+// cardinality at both ends of the robust band.
+type refSet struct {
+	plans    []*plan.Node
+	card, hi float64
+}
+
+// referenceDP is the dynamic program without the engine: the same
+// enumeration and split order, every candidate's scalars from
+// plan.JoinScalars(Robust), every candidate offered to refAdmits and an
+// admitted one built at once and handed to refInsert — no whole-pair
+// skip and no records. It returns every table set's plans and the work
+// counters.
+func referenceDP(q *query.Query, cs *partition.ConstraintSet, model cost.Model, orders bool, pr Pruner) (map[bitset.Set][]*plan.Node, plan.Stats) {
+	var st plan.Stats
+	memo := map[bitset.Set]*refSet{}
+	for t := 0; t < q.N(); t++ {
+		sp := plan.Scan(model, q, t)
+		memo[bitset.Single(t)] = &refSet{plans: []*plan.Node{sp}, card: sp.Card, hi: sp.Card}
+		st.PlansKept++
+		st.MemoEntries++
+	}
+	robust := model.Second == cost.RobustCost
+	var s *refSet
+	var preds []int
+	var specs []plan.JoinSpec
+	split := func(left, right bitset.Set) {
+		l, r := memo[left], memo[right]
+		if l == nil || r == nil {
+			return
+		}
+		st.SplitsTried++
+		if s.card < 0 {
+			s.card = l.card * r.card * q.SelBetween(left, right)
+			s.hi = s.card
+			if robust {
+				s.hi = l.hi * r.hi * q.SelBetweenInflated(left, right, model.RobustBand)
+			}
+		}
+		preds = q.ConnectingPreds(preds[:0], left, right)
+		for _, lp := range l.plans {
+			for _, rp := range r.plans {
+				specs = append(specs[:0],
+					plan.JoinSpec{Alg: cost.NestedLoop, Pred: plan.NoPred, Order: lp.Order},
+					plan.JoinSpec{Alg: cost.Hash, Pred: plan.NoPred, Order: query.NoOrder})
+				if orders {
+					for _, pi := range preds {
+						la, ra := plan.MergeAttrs(q.Preds[pi], left)
+						specs = append(specs, plan.JoinSpec{Alg: cost.SortMerge, Pred: pi, Order: plan.CanonicalMergeOrder(q.Preds[pi]),
+							LSorted: lp.Order == la, RSorted: rp.Order == ra})
+					}
+				} else if len(preds) > 0 {
+					specs = append(specs, plan.JoinSpec{Alg: cost.SortMerge, Pred: plan.NoPred, Order: query.NoOrder})
+				}
+				for _, spec := range specs {
+					spec.OutCard = s.card
+					c, buf := plan.JoinScalars(model, lp, rp, spec)
+					if robust {
+						c, buf = plan.JoinScalarsRobust(model, lp, rp, spec, l.hi, r.hi)
+					}
+					if !refAdmits(pr, s.plans, c, buf, spec.Order) {
+						st.PlansPruned++
+						continue
+					}
+					s.plans = refInsert(pr, s.plans, plan.JoinWithScalars(lp, rp, spec, c, buf))
+					st.PlansKept++
+				}
+			}
+		}
+	}
+	var splitter *partition.Splitter
+	if cs.Space == partition.Bushy {
+		splitter = cs.NewSplitter()
+	}
+	enum := cs.NewEnumerator()
+	for k := 2; k <= q.N(); k++ {
+		enum.ForEachAdmissible(k, func(u bitset.Set) bool {
+			st.SetsProcessed++
+			s = &refSet{card: -1}
+			if cs.Space == partition.Linear {
+				for rem := u; rem != 0; rem &= rem - 1 {
+					if cs.InnerAllowed(u, bits.TrailingZeros64(uint64(rem))) {
+						split(u&^(rem&-rem), rem&-rem)
+					}
+				}
+			} else {
+				splitter.ForEachLeft(u, func(left bitset.Set) { split(left, u.Minus(left)) })
+			}
+			if len(s.plans) > 0 {
+				memo[u] = s
+				st.MemoEntries++
+			}
+			return true
+		})
+	}
+	out := map[bitset.Set][]*plan.Node{}
+	for u, s := range memo {
+		out[u] = s.plans
+	}
+	return out, st
 }
 
 // boundAlphas are the approximation factors the Pareto rule is checked
@@ -48,10 +170,10 @@ var boundAlphas = []float64{1, 1.5, 2, 10, math.Inf(1)}
 // first admitted plan every pair is skipped on +Inf ≥ +Inf; "nlinf" on
 // huge cardinalities makes the nested loop Inf/Inf = NaN wherever an
 // operand product overflows, so minOp is NaN and pairs take the
-// ordinary path. A NaN plan is never dominated, so under Pareto its
-// frontiers grow exponentially: paretoMax caps the tables there. The
-// parametric and robust models sum the second metric instead of taking
-// its maximum.
+// ordinary path. A NaN plan is never dominated, so under OrderAware and
+// Pareto its frontiers grow exponentially: paretoMax caps the tables
+// there. The parametric and robust models sum the second metric instead
+// of taking its maximum.
 var boundCases = []struct {
 	name      string
 	model     cost.Model
@@ -68,11 +190,11 @@ var boundCases = []struct {
 	{"robust-huge", cost.Robust(4), true, 0},
 }
 
-// tooWide reports whether pr is a Pareto pruner and boundCases[c] caps
-// its runs below n tables.
+// tooWide reports whether pr keeps frontiers — OrderAware or Pareto —
+// and boundCases[c] caps their runs below n tables.
 func tooWide(c int, pr Pruner, n int) bool {
-	_, pareto := pr.(Pareto)
-	return pareto && boundCases[c].paretoMax > 0 && n > boundCases[c].paretoMax
+	_, single := pr.(SingleBest)
+	return !single && boundCases[c].paretoMax > 0 && n > boundCases[c].paretoMax
 }
 
 func boundQuery(n int, shape workload.Shape, seed int64, huge bool) *query.Query {
@@ -111,21 +233,19 @@ func plansOf(eng *Engine, u bitset.Set) []*plan.Node {
 	return ps
 }
 
-// checkPairBound runs one partition with pr — SingleBest or a Pareto —
-// and with its plain twin and fails unless every memo entry — each scan
-// and each admissible set, whether or not it wins at the root — holds
-// the same plans, and the results and work counters agree.
+// checkPairBound runs one partition with rule pr on the engine and on
+// referenceDP and fails unless every memo entry — each scan and each
+// admissible set, whether or not it wins at the root — holds the same
+// plans, in the same order, and the work counters agree.
 func checkPairBound(t testing.TB, q *query.Query, space partition.Space, m, part int, model cost.Model, orders bool, pr Pruner) {
 	t.Helper()
 	cs, err := partition.ForPartition(space, q.N(), part, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var engs [2]*Engine
-	for i, p := range []Pruner{pr, plainTwin(pr)} {
-		if engs[i], err = NewEngine(q, cs, Options{Model: model, InterestingOrders: orders, Pruner: p}); err != nil {
-			t.Fatal(err)
-		}
+	eng, err := NewEngine(q, cs, Options{Model: model, InterestingOrders: orders, Pruner: pr})
+	if err != nil {
+		t.Fatal(err)
 	}
 	where := fmt.Sprintf("%v n=%d partition %d/%d orders=%v %#v", space, q.N(), part, m, orders, pr)
 	sets := []bitset.Set{}
@@ -135,56 +255,34 @@ func checkPairBound(t testing.TB, q *query.Query, space partition.Space, m, part
 	enum := cs.NewEnumerator()
 	for k := 2; k <= q.N(); k++ {
 		enum.ForEachAdmissible(k, func(u bitset.Set) bool {
-			engs[0].ProcessSet(u)
-			engs[1].ProcessSet(u)
+			eng.ProcessSet(u)
 			sets = append(sets, u)
 			return true
 		})
 	}
-	// Scans come first and sets in the DP's order, so a plan's operands
-	// were matched before it: it is the same tree as its counterpart iff
-	// the two nodes agree and their operands are matched plans. This is
-	// sameTree on every memo entry in one pass over the memo.
-	match := map[*plan.Node]*plan.Node{}
+	ref, refStats := referenceDP(q, cs, model, orders, pr)
 	for _, u := range sets {
-		g, w := plansOf(engs[0], u), plansOf(engs[1], u)
-		if len(g) != len(w) {
-			t.Fatalf("%s: set %v: %d plans engine-applied, %d without", where, u, len(g), len(w))
+		got, want := plansOf(eng, u), ref[u]
+		if len(got) != len(want) {
+			t.Fatalf("%s: set %v: %d plans, reference %d", where, u, len(got), len(want))
 		}
-		for i := range g {
-			if !sameNode(g[i], w[i]) || match[g[i].Left] != w[i].Left || match[g[i].Right] != w[i].Right {
-				t.Fatalf("%s: set %v plan %d engine-applied\n%s\nwithout\n%s", where, u, i, g[i].Format(), w[i].Format())
+		for i := range got {
+			if !sameTree(got[i], want[i]) {
+				t.Fatalf("%s: set %v plan %d\n%s\nreference\n%s", where, u, i, got[i].Format(), want[i].Format())
 			}
-			match[g[i]] = w[i]
 		}
 	}
-	got, err := engs[0].Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := engs[1].Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats != want.Stats {
-		t.Fatalf("%s: stats engine-applied %+v, without %+v", where, got.Stats, want.Stats)
-	}
-	if len(got.Plans) != len(want.Plans) {
-		t.Fatalf("%s: %d plans engine-applied, %d without", where, len(got.Plans), len(want.Plans))
-	}
-	for i := range got.Plans {
-		if !sameTree(got.Plans[i], want.Plans[i]) {
-			t.Fatalf("%s: plan %d engine-applied\n%s\nwithout\n%s", where, i, got.Plans[i].Format(), want.Plans[i].Format())
-		}
+	if got := eng.Stats(); got != refStats {
+		t.Fatalf("%s: stats %+v, reference %+v", where, got, refStats)
 	}
 }
 
-// The rules the engine applies itself change no memo entry: SingleBest's
-// pending record and Pareto's inline rule, each with its whole-pair
-// skip, on every shape, both spaces, every partition of m ∈ {1, 2, 4, 8},
-// the buffer, parametric and robust second metrics, and cost models whose
-// candidates are +Inf or NaN. With interesting orders the engine must
-// not skip at all.
+// Every rule, with and without interesting orders, fills every memo
+// entry as the reference DP does: SingleBest's record and whole-pair
+// skip, OrderAware's records, Pareto's records with and without orders
+// and its whole-pair skip, on every shape, both spaces, every partition
+// of m ∈ {1, 2, 4, 8}, the buffer, parametric and robust second
+// metrics, and cost models whose candidates are +Inf or NaN.
 func TestPairBoundEqualsPlainAdmits(t *testing.T) {
 	ns := []int{4, 7, 10}
 	if testing.Short() {
@@ -194,19 +292,22 @@ func TestPairBoundEqualsPlainAdmits(t *testing.T) {
 		for si, shape := range workload.Shapes {
 			for _, n := range ns {
 				q := boundQuery(n, shape, int64(10*si+n), c.huge)
-				// Each α meets every model, shape and size, if not all at once.
-				pruners := []Pruner{SingleBest{}, Pareto{Alpha: boundAlphas[(ci+si+n)%len(boundAlphas)]}}
+				// Each α meets every model, shape and size, if not all at once;
+				// the largest queries take one rule each, in turn.
+				rules := []Pruner{SingleBest{}, OrderAware{}, Pareto{Alpha: boundAlphas[(ci+si+n)%len(boundAlphas)]}}
+				if n == ns[len(ns)-1] {
+					rules = rules[(ci+si)%3 : (ci+si)%3+1]
+				}
 				for _, space := range []partition.Space{partition.Linear, partition.Bushy} {
 					for m := 1; m <= min(8, partition.MaxWorkers(space, n)); m *= 2 {
 						for part := 0; part < m; part++ {
-							for _, pr := range pruners {
+							for _, pr := range rules {
 								if tooWide(ci, pr, n) {
 									continue
 								}
 								checkPairBound(t, q, space, m, part, c.model, false, pr)
-								// Pareto frontiers with orders grow fast, and
-								// both engines take the interface path there.
-								if _, pareto := pr.(Pareto); !pareto || n < 10 {
+								// Frontiers with orders grow fast.
+								if _, single := pr.(SingleBest); single || n < 10 {
 									checkPairBound(t, q, space, m, part, c.model, true, pr)
 								}
 							}
@@ -220,8 +321,8 @@ func TestPairBoundEqualsPlainAdmits(t *testing.T) {
 
 // FuzzPairBound is TestPairBoundEqualsPlainAdmits on any query: a wrong
 // skip or a wrongly built survivor is silent plan corruption, so CI
-// gives it real mutation time. rule picks SingleBest (0) or a Pareto
-// factor from boundAlphas.
+// gives it real mutation time. rule picks SingleBest (0), OrderAware (1)
+// or a Pareto factor from boundAlphas.
 func FuzzPairBound(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(0), uint8(0), uint8(3), uint8(5), uint8(0), false, uint8(0))
 	f.Add(int64(7), uint8(8), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), false, uint8(0))
@@ -229,6 +330,8 @@ func FuzzPairBound(f *testing.F) {
 	f.Add(int64(9), uint8(5), uint8(3), uint8(0), uint8(2), uint8(3), uint8(1), true, uint8(0))
 	f.Add(int64(2), uint8(7), uint8(2), uint8(0), uint8(2), uint8(1), uint8(6), false, uint8(3))
 	f.Add(int64(5), uint8(6), uint8(0), uint8(1), uint8(1), uint8(0), uint8(4), false, uint8(5))
+	f.Add(int64(4), uint8(7), uint8(2), uint8(0), uint8(2), uint8(1), uint8(2), true, uint8(1))
+	f.Add(int64(6), uint8(6), uint8(1), uint8(1), uint8(1), uint8(0), uint8(6), true, uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, n, shape, space, logM, part, kind uint8, orders bool, rule uint8) {
 		sp := partition.Space(space % 2)
 		tables := 2 + int(n)%9
@@ -236,77 +339,76 @@ func FuzzPairBound(f *testing.F) {
 		ci := int(kind) % len(boundCases)
 		c := boundCases[ci]
 		var pr Pruner = SingleBest{}
-		if r := int(rule) % (1 + len(boundAlphas)); r > 0 {
-			pr = Pareto{Alpha: boundAlphas[r-1]}
+		if r := int(rule) % (2 + len(boundAlphas)); r == 1 {
+			pr = OrderAware{}
+		} else if r > 1 {
+			pr = Pareto{Alpha: boundAlphas[r-2]}
 		}
 		if tooWide(ci, pr, tables) {
-			t.Skip("NaN Pareto frontiers grow exponentially")
+			t.Skip("NaN frontiers grow exponentially")
 		}
 		q := boundQuery(tables, workload.Shapes[int(shape)%len(workload.Shapes)], seed, c.huge)
 		checkPairBound(t, q, sp, m, int(part)%m, c.model, orders, pr)
 	})
 }
 
-// SingleBest's Admits is the rule the engine applies to its pending
-// record, and the whole-pair skip's premise: against a retained plan of
-// cost kept, a candidate is admitted iff c < kept — so one costing kept
-// or more is rejected whatever its order and buffer — and an empty
-// frontier admits every candidate, NaN included.
+// SingleBest's rule, as offer applies it to pend, is the whole-pair
+// skip's premise: against a record of cost kept, a candidate is
+// admitted iff c < kept — so one costing kept or more is rejected
+// whatever its order — and an empty record admits every candidate, NaN
+// included.
 func TestSingleBestBoundImpliesReject(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	costs := []float64{0, 1, 5, 5 + 1e-15, 1e300, inf, nan}
-	var empty Frontier
+	lp, rp := &plan.Node{}, &plan.Node{}
+	admitted := func(w *worker, c float64, order int) bool {
+		kept := w.stats.PlansKept
+		w.offer(lp, rp, cost.Hash, plan.NoPred, order, false, false, c)
+		return w.stats.PlansKept > kept && math.Float64bits(w.pend.cost) == math.Float64bits(c)
+	}
 	for _, c := range costs {
-		if !(SingleBest{}).Admits(&empty, Candidate{Cost: c, Order: query.NoOrder}) {
-			t.Fatalf("empty frontier rejected a candidate of cost %g", c)
+		if !admitted(&worker{single: true}, c, query.NoOrder) {
+			t.Fatalf("empty record rejected a candidate of cost %g", c)
 		}
 	}
 	for _, kept := range costs {
-		f := FrontierOf(&plan.Node{Cost: kept, Order: query.NoOrder})
 		for _, c := range costs {
 			for _, order := range []int{query.NoOrder, 0, 3} {
-				for _, buf := range []float64{0, 1e9, inf, nan} {
-					cand := Candidate{Cost: c, Buffer: buf, Order: order}
-					if got := (SingleBest{}).Admits(&f, cand); got != (c < f.At(0).Cost) {
-						t.Fatalf("retained cost %g, candidate %+v: Admits = %v, want c < retained", kept, cand, got)
-					}
+				w := &worker{single: true, pend: record{lp: lp, rp: rp, cost: kept}}
+				if got := admitted(w, c, order); got != (c < kept) {
+					t.Fatalf("record cost %g, candidate cost %g order %d: admitted = %v, want c < kept", kept, c, order, got)
 				}
 			}
 		}
 	}
 }
 
-// Pareto's whole-pair skip rests on monotone admission: if a frontier
-// rejects the bound b, it rejects every candidate c ≥ b componentwise —
-// whatever the retained plans, including NaN, ±0, +Inf and α = +Inf
-// against zero costs, where Inf·0 = NaN must make the bound pass.
+// Pareto's whole-pair skip rests on monotone domination: if the records
+// dominate the bound b, they dominate every candidate c ≥ b
+// componentwise — whatever the records, including NaN, ±0, +Inf and
+// α = +Inf against zero costs, where Inf·0 = NaN must make the bound pass.
 func TestParetoBoundImpliesReject(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	vals := []float64{0, math.Copysign(0, -1), 1, 5, 5 + 1e-15, 1e300, inf, nan}
-	var frontiers []Frontier
+	var sets [][]record
 	for _, c := range vals {
 		for _, b := range vals {
-			frontiers = append(frontiers, FrontierOf(vecPlan(c, b, query.NoOrder)))
+			sets = append(sets, []record{vecRecord(c, b, query.NoOrder)})
 		}
 	}
-	frontiers = append(frontiers, FrontierOf(vecPlan(10, 1, query.NoOrder), vecPlan(1, 10, query.NoOrder), vecPlan(3, 3, query.NoOrder)))
+	sets = append(sets, []record{vecRecord(10, 1, query.NoOrder), vecRecord(1, 10, query.NoOrder), vecRecord(3, 3, query.NoOrder)})
 	for _, alpha := range append([]float64{0, 0.5, nan}, boundAlphas...) {
-		pr := Pareto{Alpha: alpha}
-		for fi := range frontiers {
-			f := &frontiers[fi]
+		for _, recs := range sets {
+			w := &worker{alpha: Pareto{Alpha: alpha}.alpha(), recs: &recs}
 			for _, bc := range vals {
 				for _, bb := range vals {
-					bound := Candidate{Cost: bc, Buffer: bb, Order: query.NoOrder}
-					if pr.Admits(f, bound) {
+					if !w.dominated(bc, bb) {
 						continue
 					}
 					for _, cc := range vals {
 						for _, cb := range vals {
-							if !(cc >= bc && cb >= bb) {
-								continue
-							}
-							if c := (Candidate{Cost: cc, Buffer: cb, Order: query.NoOrder}); pr.Admits(f, c) {
-								t.Fatalf("α=%g frontier %v: bound %+v rejected, candidate %+v admitted", alpha, f.Slice(), bound, c)
+							if cc >= bc && cb >= bb && !w.dominated(cc, cb) {
+								t.Fatalf("α=%g records %+v: bound (%g, %g) dominated, candidate (%g, %g) not", alpha, recs, bc, bb, cc, cb)
 							}
 						}
 					}

@@ -3,32 +3,26 @@
 // results in ascending cardinality, trying all admissible operand splits
 // and pruning dominated plans.
 //
-// The engine is parameterized by a Pruner, mirroring the paper's
-// observation (§4) that single-objective, multi-objective and parametric
-// query optimization share the same dynamic-programming scheme and differ
-// only in the pruning function. Running the engine on the unconstrained
-// partition with one worker reproduces the classical serial algorithm
-// ([17] for left-deep, [25] for bushy spaces).
+// Single-objective, order-aware and multi-objective optimization share
+// this dynamic program and differ only in the pruning function (§4):
+// Options.Pruner picks one of three rules — SingleBest, OrderAware or
+// Pareto. Running the engine on the unconstrained partition with one
+// worker reproduces the classical serial algorithm ([17] for left-deep,
+// [25] for bushy spaces).
 //
-// # Cost-first candidate evaluation
+// # Closed rules over records
 //
-// Pruning is a two-phase, cost-first protocol. For every candidate join
-// the engine first computes only the scalars pruning reads — cost, output
-// order and, for pruners that read it, the second metric — and asks the
-// Pruner's Admits whether a plan with those scalars would survive against
-// the plans already retained for the table set. Only admitted candidates
-// are materialized as plan.Node values and handed to Insert. The split
-// between Admits and Insert must agree — Admits answers exactly "would
-// Insert keep this plan?" — which the engine relies on for its
-// kept/pruned accounting.
-//
-// The engine applies two rules itself instead of calling them through
-// the interface. SingleBest, whose frontier is one plan: the engine
-// keeps the set's survivor as a pending record of its join arguments and
-// builds its plan.Node once, when the set is complete (docs/perf.md,
-// "One survivor, built once"). Pareto without interesting orders: the
-// engine forms the second metrics once per split and tests dominance
-// inline (docs/perf.md, "The Pareto rule in the engine").
+// The set of rules is closed, and the engine applies each one itself.
+// For every candidate join it first computes only the scalars its rule
+// reads — cost and output order, plus the second metric under Pareto —
+// and compares them with the candidates already admitted for the table
+// set. An admitted candidate is kept as a record of its join arguments,
+// not as a plan: SingleBest keeps one record, replaced by every new
+// strict minimum; OrderAware and Pareto keep a list in frontier order,
+// from which an admitted candidate first evicts the records it
+// dominates. When the set is complete each surviving record is built
+// once, straight into the memo's arena (docs/perf.md, "One survivor,
+// built once" and "One construction path").
 //
 // Most candidates are pruned, so a candidate must cost a handful of flops.
 // Everything a join's scalars read from an operand that depends on the
@@ -40,11 +34,12 @@
 // order, so every scalar is bit-identical to the reference formula that
 // Validate recomputes. See docs/perf.md, "Per-set operand facts".
 //
-// Both also bound without interesting orders: an operand pair whose
-// cheapest candidate is not below SingleBest's pending survivor, or whose
-// componentwise lower bound a retained plan α-dominates, is counted as
-// pruned unoffered (docs/perf.md, "Whole-pair pruning" and "The Pareto
-// rule in the engine").
+// Without interesting orders SingleBest and Pareto also bound whole
+// operand pairs: a pair whose cheapest candidate is not below
+// SingleBest's record, or whose componentwise lower bound a retained
+// Pareto record α-dominates, is counted as pruned unoffered
+// (docs/perf.md, "Whole-pair pruning" and "The Pareto rule in the
+// engine").
 //
 // The admissible join results themselves are streamed per cardinality
 // from partition.Enumerator instead of being materialized up front,
@@ -54,10 +49,9 @@
 // # Memory locality
 //
 // The survivor side is allocation-free too: retained plans are
-// materialized into a per-run plan.Arena (contiguous slabs) — once per
-// set under SingleBest; frontier pruners build admitted candidates in a
-// nursery arena and copy the set's final frontier — and each memo
-// entry's 1–2-plan frontier lives inline in the entry (Frontier).
+// materialized into a per-run plan.Arena (contiguous slabs), once per
+// survivor, and each memo entry's 1–2-plan frontier lives inline in the
+// entry.
 //
 // The memo is an array of exactly partition.CountAdmissible entries —
 // the paper's per-worker space bound (¾ resp. ⅞ of the memory per
@@ -66,9 +60,9 @@
 // probing, and as the rank rises along the enumeration the dynamic
 // program writes the array front to back while the operands it reads
 // walk forward. Singletons, some of which have no rank in a linear
-// partition, live in a per-table scan slice. A Runtime bundles arenas
-// and memo so a worker optimizing a batch of queries recycles them —
-// the steady state performs (almost) no heap allocation. See
+// partition, live in a per-table scan slice. A Runtime bundles arena,
+// memo and records so a worker optimizing a batch of queries recycles
+// them — the steady state performs (almost) no heap allocation. See
 // docs/perf.md for the design and the measured trajectory.
 package dp
 
@@ -87,72 +81,34 @@ import (
 	"mpq/internal/query"
 )
 
-// Candidate is the scalar summary of a prospective join plan: exactly the
-// annotations pruning decisions depend on, computed by the engine —
-// bit-identical to plan.JoinScalars — without building the plan.Node.
-type Candidate struct {
-	// Cost is the cumulative time-metric cost the plan would have.
-	Cost float64
-	// Buffer is the cumulative second-metric value (buffer footprint, the
-	// θ=1 cost under a parametric model, the worst-case cost under a
-	// robust one). OrderAware never reads it and is handed zero.
-	Buffer float64
-	// Order is the output sort order (query.AttrID or query.NoOrder).
-	Order int
-}
+// Pruner is the pruning rule: SingleBest, OrderAware or Pareto. The set
+// is closed — the unexported method keeps other types out — because the
+// engine applies each rule itself; NewEngine resolves it once.
+type Pruner interface{ rule() rule }
 
-// Pruner decides which plans to retain per table set, in two phases.
-//
-// Admits is the cost-first admission check: it reports whether a plan
-// with cand's scalars would survive against the already-retained
-// frontier. It is called once per generated candidate — the optimizer's
-// hottest path — and must not allocate or mutate the frontier.
-//
-// Insert adds p, a materialized plan for which Admits just returned
-// true against the same frontier, to the retained set, evicting any
-// retained plans p dominates (Frontier.Filter + Frontier.Append is the
-// canonical shape). The engine only calls Insert after a successful
-// Admits, so implementations may assume p survives. Implementations
-// must keep the invariant that no retained plan dominates another (for
-// their notion of dominance). The engine applies SingleBest's rule, and
-// Pareto's without interesting orders, itself, without calling them.
-type Pruner interface {
-	Admits(f *Frontier, cand Candidate) bool
-	Insert(f *Frontier, p *plan.Node)
-}
+// rule names a Pruner to the engine.
+type rule uint8
 
-// costOnlyPruner marks the frontier pruners whose decisions never read
-// Candidate.Buffer. NewEngine checks for it once: such a pruner is handed
-// candidates with Buffer left zero and the second metric is computed for
-// survivors only; any other pruner gets both metrics on every candidate.
-type costOnlyPruner interface{ costOnly() }
+const (
+	ruleSingleBest rule = iota
+	ruleOrderAware
+	rulePareto
+)
 
-func (OrderAware) costOnly() {}
+func (SingleBest) rule() rule { return ruleSingleBest }
+func (OrderAware) rule() rule { return ruleOrderAware }
+func (Pareto) rule() rule     { return rulePareto }
 
-// SingleBest retains exactly one plan: the cheapest by the time metric.
-// This is the classical pruning function of [17] without interesting
-// orders. The engine applies its rule to a pending record instead of
-// calling it; a type wrapping these methods gets the same plans.
+// SingleBest retains exactly one plan: the cheapest by the time metric,
+// the first of equally cheap ones. This is the classical pruning
+// function of [17] without interesting orders.
 type SingleBest struct{}
-
-// Admits implements Pruner: only a new strict minimum survives.
-func (SingleBest) Admits(f *Frontier, cand Candidate) bool {
-	return f.Len() == 0 || cand.Cost < f.At(0).Cost
-}
-
-// Insert implements Pruner.
-func (SingleBest) Insert(f *Frontier, p *plan.Node) {
-	if f.Len() == 0 {
-		f.Append(p)
-		return
-	}
-	f.Set(0, p)
-}
 
 // OrderAware retains the cheapest plan per distinct output order: a plan
 // is dominated iff another plan is at most as expensive and produces the
 // same tuples in the same (or a strictly more useful) order — the
-// comparison the paper's Prune function performs [17].
+// comparison the paper's Prune function performs [17]. An admitted plan
+// evicts the retained plans it dominates.
 type OrderAware struct{}
 
 // orderDominates reports whether a plan with order qo can substitute for
@@ -163,40 +119,19 @@ func orderDominates(qo, po int) bool {
 	return qo == po || po == query.NoOrder
 }
 
-// Admits implements Pruner: the candidate is dominated iff a retained
-// plan is at most as expensive and its order can substitute.
-func (OrderAware) Admits(f *Frontier, cand Candidate) bool {
-	for i, n := 0, f.Len(); i < n; i++ {
-		q := f.At(i)
-		if q.Cost <= cand.Cost && orderDominates(q.Order, cand.Order) {
-			return false
-		}
-	}
-	return true
-}
-
-// Insert implements Pruner: p survives; evict plans it dominates.
-func (OrderAware) Insert(f *Frontier, p *plan.Node) {
-	f.Filter(func(q *plan.Node) bool {
-		return !(p.Cost <= q.Cost && orderDominates(p.Order, q.Order))
-	})
-	f.Append(p)
-}
-
 // Pareto retains an α-approximate Pareto frontier over (Cost, Buffer)
 // per table set: the multi-objective pruning function of Trummer & Koch
 // [22, 23]. A plan q α-dominates a candidate c iff q.Cost ≤ α·c.Cost,
 // q.Buffer ≤ α·c.Buffer and q's order can substitute for c's. α = 1
 // keeps the exact frontier; α > 1 coarsens it, and every discarded plan
-// has an α-dominating witness among the retained ones. Without
-// interesting orders the engine applies this rule itself (docs/perf.md
-// §11); a type wrapping these methods gets the same plans.
+// has an α-dominating witness among the retained ones. An admitted plan
+// evicts the retained plans it dominates exactly (α = 1).
 type Pareto struct {
 	// Alpha ≥ 1 is the approximation factor; below 1 means 1.
 	Alpha float64
 }
 
-// alpha is the clamped factor both paths apply.
+// alpha is the clamped factor the engine applies.
 func (p Pareto) alpha() float64 {
 	if p.Alpha < 1 {
 		return 1
@@ -204,33 +139,11 @@ func (p Pareto) alpha() float64 {
 	return p.Alpha
 }
 
-// Admits implements Pruner: the candidate is discarded iff a retained
-// plan α-dominates it. It performs no allocations.
-func (p Pareto) Admits(f *Frontier, cand Candidate) bool {
-	a := p.alpha()
-	for i, n := 0, f.Len(); i < n; i++ {
-		q := f.At(i)
-		if q.Cost <= a*cand.Cost && q.Buffer <= a*cand.Buffer && orderDominates(q.Order, cand.Order) {
-			return false
-		}
-	}
-	return true
-}
-
-// Insert implements Pruner: p joins the frontier and evicts the retained
-// plans it dominates exactly (α = 1).
-func (Pareto) Insert(f *Frontier, p *plan.Node) {
-	f.Filter(func(q *plan.Node) bool {
-		return !(p.Cost <= q.Cost && p.Buffer <= q.Buffer && orderDominates(p.Order, q.Order))
-	})
-	f.Append(p)
-}
-
 // Options configures one dynamic-programming run.
 type Options struct {
 	// Model is the cost model; zero value is replaced by cost.Default().
 	Model cost.Model
-	// Pruner defaults to SingleBest.
+	// Pruner is the pruning rule; nil means SingleBest.
 	Pruner Pruner
 	// InterestingOrders enables sort-order tracking: sort-merge joins
 	// produce ordered output and pre-sorted inputs skip sort passes.
@@ -266,8 +179,8 @@ func (o Options) withDefaults() Options {
 type Result struct {
 	// Plans holds the retained plans for the full query: exactly one for
 	// SingleBest, one per useful order for OrderAware, a Pareto frontier
-	// for multi-objective pruners. Empty only if the partition admits no
-	// complete plan (cannot happen for valid partitions).
+	// for Pareto. Empty only if the partition admits no complete plan
+	// (cannot happen for valid partitions).
 	Plans []*plan.Node
 	// Stats is the work and memory accounting for this run.
 	Stats plan.Stats
@@ -307,7 +220,7 @@ type entry struct {
 	// nbr is query.Neighbors of the set: a predicate connects this set
 	// to a disjoint set r iff nbr meets r.
 	nbr bitset.Set
-	f   Frontier
+	f   frontier
 }
 
 // setSortTerms fills sort and sort2 from card and cardHi — the only
@@ -422,30 +335,34 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 	q.Freeze()
 
 	n := q.N()
-	_, costOnly := opts.Pruner.(costOnlyPruner)
-	eng := &Engine{w: worker{q: q, cs: cs, index: cs.Index(), opts: opts, second: !costOnly}}
+	eng := &Engine{w: worker{q: q, cs: cs, index: cs.Index(), opts: opts}}
 	w := &eng.w
-	_, w.single = opts.Pruner.(SingleBest)
-	if p, ok := opts.Pruner.(Pareto); ok && !opts.InterestingOrders {
-		w.pareto, w.alpha = true, p.alpha()
+	w.rule, w.alpha = opts.Pruner.rule(), 1
+	if p, ok := opts.Pruner.(Pareto); ok {
+		w.alpha = p.alpha()
 	}
-	// The memo, the arenas and the scan entries are borrowed from the
-	// runtime (and reset), so a worker recycles them across the queries of
-	// a batch.
+	w.single = w.rule == ruleSingleBest
+	w.pareto = w.rule == rulePareto && !opts.InterestingOrders
+	// The memo, the arena, the records and the scan entries are borrowed
+	// from the runtime (and reset), so a worker recycles them across the
+	// queries of a batch.
 	rt := opts.Runtime
 	if rt == nil {
 		rt = NewRuntime()
 	}
-	w.arena, w.nursery = &rt.arena, &rt.nursery
+	w.arena = &rt.arena
 	w.arena.Reset()
 	rt.spills.reset()
 	w.spills = &rt.spills
+	rt.recs = rt.recs[:0]
+	w.recs = &rt.recs
 	w.memo = rt.memoFor(slots)
 	w.scans = rt.scansFor(n)
 	for t := 0; t < n; t++ {
 		sp := w.arena.Scan(opts.Model, q, t)
 		e := &w.scans[t]
-		*e = entry{card: sp.Card, cardHi: sp.Card, nbr: q.Neighbors(sp.Tables), f: FrontierOf(sp)}
+		*e = entry{card: sp.Card, cardHi: sp.Card, nbr: q.Neighbors(sp.Tables)}
+		e.f.Append(sp)
 		e.setSortTerms(&w.opts.Model)
 		w.stats.PlansKept++
 		w.stats.MemoEntries++
@@ -523,39 +440,44 @@ type worker struct {
 	memo     []entry     // memo[index.Of(s)] = the entry of admissible set s, |s| ≥ 2
 	scans    []entry     // scans[t] = the entry of {t}
 	arena    *plan.Arena // the memo's plans
-	nursery  *plan.Arena // the plans of the set under construction
 	spills   *spillArena // the memo frontiers' spilled plan pointers
 	stats    plan.Stats
 	splitter *partition.Splitter
 	predBuf  []int
-	// second: the pruner reads Candidate.Buffer (see costOnlyPruner).
-	second bool
-	// single: the pruner is SingleBest, whose survivor is pend.
+	// single: the rule is SingleBest, whose survivor is pend.
 	single bool
-	pend   pending
-	// pareto: the pruner is Pareto with the clamped factor alpha and
-	// orders are off, so the splits go to combinePareto.
+	pend   record
+	// pareto: the rule is Pareto and orders are off, so the splits go to
+	// combinePareto.
 	pareto bool
-	alpha  float64
+	// alpha is Pareto's clamped factor, and 1 under OrderAware.
+	alpha float64
 	// le and re are the operand entries of the split under evaluation.
 	le, re *entry
 	// scratch is the entry under construction. It lives in the worker —
-	// not on trySplits' stack — because its frontier's address crosses
-	// the Pruner interface, which would force a per-set heap escape.
+	// not on trySplits' stack — so its frontier keeps its spill capacity
+	// from one set to the next.
 	scratch entry
+	// rule is the resolved Pruner. recs are the records OrderAware and
+	// Pareto keep for the set under construction, in frontier order: the
+	// runtime's slice, whose capacity is recycled across runs.
+	rule rule
+	recs *[]record
 }
 
-// pending is SingleBest's survivor of the set under construction: the
-// arguments its plan.Node is built from once the set is complete. lp is
-// nil until a candidate is admitted, and cost is NaN then, which the
-// whole-pair skip never passes.
-type pending struct {
+// record is an admitted candidate of the set under construction: the
+// arguments its plan.Node is built from once the set is complete. In
+// pend, lp is nil until a candidate is admitted, and cost is NaN then,
+// which the whole-pair skip never passes. second, the candidate's
+// second metric, is filled under Pareto only, whose admission reads it;
+// under the other rules build computes it for survivors alone.
+type record struct {
 	lp, rp           *plan.Node
 	le, re           *entry
 	alg              cost.JoinAlg
 	pred, order      int
 	lSorted, rSorted bool
-	cost             float64
+	cost, second     float64
 }
 
 // lookup returns the entry of s, a single table or an admissible join
@@ -605,18 +527,12 @@ func (w *worker) trySplits(u bitset.Set) {
 		})
 	}
 	if p := &w.pend; p.lp != nil {
-		// SingleBest's one survivor is built where it is stored, with the
-		// second metric of its own split.
-		w.le, w.re = p.le, p.re
-		spec := plan.JoinSpec{Alg: p.alg, OutCard: e.card, Pred: p.pred, Order: p.order, LSorted: p.lSorted, RSorted: p.rSorted}
-		e.f.Append(w.arena.JoinWithScalars(p.lp, p.rp, spec, p.cost, w.secondMetric(p.lp, p.rp, p.alg, p.lSorted, p.rSorted)))
-	} else if e.f.Len() > 0 {
-		// Of the set's admitted candidates only the plans still retained
-		// move to the memo's arena, which so stays dense.
-		for i, n := 0, e.f.Len(); i < n; i++ {
-			e.f.Set(i, w.arena.Copy(e.f.At(i)))
+		w.build(p)
+	} else if recs := *w.recs; len(recs) > 0 {
+		for i := range recs {
+			w.build(&recs[i])
 		}
-		w.nursery.Reset()
+		*w.recs = recs[:0]
 	}
 	if e.f.Len() == 0 {
 		return
@@ -660,7 +576,7 @@ func (w *worker) paretoSplits(u bitset.Set) {
 }
 
 // combine generates candidate plans for every operand-plan pair and join
-// algorithm of the split (left, right) and offers them to the pruner.
+// algorithm of the split (left, right) and offers them to the rule.
 // The operator costs and whether a merge predicate exists are formed
 // once per split from the entries' stored facts; a candidate then costs
 // two additions — (l.Cost + r.Cost) + op, plan.JoinScalars' association
@@ -696,7 +612,7 @@ func (w *worker) combine(left, right bitset.Set, le, re *entry) {
 		for ri, rn := 0, re.f.Len(); ri < rn; ri++ {
 			rp := re.f.At(ri)
 			in := lp.Cost + rp.Cost
-			// pend.cost stays NaN, skipping nothing, under other pruners.
+			// pend.cost stays NaN, skipping nothing, under the other rules.
 			if !orders && in+minOp >= w.pend.cost {
 				w.stats.PlansPruned += k
 				continue
@@ -737,11 +653,10 @@ func (w *worker) firstSplit(left, right bitset.Set, le, re *entry) {
 	e.nbr = le.nbr | re.nbr
 }
 
-// combinePareto is combine for a Pareto pruner without interesting
+// combinePareto is combine for the Pareto rule without interesting
 // orders, where every plan has no order. The operators' second metrics
 // are formed once per split too, by the calls secondMetric makes, and
-// the engine applies Pareto's rule itself: dominated, then Insert. A
-// pair whose bound — the cheapest operator's cost and the smallest
+// each candidate goes through dominated, then keep. A pair whose bound — the cheapest operator's cost and the smallest
 // second metric, each rounded as a candidate's is — is α-dominated by a
 // retained plan has every candidate dominated, so its k candidates are
 // counted as pruned unoffered (docs/perf.md §11).
@@ -779,31 +694,73 @@ func (w *worker) combinePareto(left, right bitset.Set, le, re *entry) {
 	}
 }
 
-// dominated is Pareto's Admits, negated, for a candidate with no order
-// against the set under construction: the same comparisons, without the
-// order test that every plan passes here.
-func (w *worker) dominated(c, buf float64) bool {
-	f, a := &w.scratch.f, w.alpha
-	for i, n := 0, f.Len(); i < n; i++ {
-		q := f.At(i)
-		if q.Cost <= a*c && q.Buffer <= a*buf {
+// admits reports whether no record of the set under construction
+// α-dominates a candidate of cost c, second metric second and order
+// order: at most α times as expensive in both metrics, with an order
+// that can substitute for the candidate's.
+func (w *worker) admits(c, second float64, order int) bool {
+	recs, a := *w.recs, w.alpha
+	for i := range recs {
+		if r := &recs[i]; r.cost <= a*c && r.second <= a*second && orderDominates(r.order, order) {
+			return false
+		}
+	}
+	return true
+}
+
+// dominated is !admits for combinePareto's candidates, which have no
+// order: the same comparisons without the order test, which every
+// record passes there.
+func (w *worker) dominated(c, second float64) bool {
+	recs, a := *w.recs, w.alpha
+	for i := range recs {
+		if r := &recs[i]; r.cost <= a*c && r.second <= a*second {
 			return true
 		}
 	}
 	return false
 }
 
-// offerPareto is offer for combinePareto's candidates: an admitted one is
-// built in the nursery and inserted by Pareto's Insert, called directly.
-func (w *worker) offerPareto(lp, rp *plan.Node, alg cost.JoinAlg, order int, c, buf float64) {
-	if w.dominated(c, buf) {
+// offerPareto is offer for combinePareto's candidates.
+func (w *worker) offerPareto(lp, rp *plan.Node, alg cost.JoinAlg, order int, c, second float64) {
+	if w.dominated(c, second) {
 		w.stats.PlansPruned++
 		return
 	}
-	e := &w.scratch
-	spec := plan.JoinSpec{Alg: alg, OutCard: e.card, Pred: plan.NoPred, Order: order}
-	Pareto{}.Insert(&e.f, w.nursery.JoinWithScalars(lp, rp, spec, c, buf))
+	w.keep(record{lp: lp, rp: rp, alg: alg, pred: plan.NoPred, order: order, cost: c, second: second})
+}
+
+// keep adds an admitted candidate's record r to the set under
+// construction. It first evicts, in place and in order, the records r
+// dominates exactly: at most as expensive in both metrics, and r's
+// order can substitute. Under OrderAware, whose records' second metrics
+// are all zero, that is OrderAware's own rule. r goes last, so the
+// frontier keeps admission order.
+func (w *worker) keep(r record) {
+	recs, n := *w.recs, 0
+	for i := range recs {
+		if q := &recs[i]; !(r.cost <= q.cost && r.second <= q.second && orderDominates(r.order, q.order)) {
+			recs[n] = *q
+			n++
+		}
+	}
+	*w.recs = append(recs[:n], r)
 	w.stats.PlansKept++
+}
+
+// build materializes record r of the set under construction in the
+// memo's arena, with the scalars plan.JoinScalars(Robust) gives it, and
+// appends it to the set's frontier: a Pareto record carries its second
+// metric, any other gets it here, by secondMetric over its own split.
+func (w *worker) build(r *record) {
+	second := r.second
+	if w.rule != rulePareto {
+		w.le, w.re = r.le, r.re
+		second = w.secondMetric(r.lp, r.rp, r.alg, r.lSorted, r.rSorted)
+	}
+	e := &w.scratch
+	spec := plan.JoinSpec{Alg: r.alg, OutCard: e.card, Pred: r.pred, Order: r.order, LSorted: r.lSorted, RSorted: r.rSorted}
+	e.f.Append(w.arena.JoinWithScalars(r.lp, r.rp, spec, r.cost, second))
 }
 
 // secondMetric returns the Buffer annotation of the join of lp and rp
@@ -821,12 +778,9 @@ func (w *worker) secondMetric(lp, rp *plan.Node, alg cost.JoinAlg, lSorted, rSor
 	return m.CombineSecond(lp.Buffer, rp.Buffer, op)
 }
 
-// offer evaluates one candidate join of cost c cost-first: its scalars
-// are checked against the pruner without building a node. Under
-// SingleBest an admitted candidate replaces the pending record; under
-// other pruners it gets its plan.JoinSpec and is materialized, in the
-// nursery's slabs. The second metric is part of the check only for
-// pruners that read it; otherwise survivors alone get one.
+// offer applies the rule to one candidate join of cost c, on its scalars
+// alone. Under SingleBest an admitted candidate — a new strict minimum —
+// replaces pend; the other rules go to offerFrontier.
 func (w *worker) offer(lp, rp *plan.Node, alg cost.JoinAlg, pred, order int, lSorted, rSorted bool, c float64) {
 	if w.single {
 		p := &w.pend
@@ -840,21 +794,24 @@ func (w *worker) offer(lp, rp *plan.Node, alg cost.JoinAlg, pred, order int, lSo
 		w.stats.PlansKept++
 		return
 	}
-	e := &w.scratch
-	var buf float64
-	if w.second {
-		buf = w.secondMetric(lp, rp, alg, lSorted, rSorted)
+	w.offerFrontier(lp, rp, alg, pred, order, lSorted, rSorted, c)
+}
+
+// offerFrontier is offer under OrderAware and Pareto: an admitted
+// candidate is kept. OrderAware's rule is Pareto's at α = 1 with every
+// second metric left zero, so only Pareto computes one per candidate. It
+// is a function of its own so that SingleBest's offer stays small.
+func (w *worker) offerFrontier(lp, rp *plan.Node, alg cost.JoinAlg, pred, order int, lSorted, rSorted bool, c float64) {
+	var second float64
+	if w.rule == rulePareto {
+		second = w.secondMetric(lp, rp, alg, lSorted, rSorted)
 	}
-	if !w.opts.Pruner.Admits(&e.f, Candidate{Cost: c, Buffer: buf, Order: order}) {
+	if !w.admits(c, second, order) {
 		w.stats.PlansPruned++
 		return
 	}
-	if !w.second {
-		buf = w.secondMetric(lp, rp, alg, lSorted, rSorted)
-	}
-	spec := plan.JoinSpec{Alg: alg, OutCard: e.card, Pred: pred, Order: order, LSorted: lSorted, RSorted: rSorted}
-	w.opts.Pruner.Insert(&e.f, w.nursery.JoinWithScalars(lp, rp, spec, c, buf))
-	w.stats.PlansKept++
+	w.keep(record{lp: lp, rp: rp, le: w.le, re: w.re, alg: alg, pred: pred, order: order,
+		lSorted: lSorted, rSorted: rSorted, cost: c, second: second})
 }
 
 // Serial runs the classical (unpartitioned) dynamic program for the given

@@ -416,37 +416,30 @@ func TestBestOnEmptyResult(t *testing.T) {
 	}
 }
 
-// offerTo drives the two-phase Pruner protocol the way the engine does:
-// admission on the scalars first, materialized insert only for survivors.
-func offerTo(pr Pruner, f *Frontier, p *plan.Node) bool {
-	if !pr.Admits(f, Candidate{Cost: p.Cost, Buffer: p.Buffer, Order: p.Order}) {
-		return false
-	}
-	pr.Insert(f, p)
-	return true
-}
-
+// SingleBest keeps the cheapest candidate as its one record: a cheaper
+// one replaces it, a dearer one is pruned, and so is an equally cheap
+// one (strict minimum).
 func TestSingleBestKeepsCheapest(t *testing.T) {
 	q := genQuery(t, 4, workload.Star, 0)
 	a := plan.Scan(cost.Default(), q, 0)
 	b := plan.Scan(cost.Default(), q, 1)
-	var f Frontier
-	if kept := offerTo(SingleBest{}, &f, a); !kept || f.Len() != 1 {
-		t.Fatal("first insert")
+	inner := plan.Scan(cost.Default(), q, 2)
+	w := &worker{single: true}
+	offer := func(lp *plan.Node, c float64) bool {
+		kept := w.stats.PlansKept
+		w.offer(lp, inner, cost.Hash, plan.NoPred, query.NoOrder, false, false, c)
+		return w.stats.PlansKept > kept
 	}
-	cheaper := *b
-	cheaper.Cost = a.Cost / 2
-	if kept := offerTo(SingleBest{}, &f, &cheaper); !kept || f.Len() != 1 || f.At(0) != &cheaper {
+	if !offer(a, 10) || w.pend.lp != a {
+		t.Fatal("first candidate not kept")
+	}
+	if !offer(b, 5) || w.pend.lp != b || w.pend.cost != 5 {
 		t.Fatal("cheaper plan should replace")
 	}
-	expensive := *b
-	expensive.Cost = a.Cost * 2
-	if kept := offerTo(SingleBest{}, &f, &expensive); kept || f.At(0) != &cheaper {
+	if offer(a, 20) || w.pend.lp != b {
 		t.Fatal("more expensive plan should be pruned")
 	}
-	equal := *b
-	equal.Cost = cheaper.Cost
-	if kept := offerTo(SingleBest{}, &f, &equal); kept {
+	if offer(a, 5) || w.pend.lp != b {
 		t.Fatal("equal-cost plan should be pruned (strict minimum)")
 	}
 }

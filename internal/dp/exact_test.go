@@ -22,9 +22,10 @@ var updateStats = flag.Bool("update-stats", false,
 
 const exactStatsFile = "testdata/exact_stats.txt"
 
-// exactConfigs are the pruner × cost-model combinations every engine
-// feature goes through: the DP has one combine/offer path, so each of
-// them must reproduce the reference formulas bit for bit.
+// exactConfigs are the rule × cost-model combinations the engine
+// serves, each rule with and without interesting orders where it is
+// used both ways: every one of them must reproduce the reference
+// formulas bit for bit, and the recorded work.
 var exactConfigs = []struct {
 	name string
 	opts func() dp.Options

@@ -2,59 +2,41 @@ package dp
 
 import "mpq/internal/plan"
 
-// frontierInline is the number of plans a Frontier stores without
+// frontierInline is the number of plans a frontier stores without
 // touching the heap. Single-objective pruning retains exactly one plan
 // per table set and order-aware pruning rarely more than two, so two
 // inline slots eliminate the per-table-set slice allocation for the
 // dominant case; multi-objective frontiers spill.
 const frontierInline = 2
 
-// Frontier is the per-table-set store of retained plans, in insertion
-// order. The first frontierInline plans live inline in the value (no
-// heap allocation), further plans spill to a slice. The zero value is
-// an empty frontier.
+// frontier is a memo entry's retained plans, in the order the set's
+// records were kept. The first frontierInline plans live inline in the
+// value (no heap allocation), further plans spill to a slice. The zero
+// value is an empty frontier.
 //
-// A Frontier is a value type so the memo can embed it directly in its
+// A frontier is a value type so the memo can embed it directly in its
 // entries; copies share the spill slice, so after copying only one of
-// the copies may keep mutating (the DP builds each entry once and then
+// the copies may keep appending (the DP builds each entry once and then
 // only reads it).
-type Frontier struct {
+type frontier struct {
 	n      int
 	inline [frontierInline]*plan.Node
 	spill  []*plan.Node
 }
 
-// FrontierOf builds a frontier holding the given plans, in order.
-func FrontierOf(plans ...*plan.Node) Frontier {
-	var f Frontier
-	for _, p := range plans {
-		f.Append(p)
-	}
-	return f
-}
-
 // Len returns the number of retained plans.
-func (f *Frontier) Len() int { return f.n }
+func (f *frontier) Len() int { return f.n }
 
 // At returns the i-th retained plan (0 ≤ i < Len).
-func (f *Frontier) At(i int) *plan.Node {
+func (f *frontier) At(i int) *plan.Node {
 	if i < frontierInline {
 		return f.inline[i]
 	}
 	return f.spill[i-frontierInline]
 }
 
-// Set replaces the i-th retained plan (0 ≤ i < Len).
-func (f *Frontier) Set(i int, p *plan.Node) {
-	if i < frontierInline {
-		f.inline[i] = p
-		return
-	}
-	f.spill[i-frontierInline] = p
-}
-
 // Append adds p after the retained plans.
-func (f *Frontier) Append(p *plan.Node) {
+func (f *frontier) Append(p *plan.Node) {
 	if f.n < frontierInline {
 		f.inline[f.n] = p
 	} else {
@@ -63,36 +45,9 @@ func (f *Frontier) Append(p *plan.Node) {
 	f.n++
 }
 
-// Filter retains, in order, exactly the plans keep reports true for —
-// the eviction primitive Insert implementations compact the frontier
-// with. It never allocates.
-func (f *Frontier) Filter(keep func(*plan.Node) bool) {
-	w := 0
-	for i := 0; i < f.n; i++ {
-		p := f.At(i)
-		if keep(p) {
-			f.Set(w, p)
-			w++
-		}
-	}
-	// Drop evicted plans from the live region — inline and spilled — so
-	// the frontier does not pin them.
-	for i := w; i < f.n && i < frontierInline; i++ {
-		f.inline[i] = nil
-	}
-	if w > frontierInline {
-		clear(f.spill[w-frontierInline:])
-		f.spill = f.spill[:w-frontierInline]
-	} else if f.spill != nil {
-		clear(f.spill)
-		f.spill = f.spill[:0]
-	}
-	f.n = w
-}
-
 // reset empties the frontier for reuse, keeping any spill capacity it
 // still owns.
-func (f *Frontier) reset() {
+func (f *frontier) reset() {
 	for i := range f.inline {
 		f.inline[i] = nil
 	}
@@ -103,7 +58,7 @@ func (f *Frontier) reset() {
 }
 
 // Slice returns the retained plans as a freshly allocated slice.
-func (f *Frontier) Slice() []*plan.Node {
+func (f *frontier) Slice() []*plan.Node {
 	if f.n == 0 {
 		return nil
 	}

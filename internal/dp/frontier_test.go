@@ -9,11 +9,11 @@ import (
 func fp(cost float64) *plan.Node { return &plan.Node{Cost: cost} }
 
 // The frontier must behave like a plain ordered list across the
-// inline→spill boundary: Append/At/Set/Filter agree with a reference
-// slice for every transition size.
+// inline→spill boundary: Append/At/Slice agree with a reference slice
+// for every transition size, and reset empties it for reuse.
 func TestFrontierMatchesReferenceSlice(t *testing.T) {
 	for size := 0; size <= 2*frontierInline+1; size++ {
-		var f Frontier
+		var f frontier
 		var ref []*plan.Node
 		for i := 0; i < size; i++ {
 			p := fp(float64(i))
@@ -38,74 +38,33 @@ func TestFrontierMatchesReferenceSlice(t *testing.T) {
 			}
 		}
 
-		// Filter to the odd-cost plans, preserving order.
-		f.Filter(func(p *plan.Node) bool { return int(p.Cost)%2 == 1 })
-		var want []*plan.Node
-		for _, p := range ref {
-			if int(p.Cost)%2 == 1 {
-				want = append(want, p)
+		// A reset frontier pins no plan and takes new ones from the start.
+		f.reset()
+		for i := range f.inline {
+			if f.inline[i] != nil {
+				t.Fatalf("size %d: inline slot %d not released", size, i)
 			}
 		}
-		if f.Len() != len(want) {
-			t.Fatalf("size %d: filtered Len = %d want %d", size, f.Len(), len(want))
+		if f.Len() != 0 || f.Slice() != nil {
+			t.Fatalf("size %d: reset left %d plans", size, f.Len())
 		}
-		for i, p := range want {
-			if f.At(i) != p {
-				t.Fatalf("size %d: filtered At(%d) mismatch", size, i)
-			}
-		}
-
-		// Appending after a filter must not disturb surviving plans.
 		extra := fp(1000)
 		f.Append(extra)
-		if f.At(f.Len()-1) != extra {
-			t.Fatal("append after filter lost the new plan")
+		if f.Len() != 1 || f.At(0) != extra {
+			t.Fatal("append after reset lost the new plan")
 		}
-	}
-}
-
-func TestFrontierSetReplaces(t *testing.T) {
-	a, b, c, d := fp(1), fp(2), fp(3), fp(4)
-	f := FrontierOf(a, b, c)
-	f.Set(0, d)
-	f.Set(2, a)
-	if f.At(0) != d || f.At(1) != b || f.At(2) != a {
-		t.Fatalf("Set misplaced plans: %v %v %v", f.At(0), f.At(1), f.At(2))
-	}
-}
-
-// Filter to empty must release the retained plans (no stale inline
-// pointers pinning evicted nodes) and leave a reusable frontier.
-func TestFrontierFilterToEmpty(t *testing.T) {
-	f := FrontierOf(fp(1), fp(2), fp(3))
-	f.Filter(func(*plan.Node) bool { return false })
-	if f.Len() != 0 {
-		t.Fatalf("Len after empty filter = %d", f.Len())
-	}
-	for i := range f.inline {
-		if f.inline[i] != nil {
-			t.Fatalf("inline slot %d not released", i)
-		}
-	}
-	if f.Slice() != nil {
-		t.Fatal("Slice of empty frontier should be nil")
-	}
-	f.Append(fp(9))
-	if f.Len() != 1 || f.At(0).Cost != 9 {
-		t.Fatal("frontier unusable after empty filter")
 	}
 }
 
 // An inline-resident frontier performs no heap allocation for Append or
-// Filter — the point of the 2-slot inline storage.
+// reset — the point of the 2-slot inline storage.
 func TestFrontierInlineAllocFree(t *testing.T) {
 	a, b := fp(1), fp(2)
-	var f Frontier
+	var f frontier
 	allocs := testing.AllocsPerRun(1000, func() {
 		f.reset()
 		f.Append(a)
 		f.Append(b)
-		f.Filter(func(p *plan.Node) bool { return p.Cost < 2 })
 	})
 	if allocs != 0 {
 		t.Errorf("inline frontier allocates %.1f times per run", allocs)
@@ -118,7 +77,7 @@ func TestFrontierInlineAllocFree(t *testing.T) {
 // protects memo entries from the worker's scratch reuse.
 func TestSpillArenaCloneIsolation(t *testing.T) {
 	var sa spillArena
-	var f Frontier
+	var f frontier
 	for i := 0; i < frontierInline+2; i++ {
 		f.Append(fp(float64(i)))
 	}

@@ -3,17 +3,16 @@ package dp
 import "mpq/internal/plan"
 
 // Runtime bundles the reusable per-run memory of one DP worker: the
-// plan-node arena the memo's plans live in, the nursery arena in which
-// the admitted plans of the table set under construction are built —
-// by the engine's Pareto rule and the interface path alike, not under
-// SingleBest, whose one survivor is built straight into the arena — the
-// memo array and the per-table scan entries. A fresh run borrows them
-// through Options.Runtime instead of growing them from scratch, so a worker that
-// optimizes a stream of queries — one of core's runtime slots, which
-// every engine's partitions run on — reaches a steady state where the
-// dynamic program performs (almost) no heap allocation at all:
-// candidates were already free (PR 1), survivors come out of recycled
-// slabs, and the memo reuses its capacity.
+// plan-node arena the memo's plans are built in, the memo array, the
+// per-table scan entries, the memo frontiers' spill slabs, and the
+// records OrderAware and Pareto keep for the table set under
+// construction. A fresh run borrows them through Options.Runtime
+// instead of growing them from scratch, so a worker that optimizes a
+// stream of queries — one of core's runtime slots, which every engine's
+// partitions run on — reaches a steady state where the dynamic program
+// performs (almost) no heap allocation at all: candidates are free,
+// survivors come out of recycled slabs, and the memo and the records
+// reuse their capacity.
 //
 // A Runtime may back at most one engine at a time: NewEngine resets the
 // arena and memo, invalidating every node of the previous run. The
@@ -25,16 +24,16 @@ import "mpq/internal/plan"
 // Not safe for concurrent use: hand a Runtime to one run at a time, as
 // core's slots do.
 type Runtime struct {
-	// The padding keeps the arenas' counters, written on every plan
+	// The padding keeps the arena's counters, written on every plan
 	// node, off cache lines shared with another object — such as the
 	// runtime allocated next to this one that another core is running.
-	_       [64]byte
-	arena   plan.Arena
-	nursery plan.Arena // reset after every table set
-	memo    []entry
-	scans   []entry
-	spills  spillArena
-	_       [64]byte
+	_      [64]byte
+	arena  plan.Arena
+	memo   []entry
+	scans  []entry
+	spills spillArena
+	recs   []record
+	_      [64]byte
 }
 
 // NewRuntime returns an empty runtime; the arena and memo grow on

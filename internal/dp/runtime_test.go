@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mpq/internal/bitset"
 	"mpq/internal/partition"
 	"mpq/internal/plan"
 	"mpq/internal/workload"
@@ -103,6 +104,9 @@ func TestRuntimeReuseNeverReadsAnEarlierRun(t *testing.T) {
 		{5, workload.Clique, partition.Linear, 2, 4, Options{}, false},
 		{12, workload.Star, partition.Linear, 0, 1, Options{InterestingOrders: true, Pruner: OrderAware{}}, false},
 		{10, workload.Cycle, partition.Bushy, 0, 1, noCross, false},
+		{10, workload.Star, partition.Linear, 1, 2, Options{Pruner: Pareto{Alpha: 1}}, false},
+		{7, workload.Chain, partition.Bushy, 0, 1, Options{InterestingOrders: true, Pruner: Pareto{Alpha: 2}}, false},
+		{11, workload.Cycle, partition.Linear, 3, 4, Options{InterestingOrders: true, Pruner: OrderAware{}}, false},
 	} {
 		t.Run(fmt.Sprintf("%d-%v-%v-n%d-m%d", i, tc.shape, tc.space, tc.n, tc.m), func(t *testing.T) {
 			q := genQuery(t, tc.n, tc.shape, 5)
@@ -128,10 +132,10 @@ func TestRuntimeReuseNeverReadsAnEarlierRun(t *testing.T) {
 	}
 }
 
-// SingleBest builds each set's one survivor once, straight into the
-// memo's arena: after a run on a fresh Runtime the nursery owns no slab
-// and the arena holds exactly one node per memo entry, scans included.
-// A frontier pruner on the same runtime still builds in the nursery.
+// Every rule builds each survivor once, straight into the memo's arena:
+// after a run on a fresh Runtime the arena holds exactly the memo's
+// plans, scans included — no pruned candidate and no evicted record
+// was ever built.
 func TestSingleBestBuildsEachSurvivorOnce(t *testing.T) {
 	for _, tc := range []struct {
 		n       int
@@ -144,22 +148,37 @@ func TestSingleBestBuildsEachSurvivorOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt := NewRuntime()
-			res, err := Run(q, cs, Options{Runtime: rt})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := rt.nursery.Slabs(); got != 0 {
-				t.Errorf("SingleBest grew the nursery to %d slabs", got)
-			}
-			if got, want := rt.arena.Allocated(), int(res.Stats.MemoEntries); got != want {
-				t.Errorf("arena holds %d nodes for %d memo entries", got, want)
-			}
-			if _, err := Run(q, cs, Options{Runtime: rt, InterestingOrders: true, Pruner: OrderAware{}}); err != nil {
-				t.Fatal(err)
-			}
-			if rt.nursery.Slabs() == 0 {
-				t.Error("OrderAware built no plan in the nursery")
+			for _, opts := range []Options{
+				{},
+				{InterestingOrders: true, Pruner: OrderAware{}},
+				{Pruner: Pareto{Alpha: 1}},
+				{InterestingOrders: true, Pruner: Pareto{Alpha: 2}},
+			} {
+				rt := NewRuntime()
+				opts.Runtime = rt
+				eng, err := NewEngine(q, cs, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plans := q.N()
+				enum := cs.NewEnumerator()
+				for k := 2; k <= q.N(); k++ {
+					enum.ForEachAdmissible(k, func(u bitset.Set) bool {
+						eng.ProcessSet(u)
+						plans += len(plansOf(eng, u))
+						return true
+					})
+				}
+				res, err := eng.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Stats.PlansKept <= uint64(plans) {
+					t.Fatalf("%#v: no record was ever replaced or evicted; the check would be vacuous", opts.Pruner)
+				}
+				if got := rt.arena.Allocated(); got != plans {
+					t.Errorf("%#v: arena holds %d nodes for %d memo plans", opts.Pruner, got, plans)
+				}
 			}
 		})
 	}

@@ -46,8 +46,9 @@ func (v Vector) AlphaDominates(w Vector, alpha float64) bool {
 func (v Vector) String() string { return fmt.Sprintf("(time=%.4g, buffer=%.4g)", v.Time, v.Buffer) }
 
 // Merge combines per-partition frontiers into one (the master's
-// FinalPrune for multi-objective optimization): every plan is offered to
-// a fresh pruner with the same α. Orders are ignored at the root — a
+// FinalPrune for multi-objective optimization): every plan goes through
+// the Pareto rule with the same α, which Merge clamps to ≥ 1 as
+// dp.Pareto does on the workers. Orders are ignored at the root — a
 // completed plan's tuple order no longer matters (§4.2).
 func Merge(frontiers [][]*plan.Node, alpha float64) []*plan.Node {
 	if alpha < 1 {

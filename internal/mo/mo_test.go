@@ -6,20 +6,9 @@ import (
 	"testing"
 
 	"mpq/internal/cost"
-	"mpq/internal/dp"
 	"mpq/internal/plan"
 	"mpq/internal/query"
 )
-
-// offerTo drives the two-phase dp.Pruner protocol the way the DP engine
-// does: admission on the scalars first, insert only for survivors.
-func offerTo(pp dp.Pareto, f *dp.Frontier, p *plan.Node) bool {
-	if !pp.Admits(f, dp.Candidate{Cost: p.Cost, Buffer: p.Buffer, Order: p.Order}) {
-		return false
-	}
-	pp.Insert(f, p)
-	return true
-}
 
 func vecPlan(time, buffer float64, order int) *plan.Node {
 	return &plan.Node{Cost: time, Buffer: buffer, Order: order}
@@ -133,25 +122,20 @@ func TestCoverageError(t *testing.T) {
 	}
 }
 
-// Property: after any insertion sequence the retained set is always a
-// frontier (no mutual dominance, up to order compatibility).
+// Property: whatever the sequence of plans, Merge's Pareto rule returns
+// a frontier (no mutual dominance) that α-covers every plan offered.
 func TestQuickPrunerFrontierInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 50; trial++ {
 		alpha := 1 + rng.Float64()*4
-		pp := dp.Pareto{Alpha: alpha}
-		var f dp.Frontier
 		var inserted []*plan.Node
 		for i := 0; i < 200; i++ {
-			p := vecPlan(rng.Float64()*100+1, rng.Float64()*100+1, query.NoOrder)
-			inserted = append(inserted, p)
-			offerTo(pp, &f, p)
+			inserted = append(inserted, vecPlan(rng.Float64()*100+1, rng.Float64()*100+1, query.NoOrder))
 		}
-		plans := f.Slice()
+		plans := Merge([][]*plan.Node{inserted[:100], inserted[100:]}, alpha)
 		if !IsFrontier(plans) {
 			t.Fatalf("alpha=%g: retained set is not a frontier", alpha)
 		}
-		// Alpha-coverage of every inserted plan.
 		for _, p := range inserted {
 			covered := false
 			for _, q := range plans {

@@ -58,6 +58,13 @@ func refInsert(pr Pruner, f []*plan.Node, p *plan.Node) []*plan.Node {
 
 func refOrderDominates(qo, po int) bool { return qo == po || po == query.NoOrder }
 
+func refBit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // refSet is a table set of the reference DP: its plans and its
 // cardinality at both ends of the robust band.
 type refSet struct {
@@ -65,15 +72,26 @@ type refSet struct {
 	card, hi float64
 }
 
+// refOp is an operator's own cost and second metric on one split. They
+// depend on the operands only through their sets' cardinalities and
+// sortedness, so the reference asks the cost model once per split and
+// operator variant.
+type refOp struct {
+	ok           bool
+	cost, second float64
+}
+
 // referenceDP is the dynamic program without the engine: the same
-// enumeration and split order, every candidate's scalars from
-// plan.JoinScalars(Robust), every candidate offered to refAdmits and an
-// admitted one built at once and handed to refInsert — no whole-pair
-// skip and no records. It returns every table set's plans and the work
-// counters.
+// enumeration and split order, every candidate offered to refAdmits and
+// an admitted one built at once and handed to refInsert — no whole-pair
+// skip and no records. A candidate's scalars are plan.JoinScalars'
+// sums over the split's refOp; an admitted one is built with the
+// scalars plan.JoinScalars(Robust) returns, so a sum that differs from
+// them shows as a plan that differs from the engine's. It returns every
+// table set's plans and the work counters.
 func referenceDP(q *query.Query, cs *partition.ConstraintSet, model cost.Model, orders bool, pr Pruner) (map[bitset.Set][]*plan.Node, plan.Stats) {
 	var st plan.Stats
-	memo := map[bitset.Set]*refSet{}
+	memo := make([]*refSet, 1<<q.N())
 	for t := 0; t < q.N(); t++ {
 		sp := plan.Scan(model, q, t)
 		memo[bitset.Single(t)] = &refSet{plans: []*plan.Node{sp}, card: sp.Card, hi: sp.Card}
@@ -98,6 +116,7 @@ func referenceDP(q *query.Query, cs *partition.ConstraintSet, model cost.Model, 
 			}
 		}
 		preds = q.ConnectingPreds(preds[:0], left, right)
+		var ops [len(cost.Algs) * 4]refOp
 		for _, lp := range l.plans {
 			for _, rp := range r.plans {
 				specs = append(specs[:0],
@@ -114,13 +133,22 @@ func referenceDP(q *query.Query, cs *partition.ConstraintSet, model cost.Model, 
 				}
 				for _, spec := range specs {
 					spec.OutCard = s.card
+					op := &ops[int(spec.Alg)*4+refBit(spec.LSorted)*2+refBit(spec.RSorted)]
+					if !op.ok {
+						lhi, rhi := l.card, r.card
+						if robust {
+							lhi, rhi = l.hi, r.hi
+						}
+						*op = refOp{true, model.JoinCost(spec.Alg, l.card, r.card, spec.LSorted, spec.RSorted),
+							model.JoinSecond(spec.Alg, lhi, rhi, spec.LSorted, spec.RSorted)}
+					}
+					if !refAdmits(pr, s.plans, lp.Cost+rp.Cost+op.cost, model.CombineSecond(lp.Buffer, rp.Buffer, op.second), spec.Order) {
+						st.PlansPruned++
+						continue
+					}
 					c, buf := plan.JoinScalars(model, lp, rp, spec)
 					if robust {
 						c, buf = plan.JoinScalarsRobust(model, lp, rp, spec, l.hi, r.hi)
-					}
-					if !refAdmits(pr, s.plans, c, buf, spec.Order) {
-						st.PlansPruned++
-						continue
 					}
 					s.plans = refInsert(pr, s.plans, plan.JoinWithScalars(lp, rp, spec, c, buf))
 					st.PlansKept++
@@ -155,7 +183,9 @@ func referenceDP(q *query.Query, cs *partition.ConstraintSet, model cost.Model, 
 	}
 	out := map[bitset.Set][]*plan.Node{}
 	for u, s := range memo {
-		out[u] = s.plans
+		if s != nil {
+			out[bitset.Set(u)] = s.plans
+		}
 	}
 	return out, st
 }
@@ -293,10 +323,10 @@ func TestPairBoundEqualsPlainAdmits(t *testing.T) {
 			for _, n := range ns {
 				q := boundQuery(n, shape, int64(10*si+n), c.huge)
 				// Each α meets every model, shape and size, if not all at once;
-				// the largest queries take one rule each, in turn.
-				rules := []Pruner{SingleBest{}, OrderAware{}, Pareto{Alpha: boundAlphas[(ci+si+n)%len(boundAlphas)]}}
-				if n == ns[len(ns)-1] {
-					rules = rules[(ci+si)%3 : (ci+si)%3+1]
+				// at the largest size OrderAware takes every third model × shape.
+				rules := []Pruner{SingleBest{}, Pareto{Alpha: boundAlphas[(ci+si+n)%len(boundAlphas)]}}
+				if n < ns[len(ns)-1] || (ci+si)%3 == 0 {
+					rules = append(rules, OrderAware{})
 				}
 				for _, space := range []partition.Space{partition.Linear, partition.Bushy} {
 					for m := 1; m <= min(8, partition.MaxWorkers(space, n)); m *= 2 {
@@ -399,15 +429,16 @@ func TestParetoBoundImpliesReject(t *testing.T) {
 	sets = append(sets, []record{vecRecord(10, 1, query.NoOrder), vecRecord(1, 10, query.NoOrder), vecRecord(3, 3, query.NoOrder)})
 	for _, alpha := range append([]float64{0, 0.5, nan}, boundAlphas...) {
 		for _, recs := range sets {
-			w := &worker{alpha: Pareto{Alpha: alpha}.alpha(), recs: &recs}
+			w := &worker{recs: &recs}
+			_, w.alpha = Pareto{Alpha: alpha}.rule()
 			for _, bc := range vals {
 				for _, bb := range vals {
-					if !w.dominated(bc, bb) {
+					if w.admits(bc, bb, query.NoOrder) {
 						continue
 					}
 					for _, cc := range vals {
 						for _, cb := range vals {
-							if cc >= bc && cb >= bb && !w.dominated(cc, cb) {
+							if cc >= bc && cb >= bb && w.admits(cc, cb, query.NoOrder) {
 								t.Fatalf("α=%g records %+v: bound (%g, %g) dominated, candidate (%g, %g) not", alpha, recs, bc, bb, cc, cb)
 							}
 						}

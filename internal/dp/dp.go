@@ -83,8 +83,9 @@ import (
 
 // Pruner is the pruning rule: SingleBest, OrderAware or Pareto. The set
 // is closed — the unexported method keeps other types out — because the
-// engine applies each rule itself; NewEngine resolves it once.
-type Pruner interface{ rule() rule }
+// engine applies each rule itself; NewEngine resolves it once, with the
+// factor α its dominance test applies.
+type Pruner interface{ rule() (rule, float64) }
 
 // rule names a Pruner to the engine.
 type rule uint8
@@ -95,9 +96,8 @@ const (
 	rulePareto
 )
 
-func (SingleBest) rule() rule { return ruleSingleBest }
-func (OrderAware) rule() rule { return ruleOrderAware }
-func (Pareto) rule() rule     { return rulePareto }
+func (SingleBest) rule() (rule, float64) { return ruleSingleBest, 1 }
+func (OrderAware) rule() (rule, float64) { return ruleOrderAware, 1 }
 
 // SingleBest retains exactly one plan: the cheapest by the time metric,
 // the first of equally cheap ones. This is the classical pruning
@@ -131,12 +131,12 @@ type Pareto struct {
 	Alpha float64
 }
 
-// alpha is the clamped factor the engine applies.
-func (p Pareto) alpha() float64 {
+// rule clamps Alpha to the factor the engine applies.
+func (p Pareto) rule() (rule, float64) {
 	if p.Alpha < 1 {
-		return 1
+		return rulePareto, 1
 	}
-	return p.Alpha
+	return rulePareto, p.Alpha
 }
 
 // Options configures one dynamic-programming run.
@@ -337,12 +337,8 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 	n := q.N()
 	eng := &Engine{w: worker{q: q, cs: cs, index: cs.Index(), opts: opts}}
 	w := &eng.w
-	w.rule, w.alpha = opts.Pruner.rule(), 1
-	if p, ok := opts.Pruner.(Pareto); ok {
-		w.alpha = p.alpha()
-	}
+	w.rule, w.alpha = opts.Pruner.rule()
 	w.single = w.rule == ruleSingleBest
-	w.pareto = w.rule == rulePareto && !opts.InterestingOrders
 	// The memo, the arena, the records and the scan entries are borrowed
 	// from the runtime (and reset), so a worker recycles them across the
 	// queries of a batch.
@@ -444,13 +440,13 @@ type worker struct {
 	stats    plan.Stats
 	splitter *partition.Splitter
 	predBuf  []int
-	// single: the rule is SingleBest, whose survivor is pend.
+	// single: the rule is SingleBest, whose survivor is pend. offer
+	// tests this flag rather than rule so that SingleBest's branch
+	// compiles as it did before the rules were closed: that path is
+	// sensitive to code layout (docs/perf.md §12).
 	single bool
 	pend   record
-	// pareto: the rule is Pareto and orders are off, so the splits go to
-	// combinePareto.
-	pareto bool
-	// alpha is Pareto's clamped factor, and 1 under OrderAware.
+	// alpha is Pareto's clamped factor, and 1 under the other rules.
 	alpha float64
 	// le and re are the operand entries of the split under evaluation.
 	le, re *entry
@@ -500,7 +496,7 @@ func (w *worker) trySplits(u bitset.Set) {
 	e.card = -1
 	e.f.reset()
 	w.pend.lp, w.pend.cost = nil, math.NaN()
-	if w.pareto {
+	if w.rule == rulePareto && !w.opts.InterestingOrders {
 		w.paretoSplits(u)
 	} else if w.cs.Space == partition.Linear {
 		for rem := u; rem != 0; rem &= rem - 1 {
@@ -656,10 +652,11 @@ func (w *worker) firstSplit(left, right bitset.Set, le, re *entry) {
 // combinePareto is combine for the Pareto rule without interesting
 // orders, where every plan has no order. The operators' second metrics
 // are formed once per split too, by the calls secondMetric makes, and
-// each candidate goes through dominated, then keep. A pair whose bound — the cheapest operator's cost and the smallest
-// second metric, each rounded as a candidate's is — is α-dominated by a
-// retained plan has every candidate dominated, so its k candidates are
-// counted as pruned unoffered (docs/perf.md §11).
+// each candidate goes through admits, then keep. A pair whose bound —
+// the cheapest operator's cost and the smallest second metric, each
+// rounded as a candidate's is — is α-dominated by a retained plan has
+// every candidate dominated, so its k candidates are counted as pruned
+// unoffered (docs/perf.md §11).
 func (w *worker) combinePareto(left, right bitset.Set, le, re *entry) {
 	w.stats.SplitsTried++
 	e, m := &w.scratch, &w.opts.Model
@@ -681,7 +678,7 @@ func (w *worker) combinePareto(left, right bitset.Set, le, re *entry) {
 		for ri, rn := 0, re.f.Len(); ri < rn; ri++ {
 			rp := re.f.At(ri)
 			in := lp.Cost + rp.Cost
-			if w.dominated(in+minOp, m.CombineSecond(lp.Buffer, rp.Buffer, minOp2)) {
+			if !w.admits(in+minOp, m.CombineSecond(lp.Buffer, rp.Buffer, minOp2), query.NoOrder) {
 				w.stats.PlansPruned += k
 				continue
 			}
@@ -708,22 +705,9 @@ func (w *worker) admits(c, second float64, order int) bool {
 	return true
 }
 
-// dominated is !admits for combinePareto's candidates, which have no
-// order: the same comparisons without the order test, which every
-// record passes there.
-func (w *worker) dominated(c, second float64) bool {
-	recs, a := *w.recs, w.alpha
-	for i := range recs {
-		if r := &recs[i]; r.cost <= a*c && r.second <= a*second {
-			return true
-		}
-	}
-	return false
-}
-
 // offerPareto is offer for combinePareto's candidates.
 func (w *worker) offerPareto(lp, rp *plan.Node, alg cost.JoinAlg, order int, c, second float64) {
-	if w.dominated(c, second) {
+	if !w.admits(c, second, order) {
 		w.stats.PlansPruned++
 		return
 	}

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"mpq/internal/cost"
+	"mpq/internal/partition"
 	"mpq/internal/plan"
 	"mpq/internal/query"
+	"mpq/internal/workload"
 )
 
 func vecRecord(c, second float64, order int) record {
@@ -108,7 +110,7 @@ func TestParetoAdmitsAllocFree(t *testing.T) {
 	w := ruleWorker(2)
 	*w.recs = []record{vecRecord(10, 1, query.NoOrder), vecRecord(1, 10, query.NoOrder)}
 	var sink bool
-	if allocs := testing.AllocsPerRun(1000, func() { sink = w.admits(50, 50, query.NoOrder) || w.dominated(50, 50) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(1000, func() { sink = w.admits(50, 50, query.NoOrder) }); allocs != 0 {
 		t.Errorf("Pareto admission allocates %.1f times per call", allocs)
 	}
 	_ = sink
@@ -148,4 +150,19 @@ func TestAdmitsAllocFree(t *testing.T) {
 		t.Errorf("SingleBest's offer allocates %.1f times per call", allocs)
 	}
 	_ = sink
+}
+
+// NewEngine resolves a rule and its factor in one call, so a *Pareto —
+// whose method set holds Pareto's — runs with its own α, not 1.
+func TestPointerParetoKeepsAlpha(t *testing.T) {
+	q := boundQuery(4, workload.Chain, 1, false)
+	for _, pr := range []Pruner{Pareto{Alpha: 10}, &Pareto{Alpha: 10}} {
+		eng, err := NewEngine(q, partition.Unconstrained(partition.Linear, q.N()), Options{Pruner: pr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.w.rule != rulePareto || eng.w.alpha != 10 {
+			t.Errorf("%#v: rule %d, α %g; want Pareto, 10", pr, eng.w.rule, eng.w.alpha)
+		}
+	}
 }

@@ -285,10 +285,12 @@ func checkPairBound(t testing.TB, q *query.Query, space partition.Space, m, part
 	enum := cs.NewEnumerator()
 	for k := 2; k <= q.N(); k++ {
 		enum.ForEachAdmissible(k, func(u bitset.Set) bool {
-			eng.ProcessSet(u)
 			sets = append(sets, u)
 			return true
 		})
+	}
+	if err := eng.RunAll(); err != nil {
+		t.Fatal(err)
 	}
 	ref, refStats := referenceDP(q, cs, model, orders, pr)
 	for _, u := range sets {

@@ -59,7 +59,11 @@
 // a set's rank in Algorithm 4's enumeration: no hashing, no keys, no
 // probing, and as the rank rises along the enumeration the dynamic
 // program writes the array front to back while the operands it reads
-// walk forward. Singletons, some of which have no rank in a linear
+// walk forward. The ranks come with the sets: the Enumerator yields each
+// join result with its rank, the Splitter each bushy split with its
+// operands' ranks, and Index.Step gives a linear outer operand's, so
+// the split loops compute no index (docs/perf.md, "Ranks travel with
+// the sets"). Singletons, some of which have no rank in a linear
 // partition, live in a per-table scan slice. A Runtime bundles arena,
 // memo and records so a worker optimizing a batch of queries recycles
 // them — the steady state performs (almost) no heap allocation. See
@@ -254,31 +258,43 @@ func RunContext(ctx context.Context, q *query.Query, cs *partition.ConstraintSet
 	if err != nil {
 		return nil, err
 	}
-	n := q.N()
-	enum := cs.NewEnumerator()
+	if err := eng.run(ctx); err != nil {
+		return nil, err
+	}
+	return eng.Finish()
+}
+
+// run is RunContext's loop over the partition's join results. The
+// enumerator yields admissible sets only, with their memo slots, so
+// ProcessSet's guard and Index.Of are not needed here.
+func (e *Engine) run(ctx context.Context) error {
+	w := &e.w
+	enum := w.cs.NewEnumerator()
 	sincePoll := 0
-	for k := 2; k <= n; k++ {
+	for k := 2; k <= w.q.N(); k++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("dp: canceled at cardinality %d: %w", k, context.Cause(ctx))
+			return fmt.Errorf("dp: canceled at cardinality %d: %w", k, context.Cause(ctx))
 		}
-		done := enum.ForEachAdmissible(k, func(u bitset.Set) bool {
-			eng.ProcessSet(u)
+		done := enum.ForEachRanked(k, func(u bitset.Set, rank int) bool {
+			if !w.opts.DisableCrossProducts || w.q.Connected(u) {
+				w.trySplits(u, rank)
+			}
 			if sincePoll++; sincePoll >= cancelPollInterval {
 				sincePoll = 0
 				if ctx.Err() != nil {
 					return false
 				}
 			}
-			return !eng.LimitExceeded()
+			return !e.LimitExceeded()
 		})
 		if !done {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("dp: canceled at cardinality %d: %w", k, context.Cause(ctx))
+				return fmt.Errorf("dp: canceled at cardinality %d: %w", k, context.Cause(ctx))
 			}
-			return nil, fmt.Errorf("%w after %d units", ErrWorkLimit, eng.Stats().WorkUnits())
+			return fmt.Errorf("%w after %d units", ErrWorkLimit, e.Stats().WorkUnits())
 		}
 	}
-	return eng.Finish()
+	return nil
 }
 
 // ErrWorkLimit is returned when Options.MaxWorkUnits is exceeded.
@@ -383,7 +399,7 @@ func (e *Engine) ProcessSet(u bitset.Set) uint64 {
 		return 0
 	}
 	before := e.w.stats.WorkUnits()
-	e.w.trySplits(u)
+	e.w.trySplits(u, e.w.index.Of(u))
 	return e.w.stats.WorkUnits() - before
 }
 
@@ -477,27 +493,33 @@ type record struct {
 }
 
 // lookup returns the entry of s, a single table or an admissible join
-// result; an empty frontier means no plan is known for s. It is the
-// per-split hot path and written to fit the compiler's inlining budget.
-func (w *worker) lookup(s bitset.Set) *entry {
+// result; an empty frontier means no plan is known for s.
+func (w *worker) lookup(s bitset.Set) *entry { return w.lookupRank(s, w.index.Of(s)) }
+
+// lookupRank is lookup for a set whose slot rank = Index.Of(s) the
+// partition layer handed over with it; a singleton's rank is not read.
+// It is the per-split hot path and written to fit the compiler's
+// inlining budget.
+func (w *worker) lookupRank(s bitset.Set, rank int) *entry {
 	if s&(s-1) == 0 {
 		return &w.scans[bits.TrailingZeros64(uint64(s))]
 	}
-	return &w.memo[w.index.Of(s)]
+	return &w.memo[rank]
 }
 
-// trySplits generates and prunes all plans for join result u
-// (Algorithm 5, both variants). The entry is assembled in the worker's
-// scratch slot and stored by value once complete; operand entries are
-// read in place.
-func (w *worker) trySplits(u bitset.Set) {
+// trySplits generates and prunes all plans for join result u, whose memo
+// slot is rank (Algorithm 5, both variants). The entry is assembled in
+// the worker's scratch slot and stored by value once complete; operand
+// entries are read in place, at the slots the partition layer computes
+// along with the operands.
+func (w *worker) trySplits(u bitset.Set, rank int) {
 	w.stats.SetsProcessed++
 	e := &w.scratch
 	e.card = -1
 	e.f.reset()
 	w.pend.lp, w.pend.cost = nil, math.NaN()
 	if w.rule == rulePareto && !w.opts.InterestingOrders {
-		w.paretoSplits(u)
+		w.paretoSplits(u, rank)
 	} else if w.cs.Space == partition.Linear {
 		for rem := u; rem != 0; rem &= rem - 1 {
 			t := bits.TrailingZeros64(uint64(rem))
@@ -506,16 +528,16 @@ func (w *worker) trySplits(u bitset.Set) {
 			}
 			inner := rem & -rem
 			outer := u &^ inner
-			le := w.lookup(outer)
+			le := w.lookupRank(outer, rank-w.index.Step(t))
 			if le.f.Len() == 0 {
 				continue
 			}
 			w.combine(outer, inner, le, &w.scans[t])
 		}
 	} else {
-		w.splitter.ForEachLeft(u, func(left bitset.Set) {
+		w.splitter.ForEachSplit(u, func(left bitset.Set, lrank, rrank int) {
 			right := u.Minus(left)
-			le, re := w.lookup(left), w.lookup(right)
+			le, re := w.lookupRank(left, lrank), w.lookupRank(right, rrank)
 			if le.f.Len() == 0 || re.f.Len() == 0 {
 				return
 			}
@@ -534,7 +556,7 @@ func (w *worker) trySplits(u bitset.Set) {
 		return
 	}
 	e.setSortTerms(&w.opts.Model)
-	slot := &w.memo[w.index.Of(u)]
+	slot := &w.memo[rank]
 	if slot.f.Len() == 0 {
 		w.stats.MemoEntries++
 	}
@@ -549,7 +571,7 @@ func (w *worker) trySplits(u bitset.Set) {
 
 // paretoSplits is trySplits' split loop for combinePareto. It is a loop
 // of its own so that combine's callers do not branch per split.
-func (w *worker) paretoSplits(u bitset.Set) {
+func (w *worker) paretoSplits(u bitset.Set, rank int) {
 	if w.cs.Space == partition.Linear {
 		for rem := u; rem != 0; rem &= rem - 1 {
 			t := bits.TrailingZeros64(uint64(rem))
@@ -557,15 +579,15 @@ func (w *worker) paretoSplits(u bitset.Set) {
 				continue
 			}
 			outer := u &^ (rem & -rem)
-			if le := w.lookup(outer); le.f.Len() > 0 {
+			if le := w.lookupRank(outer, rank-w.index.Step(t)); le.f.Len() > 0 {
 				w.combinePareto(outer, rem&-rem, le, &w.scans[t])
 			}
 		}
 		return
 	}
-	w.splitter.ForEachLeft(u, func(left bitset.Set) {
+	w.splitter.ForEachSplit(u, func(left bitset.Set, lrank, rrank int) {
 		right := u.Minus(left)
-		if le, re := w.lookup(left), w.lookup(right); le.f.Len() > 0 && re.f.Len() > 0 {
+		if le, re := w.lookupRank(left, lrank), w.lookupRank(right, rrank); le.f.Len() > 0 && re.f.Len() > 0 {
 			w.combinePareto(left, right, le, re)
 		}
 	})

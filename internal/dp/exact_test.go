@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"mpq/internal/bitset"
 	"mpq/internal/cost"
 	"mpq/internal/dp"
 	"mpq/internal/partition"
@@ -48,20 +47,16 @@ var exactConfigs = []struct {
 	}},
 }
 
-// runPartition drives the engine the way RunContext does, but keeps it,
-// so the test can ask for the memo's high-endpoint cardinalities.
+// runPartition runs the engine as RunContext does, but keeps it, so the
+// test can ask for the memo's high-endpoint cardinalities.
 func runPartition(t *testing.T, q *query.Query, cs *partition.ConstraintSet, opts dp.Options) (*dp.Engine, *dp.Result) {
 	t.Helper()
 	eng, err := dp.NewEngine(q, cs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enum := cs.NewEnumerator()
-	for k := 2; k <= q.N(); k++ {
-		enum.ForEachAdmissible(k, func(u bitset.Set) bool {
-			eng.ProcessSet(u)
-			return true
-		})
+	if err := eng.RunAll(); err != nil {
+		t.Fatal(err)
 	}
 	res, err := eng.Finish()
 	if err != nil {

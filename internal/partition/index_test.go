@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 
 	"mpq/internal/bitset"
@@ -62,7 +63,9 @@ func bruteRank(cs *ConstraintSet, s bitset.Set) int {
 
 // The index is a bijection from the enumerated admissible sets onto a
 // range with no slack, in the enumeration's own order: what lets the
-// dynamic program's memo be an array that is written front to back.
+// dynamic program's memo be an array that is written front to back. The
+// rank the enumerator hands over with each set is that slot, and so are
+// the ranks of its operands (checkOperandRanks).
 func TestIndexIsPerfectAndFollowsTheEnumeration(t *testing.T) {
 	forEveryPartition(t, 10, func(cs *ConstraintSet) {
 		ix := cs.Index()
@@ -72,9 +75,11 @@ func TestIndexIsPerfectAndFollowsTheEnumeration(t *testing.T) {
 		en := cs.NewEnumerator()
 		for k := 0; k <= cs.N; k++ {
 			prev := -1
-			en.ForEachAdmissible(k, func(u bitset.Set) bool {
+			en.ForEachRanked(k, func(u bitset.Set, i int) bool {
 				enumerated++
-				i := ix.Of(u)
+				if i != ix.Of(u) {
+					t.Fatalf("%v n=%d %s: %v ranked %d, Of %d", cs.Space, cs.N, cs.Describe(), u, i, ix.Of(u))
+				}
 				if i < 0 || uint64(i) >= slots {
 					t.Fatalf("%v n=%d %s: Of(%v) = %d outside [0,%d)", cs.Space, cs.N, cs.Describe(), u, i, slots)
 				}
@@ -90,6 +95,9 @@ func TestIndexIsPerfectAndFollowsTheEnumeration(t *testing.T) {
 				if cs.N <= 7 && i != bruteRank(cs, u) {
 					t.Fatalf("%v n=%d %s: Of(%v) = %d, brute-force rank %d", cs.Space, cs.N, cs.Describe(), u, i, bruteRank(cs, u))
 				}
+				if k >= 2 {
+					checkOperandRanks(t, cs, u)
+				}
 				return true
 			})
 		}
@@ -99,6 +107,78 @@ func TestIndexIsPerfectAndFollowsTheEnumeration(t *testing.T) {
 			t.Fatalf("%v n=%d %s: %d sets enumerated, CountAdmissible %d", cs.Space, cs.N, cs.Describe(), enumerated, slots)
 		}
 	})
+}
+
+// checkOperandRanks checks the slots the partition layer hands the
+// dynamic program with the operands of u, an admissible join result of
+// two or more tables. Linear: Of(u) − Step(t) is the slot of the outer
+// operand u∖{t} of every inner table t that InnerAllowed admits, unless
+// that operand is a singleton. Bushy: ForEachSplit yields filteredLefts'
+// operands in filteredLefts' order, each with the slots of both sides.
+func checkOperandRanks(t *testing.T, cs *ConstraintSet, u bitset.Set) {
+	t.Helper()
+	ix := cs.Index()
+	if cs.Space == Linear {
+		u.ForEach(func(tbl int) {
+			outer := u.Remove(tbl)
+			if !outer.IsSingleton() && cs.InnerAllowed(u, tbl) && ix.Of(u)-ix.Step(tbl) != ix.Of(outer) {
+				t.Fatalf("n=%d %s: Of(%v) − Step(%d) = %d, Of(%v) = %d", cs.N, cs.Describe(), u, tbl, ix.Of(u)-ix.Step(tbl), outer, ix.Of(outer))
+			}
+		})
+		return
+	}
+	var lefts []bitset.Set
+	cs.NewSplitter().ForEachSplit(u, func(left bitset.Set, lrank, rrank int) {
+		if right := u.Minus(left); lrank != ix.Of(left) || rrank != ix.Of(right) {
+			t.Fatalf("n=%d %s: split %v | %v of %v ranked %d | %d, Of gives %d | %d",
+				cs.N, cs.Describe(), left, right, u, lrank, rrank, ix.Of(left), ix.Of(right))
+		}
+		lefts = append(lefts, left)
+	})
+	if want := filteredLefts(cs, u); !slices.Equal(lefts, want) {
+		t.Fatalf("n=%d %s: ForEachSplit(%v) yields %v, want %v", cs.N, cs.Describe(), u, lefts, want)
+	}
+}
+
+// filteredLefts is the bushy splitter without ranks or division tables:
+// each constrained triple's part of u split every way that violates the
+// constraint on neither side, the triples crossed in constraint order
+// with the free tables' subsets innermost, all ascending. ForEachSplit
+// must keep this order, as the dynamic program keeps the first of
+// equally cheap plans.
+func filteredLefts(cs *ConstraintSet, u bitset.Set) []bitset.Set {
+	var parts [][]bitset.Set
+	for ci, c := range cs.List {
+		s := cs.groupMask[ci].Intersect(u)
+		if s.IsEmpty() {
+			continue
+		}
+		var subs []bitset.Set
+		s.Subsets(func(sub bitset.Set) {
+			if !violates(cs.Space, c, sub) && !violates(cs.Space, c, s.Minus(sub)) {
+				subs = append(subs, sub)
+			}
+		})
+		parts = append(parts, subs)
+	}
+	free := u.Minus(cs.constrainedTables)
+	var lefts []bitset.Set
+	var rec func(pi int, acc bitset.Set)
+	rec = func(pi int, acc bitset.Set) {
+		if pi == len(parts) {
+			free.Subsets(func(fs bitset.Set) {
+				if left := acc.Union(fs); !left.IsEmpty() && left != u {
+					lefts = append(lefts, left)
+				}
+			})
+			return
+		}
+		for _, sub := range parts[pi] {
+			rec(pi+1, acc.Union(sub))
+		}
+	}
+	rec(0, bitset.Empty())
+	return lefts
 }
 
 // What lets a linear dynamic program keep singletons outside the indexed
@@ -153,13 +233,16 @@ func TestIndexTablesGrowLinearly(t *testing.T) {
 }
 
 // FuzzIndex: for any partition and any table set, Of stays inside the
-// array, and on an admissible set it is the brute-force rank.
+// array, and on an admissible set it is the brute-force rank, the rank
+// the enumerator hands over with the set, and its operands' ranks are
+// their slots (checkOperandRanks).
 func FuzzIndex(f *testing.F) {
 	f.Add(uint8(0), uint8(6), uint8(3), uint16(5), uint16(0b110111))
 	f.Add(uint8(1), uint8(9), uint8(3), uint16(7), uint16(0b101101101))
 	f.Add(uint8(0), uint8(10), uint8(0), uint16(0), uint16(0b1000000010))
 	f.Add(uint8(1), uint8(7), uint8(1), uint16(1), uint16(0b0000110))
 	f.Add(uint8(0), uint8(1), uint8(0), uint16(0), uint16(1))
+	f.Add(uint8(1), uint8(8), uint8(1), uint16(1), uint16(0b11010111))
 	f.Fuzz(func(t *testing.T, space, n, logM uint8, partID, setBits uint16) {
 		sp := Space(space % 2)
 		tables := 1 + int(n)%10
@@ -176,8 +259,18 @@ func FuzzIndex(f *testing.F) {
 		if i < 0 || uint64(i) >= cs.CountAdmissible() {
 			t.Fatalf("%v n=%d %s: Of(%v) = %d outside [0,%d)", sp, tables, cs.Describe(), s, i, cs.CountAdmissible())
 		}
-		if s.Count() >= 2 && cs.Admissible(s) && i != bruteRank(cs, s) {
+		if s.Count() < 2 || !cs.Admissible(s) {
+			return
+		}
+		if i != bruteRank(cs, s) {
 			t.Fatalf("%v n=%d %s: Of(%v) = %d, brute-force rank %d", sp, tables, cs.Describe(), s, i, bruteRank(cs, s))
 		}
+		cs.NewEnumerator().ForEachRanked(s.Count(), func(u bitset.Set, rank int) bool {
+			if u == s && rank != i {
+				t.Fatalf("%v n=%d %s: %v ranked %d, Of %d", sp, tables, cs.Describe(), s, rank, i)
+			}
+			return u != s
+		})
+		checkOperandRanks(t, cs, s)
 	})
 }

@@ -21,7 +21,10 @@
 // Enumerator streams its elements cardinality by cardinality, and Index
 // ranks them — a perfect index into [0, CountAdmissible) that rises
 // along the Enumerator's order, so the dynamic program's memo can be a
-// plain array.
+// plain array. A rank is a sum of one share per group, so it travels
+// with the sets: the Enumerator hands each set over with its rank, the
+// Splitter each bushy split with its two operands' ranks, and
+// Index.Step turns a linear set's rank into its outer operand's.
 package partition
 
 import (
@@ -244,31 +247,38 @@ func (cs *ConstraintSet) InnerAllowed(u bitset.Set, t int) bool {
 	return v < 0 || !u.Contains(v)
 }
 
+// ranked is an admissible subset of one table group with its share of
+// Index.Of: Of of a set is the sum of its groups' shares.
+type ranked struct {
+	set  bitset.Set
+	rank int
+}
+
 // groups returns, for every disjoint table group (constrained pairs or
 // triples, then the unconstrained remainder as singleton groups), the
-// admissible subsets of that group (Algorithm 4's ConstrainedPowerSet).
-func (cs *ConstraintSet) groups() [][]bitset.Set {
-	var out [][]bitset.Set
-	covered := bitset.Empty()
+// admissible subsets of that group (Algorithm 4's ConstrainedPowerSet)
+// with their rank shares, all in one backing array.
+func (cs *ConstraintSet) groups() [][]ranked {
+	g, shift := cs.Space.groupSize(), int(cs.index.shift)
+	all := make([]ranked, 0, len(cs.List)<<g+2*(cs.N-shift))
+	out := make([][]ranked, 0, len(cs.List)+cs.N-shift)
 	for ci, c := range cs.List {
-		var subs []bitset.Set
+		start := len(all)
 		cs.groupMask[ci].Subsets(func(sub bitset.Set) {
 			if !violates(cs.Space, c, sub) {
-				subs = append(subs, sub)
+				all = append(all, ranked{sub, cs.index.Of(sub)})
 			}
 		})
-		out = append(out, subs)
-		covered = covered.Union(cs.groupMask[ci])
+		out = append(out, all[start:])
 	}
-	// Unconstrained groups: remaining pairs/triples carry no constraint,
-	// so each remaining table contributes {∅, {t}} independently; we
-	// group them per-table for a flatter product tree. Highest table
-	// outermost: with every group's subsets in ascending mask order that
-	// makes the Enumerator visit sets in ascending Index order.
-	for t := cs.N - 1; t >= 0; t-- {
-		if !covered.Contains(t) {
-			out = append(out, []bitset.Set{bitset.Empty(), bitset.Single(t)})
-		}
+	// Unconstrained groups: the tables from shift up carry no constraint,
+	// so each contributes {∅, {t}} independently; we group them per-table
+	// for a flatter product tree. Highest table outermost: with every
+	// group's subsets in ascending mask order that makes the Enumerator
+	// visit sets in ascending Index order.
+	for t := cs.N - 1; t >= shift; t-- {
+		all = append(all, ranked{}, ranked{bitset.Single(t), 1 << (t - shift)})
+		out = append(out, all[len(all)-2:])
 	}
 	return out
 }
@@ -292,7 +302,7 @@ func (cs *ConstraintSet) groups() [][]bitset.Set {
 //		})
 //	}
 type Enumerator struct {
-	groups [][]bitset.Set
+	groups [][]ranked
 	// maxTail[i] is the largest table count groups[i:] can contribute;
 	// a partial product with cnt tables is pruned when cnt+maxTail < k.
 	maxTail []int
@@ -307,7 +317,7 @@ func (cs *ConstraintSet) NewEnumerator() *Enumerator {
 	for i := len(groups) - 1; i >= 0; i-- {
 		max := 0
 		for _, sub := range groups[i] {
-			if c := sub.Count(); c > max {
+			if c := sub.set.Count(); c > max {
 				max = c
 			}
 		}
@@ -316,32 +326,39 @@ func (cs *ConstraintSet) NewEnumerator() *Enumerator {
 	return &Enumerator{groups: groups, maxTail: maxTail}
 }
 
-// ForEachAdmissible calls fn for every admissible join result with
-// exactly k tables, in the same deterministic order in which
-// AdmissibleSets fills its k-th bucket. fn returns whether enumeration
-// should continue; ForEachAdmissible reports whether it ran to
-// completion (false iff fn stopped it).
-func (en *Enumerator) ForEachAdmissible(k int, fn func(u bitset.Set) bool) bool {
-	var rec func(gi int, acc bitset.Set, cnt int) bool
-	rec = func(gi int, acc bitset.Set, cnt int) bool {
+// ForEachRanked calls fn for every admissible join result u with
+// exactly k tables and its slot rank = Index.Of(u), in the same
+// deterministic order in which AdmissibleSets fills its k-th bucket —
+// rank rises along it. The rank is the sum of the shares of u's group
+// subsets, added up along the recursion that builds u. fn returns
+// whether enumeration should continue; ForEachRanked reports whether it
+// ran to completion (false iff fn stopped it).
+func (en *Enumerator) ForEachRanked(k int, fn func(u bitset.Set, rank int) bool) bool {
+	var rec func(gi int, acc bitset.Set, rank, cnt int) bool
+	rec = func(gi int, acc bitset.Set, rank, cnt int) bool {
 		if cnt+en.maxTail[gi] < k {
 			return true // this branch cannot reach k tables
 		}
 		if gi == len(en.groups) {
-			return fn(acc) // cnt == k: <k pruned above, >k skipped below
+			return fn(acc, rank) // cnt == k: <k pruned above, >k skipped below
 		}
 		for _, sub := range en.groups[gi] {
-			c := sub.Count()
+			c := sub.set.Count()
 			if cnt+c > k {
 				continue
 			}
-			if !rec(gi+1, acc.Union(sub), cnt+c) {
+			if !rec(gi+1, acc.Union(sub.set), rank+sub.rank, cnt+c) {
 				return false
 			}
 		}
 		return true
 	}
-	return rec(0, bitset.Empty(), 0)
+	return rec(0, bitset.Empty(), 0, 0)
+}
+
+// ForEachAdmissible is ForEachRanked without the ranks.
+func (en *Enumerator) ForEachAdmissible(k int, fn func(u bitset.Set) bool) bool {
+	return en.ForEachRanked(k, func(u bitset.Set, _ int) bool { return fn(u) })
 }
 
 // ForEachAdmissible streams the admissible join results with exactly k
@@ -430,14 +447,7 @@ func (cs *ConstraintSet) buildIndex() {
 	ix.tab = make([]int, size)
 	for i := len(cs.List) - 1; i >= 0; i-- { // least significant group first
 		lo := g * uint(i)
-		var digit [8]int // by the group's bits; an inadmissible subset shares its successor's
-		ord := 0
-		for b := range 1 << g {
-			digit[b] = ord
-			if !violates(cs.Space, cs.List[i], bitset.Set(b)<<lo) {
-				ord++
-			}
-		}
+		digit, ord := groupDigits(cs.Space, cs.List[i], lo)
 		chunk := ix.tab[lo/indexChunkBits*chunkLen:]
 		chunk = chunk[:min(len(chunk), chunkLen)]
 		for b := range chunk {
@@ -445,6 +455,39 @@ func (cs *ConstraintSet) buildIndex() {
 		}
 		ix.slots *= uint64(ord)
 	}
+}
+
+// groupDigits returns the digit of every subset of c's group, by the
+// group's bits (its lowest table lo is bit 0): its ordinal among the
+// group's admissible subsets in ascending mask order, an inadmissible
+// subset sharing its successor's. ord is the group's admissible count.
+func groupDigits(space Space, c Constraint, lo uint) (digit [8]int, ord int) {
+	for b := range 1 << space.groupSize() {
+		digit[b] = ord
+		if !violates(space, c, bitset.Set(b)<<lo) {
+			ord++
+		}
+	}
+	return digit, ord
+}
+
+// weight returns the weight of the constrained group whose lowest table
+// is lo: Of({lo}), as only ∅ comes before {lo} in the group, so {lo}'s
+// digit is 1 whatever the group and direction.
+func (ix *Index) weight(lo uint) int {
+	return ix.tab[lo/indexChunkBits<<indexChunkBits|1<<(lo%indexChunkBits)]
+}
+
+// Step returns Of(u) − Of(u∖{t}) in a linear partition, for an
+// admissible u of three or more tables and a table t that InnerAllowed
+// lets be its inner operand. A pair's digit is its element count, so
+// removing t lowers t's pair's digit by one; a free table's share is its
+// bit.
+func (ix *Index) Step(t int) int {
+	if ut := uint(t); ut >= ix.shift {
+		return 1 << (ut - ix.shift)
+	}
+	return ix.weight(uint(t) &^ 1)
 }
 
 // Of returns the slot of admissible set s.
@@ -463,72 +506,79 @@ func (ix *Index) Of(s bitset.Set) int {
 // admissible operands (its complexity is linear in the number of
 // admissible rather than possible splits). With no constraints it yields
 // every proper subset, i.e. the classical bushy DP split enumeration.
-//
-// For hot loops prefer NewSplitter, which reuses internal buffers.
 func (cs *ConstraintSet) ForEachLeft(u bitset.Set, fn func(left bitset.Set)) {
 	cs.NewSplitter().ForEachLeft(u, fn)
 }
 
-// Splitter enumerates admissible operand splits with reusable buffers;
-// the per-partition dynamic program allocates one Splitter and calls
-// ForEachLeft once per admissible join result. Not safe for concurrent
-// use.
-type Splitter struct {
-	cs    *ConstraintSet
-	parts [][]bitset.Set // scratch: admissible per-triple subsets
-	buf   [][]bitset.Set // backing storage, one slice per constraint
+// Splitter enumerates the admissible operand splits of a bushy
+// partition's join results; the per-partition dynamic program allocates
+// one Splitter and calls ForEachSplit once per admissible join result.
+type Splitter struct{ cs *ConstraintSet }
+
+// NewSplitter returns a Splitter for this bushy partition.
+func (cs *ConstraintSet) NewSplitter() *Splitter { return &Splitter{cs: cs} }
+
+// division splits a triple's part s of a join result into admissible
+// parts sub (left) and s∖sub (right), with the digits Index gives them.
+type division struct {
+	sub            bitset.Set
+	lDigit, rDigit int
 }
 
-// NewSplitter returns a Splitter for this partition.
-func (cs *ConstraintSet) NewSplitter() *Splitter {
-	sp := &Splitter{cs: cs}
-	sp.buf = make([][]bitset.Set, len(cs.List))
-	for i := range sp.buf {
-		sp.buf[i] = make([]bitset.Set, 0, 8)
+// divisions[d][s] lists the divisions of triple part s, by the triple's
+// bits, in ascending sub order, under constraint direction d: 0 for
+// x ⪯ y|z, 1 for y ⪯ x|z. Nothing else of a partition changes them, so
+// they are built once.
+var divisions = func() (t [2][8][]division) {
+	for d := range t {
+		c := Constraint{X: d, Y: 1 - d, Z: 2}
+		digit, _ := groupDigits(Bushy, c, 0)
+		for s := range t[d] {
+			bitset.Set(s).Subsets(func(sub bitset.Set) {
+				rest := bitset.Set(s) &^ sub
+				if !violates(Bushy, c, sub) && !violates(Bushy, c, rest) {
+					t[d][s] = append(t[d][s], division{sub, digit[sub], digit[rest]})
+				}
+			})
+		}
 	}
-	sp.parts = make([][]bitset.Set, 0, len(cs.List))
-	return sp
-}
+	return t
+}()
 
 // ForEachLeft enumerates the admissible left operands of u; see
 // ConstraintSet.ForEachLeft.
 func (sp *Splitter) ForEachLeft(u bitset.Set, fn func(left bitset.Set)) {
-	cs := sp.cs
+	sp.ForEachSplit(u, func(left bitset.Set, _, _ int) { fn(left) })
+}
+
+// ForEachSplit calls fn for every admissible left operand of u, in
+// ForEachLeft's order — triples in constraint order with each part's
+// subsets ascending, the free tables' subsets innermost and ascending —
+// with the slots lrank = Index.Of(left) and rrank = Index.Of(u∖left).
+// Each triple adds its division's digits times the triple's weight to
+// the two ranks, and the free tables' subset fs adds fs and free∖fs,
+// shifted down to the free tables' bits.
+func (sp *Splitter) ForEachSplit(u bitset.Set, fn func(left bitset.Set, lrank, rrank int)) {
+	cs, ix := sp.cs, &sp.cs.index
 	free := u.Minus(cs.constrainedTables)
-	sp.parts = sp.parts[:0]
-	for ci, c := range cs.List {
-		s := cs.groupMask[ci].Intersect(u)
-		if s.IsEmpty() {
-			continue
-		}
-		subs := sp.buf[ci][:0]
-		s.Subsets(func(sub bitset.Set) {
-			rest := s.Minus(sub)
-			if violates(cs.Space, c, sub) || violates(cs.Space, c, rest) {
-				return
-			}
-			subs = append(subs, sub)
-		})
-		sp.buf[ci] = subs
-		sp.parts = append(sp.parts, subs)
-	}
-	parts := sp.parts
-	var rec func(pi int, acc bitset.Set)
-	rec = func(pi int, acc bitset.Set) {
-		if pi == len(parts) {
+	var rec func(gi int, acc bitset.Set, lrank, rrank int)
+	rec = func(gi int, acc bitset.Set, lrank, rrank int) {
+		if gi == len(cs.List) {
 			free.Subsets(func(fs bitset.Set) {
-				left := acc.Union(fs)
-				if !left.IsEmpty() && left != u {
-					fn(left)
+				if left := acc.Union(fs); !left.IsEmpty() && left != u {
+					fn(left, lrank+int(fs>>ix.shift), rrank+int((free^fs)>>ix.shift))
 				}
 			})
 			return
 		}
-		for _, sub := range parts[pi] {
-			rec(pi+1, acc.Union(sub))
+		lo := 3 * uint(gi)
+		w := ix.weight(lo)
+		// The direction: X is the triple's first table or its second.
+		for _, d := range divisions[cs.List[gi].X-3*gi][u>>lo&7] {
+			rec(gi+1, acc.Union(d.sub<<lo), lrank+d.lDigit*w, rrank+d.rDigit*w)
 		}
 	}
-	rec(0, bitset.Empty())
+	rec(0, bitset.Empty(), 0, 0)
 }
 
 // NaiveForEachLeft enumerates the same admissible left operands as

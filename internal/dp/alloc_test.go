@@ -1,9 +1,9 @@
 package dp_test
 
 import (
+	"context"
 	"testing"
 
-	"mpq/internal/bitset"
 	"mpq/internal/cost"
 	"mpq/internal/dp"
 	"mpq/internal/partition"
@@ -31,8 +31,8 @@ func TestJoinScalarsAllocFree(t *testing.T) {
 }
 
 // End-to-end allocation gate for the DP inner loop, on every rule and
-// cost-model family: with a warm runtime, treating a join result
-// allocates nothing at all — not per pruned candidate, not per kept
+// cost-model family: with a warm runtime, a level that treats one join
+// result allocates nothing at all — not per pruned candidate, not per kept
 // record (the runtime's records slice), not per survivor (arena slabs),
 // not for the memo entry (stored by value) or a spilled frontier (spill
 // slabs).
@@ -54,19 +54,23 @@ func TestProcessSetPrunedCandidatesAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			enum := cs.NewEnumerator()
+			ctx := context.Background()
 			for k := 2; k < 12; k++ {
-				enum.ForEachAdmissible(k, func(u bitset.Set) bool {
-					eng.ProcessSet(u)
-					return true
-				})
+				if err := eng.Level(ctx, k, nil); err != nil {
+					t.Fatal(err)
+				}
 			}
-			// Re-processing the full set replaces its memo entry; the
-			// sub-plans it combines are unchanged, so every run generates
-			// the same candidates and keeps the same number of plans.
-			all := q.All()
+			// The last level is the full set alone. Re-running it replaces
+			// the set's memo entry; the sub-plans it combines are
+			// unchanged, so every run generates the same candidates and
+			// keeps the same number of plans.
+			last := func() {
+				if err := eng.Level(ctx, 12, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
 			before := eng.Stats()
-			eng.ProcessSet(all)
+			last()
 			after := eng.Stats()
 			kept := after.PlansKept - before.PlansKept
 			pruned := after.PlansPruned - before.PlansPruned
@@ -76,8 +80,8 @@ func TestProcessSetPrunedCandidatesAllocFree(t *testing.T) {
 			// A slab of 1024 nodes or spill pointers is allocated once per
 			// several hundred runs; AllocsPerRun's integer average absorbs
 			// it, anything per candidate or per survivor does not.
-			if allocs := testing.AllocsPerRun(100, func() { eng.ProcessSet(all) }); allocs != 0 {
-				t.Fatalf("ProcessSet allocates %.1f times per run (kept=%d, pruned=%d)", allocs, kept, pruned)
+			if allocs := testing.AllocsPerRun(100, last); allocs != 0 {
+				t.Fatalf("Level allocates %.1f times per run (kept=%d, pruned=%d)", allocs, kept, pruned)
 			}
 		})
 	}

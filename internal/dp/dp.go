@@ -41,10 +41,11 @@
 // (docs/perf.md, "Whole-pair pruning" and "The Pareto rule in the
 // engine").
 //
-// The admissible join results themselves are streamed per cardinality
-// from partition.Enumerator instead of being materialized up front,
-// keeping the master/worker memory footprint within the paper's
-// per-partition bounds (Theorem 4).
+// The dynamic program runs one cardinality level at a time, in
+// Engine.Level — the one loop RunContext and the SMA baseline drive. A
+// level streams its admissible join results from partition.Enumerator
+// instead of materializing them up front, keeping the master/worker
+// memory footprint within the paper's per-partition bounds (Theorem 4).
 //
 // # Memory locality
 //
@@ -258,43 +259,50 @@ func RunContext(ctx context.Context, q *query.Query, cs *partition.ConstraintSet
 	if err != nil {
 		return nil, err
 	}
-	if err := eng.run(ctx); err != nil {
-		return nil, err
+	for k := 2; k <= q.N(); k++ {
+		if err := eng.Level(ctx, k, nil); err != nil {
+			return nil, err
+		}
 	}
 	return eng.Finish()
 }
 
-// run is RunContext's loop over the partition's join results. The
-// enumerator yields admissible sets only, with their memo slots, so
-// ProcessSet's guard and Index.Of are not needed here.
-func (e *Engine) run(ctx context.Context) error {
-	w := &e.w
-	enum := w.cs.NewEnumerator()
-	sincePoll := 0
-	for k := 2; k <= w.q.N(); k++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("dp: canceled at cardinality %d: %w", k, context.Cause(ctx))
-		}
-		done := enum.ForEachRanked(k, func(u bitset.Set, rank int) bool {
-			if !w.opts.DisableCrossProducts || w.q.Connected(u) {
-				w.trySplits(u, rank)
-			}
-			if sincePoll++; sincePoll >= cancelPollInterval {
-				sincePoll = 0
-				if ctx.Err() != nil {
-					return false
-				}
-			}
-			return !e.LimitExceeded()
-		})
-		if !done {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("dp: canceled at cardinality %d: %w", k, context.Cause(ctx))
-			}
-			return fmt.Errorf("%w after %d units", ErrWorkLimit, e.Stats().WorkUnits())
-		}
+// Level treats every admissible join result of k tables, in the
+// Enumerator's order: one cardinality of Algorithm 2's loop. Levels must
+// run in ascending k, from 2 to the query's table count. fn, if not nil,
+// is called after each set is stored, with the work units it cost; when
+// it returns false the level stops there and Level returns nil.
+//
+// Level checks ctx when it starts and after every cancelPollInterval
+// sets; once it finds ctx ended, it stops with an error wrapping ctx's
+// cause. It stops with an error wrapping ErrWorkLimit once the work meter
+// passes Options.MaxWorkUnits.
+func (e *Engine) Level(ctx context.Context, k int, fn func(u bitset.Set, units uint64) bool) error {
+	if ctx.Err() != nil {
+		return fmt.Errorf("dp: canceled at cardinality %d: %w", k, context.Cause(ctx))
 	}
-	return nil
+	w := &e.w
+	var err error
+	sincePoll := 0
+	w.enum.ForEachRanked(k, func(u bitset.Set, rank int) bool {
+		units := w.process(u, rank)
+		if fn != nil && !fn(u, units) {
+			return false
+		}
+		if sincePoll++; sincePoll >= cancelPollInterval {
+			sincePoll = 0
+			if ctx.Err() != nil {
+				err = fmt.Errorf("dp: canceled at cardinality %d: %w", k, context.Cause(ctx))
+				return false
+			}
+		}
+		if limit := w.opts.MaxWorkUnits; limit > 0 && w.stats.WorkUnits() > limit {
+			err = fmt.Errorf("%w after %d units", ErrWorkLimit, w.stats.WorkUnits())
+			return false
+		}
+		return true
+	})
+	return err
 }
 
 // ErrWorkLimit is returned when Options.MaxWorkUnits is exceeded.
@@ -324,10 +332,11 @@ func memoSlots(cs *partition.ConstraintSet) (int, error) {
 	return int(slots), nil
 }
 
-// Engine exposes the dynamic program one table set at a time, so that
-// schedulers other than the straight Algorithm 2 loop — in particular
-// the SMA baseline, which assigns sets to workers in rounds — drive the
-// exact same plan generation and pruning logic.
+// Engine exposes the dynamic program one cardinality level at a time, so
+// that schedulers other than the straight Algorithm 2 loop — in
+// particular the SMA baseline, which runs each level as one round of
+// tasks spread over its workers — drive the exact same plan generation
+// and pruning logic.
 type Engine struct{ w worker }
 
 // NewEngine validates the inputs, sizes the memo and builds the scan
@@ -379,6 +388,7 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 		w.stats.PlansKept++
 		w.stats.MemoEntries++
 	}
+	w.enum = cs.NewEnumerator()
 	if cs.Space == partition.Bushy {
 		w.splitter = cs.NewSplitter()
 	}
@@ -386,21 +396,16 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 }
 
 // ProcessSet treats one admissible join result — a set of two or more
-// tables that the partition's Enumerator yields: all admissible splits
-// are tried and surviving plans stored in the memo. Sets must be
-// processed in non-decreasing cardinality. It returns the work units
-// (1 + splits tried) this set cost. Any other set has no memo slot of
-// its own; passing one is a bug in the caller and panics.
+// tables that the partition's Enumerator yields — as Level does, and
+// returns the work units it cost. Sets must be processed in
+// non-decreasing cardinality. Any other set has no memo slot of its own;
+// passing one is a bug in the caller and panics. The bench module's walk
+// is its only caller, until it moves to Level and ProcessSet goes.
 func (e *Engine) ProcessSet(u bitset.Set) uint64 {
 	if u.Count() < 2 || !e.w.q.All().ContainsAll(u) || !e.w.cs.Admissible(u) {
 		panic(fmt.Sprintf("dp: ProcessSet(%v): not an admissible join result of partition %s", u, e.w.cs.Describe()))
 	}
-	if e.w.opts.DisableCrossProducts && !e.w.q.Connected(u) {
-		return 0
-	}
-	before := e.w.stats.WorkUnits()
-	e.w.trySplits(u, e.w.index.Of(u))
-	return e.w.stats.WorkUnits() - before
+	return e.w.process(u, e.w.index.Of(u))
 }
 
 // ForEachPlan calls fn for each retained plan of table set u — a single
@@ -414,12 +419,6 @@ func (e *Engine) ForEachPlan(u bitset.Set, fn func(*plan.Node)) {
 	for i, n := 0, ent.f.Len(); i < n; i++ {
 		fn(ent.f.At(i))
 	}
-}
-
-// LimitExceeded reports whether the work meter has passed
-// Options.MaxWorkUnits.
-func (e *Engine) LimitExceeded() bool {
-	return e.w.opts.MaxWorkUnits > 0 && e.w.stats.WorkUnits() > e.w.opts.MaxWorkUnits
 }
 
 // Stats returns the cumulative work counters so far.
@@ -475,6 +474,7 @@ type worker struct {
 	// runtime's slice, whose capacity is recycled across runs.
 	rule rule
 	recs *[]record
+	enum *partition.Enumerator
 }
 
 // record is an admitted candidate of the set under construction: the
@@ -505,6 +505,18 @@ func (w *worker) lookupRank(s bitset.Set, rank int) *entry {
 		return &w.scans[bits.TrailingZeros64(uint64(s))]
 	}
 	return &w.memo[rank]
+}
+
+// process treats join result u, whose memo slot is rank, and returns the
+// work units it cost: none for a disconnected set DisableCrossProducts
+// skips.
+func (w *worker) process(u bitset.Set, rank int) uint64 {
+	if w.opts.DisableCrossProducts && !w.q.Connected(u) {
+		return 0
+	}
+	before := w.stats.WorkUnits()
+	w.trySplits(u, rank)
+	return w.stats.WorkUnits() - before
 }
 
 // trySplits generates and prunes all plans for join result u, whose memo

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mpq/internal/bitset"
 	"mpq/internal/brute"
 	"mpq/internal/cost"
 	"mpq/internal/partition"
@@ -478,6 +479,58 @@ func TestRunContextCanceled(t *testing.T) {
 		partition.Unconstrained(partition.Linear, 6), Options{})
 	if err != nil || len(res.Plans) == 0 {
 		t.Fatalf("background run: %v", err)
+	}
+}
+
+// Level's contract, deterministically: an fn that returns false ends the
+// level with nil and leaves the later sets untreated; a context canceled
+// inside fn ends the level within cancelPollInterval further sets; a work
+// meter past MaxWorkUnits ends it with ErrWorkLimit.
+func TestLevelContract(t *testing.T) {
+	q := genQuery(t, 14, workload.Clique, 0)
+	cs := partition.Unconstrained(partition.Linear, q.N())
+	bg := context.Background()
+	eng, err := NewEngine(q, cs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	if err := eng.Level(bg, 2, func(bitset.Set, uint64) bool { calls++; return calls < 10 }); err != nil {
+		t.Fatalf("stopped level: %v", err)
+	}
+	if got := eng.Stats().SetsProcessed; calls != 10 || got != 10 {
+		t.Fatalf("fn stopped the level at set 10, but fn ran %d times and %d sets were treated", calls, got)
+	}
+
+	if eng, err = NewEngine(q, cs, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for k := 2; k < 7; k++ {
+		if err := eng.Level(bg, k, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	before, calls := eng.Stats().SetsProcessed, 0
+	err = eng.Level(ctx, 7, func(bitset.Set, uint64) bool {
+		if calls++; calls == 100 {
+			cancel()
+		}
+		return true
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("level canceled inside fn: err = %v, want context.Canceled", err)
+	}
+	if got := eng.Stats().SetsProcessed - before; got < 100 || got > 100+cancelPollInterval {
+		t.Fatalf("canceled at set 100 of %d, but the level treated %d sets", binom(14, 7), got)
+	}
+
+	if eng, err = NewEngine(q, cs, Options{MaxWorkUnits: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunAll(); !errors.Is(err, ErrWorkLimit) {
+		t.Fatalf("MaxWorkUnits 5000: err = %v, want ErrWorkLimit", err)
 	}
 }
 

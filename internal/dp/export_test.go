@@ -15,6 +15,12 @@ func (e *Engine) CardHiFor(u bitset.Set) (float64, bool) {
 }
 
 // RunAll is RunContext's loop without its Finish, so that a test can
-// inspect the engine after a run that took the ranks the enumerator and
-// the splitter hand over.
-func (e *Engine) RunAll() error { return e.run(context.Background()) }
+// inspect the engine after a run.
+func (e *Engine) RunAll() error {
+	for k := 2; k <= e.w.q.N(); k++ {
+		if err := e.Level(context.Background(), k, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}

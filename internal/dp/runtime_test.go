@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -161,13 +162,13 @@ func TestSingleBestBuildsEachSurvivorOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 				plans := q.N()
-				enum := cs.NewEnumerator()
 				for k := 2; k <= q.N(); k++ {
-					enum.ForEachAdmissible(k, func(u bitset.Set) bool {
-						eng.ProcessSet(u)
+					if err := eng.Level(context.Background(), k, func(u bitset.Set, _ uint64) bool {
 						plans += len(plansOf(eng, u))
 						return true
-					})
+					}); err != nil {
+						t.Fatal(err)
+					}
 				}
 				res, err := eng.Finish()
 				if err != nil {

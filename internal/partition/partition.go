@@ -292,12 +292,13 @@ func (cs *ConstraintSet) groups() [][]ranked {
 // cardinality bounds pruning branches that cannot reach the requested
 // set size, so every visited branch yields at least one output.
 //
-// Build one Enumerator per DP run and reuse it across cardinalities:
+// Build one Enumerator per DP run and reuse it across cardinalities, as
+// dp's Engine.Level does with ForEachRanked:
 //
 //	en := cs.NewEnumerator()
 //	for k := 2; k <= cs.N; k++ {
-//		en.ForEachAdmissible(k, func(u bitset.Set) bool {
-//			process(u) // e.g. dp's Engine.ProcessSet
+//		en.ForEachRanked(k, func(u bitset.Set, rank int) bool {
+//			process(u, rank) // rank = Index.Of(u), u's memo slot
 //			return true
 //		})
 //	}
@@ -375,8 +376,9 @@ func (cs *ConstraintSet) ForEachAdmissible(k int, fn func(u bitset.Set) bool) bo
 // set and bucket 1 all singletons that survive the constraints.
 //
 // This eagerly materializes the whole admissible-set list and is kept
-// for tests, tools and ablations; the DP and the SMA baseline stream the
-// same sets per cardinality through Enumerator instead.
+// for tests, tools and ablations; the DP streams the same sets per
+// cardinality through Enumerator instead, in dp's Engine.Level, which
+// the SMA baseline drives too.
 func (cs *ConstraintSet) AdmissibleSets() [][]bitset.Set {
 	byCard := make([][]bitset.Set, cs.N+1)
 	en := cs.NewEnumerator()
@@ -500,16 +502,6 @@ func (ix *Index) Of(s bitset.Set) int {
 	return idx
 }
 
-// ForEachLeft enumerates every admissible left operand L of join result u
-// in the bushy space (Algorithm 5, TrySplits[Bushy]): both L and u\L are
-// admissible, L ≠ ∅ and L ≠ u. The enumeration constructs only
-// admissible operands (its complexity is linear in the number of
-// admissible rather than possible splits). With no constraints it yields
-// every proper subset, i.e. the classical bushy DP split enumeration.
-func (cs *ConstraintSet) ForEachLeft(u bitset.Set, fn func(left bitset.Set)) {
-	cs.NewSplitter().ForEachLeft(u, fn)
-}
-
 // Splitter enumerates the admissible operand splits of a bushy
 // partition's join results; the per-partition dynamic program allocates
 // one Splitter and calls ForEachSplit once per admissible join result.
@@ -545,8 +537,12 @@ var divisions = func() (t [2][8][]division) {
 	return t
 }()
 
-// ForEachLeft enumerates the admissible left operands of u; see
-// ConstraintSet.ForEachLeft.
+// ForEachLeft enumerates every admissible left operand L of join result u
+// in the bushy space (Algorithm 5, TrySplits[Bushy]): both L and u\L are
+// admissible, L ≠ ∅ and L ≠ u. The enumeration constructs only
+// admissible operands (its complexity is linear in the number of
+// admissible rather than possible splits). With no constraints it yields
+// every proper subset, i.e. the classical bushy DP split enumeration.
 func (sp *Splitter) ForEachLeft(u bitset.Set, fn func(left bitset.Set)) {
 	sp.ForEachSplit(u, func(left bitset.Set, _, _ int) { fn(left) })
 }

@@ -76,9 +76,9 @@ func encodeDelta(entries []deltaEntry) []byte {
 // Run simulates SMA on the cluster described by model. spec.Workers may
 // be any count ≥ 1 (SMA has no power-of-two restriction); spec.Space,
 // Objective, Alpha and InterestingOrders mean the same as for MPQ. The
-// measurement record is the answer's Cluster field. ctx is checked once
-// per cardinality round; when it ends, Run returns an error wrapping its
-// cause.
+// measurement record is the answer's Cluster field. Each round is one
+// dp.Engine.Level, which checks ctx when it starts and every 256 sets;
+// once ctx ends, Run returns an error wrapping its cause.
 func Run(ctx context.Context, model cluster.Model, q *query.Query, spec core.JobSpec) (*core.Answer, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
@@ -110,53 +110,43 @@ func Run(ctx context.Context, model cluster.Model, q *query.Query, spec core.Job
 		})
 	}
 
-	// Stream the admissible sets of each round's cardinality instead of
-	// materializing all ~2^n of them up front: the master only ever holds
-	// one round's task list in memory.
-	enum := cs.NewEnumerator()
-	var sets []bitset.Set
 	var virtual time.Duration
-	// Initial statistics distribution (query + selectivities), like MPQ.
+	workerUnits := make([]uint64, m)
+	// Each cardinality is one round: SMA runs the unconstrained space, so
+	// every k from 2 to n has sets.
 	for k := 2; k <= n; k++ {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("sma: simulation canceled: %w", context.Cause(ctx))
-		}
-		sets = sets[:0]
-		enum.ForEachAdmissible(k, func(u bitset.Set) bool {
-			sets = append(sets, u)
+		// The previous round's memotable delta, which the master
+		// broadcasts with this round's tasks.
+		deltaBytes := len(encodeDelta(delta))
+		delta = delta[:0]
+		clear(workerUnits)
+		// Workers compute their sets, assigned round-robin. Each set is
+		// processed once (all replicas are identical); its work is
+		// attributed to its worker.
+		sets := 0
+		err := eng.Level(ctx, k, func(u bitset.Set, units uint64) bool {
+			workerUnits[sets%m] += units
+			sets++
+			eng.ForEachPlan(u, func(p *plan.Node) {
+				delta = append(delta, deltaEntry{set: u, plan: p})
+			})
 			return true
 		})
-		if len(sets) == 0 {
-			continue
+		if err != nil {
+			return nil, fmt.Errorf("sma: %w", err)
 		}
 		met.Rounds++
 		// Master -> workers: fine-grained per-set tasks (the master pays
 		// dispatch for every task it creates — its §2 bottleneck) plus
-		// the previous round's memotable delta broadcast to everyone.
-		deltaBytes := len(encodeDelta(delta))
+		// the previous round's delta, to everyone.
 		taskHeader := 16
 		var masterSendBusy time.Duration
-		workerUnits := make([]uint64, m)
 		for w := 0; w < m; w++ {
-			tasks := 0
-			for j := w; j < len(sets); j += m {
-				tasks++
-			}
+			tasks := (sets + m - 1 - w) / m // j ≡ w (mod m), 0 ≤ j < sets
 			msg := taskHeader + 8*tasks + deltaBytes
 			met.Bytes += uint64(msg)
 			met.Messages++
 			masterSendBusy += time.Duration(tasks)*model.DispatchPerTask + transfer(model, msg)
-		}
-
-		// Workers compute their assigned sets. Each set is processed once
-		// (all replicas are identical); work is attributed to its worker.
-		delta = delta[:0]
-		for j, u := range sets {
-			units := eng.ProcessSet(u)
-			workerUnits[j%m] += units
-			eng.ForEachPlan(u, func(p *plan.Node) {
-				delta = append(delta, deltaEntry{set: u, plan: p})
-			})
 		}
 
 		// Workers -> master: the new entries each worker produced.

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"mpq/internal/cluster"
 	"mpq/internal/core"
 	"mpq/internal/dp"
 	"mpq/internal/mo"
 	"mpq/internal/partition"
+	"mpq/internal/plan"
 	"mpq/internal/query"
 	"mpq/internal/workload"
 )
@@ -181,6 +183,53 @@ func TestSMAValidation(t *testing.T) {
 	// Non-power-of-two worker counts are fine for SMA.
 	if _, err := Run(context.Background(), cluster.Default(), q, core.JobSpec{Space: partition.Linear, Workers: 5}); err != nil {
 		t.Fatalf("m=5 rejected: %v", err)
+	}
+}
+
+// SMA's exact output on fixed Star queries: rounds, messages, broadcast
+// bytes, virtual time and the DP counters, single objective and α = 10
+// multi-objective. The other tests check only relative traffic; these
+// pin the schedule itself, so a change to how Run drives the DP that
+// moves a byte or a nanosecond shows here.
+func TestRunExactOutput(t *testing.T) {
+	for _, tc := range []struct {
+		space    partition.Space
+		n        int
+		mo       bool
+		m        int
+		rounds   int
+		messages int
+		bytes    uint64
+		virtual  time.Duration
+		stats    plan.Stats
+	}{
+		{partition.Linear, 8, false, 1, 7, 14, 30757, 771447768, plan.Stats{SetsProcessed: 247, SplitsTried: 1016, PlansKept: 762, PlansPruned: 1853, MemoEntries: 255}},
+		{partition.Linear, 8, false, 4, 7, 56, 74863, 766178830, plan.Stats{SetsProcessed: 247, SplitsTried: 1016, PlansKept: 762, PlansPruned: 1853, MemoEntries: 255}},
+		{partition.Linear, 8, false, 16, 7, 224, 251287, 766587066, plan.Stats{SetsProcessed: 247, SplitsTried: 1016, PlansKept: 762, PlansPruned: 1853, MemoEntries: 255}},
+		{partition.Linear, 8, true, 1, 7, 14, 70543, 778518030, plan.Stats{SetsProcessed: 247, SplitsTried: 1016, PlansKept: 884, PlansPruned: 5067, MemoEntries: 255}},
+		{partition.Linear, 8, true, 4, 7, 56, 174157, 768974170, plan.Stats{SetsProcessed: 247, SplitsTried: 1016, PlansKept: 884, PlansPruned: 5067, MemoEntries: 255}},
+		{partition.Linear, 8, true, 16, 7, 224, 588613, 770582730, plan.Stats{SetsProcessed: 247, SplitsTried: 1016, PlansKept: 884, PlansPruned: 5067, MemoEntries: 255}},
+		{partition.Bushy, 9, false, 1, 8, 16, 61956, 1055203760, plan.Stats{SetsProcessed: 502, SplitsTried: 18660, PlansKept: 1989, PlansPruned: 47950, MemoEntries: 511}},
+		{partition.Bushy, 9, false, 4, 8, 64, 149934, 957039540, plan.Stats{SetsProcessed: 502, SplitsTried: 18660, PlansKept: 1989, PlansPruned: 47950, MemoEntries: 511}},
+		{partition.Bushy, 9, false, 16, 8, 256, 501846, 936498659, plan.Stats{SetsProcessed: 502, SplitsTried: 18660, PlansKept: 1989, PlansPruned: 47950, MemoEntries: 511}},
+		{partition.Bushy, 9, true, 1, 8, 16, 193341, 1540538210, plan.Stats{SetsProcessed: 502, SplitsTried: 18660, PlansKept: 2628, PlansPruned: 289321, MemoEntries: 511}},
+		{partition.Bushy, 9, true, 4, 8, 64, 478140, 1112162200, plan.Stats{SetsProcessed: 502, SplitsTried: 18660, PlansKept: 2628, PlansPruned: 289321, MemoEntries: 511}},
+		{partition.Bushy, 9, true, 16, 8, 256, 1617336, 1014290148, plan.Stats{SetsProcessed: 502, SplitsTried: 18660, PlansKept: 2628, PlansPruned: 289321, MemoEntries: 511}},
+	} {
+		spec := core.JobSpec{Space: tc.space, Workers: tc.m}
+		if tc.mo {
+			spec.Objective, spec.Alpha = core.MultiObjective, 10
+		}
+		ans, err := Run(context.Background(), cluster.Default(), gen(t, tc.n, 1), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := ans.Cluster
+		if c.Rounds != tc.rounds || c.Messages != tc.messages || c.Bytes != tc.bytes || c.VirtualTime != tc.virtual || ans.Stats != tc.stats {
+			t.Errorf("%v n=%d mo=%v m=%d: rounds %d, messages %d, bytes %d, virtual %d, stats %+v; want %d, %d, %d, %d, %+v",
+				tc.space, tc.n, tc.mo, tc.m, c.Rounds, c.Messages, c.Bytes, int64(c.VirtualTime), ans.Stats,
+				tc.rounds, tc.messages, tc.bytes, int64(tc.virtual), tc.stats)
+		}
 	}
 }
 

@@ -27,6 +27,15 @@ go vet ./...
 echo "==> no time.Since ratios in tests"
 find . -name '*_test.go' -not -path './bench/*' | xargs awk -f scripts/sinceratio.awk
 
+# ROADMAP item 17: the root module's every loop over the dynamic program
+# is dp.Engine.Level. ProcessSet stays only for bench/'s walk (its own
+# module, exempt) until item 1(a) moves that walk to Level too.
+echo "==> no ProcessSet calls outside internal/dp/dp.go"
+if grep -rn --include='*.go' '\.ProcessSet(' . | grep -v -e '^\./bench/' -e '^\./internal/dp/dp\.go:'; then
+	echo "ProcessSet called above; drive dp.Engine.Level instead" >&2
+	exit 1
+fi
+
 echo "==> mpqlint ./..."
 go run ./cmd/mpqlint ./...
 

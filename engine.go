@@ -101,7 +101,11 @@ func optimizeAll(ctx context.Context, jobs []Job, optimize func(context.Context,
 
 // InProcessEngine runs MPQ with goroutine workers — the shared-nothing
 // algorithm on a single machine, each partition on one of the process's
-// GOMAXPROCS runtime slots (docs/perf.md), which all engines share.
+// GOMAXPROCS runtime slots (docs/perf.md), which all engines share. A
+// job of fewer partitions than slots lends each partition the slots
+// idle when it starts, and its dynamic program shares every cardinality
+// level among them on one memo, with the same plans and work counters
+// (docs/perf.md §15).
 type InProcessEngine struct {
 	// serial pins every job to one partition (NewSerialEngine).
 	serial bool
@@ -115,7 +119,10 @@ func NewInProcessEngine(opts ...EngineOption) *InProcessEngine {
 // NewSerialEngine returns the classical single-node dynamic program —
 // the baseline every speedup is measured against: the in-process engine
 // with JobSpec.Workers overridden to 1, so it always searches the
-// unpartitioned plan space with one worker. No option applies.
+// unpartitioned plan space, with bit-identical plans and plan.Stats at
+// any core count. Its levels spread over the runtime slots idle at the
+// start; GOMAXPROCS=1 gives the single-core baseline. No option
+// applies.
 func NewSerialEngine(opts ...EngineOption) *InProcessEngine {
 	return &InProcessEngine{serial: true}
 }

@@ -210,10 +210,11 @@ func (s JobSpec) DPOptions() dp.Options {
 
 // slots hold the process's GOMAXPROCS DP runtimes (plan-node arena +
 // memo table), made at init and kept for the process's life: every
-// engine's dynamic programs run on them, so a process runs at most
-// cap(slots) at once and a job reuses the memory earlier jobs grew.
-// Reuse is safe because Finish deep-copies the surviving plans out of
-// the arena.
+// engine's dynamic programs run on them — one slot each, plus the idle
+// ones a program borrows as helpers — so a process runs at most
+// cap(slots) DP workers at once and a job reuses the memory earlier jobs
+// grew. Reuse is safe because Finish deep-copies the surviving plans out
+// of the arenas.
 var slots = make(chan *dp.Runtime, runtime.GOMAXPROCS(0))
 
 func init() {
@@ -235,8 +236,20 @@ func RunWorkerContext(ctx context.Context, q *query.Query, spec JobSpec, partID 
 	return res, err
 }
 
+// minWideSlots is, per plan space, the smallest memo, in slots, whose
+// partition borrows helpers: below it, sharing each level costs more
+// than it saves. A bushy set has more splits to share than a linear one
+// (docs/perf.md §15 has the measured table).
+var minWideSlots = [...]uint64{partition.Linear: 8192, partition.Bushy: 2048}
+
 // runWorker is RunWorkerContext plus the task's own run time, measured
-// once it holds its slot.
+// once it holds its slot. A job of fewer partitions than slots lends each
+// of its partitions of at least minWideSlots memo slots up to
+// cap(slots)/Workers − 1 more slots — those idle when the partition
+// starts, without waiting — as the dynamic program's helpers
+// (dp.Options.Helpers), so a partition running alone widens each
+// cardinality level onto the idle cores. They go back after the run, as
+// the memo's plans live in their arenas until Finish clones the roots.
 func runWorker(ctx context.Context, q *query.Query, spec JobSpec, partID int) (*dp.Result, time.Duration, error) {
 	var rt *dp.Runtime
 	select {
@@ -255,8 +268,29 @@ func runWorker(ctx context.Context, q *query.Query, spec JobSpec, partID int) (*
 	}
 	opts := spec.DPOptions()
 	opts.Runtime = rt
+	if cs.CountAdmissible() >= minWideSlots[cs.Space] {
+		opts.Helpers = takeIdle(cap(slots)/spec.Workers - 1)
+	}
 	res, err := runDP(ctx, q, cs, opts)
+	for _, h := range opts.Helpers {
+		slots <- h
+	}
 	return res, time.Since(start), err
+}
+
+// takeIdle takes up to n runtime slots that are free now, without
+// waiting for one.
+func takeIdle(n int) []*dp.Runtime {
+	var rts []*dp.Runtime
+	for range n {
+		select {
+		case rt := <-slots:
+			rts = append(rts, rt)
+		default:
+			return rts
+		}
+	}
+	return rts
 }
 
 // Job is one (query, job spec) unit of work: what an engine's

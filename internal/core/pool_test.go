@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mpq/internal/dp"
 	"mpq/internal/partition"
@@ -161,5 +163,131 @@ func TestOptimizeParallelismCap(t *testing.T) {
 	}
 	if !goroutinesBackTo(baseline) {
 		t.Fatalf("%d goroutines before, %d after", baseline, runtime.NumGoroutine())
+	}
+}
+
+// A partition borrows only slots that are idle, and gives every slot
+// back: across a lone Workers: 1 job, concurrent Workers: 1 calls, a
+// Workers: 1 batch, a canceled context, a context canceled mid-run and
+// specs that fail validation in the worker, the runtimes in use — each
+// dynamic program's own plus its helpers — never exceed GOMAXPROCS, no
+// job of GOMAXPROCS or more partitions takes a helper, every answer is
+// the optimum, and all slots are back after every return.
+func TestOptimizeBorrowsOnlyIdleSlots(t *testing.T) {
+	var inUse, peak, helped atomic.Int32
+	var wideJobErr atomic.Value
+	orig := runDP
+	defer func() { runDP = orig }()
+	runDP = func(ctx context.Context, q *query.Query, cs *partition.ConstraintSet, opts dp.Options) (*dp.Result, error) {
+		n := int32(1 + len(opts.Helpers))
+		now := inUse.Add(n)
+		defer inUse.Add(-n)
+		for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {
+		}
+		if len(opts.Helpers) > 0 {
+			helped.Add(1)
+			if m := 1 << len(cs.List); m >= cap(slots) {
+				wideJobErr.Store(fmt.Errorf("a job of %d partitions took %d helpers on %d slots", m, len(opts.Helpers), cap(slots)))
+			}
+		}
+		return orig(ctx, q, cs, opts)
+	}
+	allBack := func(after string) {
+		t.Helper()
+		if len(slots) != cap(slots) {
+			t.Fatalf("after %s: %d of %d slots back", after, len(slots), cap(slots))
+		}
+	}
+
+	q := gen(t, 14, workload.Star, 0) // past minWideSlots[Linear] at m = 1 and 2
+	serial, err := dp.Serial(q, partition.Linear, dp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := JobSpec{Space: partition.Linear, Workers: 1}
+	check := func(ans *Answer, err error) error {
+		if err == nil && !approx(ans.Best.Cost, serial.Best().Cost) {
+			err = fmt.Errorf("cost %g, serial optimum %g", ans.Best.Cost, serial.Best().Cost)
+		}
+		return err
+	}
+
+	// Alone, a job of one partition takes every other slot.
+	if err := check(OptimizeContext(context.Background(), q, one)); err != nil {
+		t.Fatal(err)
+	}
+	allBack("a lone job")
+	if want := int32(min(cap(slots)-1, 1)); helped.Load() != want {
+		t.Fatalf("a lone Workers: 1 job on %d slots: %d runs with helpers, want %d", cap(slots), helped.Load(), want)
+	}
+	// A partition of a job with as many partitions as slots, or more,
+	// takes none, even with every other slot idle.
+	wideSpec := JobSpec{Space: partition.Linear, Workers: max(2, cap(slots))}
+	if _, err := RunWorkerContext(context.Background(), q, wideSpec, 0); err != nil {
+		t.Fatal(err)
+	}
+	allBack("a lone partition")
+
+	var wg sync.WaitGroup
+	errs := make([]error, 6)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			spec := one
+			if i%3 == 2 {
+				spec = wideSpec
+			}
+			errs[i] = check(OptimizeContext(context.Background(), q, spec))
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	allBack("concurrent calls")
+
+	answers, err := RunPartitions(context.Background(), 6, func(ctx context.Context, _ int) (*Answer, error) {
+		return OptimizeContext(ctx, q, one)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ans := range answers {
+		if err := check(ans, nil); err != nil {
+			t.Fatalf("batch job %d: %v", i, err)
+		}
+	}
+	allBack("a batch")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := OptimizeContext(ctx, q, one); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled context: err = %v", err)
+	}
+	allBack("a canceled context")
+	big := gen(t, 16, workload.Clique, 0)
+	ctx, cancel = context.WithCancel(context.Background())
+	timer := time.AfterFunc(2*time.Millisecond, cancel)
+	defer timer.Stop()
+	if _, err := OptimizeContext(ctx, big, one); !errors.Is(err, context.Canceled) {
+		t.Fatalf("context canceled mid-run: err = %v", err)
+	}
+	allBack("a context canceled mid-run")
+
+	for _, workers := range []int{0, 3} {
+		if _, err := RunWorkerContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: workers}, 0); err == nil {
+			t.Fatalf("Workers: %d passed validation", workers)
+		}
+		allBack(fmt.Sprintf("a Workers: %d spec", workers))
+	}
+
+	if got := int(peak.Load()); got < 1 || got > cap(slots) {
+		t.Errorf("%d runtimes in use at once, want 1..GOMAXPROCS = %d", got, cap(slots))
+	}
+	if err, _ := wideJobErr.Load().(error); err != nil {
+		t.Error(err)
 	}
 }

@@ -46,6 +46,10 @@
 // level streams its admissible join results from partition.Enumerator
 // instead of materializing them up front, keeping the master/worker
 // memory footprint within the paper's per-partition bounds (Theorem 4).
+// A set of k tables reads only sets of fewer tables, so the workers of
+// Options.Helpers can share a level with the engine's own, each taking
+// whole runs of ranks from the Enumerator and writing its sets' slots of
+// the one memo, with a barrier between levels (docs/perf.md §15).
 //
 // # Memory locality
 //
@@ -72,11 +76,14 @@
 package dp
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"mpq/internal/bitset"
@@ -168,6 +175,12 @@ type Options struct {
 	// run resets the runtime, so a Runtime may back at most one engine
 	// at a time.
 	Runtime *Runtime
+	// Helpers lends the run further runtimes, each backing one more
+	// worker that shares every cardinality level with the engine's own,
+	// on one memo (docs/perf.md §15). Plans and Stats are the same at any
+	// width. core sets it from the runtime slots that are idle when a
+	// partition starts; nil runs every level on one worker.
+	Helpers []*Runtime
 }
 
 func (o Options) withDefaults() Options {
@@ -267,42 +280,111 @@ func RunContext(ctx context.Context, q *query.Query, cs *partition.ConstraintSet
 	return eng.Finish()
 }
 
-// Level treats every admissible join result of k tables, in the
-// Enumerator's order: one cardinality of Algorithm 2's loop. Levels must
-// run in ascending k, from 2 to the query's table count. fn, if not nil,
-// is called after each set is stored, with the work units it cost; when
-// it returns false the level stops there and Level returns nil.
+// Level treats every admissible join result of k tables: one
+// cardinality of Algorithm 2's loop. Levels must run in ascending k,
+// from 2 to the query's table count. With fn nil, the engine's worker
+// and one goroutine per helper (Options.Helpers) claim the level's
+// Enumerator tasks from one counter, and Level returns once all of them
+// are done. fn, if not nil, makes the engine's own worker treat every
+// set, in the Enumerator's order, and is called after each set is
+// stored, with the work units it cost; when it returns false the level
+// stops there and Level returns nil.
 //
-// Level checks ctx when it starts and after every cancelPollInterval
-// sets; once it finds ctx ended, it stops with an error wrapping ctx's
-// cause. It stops with an error wrapping ErrWorkLimit once the work meter
-// passes Options.MaxWorkUnits.
+// Level checks ctx when it starts, and each worker after every
+// cancelPollInterval of its sets; once it finds ctx ended, it stops with
+// an error wrapping ctx's cause. A worker stops with an error wrapping
+// ErrWorkLimit once its work meter passes Options.MaxWorkUnits, and a
+// level shared with helpers returns that error at its end if the
+// workers' summed meter has.
 func (e *Engine) Level(ctx context.Context, k int, fn func(u bitset.Set, units uint64) bool) error {
-	if ctx.Err() != nil {
-		return fmt.Errorf("dp: canceled at cardinality %d: %w", k, context.Cause(ctx))
+	if fn == nil && len(e.helpers) > 0 {
+		return e.wide(ctx, k)
 	}
-	w := &e.w
-	var err error
-	sincePoll := 0
-	w.enum.ForEachRanked(k, func(u bitset.Set, rank int) bool {
-		units := w.process(u, rank)
-		if fn != nil && !fn(u, units) {
-			return false
-		}
-		if sincePoll++; sincePoll >= cancelPollInterval {
-			sincePoll = 0
-			if ctx.Err() != nil {
-				err = fmt.Errorf("dp: canceled at cardinality %d: %w", k, context.Cause(ctx))
-				return false
-			}
-		}
-		if limit := w.opts.MaxWorkUnits; limit > 0 && w.stats.WorkUnits() > limit {
-			err = fmt.Errorf("%w after %d units", ErrWorkLimit, w.stats.WorkUnits())
-			return false
-		}
-		return true
-	})
+	return e.w.share(ctx, k, nil, fn)
+}
+
+// wide is Level shared by the engine's worker and its helpers.
+func (e *Engine) wide(ctx context.Context, k int) error {
+	e.next.Store(0)
+	for i := range e.helpers {
+		e.wg.Add(1)
+		go e.helpers[i].help(ctx, k, &e.next, &e.wg)
+	}
+	err := e.w.share(ctx, k, &e.next, nil)
+	e.wg.Wait()
+	for i := range e.helpers {
+		err = cmp.Or(err, e.helpers[i].lv.err)
+	}
+	if limit := e.w.opts.MaxWorkUnits; err == nil && limit > 0 && e.Stats().WorkUnits() > limit {
+		err = fmt.Errorf("%w after %d units", ErrWorkLimit, e.Stats().WorkUnits())
+	}
 	return err
+}
+
+// share treats the sets of level k in the tasks the worker claims from
+// next, or all of them if next is nil, as Level describes, and returns
+// what ended it.
+func (w *worker) share(ctx context.Context, k int, next *atomic.Int64, fn func(u bitset.Set, units uint64) bool) error {
+	if ctx.Err() != nil {
+		return canceled(ctx, k)
+	}
+	w.lv = level{ctx: ctx, k: k, fn: fn, next: next}
+	var claim func() int
+	if next != nil {
+		claim = w.claim
+	}
+	w.enum.ForEachClaimed(k, claim, w.visit)
+	return w.lv.err
+}
+
+// level is the cardinality level a worker is treating, as share began
+// it: visit's state. It lives in the worker, not in a closure of share's,
+// so that the frames every set's call chain carries stay small: a
+// partition runs on a fresh goroutine, and a deeper chain makes that
+// goroutine copy its stack once more per partition.
+type level struct {
+	ctx       context.Context
+	k         int
+	fn        func(u bitset.Set, units uint64) bool
+	next      *atomic.Int64
+	sincePoll int
+	err       error
+}
+
+// claim takes the level's next task.
+func (w *worker) claim() int { return int(w.lv.next.Add(1)) - 1 }
+
+// visit treats set u of the level, whose memo slot is rank, and reports
+// whether the level goes on.
+func (w *worker) visit(u bitset.Set, rank int) bool {
+	lv := &w.lv
+	units := w.process(u, rank)
+	if lv.fn != nil && !lv.fn(u, units) {
+		return false
+	}
+	if lv.sincePoll++; lv.sincePoll >= cancelPollInterval {
+		lv.sincePoll = 0
+		if lv.ctx.Err() != nil {
+			lv.err = canceled(lv.ctx, lv.k)
+			return false
+		}
+	}
+	if limit := w.opts.MaxWorkUnits; limit > 0 && w.stats.WorkUnits() > limit {
+		lv.err = fmt.Errorf("%w after %d units", ErrWorkLimit, w.stats.WorkUnits())
+		return false
+	}
+	return true
+}
+
+// canceled is the error a level ends with once it finds ctx ended.
+func canceled(ctx context.Context, k int) error {
+	return fmt.Errorf("dp: canceled at cardinality %d: %w", k, context.Cause(ctx))
+}
+
+// help is share on a helper's goroutine; wg is the level's barrier.
+func (w *worker) help(ctx context.Context, k int, next *atomic.Int64, wg *sync.WaitGroup) {
+	defer wg.Done()
+	w.share(ctx, k, next, nil)
 }
 
 // ErrWorkLimit is returned when Options.MaxWorkUnits is exceeded.
@@ -337,7 +419,14 @@ func memoSlots(cs *partition.ConstraintSet) (int, error) {
 // particular the SMA baseline, which runs each level as one round of
 // tasks spread over its workers — drive the exact same plan generation
 // and pruning logic.
-type Engine struct{ w worker }
+type Engine struct {
+	w worker
+	// helpers are the workers of Options.Helpers. next is a level's task
+	// counter, and wg waits for the helpers at the level's end.
+	helpers []worker
+	next    atomic.Int64
+	wg      sync.WaitGroup
+}
 
 // NewEngine validates the inputs, sizes the memo and builds the scan
 // plan of every table. It returns an error wrapping ErrMemoTooLarge for
@@ -371,12 +460,7 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 	if rt == nil {
 		rt = NewRuntime()
 	}
-	w.arena = &rt.arena
-	w.arena.Reset()
-	rt.spills.reset()
-	w.spills = &rt.spills
-	rt.recs = rt.recs[:0]
-	w.recs = &rt.recs
+	w.borrow(rt)
 	w.memo = rt.memoFor(slots)
 	w.scans = rt.scansFor(n)
 	for t := 0; t < n; t++ {
@@ -392,7 +476,27 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 	if cs.Space == partition.Bushy {
 		w.splitter = cs.NewSplitter()
 	}
+	// A helper starts as the worker before its first set: the same
+	// query, partition, memo, scans and read-only enumerator, with its own
+	// runtime's memory and its own counters.
+	eng.helpers = make([]worker, len(opts.Helpers))
+	for i, hrt := range opts.Helpers {
+		h := &eng.helpers[i]
+		*h = *w
+		h.stats = plan.Stats{}
+		h.borrow(hrt)
+	}
 	return eng, nil
+}
+
+// borrow makes rt's arena, spill slabs and records the worker's, reset.
+func (w *worker) borrow(rt *Runtime) {
+	w.arena = &rt.arena
+	w.arena.Reset()
+	rt.spills.reset()
+	w.spills = &rt.spills
+	rt.recs = rt.recs[:0]
+	w.recs = &rt.recs
 }
 
 // ProcessSet treats one admissible join result — a set of two or more
@@ -421,8 +525,19 @@ func (e *Engine) ForEachPlan(u bitset.Set, fn func(*plan.Node)) {
 	}
 }
 
-// Stats returns the cumulative work counters so far.
-func (e *Engine) Stats() plan.Stats { return e.w.stats }
+// Stats returns the cumulative work counters so far, summed over the
+// workers. Each memo slot is stored by one worker, so MemoEntries is a
+// sum too, not plan.Stats.Add's maximum.
+func (e *Engine) Stats() plan.Stats {
+	s := e.w.stats
+	for i := range e.helpers {
+		h := e.helpers[i].stats
+		memo := s.MemoEntries + h.MemoEntries
+		s.Add(h)
+		s.MemoEntries = memo
+	}
+	return s
+}
 
 // Finish validates that a complete plan exists and returns the result.
 // The surviving root plans are deep-copied out of the arena onto the
@@ -475,6 +590,7 @@ type worker struct {
 	rule rule
 	recs *[]record
 	enum *partition.Enumerator
+	lv   level
 }
 
 // record is an admitted candidate of the set under construction: the

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -532,31 +534,120 @@ func TestLevelContract(t *testing.T) {
 	if err := eng.RunAll(); !errors.Is(err, ErrWorkLimit) {
 		t.Fatalf("MaxWorkUnits 5000: err = %v, want ErrWorkLimit", err)
 	}
+
+	t.Run("width 2", func(t *testing.T) { checkWideLevelContract(t, q, cs) })
+}
+
+// midLevelCtx is a context whose third Err call — a worker's first poll
+// inside a level of two workers, after each checked ctx as it started —
+// hands the level over to another goroutine, which cancels the parent,
+// and returns once it has.
+type midLevelCtx struct {
+	context.Context
+	calls    atomic.Int32
+	polled   chan struct{}
+	canceled chan struct{}
+}
+
+func (c *midLevelCtx) Err() error {
+	if c.calls.Add(1) == 3 {
+		close(c.polled)
+		<-c.canceled
+	}
+	return c.Context.Err()
+}
+
+// checkWideLevelContract is Level's contract on an engine of width 2:
+// a cancel from another goroutine in the middle of a level ends it with
+// context.Canceled before the level is done; MaxWorkUnits gives
+// ErrWorkLimit, also when only the workers' summed meter passes it; and
+// no helper goroutine outlives Level.
+func checkWideLevelContract(t *testing.T, q *query.Query, cs *partition.ConstraintSet) {
+	baseline := runtime.NumGoroutine()
+	bg := context.Background()
+	wide := func(limit uint64) *Engine {
+		eng, err := NewEngine(q, cs, Options{MaxWorkUnits: limit, Helpers: []*Runtime{NewRuntime()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	eng := wide(0)
+	for k := 2; k < 7; k++ {
+		if err := eng.Level(bg, k, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parent, cancel := context.WithCancel(bg)
+	ctx := &midLevelCtx{Context: parent, polled: make(chan struct{}), canceled: make(chan struct{})}
+	go func() {
+		<-ctx.polled
+		cancel()
+		close(ctx.canceled)
+	}()
+	before := eng.Stats().SetsProcessed
+	if err := eng.Level(ctx, 7, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("level canceled mid-way: err = %v, want context.Canceled", err)
+	}
+	if got := eng.Stats().SetsProcessed - before; got >= uint64(binom(14, 7)) {
+		t.Fatalf("canceled mid-level, but the level treated all %d sets", got)
+	}
+
+	if err := wide(5000).RunAll(); !errors.Is(err, ErrWorkLimit) {
+		t.Fatalf("MaxWorkUnits 5000: err = %v, want ErrWorkLimit", err)
+	}
+	// The whole run's work less one unit: the sum passes it only at the
+	// last set, where the workers' own meters need not, and the barrier
+	// still catches it.
+	eng = wide(0)
+	if err := eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	total := eng.Stats().WorkUnits()
+	if err := wide(total).RunAll(); err != nil {
+		t.Fatalf("MaxWorkUnits at the run's own work: %v", err)
+	}
+	if err := wide(total - 1).RunAll(); !errors.Is(err, ErrWorkLimit) {
+		t.Fatalf("MaxWorkUnits one below the run's work: err = %v, want ErrWorkLimit", err)
+	}
+
+	for i := 0; runtime.NumGoroutine() > baseline; i++ {
+		if i == 2000 {
+			t.Fatalf("%d goroutines before, %d after", baseline, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // BenchmarkJobClasses runs the dynamic program on the job classes of
-// the bench/ workloads — serial-large's linear-16 and bushy-12, one
-// constrained partition of each, an interesting-orders run, one of
-// serve-zipf8's 50 µs partitions, tcp-mo12's multi-objective partitions —
-// on a reused Runtime, as every engine does, and reports nanoseconds per
-// work unit. It is the instrument for A/B-ing inner-loop variants while
-// working (docs/perf.md §6 quotes it); claims are made with bench/.
+// the bench/ workloads — serial-large's linear-16 and bushy-12, alone
+// and at width w = 2 (one helper runtime), one constrained partition of
+// each, an interesting-orders run, a serial 8-table job at both widths,
+// one of serve-zipf8's 50 µs partitions, tcp-mo12's multi-objective
+// partitions — on reused Runtimes, as every engine does, and reports
+// nanoseconds per work unit. It is the instrument for A/B-ing
+// inner-loop variants while working (docs/perf.md §6 quotes it); claims
+// are made with bench/.
 //
 //	go test ./internal/dp -run '^$' -bench JobClasses -benchtime 10x
 func BenchmarkJobClasses(b *testing.B) {
 	for _, c := range []struct {
-		name  string
-		space partition.Space
-		n, m  int
-		opts  Options
+		name    string
+		space   partition.Space
+		n, m, w int
+		opts    Options
 	}{
-		{"linear16", partition.Linear, 16, 1, Options{}},
-		{"bushy12", partition.Bushy, 12, 1, Options{}},
-		{"linear16m8", partition.Linear, 16, 8, Options{}},
-		{"bushy12m8", partition.Bushy, 12, 8, Options{}},
-		{"linear13orders", partition.Linear, 13, 1, Options{InterestingOrders: true, Pruner: OrderAware{}}},
-		{"linear8m2", partition.Linear, 8, 2, Options{}},
-		{"linear12mo", partition.Linear, 12, 4, Options{Pruner: Pareto{Alpha: 2}}},
+		{"linear16", partition.Linear, 16, 1, 1, Options{}},
+		{"bushy12", partition.Bushy, 12, 1, 1, Options{}},
+		{"linear16w2", partition.Linear, 16, 1, 2, Options{}},
+		{"bushy12w2", partition.Bushy, 12, 1, 2, Options{}},
+		{"linear16m8", partition.Linear, 16, 8, 1, Options{}},
+		{"bushy12m8", partition.Bushy, 12, 8, 1, Options{}},
+		{"linear13orders", partition.Linear, 13, 1, 1, Options{InterestingOrders: true, Pruner: OrderAware{}}},
+		{"linear8", partition.Linear, 8, 1, 1, Options{}},
+		{"linear8w2", partition.Linear, 8, 1, 2, Options{}},
+		{"linear8m2", partition.Linear, 8, 2, 1, Options{}},
+		{"linear12mo", partition.Linear, 12, 4, 1, Options{Pruner: Pareto{Alpha: 2}}},
 	} {
 		for _, shape := range []workload.Shape{workload.Star, workload.Chain, workload.Cycle} {
 			b.Run(c.name+"/"+shape.String(), func(b *testing.B) {
@@ -567,6 +658,9 @@ func BenchmarkJobClasses(b *testing.B) {
 				}
 				opts := c.opts
 				opts.Runtime = NewRuntime()
+				for range c.w - 1 {
+					opts.Helpers = append(opts.Helpers, NewRuntime())
+				}
 				// One untimed job grows the runtime's memo and slabs, so
 				// B/op and allocs/op are the steady state also at -benchtime 1x.
 				if _, err := Run(q, cs, opts); err != nil {

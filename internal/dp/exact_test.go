@@ -47,10 +47,14 @@ var exactConfigs = []struct {
 	}},
 }
 
-// runPartition runs the engine as RunContext does, but keeps it, so the
-// test can ask for the memo's high-endpoint cardinalities.
-func runPartition(t *testing.T, q *query.Query, cs *partition.ConstraintSet, opts dp.Options) (*dp.Engine, *dp.Result) {
+// runPartition runs the engine as RunContext does, on width workers
+// (width − 1 helper runtimes), but keeps it, so the test can ask for the
+// memo's high-endpoint cardinalities.
+func runPartition(t *testing.T, q *query.Query, cs *partition.ConstraintSet, opts dp.Options, width int) (*dp.Engine, *dp.Result) {
 	t.Helper()
+	for range width - 1 {
+		opts.Helpers = append(opts.Helpers, dp.NewRuntime())
+	}
 	eng, err := dp.NewEngine(q, cs, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -103,6 +107,19 @@ func checkExact(t *testing.T, eng *dp.Engine, q *query.Query, m cost.Model, n *p
 // the table recorded from the parent commit's engine (PR 18 recorded
 // it from unmodified code before rewriting the loop).
 func TestExactArithmeticAndRecordedWork(t *testing.T) {
+	recorded := checkRecordedWork(t, 1)
+	if *updateStats {
+		if err := os.WriteFile(exactStatsFile, []byte(recorded), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkRecordedWork runs every case of exactStatsFile on width workers,
+// checks every plan's arithmetic with checkExact and the work counters
+// against the file (unless -update-stats), and returns the table this
+// run records.
+func checkRecordedWork(t *testing.T, width int) string {
 	want := map[string]string{}
 	if !*updateStats {
 		f, err := os.Open(exactStatsFile)
@@ -133,7 +150,7 @@ func TestExactArithmeticAndRecordedWork(t *testing.T) {
 								t.Fatal(err)
 							}
 							opts := cfg.opts()
-							eng, res := runPartition(t, q, cs, opts)
+							eng, res := runPartition(t, q, cs, opts, width)
 							model := opts.Model
 							if model == (cost.Model{}) {
 								model = cost.Default()
@@ -148,7 +165,7 @@ func TestExactArithmeticAndRecordedWork(t *testing.T) {
 						got := strings.Join(stats, " | ")
 						fmt.Fprintf(&recorded, "%s\t%s\n", key, got)
 						if !*updateStats && got != want[key] {
-							t.Errorf("%s: work counters\n got  %s\n want %s", key, got, want[key])
+							t.Errorf("%s at width %d: work counters\n got  %s\n want %s", key, width, got, want[key])
 						}
 					}
 				}
@@ -158,9 +175,5 @@ func TestExactArithmeticAndRecordedWork(t *testing.T) {
 	if joins < 1000 {
 		t.Fatalf("only %d join nodes checked; the test would be vacuous", joins)
 	}
-	if *updateStats {
-		if err := os.WriteFile(exactStatsFile, []byte(recorded.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return recorded.String()
 }

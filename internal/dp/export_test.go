@@ -24,3 +24,13 @@ func (e *Engine) RunAll() error {
 	}
 	return nil
 }
+
+// HelperSets is the number of sets the engine's helpers treated, so a
+// test at width can tell that they took part.
+func (e *Engine) HelperSets() uint64 {
+	var sets uint64
+	for i := range e.helpers {
+		sets += e.helpers[i].stats.SetsProcessed
+	}
+	return sets
+}

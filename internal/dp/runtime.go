@@ -22,7 +22,9 @@ import "mpq/internal/plan"
 // memory.
 //
 // Not safe for concurrent use: hand a Runtime to one run at a time, as
-// core's slots do.
+// core's slots do — as the run's own (Options.Runtime) or as one of its
+// helpers (Options.Helpers), whose arena then holds some of the memo's
+// plans until Finish.
 type Runtime struct {
 	// The padding keeps the arena's counters, written on every plan
 	// node, off cache lines shared with another object — such as the

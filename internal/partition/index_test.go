@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -234,16 +235,19 @@ func TestIndexTablesGrowLinearly(t *testing.T) {
 
 // FuzzIndex: for any partition and any table set, Of stays inside the
 // array, and on an admissible set it is the brute-force rank, the rank
-// the enumerator hands over with the set, and its operands' ranks are
-// their slots (checkOperandRanks).
+// the enumerator hands over with the set — to the one of 1–3 claimers
+// sharing the level (tasks dealt round-robin) whose task holds it, and
+// to no other — and its operands' ranks are their slots
+// (checkOperandRanks).
 func FuzzIndex(f *testing.F) {
-	f.Add(uint8(0), uint8(6), uint8(3), uint16(5), uint16(0b110111))
-	f.Add(uint8(1), uint8(9), uint8(3), uint16(7), uint16(0b101101101))
-	f.Add(uint8(0), uint8(10), uint8(0), uint16(0), uint16(0b1000000010))
-	f.Add(uint8(1), uint8(7), uint8(1), uint16(1), uint16(0b0000110))
-	f.Add(uint8(0), uint8(1), uint8(0), uint16(0), uint16(1))
-	f.Add(uint8(1), uint8(8), uint8(1), uint16(1), uint16(0b11010111))
-	f.Fuzz(func(t *testing.T, space, n, logM uint8, partID, setBits uint16) {
+	f.Add(uint8(0), uint8(6), uint8(3), uint16(5), uint16(0b110111), uint8(0))
+	f.Add(uint8(1), uint8(9), uint8(3), uint16(7), uint16(0b101101101), uint8(0))
+	f.Add(uint8(0), uint8(10), uint8(0), uint16(0), uint16(0b1000000010), uint8(0))
+	f.Add(uint8(1), uint8(7), uint8(1), uint16(1), uint16(0b0000110), uint8(0))
+	f.Add(uint8(0), uint8(1), uint8(0), uint16(0), uint16(1), uint8(0))
+	f.Add(uint8(1), uint8(8), uint8(1), uint16(1), uint16(0b11010111), uint8(0))
+	f.Add(uint8(0), uint8(10), uint8(1), uint16(1), uint16(0b1011001110), uint8(1))
+	f.Fuzz(func(t *testing.T, space, n, logM uint8, partID, setBits uint16, claimers uint8) {
 		sp := Space(space % 2)
 		tables := 1 + int(n)%10
 		m := 1 << (int(logM) % 6)
@@ -265,12 +269,109 @@ func FuzzIndex(f *testing.F) {
 		if i != bruteRank(cs, s) {
 			t.Fatalf("%v n=%d %s: Of(%v) = %d, brute-force rank %d", sp, tables, cs.Describe(), s, i, bruteRank(cs, s))
 		}
-		cs.NewEnumerator().ForEachRanked(s.Count(), func(u bitset.Set, rank int) bool {
-			if u == s && rank != i {
-				t.Fatalf("%v n=%d %s: %v ranked %d, Of %d", sp, tables, cs.Describe(), s, rank, i)
+		c := 1 + int(claimers)%3
+		found := 0
+		for _, seen := range walkClaimed(cs.NewEnumerator(), s.Count(), c, func(task int) int { return task % c }) {
+			for _, u := range seen {
+				if u.set != s {
+					continue
+				}
+				if found++; u.rank != i {
+					t.Fatalf("%v n=%d %s: %v ranked %d, Of %d", sp, tables, cs.Describe(), s, u.rank, i)
+				}
 			}
-			return u != s
-		})
+		}
+		if found != 1 {
+			t.Fatalf("%v n=%d %s: %d claimers saw %v %d times", sp, tables, cs.Describe(), c, s, found)
+		}
 		checkOperandRanks(t, cs, s)
 	})
+}
+
+// claimed is a set ForEachClaimed yielded, with its rank and the task
+// the claimer had claimed when it came.
+type claimed struct {
+	set        bitset.Set
+	rank, task int
+}
+
+// walkClaimed walks level k once per claimer, in turn, each claimer
+// taking the tasks owner gives it, and returns what each one saw.
+func walkClaimed(en *Enumerator, k, claimers int, owner func(task int) int) [][]claimed {
+	out := make([][]claimed, claimers)
+	for c := range out {
+		mine := -1
+		claim := func() int {
+			for mine++; owner(mine) != c; mine++ {
+			}
+			return mine
+		}
+		en.ForEachClaimed(k, claim, func(u bitset.Set, rank int) bool {
+			out[c] = append(out[c], claimed{u, rank, mine})
+			return true
+		})
+	}
+	return out
+}
+
+// Claimers sharing a level between them see ForEachRanked's sets once
+// each: every set exactly once, with its rank, each task's sets in
+// rising rank, and the tasks in index order concatenating to
+// ForEachRanked's sequence — a task is one contiguous run of ranks —
+// whichever claimer took which task.
+func TestClaimedTasksTileTheLevel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(39, 1))
+	for _, space := range []Space{Linear, Bushy} {
+		for n := 1; n <= 12; n++ {
+			for m := 1; m <= min(8, MaxWorkers(space, n)); m *= 2 {
+				for partID := 0; partID < m; partID++ {
+					cs, err := ForPartition(space, n, partID, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					en := cs.NewEnumerator()
+					for k := 0; k <= n; k++ {
+						var want []claimed
+						en.ForEachRanked(k, func(u bitset.Set, rank int) bool {
+							want = append(want, claimed{set: u, rank: rank})
+							return true
+						})
+						claimers := 1 + rng.IntN(3)
+						var owners []int
+						owner := func(task int) int {
+							for len(owners) <= task {
+								owners = append(owners, rng.IntN(claimers))
+							}
+							return owners[task]
+						}
+						var got []claimed
+						for c, seen := range walkClaimed(en, k, claimers, owner) {
+							for i, s := range seen {
+								if owner(s.task) != c {
+									t.Fatalf("%v n=%d %s k=%d: claimer %d saw %v in task %d, which is claimer %d's",
+										space, n, cs.Describe(), k, c, s.set, s.task, owner(s.task))
+								}
+								if i > 0 && s.task == seen[i-1].task && s.rank <= seen[i-1].rank {
+									t.Fatalf("%v n=%d %s k=%d: task %d's ranks fall: %d after %d",
+										space, n, cs.Describe(), k, s.task, s.rank, seen[i-1].rank)
+								}
+							}
+							got = append(got, seen...)
+						}
+						slices.SortStableFunc(got, func(a, b claimed) int { return a.task - b.task })
+						if len(got) != len(want) {
+							t.Fatalf("%v n=%d %s k=%d: %d claimers saw %d sets, ForEachRanked %d",
+								space, n, cs.Describe(), k, claimers, len(got), len(want))
+						}
+						for i := range got {
+							if got[i].set != want[i].set || got[i].rank != want[i].rank {
+								t.Fatalf("%v n=%d %s k=%d: set %d by task order is %v (rank %d), ForEachRanked's %v (rank %d)",
+									space, n, cs.Describe(), k, i, got[i].set, got[i].rank, want[i].set, want[i].rank)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -293,7 +293,7 @@ func (cs *ConstraintSet) groups() [][]ranked {
 // set size, so every visited branch yields at least one output.
 //
 // Build one Enumerator per DP run and reuse it across cardinalities, as
-// dp's Engine.Level does with ForEachRanked:
+// dp's Engine.Level does with ForEachClaimed:
 //
 //	en := cs.NewEnumerator()
 //	for k := 2; k <= cs.N; k++ {
@@ -307,11 +307,20 @@ type Enumerator struct {
 	// maxTail[i] is the largest table count groups[i:] can contribute;
 	// a partial product with cnt tables is pruned when cnt+maxTail < k.
 	maxTail []int
+	// depth is the group a task of ForEachClaimed starts at: taskDepth,
+	// or the group count if that is smaller.
+	depth int
 }
 
+// taskDepth is how many of the outermost groups choose a task of
+// ForEachClaimed: with no constraints, the four highest tables, so an
+// unconstrained level is cut into at most 16 tasks.
+const taskDepth = 4
+
 // NewEnumerator returns a streaming enumerator for this partition's
-// admissible join results. The enumerator is stateless between calls and
-// safe to reuse, but not for concurrent use.
+// admissible join results. The enumerator is read-only after
+// construction: it may be reused, and walked by several goroutines at
+// once.
 func (cs *ConstraintSet) NewEnumerator() *Enumerator {
 	groups := cs.groups()
 	maxTail := make([]int, len(groups)+1)
@@ -324,37 +333,86 @@ func (cs *ConstraintSet) NewEnumerator() *Enumerator {
 		}
 		maxTail[i] = maxTail[i+1] + max
 	}
-	return &Enumerator{groups: groups, maxTail: maxTail}
+	return &Enumerator{groups: groups, maxTail: maxTail, depth: min(taskDepth, len(groups))}
 }
 
 // ForEachRanked calls fn for every admissible join result u with
 // exactly k tables and its slot rank = Index.Of(u), in the same
 // deterministic order in which AdmissibleSets fills its k-th bucket —
-// rank rises along it. The rank is the sum of the shares of u's group
-// subsets, added up along the recursion that builds u. fn returns
-// whether enumeration should continue; ForEachRanked reports whether it
-// ran to completion (false iff fn stopped it).
+// rank rises along it. It is ForEachClaimed with one caller taking
+// every task. fn returns whether enumeration should continue;
+// ForEachRanked reports whether it ran to completion (false iff fn
+// stopped it).
 func (en *Enumerator) ForEachRanked(k int, fn func(u bitset.Set, rank int) bool) bool {
-	var rec func(gi int, acc bitset.Set, rank, cnt int) bool
-	rec = func(gi int, acc bitset.Set, rank, cnt int) bool {
-		if cnt+en.maxTail[gi] < k {
-			return true // this branch cannot reach k tables
-		}
-		if gi == len(en.groups) {
-			return fn(acc, rank) // cnt == k: <k pruned above, >k skipped below
-		}
-		for _, sub := range en.groups[gi] {
-			c := sub.set.Count()
-			if cnt+c > k {
-				continue
+	return en.ForEachClaimed(k, nil, fn)
+}
+
+// ForEachClaimed is ForEachRanked over the tasks its caller claims, so
+// that several callers can share one level. A task is one choice of
+// subsets of the outermost taskDepth groups: a contiguous run of ranks.
+// Tasks are numbered from 0 in enumeration order. The walk calls claim
+// on reaching its first task and the first task after each one it
+// claimed; claim returns the index of the next task the caller takes,
+// at least the one the walk stands at — the next value of a counter the
+// callers share is one — and the walk skips the tasks in between. A nil
+// claim takes every task. The rank is the sum of the shares of u's group
+// subsets, added up along the recursion that builds u.
+func (en *Enumerator) ForEachClaimed(k int, claim func() int, fn func(u bitset.Set, rank int) bool) bool {
+	w := walk{en: en, k: k, claim: claim, fn: fn}
+	return w.rec(0, 0, 0, 0)
+}
+
+// walk is one ForEachClaimed call: a struct, not closures, so that the
+// call inlines and the recursion's frames, one per group on every set's
+// call chain, stay small (docs/perf.md §15). task counts the tasks passed,
+// and mine is one more than the last task claimed.
+type walk struct {
+	en         *Enumerator
+	k          int
+	task, mine int
+	claim      func() int
+	fn         func(u bitset.Set, rank int) bool
+}
+
+// rec extends acc, a partial set of cnt tables whose rank shares sum to
+// rank, by the subsets of groups[gi:]. The last group's sets go to fn
+// from its loop, without one more frame.
+func (w *walk) rec(gi int, acc bitset.Set, rank, cnt int) bool {
+	en := w.en
+	if cnt+en.maxTail[gi] < w.k {
+		return true // this branch cannot reach k tables
+	}
+	if gi == en.depth && !w.owns() {
+		return true
+	}
+	for _, sub := range en.groups[gi] {
+		c := cnt + sub.set.Count()
+		switch {
+		case c > w.k:
+		case gi+1 < len(en.groups):
+			if !w.rec(gi+1, acc.Union(sub.set), rank+sub.rank, c) {
+				return false
 			}
-			if !rec(gi+1, acc.Union(sub.set), rank+sub.rank, cnt+c) {
+		case c == w.k && (gi+1 != en.depth || w.owns()):
+			if !w.fn(acc.Union(sub.set), rank+sub.rank) {
 				return false
 			}
 		}
+	}
+	return true
+}
+
+// owns moves the walk past one task and reports whether the caller takes
+// it: always, with no claim.
+func (w *walk) owns() bool {
+	if w.claim == nil {
 		return true
 	}
-	return rec(0, bitset.Empty(), 0, 0)
+	if w.mine <= w.task {
+		w.mine = w.claim() + 1
+	}
+	w.task++
+	return w.task == w.mine
 }
 
 // ForEachAdmissible is ForEachRanked without the ranks.

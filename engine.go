@@ -102,10 +102,11 @@ func optimizeAll(ctx context.Context, jobs []Job, optimize func(context.Context,
 // InProcessEngine runs MPQ with goroutine workers — the shared-nothing
 // algorithm on a single machine, each partition on one of the process's
 // GOMAXPROCS runtime slots (docs/perf.md), which all engines share. A
-// job of fewer partitions than slots lends each partition the slots
-// idle when it starts, and its dynamic program shares every cardinality
-// level among them on one memo, with the same plans and work counters
-// (docs/perf.md §15).
+// job of fewer partitions than slots lends each partition of a large
+// memo one slot idle when it starts, and its dynamic program shares
+// every cardinality level with it on one memo, with the same plans and
+// work counters, until another partition waits for a slot (docs/perf.md
+// §15).
 type InProcessEngine struct {
 	// serial pins every job to one partition (NewSerialEngine).
 	serial bool
@@ -120,9 +121,9 @@ func NewInProcessEngine(opts ...EngineOption) *InProcessEngine {
 // the baseline every speedup is measured against: the in-process engine
 // with JobSpec.Workers overridden to 1, so it always searches the
 // unpartitioned plan space, with bit-identical plans and plan.Stats at
-// any core count. Its levels spread over the runtime slots idle at the
-// start; GOMAXPROCS=1 gives the single-core baseline. No option
-// applies.
+// any core count. A large job's levels spread over one runtime slot
+// idle at the start; GOMAXPROCS=1 gives the single-core baseline. No
+// option applies.
 func NewSerialEngine(opts ...EngineOption) *InProcessEngine {
 	return &InProcessEngine{serial: true}
 }

@@ -217,6 +217,14 @@ func (s JobSpec) DPOptions() dp.Options {
 // of the arenas.
 var slots = make(chan *dp.Runtime, runtime.GOMAXPROCS(0))
 
+// waiting counts the runWorker calls that wait for a slot. spare keeps
+// the runtimes of released helpers, whose slots a stand-in took (see
+// lent.release), to stand in next time.
+var (
+	waiting atomic.Int32
+	spare   = make(chan *dp.Runtime, cap(slots))
+)
+
 func init() {
 	for range cap(slots) {
 		slots <- dp.NewRuntime()
@@ -236,6 +244,11 @@ func RunWorkerContext(ctx context.Context, q *query.Query, spec JobSpec, partID 
 	return res, err
 }
 
+// maxHelpers caps a partition's helpers at the one width measured,
+// w = 2 (docs/perf.md §15). A wider level is cut into the same few
+// tasks, and wakes more goroutines.
+const maxHelpers = 1
+
 // minWideSlots is, per plan space, the smallest memo, in slots, whose
 // partition borrows helpers: below it, sharing each level costs more
 // than it saves. A bushy set has more splits to share than a linear one
@@ -245,17 +258,16 @@ var minWideSlots = [...]uint64{partition.Linear: 8192, partition.Bushy: 2048}
 // runWorker is RunWorkerContext plus the task's own run time, measured
 // once it holds its slot. A job of fewer partitions than slots lends each
 // of its partitions of at least minWideSlots memo slots up to
-// cap(slots)/Workers − 1 more slots — those idle when the partition
-// starts, without waiting — as the dynamic program's helpers
-// (dp.Options.Helpers), so a partition running alone widens each
-// cardinality level onto the idle cores. They go back after the run, as
-// the memo's plans live in their arenas until Finish clones the roots.
+// min(maxHelpers, cap(slots)/Workers − 1) more slots — those idle when
+// the partition starts, without waiting — as the dynamic program's
+// helpers (dp.Options.Helpers), so a partition running alone widens each
+// cardinality level onto an idle core. When another partition waits for
+// a slot, a helper stops at its next task and its slot goes to the
+// waiter (lent.release).
 func runWorker(ctx context.Context, q *query.Query, spec JobSpec, partID int) (*dp.Result, time.Duration, error) {
-	var rt *dp.Runtime
-	select {
-	case rt = <-slots:
-	case <-ctx.Done():
-		return nil, 0, context.Cause(ctx)
+	rt, err := takeSlot(ctx)
+	if err != nil {
+		return nil, 0, err
 	}
 	defer func() { slots <- rt }()
 	start := time.Now()
@@ -269,13 +281,32 @@ func runWorker(ctx context.Context, q *query.Query, spec JobSpec, partID int) (*
 	opts := spec.DPOptions()
 	opts.Runtime = rt
 	if cs.CountAdmissible() >= minWideSlots[cs.Space] {
-		opts.Helpers = takeIdle(cap(slots)/spec.Workers - 1)
+		opts.Helpers = takeIdle(min(maxHelpers, cap(slots)/spec.Workers-1))
+	}
+	if len(opts.Helpers) > 0 {
+		l := &lent{rts: opts.Helpers}
+		opts.Release = l.release
+		defer l.giveBack()
 	}
 	res, err := runDP(ctx, q, cs, opts)
-	for _, h := range opts.Helpers {
-		slots <- h
-	}
 	return res, time.Since(start), err
+}
+
+// takeSlot takes a runtime slot, waiting for one as long as ctx lasts.
+func takeSlot(ctx context.Context) (*dp.Runtime, error) {
+	select {
+	case rt := <-slots:
+		return rt, nil
+	default:
+	}
+	waiting.Add(1)
+	defer waiting.Add(-1)
+	select {
+	case rt := <-slots:
+		return rt, nil
+	case <-ctx.Done():
+		return nil, context.Cause(ctx)
+	}
 }
 
 // takeIdle takes up to n runtime slots that are free now, without
@@ -291,6 +322,46 @@ func takeIdle(n int) []*dp.Runtime {
 		}
 	}
 	return rts
+}
+
+// lent is the helper slots of one dynamic program. released counts the
+// helpers that gave their slots back before the run's end.
+type lent struct {
+	rts      []*dp.Runtime
+	released atomic.Int32
+}
+
+// release is the run's dp.Options.Release. While a partition waits for
+// a slot, it lets the asking helper go and puts a stand-in runtime in
+// the helper's slot: the helper's own runtime holds memo plans until the
+// run ends.
+func (l *lent) release() bool {
+	if waiting.Load() == 0 {
+		return false
+	}
+	l.released.Add(1)
+	select {
+	case rt := <-spare:
+		slots <- rt
+	default:
+		slots <- dp.NewRuntime()
+	}
+	return true
+}
+
+// giveBack returns the slots the run still holds after it ends, and
+// keeps the released helpers' runtimes as spares.
+func (l *lent) giveBack() {
+	for i, rt := range l.rts {
+		if i >= int(l.released.Load()) {
+			slots <- rt
+			continue
+		}
+		select {
+		case spare <- rt:
+		default:
+		}
+	}
 }
 
 // Job is one (query, job spec) unit of work: what an engine's

@@ -169,25 +169,40 @@ func TestOptimizeParallelismCap(t *testing.T) {
 // A partition borrows only slots that are idle, and gives every slot
 // back: across a lone Workers: 1 job, concurrent Workers: 1 calls, a
 // Workers: 1 batch, a canceled context, a context canceled mid-run and
-// specs that fail validation in the worker, the runtimes in use — each
-// dynamic program's own plus its helpers — never exceed GOMAXPROCS, no
-// job of GOMAXPROCS or more partitions takes a helper, every answer is
-// the optimum, and all slots are back after every return.
+// specs that fail validation in the worker, the slots in use — each
+// dynamic program's own plus its helpers' until they are released —
+// never exceed GOMAXPROCS, no job of GOMAXPROCS or more partitions takes
+// a helper, none takes more than maxHelpers, every answer is the
+// optimum, and all slots are back after every return.
 func TestOptimizeBorrowsOnlyIdleSlots(t *testing.T) {
 	var inUse, peak, helped atomic.Int32
 	var wideJobErr atomic.Value
 	orig := runDP
 	defer func() { runDP = orig }()
 	runDP = func(ctx context.Context, q *query.Query, cs *partition.ConstraintSet, opts dp.Options) (*dp.Result, error) {
-		n := int32(1 + len(opts.Helpers))
-		now := inUse.Add(n)
-		defer inUse.Add(-n)
+		var held atomic.Int32
+		held.Store(int32(1 + len(opts.Helpers)))
+		now := inUse.Add(held.Load())
+		defer func() { inUse.Add(-held.Load()) }()
 		for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {
 		}
 		if len(opts.Helpers) > 0 {
 			helped.Add(1)
-			if m := 1 << len(cs.List); m >= cap(slots) {
+			if m := 1 << len(cs.List); m >= cap(slots) || len(opts.Helpers) > maxHelpers {
 				wideJobErr.Store(fmt.Errorf("a job of %d partitions took %d helpers on %d slots", m, len(opts.Helpers), cap(slots)))
+			}
+			// A released slot counts as free from just before it is
+			// handed on, so the count never runs ahead of the slots.
+			release := opts.Release
+			opts.Release = func() bool {
+				held.Add(-1)
+				inUse.Add(-1)
+				if release() {
+					return true
+				}
+				held.Add(1)
+				inUse.Add(1)
+				return false
 			}
 		}
 		return orig(ctx, q, cs, opts)
@@ -212,7 +227,7 @@ func TestOptimizeBorrowsOnlyIdleSlots(t *testing.T) {
 		return err
 	}
 
-	// Alone, a job of one partition takes every other slot.
+	// Alone, a job of one partition takes one more slot.
 	if err := check(OptimizeContext(context.Background(), q, one)); err != nil {
 		t.Fatal(err)
 	}
@@ -289,5 +304,58 @@ func TestOptimizeBorrowsOnlyIdleSlots(t *testing.T) {
 	}
 	if err, _ := wideJobErr.Load().(error); err != nil {
 		t.Error(err)
+	}
+}
+
+// A borrowed slot goes to a partition that waits for one: with every
+// slot in use, two of them by a Workers: 1 job and its helper, a second
+// job's partition gets the helper's slot at the helper's next task, and
+// ends while the first job still runs. Every slot is back after.
+func TestBorrowedSlotGoesToAWaiter(t *testing.T) {
+	if cap(slots) < 2 {
+		t.Skip("one slot: no helper to lend")
+	}
+	held := takeIdle(cap(slots) - 2)
+	defer func() {
+		for _, rt := range held {
+			slots <- rt
+		}
+	}()
+	wide := make(chan struct{})
+	var wideDone atomic.Bool
+	orig := runDP
+	defer func() { runDP = orig }()
+	runDP = func(ctx context.Context, q *query.Query, cs *partition.ConstraintSet, opts dp.Options) (*dp.Result, error) {
+		if len(opts.Helpers) == 0 {
+			return orig(ctx, q, cs, opts)
+		}
+		close(wide)
+		res, err := orig(ctx, q, cs, opts)
+		wideDone.Store(true)
+		return res, err
+	}
+
+	one := JobSpec{Space: partition.Linear, Workers: 1}
+	first := make(chan error, 1)
+	go func() {
+		_, err := OptimizeContext(context.Background(), gen(t, 16, workload.Star, 0), one)
+		first <- err
+	}()
+	select {
+	case <-wide:
+	case err := <-first:
+		t.Fatalf("the first job ran without a helper (err = %v)", err)
+	}
+	if _, err := OptimizeContext(context.Background(), gen(t, 8, workload.Star, 1), one); err != nil {
+		t.Fatal(err)
+	}
+	if wideDone.Load() {
+		t.Fatal("the waiting job got a slot only once the job that borrowed it ended")
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if len(slots) != cap(slots)-len(held) {
+		t.Fatalf("%d of %d slots back", len(slots), cap(slots)-len(held))
 	}
 }

@@ -181,6 +181,12 @@ type Options struct {
 	// width. core sets it from the runtime slots that are idle when a
 	// partition starts; nil runs every level on one worker.
 	Helpers []*Runtime
+	// Release, if not nil, is asked by a helper before each task it
+	// would claim. Once it returns true, that helper claims no task for
+	// the rest of the run, and the others share the levels without it.
+	// Its runtime still holds memo plans until the run ends. core uses it
+	// to hand a helper's core to a partition that waits for one.
+	Release func() bool
 }
 
 func (o Options) withDefaults() Options {
@@ -285,7 +291,8 @@ func RunContext(ctx context.Context, q *query.Query, cs *partition.ConstraintSet
 // from 2 to the query's table count. With fn nil, the engine's worker
 // and one goroutine per helper (Options.Helpers) claim the level's
 // Enumerator tasks from one counter, and Level returns once all of them
-// are done. fn, if not nil, makes the engine's own worker treat every
+// are done; a helper that Options.Release lets go leaves its tasks to
+// the others. fn, if not nil, makes the engine's own worker treat every
 // set, in the Enumerator's order, and is called after each set is
 // stored, with the work units it cost; when it returns false the level
 // stops there and Level returns nil.
@@ -303,15 +310,19 @@ func (e *Engine) Level(ctx context.Context, k int, fn func(u bitset.Set, units u
 	return e.w.share(ctx, k, nil, fn)
 }
 
-// wide is Level shared by the engine's worker and its helpers.
+// wide is Level shared by the engine's worker and its helpers. wg is the
+// level's barrier, and each helper's share leaves its error in its lv.
 func (e *Engine) wide(ctx context.Context, k int) error {
-	e.next.Store(0)
+	var next atomic.Int64 // the level's task counter
+	var wg sync.WaitGroup
 	for i := range e.helpers {
-		e.wg.Add(1)
-		go e.helpers[i].help(ctx, k, &e.next, &e.wg)
+		if h := &e.helpers[i]; !h.gone {
+			wg.Add(1)
+			go func() { defer wg.Done(); h.share(ctx, k, &next, nil) }()
+		}
 	}
-	err := e.w.share(ctx, k, &e.next, nil)
-	e.wg.Wait()
+	err := e.w.share(ctx, k, &next, nil)
+	wg.Wait()
 	for i := range e.helpers {
 		err = cmp.Or(err, e.helpers[i].lv.err)
 	}
@@ -323,12 +334,13 @@ func (e *Engine) wide(ctx context.Context, k int) error {
 
 // share treats the sets of level k in the tasks the worker claims from
 // next, or all of them if next is nil, as Level describes, and returns
-// what ended it.
+// what ended it, which it also leaves in w.lv.err.
 func (w *worker) share(ctx context.Context, k int, next *atomic.Int64, fn func(u bitset.Set, units uint64) bool) error {
-	if ctx.Err() != nil {
-		return canceled(ctx, k)
-	}
 	w.lv = level{ctx: ctx, k: k, fn: fn, next: next}
+	if ctx.Err() != nil {
+		w.lv.err = canceled(ctx, k)
+		return w.lv.err
+	}
 	var claim func() int
 	if next != nil {
 		claim = w.claim
@@ -351,8 +363,14 @@ type level struct {
 	err       error
 }
 
-// claim takes the level's next task.
-func (w *worker) claim() int { return int(w.lv.next.Add(1)) - 1 }
+// claim takes the level's next task. A helper that Options.Release lets
+// go takes none, in this level or a later one.
+func (w *worker) claim() int {
+	if w.gone = w.gone || w.opts.Release != nil && w.opts.Release(); w.gone {
+		return math.MaxInt32 // past every task: the walk skips the rest
+	}
+	return int(w.lv.next.Add(1)) - 1
+}
 
 // visit treats set u of the level, whose memo slot is rank, and reports
 // whether the level goes on.
@@ -376,15 +394,11 @@ func (w *worker) visit(u bitset.Set, rank int) bool {
 	return true
 }
 
-// canceled is the error a level ends with once it finds ctx ended.
+// canceled is the error a level ends with once it finds ctx ended. It is
+// a function of its own so that visit's frame, on every set's call
+// chain, does not hold fmt.Errorf's arguments.
 func canceled(ctx context.Context, k int) error {
 	return fmt.Errorf("dp: canceled at cardinality %d: %w", k, context.Cause(ctx))
-}
-
-// help is share on a helper's goroutine; wg is the level's barrier.
-func (w *worker) help(ctx context.Context, k int, next *atomic.Int64, wg *sync.WaitGroup) {
-	defer wg.Done()
-	w.share(ctx, k, next, nil)
 }
 
 // ErrWorkLimit is returned when Options.MaxWorkUnits is exceeded.
@@ -420,12 +434,8 @@ func memoSlots(cs *partition.ConstraintSet) (int, error) {
 // tasks spread over its workers — drive the exact same plan generation
 // and pruning logic.
 type Engine struct {
-	w worker
-	// helpers are the workers of Options.Helpers. next is a level's task
-	// counter, and wg waits for the helpers at the level's end.
-	helpers []worker
-	next    atomic.Int64
-	wg      sync.WaitGroup
+	w       worker
+	helpers []worker // the workers of Options.Helpers
 }
 
 // NewEngine validates the inputs, sizes the memo and builds the scan
@@ -478,7 +488,7 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 	}
 	// A helper starts as the worker before its first set: the same
 	// query, partition, memo, scans and read-only enumerator, with its own
-	// runtime's memory and its own counters.
+	// runtime's memory and its own counters. Only a helper asks Release.
 	eng.helpers = make([]worker, len(opts.Helpers))
 	for i, hrt := range opts.Helpers {
 		h := &eng.helpers[i]
@@ -486,6 +496,7 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 		h.stats = plan.Stats{}
 		h.borrow(hrt)
 	}
+	w.opts.Release = nil
 	return eng, nil
 }
 
@@ -575,7 +586,9 @@ type worker struct {
 	// compiles as it did before the rules were closed: that path is
 	// sensitive to code layout (docs/perf.md §12).
 	single bool
-	pend   record
+	// gone is set on a helper once Options.Release has let it go.
+	gone bool
+	pend record
 	// alpha is Pareto's clamped factor, and 1 under the other rules.
 	alpha float64
 	// le and re are the operand entries of the split under evaluation.

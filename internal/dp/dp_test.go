@@ -560,8 +560,9 @@ func (c *midLevelCtx) Err() error {
 // checkWideLevelContract is Level's contract on an engine of width 2:
 // a cancel from another goroutine in the middle of a level ends it with
 // context.Canceled before the level is done; MaxWorkUnits gives
-// ErrWorkLimit, also when only the workers' summed meter passes it; and
-// no helper goroutine outlives Level.
+// ErrWorkLimit, also when only the workers' summed meter passes it; a
+// helper that Options.Release lets go mid-level asks no more; and no
+// helper goroutine outlives Level.
 func checkWideLevelContract(t *testing.T, q *query.Query, cs *partition.ConstraintSet) {
 	baseline := runtime.NumGoroutine()
 	bg := context.Background()
@@ -609,6 +610,19 @@ func checkWideLevelContract(t *testing.T, q *query.Query, cs *partition.Constrai
 	}
 	if err := wide(total - 1).RunAll(); !errors.Is(err, ErrWorkLimit) {
 		t.Fatalf("MaxWorkUnits one below the run's work: err = %v, want ErrWorkLimit", err)
+	}
+
+	var asks atomic.Int32
+	eng = wide(0)
+	eng.helpers[0].opts.Release = func() bool { return asks.Add(1) > 2 }
+	if err := eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Stats(); got.WorkUnits() != total || got.SetsProcessed != uint64(1<<q.N()-q.N()-1) {
+		t.Fatalf("a helper let go mid-run: %d units over %d sets, want %d units over every set", got.WorkUnits(), got.SetsProcessed, total)
+	}
+	if got := asks.Load(); got != 3 {
+		t.Fatalf("a helper let go at its third ask asked %d times", got)
 	}
 
 	for i := 0; runtime.NumGoroutine() > baseline; i++ {

@@ -3,6 +3,7 @@ package dp_test
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"mpq/internal/dp"
@@ -12,10 +13,11 @@ import (
 )
 
 // A level shared by w workers on one memo finds what one worker finds:
-// at w ∈ {1, 2, 3}, in both spaces, under every rule with interesting
-// orders on and off, on every partition of m ∈ {1, 2}, the root plans
-// have the same wire fingerprints and the runs the same plan.Stats —
-// MemoEntries included, which the workers' counters must sum. Outside
+// at w ∈ {1, 2, 3}, and at w = 3 with helpers that Options.Release lets
+// go mid-run, in both spaces, under every rule with interesting orders
+// on and off, on every partition of m ∈ {1, 2}, the root plans have the
+// same wire fingerprints and the runs the same plan.Stats — MemoEntries
+// included, which the workers' counters must sum. Outside
 // -short, the recorded work of testdata/exact_stats.txt holds at w = 2
 // too (a minute under -race).
 func TestWideLevelsAreExact(t *testing.T) {
@@ -41,8 +43,13 @@ func TestWideLevelsAreExact(t *testing.T) {
 						for _, orders := range []bool{false, true} {
 							where := fmt.Sprintf("%v-%v-%d partition %d/%d %s orders=%v", shape, space, n, part, m, r.name, orders)
 							var want *dp.Result
-							for w := 1; w <= 3; w++ {
-								eng, res := runPartition(t, q, cs, dp.Options{Pruner: r.pr, InterestingOrders: orders}, w)
+							for w := 1; w <= 4; w++ {
+								opts := dp.Options{Pruner: r.pr, InterestingOrders: orders}
+								if w == 4 { // w = 3, each helper let go from the run's fourth ask on
+									var asks atomic.Int32
+									opts.Release = func() bool { return asks.Add(1) > 3 }
+								}
+								eng, res := runPartition(t, q, cs, opts, min(w, 3))
 								helperSets += eng.HelperSets()
 								if want == nil {
 									want = res

@@ -354,8 +354,9 @@ func (en *Enumerator) ForEachRanked(k int, fn func(u bitset.Set, rank int) bool)
 // on reaching its first task and the first task after each one it
 // claimed; claim returns the index of the next task the caller takes,
 // at least the one the walk stands at — the next value of a counter the
-// callers share is one — and the walk skips the tasks in between. A nil
-// claim takes every task. The rank is the sum of the shares of u's group
+// callers share is one — and the walk skips the tasks in between; an
+// index past the last task ends the caller's share. A nil claim takes
+// every task. The rank is the sum of the shares of u's group
 // subsets, added up along the recursion that builds u.
 func (en *Enumerator) ForEachClaimed(k int, claim func() int, fn func(u bitset.Set, rank int) bool) bool {
 	w := walk{en: en, k: k, claim: claim, fn: fn}

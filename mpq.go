@@ -34,9 +34,9 @@
 //   - serial: NewSerialEngine — the in-process engine pinned to one
 //     partition, the classical single-node dynamic program every
 //     speedup is measured against. It searches the unpartitioned space
-//     with bit-identical plans, spreading each cardinality level over
-//     the idle runtime slots; GOMAXPROCS=1 gives the single-core
-//     baseline.
+//     with bit-identical plans, spreading a large job's cardinality
+//     levels over one idle runtime slot; GOMAXPROCS=1 gives the
+//     single-core baseline.
 //   - local: NewInProcessEngine — goroutine workers in this process;
 //     every partition's dynamic program runs on one of GOMAXPROCS
 //     runtime slots the whole process shares.

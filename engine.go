@@ -20,7 +20,8 @@ import (
 // Optimize runs one query. OptimizeBatch pipelines a batch of
 // independent queries through the engine; answers come back in input
 // order and are bit-identical to running each job by itself, and the
-// first failure cancels the jobs still running. Both
+// first failure cancels the jobs still running; an empty batch returns
+// an empty slice and no error. Both
 // honor ctx: cancellation stops the dynamic program between (and
 // periodically within) cardinality levels, aborts in-flight network
 // work, and returns an error wrapping context.Canceled (or

@@ -518,6 +518,29 @@ func TestSequentialEnginesBatch(t *testing.T) {
 	}
 }
 
+// An empty batch is no error on any engine: each returns an empty
+// slice.
+func TestEmptyBatch(t *testing.T) {
+	tcp, _ := startTCPEngine(t, 1)
+	for _, e := range []struct {
+		name string
+		eng  mpq.Engine
+	}{
+		{"serial", mpq.NewSerialEngine()},
+		{"inprocess", mpq.NewInProcessEngine()},
+		{"sim", mpq.NewSimEngine()},
+		{"tcp", tcp},
+		{"cached-tcp", mpq.WithCache(tcp, mpq.CacheConfig{})},
+	} {
+		for _, jobs := range [][]mpq.Job{nil, {}} {
+			got, err := e.eng.OptimizeBatch(context.Background(), jobs)
+			if err != nil || got == nil || len(got) != 0 {
+				t.Errorf("%s: OptimizeBatch(%#v) = %v, %v; want an empty slice and nil", e.name, jobs, got, err)
+			}
+		}
+	}
+}
+
 // TestBatchFirstFailureCancelsTheRest: an in-process batch whose second
 // job is invalid returns that job's error at once, canceling the
 // first job's multi-second dynamic program instead of finishing it, and

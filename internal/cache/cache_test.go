@@ -56,7 +56,6 @@ func TestKeyOfSensitivity(t *testing.T) {
 	add("objective", func(s *core.JobSpec) { s.Objective = core.MultiObjective; s.Alpha = 1 })
 	add("alpha", func(s *core.JobSpec) { s.Objective = core.MultiObjective; s.Alpha = 10 })
 	add("orders", func(s *core.JobSpec) { s.InterestingOrders = true })
-	add("crossproducts", func(s *core.JobSpec) { s.DisableCrossProducts = true })
 	add("costmodel", func(s *core.JobSpec) { s.CostModel.HashFactor = 99 })
 	add("robust", func(s *core.JobSpec) { s.Objective = core.RobustObjective })
 	add("robustband", func(s *core.JobSpec) { s.Objective = core.RobustObjective; s.RobustBand = 3 })

@@ -117,11 +117,11 @@ type JobSpec struct {
 	RobustBand float64
 	// InterestingOrders enables sort-order tracking in the DP.
 	InterestingOrders bool
-	// DisableCrossProducts is an ablation switch (off in the paper).
-	DisableCrossProducts bool
 	// CostModel overrides the cost model (zero value = cost.Default()).
 	// Set cost.Parametric(spill) with MultiObjective for parametric
-	// query optimization.
+	// query optimization. Its second metric may not be cost.RobustCost:
+	// robust search is RobustObjective with RobustBand, the one spelling
+	// of the band.
 	CostModel cost.Model
 }
 
@@ -153,6 +153,9 @@ func (s JobSpec) Validate(n int) error {
 		if s.CostModel.Second != cost.BufferFootprint {
 			return fmt.Errorf("core: robust jobs derive their own second metric; CostModel.Second must be left at the default")
 		}
+	}
+	if s.CostModel.Second == cost.RobustCost {
+		return fmt.Errorf("core: CostModel.Second = RobustCost is not a job setting; use Objective = RobustObjective with RobustBand")
 	}
 	if s.CostModel != (cost.Model{}) {
 		if err := s.CostModel.Validate(); err != nil {
@@ -201,10 +204,9 @@ func (s JobSpec) EffectiveModel() cost.Model {
 // DPOptions assembles the DP engine options for this spec.
 func (s JobSpec) DPOptions() dp.Options {
 	return dp.Options{
-		Model:                s.EffectiveModel(),
-		Pruner:               s.Pruner(),
-		InterestingOrders:    s.InterestingOrders,
-		DisableCrossProducts: s.DisableCrossProducts,
+		Model:             s.EffectiveModel(),
+		Pruner:            s.Pruner(),
+		InterestingOrders: s.InterestingOrders,
 	}
 }
 

@@ -161,9 +161,6 @@ type Options struct {
 	// produce ordered output and pre-sorted inputs skip sort passes.
 	// Off by default, matching the paper's complexity analysis (§5).
 	InterestingOrders bool
-	// DisableCrossProducts heuristically skips disconnected join results
-	// (an ablation switch; the paper deliberately allows cross products).
-	DisableCrossProducts bool
 	// MaxWorkUnits aborts the search once the work meter exceeds this
 	// bound (0 = unlimited). Used by time-budgeted experiments
 	// (Table 1): work is deterministic, so exceeding the unit budget is
@@ -637,12 +634,8 @@ func (w *worker) lookupRank(s bitset.Set, rank int) *entry {
 }
 
 // process treats join result u, whose memo slot is rank, and returns the
-// work units it cost: none for a disconnected set DisableCrossProducts
-// skips.
+// work units it cost.
 func (w *worker) process(u bitset.Set, rank int) uint64 {
-	if w.opts.DisableCrossProducts && !w.q.Connected(u) {
-		return 0
-	}
 	before := w.stats.WorkUnits()
 	w.trySplits(u, rank)
 	return w.stats.WorkUnits() - before

@@ -332,36 +332,6 @@ func TestOrderAwarePrunerInvariants(t *testing.T) {
 	}
 }
 
-func TestDisableCrossProducts(t *testing.T) {
-	// A chain query optimized without cross products must still find a
-	// plan, and never produce a disconnected intermediate result.
-	q := genQuery(t, 7, workload.Chain, 4)
-	res, err := Serial(q, partition.Linear, Options{DisableCrossProducts: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var walk func(p *plan.Node)
-	walk = func(p *plan.Node) {
-		if p.IsScan {
-			return
-		}
-		if !q.Connected(p.Tables) {
-			t.Fatalf("cross-product-free plan has disconnected result %v", p.Tables)
-		}
-		walk(p.Left)
-		walk(p.Right)
-	}
-	walk(res.Best())
-	// The restricted optimum cannot beat the unrestricted one.
-	full, err := Serial(q, partition.Linear, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best().Cost < full.Best().Cost-costEps {
-		t.Fatal("heuristic search found a better plan than full search")
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	q := genQuery(t, 6, workload.Star, 0)
 	csWrongN := partition.Unconstrained(partition.Linear, 5)

@@ -80,13 +80,13 @@ func TestArenaOnOffBitIdentical(t *testing.T) {
 
 // A pooled Runtime's memo array keeps the entries of every earlier run;
 // no later run may see one. Jobs of different size, space and partition
-// share one Runtime — large, small, large again; a run without cross
-// products right after a full run of the same partition, whose skipped
-// sets' slots the full run filled; a run that a work limit aborts half
-// way — and each returns what a fresh Runtime returns, bit for bit.
+// share one Runtime — large, small, large again; the same partition
+// again under another pruning rule; runs that a work limit aborts half
+// way, which leave slots empty, and a full run of the same partition
+// right after one — and each returns what a fresh Runtime returns, bit
+// for bit, MemoEntries included.
 func TestRuntimeReuseNeverReadsAnEarlierRun(t *testing.T) {
 	shared := NewRuntime()
-	noCross := Options{DisableCrossProducts: true}
 	for i, tc := range []struct {
 		n       int
 		shape   workload.Shape
@@ -96,15 +96,15 @@ func TestRuntimeReuseNeverReadsAnEarlierRun(t *testing.T) {
 		aborted bool
 	}{
 		{12, workload.Chain, partition.Linear, 0, 1, Options{}, false},
-		{12, workload.Chain, partition.Linear, 0, 1, noCross, false},
+		{12, workload.Chain, partition.Linear, 0, 1, Options{Pruner: Pareto{Alpha: 1}}, false},
 		{6, workload.Star, partition.Bushy, 1, 2, Options{}, false},
 		{9, workload.Chain, partition.Bushy, 5, 8, Options{}, false},
-		{9, workload.Chain, partition.Bushy, 5, 8, noCross, false},
+		{9, workload.Chain, partition.Bushy, 5, 8, Options{InterestingOrders: true, Pruner: OrderAware{}}, false},
 		{11, workload.Cycle, partition.Linear, 3, 4, Options{MaxWorkUnits: 2000}, true},
-		{11, workload.Cycle, partition.Linear, 3, 4, noCross, false},
+		{11, workload.Cycle, partition.Linear, 3, 4, Options{}, false},
 		{5, workload.Clique, partition.Linear, 2, 4, Options{}, false},
 		{12, workload.Star, partition.Linear, 0, 1, Options{InterestingOrders: true, Pruner: OrderAware{}}, false},
-		{10, workload.Cycle, partition.Bushy, 0, 1, noCross, false},
+		{10, workload.Cycle, partition.Bushy, 0, 1, Options{MaxWorkUnits: 5000}, true},
 		{10, workload.Star, partition.Linear, 1, 2, Options{Pruner: Pareto{Alpha: 1}}, false},
 		{7, workload.Chain, partition.Bushy, 0, 1, Options{InterestingOrders: true, Pruner: Pareto{Alpha: 2}}, false},
 		{11, workload.Cycle, partition.Linear, 3, 4, Options{InterestingOrders: true, Pruner: OrderAware{}}, false},

@@ -9,19 +9,6 @@ import (
 	"mpq/internal/catalog"
 )
 
-// GenerateZipf materializes synthetic data like Generate, but with
-// Zipf-skewed attribute values: value v of a domain of size d is drawn
-// with probability proportional to 1/(v+1)^skew. Skew 0 is exactly
-// Generate — same RNG consumption, byte-identical tables — so callers
-// can thread a skew parameter through unconditionally. Larger skew
-// concentrates rows on few values, which makes measured join
-// selectivities diverge from the catalog's uniform-independence
-// estimate; the regret experiment uses that divergence as a source of
-// realistic estimation error.
-//
-// The generator hand-rolls inverse-CDF sampling rather than using
-// rand.Zipf because the stdlib sampler requires skew > 1, and mild
-// skews in (0, 1] are exactly the interesting regime here.
 // MeasuredSelectivity returns the fraction of the cross product of
 // tables a and b that an equality predicate between attribute ai of a
 // and attribute bi of b retains, measured on the materialized rows —
@@ -50,6 +37,19 @@ func (db *DB) MeasuredSelectivity(a, ai, b, bi int) (float64, error) {
 	return float64(matches) / (float64(len(ra)) * float64(len(rb))), nil
 }
 
+// GenerateZipf materializes synthetic data like Generate, but with
+// Zipf-skewed attribute values: value v of a domain of size d is drawn
+// with probability proportional to 1/(v+1)^skew. Skew 0 is exactly
+// Generate — same RNG consumption, byte-identical tables — so callers
+// can thread a skew parameter through unconditionally. Larger skew
+// concentrates rows on few values, which makes measured join
+// selectivities diverge from the catalog's uniform-independence
+// estimate; the regret experiment uses that divergence as a source of
+// realistic estimation error.
+//
+// The generator hand-rolls inverse-CDF sampling rather than using
+// rand.Zipf because the stdlib sampler requires skew > 1, and mild
+// skews in (0, 1] are exactly the interesting regime here.
 func GenerateZipf(cat *catalog.Catalog, seed int64, lim Limits, skew float64) (*DB, error) {
 	if math.IsNaN(skew) || math.IsInf(skew, 0) || skew < 0 {
 		return nil, fmt.Errorf("exec: zipf skew must be finite and non-negative, got %v", skew)

@@ -325,17 +325,6 @@ func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, st 
 				continue
 			}
 			accept()
-			if resp.Err != "" {
-				// Legacy in-band error. Current workers always use the explicit
-				// WorkerError frame, so this only fires on version skew; without
-				// an error code we cannot tell transit damage from a
-				// deterministic failure, and guessing "retryable" could burn the
-				// whole retry budget on a job every worker rejects. Fail fast.
-				res.err = fmt.Errorf("worker %s partition %d: %s", addr, u.Part, resp.Err)
-				res.outcome = sched.Fatal
-				res.elapsed = time.Since(t0)
-				return res
-			}
 			res.resp = resp
 			res.elapsed = time.Since(t0)
 			return res
@@ -398,7 +387,7 @@ func (ms *Master) Optimize(ctx context.Context, q *query.Query, spec core.JobSpe
 // the whole batch.
 func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer, error) {
 	if len(jobs) == 0 {
-		return nil, errors.New("netrun: empty batch")
+		return []*core.Answer{}, nil
 	}
 	parts := make([]int, len(jobs))
 	for qi, job := range jobs {

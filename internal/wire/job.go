@@ -25,19 +25,20 @@ type JobRequest struct {
 }
 
 // JobResponse is the worker-to-master message: the partition-optimal
-// plan(s) and the worker's work accounting. Err is non-empty if the
-// worker failed.
+// plan(s) and the worker's work accounting. A worker that fails answers
+// with a WorkerError frame instead.
 type JobResponse struct {
 	// Seq echoes the request's sequence number (see JobRequest.Seq).
 	Seq   uint32
 	Plans []*plan.Node
 	Stats plan.Stats
-	Err   string
 }
 
 // EncodeJobRequest serializes a request. The sequence number is encoded
 // immediately after the frame header so PeekJobRequestSeq can recover
-// it even when the rest of the request fails to decode.
+// it even when the rest of the request fails to decode. The robust band
+// travels once, as Spec.RobustBand: the cost model's RobustBand is read
+// only under cost.RobustCost, which JobSpec.Validate refuses.
 func EncodeJobRequest(r *JobRequest) []byte {
 	e := &encoder{}
 	e.header(TagJobRequest)
@@ -48,13 +49,11 @@ func EncodeJobRequest(r *JobRequest) []byte {
 	e.f64(r.Spec.Alpha)
 	e.f64(r.Spec.RobustBand)
 	e.bool(r.Spec.InterestingOrders)
-	e.bool(r.Spec.DisableCrossProducts)
 	e.f64(r.Spec.CostModel.HashFactor)
 	e.f64(r.Spec.CostModel.SortFactor)
 	e.f64(r.Spec.CostModel.NLBlock)
 	e.u8(uint8(r.Spec.CostModel.Second))
 	e.f64(r.Spec.CostModel.HashSpillFactor)
-	e.f64(r.Spec.CostModel.RobustBand)
 	e.u32(uint32(r.PartID))
 	encodeQueryBody(e, r.Query)
 	return e.buf
@@ -72,13 +71,11 @@ func DecodeJobRequest(b []byte) (*JobRequest, error) {
 	r.Spec.Alpha = d.f64()
 	r.Spec.RobustBand = d.f64()
 	r.Spec.InterestingOrders = d.bool()
-	r.Spec.DisableCrossProducts = d.bool()
 	r.Spec.CostModel.HashFactor = d.f64()
 	r.Spec.CostModel.SortFactor = d.f64()
 	r.Spec.CostModel.NLBlock = d.f64()
 	r.Spec.CostModel.Second = cost.SecondMetric(d.u8())
 	r.Spec.CostModel.HashSpillFactor = d.f64()
-	r.Spec.CostModel.RobustBand = d.f64()
 	r.PartID = int(d.u32())
 	r.Query = decodeQueryBody(d)
 	if err := d.finish(); err != nil {
@@ -234,7 +231,6 @@ func EncodeJobResponse(r *JobResponse) []byte {
 	e := &encoder{}
 	e.header(TagJobResponse)
 	e.u32(r.Seq)
-	e.str(r.Err)
 	encodeStats(e, r.Stats)
 	e.u32(uint32(len(r.Plans)))
 	for _, p := range r.Plans {
@@ -249,7 +245,6 @@ func DecodeJobResponse(b []byte) (*JobResponse, error) {
 	d.header(TagJobResponse)
 	r := &JobResponse{}
 	r.Seq = d.u32()
-	r.Err = d.str()
 	r.Stats = decodeStats(d)
 	n := int(d.u32())
 	if n > 1<<20 {

@@ -22,14 +22,21 @@ import (
 )
 
 // Version is the wire-format version; bump on incompatible changes.
+// A peer of another version is refused at the header (MessageTag). A
+// bump never moves a PlanFingerprint, which hashes the plan body under
+// a fixed tag.
+//
 // Version 2 added the Seq echo to job requests, job responses and
 // worker-error frames so masters can discard duplicated or stale
 // response frames instead of mistaking them for the job in flight.
 // The advisory CancelRequest frame (TagCancelRequest) rides within
 // version 2: it adds a new tag without changing any existing message,
 // and a peer that does not understand it answers ErrBadRequest, which
-// cancel senders tolerate.
-const Version = 2
+// cancel senders tolerate. Version 3 dropped three fields from the job
+// frames: the request's cross-product switch and cost-model band, and
+// the response's in-band error string (failures travel in WorkerError
+// frames).
+const Version = 3
 
 const magic = 0x4D50 // "MP"
 
@@ -312,15 +319,23 @@ func encodePlanBody(e *encoder, p *plan.Node) {
 	}
 }
 
+// fingerprintTag prefixes the plan body a PlanFingerprint hashes: the
+// plan header of wire version 2, frozen so that no later frame version
+// moves a fingerprint.
+var fingerprintTag = [4]byte{0x50, 0x4D, 0x02, byte(TagPlan)}
+
 // PlanFingerprint returns a comparable, printable fingerprint of a plan
-// tree: the hex SHA-256 of its wire encoding. Two plans have equal
-// fingerprints iff they encode to identical bytes — same structure,
-// same join algorithms, same cost annotations bit for bit. This is the
+// tree: the hex SHA-256 of fingerprintTag followed by the plan's body
+// encoding. Two plans have equal fingerprints iff their bodies encode
+// to identical bytes — same structure, same join algorithms, same
+// annotations bit for bit; the frame version is not hashed. This is the
 // equivalence the engine tests, the chaos-recovery tests and the plan
 // cache all assert; use this helper instead of comparing EncodePlan
 // output by hand.
 func PlanFingerprint(p *plan.Node) string {
-	sum := sha256.Sum256(EncodePlan(p))
+	e := &encoder{buf: append([]byte(nil), fingerprintTag[:]...)}
+	encodePlanBody(e, p)
+	sum := sha256.Sum256(e.buf)
 	return hex.EncodeToString(sum[:])
 }
 

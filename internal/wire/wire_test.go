@@ -2,6 +2,8 @@ package wire
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -191,6 +193,44 @@ func TestPlanFingerprint(t *testing.T) {
 	}
 }
 
+// TestPlanFingerprintIgnoresTheFrameVersion: a fingerprint hashes the
+// plan body under the version-2 plan header whatever Version the frames
+// carry, so no version bump moves a pinned fingerprint, and it still
+// sees every annotation bit.
+func TestPlanFingerprintIgnoresTheFrameVersion(t *testing.T) {
+	q := genQuery(t, 7, 3)
+	var plans []*plan.Node
+	for _, opts := range []dp.Options{
+		{},
+		{InterestingOrders: true, Pruner: dp.OrderAware{}},
+		{Pruner: dp.Pareto{Alpha: 1}},
+	} {
+		res, err := dp.Serial(q, partition.Bushy, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, res.Best())
+	}
+	scan := plans[0]
+	for !scan.IsScan {
+		scan = scan.Left
+	}
+	plans = append(plans, scan)
+	for i, p := range plans {
+		frame := EncodePlan(p)
+		frame[2] = 2
+		sum := sha256.Sum256(frame)
+		if got, want := PlanFingerprint(p), hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("plan %d: fingerprint %s, want the version-2 frame's %s", i, got, want)
+		}
+		moved := *p
+		moved.Cost = math.Nextafter(p.Cost, math.Inf(1))
+		if PlanFingerprint(&moved) == PlanFingerprint(p) {
+			t.Errorf("plan %d: a one-ulp cost change kept the fingerprint", i)
+		}
+	}
+}
+
 func TestPlanDecodeRejectsCorruption(t *testing.T) {
 	q := genQuery(t, 5, 0)
 	p := bestPlan(t, q, partition.Linear)
@@ -228,13 +268,12 @@ func TestJobRequestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJobRequestRoundTripRobust: the robust-job fields — the spec's
-// uncertainty band and the cost model's — must survive the wire, or
-// remote workers would silently optimize a different problem than the
-// master asked for.
+// TestJobRequestRoundTripRobust: the robust job's uncertainty band must
+// survive the wire, or remote workers would silently optimize a
+// different problem than the master asked for.
 func TestJobRequestRoundTripRobust(t *testing.T) {
 	q := genQuery(t, 7, 3)
-	robust := &JobRequest{
+	req := &JobRequest{
 		Spec: core.JobSpec{
 			Space:      partition.Linear,
 			Workers:    4,
@@ -244,25 +283,12 @@ func TestJobRequestRoundTripRobust(t *testing.T) {
 		PartID: 2,
 		Query:  q,
 	}
-	explicit := &JobRequest{
-		Spec: core.JobSpec{
-			Space:     partition.Linear,
-			Workers:   4,
-			Objective: core.MultiObjective,
-			Alpha:     1,
-			CostModel: cost.Robust(1.5),
-		},
-		PartID: 1,
-		Query:  q,
+	got, err := DecodeJobRequest(EncodeJobRequest(req))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, req := range []*JobRequest{robust, explicit} {
-		got, err := DecodeJobRequest(EncodeJobRequest(req))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Spec != req.Spec {
-			t.Fatalf("spec mismatch: %+v vs %+v", got.Spec, req.Spec)
-		}
+	if got.Spec != req.Spec {
+		t.Fatalf("spec mismatch: %+v vs %+v", got.Spec, req.Spec)
 	}
 }
 
@@ -360,17 +386,6 @@ func TestJobResponseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJobResponseError(t *testing.T) {
-	resp := &JobResponse{Err: "worker exploded"}
-	got, err := DecodeJobResponse(EncodeJobResponse(resp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Err != "worker exploded" || len(got.Plans) != 0 {
-		t.Fatalf("got %+v", got)
-	}
-}
-
 // The paper's Theorem 1: message sizes are linear in query size; the
 // request is query + two integers + spec, so it must stay within a small
 // constant of the bare query encoding.
@@ -383,9 +398,9 @@ func TestRequestOverheadIsConstant(t *testing.T) {
 			Query:  q,
 			PartID: 1,
 		}))
-		// The budget tracks the fixed-size spec encoding (currently 73
-		// bytes with the robust-band fields); the property under test is
-		// that it does not grow with n.
+		// The budget tracks the fixed-size spec encoding (currently 64
+		// bytes); the property under test is that it does not grow
+		// with n.
 		if rb-qb > 96 {
 			t.Fatalf("n=%d: request overhead %d bytes", n, rb-qb)
 		}

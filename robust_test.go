@@ -3,6 +3,7 @@ package mpq_test
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"mpq"
@@ -260,5 +261,33 @@ func TestRobustSpecValidation(t *testing.T) {
 	}
 	if mpq.PlanFingerprint(a.Best) != mpq.PlanFingerprint(b.Best) {
 		t.Fatal("RobustBand changed a single-objective plan")
+	}
+}
+
+// TestRobustCostModelIsNotAJobSetting: a job asks for robust search one
+// way, RobustObjective with RobustBand. A spec that sets the RobustCost
+// metric itself is refused with a pointer to that way — by Validate, by
+// the in-process engine and by the TCP engine alike, since the job frame
+// carries only the spec's band.
+func TestRobustCostModelIsNotAJobSetting(t *testing.T) {
+	_, q, err := mpq.GenerateWorkload(mpq.NewWorkloadParams(6, mpq.Star), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := mpq.JobSpec{Space: mpq.Linear, Workers: 2, Objective: mpq.MultiObjective, CostModel: cost.Robust(2)}
+	check := func(who string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "RobustObjective") {
+			t.Errorf("%s: error %v, want one that points to RobustObjective", who, err)
+		}
+	}
+	check("Validate", spec.Validate(q.N()))
+	tcp, _ := startTCPEngine(t, 2)
+	for _, e := range []struct {
+		name string
+		eng  mpq.Engine
+	}{{"inprocess", mpq.NewInProcessEngine()}, {"tcp", tcp}} {
+		_, err := e.eng.Optimize(context.Background(), q, spec)
+		check(e.name, err)
 	}
 }

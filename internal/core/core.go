@@ -211,21 +211,17 @@ func (s JobSpec) DPOptions() dp.Options {
 }
 
 // slots hold the process's GOMAXPROCS DP runtimes (plan-node arena +
-// memo table), made at init and kept for the process's life: every
-// engine's dynamic programs run on them — one slot each, plus the idle
-// ones a program borrows as helpers — so a process runs at most
-// cap(slots) DP workers at once and a job reuses the memory earlier jobs
-// grew. Reuse is safe because Finish deep-copies the surviving plans out
-// of the arenas.
+// memo table, and the memory of the run's helpers), made at init and
+// kept for the process's life. A slot is a core and its memory: every
+// engine's dynamic programs run on one slot each, and a program borrows
+// only the cores of the idle slots it takes as helpers, never their
+// runtimes. So a process runs at most cap(slots) DP workers at once and
+// a job reuses the memory earlier jobs grew. Reuse is safe because
+// Finish deep-copies the surviving plans out of the arenas.
 var slots = make(chan *dp.Runtime, runtime.GOMAXPROCS(0))
 
-// waiting counts the runWorker calls that wait for a slot. spare keeps
-// the runtimes of released helpers, whose slots a stand-in took (see
-// lent.release), to stand in next time.
-var (
-	waiting atomic.Int32
-	spare   = make(chan *dp.Runtime, cap(slots))
-)
+// waiting counts the runWorker calls that wait for a slot.
+var waiting atomic.Int32
 
 func init() {
 	for range cap(slots) {
@@ -258,21 +254,16 @@ const maxHelpers = 1
 var minWideSlots = [...]uint64{partition.Linear: 8192, partition.Bushy: 2048}
 
 // runWorker is RunWorkerContext plus the task's own run time, measured
-// once it holds its slot. A job of fewer partitions than slots lends each
-// of its partitions of at least minWideSlots memo slots up to
-// min(maxHelpers, cap(slots)/Workers − 1) more slots — those idle when
-// the partition starts, without waiting — as the dynamic program's
-// helpers (dp.Options.Helpers), so a partition running alone widens each
-// cardinality level onto an idle core. When another partition waits for
-// a slot, a helper stops at its next task and its slot goes to the
-// waiter (lent.release).
+// once it holds its slot. A spec or partition ID that fails validation is
+// refused before the wait for a slot. A job of fewer partitions than
+// slots lends each of its partitions of at least minWideSlots memo slots
+// the cores of up to min(maxHelpers, cap(slots)/Workers − 1) more slots —
+// those idle when the partition starts, without waiting — as the dynamic
+// program's helpers (dp.Options.Helpers), so a partition running alone
+// widens each cardinality level onto an idle core. When another
+// partition waits for a slot, a helper stops at its next task and its
+// slot goes to the waiter (lent.release).
 func runWorker(ctx context.Context, q *query.Query, spec JobSpec, partID int) (*dp.Result, time.Duration, error) {
-	rt, err := takeSlot(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer func() { slots <- rt }()
-	start := time.Now()
 	if err := spec.Validate(q.N()); err != nil {
 		return nil, 0, err
 	}
@@ -280,14 +271,17 @@ func runWorker(ctx context.Context, q *query.Query, spec JobSpec, partID int) (*
 	if err != nil {
 		return nil, 0, err
 	}
+	rt, err := takeSlot(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer func() { slots <- rt }()
+	start := time.Now()
 	opts := spec.DPOptions()
 	opts.Runtime = rt
 	if cs.CountAdmissible() >= minWideSlots[cs.Space] {
-		opts.Helpers = takeIdle(min(maxHelpers, cap(slots)/spec.Workers-1))
-	}
-	if len(opts.Helpers) > 0 {
-		l := &lent{rts: opts.Helpers}
-		opts.Release = l.release
+		l := &lent{rts: takeIdle(min(maxHelpers, cap(slots)/spec.Workers-1))}
+		opts.Helpers, opts.Release = len(l.rts), l.release
 		defer l.giveBack()
 	}
 	res, err := runDP(ctx, q, cs, opts)
@@ -326,43 +320,30 @@ func takeIdle(n int) []*dp.Runtime {
 	return rts
 }
 
-// lent is the helper slots of one dynamic program. released counts the
-// helpers that gave their slots back before the run's end.
+// lent is the slots whose cores one dynamic program's helpers borrow.
+// released counts the helpers that gave their slots back before the
+// run's end.
 type lent struct {
 	rts      []*dp.Runtime
 	released atomic.Int32
 }
 
 // release is the run's dp.Options.Release. While a partition waits for
-// a slot, it lets the asking helper go and puts a stand-in runtime in
-// the helper's slot: the helper's own runtime holds memo plans until the
-// run ends.
+// a slot, it lets the asking helper go and puts a slot it borrowed back.
+// The helper worked in the run's own runtime, so the slot's runtime is
+// untouched.
 func (l *lent) release() bool {
 	if waiting.Load() == 0 {
 		return false
 	}
-	l.released.Add(1)
-	select {
-	case rt := <-spare:
-		slots <- rt
-	default:
-		slots <- dp.NewRuntime()
-	}
+	slots <- l.rts[l.released.Add(1)-1]
 	return true
 }
 
-// giveBack returns the slots the run still holds after it ends, and
-// keeps the released helpers' runtimes as spares.
+// giveBack returns the slots the run still holds after it ends.
 func (l *lent) giveBack() {
-	for i, rt := range l.rts {
-		if i >= int(l.released.Load()) {
-			slots <- rt
-			continue
-		}
-		select {
-		case spare <- rt:
-		default:
-		}
+	for _, rt := range l.rts[l.released.Load():] {
+		slots <- rt
 	}
 }
 

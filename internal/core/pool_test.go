@@ -181,15 +181,15 @@ func TestOptimizeBorrowsOnlyIdleSlots(t *testing.T) {
 	defer func() { runDP = orig }()
 	runDP = func(ctx context.Context, q *query.Query, cs *partition.ConstraintSet, opts dp.Options) (*dp.Result, error) {
 		var held atomic.Int32
-		held.Store(int32(1 + len(opts.Helpers)))
+		held.Store(int32(1 + opts.Helpers))
 		now := inUse.Add(held.Load())
 		defer func() { inUse.Add(-held.Load()) }()
 		for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {
 		}
-		if len(opts.Helpers) > 0 {
+		if opts.Helpers > 0 {
 			helped.Add(1)
-			if m := 1 << len(cs.List); m >= cap(slots) || len(opts.Helpers) > maxHelpers {
-				wideJobErr.Store(fmt.Errorf("a job of %d partitions took %d helpers on %d slots", m, len(opts.Helpers), cap(slots)))
+			if m := 1 << len(cs.List); m >= cap(slots) || opts.Helpers > maxHelpers {
+				wideJobErr.Store(fmt.Errorf("a job of %d partitions took %d helpers on %d slots", m, opts.Helpers, cap(slots)))
 			}
 			// A released slot counts as free from just before it is
 			// handed on, so the count never runs ahead of the slots.
@@ -307,14 +307,27 @@ func TestOptimizeBorrowsOnlyIdleSlots(t *testing.T) {
 	}
 }
 
+// slotRuntimes returns the runtimes in the slots, and puts them back;
+// no dynamic program may be running.
+func slotRuntimes() map[*dp.Runtime]bool {
+	rts := map[*dp.Runtime]bool{}
+	for _, rt := range takeIdle(cap(slots)) {
+		rts[rt] = true
+		slots <- rt
+	}
+	return rts
+}
+
 // A borrowed slot goes to a partition that waits for one: with every
 // slot in use, two of them by a Workers: 1 job and its helper, a second
 // job's partition gets the helper's slot at the helper's next task, and
-// ends while the first job still runs. Every slot is back after.
+// ends while the first job still runs. Every slot is back after, with
+// the runtime it had before: a helper borrows a core, not a runtime.
 func TestBorrowedSlotGoesToAWaiter(t *testing.T) {
 	if cap(slots) < 2 {
 		t.Skip("one slot: no helper to lend")
 	}
+	before := slotRuntimes()
 	held := takeIdle(cap(slots) - 2)
 	defer func() {
 		for _, rt := range held {
@@ -326,7 +339,7 @@ func TestBorrowedSlotGoesToAWaiter(t *testing.T) {
 	orig := runDP
 	defer func() { runDP = orig }()
 	runDP = func(ctx context.Context, q *query.Query, cs *partition.ConstraintSet, opts dp.Options) (*dp.Result, error) {
-		if len(opts.Helpers) == 0 {
+		if opts.Helpers == 0 {
 			return orig(ctx, q, cs, opts)
 		}
 		close(wide)
@@ -357,5 +370,49 @@ func TestBorrowedSlotGoesToAWaiter(t *testing.T) {
 	}
 	if len(slots) != cap(slots)-len(held) {
 		t.Fatalf("%d of %d slots back", len(slots), cap(slots)-len(held))
+	}
+	for _, rt := range held {
+		slots <- rt
+	}
+	held = nil
+	var fresh int
+	for rt := range slotRuntimes() {
+		if !before[rt] {
+			fresh++
+		}
+	}
+	if fresh > 0 {
+		t.Fatalf("%d of %d slot runtimes are new", fresh, cap(slots))
+	}
+}
+
+// A job a worker refuses is refused before it waits for a slot: with
+// every slot taken, a partition ID out of range and a worker count that
+// is not a power of two each return their validation error, not the
+// deadline of the wait.
+func TestBadJobIsRefusedBeforeTheWait(t *testing.T) {
+	held := takeIdle(cap(slots))
+	defer func() {
+		for _, rt := range held {
+			slots <- rt
+		}
+	}()
+	if len(held) != cap(slots) {
+		t.Fatalf("took %d of %d slots", len(held), cap(slots))
+	}
+	q := gen(t, 8, workload.Star, 0)
+	for _, tc := range []struct {
+		spec   JobSpec
+		partID int
+	}{
+		{JobSpec{Space: partition.Linear, Workers: 2}, 2},
+		{JobSpec{Space: partition.Linear, Workers: 3}, 0},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		_, err := RunWorkerContext(ctx, q, tc.spec, tc.partID)
+		cancel()
+		if err == nil || errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("Workers: %d, partition %d: err = %v, want a validation error", tc.spec.Workers, tc.partID, err)
+		}
 	}
 }

@@ -172,17 +172,18 @@ type Options struct {
 	// run resets the runtime, so a Runtime may back at most one engine
 	// at a time.
 	Runtime *Runtime
-	// Helpers lends the run further runtimes, each backing one more
-	// worker that shares every cardinality level with the engine's own,
-	// on one memo (docs/perf.md §15). Plans and Stats are the same at any
-	// width. core sets it from the runtime slots that are idle when a
-	// partition starts; nil runs every level on one worker.
-	Helpers []*Runtime
+	// Helpers is the number of further workers that share every
+	// cardinality level with the engine's own, on one memo (docs/perf.md
+	// §15). Each works in memory the run's Runtime keeps for it. Plans
+	// and Stats are the same at any width. core sets it to the number of
+	// runtime slots whose cores are idle when a partition starts; zero
+	// runs every level on one worker.
+	Helpers int
 	// Release, if not nil, is asked by a helper before each task it
 	// would claim. Once it returns true, that helper claims no task for
 	// the rest of the run, and the others share the levels without it.
-	// Its runtime still holds memo plans until the run ends. core uses it
-	// to hand a helper's core to a partition that waits for one.
+	// core uses it to hand a helper's core to a partition that waits for
+	// one.
 	Release func() bool
 }
 
@@ -484,14 +485,15 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 		w.splitter = cs.NewSplitter()
 	}
 	// A helper starts as the worker before its first set: the same
-	// query, partition, memo, scans and read-only enumerator, with its own
-	// runtime's memory and its own counters. Only a helper asks Release.
-	eng.helpers = make([]worker, len(opts.Helpers))
-	for i, hrt := range opts.Helpers {
+	// query, partition, memo, scans and read-only enumerator, with the
+	// memory the runtime keeps for it and its own counters. Only a helper
+	// asks Release.
+	eng.helpers = make([]worker, opts.Helpers)
+	for i := range eng.helpers {
 		h := &eng.helpers[i]
 		*h = *w
 		h.stats = plan.Stats{}
-		h.borrow(hrt)
+		h.borrow(rt.helper(i))
 	}
 	w.opts.Release = nil
 	return eng, nil

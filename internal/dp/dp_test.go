@@ -537,7 +537,7 @@ func checkWideLevelContract(t *testing.T, q *query.Query, cs *partition.Constrai
 	baseline := runtime.NumGoroutine()
 	bg := context.Background()
 	wide := func(limit uint64) *Engine {
-		eng, err := NewEngine(q, cs, Options{MaxWorkUnits: limit, Helpers: []*Runtime{NewRuntime()}})
+		eng, err := NewEngine(q, cs, Options{MaxWorkUnits: limit, Helpers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -605,7 +605,7 @@ func checkWideLevelContract(t *testing.T, q *query.Query, cs *partition.Constrai
 
 // BenchmarkJobClasses runs the dynamic program on the job classes of
 // the bench/ workloads — serial-large's linear-16 and bushy-12, alone
-// and at width w = 2 (one helper runtime), one constrained partition of
+// and at width w = 2 (one helper), one constrained partition of
 // each, an interesting-orders run, a serial 8-table job at both widths,
 // one of serve-zipf8's 50 µs partitions, tcp-mo12's multi-objective
 // partitions — on reused Runtimes, as every engine does, and reports
@@ -642,9 +642,7 @@ func BenchmarkJobClasses(b *testing.B) {
 				}
 				opts := c.opts
 				opts.Runtime = NewRuntime()
-				for range c.w - 1 {
-					opts.Helpers = append(opts.Helpers, NewRuntime())
-				}
+				opts.Helpers = c.w - 1
 				// One untimed job grows the runtime's memo and slabs, so
 				// B/op and allocs/op are the steady state also at -benchtime 1x.
 				if _, err := Run(q, cs, opts); err != nil {

@@ -48,13 +48,11 @@ var exactConfigs = []struct {
 }
 
 // runPartition runs the engine as RunContext does, on width workers
-// (width − 1 helper runtimes), but keeps it, so the test can ask for the
-// memo's high-endpoint cardinalities.
+// (width − 1 helpers), but keeps it, so the test can ask for the memo's
+// high-endpoint cardinalities.
 func runPartition(t *testing.T, q *query.Query, cs *partition.ConstraintSet, opts dp.Options, width int) (*dp.Engine, *dp.Result) {
 	t.Helper()
-	for range width - 1 {
-		opts.Helpers = append(opts.Helpers, dp.NewRuntime())
-	}
+	opts.Helpers = width - 1
 	eng, err := dp.NewEngine(q, cs, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -21,10 +21,13 @@ import "mpq/internal/plan"
 // reusing runtimes safe — a returned Result never references runtime
 // memory.
 //
+// A Runtime also keeps the memory of the run's helper workers
+// (Options.Helpers): each helper's arena, spill slabs and records, made
+// on first use and recycled like the rest. A helper borrows only a core;
+// its plans stay in the run's own runtime until Finish.
+//
 // Not safe for concurrent use: hand a Runtime to one run at a time, as
-// core's slots do — as the run's own (Options.Runtime) or as one of its
-// helpers (Options.Helpers), whose arena then holds some of the memo's
-// plans until Finish.
+// core's slots do.
 type Runtime struct {
 	// The padding keeps the arena's counters, written on every plan
 	// node, off cache lines shared with another object — such as the
@@ -35,12 +38,23 @@ type Runtime struct {
 	scans  []entry
 	spills spillArena
 	recs   []record
-	_      [64]byte
+	// helpers holds the memory of the run's helper workers.
+	helpers []*Runtime
+	_       [64]byte
 }
 
 // NewRuntime returns an empty runtime; the arena and memo grow on
 // first use and are recycled afterwards.
 func NewRuntime() *Runtime { return &Runtime{} }
+
+// helper returns the memory of the run's i-th helper worker, made on
+// first use. Only its arena, spill slabs and records are used.
+func (rt *Runtime) helper(i int) *Runtime {
+	for len(rt.helpers) <= i {
+		rt.helpers = append(rt.helpers, NewRuntime())
+	}
+	return rt.helpers[i]
+}
 
 // memoFor returns the runtime's memo array as slots empty entries,
 // growing it for the largest run so far. Only the returned prefix is

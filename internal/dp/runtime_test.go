@@ -78,13 +78,15 @@ func TestArenaOnOffBitIdentical(t *testing.T) {
 	}
 }
 
-// A pooled Runtime's memo array keeps the entries of every earlier run;
-// no later run may see one. Jobs of different size, space and partition
-// share one Runtime — large, small, large again; the same partition
-// again under another pruning rule; runs that a work limit aborts half
-// way, which leave slots empty, and a full run of the same partition
-// right after one — and each returns what a fresh Runtime returns, bit
-// for bit, MemoEntries included.
+// A pooled Runtime's memo array keeps the entries of every earlier run,
+// and the memory it keeps for helpers their plans; no later run may see
+// either. Jobs of different size, space, partition and width w share one
+// Runtime — large, small, large again; the same partition again under
+// another pruning rule; runs that a work limit aborts half way, which
+// leave slots empty, and a full run of the same partition right after
+// one; wide runs between narrow ones, on more helpers than before — and
+// each returns what a fresh Runtime returns at w = 1, bit for bit,
+// MemoEntries included.
 func TestRuntimeReuseNeverReadsAnEarlierRun(t *testing.T) {
 	shared := NewRuntime()
 	for i, tc := range []struct {
@@ -94,22 +96,32 @@ func TestRuntimeReuseNeverReadsAnEarlierRun(t *testing.T) {
 		part, m int
 		opts    Options
 		aborted bool
+		w       int
 	}{
-		{12, workload.Chain, partition.Linear, 0, 1, Options{}, false},
-		{12, workload.Chain, partition.Linear, 0, 1, Options{Pruner: Pareto{Alpha: 1}}, false},
-		{6, workload.Star, partition.Bushy, 1, 2, Options{}, false},
-		{9, workload.Chain, partition.Bushy, 5, 8, Options{}, false},
-		{9, workload.Chain, partition.Bushy, 5, 8, Options{InterestingOrders: true, Pruner: OrderAware{}}, false},
-		{11, workload.Cycle, partition.Linear, 3, 4, Options{MaxWorkUnits: 2000}, true},
-		{11, workload.Cycle, partition.Linear, 3, 4, Options{}, false},
-		{5, workload.Clique, partition.Linear, 2, 4, Options{}, false},
-		{12, workload.Star, partition.Linear, 0, 1, Options{InterestingOrders: true, Pruner: OrderAware{}}, false},
-		{10, workload.Cycle, partition.Bushy, 0, 1, Options{MaxWorkUnits: 5000}, true},
-		{10, workload.Star, partition.Linear, 1, 2, Options{Pruner: Pareto{Alpha: 1}}, false},
-		{7, workload.Chain, partition.Bushy, 0, 1, Options{InterestingOrders: true, Pruner: Pareto{Alpha: 2}}, false},
-		{11, workload.Cycle, partition.Linear, 3, 4, Options{InterestingOrders: true, Pruner: OrderAware{}}, false},
+		{12, workload.Chain, partition.Linear, 0, 1, Options{}, false, 1},
+		{12, workload.Chain, partition.Linear, 0, 1, Options{Pruner: Pareto{Alpha: 1}}, false, 1},
+		{6, workload.Star, partition.Bushy, 1, 2, Options{}, false, 1},
+		{9, workload.Chain, partition.Bushy, 5, 8, Options{}, false, 1},
+		{9, workload.Chain, partition.Bushy, 5, 8, Options{InterestingOrders: true, Pruner: OrderAware{}}, false, 1},
+		{11, workload.Cycle, partition.Linear, 3, 4, Options{MaxWorkUnits: 2000}, true, 1},
+		{11, workload.Cycle, partition.Linear, 3, 4, Options{}, false, 1},
+		{5, workload.Clique, partition.Linear, 2, 4, Options{}, false, 1},
+		{12, workload.Star, partition.Linear, 0, 1, Options{InterestingOrders: true, Pruner: OrderAware{}}, false, 1},
+		{10, workload.Cycle, partition.Bushy, 0, 1, Options{MaxWorkUnits: 5000}, true, 1},
+		{10, workload.Star, partition.Linear, 1, 2, Options{Pruner: Pareto{Alpha: 1}}, false, 1},
+		{7, workload.Chain, partition.Bushy, 0, 1, Options{InterestingOrders: true, Pruner: Pareto{Alpha: 2}}, false, 1},
+		{11, workload.Cycle, partition.Linear, 3, 4, Options{InterestingOrders: true, Pruner: OrderAware{}}, false, 1},
+		{13, workload.Chain, partition.Linear, 0, 1, Options{}, false, 2},
+		{8, workload.Star, partition.Bushy, 1, 2, Options{}, false, 1},
+		{10, workload.Cycle, partition.Bushy, 0, 1, Options{Pruner: Pareto{Alpha: 2}}, false, 3},
+		{12, workload.Star, partition.Linear, 1, 2, Options{MaxWorkUnits: 3000}, true, 2},
+		{12, workload.Star, partition.Linear, 1, 2, Options{}, false, 2},
 	} {
-		t.Run(fmt.Sprintf("%d-%v-%v-n%d-m%d", i, tc.shape, tc.space, tc.n, tc.m), func(t *testing.T) {
+		name := fmt.Sprintf("%d-%v-%v-n%d-m%d", i, tc.shape, tc.space, tc.n, tc.m)
+		if tc.w > 1 {
+			name += fmt.Sprintf("-w%d", tc.w)
+		}
+		t.Run(name, func(t *testing.T) {
 			q := genQuery(t, tc.n, tc.shape, 5)
 			cs, err := partition.ForPartition(tc.space, tc.n, tc.part, tc.m)
 			if err != nil {
@@ -117,6 +129,7 @@ func TestRuntimeReuseNeverReadsAnEarlierRun(t *testing.T) {
 			}
 			fresh, pooled := tc.opts, tc.opts
 			fresh.Runtime, pooled.Runtime = NewRuntime(), shared
+			pooled.Helpers = tc.w - 1
 			want, wantErr := Run(q, cs, fresh)
 			got, gotErr := Run(q, cs, pooled)
 			if tc.aborted {

@@ -439,8 +439,7 @@ func TestSlowDripBeyondDeadlineRedispatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs, proxies := startChaosWorkers(t, 2, []FaultPlan{{0: SlowDrip}, nil})
-	proxies[0].Drip = 300 * time.Millisecond
-	proxies[0].DripChunk = 1
+	proxies[0].SetDrip(300*time.Millisecond, 1)
 	ms, err := NewMaster(addrs, Options{Timeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

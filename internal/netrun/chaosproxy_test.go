@@ -90,18 +90,18 @@ type ChaosProxy struct {
 	backend string
 	plan    FaultPlan
 
-	// Drip is the pause between chunks of a SlowDrip response (default
-	// 2ms). Set before the first connection arrives.
-	Drip time.Duration
-	// DripChunk is the number of bytes written per drip (default 16).
-	DripChunk int
-
-	mu     sync.Mutex
-	jobs   int
-	conns  map[net.Conn]struct{}
-	closed bool
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	mu sync.Mutex
+	// dripPause is the pause between chunks of a SlowDrip response
+	// (default 2ms) and dripChunk the bytes written per chunk (default
+	// 16); SetDrip changes them. Both are read under mu, since the
+	// relay goroutines that drip run beside the test that sets them.
+	dripPause time.Duration
+	dripChunk int
+	jobs      int
+	conns     map[net.Conn]struct{}
+	closed    bool
+	stop      chan struct{}
+	wg        sync.WaitGroup
 }
 
 // NewChaosProxy starts a proxy in front of the worker at backend,
@@ -115,8 +115,8 @@ func NewChaosProxy(backend string, plan FaultPlan) (*ChaosProxy, error) {
 		ln:        ln,
 		backend:   backend,
 		plan:      plan,
-		Drip:      2 * time.Millisecond,
-		DripChunk: 16,
+		dripPause: 2 * time.Millisecond,
+		dripChunk: 16,
 		conns:     map[net.Conn]struct{}{},
 		stop:      make(chan struct{}),
 	}
@@ -134,6 +134,14 @@ func (p *ChaosProxy) Jobs() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.jobs
+}
+
+// SetDrip sets the pause between chunks of a SlowDrip response and the
+// bytes written per chunk.
+func (p *ChaosProxy) SetDrip(pause time.Duration, chunk int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.dripPause, p.dripChunk = pause, chunk
 }
 
 // nextAction consumes the next job slot from the plan.
@@ -267,12 +275,15 @@ func (p *ChaosProxy) hold(master net.Conn) {
 
 // drip writes one frame in small chunks with pauses, honoring Close.
 func (p *ChaosProxy) drip(master net.Conn, resp []byte) bool {
+	p.mu.Lock()
+	pause, chunk := p.dripPause, p.dripChunk
+	p.mu.Unlock()
 	hdr := frameHeader(len(resp))
 	if _, err := master.Write(hdr[:]); err != nil {
 		return false
 	}
-	for off := 0; off < len(resp); off += p.DripChunk {
-		end := off + p.DripChunk
+	for off := 0; off < len(resp); off += chunk {
+		end := off + chunk
 		if end > len(resp) {
 			end = len(resp)
 		}
@@ -282,7 +293,7 @@ func (p *ChaosProxy) drip(master net.Conn, resp []byte) bool {
 		select {
 		case <-p.stop:
 			return false
-		case <-time.After(p.Drip):
+		case <-time.After(pause):
 		}
 	}
 	return true

@@ -1,6 +1,7 @@
 package netrun
 
 import (
+	"bufio"
 	"cmp"
 	"context"
 	"errors"
@@ -150,12 +151,13 @@ func (r *connReg) closeAll() {
 // maps every sequence number sent on the current connection to the
 // query it belongs to, so a late duplicate can be billed to the right
 // query; it is reset on redial (a fresh stream cannot replay old
-// frames).
+// frames). r is the connection's one buffered reader, made on dial and
+// dropped with the conn, so a redial never reads an old stream's bytes.
 //
 // mu serializes writes on the connection and guards the conn pointer
 // and inflight field: the coordinator goroutine injects advisory
 // CancelRequest frames (cancelInFlight) into a stream runJob otherwise
-// owns. seq and owner are private to runJob, whose calls for
+// owns. seq, owner and r are private to runJob, whose calls for
 // one worker never overlap.
 type connState struct {
 	mu       sync.Mutex
@@ -163,6 +165,7 @@ type connState struct {
 	inflight uint32 // seq awaiting a response; 0 = none
 	seq      uint32
 	owner    map[uint32]int
+	r        *bufio.Reader
 }
 
 // hangUp closes the connection, if any; nothing is in flight on it any
@@ -175,7 +178,7 @@ func (st *connState) hangUp(reg *connReg) {
 	if conn != nil {
 		reg.drop(conn)
 		conn.Close()
-		st.owner = nil // a fresh stream cannot replay old frames
+		st.owner, st.r = nil, nil // a fresh stream cannot replay old frames
 	}
 }
 
@@ -243,7 +246,7 @@ func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, st 
 		st.mu.Lock()
 		st.conn = c
 		st.mu.Unlock()
-		st.owner = map[uint32]int{}
+		st.owner, st.r = map[uint32]int{}, bufio.NewReader(c)
 		res.dialed = true
 		reg.add(c)
 	}
@@ -268,7 +271,7 @@ func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, st 
 	res.sent = uint64(len(payload) + 4)
 	res.msgs++
 	for {
-		respB, err := wire.ReadFrame(conn)
+		respB, err := wire.ReadFrame(st.r)
 		if err != nil {
 			return fail(fmt.Errorf("receive from %s: %w", addr, err))
 		}

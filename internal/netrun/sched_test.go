@@ -102,9 +102,9 @@ func TestSpeculativeLoserLateFrameDiscarded(t *testing.T) {
 	addrs, proxies := startChaosWorkers(t, 3, []FaultPlan{
 		{0: SlowDrip}, {3: SlowDrip}, {0: SlowDrip},
 	})
-	proxies[0].Drip = 8 * time.Millisecond
-	proxies[1].Drip = 10 * time.Millisecond
-	proxies[2].Drip = 40 * time.Millisecond
+	proxies[0].SetDrip(8*time.Millisecond, 16)
+	proxies[1].SetDrip(10*time.Millisecond, 16)
+	proxies[2].SetDrip(40*time.Millisecond, 16)
 	ms, err := NewMaster(addrs, Options{
 		Timeout:          30 * time.Second,
 		Speculate:        true,
@@ -153,7 +153,7 @@ func TestProbeReadmitsExcludedWorker(t *testing.T) {
 	addrs, proxies := startChaosWorkers(t, 2, []FaultPlan{
 		{0: KillBeforeResponse, 1: KillBeforeResponse}, drip,
 	})
-	proxies[1].Drip = 5 * time.Millisecond
+	proxies[1].SetDrip(5*time.Millisecond, 16)
 	ms, err := NewMaster(addrs, Options{
 		Timeout:           5 * time.Second,
 		MaxWorkerFailures: 2,

@@ -1,6 +1,7 @@
 package netrun
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -91,8 +92,9 @@ func (w *Worker) serveConn(conn net.Conn) {
 		defer w.wg.Done()
 		defer cancel()
 		defer close(frames)
+		br := bufio.NewReader(conn) // kept across frames: pipelined bytes read ahead stay buffered
 		for {
-			payload, err := wire.ReadFrameLimit(conn, wire.MaxRequestFrame)
+			payload, err := wire.ReadFrameLimit(br, wire.MaxRequestFrame)
 			if err != nil {
 				return // EOF, closed, or a length prefix no request has
 			}

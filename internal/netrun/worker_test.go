@@ -1,8 +1,16 @@
 package netrun
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"net"
 	"testing"
+	"time"
+
+	"mpq/internal/core"
+	"mpq/internal/partition"
+	"mpq/internal/wire"
 )
 
 // A speculative loser can finish just before its cancel arrives, so a
@@ -34,5 +42,45 @@ func TestSeqCancelsDropStaleCancels(t *testing.T) {
 	s.end()
 	if len(s.canceled) != 0 {
 		t.Fatalf("%d cancels left after the request began, want none", len(s.canceled))
+	}
+}
+
+// TestPipelinedFramesInOneWrite: three requests that reach a worker in
+// one segment are all answered, in order. The worker reads through one
+// buffer for the connection's life; a reader rebuilt per frame would
+// lose the two frames read ahead with the first and never answer them.
+func TestPipelinedFramesInOneWrite(t *testing.T) {
+	addr := startWorkers(t, 1)[0]
+	q := gen(t, 5, 3)
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+
+	var batch bytes.Buffer
+	for seq := uint32(1); seq <= 3; seq++ {
+		req := &wire.JobRequest{Seq: seq, Spec: core.JobSpec{Space: partition.Linear, Workers: 1}, Query: q}
+		if err := wire.WriteFrame(&batch, wire.EncodeJobRequest(req)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(batch.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	for seq := uint32(1); seq <= 3; seq++ {
+		payload, err := wire.ReadFrame(br)
+		if err != nil {
+			t.Fatalf("reply %d of 3: %v", seq, err)
+		}
+		resp, err := wire.DecodeJobResponse(payload)
+		if err != nil {
+			t.Fatalf("reply %d is not a JobResponse: %v", seq, err)
+		}
+		if resp.Seq != seq {
+			t.Fatalf("reply %d carries Seq %d", seq, resp.Seq)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -60,8 +61,9 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 // connection error it fails every pending and future call.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
+	br := bufio.NewReader(c.conn) // the conn's only reader, for its whole life
 	for {
-		payload, err := wire.ReadFrame(c.conn)
+		payload, err := wire.ReadFrame(br)
 		if err != nil {
 			c.fail(fmt.Errorf("server: connection lost: %w", err))
 			return

@@ -101,10 +101,13 @@ type Config struct {
 	// TenantWeights are the stride-scheduling weights; tenants not
 	// listed get weight 1. Weights must be positive.
 	TenantWeights map[string]float64
-	// WireWriteTimeout bounds one response-frame write on a wire
-	// connection. A peer that stops reading trips it, which tears the
-	// connection down (canceling its in-flight requests) instead of
-	// back-pressuring the dispatcher pool. Zero means
+	// WireWriteTimeout bounds one reply-frame write on a wire
+	// connection, which the dispatcher that served the request makes
+	// itself. There is no reply backlog: once a peer that stops reading
+	// has filled the socket buffers, every dispatcher that replies to it
+	// waits on that write, for up to one WireWriteTimeout. The timeout
+	// then tears the connection down (canceling its in-flight requests
+	// and dropping their replies) and frees them all. Zero means
 	// DefaultWireWriteTimeout.
 	WireWriteTimeout time.Duration
 	// PlanLog configures the asynchronous per-query decision log; the
@@ -152,10 +155,10 @@ type request struct {
 	enq    time.Time
 	// respond is called exactly once per admitted request and must
 	// return promptly: the HTTP front hands off to a buffered channel;
-	// the wire front may wait on its response backlog, but only for as
-	// long as Config.WireWriteTimeout — a peer that stops reading trips
-	// the writer's deadline, which tears the connection down and
-	// unblocks every reply on it.
+	// the wire front writes the reply frame on the dispatcher's own
+	// goroutine, each write bounded by Config.WireWriteTimeout — a peer
+	// that stops reading fails it, which tears the connection down and
+	// drops every later reply on it.
 	respond func(result)
 }
 

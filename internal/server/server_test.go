@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -444,11 +445,11 @@ func TestDrainDeadlineForcesCancel(t *testing.T) {
 }
 
 // TestStuckWirePeerDoesNotStallDispatchers: a peer that pipelines more
-// requests than the response backlog and then never reads a byte must
-// not wedge the dispatcher pool — the writer's deadline tears the
+// requests than there are dispatchers and then never reads a byte must
+// not wedge the dispatcher pool — the reply write's deadline tears the
 // connection down and service continues for everyone else. net.Pipe has
-// no buffering, so the very first unread response blocks the writer,
-// which is the exact pathology under test.
+// no buffering, so the very first unread reply blocks its write, which
+// is the exact pathology under test.
 func TestStuckWirePeerDoesNotStallDispatchers(t *testing.T) {
 	s := startServer(t, Config{WireWriteTimeout: 200 * time.Millisecond})
 	q := testQuery(t, 4, 11)
@@ -462,10 +463,11 @@ func TestStuckWirePeerDoesNotStallDispatchers(t *testing.T) {
 		s.serveWireConn(srv)
 	}()
 
-	// 80 pipelined requests > writeCh backlog (64) + dispatchers (4):
-	// once responses stop draining, every dispatcher ends up blocked in
-	// reply() until the write deadline cancels the connection. A write
-	// error just means the teardown already happened — also a pass.
+	// 80 pipelined requests, far more than the dispatchers (4): once
+	// replies stop draining, the first dispatcher to reply blocks in its
+	// write and the others queue behind it in reply() until the write
+	// deadline cancels the connection. A write error just means the
+	// teardown already happened — also a pass.
 	for i := 1; i <= 80; i++ {
 		frame := wire.EncodeJobRequest(&wire.JobRequest{Seq: uint32(i), Spec: js, Query: q})
 		if err := wire.WriteFrame(peer, frame); err != nil {
@@ -488,6 +490,80 @@ func TestStuckWirePeerDoesNotStallDispatchers(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("HTTP service stalled behind a wire peer that stopped reading")
+	}
+}
+
+// TestStuckTCPWirePeerHoldsDispatchersOneDeadline: the same stuck peer
+// over a real TCP connection, whose socket buffers absorb replies until
+// they fill. Once they do, every dispatcher that replies to the peer
+// waits on the blocked write, and the write deadline frees them all at
+// once: another tenant is served within about one WireWriteTimeout,
+// and the daemon has torn the stuck connection down.
+func TestStuckTCPWirePeerHoldsDispatchersOneDeadline(t *testing.T) {
+	const deadline = 300 * time.Millisecond
+	s := startServer(t, Config{WireWriteTimeout: deadline})
+	q := testQuery(t, 6, 11)
+	js := mpq.JobSpec{Space: partition.Linear, Workers: 1, Objective: core.MultiObjective, Alpha: 10}
+
+	// The daemon's side of the conn gets a small send buffer, so the
+	// burst's replies fill it without megabytes of them.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	peer, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	srv, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer.(*net.TCPConn).SetReadBuffer(4 << 10)
+	srv.(*net.TCPConn).SetWriteBuffer(4 << 10)
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.serveWireConn(srv)
+	}()
+	// 200 frontier replies, within the queue depth, far more than the
+	// peer's receive window and the daemon's send buffer hold.
+	var burst bytes.Buffer
+	for seq := uint32(1); seq <= 200; seq++ {
+		if err := wire.WriteFrame(&burst, wire.EncodeJobRequest(&wire.JobRequest{Seq: seq, Spec: js, Query: q})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := peer.Write(burst.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(deadline / 2) // let the replies back up
+
+	done := make(chan error, 1)
+	go func() {
+		resp, body, err := postOptimize(s, OptimizeRequest{Query: *spec.FromQuery(q)})
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("status %d: %s", resp.StatusCode, body)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("HTTP request after wire peer stalled: %v", err)
+		}
+	case <-time.After(2*deadline + 2*time.Second):
+		t.Fatalf("HTTP service stalled longer than its bound behind a stuck wire peer; write deadline %v", deadline)
+	}
+
+	// Drain what the buffers hold: the stream must end in a teardown,
+	// not in the read timeout of a connection still open.
+	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err = io.Copy(io.Discard, peer)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("the daemon kept the stuck connection open; its replies never filled the socket buffers")
 	}
 }
 
@@ -972,4 +1048,98 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("condition not reached within 5s")
+}
+
+// TestPipelinedFramesInOneWrite: three requests that reach the wire
+// front in one segment are all answered. The front reads through one
+// buffer for the connection's life; a reader rebuilt per frame would
+// lose the two frames read ahead with the first and never answer them.
+func TestPipelinedFramesInOneWrite(t *testing.T) {
+	s := startServer(t, Config{})
+	q := testQuery(t, 5, 3)
+	conn, err := net.DialTimeout("tcp", s.WireAddr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+
+	var batch bytes.Buffer
+	for seq := uint32(1); seq <= 3; seq++ {
+		req := &wire.JobRequest{Seq: seq, Spec: mpq.JobSpec{Space: partition.Linear, Workers: 1}, Query: q}
+		if err := wire.WriteFrame(&batch, wire.EncodeJobRequest(req)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(batch.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	seen := map[uint32]bool{}
+	for range 3 {
+		payload, err := wire.ReadFrame(br)
+		if err != nil {
+			t.Fatalf("after %d of 3 replies: %v", len(seen), err)
+		}
+		resp, err := wire.DecodeJobResponse(payload)
+		if err != nil {
+			t.Fatalf("reply is not a JobResponse: %v", err)
+		}
+		seen[resp.Seq] = true
+	}
+	for seq := uint32(1); seq <= 3; seq++ {
+		if !seen[seq] {
+			t.Fatalf("replies carry Seqs %v, want 1, 2 and 3", seen)
+		}
+	}
+}
+
+// TestClientReadsRepliesBackToBack: two replies that reach a Client in
+// one segment both find their callers. The client reads through one
+// buffer for the connection's life; a reader rebuilt per frame would
+// drop the second reply with the first one's read-ahead.
+func TestClientReadsRepliesBackToBack(t *testing.T) {
+	q := testQuery(t, 4, 6)
+	js := mpq.JobSpec{Space: partition.Linear, Workers: 1}
+	ans, err := mpq.NewSerialEngine().Optimize(context.Background(), q, js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() { // a daemon that answers both requests in one write
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		var replies bytes.Buffer
+		for range 2 {
+			payload, err := wire.ReadFrame(br)
+			if err != nil {
+				return
+			}
+			resp := &wire.JobResponse{Seq: wire.PeekJobRequestSeq(payload), Plans: []*mpq.Plan{ans.Best}}
+			wire.WriteFrame(&replies, wire.EncodeJobResponse(resp))
+		}
+		conn.Write(replies.Bytes())
+		io.Copy(io.Discard, conn) // hold the conn open until the client closes it
+	}()
+
+	c, err := Dial(ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { c.Close(); <-served }()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := c.OptimizeBatch(ctx, []mpq.Job{{Query: q, Spec: js}, {Query: q, Spec: js}}); err != nil {
+		t.Fatalf("two replies in one segment: %v", err)
+	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -41,11 +42,12 @@ func (s *Server) acceptWire(ln net.Listener) {
 
 // serveWireConn reads frames until the peer hangs up or a drain
 // half-closes the read side. Each frame is submitted to the arrival
-// queue; a per-connection writer goroutine serializes responses in the
-// order requests complete. A peer disconnect cancels the connection
-// context — and with it every pending request from this peer — while a
-// drain lets pending requests finish and flushes their responses
-// before the socket closes.
+// queue, and the dispatcher that serves it writes its reply, one frame
+// at a time under a per-connection mutex, in the order requests
+// complete. A peer disconnect cancels the connection context — and
+// with it every pending request from this peer — while a drain lets
+// pending requests finish and write their replies before the socket
+// closes.
 func (s *Server) serveWireConn(conn net.Conn) {
 	s.mu.Lock()
 	if s.draining {
@@ -76,42 +78,29 @@ func (s *Server) serveWireConn(conn net.Conn) {
 		tenant = host
 	}
 
-	writeCh := make(chan []byte, 64)
-	writerDone := make(chan struct{})
-	go func() { // writer: drains writeCh until it closes
-		defer close(writerDone)
-		broken := false
-		for frame := range writeCh {
-			if broken {
-				continue
-			}
-			// The deadline is the liveness guarantee for the whole
-			// connection: a peer that stops reading fails this write
-			// within WireWriteTimeout, which cancels connCtx, closes the
-			// conn, and unblocks every reply() waiting on the backlog —
-			// dispatchers are never wedged behind a dead client.
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WireWriteTimeout))
-			if err := wire.WriteFrame(conn, frame); err != nil {
-				broken = true
-				cancel() // peer unreachable: kill this conn's in-flight work
-			}
-		}
-	}()
-
-	// reply hands a frame to the writer; drops it if the connection is
-	// already gone (nobody left to read it). When the backlog is full it
-	// waits, but boundedly: the writer's deadline cancels connCtx if the
-	// peer really has stopped reading.
+	// reply writes one frame from the calling goroutine, or drops it if
+	// the connection is already gone (nobody left to read it). The
+	// deadline is the liveness guarantee for the whole connection: a
+	// peer that stops reading fails this write within WireWriteTimeout,
+	// which cancels connCtx and closes the conn, so the replies queued
+	// on writeMu behind it fail or drop at once — dispatchers are never
+	// wedged behind a dead client.
+	var writeMu sync.Mutex
 	reply := func(frame []byte) {
-		select {
-		case writeCh <- frame:
-		case <-connCtx.Done():
+		writeMu.Lock()
+		defer writeMu.Unlock()
+		if connCtx.Err() != nil {
+			return
+		}
+		conn.SetWriteDeadline(time.Now().Add(s.cfg.WireWriteTimeout))
+		if err := wire.WriteFrame(conn, frame); err != nil {
+			cancel() // peer unreachable: kill this conn's in-flight work
 		}
 	}
 
 	// pending counts submitted requests whose respond has not run yet;
-	// every exit path waits for it before closing the write channel, so
-	// respond never races a closed writeCh.
+	// every exit path waits for it before the conn closes, so a drain
+	// writes every reply first.
 	var pending sync.WaitGroup
 	defer func() {
 		s.mu.Lock()
@@ -121,13 +110,12 @@ func (s *Server) serveWireConn(conn net.Conn) {
 			// Peer disconnect: in-flight work has no reader, abort it.
 			cancel()
 		}
-		pending.Wait() // every respond has enqueued (or dropped) its frame
-		close(writeCh)
-		<-writerDone
+		pending.Wait() // every respond has written (or dropped) its frame
 	}()
 
+	br := bufio.NewReader(conn) // one for the conn's life: frames read ahead stay buffered
 	for {
-		payload, err := wire.ReadFrameLimit(conn, wire.MaxRequestFrame)
+		payload, err := wire.ReadFrameLimit(br, wire.MaxRequestFrame)
 		if err != nil {
 			return // EOF, peer reset, drain half-close, or oversized frame
 		}
@@ -180,7 +168,7 @@ func (s *Server) serveWireConn(conn net.Conn) {
 			}))
 			if errors.Is(err, ErrDraining) {
 				// The daemon is going away for good; close the conn
-				// (after in-flight responses flush) so the client
+				// (after in-flight replies are written) so the client
 				// redirects instead of retrying a dying server.
 				return
 			}

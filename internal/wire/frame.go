@@ -32,17 +32,17 @@ var ErrFrameTooLarge = fmt.Errorf("wire: frame exceeds size limit")
 // bytes that have actually arrived.
 const frameChunk = 64 << 10
 
-// WriteFrame writes one length-prefixed frame.
+// WriteFrame writes one length-prefixed frame in a single Write: on a
+// TCP conn (no Nagle in Go) the prefix and the payload leave as one
+// segment, not two.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes, maximum %d", ErrFrameTooLarge, len(payload), MaxFrameSize)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	buf := make([]byte, 4+len(payload))
+	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
+	copy(buf[4:], payload)
+	_, err := w.Write(buf)
 	return err
 }
 
@@ -58,8 +58,10 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 // (capped at MaxFrameSize; max <= 0 means MaxFrameSize). A length
 // prefix above the limit returns an error wrapping ErrFrameTooLarge
 // before any payload byte is read, so a lying prefix costs the reader
-// four header bytes, not an unbounded drip. Listeners facing untrusted
-// peers should pass the smallest limit their message mix allows.
+// four header bytes, not an unbounded drip. Behind a bufio.Reader it
+// still costs the reader four bytes, and the socket at most one buffer
+// of read-ahead. Listeners facing untrusted peers should pass the
+// smallest limit their message mix allows.
 func ReadFrameLimit(r io.Reader, max int) ([]byte, error) {
 	if max <= 0 || max > MaxFrameSize {
 		max = MaxFrameSize

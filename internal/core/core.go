@@ -413,34 +413,23 @@ type Answer struct {
 }
 
 // FinalPrune implements the master's second phase (Algorithm 1, lines
-// 8-11): compare the partition-optimal plans returned by the workers and
-// keep the global optimum — the single cheapest plan, or the merged
-// α-approximate frontier for multi-objective and robust jobs. Best is
-// the frontier's minimum-time member, except for robust jobs, where it
-// is the member minimizing worst-case band cost (mo.MinWorstCase).
+// 8-11): it applies the spec's pruning rule to the partition-optimal
+// plans the workers returned, as the workers applied it inside their
+// partitions (dp.Prune). Best is the cheapest survivor, except for
+// robust jobs, where it is the survivor minimizing worst-case band cost
+// (mo.MinWorstCase). The survivors are the merged α-approximate frontier
+// of multi-objective and robust jobs; frontier is nil for the others.
 func FinalPrune(spec JobSpec, frontiers [][]*plan.Node) (best *plan.Node, frontier []*plan.Node, err error) {
-	if spec.Objective.HasFrontier() {
-		frontier = mo.Merge(frontiers, spec.Alpha)
-		if spec.Objective == RobustObjective {
-			best = mo.MinWorstCase(frontier)
-		} else {
-			for _, p := range frontier {
-				if best == nil || p.Cost < best.Cost {
-					best = p
-				}
-			}
-		}
-	} else {
-		for _, f := range frontiers {
-			for _, p := range f {
-				if best == nil || p.Cost < best.Cost {
-					best = p
-				}
-			}
-		}
-	}
-	if best == nil {
+	plans := dp.Prune(spec.Pruner(), frontiers...)
+	if plans == nil {
 		return nil, nil, fmt.Errorf("core: no plan returned by any worker")
+	}
+	best = plans[0]
+	if spec.Objective.HasFrontier() {
+		frontier = plans
+	}
+	if spec.Objective == RobustObjective {
+		best = mo.MinWorstCase(plans)
 	}
 	return best, frontier, nil
 }

@@ -8,7 +8,8 @@
 // Options.Pruner picks one of three rules — SingleBest, OrderAware or
 // Pareto. Running the engine on the unconstrained partition with one
 // worker reproduces the classical serial algorithm ([17] for left-deep,
-// [25] for bushy spaces).
+// [25] for bushy spaces). Prune applies the same rule to the complete
+// plans of all partitions: the master's final prune (Algorithm 1).
 //
 // # Closed rules over records
 //
@@ -82,6 +83,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -208,16 +210,46 @@ type Result struct {
 	Stats plan.Stats
 }
 
-// Best returns the cheapest plan by the time metric (the master-side
-// FinalPrune for single-objective optimization).
+// Best returns the cheapest plan by the time metric, the first of
+// equally cheap ones: Prune under SingleBest. It is nil if Plans is
+// empty.
 func (r *Result) Best() *plan.Node {
-	var best *plan.Node
-	for _, p := range r.Plans {
-		if best == nil || p.Cost < best.Cost {
-			best = p
+	if best := Prune(SingleBest{}, r.Plans); best != nil {
+		return best[0]
+	}
+	return nil
+}
+
+// Prune is the master's FinalPrune (Algorithm 1, lines 8-11): it applies
+// p's rule to complete plans, in the order given, and returns the
+// survivors in ascending cost, ties in that order, or nil if there are
+// none. A completed plan's order no longer matters (§4.2), so every plan
+// is offered with none. SingleBest and OrderAware keep the first
+// strictly cheapest plan, by offer's test; Pareto keeps an α-approximate
+// frontier, by admits and keep — the engine's own rule, applied to the
+// plans as to one table set's candidates.
+func Prune(p Pruner, plans ...[]*plan.Node) []*plan.Node {
+	r, alpha := p.rule()
+	var recs []record
+	w := worker{single: r != rulePareto, alpha: alpha, recs: &recs}
+	for _, ps := range plans {
+		for _, n := range ps {
+			if w.single {
+				w.offer(n, nil, 0, plan.NoPred, query.NoOrder, false, false, n.Cost)
+			} else {
+				w.offerPareto(n, nil, 0, query.NoOrder, n.Cost, n.Buffer)
+			}
 		}
 	}
-	return best
+	if w.pend.lp != nil {
+		recs = append(recs, w.pend)
+	}
+	var out []*plan.Node
+	for i := range recs {
+		out = append(out, recs[i].lp)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
+	return out
 }
 
 // entry is the memo record for one table set: its retained plans plus

@@ -1,10 +1,12 @@
 // Package mo implements the master's side of multi-objective query
 // optimization: cost vectors, the merge of per-partition Pareto
-// frontiers (FinalPrune), the robust winner, and the exact-frontier and
-// coverage measurements of Table 1. The per-table-set α-approximate
-// pruning function of Trummer & Koch [22, 23], which the paper plugs
-// into the shared dynamic-programming scheme for its second experiment
-// series (§6), is dp.Pareto.
+// frontiers, the robust winner, and the exact-frontier and coverage
+// measurements of Table 1. The α-approximate pruning function of Trummer
+// & Koch [22, 23], which the paper plugs into the shared
+// dynamic-programming scheme for its second experiment series (§6), is
+// dp.Pareto, and the master applies it too: Merge and ExactFrontier are
+// dp.Prune under dp.Pareto, the rule the workers apply to every table
+// set, with orders ignored at the root.
 //
 // The two metrics are the paper's: execution time (plan.Node.Cost) and
 // buffer space (plan.Node.Buffer). A plan p α-dominates q iff
@@ -16,8 +18,8 @@ package mo
 
 import (
 	"fmt"
-	"sort"
 
+	"mpq/internal/dp"
 	"mpq/internal/plan"
 )
 
@@ -45,54 +47,25 @@ func (v Vector) AlphaDominates(w Vector, alpha float64) bool {
 // String renders the vector for logs.
 func (v Vector) String() string { return fmt.Sprintf("(time=%.4g, buffer=%.4g)", v.Time, v.Buffer) }
 
-// Merge combines per-partition frontiers into one (the master's
-// FinalPrune for multi-objective optimization): every plan goes through
-// the Pareto rule with the same α, which Merge clamps to ≥ 1 as
-// dp.Pareto does on the workers. Orders are ignored at the root — a
-// completed plan's tuple order no longer matters (§4.2).
+// Merge combines per-partition frontiers into one: the master's
+// FinalPrune for multi-objective optimization, which is dp.Prune under
+// dp.Pareto{Alpha: alpha} — the workers' rule, with its α clamp, and
+// with orders ignored at the root (§4.2).
 func Merge(frontiers [][]*plan.Node, alpha float64) []*plan.Node {
-	if alpha < 1 {
-		alpha = 1
-	}
-	var out []*plan.Node
-	for _, f := range frontiers {
-		for _, p := range f {
-			out = insertRootPlan(out, p, alpha)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
-	return out
+	return dp.Prune(dp.Pareto{Alpha: alpha}, frontiers...)
 }
 
-// insertRootPlan is dp.Pareto's rule without order compatibility.
-func insertRootPlan(plans []*plan.Node, p *plan.Node, alpha float64) []*plan.Node {
-	pv := VecOf(p)
-	for _, q := range plans {
-		if VecOf(q).AlphaDominates(pv, alpha) {
-			return plans
-		}
-	}
-	out := plans[:0]
-	for _, q := range plans {
-		if !pv.Dominates(VecOf(q)) {
-			out = append(out, q)
-		}
-	}
-	return append(out, p)
-}
-
-// MinWorstCase selects the robust winner from a merged frontier: the
-// plan with the smallest Buffer annotation — under a RobustCost model
-// that slot holds the plan's worst-case cost over the selectivity
-// band — breaking ties toward the lower nominal Cost, then toward the
-// earlier frontier position. The tie-breaks keep the choice
-// deterministic across engines, which aggregate partition frontiers in
-// partition-ID order. Returns nil for an empty frontier.
+// MinWorstCase selects the robust winner from a merged frontier in
+// ascending cost, as Merge returns it: the first plan with the smallest
+// Buffer annotation — under a RobustCost model that slot holds the
+// plan's worst-case cost over the selectivity band. Ties thus go to the
+// lower nominal Cost, then to the earlier frontier position, which keeps
+// the choice deterministic across engines: they aggregate partition
+// frontiers in partition-ID order. Returns nil for an empty frontier.
 func MinWorstCase(plans []*plan.Node) *plan.Node {
 	var best *plan.Node
 	for _, p := range plans {
-		if best == nil || p.Buffer < best.Buffer ||
-			(p.Buffer == best.Buffer && p.Cost < best.Cost) {
+		if best == nil || p.Buffer < best.Buffer {
 			best = p
 		}
 	}
@@ -100,15 +73,10 @@ func MinWorstCase(plans []*plan.Node) *plan.Node {
 }
 
 // ExactFrontier filters an arbitrary plan list down to its exact Pareto
-// frontier (no α coarsening, orders ignored). Used by tests and by the
-// precision measurement of Table 1.
+// frontier, in ascending cost: dp.Prune under dp.Pareto at α = 1, orders
+// ignored. Used by tests and by the precision measurement of Table 1.
 func ExactFrontier(plans []*plan.Node) []*plan.Node {
-	var out []*plan.Node
-	for _, p := range plans {
-		out = insertRootPlan(out, p, 1)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
-	return out
+	return dp.Prune(dp.Pareto{Alpha: 1}, plans)
 }
 
 // IsFrontier reports whether no plan in the list dominates another —

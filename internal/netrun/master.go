@@ -105,45 +105,6 @@ type jobResult struct {
 	outcome sched.Outcome
 }
 
-// connReg tracks the master's live connections so an aborting
-// coordinator can force-close them and unblock attempts stuck in
-// read; ctx cancellation aborts dials still in flight (a dialing
-// connection is not yet in the registry).
-type connReg struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-}
-
-func (r *connReg) add(c net.Conn) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		c.Close()
-		return
-	}
-	r.conns[c] = struct{}{}
-}
-
-func (r *connReg) drop(c net.Conn) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.conns, c)
-}
-
-func (r *connReg) closeAll() {
-	r.cancel()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.closed = true
-	for c := range r.conns {
-		c.Close()
-	}
-	r.conns = map[net.Conn]struct{}{}
-}
-
 // connState is one worker's keep-alive connection plus its
 // request sequence counter. The counter survives redials — sequence
 // numbers only ever need to be unique per connection, and a
@@ -157,8 +118,8 @@ func (r *connReg) closeAll() {
 // mu serializes writes on the connection and guards the conn pointer
 // and inflight field: the coordinator goroutine injects advisory
 // CancelRequest frames (cancelInFlight) into a stream runJob otherwise
-// owns. seq, owner and r are private to runJob, whose calls for
-// one worker never overlap.
+// owns, and closes the connection at teardown (abort). seq, owner and r
+// are private to runJob, whose calls for one worker never overlap.
 type connState struct {
 	mu       sync.Mutex
 	conn     net.Conn
@@ -170,15 +131,26 @@ type connState struct {
 
 // hangUp closes the connection, if any; nothing is in flight on it any
 // more, and the next attempt redials. Called from runJob only.
-func (st *connState) hangUp(reg *connReg) {
+func (st *connState) hangUp() {
 	st.mu.Lock()
 	conn := st.conn
 	st.conn, st.inflight = nil, 0
 	st.mu.Unlock()
 	if conn != nil {
-		reg.drop(conn)
 		conn.Close()
 		st.owner, st.r = nil, nil // a fresh stream cannot replay old frames
+	}
+}
+
+// abort closes the connection, if any, unblocking an attempt stuck in a
+// read or write. The coordinator calls it at teardown, after canceling
+// the attempts' ctx: a dial that finishes later sees that ctx ended and
+// closes its own connection (runJob), so none outlives the call.
+func (st *connState) abort() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.conn != nil {
+		st.conn.Close()
 	}
 }
 
@@ -210,8 +182,9 @@ func (st *connState) cancelInFlight() int {
 // deadline: the configured Timeout, tightened by the context deadline if
 // that comes first. It dials lazily and keeps the connection in st
 // across jobs (and across the queries of a batch). st is shared with
-// the coordinator, which uses it only through cancelInFlight.
-func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, st *connState, reg *connReg) jobResult {
+// the coordinator, which uses it only through cancelInFlight and abort.
+// Canceling ctx aborts a dial in flight.
+func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, st *connState) jobResult {
 	addr := ms.addrs[ni]
 	res := jobResult{worker: ni, unit: u}
 	t0 := time.Now()
@@ -232,23 +205,29 @@ func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, st 
 	fail := func(err error) jobResult {
 		res.err, res.outcome = err, sched.Failed
 		res.elapsed = time.Since(t0)
-		st.hangUp(reg)
+		st.hangUp()
 		return res
 	}
 	if st.conn == nil {
 		// Dialing happens outside the mutex — a nil conn means nothing is
 		// in flight, so cancelInFlight correctly no-ops meanwhile.
 		d := net.Dialer{Deadline: deadline}
-		c, err := d.DialContext(reg.ctx, "tcp", addr)
+		c, err := d.DialContext(ctx, "tcp", addr)
 		if err != nil {
 			return fail(fmt.Errorf("dial %s: %w", addr, err))
 		}
 		st.mu.Lock()
+		if ctx.Err() != nil {
+			// The coordinator tore down while the dial ran, so its abort
+			// may have passed st already: this conn is ours to close.
+			st.mu.Unlock()
+			c.Close()
+			return fail(fmt.Errorf("dial %s: %w", addr, context.Cause(ctx)))
+		}
 		st.conn = c
 		st.mu.Unlock()
 		st.owner, st.r = map[uint32]int{}, bufio.NewReader(c)
 		res.dialed = true
-		reg.add(c)
 	}
 	conn := st.conn
 	st.seq++
@@ -410,12 +389,14 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 	// one slot per worker never blocks an attempt after the coordinator
 	// stops receiving.
 	results := make(chan jobResult, k)
-	regCtx, regCancel := context.WithCancel(ctx)
-	reg := &connReg{ctx: regCtx, cancel: regCancel, conns: map[net.Conn]struct{}{}}
+	attempts, cancelAttempts := context.WithCancel(ctx)
 	sts := make([]connState, k)
 	var wg sync.WaitGroup
 	defer func() {
-		reg.closeAll() // cancels in-flight dials, closes open conns
+		cancelAttempts() // aborts in-flight dials
+		for i := range sts {
+			sts[i].abort()
+		}
 		wg.Wait()
 	}()
 
@@ -451,7 +432,7 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				results <- ms.runJob(ctx, d.Worker, jobs[d.Unit.Job], d.Unit, &sts[d.Worker], reg)
+				results <- ms.runJob(attempts, d.Worker, jobs[d.Unit.Job], d.Unit, &sts[d.Worker])
 			}()
 		}
 		var wake <-chan time.Time

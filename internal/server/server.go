@@ -518,8 +518,13 @@ func (s *Server) drain(ctx context.Context) error {
 		close(httpDone)
 	}
 
-	// Wake the idleness wait when ctx fires.
-	stopWatch := context.AfterFunc(ctx, func() { s.cond.Broadcast() })
+	// Wake the idleness wait when ctx fires. The broadcast holds s.mu so
+	// it cannot fall between the loop's ctx check and its Wait.
+	stopWatch := context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.cond.Broadcast()
+	})
 	defer stopWatch()
 
 	forced := false

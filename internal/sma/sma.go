@@ -198,7 +198,7 @@ func validateSpec(q *query.Query, spec core.JobSpec) error {
 	default:
 		return fmt.Errorf("sma: invalid objective %d", int(spec.Objective))
 	}
-	if spec.Objective == core.MultiObjective && spec.Alpha != 0 && spec.Alpha < 1 {
+	if spec.Objective == core.MultiObjective && spec.Alpha != 0 && !(spec.Alpha >= 1) {
 		return fmt.Errorf("sma: approximation factor α=%g must be ≥ 1", spec.Alpha)
 	}
 	return nil

@@ -180,6 +180,11 @@ func TestSMAValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("alpha < 1 accepted")
 	}
+	if _, err := Run(context.Background(), cluster.Default(), q, core.JobSpec{
+		Space: partition.Linear, Workers: 2, Objective: core.MultiObjective, Alpha: math.NaN(),
+	}); err == nil {
+		t.Fatal("alpha NaN accepted")
+	}
 	// Non-power-of-two worker counts are fine for SMA.
 	if _, err := Run(context.Background(), cluster.Default(), q, core.JobSpec{Space: partition.Linear, Workers: 5}); err != nil {
 		t.Fatalf("m=5 rejected: %v", err)

@@ -217,8 +217,10 @@ type CacheTotals = cache.Totals
 // repeated optimization requests are served from the store instead of
 // re-running the dynamic program, concurrent identical requests
 // collapse onto one computation (singleflight), and the store is kept
-// under a byte budget by cost-weighted LRU eviction (expensive-to-
-// recompute plans survive longer). Build one with WithCache.
+// under a byte budget by GreedyDual-Size-Frequency eviction (plans that
+// are hit often or are expensive to recompute survive longer; the hit
+// count saturates at 15, so a plan whose traffic moved on still ages
+// out). Build one with WithCache.
 //
 // Cached answers are bit-identical (wire plan fingerprint) to the
 // wrapped engine's answers: the cache serves shallow copies sharing the

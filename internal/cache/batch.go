@@ -38,16 +38,16 @@ func (c *Cache) OptimizeBatch(ctx context.Context, jobs []BatchJob, computeBatch
 
 	// Keys first, lock second, as Lookup, Insert and Optimize do: a key
 	// is a full wire encoding of the job, and every concurrent user of
-	// the cache would wait behind it.
+	// the cache would wait behind it. Entry sizes encode every computed
+	// plan, so they are taken before the second lock for the same reason.
 	for i, job := range jobs {
 		keys[i] = c.KeyOf(job.Query, job.Spec)
 	}
 	c.mu.Lock()
 	for i, job := range jobs {
 		if e := c.lookupLocked(keys[i]); e != nil {
-			c.t.Hits++
-			c.touchLocked(e)
-			answers[i] = stamped(e.ans, c.snapshotLocked(), true, false)
+			ans, snap := c.hitLocked(e)
+			answers[i] = stamped(ans, snap, true, false)
 			continue
 		}
 		if first, ok := firstOf[keys[i].Bytes]; ok {
@@ -70,12 +70,16 @@ func (c *Cache) OptimizeBatch(ctx context.Context, jobs []BatchJob, computeBatch
 	if len(computed) != len(miss) {
 		return nil, fmt.Errorf("cache: batch compute returned %d answers for %d jobs", len(computed), len(miss))
 	}
+	sizes := make([]int64, len(computed))
+	for k, ans := range computed {
+		sizes[k] = entrySize(keys[missPos[k]], ans)
+	}
 
 	c.mu.Lock()
 	for k, ans := range computed {
 		i := missPos[k]
 		c.t.Misses++
-		c.insertLocked(keys[i], ans)
+		c.insertLocked(keys[i], ans, sizes[k])
 		answers[i] = stamped(ans, c.snapshotLocked(), false, false)
 		for _, j := range dups[i] {
 			c.t.Collapses++

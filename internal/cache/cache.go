@@ -19,12 +19,16 @@
 //     and share the answer. A canceled leader hands leadership to a
 //     waiting follower instead of poisoning the flight.
 //
-//   - Cost-weighted LRU eviction under a byte budget (GreedyDual-Size):
-//     each entry's eviction priority is the running inflation level
-//     plus recompute-cost/size, where recompute cost is the DP's
-//     deterministic work-unit counter. Expensive-to-recompute plans
-//     survive longer than cheap ones of equal recency, and everything
-//     ages out eventually. Budget, priorities and sizes are all
+//   - GreedyDual-Size-Frequency eviction under a byte budget
+//     (Cherkasova, 1998): each entry's eviction priority is the running
+//     inflation level plus freq·cost/size, where cost is the DP's
+//     deterministic work-unit counter and freq counts the entry's
+//     references — 1 at insert, one more per hit. Plans that are asked
+//     for often, or are expensive to recompute, outlive cheap one-off
+//     ones of equal recency. freq saturates at freqCap, as TinyLFU's
+//     4-bit counters do, so everything still ages out: an uncapped count
+//     lets a plan that was hot once hold its place long after its
+//     traffic moved on. Budget, priorities and sizes are all
 //     deterministic, so eviction order is reproducible.
 //
 // Cached answers are bit-identical (wire plan fingerprint) to uncached
@@ -86,20 +90,29 @@ type Totals struct {
 	Bytes   int64
 }
 
-// entry is one cached answer with its GreedyDual-Size accounting.
+// freqCap saturates an entry's reference count, like TinyLFU's 4-bit
+// counters. An entry referenced n times stands n cost-per-byte bonuses
+// above the inflation level, which climbs only as churn is evicted;
+// uncapped, plans that were hot before a popularity shift crowd out the
+// new hot set for about as long as they were popular.
+const freqCap = 15
+
+// entry is one cached answer with its GreedyDual-Size-Frequency
+// accounting.
 type entry struct {
 	key   Key
 	ans   *core.Answer
 	bytes int64
 	cost  float64 // deterministic recompute cost (DP work units)
-	h     float64 // GreedyDual priority: inflation at last touch + cost/bytes
+	freq  int     // references: 1 at insert, +1 per hit, at most freqCap
+	h     float64 // priority: inflation at last touch + freq·cost/bytes
 	seq   uint64  // insertion order, the deterministic tiebreak
 	hidx  int     // index in the eviction heap
 }
 
 // Cache is a fingerprint-keyed plan cache with singleflight collapsing
-// and cost-weighted LRU eviction. The zero value is not usable; call
-// New. All methods are safe for concurrent use.
+// and GreedyDual-Size-Frequency eviction. The zero value is not usable;
+// call New. All methods are safe for concurrent use.
 type Cache struct {
 	mu       sync.Mutex
 	entries  map[uint64][]*entry // fingerprint → collision chain
@@ -183,9 +196,7 @@ func (c *Cache) Lookup(q *query.Query, spec core.JobSpec) (*core.Answer, bool) {
 		c.mu.Unlock()
 		return nil, false
 	}
-	c.t.Hits++
-	c.touchLocked(e)
-	ans, snap := e.ans, c.snapshotLocked()
+	ans, snap := c.hitLocked(e)
 	c.mu.Unlock()
 	return stamped(ans, snap, true, false), true
 }
@@ -194,8 +205,9 @@ func (c *Cache) Lookup(q *query.Query, spec core.JobSpec) (*core.Answer, bool) {
 // keeps the answer as given; callers must not mutate it afterwards.
 func (c *Cache) Insert(q *query.Query, spec core.JobSpec, ans *core.Answer) {
 	key := c.KeyOf(q, spec)
+	size := entrySize(key, ans)
 	c.mu.Lock()
-	c.insertLocked(key, ans)
+	c.insertLocked(key, ans, size)
 	c.mu.Unlock()
 }
 
@@ -210,18 +222,32 @@ func (c *Cache) lookupLocked(key Key) *entry {
 	return nil
 }
 
-// touchLocked refreshes an entry's GreedyDual priority on a hit: back
-// to the current inflation level plus its cost-per-byte bonus.
+// hitLocked counts one reference to a stored entry, the hit counter and
+// the entry's priority, and returns its answer with the totals to
+// stamp it with. Every path that serves a stored entry goes through it.
+func (c *Cache) hitLocked(e *entry) (*core.Answer, Totals) {
+	c.t.Hits++
+	c.touchLocked(e)
+	return e.ans, c.snapshotLocked()
+}
+
+// touchLocked refreshes an entry's priority on a hit: one more
+// reference, up to freqCap, and back to the current inflation level
+// plus freq times its cost-per-byte bonus.
 func (c *Cache) touchLocked(e *entry) {
-	e.h = c.lval + e.cost/float64(e.bytes)
+	if e.freq < freqCap {
+		e.freq++
+	}
+	e.h = c.lval + float64(e.freq)*e.cost/float64(e.bytes)
 	heap.Fix(&c.evict, e.hidx)
 }
 
-// insertLocked stores (key → ans), replacing an exact-key entry if one
-// exists and evicting the lowest-priority entries until the budget
-// holds. An answer larger than the whole budget is not cached.
-func (c *Cache) insertLocked(key Key, ans *core.Answer) {
-	size := entrySize(key, ans)
+// insertLocked stores (key → ans) at size bytes (entrySize, computed
+// before the lock), replacing an exact-key entry if one exists, with a
+// fresh reference count, and evicting the lowest-priority entries until
+// the budget holds. An answer larger than the whole budget is not
+// cached.
+func (c *Cache) insertLocked(key Key, ans *core.Answer, size int64) {
 	if c.maxBytes > 0 && size > c.maxBytes {
 		return
 	}
@@ -245,9 +271,10 @@ func (c *Cache) insertLocked(key Key, ans *core.Answer) {
 		ans:   ans,
 		bytes: size,
 		cost:  float64(ans.Stats.WorkUnits() + 1),
+		freq:  1,
 		seq:   c.seq,
 	}
-	e.h = c.lval + e.cost/float64(e.bytes)
+	e.h = c.lval + float64(e.freq)*e.cost/float64(e.bytes)
 	heap.Push(&c.evict, e)
 	c.entries[key.FP] = append(c.entries[key.FP], e)
 	c.bytes += size
@@ -281,6 +308,7 @@ func (c *Cache) unchainLocked(e *entry) {
 // entrySize is the deterministic byte accounting of one entry: the
 // encoded key, the encoded best plan and frontier (what a worker would
 // put on the wire for this answer), plus a fixed bookkeeping overhead.
+// It encodes every plan, so callers run it before taking the lock.
 func entrySize(key Key, ans *core.Answer) int64 {
 	const overhead = 256 // entry struct, heap slot, chain slot, answer struct
 	size := int64(len(key.Bytes)) + overhead
@@ -312,8 +340,8 @@ func stamped(ans *core.Answer, snap Totals, hit, collapsed bool) *core.Answer {
 	return &cp
 }
 
-// entryHeap is a min-heap over GreedyDual priority h, ties broken by
-// insertion order (older first) so eviction order is deterministic.
+// entryHeap is a min-heap over priority h, ties broken by insertion
+// order (older first) so eviction order is deterministic.
 type entryHeap []*entry
 
 func (h entryHeap) Len() int { return len(h) }

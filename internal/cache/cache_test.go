@@ -12,7 +12,7 @@ import (
 	"mpq/internal/workload"
 )
 
-func genQuery(t *testing.T, n int, seed int64) *query.Query {
+func genQuery(t testing.TB, n int, seed int64) *query.Query {
 	t.Helper()
 	_, q, err := workload.Generate(workload.NewParams(n, workload.Star), seed)
 	if err != nil {
@@ -21,7 +21,7 @@ func genQuery(t *testing.T, n int, seed int64) *query.Query {
 	return q
 }
 
-func mustAnswer(t *testing.T, q *query.Query, spec core.JobSpec) *core.Answer {
+func mustAnswer(t testing.TB, q *query.Query, spec core.JobSpec) *core.Answer {
 	t.Helper()
 	ans, err := core.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
@@ -160,8 +160,9 @@ func withCost(ans *core.Answer, w uint64) *core.Answer {
 }
 
 // TestCostWeightedEviction: under a byte budget, the cheap-to-recompute
-// entries go first even when the expensive entry is the oldest, and the
-// eviction order among equals is deterministic (insertion order).
+// entries go first even when the expensive entry is the oldest, the
+// eviction order among equals is deterministic (insertion order), and
+// the expensive entry still ages out under enough cheap churn.
 func TestCostWeightedEviction(t *testing.T) {
 	q := genQuery(t, 7, 4)
 	ans := mustAnswer(t, q, core.JobSpec{Space: partition.Linear, Workers: 1})
@@ -197,15 +198,28 @@ func TestCostWeightedEviction(t *testing.T) {
 	}
 
 	// GreedyDual aging: every eviction raises the inflation level to the
-	// victim's priority, so after enough cheap churn (cost ratio 1000:2
-	// and a two-entry residency buffer, hence ~1000 evictions) the
-	// untouched expensive entry's stale priority falls below the fresh
-	// cheap ones and it ages out too.
-	for w := 5; w < 1505; w++ {
+	// victim's priority, so after enough cheap churn the expensive
+	// entry's stale priority falls below the fresh cheap ones and it
+	// ages out too. The Lookup above was its first hit, so its priority
+	// is the level then plus refs·expensive/size with refs = 2. Each
+	// cheap entry enters at the level plus cheap/size and two share the
+	// residency buffer, so the level climbs cheap/size every two
+	// evictions: refs·expensive/(cheap/2) churn inserts overtake it.
+	// resident checks without a Lookup, which would count a reference.
+	const refs, expensive, cheap = 2, 1001, 2 // costs: work units + 1
+	bound := refs * expensive / (cheap / 2)
+	w := 5
+	for ; w < 5+bound/2; w++ {
+		c.Insert(q, spec(w), withCost(ans, 1))
+	}
+	if !resident(c, q, spec(1)) {
+		t.Fatalf("expensive entry aged out after %d churn inserts, half the bound", bound/2)
+	}
+	for ; w < 5+bound; w++ {
 		c.Insert(q, spec(w), withCost(ans, 1))
 	}
 	if _, ok := c.Lookup(q, spec(1)); ok {
-		t.Fatal("untouched expensive entry never aged out")
+		t.Fatal("expensive entry never aged out")
 	}
 }
 

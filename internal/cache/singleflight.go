@@ -30,7 +30,8 @@ type flight struct {
 // Optimize serves (q, spec) through the cache: a stored answer is a
 // hit; otherwise concurrent identical requests collapse onto one
 // flight whose leader runs compute and publishes the answer to every
-// follower, and the answer is inserted under the cost-weighted budget.
+// follower, and the answer is inserted under the byte budget. Followers
+// are collapses, not hits: they add no reference to the entry.
 //
 // Context semantics: compute runs under the leader's ctx. If the
 // leader's own context is canceled mid-compute, the flight is not
@@ -48,9 +49,7 @@ func (c *Cache) Optimize(ctx context.Context, q *query.Query, spec core.JobSpec,
 
 	c.mu.Lock()
 	if e := c.lookupLocked(key); e != nil {
-		c.t.Hits++
-		c.touchLocked(e)
-		ans, snap := e.ans, c.snapshotLocked()
+		ans, snap := c.hitLocked(e)
 		c.mu.Unlock()
 		return stamped(ans, snap, true, false), nil
 	}
@@ -112,11 +111,15 @@ func (c *Cache) lead(ctx context.Context, key Key, f *flight, q *query.Query, sp
 	}
 
 	f.ans, f.err = ans, err
+	var size int64
+	if err == nil {
+		size = entrySize(key, ans)
+	}
 	c.mu.Lock()
 	delete(c.flights, key.Bytes)
 	c.t.Misses++
 	if err == nil {
-		c.insertLocked(key, ans)
+		c.insertLocked(key, ans, size)
 	}
 	snap := c.snapshotLocked()
 	c.mu.Unlock()

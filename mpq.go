@@ -60,8 +60,9 @@
 //
 // Any engine composes with WithCache, which serves repeated requests
 // from a fingerprint-keyed plan cache (singleflight collapsing,
-// cost-weighted LRU eviction) with answers bit-identical to the
-// uncached engine's:
+// GreedyDual-Size-Frequency eviction: recompute cost per byte times a
+// hit count that saturates at 15, so a once-hot plan still ages out)
+// with answers bit-identical to the uncached engine's:
 //
 //	cached := mpq.WithCache(eng, mpq.CacheConfig{MaxBytes: 1 << 20})
 //

@@ -246,14 +246,17 @@ func (c *Cache) touchLocked(e *entry) {
 // before the lock), replacing an exact-key entry if one exists, with a
 // fresh reference count, and evicting the lowest-priority entries until
 // the budget holds. An answer larger than the whole budget is not
-// cached.
+// cached, and the key's old entry is dropped all the same: the key
+// never serves an answer older than the last one it was given.
 func (c *Cache) insertLocked(key Key, ans *core.Answer, size int64) {
+	old := c.lookupLocked(key)
+	if old != nil {
+		c.removeLocked(old)
+	}
 	if c.maxBytes > 0 && size > c.maxBytes {
 		return
 	}
-	if old := c.lookupLocked(key); old != nil {
-		c.removeLocked(old)
-	} else if len(c.entries[key.FP]) > 0 {
+	if old == nil && len(c.entries[key.FP]) > 0 {
 		c.t.Collisions++
 	}
 	for c.maxBytes > 0 && c.bytes+size > c.maxBytes && len(c.evict) > 0 {

@@ -236,6 +236,30 @@ func TestOversizeNotCached(t *testing.T) {
 	}
 }
 
+// TestOversizeReplacementDropsOldAnswer: an answer too large for the
+// budget, inserted for a key that holds an answer, leaves the key with
+// none; it must not go on serving the answer it was given before.
+func TestOversizeReplacementDropsOldAnswer(t *testing.T) {
+	q := genQuery(t, 4, 5)
+	spec := core.JobSpec{Space: partition.Linear, Workers: 1}
+	small := mustAnswer(t, q, spec)
+	large := mustAnswer(t, genQuery(t, 9, 5), spec)
+	probe := New(Config{})
+	probe.Insert(q, spec, small)
+	c := New(Config{MaxBytes: probe.Totals().Bytes})
+	c.Insert(q, spec, small)
+	if _, ok := c.Lookup(q, spec); !ok {
+		t.Fatal("an answer that fits the budget was not cached")
+	}
+	c.Insert(q, spec, large)
+	if got, ok := c.Lookup(q, spec); ok {
+		t.Fatalf("after an oversize replacement the key still serves an answer (the old one: %v)", got.Best == small.Best)
+	}
+	if tt := c.Totals(); tt.Entries != 0 || tt.Bytes != 0 || tt.Evictions != 0 {
+		t.Fatalf("oversize replacement left %+v, want an empty cache and no eviction", tt)
+	}
+}
+
 // TestFingerprintCollision: with every key hashed to the same 64-bit
 // fingerprint, different jobs must still be served their own plans via
 // the full-key collision chain.

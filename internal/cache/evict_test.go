@@ -205,6 +205,9 @@ func FuzzEviction(f *testing.F) {
 				if okA != okB {
 					t.Fatalf("op %d: key %d hit %v in one cache, %v in the other", i, k, okA, okB)
 				}
+				if okA && stored[k] == nil {
+					t.Fatalf("op %d: key %d hit, but its last answer was too large to cache", i, k)
+				}
 				if okA && (gotA.Best != stored[k].Best || gotA.Stats != stored[k].Stats || gotB.Best != stored[k].Best || gotB.Stats != stored[k].Stats) {
 					t.Fatalf("op %d: key %d served an answer it was not given", i, k)
 				}
@@ -217,10 +220,12 @@ func FuzzEviction(f *testing.F) {
 				ans := withCost(answers[(op>>4&7)%3], cost)
 				a.Insert(q, spec(k), ans)
 				b.Insert(q, spec(k), ans)
-				// An answer larger than the whole budget is not cached;
-				// the key keeps what it had.
+				// An answer larger than the whole budget is not cached,
+				// and the key's old answer goes with it.
 				if maxBytes == 0 || entrySize(a.KeyOf(q, spec(k)), ans) <= maxBytes {
 					stored[k] = ans
+				} else {
+					delete(stored, k)
 				}
 			}
 			checkEvictionInvariants(t, i, a)

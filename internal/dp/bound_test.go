@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync/atomic"
 	"testing"
 
 	"mpq/internal/bitset"
@@ -278,6 +279,7 @@ func checkPairBound(t testing.TB, q *query.Query, space partition.Space, m, part
 		t.Fatal(err)
 	}
 	where := fmt.Sprintf("%v n=%d partition %d/%d orders=%v %#v", space, q.N(), part, m, orders, pr)
+	eng.CheckKeys(func(err error) { t.Fatalf("%s: %v", where, err) })
 	sets := []bitset.Set{}
 	for tb := 0; tb < q.N(); tb++ {
 		sets = append(sets, bitset.Single(tb))
@@ -314,39 +316,48 @@ func checkPairBound(t testing.TB, q *query.Query, space partition.Space, m, part
 // skip, OrderAware's records, Pareto's records with and without orders
 // and its whole-pair skip, on every shape, both spaces, every partition
 // of m ∈ {1, 2, 4, 8}, the buffer, parametric and robust second
-// metrics, and cost models whose candidates are +Inf or NaN.
+// metrics, and cost models whose candidates are +Inf or NaN. Each
+// (model, shape) is a parallel subtest; the parent logs how many
+// partition runs they checked in all.
 func TestPairBoundEqualsPlainAdmits(t *testing.T) {
 	ns := []int{4, 7, 10}
 	if testing.Short() {
 		ns = []int{4, 8}
 	}
+	var cases atomic.Int64
+	t.Cleanup(func() { t.Logf("%d cases", cases.Load()) })
 	for ci, c := range boundCases {
 		for si, shape := range workload.Shapes {
-			for _, n := range ns {
-				q := boundQuery(n, shape, int64(10*si+n), c.huge)
-				// Each α meets every model, shape and size, if not all at once;
-				// at the largest size OrderAware takes every third model × shape.
-				rules := []Pruner{SingleBest{}, Pareto{Alpha: boundAlphas[(ci+si+n)%len(boundAlphas)]}}
-				if n < ns[len(ns)-1] || (ci+si)%3 == 0 {
-					rules = append(rules, OrderAware{})
-				}
-				for _, space := range []partition.Space{partition.Linear, partition.Bushy} {
-					for m := 1; m <= min(8, partition.MaxWorkers(space, n)); m *= 2 {
-						for part := 0; part < m; part++ {
-							for _, pr := range rules {
-								if tooWide(ci, pr, n) {
-									continue
-								}
-								checkPairBound(t, q, space, m, part, c.model, false, pr)
-								// Frontiers with orders grow fast.
-								if _, single := pr.(SingleBest); single || n < 10 {
-									checkPairBound(t, q, space, m, part, c.model, true, pr)
+			t.Run(c.name+"/"+shape.String(), func(t *testing.T) {
+				t.Parallel()
+				for _, n := range ns {
+					q := boundQuery(n, shape, int64(10*si+n), c.huge)
+					// Each α meets every model, shape and size, if not all at once;
+					// at the largest size OrderAware takes every third model × shape.
+					rules := []Pruner{SingleBest{}, Pareto{Alpha: boundAlphas[(ci+si+n)%len(boundAlphas)]}}
+					if n < ns[len(ns)-1] || (ci+si)%3 == 0 {
+						rules = append(rules, OrderAware{})
+					}
+					for _, space := range []partition.Space{partition.Linear, partition.Bushy} {
+						for m := 1; m <= min(8, partition.MaxWorkers(space, n)); m *= 2 {
+							for part := 0; part < m; part++ {
+								for _, pr := range rules {
+									if tooWide(ci, pr, n) {
+										continue
+									}
+									checkPairBound(t, q, space, m, part, c.model, false, pr)
+									cases.Add(1)
+									// Frontiers with orders grow fast.
+									if _, single := pr.(SingleBest); single || n < 10 {
+										checkPairBound(t, q, space, m, part, c.model, true, pr)
+										cases.Add(1)
+									}
 								}
 							}
 						}
 					}
 				}
-			}
+			})
 		}
 	}
 }
@@ -415,9 +426,10 @@ func TestSingleBestBoundImpliesReject(t *testing.T) {
 	}
 }
 
-// Pareto's whole-pair skip rests on monotone domination: if the records
+// Pareto's whole-pair skip rests on monotone domination: if the keys
 // dominate the bound b, they dominate every candidate c ≥ b
-// componentwise — whatever the records, including NaN, ±0, +Inf and
+// componentwise, and the keys' scan without orders agrees with admits
+// over the records — whatever the records, including NaN, ±0, +Inf and
 // α = +Inf against zero costs, where Inf·0 = NaN must make the bound pass.
 func TestParetoBoundImpliesReject(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
@@ -431,16 +443,20 @@ func TestParetoBoundImpliesReject(t *testing.T) {
 	sets = append(sets, []record{vecRecord(10, 1, query.NoOrder), vecRecord(1, 10, query.NoOrder), vecRecord(3, 3, query.NoOrder)})
 	for _, alpha := range append([]float64{0, 0.5, nan}, boundAlphas...) {
 		for _, recs := range sets {
-			w := &worker{recs: &recs}
+			w := ruleWorker(0)
+			setRecs(w, recs...)
 			_, w.alpha = Pareto{Alpha: alpha}.rule()
 			for _, bc := range vals {
 				for _, bb := range vals {
-					if w.admits(bc, bb, query.NoOrder) {
+					if w.dominated(bc, bb) == w.admits(bc, bb, query.NoOrder) {
+						t.Fatalf("α=%g records %+v: (%g, %g) dominated %v by the keys, admitted %v by the records", alpha, recs, bc, bb, w.dominated(bc, bb), w.admits(bc, bb, query.NoOrder))
+					}
+					if !w.dominated(bc, bb) {
 						continue
 					}
 					for _, cc := range vals {
 						for _, cb := range vals {
-							if cc >= bc && cb >= bb && w.admits(cc, cb, query.NoOrder) {
+							if cc >= bc && cb >= bb && !w.dominated(cc, cb) {
 								t.Fatalf("α=%g records %+v: bound (%g, %g) dominated, candidate (%g, %g) not", alpha, recs, bc, bb, cc, cb)
 							}
 						}

@@ -21,9 +21,14 @@
 // not as a plan: SingleBest keeps one record, replaced by every new
 // strict minimum; OrderAware and Pareto keep a list in frontier order,
 // from which an admitted candidate first evicts the records it
-// dominates. When the set is complete each surviving record is built
-// once, straight into the memo's arena (docs/perf.md, "One survivor,
-// built once" and "One construction path").
+// dominates, in place, and is then written once at the end. Beside the
+// list the runtime keeps each record's cost and second metric as a
+// compact key, index for index; without interesting orders, where no
+// plan has an order, the Pareto rule tests a candidate against the keys
+// alone, in a branch-free scan (docs/perf.md §18). When the set is
+// complete each surviving record is built once, straight into the
+// memo's arena (docs/perf.md, "One survivor, built once" and "One
+// construction path").
 //
 // Most candidates are pruned, so a candidate must cost a handful of flops.
 // Everything a join's scalars read from an operand that depends on the
@@ -83,6 +88,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -226,12 +232,19 @@ func (r *Result) Best() *plan.Node {
 // none. A completed plan's order no longer matters (§4.2), so every plan
 // is offered with none. SingleBest and OrderAware keep the first
 // strictly cheapest plan, by offer's test; Pareto keeps an α-approximate
-// frontier, by admits and keep — the engine's own rule, applied to the
-// plans as to one table set's candidates.
+// frontier, by offerPareto — the engine's own rule, applied to the plans
+// as to one table set's candidates.
 func Prune(p Pruner, plans ...[]*plan.Node) []*plan.Node {
+	return prune(p, nil, plans)
+}
+
+// prune is Prune, with afterKeep, if not nil, called after every kept
+// plan's record is written.
+func prune(p Pruner, afterKeep func(*worker), plans [][]*plan.Node) []*plan.Node {
 	r, alpha := p.rule()
 	var recs []record
-	w := worker{single: r != rulePareto, alpha: alpha, recs: &recs}
+	var keys []key
+	w := worker{single: r != rulePareto, alpha: alpha, recs: &recs, keys: &keys, afterKeep: afterKeep}
 	for _, ps := range plans {
 		for _, n := range ps {
 			if w.single {
@@ -531,14 +544,15 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 	return eng, nil
 }
 
-// borrow makes rt's arena, spill slabs and records the worker's, reset.
+// borrow makes rt's arena, spill slabs, records and keys the worker's,
+// reset.
 func (w *worker) borrow(rt *Runtime) {
 	w.arena = &rt.arena
 	w.arena.Reset()
 	rt.spills.reset()
 	w.spills = &rt.spills
-	rt.recs = rt.recs[:0]
-	w.recs = &rt.recs
+	rt.recs, rt.keys = rt.recs[:0], rt.keys[:0]
+	w.recs, w.keys = &rt.recs, &rt.keys
 }
 
 // ProcessSet treats one admissible join result — a set of two or more
@@ -629,12 +643,18 @@ type worker struct {
 	// from one set to the next.
 	scratch entry
 	// rule is the resolved Pruner. recs are the records OrderAware and
-	// Pareto keep for the set under construction, in frontier order: the
-	// runtime's slice, whose capacity is recycled across runs.
+	// Pareto keep for the set under construction, in frontier order, and
+	// keys their costs and second metrics, index for index: the runtime's
+	// slices, whose capacity is recycled across runs.
 	rule rule
 	recs *[]record
+	keys *[]key
 	enum *partition.Enumerator
 	lv   level
+	// afterKeep, if not nil, is called once a kept candidate's record is
+	// written. Only tests set it, to check that the keys mirror the
+	// records.
+	afterKeep func(*worker)
 }
 
 // record is an admitted candidate of the set under construction: the
@@ -642,15 +662,24 @@ type worker struct {
 // pend, lp is nil until a candidate is admitted, and cost is NaN then,
 // which the whole-pair skip never passes. second, the candidate's
 // second metric, is filled under Pareto only, whose admission reads it;
-// under the other rules build computes it for survivors alone.
+// under the other rules build computes it for survivors alone. The
+// scalars the rules compare come first, and alg and pred are narrowed,
+// so that a record is 64 bytes: one cache line, moved without a
+// runtime.duffcopy call.
 type record struct {
+	cost, second     float64
+	order            int
 	lp, rp           *plan.Node
 	le, re           *entry
-	alg              cost.JoinAlg
-	pred, order      int
+	pred             int32
+	alg              uint8 // a cost.JoinAlg
 	lSorted, rSorted bool
-	cost, second     float64
 }
+
+// key is a record's cost and second metric, kept in a slice of its own
+// beside the records, index for index, so that the Pareto rule's scans
+// read 16 bytes a record.
+type key struct{ cost, second float64 }
 
 // lookup returns the entry of s, a single table or an admissible join
 // result; an empty frontier means no plan is known for s.
@@ -718,7 +747,7 @@ func (w *worker) trySplits(u bitset.Set, rank int) {
 		for i := range recs {
 			w.build(&recs[i])
 		}
-		*w.recs = recs[:0]
+		*w.recs, *w.keys = recs[:0], (*w.keys)[:0]
 	}
 	if e.f.Len() == 0 {
 		return
@@ -842,7 +871,7 @@ func (w *worker) firstSplit(left, right bitset.Set, le, re *entry) {
 // combinePareto is combine for the Pareto rule without interesting
 // orders, where every plan has no order. The operators' second metrics
 // are formed once per split too, by the calls secondMetric makes, and
-// each candidate goes through admits, then keep. A pair whose bound —
+// each candidate goes through offerPareto. A pair whose bound —
 // the cheapest operator's cost and the smallest second metric, each
 // rounded as a candidate's is — is α-dominated by a retained plan has
 // every candidate dominated, so its k candidates are counted as pruned
@@ -868,7 +897,7 @@ func (w *worker) combinePareto(left, right bitset.Set, le, re *entry) {
 		for ri, rn := 0, re.f.Len(); ri < rn; ri++ {
 			rp := re.f.At(ri)
 			in := lp.Cost + rp.Cost
-			if !w.admits(in+minOp, m.CombineSecond(lp.Buffer, rp.Buffer, minOp2), query.NoOrder) {
+			if w.dominated(in+minOp, m.CombineSecond(lp.Buffer, rp.Buffer, minOp2)) {
 				w.stats.PlansPruned += k
 				continue
 			}
@@ -884,7 +913,9 @@ func (w *worker) combinePareto(left, right bitset.Set, le, re *entry) {
 // admits reports whether no record of the set under construction
 // α-dominates a candidate of cost c, second metric second and order
 // order: at most α times as expensive in both metrics, with an order
-// that can substitute for the candidate's.
+// that can substitute for the candidate's. It is the rule of
+// offerFrontier, which interesting orders take; without them Pareto
+// asks dominated.
 func (w *worker) admits(c, second float64, order int) bool {
 	recs, a := *w.recs, w.alpha
 	for i := range recs {
@@ -895,31 +926,79 @@ func (w *worker) admits(c, second float64, order int) bool {
 	return true
 }
 
-// offerPareto is offer for combinePareto's candidates.
+// dominated is admits without the order test, for the Pareto rule
+// without interesting orders, where every plan has no order: whether a
+// key of the set under construction α-dominates a candidate of cost c
+// and second metric second. It scans the keys alone, and without a
+// branch: a set holds three or four keys on average, so reading all of
+// them costs less than the mispredicted exits a data-dependent test
+// would take.
+func (w *worker) dominated(c, second float64) bool {
+	ac, as := w.alpha*c, w.alpha*second
+	var d uint8
+	for _, k := range *w.keys {
+		d |= b2u(k.cost <= ac) & b2u(k.second <= as)
+	}
+	return d != 0
+}
+
+// b2u is 1 for true and 0 for false; the compiler emits a SETcc.
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// offerPareto is offer for combinePareto's candidates, and for Prune's
+// plans under Pareto: dominated, then keep.
 func (w *worker) offerPareto(lp, rp *plan.Node, alg cost.JoinAlg, order int, c, second float64) {
-	if !w.admits(c, second, order) {
+	if w.dominated(c, second) {
 		w.stats.PlansPruned++
 		return
 	}
-	w.keep(record{lp: lp, rp: rp, alg: alg, pred: plan.NoPred, order: order, cost: c, second: second})
+	*w.keep(c, second, order) = record{cost: c, second: second, order: order, lp: lp, rp: rp, pred: plan.NoPred, alg: uint8(alg)}
+	if w.afterKeep != nil {
+		w.afterKeep(w)
+	}
 }
 
-// keep adds an admitted candidate's record r to the set under
-// construction. It first evicts, in place and in order, the records r
-// dominates exactly: at most as expensive in both metrics, and r's
-// order can substitute. Under OrderAware, whose records' second metrics
-// are all zero, that is OrderAware's own rule. r goes last, so the
-// frontier keeps admission order.
-func (w *worker) keep(r record) {
-	recs, n := *w.recs, 0
-	for i := range recs {
-		if q := &recs[i]; !(r.cost <= q.cost && r.second <= q.second && orderDominates(r.order, q.order)) {
-			recs[n] = *q
-			n++
+// keep makes room for an admitted candidate of cost c, second metric
+// second and order order in the set under construction, and returns the
+// record the caller writes it into, once. It first evicts, in place and
+// in order, the records the candidate dominates exactly: at most as
+// expensive in both metrics, and its order can substitute. Under
+// OrderAware, whose records' second metrics are all zero, that is
+// OrderAware's own rule. The records before the first evicted one stay
+// where they are; the later survivors move down. The candidate goes
+// last, so the frontier keeps admission order, and its key with it.
+func (w *worker) keep(c, second float64, order int) *record {
+	recs, keys := *w.recs, *w.keys
+	n := len(keys)
+	for i := range keys {
+		if evicts(c, second, order, keys[i], &recs[i]) {
+			n = i
+			for i++; i < len(keys); i++ {
+				if !evicts(c, second, order, keys[i], &recs[i]) {
+					keys[n], recs[n] = keys[i], recs[i]
+					n++
+				}
+			}
+			break
 		}
 	}
-	*w.recs = append(recs[:n], r)
+	*w.keys = append(keys[:n], key{c, second})
+	recs = slices.Grow(recs[:n], 1)[:n+1]
+	*w.recs = recs
 	w.stats.PlansKept++
+	return &recs[n]
+}
+
+// evicts reports whether a candidate of cost c, second metric second
+// and order order dominates record q, whose key is k, exactly. The
+// record's order is read only once the key's metrics are dominated.
+func evicts(c, second float64, order int, k key, q *record) bool {
+	return c <= k.cost && second <= k.second && orderDominates(order, q.order)
 }
 
 // build materializes record r of the set under construction in the
@@ -930,10 +1009,10 @@ func (w *worker) build(r *record) {
 	second := r.second
 	if w.rule != rulePareto {
 		w.le, w.re = r.le, r.re
-		second = w.secondMetric(r.lp, r.rp, r.alg, r.lSorted, r.rSorted)
+		second = w.secondMetric(r.lp, r.rp, cost.JoinAlg(r.alg), r.lSorted, r.rSorted)
 	}
 	e := &w.scratch
-	spec := plan.JoinSpec{Alg: r.alg, OutCard: e.card, Pred: r.pred, Order: r.order, LSorted: r.lSorted, RSorted: r.rSorted}
+	spec := plan.JoinSpec{Alg: cost.JoinAlg(r.alg), OutCard: e.card, Pred: int(r.pred), Order: r.order, LSorted: r.lSorted, RSorted: r.rSorted}
 	e.f.Append(w.arena.JoinWithScalars(r.lp, r.rp, spec, r.cost, second))
 }
 
@@ -964,7 +1043,7 @@ func (w *worker) offer(lp, rp *plan.Node, alg cost.JoinAlg, pred, order int, lSo
 		}
 		// Field by field: a composite literal compiles to a block copy.
 		p.lp, p.rp, p.le, p.re = lp, rp, w.le, w.re
-		p.alg, p.pred, p.order, p.lSorted, p.rSorted, p.cost = alg, pred, order, lSorted, rSorted, c
+		p.alg, p.pred, p.order, p.lSorted, p.rSorted, p.cost = uint8(alg), int32(pred), order, lSorted, rSorted, c
 		w.stats.PlansKept++
 		return
 	}
@@ -984,8 +1063,11 @@ func (w *worker) offerFrontier(lp, rp *plan.Node, alg cost.JoinAlg, pred, order 
 		w.stats.PlansPruned++
 		return
 	}
-	w.keep(record{lp: lp, rp: rp, le: w.le, re: w.re, alg: alg, pred: pred, order: order,
-		lSorted: lSorted, rSorted: rSorted, cost: c, second: second})
+	*w.keep(c, second, order) = record{cost: c, second: second, order: order, lp: lp, rp: rp, le: w.le, re: w.re,
+		pred: int32(pred), alg: uint8(alg), lSorted: lSorted, rSorted: rSorted}
+	if w.afterKeep != nil {
+		w.afterKeep(w)
+	}
 }
 
 // Serial runs the classical (unpartitioned) dynamic program for the given

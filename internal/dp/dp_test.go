@@ -608,8 +608,9 @@ func checkWideLevelContract(t *testing.T, q *query.Query, cs *partition.Constrai
 // and at width w = 2 (one helper), one constrained partition of
 // each, an interesting-orders run, a serial 8-table job at both widths,
 // one of serve-zipf8's 50 µs partitions, tcp-mo12's multi-objective
-// partitions — on reused Runtimes, as every engine does, and reports
-// nanoseconds per work unit. It is the instrument for A/B-ing
+// partitions, and the bushy multi-objective and robust partitions that
+// run the same Pareto loop — on reused Runtimes, as every engine does,
+// and reports nanoseconds per work unit. It is the instrument for A/B-ing
 // inner-loop variants while working (docs/perf.md §6 quotes it); claims
 // are made with bench/.
 //
@@ -632,6 +633,8 @@ func BenchmarkJobClasses(b *testing.B) {
 		{"linear8w2", partition.Linear, 8, 1, 2, Options{}},
 		{"linear8m2", partition.Linear, 8, 2, 1, Options{}},
 		{"linear12mo", partition.Linear, 12, 4, 1, Options{Pruner: Pareto{Alpha: 2}}},
+		{"bushy10mo", partition.Bushy, 10, 4, 1, Options{Pruner: Pareto{Alpha: 2}}},
+		{"linear12robust", partition.Linear, 12, 4, 1, Options{Model: cost.Robust(2), Pruner: Pareto{Alpha: 1}}}, // a RobustObjective job's default band and α
 	} {
 		for _, shape := range []workload.Shape{workload.Star, workload.Chain, workload.Cycle} {
 			b.Run(c.name+"/"+shape.String(), func(b *testing.B) {

@@ -84,6 +84,10 @@ func FuzzPrune(f *testing.F) {
 	f.Add(uint8(3), []byte{0xf1, 0x1f, 0xff, 0xff, 0x11, 0x11, 0xc0})
 	f.Add(uint8(7), []byte{0x13, 0x21})
 	f.Add(uint8(2), []byte{})
+	// At α = 1: (2.5, 1.5) evicts the middle record (3, 2) of three, and
+	// (1.5, 1.5) the two middle records (2, 3) and (3, 2) of four.
+	f.Add(uint8(5), []byte{0x14, 0x32, 0x41, 0x76})
+	f.Add(uint8(5), []byte{0x14, 0x23, 0x32, 0x41, 0x66})
 	f.Fuzz(func(t *testing.T, rule uint8, data []byte) {
 		var p Pruner = SingleBest{}
 		if rule%10 == 1 {
@@ -100,6 +104,7 @@ func FuzzPrune(f *testing.F) {
 			n := &plan.Node{Cost: pruneValues[b>>4], Buffer: pruneValues[b&15], Order: i % 3}
 			frontiers[len(frontiers)-1] = append(frontiers[len(frontiers)-1], n)
 		}
+		PruneCheckingKeys(func(err error) { t.Fatal(err) }, p, frontiers...)
 		got, want := Prune(p, frontiers...), referencePrune(p, frontiers)
 		if (got == nil) != (want == nil) || len(got) != len(want) {
 			t.Fatalf("%T%+v: Prune kept %d plans (nil %v), the reference %d (nil %v)", p, p, len(got), got == nil, len(want), want == nil)

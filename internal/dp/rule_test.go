@@ -18,7 +18,15 @@ func vecRecord(c, second float64, order int) record {
 // ruleWorker returns a worker with no records, applying Pareto with the
 // given factor — or OrderAware, for α = 1 and zero second metrics.
 func ruleWorker(alpha float64) *worker {
-	return &worker{alpha: alpha, recs: new([]record)}
+	return &worker{alpha: alpha, recs: new([]record), keys: new([]key)}
+}
+
+// setRecs makes recs the worker's records, and their keys its keys.
+func setRecs(w *worker, recs ...record) {
+	*w.recs, *w.keys = recs, nil
+	for _, r := range recs {
+		*w.keys = append(*w.keys, key{r.cost, r.second})
+	}
 }
 
 // offerTo offers a candidate with these scalars the way offer does under
@@ -27,7 +35,10 @@ func offerTo(w *worker, c, second float64, order int) bool {
 	if !w.admits(c, second, order) {
 		return false
 	}
-	w.keep(vecRecord(c, second, order))
+	*w.keep(c, second, order) = vecRecord(c, second, order)
+	if err := keysMirrorRecs(w); err != nil {
+		panic(err)
+	}
 	return true
 }
 
@@ -108,10 +119,13 @@ func TestParetoOrderCompatibility(t *testing.T) {
 // the plans per table set (§5.4).
 func TestParetoAdmitsAllocFree(t *testing.T) {
 	w := ruleWorker(2)
-	*w.recs = []record{vecRecord(10, 1, query.NoOrder), vecRecord(1, 10, query.NoOrder)}
+	setRecs(w, vecRecord(10, 1, query.NoOrder), vecRecord(1, 10, query.NoOrder))
 	var sink bool
 	if allocs := testing.AllocsPerRun(1000, func() { sink = w.admits(50, 50, query.NoOrder) }); allocs != 0 {
 		t.Errorf("Pareto admission allocates %.1f times per call", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { sink = w.dominated(50, 50) }); allocs != 0 {
+		t.Errorf("Pareto admission without orders allocates %.1f times per call", allocs)
 	}
 	_ = sink
 }
@@ -121,11 +135,11 @@ func TestParetoAdmitsAllocFree(t *testing.T) {
 // set to set.
 func TestParetoInsertInlineAllocFree(t *testing.T) {
 	w := ruleWorker(1)
-	*w.recs = make([]record, 0, 2)
+	*w.recs, *w.keys = make([]record, 0, 2), make([]key, 0, 2)
 	allocs := testing.AllocsPerRun(1000, func() {
-		*w.recs = (*w.recs)[:0]
-		w.keep(vecRecord(10, 1, query.NoOrder))
-		w.keep(vecRecord(1, 10, query.NoOrder))
+		*w.recs, *w.keys = (*w.recs)[:0], (*w.keys)[:0]
+		*w.keep(10, 1, query.NoOrder) = vecRecord(10, 1, query.NoOrder)
+		*w.keep(1, 10, query.NoOrder) = vecRecord(1, 10, query.NoOrder)
 	})
 	if allocs != 0 || len(*w.recs) != 2 {
 		t.Errorf("keeping two incomparable records allocates %.1f times per run, keeps %d", allocs, len(*w.recs))
@@ -137,7 +151,7 @@ func TestParetoInsertInlineAllocFree(t *testing.T) {
 // to its one record.
 func TestAdmitsAllocFree(t *testing.T) {
 	w := ruleWorker(1)
-	*w.recs = []record{vecRecord(10, 0, query.NoOrder), vecRecord(12, 0, 3)}
+	setRecs(w, vecRecord(10, 0, query.NoOrder), vecRecord(12, 0, 3))
 	var sink bool
 	if allocs := testing.AllocsPerRun(1000, func() { sink = w.admits(11, 0, 3) }); allocs != 0 {
 		t.Errorf("OrderAware admission allocates %.1f times per call", allocs)

@@ -6,7 +6,7 @@ import "mpq/internal/plan"
 // plan-node arena the memo's plans are built in, the memo array, the
 // per-table scan entries, the memo frontiers' spill slabs, and the
 // records OrderAware and Pareto keep for the table set under
-// construction. A fresh run borrows them through Options.Runtime
+// construction, with their keys. A fresh run borrows them through Options.Runtime
 // instead of growing them from scratch, so a worker that optimizes a
 // stream of queries — one of core's runtime slots, which every engine's
 // partitions run on — reaches a steady state where the dynamic program
@@ -22,9 +22,9 @@ import "mpq/internal/plan"
 // memory.
 //
 // A Runtime also keeps the memory of the run's helper workers
-// (Options.Helpers): each helper's arena, spill slabs and records, made
-// on first use and recycled like the rest. A helper borrows only a core;
-// its plans stay in the run's own runtime until Finish.
+// (Options.Helpers): each helper's arena, spill slabs, records and
+// keys, made on first use and recycled like the rest. A helper borrows
+// only a core; its plans stay in the run's own runtime until Finish.
 //
 // Not safe for concurrent use: hand a Runtime to one run at a time, as
 // core's slots do.
@@ -38,6 +38,7 @@ type Runtime struct {
 	scans  []entry
 	spills spillArena
 	recs   []record
+	keys   []key
 	// helpers holds the memory of the run's helper workers.
 	helpers []*Runtime
 	_       [64]byte
@@ -48,7 +49,7 @@ type Runtime struct {
 func NewRuntime() *Runtime { return &Runtime{} }
 
 // helper returns the memory of the run's i-th helper worker, made on
-// first use. Only its arena, spill slabs and records are used.
+// first use. Only its arena, spill slabs, records and keys are used.
 func (rt *Runtime) helper(i int) *Runtime {
 	for len(rt.helpers) <= i {
 		rt.helpers = append(rt.helpers, NewRuntime())

@@ -48,6 +48,10 @@ var (
 	_ func(mpq.ClusterModel) mpq.EngineOption                     = mpq.WithClusterModel
 	_ func(mpq.ClusterFaults) mpq.EngineOption                    = mpq.WithClusterFaults
 	_ func(mpq.MasterOptions) mpq.EngineOption                    = mpq.WithMasterOptions
+
+	// The plan cache's wire-hit path, which the daemon finds through an
+	// interface of its own.
+	_ func(*mpq.CachedEngine, []byte, []byte) ([]byte, *mpq.Answer, bool) = (*mpq.CachedEngine).AppendWireHit
 )
 
 // The Engine interface shape itself is part of the contract.

@@ -267,6 +267,19 @@ func (e *CachedEngine) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer
 // CacheTotals returns a snapshot of the cache-wide counters.
 func (e *CachedEngine) CacheTotals() CacheTotals { return e.cache.Totals() }
 
+// AppendWireHit answers a wire job request by its bytes, for a serving
+// front that speaks the wire protocol (the mpqd daemon). req is a
+// job-request frame's payload. If the cache stores its job, the stored
+// reply frame — length prefix included, Seq set to req's, byte for byte
+// the JobResponse an answer to req would encode to — is appended to dst
+// and returned with the stored answer (shared: do not modify it), and
+// the hit counts in CacheTotals. Otherwise dst comes back unchanged with
+// false, and the caller decodes req and calls Optimize as usual. No
+// query is decoded and no plan encoded either way.
+func (e *CachedEngine) AppendWireHit(dst, req []byte) ([]byte, *Answer, bool) {
+	return e.cache.AppendWireHit(dst, req)
+}
+
 // Compile-time proof that all engines implement Engine.
 var (
 	_ Engine = (*InProcessEngine)(nil)

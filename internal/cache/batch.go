@@ -38,8 +38,9 @@ func (c *Cache) OptimizeBatch(ctx context.Context, jobs []BatchJob, computeBatch
 
 	// Keys first, lock second, as Lookup, Insert and Optimize do: a key
 	// is a full wire encoding of the job, and every concurrent user of
-	// the cache would wait behind it. Entry sizes encode every computed
-	// plan, so they are taken before the second lock for the same reason.
+	// the cache would wait behind it. Entry reply frames encode every
+	// computed plan, so they (and the sizes) are made before the second
+	// lock for the same reason.
 	for i, job := range jobs {
 		keys[i] = c.KeyOf(job.Query, job.Spec)
 	}
@@ -71,15 +72,17 @@ func (c *Cache) OptimizeBatch(ctx context.Context, jobs []BatchJob, computeBatch
 		return nil, fmt.Errorf("cache: batch compute returned %d answers for %d jobs", len(computed), len(miss))
 	}
 	sizes := make([]int64, len(computed))
+	replies := make([][]byte, len(computed))
 	for k, ans := range computed {
 		sizes[k] = entrySize(keys[missPos[k]], ans)
+		replies[k] = replyOf(ans, miss[k].Spec)
 	}
 
 	c.mu.Lock()
 	for k, ans := range computed {
 		i := missPos[k]
 		c.t.Misses++
-		c.insertLocked(keys[i], ans, sizes[k])
+		c.insertLocked(keys[i], ans, replies[k], sizes[k])
 		answers[i] = stamped(ans, c.snapshotLocked(), false, false)
 		for _, j := range dups[i] {
 			c.t.Collapses++

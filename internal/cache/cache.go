@@ -36,14 +36,21 @@
 // shallow copies that share the immutable plan trees. Hit/miss/evict/
 // collapse counters are surfaced per answer through core.Answer.Cache
 // and in aggregate through Totals.
+//
+// Each entry also keeps its answer's wire reply frame (wire.AnswerFrame,
+// Seq 0), encoded once at insert, so that a serving front can answer a
+// repeated wire request by its bytes alone (AppendWireHit): no query
+// decoded, no key re-encoded, no plan re-encoded. The frame is not
+// charged to the byte budget; entrySize is what it was before entries
+// kept it, so a stream evicts in the same order either way.
 package cache
 
 import (
 	"container/heap"
-	"hash/fnv"
 	"sync"
 
 	"mpq/internal/core"
+	"mpq/internal/plan"
 	"mpq/internal/query"
 	"mpq/internal/wire"
 )
@@ -102,6 +109,7 @@ const freqCap = 15
 type entry struct {
 	key   Key
 	ans   *core.Answer
+	reply []byte // ans's wire reply frame with Seq 0 (replyOf); read-only
 	bytes int64
 	cost  float64 // deterministic recompute cost (DP work units)
 	freq  int     // references: 1 at insert, +1 per hit, at most freqCap
@@ -139,35 +147,72 @@ func New(cfg Config) *Cache {
 }
 
 // KeyOf builds the canonical cache key for (q, spec): the wire job
-// encoding — the exact bytes a master would send a worker for this job,
-// with sequence and partition fixed to zero — fingerprinted with
-// FNV-1a. Everything that changes the chosen plan (statistics, join
-// graph, plan space, worker count, objective, α, order flags, cost
-// model) is in the encoding; nothing else is: α and the robust band are
-// encoded as the objective reads them.
+// encoding — the exact bytes a master would send a worker for this job
+// — made canonical by wire.CanonicalJobKey (sequence and partition
+// zero, α and the robust band as the objective reads them), and
+// fingerprinted with FNV-1a. Everything that changes the chosen plan
+// (statistics, join graph, plan space, worker count, objective, α,
+// order flags, cost model) is in the encoding; nothing else is. A wire
+// request frame for the job keys to the same bytes, which is how
+// AppendWireHit finds an entry without decoding the frame.
 func (c *Cache) KeyOf(q *query.Query, spec core.JobSpec) Key {
-	// Only frontier objectives read α, and they read 0 as 1; only robust
-	// jobs read the band, and they read 0 as the default.
-	if !spec.Objective.HasFrontier() {
-		spec.Alpha = 0
-	} else if spec.Alpha == 0 {
-		spec.Alpha = 1
-	}
-	if spec.Objective != core.RobustObjective {
-		spec.RobustBand = 0
-	} else if spec.RobustBand == 0 {
-		spec.RobustBand = core.DefaultRobustBand
-	}
 	b := wire.EncodeJobRequest(&wire.JobRequest{Spec: spec, Query: q})
-	var fp uint64
+	wire.CanonicalJobKey(b)
+	return Key{FP: c.fingerprint(b), Bytes: string(b)}
+}
+
+// fingerprint hashes a key's bytes with FNV-1a (hash/fnv's New64a),
+// written out so that hashing allocates nothing.
+func (c *Cache) fingerprint(b []byte) uint64 {
 	if c.hashFn != nil {
-		fp = c.hashFn(b)
-	} else {
-		h := fnv.New64a()
-		h.Write(b)
-		fp = h.Sum64()
+		return c.hashFn(b)
 	}
-	return Key{FP: fp, Bytes: string(b)}
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, x := range b {
+		h ^= uint64(x)
+		h *= prime64
+	}
+	return h
+}
+
+// AppendWireHit answers a wire job request from the store without
+// decoding it. req is a job-request payload as wire.ReadFrame returns
+// it. If its canonical key (wire.CanonicalJobKey) is stored, the entry's
+// reply frame — length prefix included, Seq set to req's — is appended
+// to dst, the hit is counted as Lookup counts one, and the stored answer
+// is returned as well (shared and read-only, not stamped). Otherwise dst
+// comes back unchanged with nil and false, nothing is counted, and the
+// caller serves req the usual way. A frame that would not decode never
+// hits: a stored key is the canonical encoding of a valid job, and a
+// frame that keys to it differs from it only in fields the decoder does
+// not check (FuzzFrameKey). Nothing allocates unless dst must grow.
+func (c *Cache) AppendWireHit(dst, req []byte) ([]byte, *core.Answer, bool) {
+	n := len(dst)
+	dst = append(dst, req...)
+	key := dst[n:]
+	if !wire.CanonicalJobKey(key) {
+		return dst[:n], nil, false
+	}
+	fp := c.fingerprint(key)
+	c.mu.Lock()
+	var e *entry
+	for _, o := range c.entries[fp] {
+		if o.key.Bytes == string(key) {
+			e = o
+			break
+		}
+	}
+	if e == nil || e.reply == nil {
+		c.mu.Unlock()
+		return dst[:n], nil, false
+	}
+	ans, _ := c.hitLocked(e)
+	reply := e.reply
+	c.mu.Unlock()
+	dst = append(dst[:n], reply...)
+	wire.SetFrameSeq(dst[n:], wire.PeekJobRequestSeq(req))
+	return dst, ans, true
 }
 
 // Totals returns a snapshot of the cache-wide counters.
@@ -205,9 +250,9 @@ func (c *Cache) Lookup(q *query.Query, spec core.JobSpec) (*core.Answer, bool) {
 // keeps the answer as given; callers must not mutate it afterwards.
 func (c *Cache) Insert(q *query.Query, spec core.JobSpec, ans *core.Answer) {
 	key := c.KeyOf(q, spec)
-	size := entrySize(key, ans)
+	reply, size := replyOf(ans, spec), entrySize(key, ans)
 	c.mu.Lock()
-	c.insertLocked(key, ans, size)
+	c.insertLocked(key, ans, reply, size)
 	c.mu.Unlock()
 }
 
@@ -242,13 +287,13 @@ func (c *Cache) touchLocked(e *entry) {
 	heap.Fix(&c.evict, e.hidx)
 }
 
-// insertLocked stores (key → ans) at size bytes (entrySize, computed
-// before the lock), replacing an exact-key entry if one exists, with a
-// fresh reference count, and evicting the lowest-priority entries until
-// the budget holds. An answer larger than the whole budget is not
+// insertLocked stores (key → ans, with its reply frame) at size bytes
+// (replyOf and entrySize, both computed before the lock), replacing an
+// exact-key entry if one exists, with a fresh reference count, and
+// evicting the lowest-priority entries until the budget holds. An answer larger than the whole budget is not
 // cached, and the key's old entry is dropped all the same: the key
 // never serves an answer older than the last one it was given.
-func (c *Cache) insertLocked(key Key, ans *core.Answer, size int64) {
+func (c *Cache) insertLocked(key Key, ans *core.Answer, reply []byte, size int64) {
 	old := c.lookupLocked(key)
 	if old != nil {
 		c.removeLocked(old)
@@ -272,6 +317,7 @@ func (c *Cache) insertLocked(key Key, ans *core.Answer, size int64) {
 	e := &entry{
 		key:   key,
 		ans:   ans,
+		reply: reply,
 		bytes: size,
 		cost:  float64(ans.Stats.WorkUnits() + 1),
 		freq:  1,
@@ -310,18 +356,34 @@ func (c *Cache) unchainLocked(e *entry) {
 
 // entrySize is the deterministic byte accounting of one entry: the
 // encoded key, the encoded best plan and frontier (what a worker would
-// put on the wire for this answer), plus a fixed bookkeeping overhead.
-// It encodes every plan, so callers run it before taking the lock.
+// put on the wire for this answer, measured by wire.PlanLen without
+// encoding), plus a fixed bookkeeping overhead. The entry's reply frame
+// is not charged.
 func entrySize(key Key, ans *core.Answer) int64 {
 	const overhead = 256 // entry struct, heap slot, chain slot, answer struct
 	size := int64(len(key.Bytes)) + overhead
 	if ans.Best != nil {
-		size += int64(len(wire.EncodePlan(ans.Best)))
+		size += int64(wire.PlanLen(ans.Best))
 	}
 	for _, p := range ans.Frontier {
-		size += int64(len(wire.EncodePlan(p)))
+		size += int64(wire.PlanLen(p))
 	}
 	return size
+}
+
+// replyOf is the wire reply frame a serving front sends for ans under
+// spec, with Seq 0: the one encoding of an entry, made at insert and
+// outside the lock. It is nil for an answer without a best plan, which
+// AppendWireHit then never serves.
+func replyOf(ans *core.Answer, spec core.JobSpec) []byte {
+	if ans.Best == nil {
+		return nil
+	}
+	var frontier []*plan.Node
+	if spec.Objective.HasFrontier() {
+		frontier = ans.Frontier
+	}
+	return wire.AnswerFrame(0, ans.Best, frontier, ans.Stats)
 }
 
 // stamped returns a shallow copy of ans carrying the per-answer cache

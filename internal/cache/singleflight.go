@@ -111,15 +111,16 @@ func (c *Cache) lead(ctx context.Context, key Key, f *flight, q *query.Query, sp
 	}
 
 	f.ans, f.err = ans, err
+	var reply []byte
 	var size int64
 	if err == nil {
-		size = entrySize(key, ans)
+		reply, size = replyOf(ans, spec), entrySize(key, ans)
 	}
 	c.mu.Lock()
 	delete(c.flights, key.Bytes)
 	c.t.Misses++
 	if err == nil {
-		c.insertLocked(key, ans, size)
+		c.insertLocked(key, ans, reply, size)
 	}
 	snap := c.snapshotLocked()
 	c.mu.Unlock()

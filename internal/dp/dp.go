@@ -596,10 +596,10 @@ func (e *Engine) Stats() plan.Stats {
 }
 
 // Finish validates that a complete plan exists and returns the result.
-// The surviving root plans are deep-copied out of the arena onto the
-// heap: the Result then shares no memory with the engine, so a pooled
-// Runtime can be recycled (and the arena's slabs are not pinned by a
-// handful of returned plans).
+// The surviving root plans are deep-copied out of the arena into one
+// heap slab (plan.CloneTrees): the Result then shares no memory with
+// the engine, so a pooled Runtime can be recycled (and the arena's
+// slabs are not pinned by a handful of returned plans).
 func (e *Engine) Finish() (*Result, error) {
 	q := e.w.q
 	root := e.w.lookup(q.All())
@@ -607,9 +607,7 @@ func (e *Engine) Finish() (*Result, error) {
 		return nil, fmt.Errorf("dp: no complete plan found (n=%d, partition %s)", q.N(), e.w.cs.Describe())
 	}
 	res := &Result{Plans: root.f.Slice(), Stats: e.Stats()}
-	for i, p := range res.Plans {
-		res.Plans[i] = plan.CloneTree(p)
-	}
+	plan.CloneTrees(res.Plans)
 	return res, nil
 }
 

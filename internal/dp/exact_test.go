@@ -131,47 +131,62 @@ func checkRecordedWork(t *testing.T, width int) string {
 			}
 		}
 	}
-	var recorded strings.Builder
-	recorded.WriteString("# case\tSetsProcessed SplitsTried PlansKept PlansPruned MemoEntries, per partition\n")
-	joins := 0
-	for si, shape := range workload.Shapes {
-		for _, n := range []int{6, 9} {
-			q := workload.MustGenerate(workload.NewParams(n, shape), int64(100*si+n))
-			for _, space := range []partition.Space{partition.Linear, partition.Bushy} {
-				for _, m := range []int{1, 4} {
-					for _, cfg := range exactConfigs {
-						key := fmt.Sprintf("%v-%d/%v/m%d/%s", shape, n, space, m, cfg.name)
-						var stats []string
-						for part := 0; part < m; part++ {
-							cs, err := partition.ForPartition(space, n, part, m)
-							if err != nil {
-								t.Fatal(err)
-							}
-							opts := cfg.opts()
-							eng, res := runPartition(t, q, cs, opts, width)
-							model := opts.Model
-							if model == (cost.Model{}) {
-								model = cost.Default()
-							}
-							for _, p := range res.Plans {
-								joins += checkExact(t, eng, q, model, p)
-							}
-							s := res.Stats
-							stats = append(stats, fmt.Sprintf("%d %d %d %d %d",
-								s.SetsProcessed, s.SplitsTried, s.PlansKept, s.PlansPruned, s.MemoEntries))
-						}
-						got := strings.Join(stats, " | ")
-						fmt.Fprintf(&recorded, "%s\t%s\n", key, got)
-						if !*updateStats && got != want[key] {
-							t.Errorf("%s at width %d: work counters\n got  %s\n want %s", key, width, got, want[key])
+	// Every case is a parallel subtest that writes its own slots; the
+	// table is assembled in case order afterwards.
+	var keys, got []string
+	var joins []int
+	t.Run(fmt.Sprintf("width%d", width), func(t *testing.T) {
+		for si, shape := range workload.Shapes {
+			for _, n := range []int{6, 9} {
+				q := workload.MustGenerate(workload.NewParams(n, shape), int64(100*si+n))
+				for _, space := range []partition.Space{partition.Linear, partition.Bushy} {
+					for _, m := range []int{1, 4} {
+						for _, cfg := range exactConfigs {
+							i := len(keys)
+							keys = append(keys, fmt.Sprintf("%v-%d/%v/m%d/%s", shape, n, space, m, cfg.name))
+							got, joins = append(got, ""), append(joins, 0)
+							t.Run(strings.ReplaceAll(keys[i], "/", "-"), func(t *testing.T) {
+								t.Parallel()
+								var stats []string
+								for part := 0; part < m; part++ {
+									cs, err := partition.ForPartition(space, n, part, m)
+									if err != nil {
+										t.Fatal(err)
+									}
+									opts := cfg.opts()
+									eng, res := runPartition(t, q, cs, opts, width)
+									model := opts.Model
+									if model == (cost.Model{}) {
+										model = cost.Default()
+									}
+									for _, p := range res.Plans {
+										joins[i] += checkExact(t, eng, q, model, p)
+									}
+									s := res.Stats
+									stats = append(stats, fmt.Sprintf("%d %d %d %d %d",
+										s.SetsProcessed, s.SplitsTried, s.PlansKept, s.PlansPruned, s.MemoEntries))
+								}
+								got[i] = strings.Join(stats, " | ")
+								if !*updateStats && got[i] != want[keys[i]] {
+									t.Errorf("%s at width %d: work counters\n got  %s\n want %s", keys[i], width, got[i], want[keys[i]])
+								}
+							})
 						}
 					}
 				}
 			}
 		}
+	})
+	t.Logf("%d cases at width %d", len(keys), width)
+	var recorded strings.Builder
+	recorded.WriteString("# case\tSetsProcessed SplitsTried PlansKept PlansPruned MemoEntries, per partition\n")
+	total := 0
+	for i, key := range keys {
+		fmt.Fprintf(&recorded, "%s\t%s\n", key, got[i])
+		total += joins[i]
 	}
-	if joins < 1000 {
-		t.Fatalf("only %d join nodes checked; the test would be vacuous", joins)
+	if total < 1000 {
+		t.Fatalf("only %d join nodes checked; the test would be vacuous", total)
 	}
 	return recorded.String()
 }

@@ -17,7 +17,7 @@ import "mpq/internal/plan"
 // A Runtime may back at most one engine at a time: NewEngine resets the
 // arena and memo, invalidating every node of the previous run. The
 // engine's Finish therefore deep-copies the surviving root plans out of
-// the arena (plan.CloneTree) before returning them, which is what makes
+// the arena (plan.CloneTrees) before returning them, which is what makes
 // reusing runtimes safe — a returned Result never references runtime
 // memory.
 //

@@ -170,12 +170,12 @@ func (st *connState) cancelInFlight() int {
 	if st.conn == nil || st.inflight == 0 {
 		return 0
 	}
-	payload := wire.EncodeCancelRequest(&wire.CancelRequest{Seq: st.inflight})
+	frame := wire.CancelRequestFrame(&wire.CancelRequest{Seq: st.inflight})
 	st.conn.SetWriteDeadline(time.Now().Add(cancelWriteTimeout))
-	if err := wire.WriteFrame(st.conn, payload); err != nil {
+	if err := wire.WriteFramed(st.conn, frame); err != nil {
 		return 0
 	}
-	return len(payload) + 4
+	return len(frame)
 }
 
 // runJob performs one job attempt on worker ni under the per-job
@@ -233,13 +233,13 @@ func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, st 
 	st.seq++
 	seq := st.seq
 	st.owner[seq] = u.Job
-	payload := wire.EncodeJobRequest(&wire.JobRequest{Seq: seq, Spec: job.Spec, PartID: u.Part, Query: job.Query})
+	frame := wire.JobRequestFrame(&wire.JobRequest{Seq: seq, Spec: job.Spec, PartID: u.Part, Query: job.Query})
 	// The request write and the in-flight marker share one critical
 	// section so a concurrent cancel frame can never interleave with (or
 	// target a request that precedes) the request bytes.
 	st.mu.Lock()
 	conn.SetDeadline(deadline)
-	werr := wire.WriteFrame(conn, payload)
+	werr := wire.WriteFramed(conn, frame)
 	if werr == nil {
 		st.inflight = seq
 	}
@@ -247,7 +247,7 @@ func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, st 
 	if werr != nil {
 		return fail(fmt.Errorf("send to %s: %w", addr, werr))
 	}
-	res.sent = uint64(len(payload) + 4)
+	res.sent = uint64(len(frame))
 	res.msgs++
 	for {
 		respB, err := wire.ReadFrame(st.r)

@@ -123,11 +123,11 @@ func (w *Worker) serveConn(conn net.Conn) {
 			}
 			// Per-sequence cancel: the master explicitly no longer wants
 			// this answer but is still reading — acknowledge and move on.
-			resp = wire.EncodeWorkerError(&wire.WorkerError{
+			resp = wire.WorkerErrorFrame(&wire.WorkerError{
 				Seq: seq, Code: wire.ErrCanceled, Msg: wire.CanceledMsg,
 			})
 		}
-		if err := wire.WriteFrame(conn, resp); err != nil {
+		if err := wire.WriteFramed(conn, resp); err != nil {
 			return
 		}
 	}
@@ -187,7 +187,8 @@ func (s *seqCancels) cancel(seq uint32) {
 }
 
 // handleRequest decodes and executes one job under the connection's
-// context. Failures are reported with an explicit wire.WorkerError
+// context and returns the whole reply frame, length prefix included
+// (wire.WriteFramed). Failures are reported with an explicit wire.WorkerError
 // frame so the master can distinguish a request damaged in transit
 // (ErrBadRequest — the master validates jobs before sending, so
 // re-dispatch can help) from a deterministic job failure (ErrJobFailed
@@ -200,7 +201,7 @@ func (s *seqCancels) cancel(seq uint32) {
 func handleRequest(ctx context.Context, payload []byte) []byte {
 	req, err := wire.DecodeJobRequest(payload)
 	if err != nil {
-		return wire.EncodeWorkerError(&wire.WorkerError{
+		return wire.WorkerErrorFrame(&wire.WorkerError{
 			Seq: wire.PeekJobRequestSeq(payload), Code: wire.ErrBadRequest, Msg: fmt.Sprintf("decode: %v", err),
 		})
 	}
@@ -209,11 +210,11 @@ func handleRequest(ctx context.Context, payload []byte) []byte {
 		if ctx.Err() != nil {
 			return nil
 		}
-		return wire.EncodeWorkerError(&wire.WorkerError{
+		return wire.WorkerErrorFrame(&wire.WorkerError{
 			Seq: req.Seq, Code: wire.ErrJobFailed, Msg: err.Error(),
 		})
 	}
-	return wire.EncodeJobResponse(&wire.JobResponse{Seq: req.Seq, Plans: res.Plans, Stats: res.Stats})
+	return wire.JobResponseFrame(&wire.JobResponse{Seq: req.Seq, Plans: res.Plans, Stats: res.Stats})
 }
 
 // Close stops accepting and tears down open connections.

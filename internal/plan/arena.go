@@ -100,20 +100,50 @@ func (a *Arena) Allocated() int {
 // tests assert this stops growing across Resets).
 func (a *Arena) Slabs() int { return len(a.slabs) }
 
+// CloneTrees deep-copies plans, in place, into one slab of fresh heap
+// nodes: CloneTree for a whole plan set in one allocation. A proper
+// tree over k tables has exactly 2k−1 nodes, so the roots' table sets
+// size the slab.
+func CloneTrees(plans []*Node) {
+	n := 0
+	for _, p := range plans {
+		n += max(2*p.Tables.Count()-1, 0)
+	}
+	slab := make([]Node, n)
+	for i, p := range plans {
+		plans[i] = cloneInto(&slab, p)
+	}
+}
+
+// cloneInto copies n's tree into the front of *slab, or onto the heap
+// once the slab is spent.
+func cloneInto(slab *[]Node, n *Node) *Node {
+	var c *Node
+	if len(*slab) > 0 {
+		c = &(*slab)[0]
+		*slab = (*slab)[1:]
+	} else {
+		c = new(Node)
+	}
+	*c = *n
+	if !n.IsScan {
+		c.Left = cloneInto(slab, n.Left)
+		c.Right = cloneInto(slab, n.Right)
+	}
+	return c
+}
+
 // CloneTree deep-copies a plan into fresh heap nodes. It is how
 // surviving plans escape an arena whose slabs are about to be recycled:
 // the copy carries identical annotations (wire fingerprints are
 // unchanged) but shares no memory with the arena. A plan is a proper
 // tree (operand table sets are disjoint), so the copy has exactly one
-// node per operator.
+// node per operator. It is CloneTrees of one plan.
 func CloneTree(n *Node) *Node {
 	if n == nil {
 		return nil
 	}
-	c := *n
-	if !n.IsScan {
-		c.Left = CloneTree(n.Left)
-		c.Right = CloneTree(n.Right)
-	}
-	return &c
+	plans := []*Node{n}
+	CloneTrees(plans)
+	return plans[0]
 }

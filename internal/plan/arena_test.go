@@ -138,3 +138,45 @@ func TestCloneTreeEscapesArena(t *testing.T) {
 		t.Fatal("CloneTree(nil) != nil")
 	}
 }
+
+// CloneTrees copies a whole plan set out of an arena in one allocation:
+// equal trees, no node shared with the arena, and copies that survive
+// the arena's reuse.
+func TestCloneTreesIsOneSlab(t *testing.T) {
+	q := arenaQuery(t)
+	m := cost.Default()
+	a := &Arena{}
+	spec := JoinSpec{Alg: cost.Hash, OutCard: 2000, Pred: NoPred, Order: query.NoOrder}
+	ab := a.Join(m, a.Scan(m, q, 0), a.Scan(m, q, 1), spec)
+	spec.OutCard = 50000
+	roots := []*Node{
+		a.Join(m, ab, a.Scan(m, q, 2), spec),
+		a.Join(m, a.Scan(m, q, 2), ab, spec),
+	}
+	want := []string{roots[0].String(), roots[1].String()}
+
+	clones := append([]*Node(nil), roots...)
+	CloneTrees(clones)
+	a.Reset()
+	for i := 0; i < 4*slabNodes; i++ {
+		a.Scan(m, q, 0)
+	}
+	for i, c := range clones {
+		if c.String() != want[i] {
+			t.Fatalf("clone %d changed after arena reuse: %s, want %s", i, c, want[i])
+		}
+		if err := c.Validate(q, m); err != nil {
+			t.Fatalf("clone %d fails validation: %v", i, err)
+		}
+	}
+	if clones[0].Left == clones[1].Right {
+		t.Fatal("the clones share the subtree their originals shared")
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		copy(clones, roots)
+		CloneTrees(clones)
+	})
+	if allocs != 1 {
+		t.Fatalf("CloneTrees of %d plans allocates %.1f objects, want 1", len(roots), allocs)
+	}
+}

@@ -135,7 +135,7 @@ func (c *Client) Optimize(ctx context.Context, q *mpq.Query, spec mpq.JobSpec) (
 	c.pending[seq] = ch
 	c.mu.Unlock()
 
-	frame := wire.EncodeJobRequest(&wire.JobRequest{Seq: seq, Spec: spec, Query: q})
+	frame := wire.JobRequestFrame(&wire.JobRequest{Seq: seq, Spec: spec, Query: q})
 	c.writeMu.Lock()
 	// Bound the send so a stalled daemon (full socket buffer) cannot
 	// pin writeMu — and with it every concurrent Optimize on this
@@ -146,7 +146,7 @@ func (c *Client) Optimize(ctx context.Context, q *mpq.Query, spec mpq.JobSpec) (
 		deadline = d
 	}
 	c.conn.SetWriteDeadline(deadline)
-	err := wire.WriteFrame(c.conn, frame)
+	err := wire.WriteFramed(c.conn, frame)
 	c.conn.SetWriteDeadline(time.Time{})
 	c.writeMu.Unlock()
 	if err != nil {

@@ -13,10 +13,13 @@
 //     wire.JobRequest/JobResponse frames with Seq echoes), so the same
 //     client code that talks to a netrun worker can talk to the daemon.
 //
-// Every request passes one admission-controlled arrival queue: at most
-// Config.QueueDepth requests wait at a time, and load beyond that is
-// rejected immediately (HTTP 429, wire ErrOverloaded — both retryable)
-// instead of building an unbounded backlog. Waiting requests are
+// Every engine call passes one admission-controlled arrival queue (a
+// wire request that the engine's plan cache answers from a stored reply
+// frame is not an engine call, and is served before admission; see
+// wirefront.go): at most Config.QueueDepth requests wait at a time,
+// and load beyond that is rejected immediately (HTTP 429, wire
+// ErrOverloaded — both retryable) instead of building an unbounded
+// backlog. Waiting requests are
 // dispatched by per-tenant stride scheduling: each tenant owns a FIFO
 // and a virtual-time pass; the scheduler always serves the tenant with
 // the smallest pass and advances it by stride = K/weight, so over any
@@ -47,6 +50,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mpq"
@@ -184,7 +188,7 @@ type Server struct {
 	wireConns map[net.Conn]struct{}
 	draining  bool
 	closed    bool
-	reqSeq    uint64
+	reqSeq    atomic.Uint64 // the last request ID handed out (nextID)
 
 	shutdownOnce sync.Once
 	shutdownDone chan struct{}
@@ -303,12 +307,16 @@ func (s *Server) closeListeners() {
 }
 
 // nextID hands out serving-layer request IDs.
-func (s *Server) nextID() string {
+func (s *Server) nextID() string { return requestID(s.reqSeq.Add(1)) }
+
+// requestID formats the n-th request ID.
+func requestID(n uint64) string { return fmt.Sprintf("r-%d", n) }
+
+// isDraining reports whether Shutdown has begun.
+func (s *Server) isDraining() bool {
 	s.mu.Lock()
-	s.reqSeq++
-	n := s.reqSeq
-	s.mu.Unlock()
-	return fmt.Sprintf("r-%d", n)
+	defer s.mu.Unlock()
+	return s.draining
 }
 
 // submit admits a request into the arrival queue or rejects it with

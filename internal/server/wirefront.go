@@ -24,6 +24,25 @@ import (
 // Responses arrive in completion order — a connection may pipeline
 // requests and match replies by Seq. Admission rejections come back as
 // WorkerError{Code: ErrOverloaded}, which masters classify retryable.
+//
+// A request the engine's plan cache already answered is served before
+// admission, on the connection's own reader: when the engine is a
+// wireCache (mpq.CachedEngine), the frame's bytes are looked up as they
+// arrived, and a hit writes the stored reply frame with the request's
+// Seq patched in — byte for byte the frame the engine's answer would
+// encode to. No query is decoded, no plan encoded, and no queue slot,
+// dispatcher or request context is taken, so queue depth, stride
+// fairness and Config.Dispatchers govern engine calls only. A hit still
+// counts in /metrics and the plan log as a served request. A miss, a
+// frame that does not key, an engine without a cache, and any request
+// once a drain began take the decode-and-admit path unchanged.
+
+// wireCache is a plan cache that answers a wire job-request frame from
+// a stored reply frame (mpq.CachedEngine.AppendWireHit): on a hit it
+// appends the reply to dst and returns the stored answer.
+type wireCache interface {
+	AppendWireHit(dst, req []byte) ([]byte, *mpq.Answer, bool)
+}
 
 // acceptWire runs the wire listener's accept loop.
 func (s *Server) acceptWire(ln net.Listener) {
@@ -41,8 +60,9 @@ func (s *Server) acceptWire(ln net.Listener) {
 }
 
 // serveWireConn reads frames until the peer hangs up or a drain
-// half-closes the read side. Each frame is submitted to the arrival
-// queue, and the dispatcher that serves it writes its reply, one frame
+// half-closes the read side. A frame the plan cache answers is replied
+// to at once, from this goroutine. Every other frame is submitted to
+// the arrival queue, and the dispatcher that serves it writes its reply, one frame
 // at a time under a per-connection mutex, in the order requests
 // complete. A peer disconnect cancels the connection context — and
 // with it every pending request from this peer — while a drain lets
@@ -93,7 +113,7 @@ func (s *Server) serveWireConn(conn net.Conn) {
 			return
 		}
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WireWriteTimeout))
-		if err := wire.WriteFrame(conn, frame); err != nil {
+		if err := wire.WriteFramed(conn, frame); err != nil {
 			cancel() // peer unreachable: kill this conn's in-flight work
 		}
 	}
@@ -113,6 +133,8 @@ func (s *Server) serveWireConn(conn net.Conn) {
 		pending.Wait() // every respond has written (or dropped) its frame
 	}()
 
+	cache, _ := s.cfg.Engine.(wireCache)
+	var hitFrame []byte         // the reader's reply buffer for cache hits, reused frame to frame
 	br := bufio.NewReader(conn) // one for the conn's life: frames read ahead stay buffered
 	for {
 		payload, err := wire.ReadFrameLimit(br, wire.MaxRequestFrame)
@@ -121,22 +143,32 @@ func (s *Server) serveWireConn(conn net.Conn) {
 		}
 		tag, err := wire.MessageTag(payload)
 		if err != nil {
-			reply(wire.EncodeWorkerError(&wire.WorkerError{
+			reply(wire.WorkerErrorFrame(&wire.WorkerError{
 				Seq: wire.PeekJobRequestSeq(payload), Code: wire.ErrBadRequest,
 				Msg: fmt.Sprintf("header: %v", err),
 			}))
 			continue
 		}
 		if reason := rejectWireTag(tag); reason != "" {
-			reply(wire.EncodeWorkerError(&wire.WorkerError{
+			reply(wire.WorkerErrorFrame(&wire.WorkerError{
 				Seq: wire.PeekJobRequestSeq(payload), Code: wire.ErrBadRequest,
 				Msg: reason,
 			}))
 			continue
 		}
+		if cache != nil && !s.isDraining() {
+			start := time.Now()
+			var ans *mpq.Answer
+			var hit bool
+			if hitFrame, ans, hit = cache.AppendWireHit(hitFrame[:0], payload); hit {
+				s.observeWireHit(tenant, payload, ans, time.Since(start))
+				reply(hitFrame) // synchronous: hitFrame is free again once it returns
+				continue
+			}
+		}
 		jr, err := wire.DecodeJobRequest(payload)
 		if err != nil {
-			reply(wire.EncodeWorkerError(&wire.WorkerError{
+			reply(wire.WorkerErrorFrame(&wire.WorkerError{
 				Seq: wire.PeekJobRequestSeq(payload), Code: wire.ErrBadRequest,
 				Msg: fmt.Sprintf("decode: %v", err),
 			}))
@@ -163,7 +195,7 @@ func (s *Server) serveWireConn(conn net.Conn) {
 		if err := s.submit(req); err != nil {
 			pending.Done()
 			reqCancel()
-			reply(wire.EncodeWorkerError(&wire.WorkerError{
+			reply(wire.WorkerErrorFrame(&wire.WorkerError{
 				Seq: seq, Code: wire.ErrOverloaded, Msg: err.Error(),
 			}))
 			if errors.Is(err, ErrDraining) {
@@ -196,10 +228,33 @@ func rejectWireTag(tag wire.Tag) (reason string) {
 	}
 }
 
-// encodeWireResult turns a request outcome into its response frame.
-// Plans[0] is the engine's chosen Best; for multi-objective jobs the
-// merged frontier follows in order, so the client reconstructs both
-// without re-deriving the best-plan tie-break.
+// observeWireHit records a wire cache hit as serve records an engine
+// call: a served request in /metrics, with the lookup as its service
+// time, and, when the plan log is on, a decision record, for which —
+// and only for which — the frame is decoded.
+func (s *Server) observeWireHit(tenant string, payload []byte, ans *mpq.Answer, served time.Duration) {
+	n := s.reqSeq.Add(1)
+	s.metrics.observe(tenant, "wire", "served", served)
+	s.metrics.observeAnswer(ans)
+	if s.plog == nil {
+		return
+	}
+	jr, err := wire.DecodeJobRequest(payload)
+	if err != nil {
+		return // unreachable: a frame that keys to a stored entry decodes
+	}
+	hit := *ans
+	hit.Cache = &mpq.CacheStats{Hit: true}
+	req := &request{id: requestID(n), tenant: tenant, source: "wire", query: jr.Query, spec: jr.Spec}
+	s.logDecision(req, result{ans: &hit, served: served})
+}
+
+// encodeWireResult turns a request outcome into its whole response
+// frame (wire.WriteFramed). Plans[0] is the engine's chosen Best; for
+// multi-objective jobs the merged frontier follows in order, so the
+// client reconstructs both without re-deriving the best-plan tie-break.
+// wire.AnswerFrame is also what the plan cache stores, so a wire cache
+// hit sends these very bytes.
 func encodeWireResult(seq uint32, multi bool, res result) []byte {
 	if res.err != nil {
 		code := wire.ErrJobFailed
@@ -208,11 +263,11 @@ func encodeWireResult(seq uint32, multi bool, res result) []byte {
 			// failures: a retry against a less loaded daemon can succeed.
 			code = wire.ErrOverloaded
 		}
-		return wire.EncodeWorkerError(&wire.WorkerError{Seq: seq, Code: code, Msg: res.err.Error()})
+		return wire.WorkerErrorFrame(&wire.WorkerError{Seq: seq, Code: code, Msg: res.err.Error()})
 	}
-	plans := []*mpq.Plan{res.ans.Best}
+	var frontier []*mpq.Plan
 	if multi {
-		plans = append(plans, res.ans.Frontier...)
+		frontier = res.ans.Frontier
 	}
-	return wire.EncodeJobResponse(&wire.JobResponse{Seq: seq, Plans: plans, Stats: res.ans.Stats})
+	return wire.AnswerFrame(seq, res.ans.Best, frontier, res.ans.Stats)
 }

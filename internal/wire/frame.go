@@ -34,7 +34,9 @@ const frameChunk = 64 << 10
 
 // WriteFrame writes one length-prefixed frame in a single Write: on a
 // TCP conn (no Nagle in Go) the prefix and the payload leave as one
-// segment, not two.
+// segment, not two. It copies the payload behind a prefix; a frame
+// built whole by one of the *Frame encoders goes out through
+// WriteFramed without that copy.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes, maximum %d", ErrFrameTooLarge, len(payload), MaxFrameSize)
@@ -43,6 +45,21 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
 	copy(buf[4:], payload)
 	_, err := w.Write(buf)
+	return err
+}
+
+// WriteFramed writes a whole frame — length prefix already in place, as
+// the *Frame encoders (JobRequestFrame, JobResponseFrame, AnswerFrame,
+// WorkerErrorFrame, CancelRequestFrame) build it — in a single Write,
+// copying nothing.
+func WriteFramed(w io.Writer, frame []byte) error {
+	if len(frame)-prefixLen > MaxFrameSize {
+		return fmt.Errorf("%w: %d bytes, maximum %d", ErrFrameTooLarge, len(frame)-prefixLen, MaxFrameSize)
+	}
+	if len(frame) < prefixLen || binary.BigEndian.Uint32(frame) != uint32(len(frame)-prefixLen) {
+		return fmt.Errorf("wire: %d-byte frame does not match its length prefix", len(frame))
+	}
+	_, err := w.Write(frame)
 	return err
 }
 

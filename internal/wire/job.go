@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"mpq/internal/core"
 	"mpq/internal/cost"
@@ -39,8 +41,12 @@ type JobResponse struct {
 // it even when the rest of the request fails to decode. The robust band
 // travels once, as Spec.RobustBand: the cost model's RobustBand is read
 // only under cost.RobustCost, which JobSpec.Validate refuses.
-func EncodeJobRequest(r *JobRequest) []byte {
-	e := &encoder{}
+func EncodeJobRequest(r *JobRequest) []byte { return JobRequestFrame(r)[prefixLen:] }
+
+// JobRequestFrame is EncodeJobRequest's payload as a whole frame,
+// length prefix included, for WriteFramed.
+func JobRequestFrame(r *JobRequest) []byte {
+	e := frameEncoder(jobFixedLen + queryBodyLen(r.Query))
 	e.header(TagJobRequest)
 	e.u32(r.Seq)
 	e.u8(uint8(r.Spec.Space))
@@ -55,8 +61,53 @@ func EncodeJobRequest(r *JobRequest) []byte {
 	e.u8(uint8(r.Spec.CostModel.Second))
 	e.f64(r.Spec.CostModel.HashSpillFactor)
 	e.u32(uint32(r.PartID))
-	encodeQueryBody(e, r.Query)
-	return e.buf
+	encodeQueryBody(&e, r.Query)
+	return e.frame()
+}
+
+// Offsets into a job-request payload. Everything before jobFixedLen —
+// header, Seq, spec, PartID — has a fixed size; the query follows.
+const (
+	jobSeqOff       = 4
+	jobObjectiveOff = 13
+	jobAlphaOff     = 14
+	jobBandOff      = 22
+	jobPartOff      = 64
+	jobFixedLen     = 68
+)
+
+// CanonicalJobKey rewrites a job-request payload, in place, into the
+// canonical key of its job: Seq and PartID become zero, and α and the
+// robust band are written as the objective reads them — only frontier
+// objectives read α, and they read 0 as 1; only robust jobs read the
+// band, and they read 0 as core.DefaultRobustBand. Two requests for the
+// same job, from any connection or partition, key alike; anything that
+// can change the chosen plan stays in the key. It reports false, and
+// leaves b alone, when b is too short for a job request or carries
+// another header. It checks nothing past the fixed part: a key is only
+// as valid as the request it came from.
+func CanonicalJobKey(b []byte) bool {
+	if tag, err := MessageTag(b); err != nil || tag != TagJobRequest || len(b) < jobFixedLen {
+		return false
+	}
+	binary.LittleEndian.PutUint32(b[jobSeqOff:], 0)
+	binary.LittleEndian.PutUint32(b[jobPartOff:], 0)
+	obj := core.Objective(b[jobObjectiveOff])
+	alpha := math.Float64frombits(binary.LittleEndian.Uint64(b[jobAlphaOff:]))
+	band := math.Float64frombits(binary.LittleEndian.Uint64(b[jobBandOff:]))
+	if !obj.HasFrontier() {
+		alpha = 0
+	} else if alpha == 0 {
+		alpha = 1
+	}
+	if obj != core.RobustObjective {
+		band = 0
+	} else if band == 0 {
+		band = core.DefaultRobustBand
+	}
+	binary.LittleEndian.PutUint64(b[jobAlphaOff:], math.Float64bits(alpha))
+	binary.LittleEndian.PutUint64(b[jobBandOff:], math.Float64bits(band))
+	return true
 }
 
 // DecodeJobRequest parses a request.
@@ -167,13 +218,17 @@ func (w *WorkerError) Error() string {
 }
 
 // EncodeWorkerError serializes a worker-error frame.
-func EncodeWorkerError(w *WorkerError) []byte {
-	e := &encoder{}
+func EncodeWorkerError(w *WorkerError) []byte { return WorkerErrorFrame(w)[prefixLen:] }
+
+// WorkerErrorFrame is EncodeWorkerError's payload as a whole frame,
+// length prefix included, for WriteFramed.
+func WorkerErrorFrame(w *WorkerError) []byte {
+	e := frameEncoder(headerLen + 4 + 1 + strLen(w.Msg))
 	e.header(TagWorkerError)
 	e.u32(w.Seq)
 	e.u8(uint8(w.Code))
 	e.str(w.Msg)
-	return e.buf
+	return e.frame()
 }
 
 // DecodeWorkerError parses a worker-error frame.
@@ -208,11 +263,15 @@ type CancelRequest struct {
 }
 
 // EncodeCancelRequest serializes a cancel frame.
-func EncodeCancelRequest(c *CancelRequest) []byte {
-	e := &encoder{}
+func EncodeCancelRequest(c *CancelRequest) []byte { return CancelRequestFrame(c)[prefixLen:] }
+
+// CancelRequestFrame is EncodeCancelRequest's payload as a whole frame,
+// length prefix included, for WriteFramed.
+func CancelRequestFrame(c *CancelRequest) []byte {
+	e := frameEncoder(headerLen + 4)
 	e.header(TagCancelRequest)
 	e.u32(c.Seq)
-	return e.buf
+	return e.frame()
 }
 
 // DecodeCancelRequest parses a cancel frame.
@@ -227,16 +286,58 @@ func DecodeCancelRequest(b []byte) (*CancelRequest, error) {
 }
 
 // EncodeJobResponse serializes a response.
-func EncodeJobResponse(r *JobResponse) []byte {
-	e := &encoder{}
-	e.header(TagJobResponse)
-	e.u32(r.Seq)
-	encodeStats(e, r.Stats)
-	e.u32(uint32(len(r.Plans)))
-	for _, p := range r.Plans {
-		encodePlanBody(e, p)
+func EncodeJobResponse(r *JobResponse) []byte { return JobResponseFrame(r)[prefixLen:] }
+
+// JobResponseFrame is EncodeJobResponse's payload as a whole frame,
+// length prefix included, for WriteFramed.
+func JobResponseFrame(r *JobResponse) []byte {
+	return responseFrame(r.Seq, r.Stats, nil, r.Plans)
+}
+
+// AnswerFrame is the JobResponse frame a serving front sends for an
+// optimization answer: Plans[0] is best, and frontier follows it (nil
+// for single-objective jobs). The daemon's wire front and the plan
+// cache's stored replies are both built here, so a reply served from
+// the cache is the frame the engine's answer would have made.
+func AnswerFrame(seq uint32, best *plan.Node, frontier []*plan.Node, stats plan.Stats) []byte {
+	return responseFrame(seq, stats, best, frontier)
+}
+
+// responseFrame encodes a JobResponse frame whose plans are first (if
+// not nil) and then rest.
+func responseFrame(seq uint32, stats plan.Stats, first *plan.Node, rest []*plan.Node) []byte {
+	size, n := responseFixedLen, len(rest)
+	if first != nil {
+		size += planBodyLen(first)
+		n++
 	}
-	return e.buf
+	for _, p := range rest {
+		size += planBodyLen(p)
+	}
+	e := frameEncoder(size)
+	e.header(TagJobResponse)
+	e.u32(seq)
+	encodeStats(&e, stats)
+	e.u32(uint32(n))
+	if first != nil {
+		encodePlanBody(&e, first)
+	}
+	for _, p := range rest {
+		encodePlanBody(&e, p)
+	}
+	return e.frame()
+}
+
+// responseFixedLen is a JobResponse payload's size before its plans:
+// header, Seq, stats and the plan count.
+const responseFixedLen = headerLen + 4 + statsLen + 4
+
+// SetFrameSeq overwrites the Seq of a whole job-response or
+// worker-error frame (length prefix included): the field after the
+// header. A stored reply is re-addressed this way to each request it
+// answers.
+func SetFrameSeq(frame []byte, seq uint32) {
+	binary.LittleEndian.PutUint32(frame[prefixLen+headerLen:], seq)
 }
 
 // DecodeJobResponse parses a response.
@@ -249,6 +350,10 @@ func DecodeJobResponse(b []byte) (*JobResponse, error) {
 	n := int(d.u32())
 	if n > 1<<20 {
 		d.fail("plan count %d too large", n)
+	}
+	if d.err == nil && n > 0 {
+		r.Plans = make([]*plan.Node, 0, min(n, (len(b)-d.off)/scanNodeLen))
+		d.planSlab()
 	}
 	for i := 0; i < n && d.err == nil; i++ {
 		p := decodePlanBody(d, 0)

@@ -109,12 +109,38 @@ func (e *encoder) header(tag Tag) {
 	e.u8(uint8(tag))
 }
 
+// headerLen and prefixLen are the sizes of a message header and of a
+// frame's length prefix.
+const (
+	headerLen = 4
+	prefixLen = 4
+)
+
+// strLen is the encoded size of str(s).
+func strLen(s string) int { return 2 + min(len(s), math.MaxUint16) }
+
+// frameEncoder starts a length-prefixed frame whose payload is exactly
+// size bytes: one allocation, which the encoding never outgrows, with
+// the prefix's room in front so that WriteFramed sends the buffer as it
+// is.
+func frameEncoder(size int) encoder {
+	return encoder{buf: make([]byte, prefixLen, prefixLen+size)}
+}
+
+// frame writes the length prefix and returns the whole frame.
+func (e *encoder) frame() []byte {
+	binary.BigEndian.PutUint32(e.buf, uint32(len(e.buf)-prefixLen))
+	return e.buf
+}
+
 // decoder consumes primitive values from a byte slice, latching the
 // first error.
 type decoder struct {
 	b   []byte
 	off int
 	err error
+	// slab holds the plan nodes still to hand out (see planSlab).
+	slab []plan.Node
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -210,10 +236,19 @@ func (d *decoder) finish() error {
 // predicates) — the per-worker input of Algorithm 1, size b_q in the
 // paper's network analysis (Theorem 1).
 func EncodeQuery(q *query.Query) []byte {
-	e := &encoder{}
+	e := encoder{buf: make([]byte, 0, headerLen+queryBodyLen(q))}
 	e.header(TagQuery)
-	encodeQueryBody(e, q)
+	encodeQueryBody(&e, q)
 	return e.buf
+}
+
+// queryBodyLen is the encoded size of encodeQueryBody(q).
+func queryBodyLen(q *query.Query) int {
+	n := 2 + 4 + 16*len(q.Preds)
+	for _, t := range q.Tables {
+		n += strLen(t.Name) + 8
+	}
+	return n
 }
 
 func encodeQueryBody(e *encoder, q *query.Query) {
@@ -294,10 +329,27 @@ func decodeQueryBody(d *decoder) *query.Query {
 // in Theorem 1. Annotations (cardinality, cost, buffer, order) travel
 // with the plan so the master can prune without re-deriving costs.
 func EncodePlan(p *plan.Node) []byte {
-	e := &encoder{}
+	e := encoder{buf: make([]byte, 0, headerLen+planBodyLen(p))}
 	e.header(TagPlan)
-	encodePlanBody(e, p)
+	encodePlanBody(&e, p)
 	return e.buf
+}
+
+// PlanLen is len(EncodePlan(p)), measured without encoding.
+func PlanLen(p *plan.Node) int { return headerLen + planBodyLen(p) }
+
+// Encoded sizes of one plan node, its operands aside.
+const (
+	scanNodeLen = 1 + 2 + 4 + 3*8
+	joinNodeLen = 1 + 1 + 4 + 4 + 3*8
+)
+
+// planBodyLen is the encoded size of encodePlanBody(p).
+func planBodyLen(p *plan.Node) int {
+	if p.IsScan {
+		return scanNodeLen
+	}
+	return joinNodeLen + planBodyLen(p.Left) + planBodyLen(p.Right)
 }
 
 func encodePlanBody(e *encoder, p *plan.Node) {
@@ -333,8 +385,9 @@ var fingerprintTag = [4]byte{0x50, 0x4D, 0x02, byte(TagPlan)}
 // cache all assert; use this helper instead of comparing EncodePlan
 // output by hand.
 func PlanFingerprint(p *plan.Node) string {
-	e := &encoder{buf: append([]byte(nil), fingerprintTag[:]...)}
-	encodePlanBody(e, p)
+	e := encoder{buf: make([]byte, 0, len(fingerprintTag)+planBodyLen(p))}
+	e.buf = append(e.buf, fingerprintTag[:]...)
+	encodePlanBody(&e, p)
 	sum := sha256.Sum256(e.buf)
 	return hex.EncodeToString(sum[:])
 }
@@ -343,6 +396,7 @@ func PlanFingerprint(p *plan.Node) string {
 func DecodePlan(b []byte) (*plan.Node, error) {
 	d := &decoder{b: b}
 	d.header(TagPlan)
+	d.planSlab()
 	p := decodePlanBody(d, 0)
 	if err := d.finish(); err != nil {
 		return nil, err
@@ -352,13 +406,33 @@ func DecodePlan(b []byte) (*plan.Node, error) {
 
 const maxPlanDepth = 2 * bitset.MaxTables
 
+// planSlab allocates, in one slab, every plan node the rest of the
+// message can hold: a node takes at least scanNodeLen bytes, so the
+// bytes left bound the node count. The decoded plans share the slab.
+func (d *decoder) planSlab() {
+	if rest := len(d.b) - d.off; rest > 0 {
+		d.slab = make([]plan.Node, rest/scanNodeLen)
+	}
+}
+
+// node hands out the next slab node, or a heap node once the slab is
+// spent.
+func (d *decoder) node() *plan.Node {
+	if len(d.slab) == 0 {
+		return &plan.Node{}
+	}
+	n := &d.slab[0]
+	d.slab = d.slab[1:]
+	return n
+}
+
 func decodePlanBody(d *decoder, depth int) *plan.Node {
 	if depth > maxPlanDepth {
 		d.fail("plan nesting deeper than %d", maxPlanDepth)
 		return nil
 	}
 	kind := d.u8()
-	n := &plan.Node{}
+	n := d.node()
 	switch kind {
 	case 0:
 		n.IsScan = true
@@ -401,6 +475,9 @@ func decodePlanBody(d *decoder, depth int) *plan.Node {
 	}
 	return n
 }
+
+// statsLen is the encoded size of encodeStats.
+const statsLen = 5 * 8
 
 // encodeStats / decodeStats serialize the work counters.
 func encodeStats(e *encoder, s plan.Stats) {

@@ -10,4 +10,5 @@ import (
 func TestCtxFlow(t *testing.T) {
 	analysistest.Run(t, ctxflow.Analyzer, "./testdata/src/cache")
 	analysistest.Run(t, ctxflow.Analyzer, "./testdata/src/pqo")
+	analysistest.Run(t, ctxflow.Analyzer, "./testdata/src/server")
 }

@@ -11,11 +11,13 @@ import (
 // TestTargetPackagesExist pins targetPkgs to the tree: the analyzer
 // matches packages by name, so a renamed package would silently leave
 // the invariant's scope. Every name must be the last path element of a
-// package `go list mpq/...` returns. That the analyzer fires on those
-// packages needs no seeded copy: two live //lint:allow ctxflow
-// directives (one in internal/server, one in internal/netrun) already
-// prove it — a directive that suppresses nothing is itself a finding,
-// so a clean `mpqlint ./...` means each still has a finding to suppress.
+// package `go list mpq/...` returns. That the analyzer fires on netrun
+// needs no seeded copy: the live //lint:allow ctxflow directive on the
+// frame endpoint's connection-lifetime root proves it — a directive
+// that suppresses nothing is itself a finding, so a clean `mpqlint
+// ./...` means it still has a finding to suppress. The server package
+// has no such root any more; the fixture testdata/src/server, a package
+// of that name, proves the analyzer fires on it (TestCtxFlow).
 func TestTargetPackagesExist(t *testing.T) {
 	out, err := exec.Command("go", "list", "-f", "{{.ImportPath}}\t{{.Dir}}", "mpq/...").Output()
 	if err != nil {

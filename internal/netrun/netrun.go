@@ -42,6 +42,22 @@
 // order or retries, so whenever at least one worker survives the answer
 // is bit-identical to a failure-free run.
 //
+// # Serving
+//
+// Every listener that reads JobRequest frames is an Endpoint: the
+// workers here (ListenWorker) and the resident daemon's wire front
+// (internal/server). An endpoint accepts connections, reads each one's
+// frames through one reused buffer under wire.MaxRequestFrame, refuses
+// frames that are not requests, and writes every reply whole, under a
+// per-connection mutex and a write deadline: a peer that stops reading
+// loses its connection, not a goroutine. A CancelRequest frame cancels
+// the context of the request it names, however many are in flight on
+// the connection, and the request is answered WorkerError{ErrCanceled}.
+// A peer that hangs up cancels all of its requests. What a request
+// means is the Handler's: a worker runs the partition it names, one at
+// a time per connection in arrival order; the daemon answers it from
+// its plan cache or queues it.
+//
 // # Cancellation and batches
 //
 // Master.Optimize aborts on context cancellation: the dispatcher

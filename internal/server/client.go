@@ -40,7 +40,12 @@ type clientReply struct {
 // writeTimeout caps one request-frame send even when the caller's
 // context has no (or a distant) deadline: frames are small, so a write
 // this slow means the daemon has stalled and the connection is dead.
-const writeTimeout = 30 * time.Second
+// cancelWriteTimeout caps the cancel frame an abandoned call sends: its
+// caller has already given up, so it waits for no stalled daemon.
+const (
+	writeTimeout       = 30 * time.Second
+	cancelWriteTimeout = 2 * time.Second
+)
 
 // Dial connects to a daemon's wire listener.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
@@ -120,7 +125,8 @@ func (c *Client) fail(err error) {
 
 // Optimize sends one request and waits for its reply. It satisfies
 // mpq.Engine: answers carry the same plans — same fingerprints — the
-// daemon's engine produced.
+// daemon's engine produced. If ctx ends first, Optimize returns its
+// error and cancels the request on the daemon.
 func (c *Client) Optimize(ctx context.Context, q *mpq.Query, spec mpq.JobSpec) (*mpq.Answer, error) {
 	start := time.Now()
 	c.mu.Lock()
@@ -135,8 +141,6 @@ func (c *Client) Optimize(ctx context.Context, q *mpq.Query, spec mpq.JobSpec) (
 	c.pending[seq] = ch
 	c.mu.Unlock()
 
-	frame := wire.JobRequestFrame(&wire.JobRequest{Seq: seq, Spec: spec, Query: q})
-	c.writeMu.Lock()
 	// Bound the send so a stalled daemon (full socket buffer) cannot
 	// pin writeMu — and with it every concurrent Optimize on this
 	// connection — indefinitely: use the context deadline, capped at
@@ -145,17 +149,7 @@ func (c *Client) Optimize(ctx context.Context, q *mpq.Query, spec mpq.JobSpec) (
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	c.conn.SetWriteDeadline(deadline)
-	err := wire.WriteFramed(c.conn, frame)
-	c.conn.SetWriteDeadline(time.Time{})
-	c.writeMu.Unlock()
-	if err != nil {
-		// A failed or timed-out write may have left a partial frame on
-		// the stream; the connection is no longer framed, so fail it for
-		// every caller rather than letting the next send desync.
-		err = fmt.Errorf("server: send: %w", err)
-		c.fail(err)
-		c.conn.Close()
+	if err := c.send(wire.JobRequestFrame(&wire.JobRequest{Seq: seq, Spec: spec, Query: q}), deadline); err != nil {
 		return nil, err
 	}
 
@@ -174,12 +168,36 @@ func (c *Client) Optimize(ctx context.Context, q *mpq.Query, spec mpq.JobSpec) (
 	}
 }
 
-// abandon forgets a request whose caller gave up; a late reply for its
-// Seq is dropped by the read loop.
+// send writes one whole frame by the deadline. A failed or timed-out
+// write may have left a partial frame on the stream; the connection is
+// no longer framed, so it fails for every caller rather than letting
+// the next send desync.
+func (c *Client) send(frame []byte, deadline time.Time) error {
+	c.writeMu.Lock()
+	c.conn.SetWriteDeadline(deadline)
+	err := wire.WriteFramed(c.conn, frame)
+	c.conn.SetWriteDeadline(time.Time{})
+	c.writeMu.Unlock()
+	if err != nil {
+		err = fmt.Errorf("server: send: %w", err)
+		c.fail(err)
+		c.conn.Close()
+	}
+	return err
+}
+
+// abandon forgets a request whose caller gave up and, unless its reply
+// already came, sends the daemon a CancelRequest for its Seq: the
+// daemon stops the request, queued or running, and a late reply is
+// dropped by the read loop.
 func (c *Client) abandon(seq uint32) {
 	c.mu.Lock()
+	_, waiting := c.pending[seq]
 	delete(c.pending, seq)
 	c.mu.Unlock()
+	if waiting {
+		c.send(wire.CancelRequestFrame(&wire.CancelRequest{Seq: seq}), time.Now().Add(cancelWriteTimeout))
+	}
 }
 
 // buildClientAnswer reconstructs an mpq.Answer from a reply frame. The
@@ -209,7 +227,8 @@ func buildClientAnswer(reply clientReply, spec mpq.JobSpec, elapsed time.Duratio
 // the daemon interleaves them under its fairness scheduler and replies
 // in completion order — and collects the answers back in input order.
 // Matching the Engine contract, the first failure fails the batch at
-// once, abandoning the jobs still waiting.
+// once, abandoning the jobs still waiting: the daemon is sent a cancel
+// for each.
 func (c *Client) OptimizeBatch(ctx context.Context, jobs []mpq.Job) ([]*mpq.Answer, error) {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)

@@ -154,16 +154,7 @@ func (s *Server) buildRequest(parent context.Context, or *OptimizeRequest, tenan
 		timeout = time.Duration(or.TimeoutMs) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(parent, timeout)
-	req := &request{
-		ctx:    ctx,
-		cancel: cancel,
-		id:     s.nextID(),
-		tenant: tenant,
-		source: source,
-		query:  q,
-		spec:   js,
-		enq:    time.Now(),
-	}
+	req := s.newRequest(ctx, cancel, tenant, source, q, js)
 	req.respond = func(res result) { done <- res }
 	return req, done
 }

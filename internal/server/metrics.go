@@ -61,10 +61,14 @@ func (m *metrics) observe(tenant, source, outcome string, served time.Duration) 
 }
 
 // observeAnswer folds one served answer's scheduler counters into the
-// daemon-wide straggler totals.
+// daemon-wide straggler totals. An answer the plan cache handed back,
+// stored or shared from a concurrent flight, carries the counters of
+// the computation that made it, which were counted then.
 func (m *metrics) observeAnswer(ans *mpq.Answer) {
 	var n sched.Counters
 	switch {
+	case ans.Cache != nil && (ans.Cache.Hit || ans.Cache.Collapsed):
+		return
 	case ans.Net != nil:
 		n = ans.Net.Counters
 	case ans.Cluster != nil:

@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"mpq"
+	"mpq/internal/netrun"
 )
 
 // Defaults for Config fields left at zero.
@@ -179,16 +180,15 @@ type tenantQueue struct {
 type Server struct {
 	cfg Config
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	tenants   map[string]*tenantQueue
-	vtime     float64 // global virtual time: pass of the last dispatch
-	queued    int
-	inflight  map[*request]struct{}
-	wireConns map[net.Conn]struct{}
-	draining  bool
-	closed    bool
-	reqSeq    atomic.Uint64 // the last request ID handed out (nextID)
+	mu       sync.Mutex
+	cond     *sync.Cond
+	tenants  map[string]*tenantQueue
+	vtime    float64 // global virtual time: pass of the last dispatch
+	queued   int
+	inflight map[*request]struct{}
+	draining bool
+	closed   bool
+	reqSeq   atomic.Uint64 // the last request ID handed out (nextID)
 
 	shutdownOnce sync.Once
 	shutdownDone chan struct{}
@@ -198,9 +198,9 @@ type Server struct {
 	plog    *planLog
 
 	httpLn  net.Listener
-	wireLn  net.Listener
 	httpSrv *http.Server
-	wg      sync.WaitGroup // dispatchers, accept loops, wire conns
+	wire    *netrun.Endpoint // the wire front: accept, conns, frames
+	wg      sync.WaitGroup   // dispatchers and the HTTP server
 }
 
 // New validates the configuration and builds a stopped server.
@@ -231,11 +231,11 @@ func New(cfg Config) (*Server, error) {
 		cfg:          cfg,
 		tenants:      map[string]*tenantQueue{},
 		inflight:     map[*request]struct{}{},
-		wireConns:    map[net.Conn]struct{}{},
 		metrics:      newMetrics(),
 		plog:         plog,
 		shutdownDone: make(chan struct{}),
 	}
+	s.wire = netrun.NewEndpoint(cfg.WireWriteTimeout, s.newWireHandler)
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
 }
@@ -244,10 +244,17 @@ func New(cfg Config) (*Server, error) {
 // It returns once the listeners are accepting (so ":0" addresses can be
 // read back with HTTPAddr/WireAddr).
 func (s *Server) Start() error {
+	if s.cfg.WireAddr != "" {
+		ln, err := net.Listen("tcp", s.cfg.WireAddr)
+		if err != nil {
+			return fmt.Errorf("server: wire listen: %w", err)
+		}
+		s.wire.Serve(ln)
+	}
 	if s.cfg.HTTPAddr != "" {
 		ln, err := net.Listen("tcp", s.cfg.HTTPAddr)
 		if err != nil {
-			s.closeListeners()
+			s.wire.Close()
 			return fmt.Errorf("server: http listen: %w", err)
 		}
 		s.httpLn = ln
@@ -256,19 +263,6 @@ func (s *Server) Start() error {
 		go func() {
 			defer s.wg.Done()
 			s.httpSrv.Serve(ln) // returns on Shutdown/Close
-		}()
-	}
-	if s.cfg.WireAddr != "" {
-		ln, err := net.Listen("tcp", s.cfg.WireAddr)
-		if err != nil {
-			s.closeListeners()
-			return fmt.Errorf("server: wire listen: %w", err)
-		}
-		s.wireLn = ln
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.acceptWire(ln)
 		}()
 	}
 	for i := 0; i < s.cfg.Dispatchers; i++ {
@@ -290,27 +284,13 @@ func (s *Server) HTTPAddr() string {
 }
 
 // WireAddr returns the wire listener's actual address ("" if disabled).
-func (s *Server) WireAddr() string {
-	if s.wireLn == nil {
-		return ""
-	}
-	return s.wireLn.Addr().String()
+func (s *Server) WireAddr() string { return s.wire.Addr() }
+
+// newRequest is an admission-ready request, arriving now; its respond
+// is the caller's to set.
+func (s *Server) newRequest(ctx context.Context, cancel context.CancelFunc, tenant, source string, q *mpq.Query, js mpq.JobSpec) *request {
+	return &request{ctx: ctx, cancel: cancel, id: s.nextID(), tenant: tenant, source: source, query: q, spec: js, enq: time.Now()}
 }
-
-func (s *Server) closeListeners() {
-	if s.httpLn != nil {
-		s.httpLn.Close()
-	}
-	if s.wireLn != nil {
-		s.wireLn.Close()
-	}
-}
-
-// nextID hands out serving-layer request IDs.
-func (s *Server) nextID() string { return requestID(s.reqSeq.Add(1)) }
-
-// requestID formats the n-th request ID.
-func requestID(n uint64) string { return fmt.Sprintf("r-%d", n) }
 
 // isDraining reports whether Shutdown has begun.
 func (s *Server) isDraining() bool {
@@ -318,6 +298,12 @@ func (s *Server) isDraining() bool {
 	defer s.mu.Unlock()
 	return s.draining
 }
+
+// nextID hands out serving-layer request IDs.
+func (s *Server) nextID() string { return requestID(s.reqSeq.Add(1)) }
+
+// requestID formats the n-th request ID.
+func requestID(n uint64) string { return fmt.Sprintf("r-%d", n) }
 
 // submit admits a request into the arrival queue or rejects it with
 // ErrOverloaded / ErrDraining. On success the dispatcher pool will call
@@ -492,29 +478,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 func (s *Server) drain(ctx context.Context) error {
+	// Stop accepting on both fronts. Wire connections are half-closed:
+	// the read side stops (no new requests), the write side stays up so
+	// in-flight responses still reach their clients before each socket
+	// closes. The endpoint drains first, so a wire request refused with
+	// ErrDraining finds its connection already draining.
+	// http.Server.Shutdown waits for active handlers, which in turn wait
+	// for their requests' responses — the queue drain below is what
+	// unblocks them. It inherits the drain deadline: past it, Shutdown
+	// gives up waiting and the unconditional httpSrv.Close() below
+	// force-closes the stragglers.
+	s.wire.Drain()
 	s.mu.Lock()
 	s.draining = true
-	conns := make([]net.Conn, 0, len(s.wireConns))
-	for c := range s.wireConns {
-		conns = append(conns, c)
-	}
 	s.mu.Unlock()
-
-	// Stop accepting on both fronts. http.Server.Shutdown waits for
-	// active handlers, which in turn wait for their requests' responses
-	// — the queue drain below is what unblocks them. It inherits the
-	// drain deadline: past it, Shutdown gives up waiting and the
-	// unconditional httpSrv.Close() below force-closes the stragglers.
-	s.closeListeners()
-	// Half-close wire connections: the read side stops (no new
-	// requests), the write side stays up so in-flight responses still
-	// reach their clients before the handler closes the socket.
-	for _, c := range conns {
-		if hc, ok := c.(interface{ CloseRead() error }); ok {
-			hc.CloseRead()
-		} else {
-			c.Close()
-		}
+	if s.httpLn != nil {
+		s.httpLn.Close()
 	}
 	httpDone := make(chan struct{})
 	if s.httpSrv != nil {
@@ -536,7 +515,6 @@ func (s *Server) drain(ctx context.Context) error {
 	defer stopWatch()
 
 	forced := false
-	var stuck []net.Conn
 	s.mu.Lock()
 	for s.queued > 0 || len(s.inflight) > 0 {
 		if ctx.Err() != nil {
@@ -551,13 +529,6 @@ func (s *Server) drain(ctx context.Context) error {
 					req.cancel()
 				}
 			}
-			// A peer that is not draining its responses holds reply() —
-			// and through it pending.Wait and s.wg.Wait — open past the
-			// deadline. Close its connection outright (not just the read
-			// side) so blocked writes fail and the handler unwinds.
-			for c := range s.wireConns {
-				stuck = append(stuck, c)
-			}
 			break
 		}
 		s.cond.Wait()
@@ -565,11 +536,16 @@ func (s *Server) drain(ctx context.Context) error {
 	s.closed = true
 	s.cond.Broadcast() // dispatchers drain the rest (canceled) and exit
 	s.mu.Unlock()
-	for _, c := range stuck {
-		c.Close()
+	if forced {
+		// A peer that is not reading its responses holds its reply write,
+		// and through it the connection, open past the deadline. Close
+		// every wire connection outright, not just its read side, so
+		// blocked writes fail and each connection unwinds.
+		s.wire.Close()
 	}
 
-	s.wg.Wait() // dispatchers, accept loops, wire connections
+	s.wg.Wait() // dispatchers and the HTTP server
+	s.wire.Wait()
 	<-httpDone
 	if s.httpSrv != nil {
 		s.httpSrv.Close()

@@ -457,11 +457,7 @@ func TestStuckWirePeerDoesNotStallDispatchers(t *testing.T) {
 
 	peer, srv := net.Pipe()
 	defer peer.Close()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.serveWireConn(srv)
-	}()
+	s.wire.ServeConn(srv)
 
 	// 80 pipelined requests, far more than the dispatchers (4): once
 	// replies stop draining, the first dispatcher to reply blocks in its
@@ -523,11 +519,7 @@ func TestStuckTCPWirePeerHoldsDispatchersOneDeadline(t *testing.T) {
 	}
 	peer.(*net.TCPConn).SetReadBuffer(4 << 10)
 	srv.(*net.TCPConn).SetWriteBuffer(4 << 10)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.serveWireConn(srv)
-	}()
+	s.wire.ServeConn(srv)
 	// 200 frontier replies, within the queue depth, far more than the
 	// peer's receive window and the daemon's send buffer hold.
 	var burst bytes.Buffer
@@ -594,14 +586,7 @@ func TestForcedDrainClosesStuckWireConns(t *testing.T) {
 
 	_, inner := net.Pipe()
 	rec := &closeRecorder{Conn: inner, closed: make(chan struct{})}
-	s.mu.Lock()
-	s.wireConns[rec] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.wireConns, rec)
-		s.mu.Unlock()
-	}()
+	s.wire.ServeConn(rec)
 
 	go postOptimize(s, OptimizeRequest{Query: *spec.FromQuery(q)}) // never released
 	<-eng.started
@@ -696,6 +681,39 @@ func TestSimEngineFeedsSchedulingMetrics(t *testing.T) {
 	for _, name := range []string{"mpqd_probes_total", "mpqd_redispatched_total"} {
 		if !regexp.MustCompile(`(?m)^` + name + ` [1-9][0-9]*$`).MatchString(buf.String()) {
 			t.Errorf("%s is not at least 1\n%s", name, buf.String())
+		}
+	}
+}
+
+// TestCacheHitsKeepSchedulingCountersOnce: an answer the plan cache
+// hands back carries the scheduler counters of the computation that
+// made it. /metrics counts them once, when that computation is served:
+// three identical requests to a cached simulator with a dead node
+// re-dispatch one partition, not three, and hit the cache twice.
+func TestCacheHitsKeepSchedulingCountersOnce(t *testing.T) {
+	model := mpq.DefaultClusterModel()
+	model.Nodes = 2
+	faults := mpq.ClusterFaults{Dead: []int{0}, Policy: mpq.MasterOptions{
+		Timeout: 100 * time.Millisecond, MaxWorkerFailures: 1,
+	}}
+	sim := mpq.NewSimEngine(mpq.WithClusterModel(model), mpq.WithClusterFaults(faults))
+	s := startServer(t, Config{Engine: mpq.WithCache(sim, mpq.CacheConfig{})})
+	for range 3 {
+		resp, body := mustPost(t, s, OptimizeRequest{Query: *spec.FromQuery(testQuery(t, 10, 5)), Workers: 8})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("optimize %d: %s", resp.StatusCode, body)
+		}
+	}
+	mresp, err := http.Get("http://" + s.HTTPAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(mresp.Body)
+	for _, want := range []string{"mpqd_redispatched_total 1", "mpqd_cache_hits_total 2"} {
+		if !regexp.MustCompile(`(?m)^` + want + `$`).MatchString(buf.String()) {
+			t.Errorf("metrics lack %q\n%s", want, buf.String())
 		}
 	}
 }
@@ -968,10 +986,12 @@ func TestOversizedJobGetsAnErrorReply(t *testing.T) {
 	}
 }
 
-// TestWireRejectsNonRequestTags: a well-framed message whose tag is not
-// TagJobRequest gets a classified ErrBadRequest reply (the
-// rejectWireTag dispatch), and the rejection is per-frame — the same
-// connection still serves a valid request afterward.
+// TestWireRejectsNonRequestTags: a well-framed message whose tag is
+// neither TagJobRequest nor TagCancelRequest gets a classified
+// ErrBadRequest reply (the endpoint's tag dispatch), and the rejection
+// is per-frame — the same connection still serves a valid request
+// afterward. A cancel frame for a Seq the daemon never saw is stale:
+// it is accepted without a reply, and the connection keeps serving.
 func TestWireRejectsNonRequestTags(t *testing.T) {
 	s := startServer(t, Config{})
 	q := testQuery(t, 5, 1)
@@ -1007,16 +1027,14 @@ func TestWireRejectsNonRequestTags(t *testing.T) {
 		t.Errorf("query frame: message %q does not classify the tag", we.Msg)
 	}
 
-	// A cancel frame belongs to the worker protocol, not the daemon's.
+	// A cancel frame for an unknown Seq is dropped silently: the next
+	// frame on the connection is the reply to the request below.
 	if err := wire.WriteFrame(conn, wire.EncodeCancelRequest(&wire.CancelRequest{Seq: 7})); err != nil {
 		t.Fatal(err)
 	}
-	if we := readWorkerError("cancel frame"); !strings.Contains(we.Msg, "worker protocol") {
-		t.Errorf("cancel frame: message %q does not classify the tag", we.Msg)
-	}
 
-	// The connection survives both rejections: a valid JobRequest on
-	// the same conn gets a real JobResponse.
+	// The connection survives both frames: a valid JobRequest on the
+	// same conn gets a real JobResponse.
 	req := &wire.JobRequest{Seq: 42, Spec: mpq.JobSpec{Space: partition.Linear, Workers: 1}, Query: q}
 	if err := wire.WriteFrame(conn, wire.EncodeJobRequest(req)); err != nil {
 		t.Fatal(err)

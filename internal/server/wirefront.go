@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -10,12 +9,15 @@ import (
 	"time"
 
 	"mpq"
+	"mpq/internal/netrun"
 	"mpq/internal/wire"
 )
 
-// The wire front end speaks the repo's binary protocol with full-query
-// semantics: a JobRequest carries a complete query plus spec, the
-// daemon optimizes it through the wrapped engine (PartID is ignored —
+// The wire front end is a netrun.Endpoint, the connection loop the TCP
+// worker runs too, with wireHandler as its handler. It speaks the
+// repo's binary protocol with full-query semantics: a JobRequest
+// carries a complete query plus spec, the daemon optimizes it through
+// the wrapped engine (PartID is ignored —
 // partitioning is the engine's business, not the client's), and the
 // reply is a JobResponse echoing the request's Seq. Plans[0] is always
 // the engine's chosen Best — sent explicitly so clients never re-derive
@@ -24,6 +26,11 @@ import (
 // Responses arrive in completion order — a connection may pipeline
 // requests and match replies by Seq. Admission rejections come back as
 // WorkerError{Code: ErrOverloaded}, which masters classify retryable.
+// A client that gives up on a request sends a CancelRequest for its Seq
+// (Client does, when a call's context ends): the request's context is
+// canceled, whether it waits in the queue or runs in the engine, and
+// its reply is WorkerError{Code: ErrCanceled}. Nobody computes an
+// answer nobody waits for.
 //
 // A request the engine's plan cache already answered is served before
 // admission, on the connection's own reader: when the engine is a
@@ -44,189 +51,79 @@ type wireCache interface {
 	AppendWireHit(dst, req []byte) ([]byte, *mpq.Answer, bool)
 }
 
-// acceptWire runs the wire listener's accept loop.
-func (s *Server) acceptWire(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed (shutdown)
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveWireConn(conn)
-		}()
-	}
+// wireHandler is the daemon's side of one wire connection: the handler
+// its netrun.Endpoint calls with each job request. A frame the plan
+// cache answers is replied to at once, from the connection's reader.
+// Every other frame is decoded and submitted to the arrival queue, and
+// the dispatcher that serves it writes its reply, in the order requests
+// complete. A CancelRequest for a request's Seq cancels its context,
+// queued or running, and it is answered WorkerError{ErrCanceled}. A
+// peer disconnect cancels every request from this peer, while a drain
+// lets them finish and write their replies before the socket closes.
+type wireHandler struct {
+	s      *Server
+	c      *netrun.Conn
+	tenant string
+	cache  wireCache
+	hit    []byte // the reply buffer for cache hits, reused frame to frame
+	// pending counts submitted requests whose respond has not run yet;
+	// Close waits for it, so a drain writes every reply first.
+	pending sync.WaitGroup
 }
 
-// serveWireConn reads frames until the peer hangs up or a drain
-// half-closes the read side. A frame the plan cache answers is replied
-// to at once, from this goroutine. Every other frame is submitted to
-// the arrival queue, and the dispatcher that serves it writes its reply, one frame
-// at a time under a per-connection mutex, in the order requests
-// complete. A peer disconnect cancels the connection context — and
-// with it every pending request from this peer — while a drain lets
-// pending requests finish and write their replies before the socket
-// closes.
-func (s *Server) serveWireConn(conn net.Conn) {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
-	s.wireConns[conn] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.wireConns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	connCtx, cancel := context.WithCancel(context.Background()) //lint:allow ctxflow connection-lifetime root; teardown is cancel/conn.Close, and Shutdown closes every tracked conn
-	defer cancel()
-	// Canceling connCtx is a full teardown: closing the conn unblocks a
-	// reader waiting on a silent peer and a writer stuck mid-frame, so
-	// every goroutine tied to this connection unwinds promptly.
-	stopKill := context.AfterFunc(connCtx, func() { conn.Close() })
-	defer stopKill()
-
+func (s *Server) newWireHandler(c *netrun.Conn) netrun.Handler {
 	// Wire fairness bucket: the peer host. Weights keyed by host names
 	// in Config.TenantWeights apply.
-	tenant := conn.RemoteAddr().String()
+	tenant := c.RemoteAddr().String()
 	if host, _, err := net.SplitHostPort(tenant); err == nil {
 		tenant = host
 	}
-
-	// reply writes one frame from the calling goroutine, or drops it if
-	// the connection is already gone (nobody left to read it). The
-	// deadline is the liveness guarantee for the whole connection: a
-	// peer that stops reading fails this write within WireWriteTimeout,
-	// which cancels connCtx and closes the conn, so the replies queued
-	// on writeMu behind it fail or drop at once — dispatchers are never
-	// wedged behind a dead client.
-	var writeMu sync.Mutex
-	reply := func(frame []byte) {
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		if connCtx.Err() != nil {
-			return
-		}
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WireWriteTimeout))
-		if err := wire.WriteFramed(conn, frame); err != nil {
-			cancel() // peer unreachable: kill this conn's in-flight work
-		}
-	}
-
-	// pending counts submitted requests whose respond has not run yet;
-	// every exit path waits for it before the conn closes, so a drain
-	// writes every reply first.
-	var pending sync.WaitGroup
-	defer func() {
-		s.mu.Lock()
-		draining := s.draining
-		s.mu.Unlock()
-		if !draining {
-			// Peer disconnect: in-flight work has no reader, abort it.
-			cancel()
-		}
-		pending.Wait() // every respond has written (or dropped) its frame
-	}()
-
 	cache, _ := s.cfg.Engine.(wireCache)
-	var hitFrame []byte         // the reader's reply buffer for cache hits, reused frame to frame
-	br := bufio.NewReader(conn) // one for the conn's life: frames read ahead stay buffered
-	for {
-		payload, err := wire.ReadFrameLimit(br, wire.MaxRequestFrame)
-		if err != nil {
-			return // EOF, peer reset, drain half-close, or oversized frame
-		}
-		tag, err := wire.MessageTag(payload)
-		if err != nil {
-			reply(wire.WorkerErrorFrame(&wire.WorkerError{
-				Seq: wire.PeekJobRequestSeq(payload), Code: wire.ErrBadRequest,
-				Msg: fmt.Sprintf("header: %v", err),
-			}))
-			continue
-		}
-		if reason := rejectWireTag(tag); reason != "" {
-			reply(wire.WorkerErrorFrame(&wire.WorkerError{
-				Seq: wire.PeekJobRequestSeq(payload), Code: wire.ErrBadRequest,
-				Msg: reason,
-			}))
-			continue
-		}
-		if cache != nil && !s.isDraining() {
-			start := time.Now()
-			var ans *mpq.Answer
-			var hit bool
-			if hitFrame, ans, hit = cache.AppendWireHit(hitFrame[:0], payload); hit {
-				s.observeWireHit(tenant, payload, ans, time.Since(start))
-				reply(hitFrame) // synchronous: hitFrame is free again once it returns
-				continue
-			}
-		}
-		jr, err := wire.DecodeJobRequest(payload)
-		if err != nil {
-			reply(wire.WorkerErrorFrame(&wire.WorkerError{
-				Seq: wire.PeekJobRequestSeq(payload), Code: wire.ErrBadRequest,
-				Msg: fmt.Sprintf("decode: %v", err),
-			}))
-			continue
-		}
-		seq := jr.Seq
-		multi := jr.Spec.Objective.HasFrontier()
-		ctx, reqCancel := context.WithTimeout(connCtx, s.cfg.DefaultTimeout)
-		req := &request{
-			ctx:    ctx,
-			cancel: reqCancel,
-			id:     s.nextID(),
-			tenant: tenant,
-			source: "wire",
-			query:  jr.Query,
-			spec:   jr.Spec,
-			enq:    time.Now(),
-		}
-		pending.Add(1)
-		req.respond = func(res result) {
-			defer pending.Done()
-			reply(encodeWireResult(seq, multi, res))
-		}
-		if err := s.submit(req); err != nil {
-			pending.Done()
-			reqCancel()
-			reply(wire.WorkerErrorFrame(&wire.WorkerError{
-				Seq: seq, Code: wire.ErrOverloaded, Msg: err.Error(),
-			}))
-			if errors.Is(err, ErrDraining) {
-				// The daemon is going away for good; close the conn
-				// (after in-flight replies are written) so the client
-				// redirects instead of retrying a dying server.
-				return
-			}
-		}
-	}
+	return &wireHandler{s: s, c: c, tenant: tenant, cache: cache}
 }
 
-// rejectWireTag classifies an incoming frame's tag: an empty reason
-// accepts it, anything else becomes the ErrBadRequest message. The
-// switch is deliberately exhaustive over wire.Tag — the tagswitch
-// analyzer fails the lint when a new tag constant is added without a
-// serving-path decision here.
-func rejectWireTag(tag wire.Tag) (reason string) {
-	switch tag {
-	case wire.TagJobRequest:
-		return ""
-	case wire.TagCancelRequest:
-		return "cancel frames belong to the worker protocol; the daemon cancels work by connection teardown"
-	case wire.TagQuery, wire.TagPlan:
-		return "bare query/plan frames are serialization records, not requests"
-	case wire.TagJobResponse, wire.TagWorkerError:
-		return "response frames flow server-to-client only"
-	default:
-		return "unknown message tag"
+func (w *wireHandler) Request(payload []byte) bool {
+	s := w.s
+	if w.cache != nil && !s.isDraining() {
+		start := time.Now()
+		var ans *mpq.Answer
+		var hit bool
+		if w.hit, ans, hit = w.cache.AppendWireHit(w.hit[:0], payload); hit {
+			s.observeWireHit(w.tenant, payload, ans, time.Since(start))
+			w.c.Reply(w.hit) // synchronous: the buffer is free again once it returns
+			return true
+		}
 	}
+	jr, err := wire.DecodeJobRequest(payload)
+	if err != nil {
+		w.c.Refuse(payload, fmt.Sprintf("decode: %v", err))
+		return true
+	}
+	seq, multi := jr.Seq, jr.Spec.Objective.HasFrontier()
+	tctx, cancel := context.WithTimeout(w.c.Context(), s.cfg.DefaultTimeout)
+	ctx, stop := w.c.Begin(tctx, seq)
+	req := s.newRequest(ctx, cancel, w.tenant, "wire", jr.Query, jr.Spec)
+	w.pending.Add(1)
+	req.respond = func(res result) {
+		defer w.pending.Done()
+		if res.err != nil && context.Cause(ctx) == netrun.ErrCanceled {
+			res.err = netrun.ErrCanceled
+		}
+		stop()
+		w.c.Reply(encodeWireResult(seq, multi, res))
+	}
+	if err := s.submit(req); err != nil {
+		req.respond(result{err: err})
+		cancel()
+		// A draining daemon is going away for good: stop reading, and the
+		// conn closes after the replies in flight, so the client
+		// redirects instead of retrying a dying server.
+		return !errors.Is(err, ErrDraining)
+	}
+	return true
 }
+
+func (w *wireHandler) Close() { w.pending.Wait() }
 
 // observeWireHit records a wire cache hit as serve records an engine
 // call: a served request in /metrics, with the lookup as its service
@@ -235,7 +132,6 @@ func rejectWireTag(tag wire.Tag) (reason string) {
 func (s *Server) observeWireHit(tenant string, payload []byte, ans *mpq.Answer, served time.Duration) {
 	n := s.reqSeq.Add(1)
 	s.metrics.observe(tenant, "wire", "served", served)
-	s.metrics.observeAnswer(ans)
 	if s.plog == nil {
 		return
 	}
@@ -258,7 +154,11 @@ func (s *Server) observeWireHit(tenant string, payload []byte, ans *mpq.Answer, 
 func encodeWireResult(seq uint32, multi bool, res result) []byte {
 	if res.err != nil {
 		code := wire.ErrJobFailed
-		if errors.Is(res.err, context.Canceled) || errors.Is(res.err, context.DeadlineExceeded) {
+		switch {
+		case errors.Is(res.err, netrun.ErrCanceled):
+			code = wire.ErrCanceled // the client canceled it, as a master cancels a worker's job
+		case errors.Is(res.err, ErrOverloaded), errors.Is(res.err, ErrDraining),
+			errors.Is(res.err, context.Canceled), errors.Is(res.err, context.DeadlineExceeded):
 			// Transient serving-side conditions, not deterministic job
 			// failures: a retry against a less loaded daemon can succeed.
 			code = wire.ErrOverloaded

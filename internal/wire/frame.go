@@ -28,7 +28,7 @@ const MaxRequestFrame = 8 << 20
 // errors.Is.
 var ErrFrameTooLarge = fmt.Errorf("wire: frame exceeds size limit")
 
-// frameChunk bounds how much ReadFrameLimit allocates ahead of the
+// frameChunk bounds how much ReadFrameInto allocates ahead of the
 // bytes that have actually arrived.
 const frameChunk = 64 << 10
 
@@ -80,39 +80,37 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 // of read-ahead. Listeners facing untrusted peers should pass the
 // smallest limit their message mix allows.
 func ReadFrameLimit(r io.Reader, max int) ([]byte, error) {
-	if max <= 0 || max > MaxFrameSize {
-		max = MaxFrameSize
+	return ReadFrameInto(r, nil, max)
+}
+
+// ReadFrameInto is ReadFrameLimit reading into buf's storage, which a
+// long-lived reader hands back frame after frame: a frame that fits in
+// cap(buf) allocates nothing, and a larger one grows the buffer in the
+// same chunks ReadFrameLimit allocates in. The payload aliases buf and
+// is overwritten by the next read into it.
+func ReadFrameInto(r io.Reader, buf []byte, limit int) ([]byte, error) {
+	if limit <= 0 || limit > MaxFrameSize {
+		limit = MaxFrameSize
 	}
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n32 := binary.BigEndian.Uint32(hdr[:])
-	if n32 > uint32(max) {
+	if n32 > uint32(limit) {
 		// Compare before converting: on 32-bit platforms int(n32) can wrap
 		// negative and would slip past this guard.
-		return nil, fmt.Errorf("%w: %d bytes, maximum %d", ErrFrameTooLarge, n32, max)
+		return nil, fmt.Errorf("%w: %d bytes, maximum %d", ErrFrameTooLarge, n32, limit)
 	}
 	n := int(n32)
-	capHint := n
-	if capHint > frameChunk {
-		capHint = frameChunk
+	payload := buf[:0]
+	if payload == nil {
+		payload = make([]byte, 0, min(n, frameChunk))
 	}
-	payload := make([]byte, 0, capHint)
 	for len(payload) < n {
-		step := n - len(payload)
-		if step > frameChunk {
-			step = frameChunk
-		}
+		step := min(n-len(payload), frameChunk)
 		if cap(payload)-len(payload) < step {
-			newCap := 2 * cap(payload)
-			if newCap < len(payload)+step {
-				newCap = len(payload) + step
-			}
-			if newCap > n {
-				newCap = n
-			}
-			grown := make([]byte, len(payload), newCap)
+			grown := make([]byte, len(payload), min(max(2*cap(payload), len(payload)+step), n))
 			copy(grown, payload)
 			payload = grown
 		}

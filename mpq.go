@@ -171,7 +171,7 @@ type (
 // Distributed-runtime types.
 type (
 	// TCPWorker serves optimization jobs over TCP.
-	TCPWorker = netrun.Worker
+	TCPWorker = netrun.Endpoint
 	// MasterOptions is the master's policy (internal/sched.Config, where
 	// every field is documented): per-attempt deadline, per-partition
 	// retry budget, worker-exclusion threshold, per-worker weights,

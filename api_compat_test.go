@@ -2,6 +2,7 @@ package mpq_test
 
 import (
 	"context"
+	"io"
 
 	"mpq"
 )
@@ -48,6 +49,10 @@ var (
 	_ func(mpq.ClusterModel) mpq.EngineOption                     = mpq.WithClusterModel
 	_ func(mpq.ClusterFaults) mpq.EngineOption                    = mpq.WithClusterFaults
 	_ func(mpq.MasterOptions) mpq.EngineOption                    = mpq.WithMasterOptions
+
+	// A TCP engine keeps its worker connections warm across calls, and
+	// closes them like any io.Closer.
+	_ io.Closer = (*mpq.TCPEngine)(nil)
 
 	// The plan cache's wire-hit path, which the daemon finds through an
 	// interface of its own.

@@ -174,9 +174,10 @@ func (e *SimEngine) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, e
 // TCPEngine runs MPQ over the fault-tolerant TCP master/worker
 // runtime. Every Answer carries measured traffic in Answer.Net.
 // OptimizeBatch pipelines the partitions of many queries through one
-// pool of keep-alive connections — in a failure-free batch the master
-// dials each worker exactly once (observable as Answer.Net.Dials;
-// transport failures force redials).
+// pool of keep-alive connections, and the engine keeps them warm across
+// calls: a call dials only the workers no earlier call left a healthy
+// connection to (observable as Answer.Net.Dials; transport failures
+// force redials). Close closes the warm connections.
 type TCPEngine struct {
 	ms *netrun.Master
 }
@@ -202,6 +203,10 @@ func (e *TCPEngine) Optimize(ctx context.Context, q *Query, spec JobSpec) (*Answ
 func (e *TCPEngine) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, error) {
 	return e.ms.OptimizeBatch(ctx, jobs)
 }
+
+// Close closes the connections that earlier calls left warm. A call
+// still running closes its own when it ends; later calls dial afresh.
+func (e *TCPEngine) Close() error { return e.ms.Close() }
 
 // CacheConfig parameterizes the plan cache of a CachedEngine.
 // MaxBytes is the eviction budget (encoded keys + encoded plans +

@@ -221,7 +221,8 @@ func TestEngineAnswerMetrics(t *testing.T) {
 // OptimizeBatch of N queries returns answers bit-identical to N
 // sequential Optimize calls, while dialing each worker once for the
 // whole batch instead of once per query — asserted via the master's
-// message/byte/dial accounting.
+// message/byte/dial accounting. The sequential calls run on the
+// connections the batch left warm, so they dial nothing.
 func TestTCPEngineBatchBitIdentical(t *testing.T) {
 	const k = 2
 	eng, _ := startTCPEngine(t, k)
@@ -289,12 +290,132 @@ func TestTCPEngineBatchBitIdentical(t *testing.T) {
 			batchBytesSent, batchBytesRcvd, batchMsgs, seqBytesSent, seqBytesRcvd, seqMsgs)
 	}
 	// Connection reuse: the batch dialed each worker once; the three
-	// sequential calls dialed each worker once per call.
+	// sequential calls reused the connections it left warm.
 	if batchDials != k {
 		t.Fatalf("batch dials = %d, want %d (one per worker)", batchDials, k)
 	}
-	if seqDials != k*len(jobs) {
-		t.Fatalf("sequential dials = %d, want %d", seqDials, k*len(jobs))
+	if seqDials != 0 {
+		t.Fatalf("sequential dials = %d, want 0 (the batch's connections are warm)", seqDials)
+	}
+}
+
+// listenWorkers starts k loopback workers; the caller closes them.
+func listenWorkers(t *testing.T, k int) ([]*mpq.TCPWorker, []string) {
+	t.Helper()
+	workers, addrs := make([]*mpq.TCPWorker, k), make([]string, k)
+	for i := range workers {
+		w, err := mpq.ListenWorker("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers[i], addrs[i] = w, w.Addr()
+	}
+	return workers, addrs
+}
+
+// TestTCPEngineKeepsConnectionsWarm: a second call runs on the
+// connections the first one dialed — the same traffic, and no dial.
+// Close ends them: once it returns, and once the workers close too, no
+// goroutine of either is left.
+func TestTCPEngineKeepsConnectionsWarm(t *testing.T) {
+	const k = 3
+	baseline := runtime.NumGoroutine()
+	workers, addrs := listenWorkers(t, k)
+	listening := runtime.NumGoroutine()
+	eng, err := mpq.NewTCPEngine(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, q, err := mpq.GenerateWorkload(mpq.NewWorkloadParams(8, mpq.Star), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := mpq.JobSpec{Space: mpq.Linear, Workers: 8}
+	first, err := eng.Optimize(context.Background(), q, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := eng.Optimize(context.Background(), q, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Net.Dials != k || second.Net.Dials != 0 {
+		t.Fatalf("dials = %d then %d, want %d then 0", first.Net.Dials, second.Net.Dials, k)
+	}
+	if mpq.PlanFingerprint(first.Best) != mpq.PlanFingerprint(second.Best) {
+		t.Fatal("the warm call's plan differs")
+	}
+	a, b := first.Net, second.Net
+	if a.BytesSent != b.BytesSent || a.BytesReceived != b.BytesReceived || a.Messages != b.Messages {
+		t.Fatalf("traffic %d/%d bytes, %d messages, then %d/%d bytes, %d messages",
+			a.BytesSent, a.BytesReceived, a.Messages, b.BytesSent, b.BytesReceived, b.Messages)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, listening) // the clients and the workers' ends of them
+	for _, w := range workers {
+		w.Close()
+	}
+	waitGoroutines(t, baseline)
+}
+
+// TestTCPEngineRedialsRestartedWorker: a worker that restarts between
+// two calls costs the second call one dial, not a failed attempt. The
+// connection the first call left warm failed in its read loop when the
+// worker hung up, and is never handed out. The test waits for that read
+// loop to end: a call that starts in the moment before it sees the
+// hang-up still takes the dead connection and loses one attempt.
+func TestTCPEngineRedialsRestartedWorker(t *testing.T) {
+	workers, addrs := listenWorkers(t, 2)
+	t.Cleanup(func() { workers[1].Close() })
+	eng, err := mpq.NewTCPEngine(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	_, q, err := mpq.GenerateWorkload(mpq.NewWorkloadParams(7, mpq.Chain), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := mpq.JobSpec{Space: mpq.Linear, Workers: 4}
+	first, err := eng.Optimize(context.Background(), q, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers[0].Close()
+	waitReadLoops(t, 1) // worker 1's client; worker 0's saw the hang-up
+	restarted, err := mpq.ListenWorker(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { restarted.Close() })
+	second, err := eng.Optimize(context.Background(), q, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Net.Redispatched != 0 || second.Net.Dials != 1 {
+		t.Fatalf("after a restart: %d re-dispatched, %d dials; want 0 and 1", second.Net.Redispatched, second.Net.Dials)
+	}
+	if mpq.PlanFingerprint(first.Best) != mpq.PlanFingerprint(second.Best) {
+		t.Fatal("the plan differs after the restart")
+	}
+}
+
+// waitReadLoops polls until at most n wire clients' read loops run.
+func waitReadLoops(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	buf := make([]byte, 1<<20)
+	for {
+		loops := strings.Count(string(buf[:runtime.Stack(buf, true)]), "netrun.(*Client).readLoop(")
+		if loops <= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d client read loops still run, want %d", loops, n)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -7,8 +7,9 @@
 // It then demonstrates the two things the unified Engine API adds:
 //
 //   - OptimizeBatch pipelines several queries through one pool of
-//     keep-alive connections (the master dials each worker once for
-//     the whole batch — watch Answer.Net.Dials).
+//     keep-alive connections, and the engine keeps them warm across
+//     calls: the batch after the first query dials nothing — watch
+//     Answer.Net.Dials.
 //   - A re-run while killing one worker mid-query: the fault-tolerant
 //     master notices the dead node (per-job deadlines), moves its
 //     partitions to the three survivors, and returns the identical
@@ -49,6 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer eng.Close()
 
 	// A 12-table chain query; 16 partitions over 4 workers means each
 	// worker optimizes 4 partitions back to back.
@@ -64,7 +66,7 @@ func main() {
 	}
 	fmt.Printf("\noptimized 12-table query across %d TCP workers in %v\n",
 		len(addrs), time.Since(start).Round(time.Millisecond))
-	fmt.Printf("network: %d bytes sent, %d bytes received, %d messages over %d connections\n",
+	fmt.Printf("network: %d bytes sent, %d bytes received, %d messages over %d new connections\n",
 		ans.Net.BytesSent, ans.Net.BytesReceived, ans.Net.Messages, ans.Net.Dials)
 
 	// The distributed answer matches the local engine bit for bit.
@@ -93,7 +95,7 @@ func main() {
 		fmt.Printf("batch query %d: %s (cost %.4g)\n", i, a.Best, a.Best.Cost)
 		dials += a.Net.Dials
 	}
-	fmt.Printf("batch of %d queries used %d connection dials total (one per worker, reused across queries)\n",
+	fmt.Printf("batch of %d queries dialed %d new connections (the first query's are still warm)\n",
 		len(jobs), dials)
 
 	// --- Failure walkthrough: kill a worker mid-query. ---
@@ -108,6 +110,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer tolerant.Close()
 	timer := time.AfterFunc(2*time.Millisecond, func() { workers[0].Close() })
 	defer timer.Stop()
 	survived, err := tolerant.Optimize(ctx, q, mpq.JobSpec{Space: mpq.Linear, Workers: 16})

@@ -150,7 +150,7 @@ func Describe(ans *mpq.Answer) string {
 		}
 		return line
 	case ans.Net != nil:
-		return fmt.Sprintf("wall %v; network %d bytes sent, %d received, %d messages over %d connections",
+		return fmt.Sprintf("wall %v; network %d bytes sent, %d received, %d messages over %d new connections",
 			ans.Elapsed.Round(1000), ans.Net.BytesSent, ans.Net.BytesReceived, ans.Net.Messages, ans.Net.Dials) +
 			describeCounters(ans.Net.Counters)
 	default:

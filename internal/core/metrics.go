@@ -19,17 +19,20 @@ type NetStats struct {
 	BytesReceived uint64
 	// Messages counts point-to-point frames in both directions.
 	Messages int
-	// Dials counts TCP connections the master opened. A batch that
-	// reuses keep-alive connections across queries dials once per
-	// worker, not once per (query, worker).
+	// Dials counts TCP connections the master opened for this call. A
+	// call takes the connections an earlier call left warm before it
+	// dials, and a batch shares its connections across queries, so
+	// each worker is dialed at most once per call, and not at all by
+	// a call after a healthy one; failures add redials.
 	Dials int
 	// IgnoredFrames counts well-formed frames the master discarded
 	// because their sequence number did not match the job in flight —
 	// duplicated or stale responses replayed by the network. Each is
 	// attributed to the query whose request originally produced it. A
-	// duplicate that arrives after the last job served on its
-	// connection is never read (the master has nothing left to wait
-	// for there) and therefore never counted.
+	// duplicate that arrives after its call ended is counted by no
+	// call: the connection's read loop drops it while the connection
+	// is idle, and the next call to take the connection did not send
+	// the request it answers.
 	IgnoredFrames int
 	// Counters is what the scheduling policy did for this query.
 	sched.Counters

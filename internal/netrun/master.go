@@ -1,7 +1,6 @@
 package netrun
 
 import (
-	"bufio"
 	"cmp"
 	"context"
 	"errors"
@@ -16,15 +15,9 @@ import (
 	"mpq/internal/wire"
 )
 
-const (
-	// DefaultTimeout is the per-attempt deadline when Options.Timeout is
-	// zero. The other policy fields' defaults live in internal/sched.
-	DefaultTimeout = 2 * time.Minute
-	// cancelWriteTimeout bounds the advisory CancelRequest frame write
-	// to a speculative loser; a peer too wedged to accept 8 bytes loses
-	// its connection on the next use anyway.
-	cancelWriteTimeout = 2 * time.Second
-)
+// DefaultTimeout is the per-attempt deadline when Options.Timeout is
+// zero. The other policy fields' defaults live in internal/sched.
+const DefaultTimeout = 2 * time.Minute
 
 // Options is the master's policy: per-attempt Timeout (zero means
 // DefaultTimeout), retry budget, worker exclusion, weights and the
@@ -53,6 +46,10 @@ type Master struct {
 	// trace, when set (tests only), sees every event the master feeds the
 	// core and the actions it goes on to execute.
 	trace func(sched.Event, sched.Actions)
+
+	mu     sync.Mutex
+	idle   [][]*Client // per worker: the warm clients no call holds
+	closed bool        // Close began: calls close the clients they leave
 }
 
 // NewMaster returns a master that will distribute work over the given
@@ -77,7 +74,7 @@ func NewMaster(addrs []string, opts Options) (*Master, error) {
 	}
 	opts = opts.WithDefaults()
 	opts.Timeout = cmp.Or(opts.Timeout, DefaultTimeout)
-	return &Master{addrs: addrs, opts: opts}, nil
+	return &Master{addrs: addrs, opts: opts, idle: make([][]*Client, len(addrs))}, nil
 }
 
 // ignoredFrame is one well-formed frame the master discarded for a
@@ -105,226 +102,198 @@ type jobResult struct {
 	outcome sched.Outcome
 }
 
-// connState is one worker's keep-alive connection plus its
-// request sequence counter. The counter survives redials — sequence
-// numbers only ever need to be unique per connection, and a
-// monotonically increasing one is unique per master lifetime. owner
-// maps every sequence number sent on the current connection to the
-// query it belongs to, so a late duplicate can be billed to the right
-// query; it is reset on redial (a fresh stream cannot replay old
-// frames). r is the connection's one buffered reader, made on dial and
-// dropped with the conn, so a redial never reads an old stream's bytes.
-//
-// mu serializes writes on the connection and guards the conn pointer
-// and inflight field: the coordinator goroutine injects advisory
-// CancelRequest frames (cancelInFlight) into a stream runJob otherwise
-// owns, and closes the connection at teardown (abort). seq, owner and r
-// are private to runJob, whose calls for one worker never overlap.
-type connState struct {
-	mu       sync.Mutex
-	conn     net.Conn
-	inflight uint32 // seq awaiting a response; 0 = none
-	seq      uint32
-	owner    map[uint32]int
-	r        *bufio.Reader
+// leg is a call's client to one worker, held from the call's first
+// attempt there to its end, and what the call sent on it: the query of
+// each request, owner[i] for Seq first+i — the last is the one a
+// speculative loser's cancel names — and the strays its read loop
+// reported since the last attempt billed them.
+type leg struct {
+	mu     sync.Mutex // the coordinator's cancel and the read loop's strays reach a leg too
+	c      *Client
+	first  uint32
+	owner  []int
+	strays []stray
 }
 
-// hangUp closes the connection, if any; nothing is in flight on it any
-// more, and the next attempt redials. Called from runJob only.
-func (st *connState) hangUp() {
-	st.mu.Lock()
-	conn := st.conn
-	st.conn, st.inflight = nil, 0
-	st.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-		st.owner, st.r = nil, nil // a fresh stream cannot replay old frames
+// stray is one reply the leg's client read for no pending request.
+type stray struct {
+	seq   uint32
+	bytes int
+}
+
+// set hands the leg client c, or none (nil) once its client failed.
+func (lg *leg) set(c *Client) {
+	lg.mu.Lock()
+	lg.c, lg.owner, lg.strays = c, lg.owner[:0], nil
+	lg.mu.Unlock()
+}
+
+// sent records request seq, sent for query qi.
+func (lg *leg) sent(seq uint32, qi int) {
+	lg.mu.Lock()
+	if len(lg.owner) == 0 {
+		lg.first = seq
 	}
+	lg.owner = append(lg.owner, qi)
+	lg.mu.Unlock()
 }
 
-// abort closes the connection, if any, unblocking an attempt stuck in a
-// read or write. The coordinator calls it at teardown, after canceling
-// the attempts' ctx: a dial that finishes later sees that ctx ended and
-// closes its own connection (runJob), so none outlives the call.
-func (st *connState) abort() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.conn != nil {
-		st.conn.Close()
+func (lg *leg) onStray(seq uint32, bytes int) {
+	lg.mu.Lock()
+	lg.strays = append(lg.strays, stray{seq, bytes})
+	lg.mu.Unlock()
+}
+
+// bill attributes the strays reported since the last bill to the query
+// that sent their Seq: to none for an earlier call's Seq, to query
+// fallback, the unit in flight, for a Seq never sent.
+func (lg *leg) bill(fallback int) (billed []ignoredFrame) {
+	lg.mu.Lock()
+	defer lg.mu.Unlock()
+	for _, s := range lg.strays {
+		if s.seq >= lg.first {
+			qi := fallback
+			if i := int(s.seq - lg.first); i < len(lg.owner) {
+				qi = lg.owner[i]
+			}
+			billed = append(billed, ignoredFrame{qi: qi, bytes: uint64(s.bytes)})
+		}
 	}
+	lg.strays = nil
+	return billed
 }
 
-// cancelInFlight asks the worker to abort the request currently
-// awaiting a response on this connection — the master no longer wants
-// the answer (a speculative clone of the same partition won the race).
-// Advisory and non-blocking for the caller beyond a short write: if the
-// write fails or stalls, the worker simply finishes the job and its
-// late response is discarded as stale. A partial write can desync the
-// stream; the worker then answers the next request with a decode
-// error, which the transport-failure path already handles by redialing.
-// Returns the frame bytes put on the wire (0 if nothing was sent) so
-// the caller can bill the traffic.
-func (st *connState) cancelInFlight() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.conn == nil || st.inflight == 0 {
+// cancel asks the worker to stop the request awaiting its reply on this
+// leg — a speculative clone of its partition won the race — and returns
+// the frame bytes written, which the caller bills. The attempt goes on
+// waiting for its own reply: ErrCanceled, or the answer already sent.
+func (lg *leg) cancel() int {
+	lg.mu.Lock()
+	defer lg.mu.Unlock()
+	if lg.c == nil || len(lg.owner) == 0 {
 		return 0
 	}
-	frame := wire.CancelRequestFrame(&wire.CancelRequest{Seq: st.inflight})
-	st.conn.SetWriteDeadline(time.Now().Add(cancelWriteTimeout))
-	if err := wire.WriteFramed(st.conn, frame); err != nil {
-		return 0
-	}
-	return len(frame)
+	return lg.c.Cancel(lg.first + uint32(len(lg.owner)-1))
 }
 
-// runJob performs one job attempt on worker ni under the per-job
-// deadline: the configured Timeout, tightened by the context deadline if
-// that comes first. It dials lazily and keeps the connection in st
-// across jobs (and across the queries of a batch). st is shared with
-// the coordinator, which uses it only through cancelInFlight and abort.
-// Canceling ctx aborts a dial in flight.
-func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, st *connState) jobResult {
+// take hands lg a warm client to worker ni, or dials one, and reports
+// whether it dialed. A client whose read loop saw its worker hang up
+// while it idled has failed, and is dropped here, never handed out.
+func (ms *Master) take(ctx context.Context, ni int, lg *leg) (dialed bool, err error) {
+	var c *Client
+	ms.mu.Lock()
+	for c == nil && len(ms.idle[ni]) > 0 {
+		idle := ms.idle[ni]
+		c, ms.idle[ni] = idle[len(idle)-1], idle[:len(idle)-1]
+		if c.failed() != nil {
+			c = nil // its worker hung up
+		}
+	}
+	ms.mu.Unlock()
+	if c == nil {
+		var d net.Dialer
+		conn, err := d.DialContext(ctx, "tcp", ms.addrs[ni])
+		if err != nil {
+			return false, err
+		}
+		c, dialed = NewClient(conn), true
+	}
+	c.reportStrays(lg.onStray)
+	lg.set(c)
+	return dialed, nil
+}
+
+// release leaves each client a call held, no request outstanding on
+// it, warm for the next call. A call holds at most one client per
+// worker, so a worker's idle list never holds more clients than the
+// most calls that ever ran at once. Once Close began, release closes
+// them instead.
+func (ms *Master) release(legs []leg) {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	for ni := range legs {
+		if c := legs[ni].c; c != nil {
+			c.reportStrays(nil)
+			if ms.closed {
+				c.Close()
+			} else {
+				ms.idle[ni] = append(ms.idle[ni], c)
+			}
+		}
+	}
+}
+
+// Close closes the warm clients. A call still running closes the ones
+// it holds when it ends; later calls dial afresh.
+func (ms *Master) Close() error {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	ms.closed = true
+	for _, cs := range ms.idle {
+		for _, c := range cs {
+			c.Close()
+		}
+	}
+	clear(ms.idle)
+	return nil
+}
+
+// runJob performs one job attempt on worker ni as one call on the
+// call's client there (lg), which the call's first attempt on ni takes
+// warm or dials. The attempt deadline — the configured Timeout,
+// tightened by ctx's deadline if that comes first — is the call's
+// context deadline: it bounds the dial and the wait for the reply (the
+// client bounds the request write). A timeout, a transport error or a
+// teardown (ctx canceled) closes the client, and the next attempt dials
+// afresh; a reply, answer or WorkerError, leaves it in use.
+func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, lg *leg) (res jobResult) {
 	addr := ms.addrs[ni]
-	res := jobResult{worker: ni, unit: u}
+	res = jobResult{worker: ni, unit: u, outcome: sched.Failed}
 	t0 := time.Now()
-	deadline := t0.Add(ms.opts.Timeout)
-	if cd, ok := ctx.Deadline(); ok && cd.Before(deadline) {
-		deadline = cd
+	ctx, cancel := context.WithDeadline(ctx, t0.Add(ms.opts.Timeout))
+	defer cancel()
+	defer func() { res.elapsed = time.Since(t0) }()
+	if lg.c == nil {
+		var err error
+		if res.dialed, err = ms.take(ctx, ni, lg); err != nil {
+			res.err = fmt.Errorf("dial %s: %w", addr, err)
+			return res
+		}
 	}
-	// Whatever the outcome, the request is no longer awaiting a response
-	// once runJob returns — late cancels must not target the next job's
-	// sequence number.
-	defer func() {
-		st.mu.Lock()
-		st.inflight = 0
-		st.mu.Unlock()
-	}()
-	// fail records a transport-level error and drops the connection: the
-	// stream may be out of sync, and the next attempt should redial.
-	fail := func(err error) jobResult {
-		res.err, res.outcome = err, sched.Failed
-		res.elapsed = time.Since(t0)
-		st.hangUp()
+	c := lg.c
+	call, err := c.Send(ctx, &wire.JobRequest{Spec: job.Spec, PartID: u.Part, Query: job.Query})
+	if err != nil {
+		c.Close()
+		lg.set(nil)
+		res.err = fmt.Errorf("send to %s: %w", addr, err)
 		return res
 	}
-	if st.conn == nil {
-		// Dialing happens outside the mutex — a nil conn means nothing is
-		// in flight, so cancelInFlight correctly no-ops meanwhile.
-		d := net.Dialer{Deadline: deadline}
-		c, err := d.DialContext(ctx, "tcp", addr)
-		if err != nil {
-			return fail(fmt.Errorf("dial %s: %w", addr, err))
-		}
-		st.mu.Lock()
-		if ctx.Err() != nil {
-			// The coordinator tore down while the dial ran, so its abort
-			// may have passed st already: this conn is ours to close.
-			st.mu.Unlock()
-			c.Close()
-			return fail(fmt.Errorf("dial %s: %w", addr, context.Cause(ctx)))
-		}
-		st.conn = c
-		st.mu.Unlock()
-		st.owner, st.r = map[uint32]int{}, bufio.NewReader(c)
-		res.dialed = true
+	lg.sent(call.Seq, u.Job)
+	rep, err := c.Wait(ctx, call)
+	res.sent, res.rcvd, res.msgs = uint64(call.sent), uint64(rep.bytes), 2
+	res.ignored = lg.bill(u.Job)
+	if fe := (*frameError)(nil); errors.As(err, &fe) {
+		res.rcvd = uint64(fe.bytes) // it arrived whole: billed like a reply
+	} else if err != nil {
+		res.msgs = 1
 	}
-	conn := st.conn
-	st.seq++
-	seq := st.seq
-	st.owner[seq] = u.Job
-	frame := wire.JobRequestFrame(&wire.JobRequest{Seq: seq, Spec: job.Spec, PartID: u.Part, Query: job.Query})
-	// The request write and the in-flight marker share one critical
-	// section so a concurrent cancel frame can never interleave with (or
-	// target a request that precedes) the request bytes.
-	st.mu.Lock()
-	conn.SetDeadline(deadline)
-	werr := wire.WriteFramed(conn, frame)
-	if werr == nil {
-		st.inflight = seq
-	}
-	st.mu.Unlock()
-	if werr != nil {
-		return fail(fmt.Errorf("send to %s: %w", addr, werr))
-	}
-	res.sent = uint64(len(frame))
-	res.msgs++
-	for {
-		respB, err := wire.ReadFrame(st.r)
-		if err != nil {
-			return fail(fmt.Errorf("receive from %s: %w", addr, err))
-		}
-		frameBytes := uint64(len(respB) + 4)
-		// Accepted (and undecodable) frames are billed to the unit in
-		// flight below; duplicates are billed to the query that
-		// originally produced them via the connection's owner map.
-		accept := func() {
-			res.rcvd += frameBytes
-			res.msgs++
-		}
-		tag, err := wire.MessageTag(respB)
-		if err != nil {
-			accept()
-			return fail(fmt.Errorf("from %s: %w", addr, err))
-		}
-		switch tag {
-		case wire.TagWorkerError:
-			we, err := wire.DecodeWorkerError(respB)
-			if err != nil {
-				accept()
-				return fail(fmt.Errorf("decode from %s: %w", addr, err))
-			}
-			if we.Seq != 0 && we.Seq != seq {
-				// A stale error frame for an earlier request (duplicated or
-				// replayed on the wire). Ignore it and keep reading.
-				res.ignored = append(res.ignored, ignoredFrame{qi: st.ownerOf(we.Seq, u.Job), bytes: frameBytes})
-				continue
-			}
-			accept()
-			// The frame itself arrived intact, so the connection stays usable.
-			res.err = fmt.Errorf("worker %s partition %d: %w", addr, u.Part, we)
-			switch we.Code {
-			case wire.ErrCanceled:
-				res.outcome = sched.Canceled
-			case wire.ErrJobFailed:
-				res.outcome = sched.Fatal
-			default:
-				res.outcome = sched.Failed
-			}
-			res.elapsed = time.Since(t0)
-			return res
-		case wire.TagJobResponse:
-			resp, err := wire.DecodeJobResponse(respB)
-			if err != nil {
-				accept()
-				return fail(fmt.Errorf("decode from %s: %w", addr, err))
-			}
-			if resp.Seq != seq {
-				// Duplicate or stale response: a chaos proxy (or a confused
-				// network) replayed a frame. The sequence echo proves it is
-				// not the answer to the request in flight — discard it.
-				res.ignored = append(res.ignored, ignoredFrame{qi: st.ownerOf(resp.Seq, u.Job), bytes: frameBytes})
-				continue
-			}
-			accept()
-			res.resp = resp
-			res.elapsed = time.Since(t0)
-			return res
-		default:
-			accept()
-			return fail(fmt.Errorf("unexpected message tag %d from %s", tag, addr))
+	switch {
+	case err != nil:
+		c.Close()
+		lg.set(nil)
+		res.err = fmt.Errorf("receive from %s: %w", addr, err)
+	case rep.Remote == nil:
+		res.resp, res.outcome = rep.Resp, sched.OK
+	default: // the frame arrived intact, so the connection stays usable
+		res.err = fmt.Errorf("worker %s partition %d: %w", addr, u.Part, rep.Remote)
+		switch rep.Remote.Code {
+		case wire.ErrCanceled:
+			res.outcome = sched.Canceled
+		case wire.ErrJobFailed:
+			res.outcome = sched.Fatal
 		}
 	}
-}
-
-// ownerOf reports which query the given sequence number was sent for
-// on this connection, falling back to the unit in flight for sequence
-// numbers the connection never issued.
-func (st *connState) ownerOf(seq uint32, fallback int) int {
-	if qi, ok := st.owner[seq]; ok {
-		return qi
-	}
-	return fallback
+	return res
 }
 
 // Optimize runs MPQ over the remote workers. The spec's Workers field
@@ -337,12 +306,12 @@ func (st *connState) ownerOf(seq uint32, fallback int) int {
 // budget suffices, the returned plan is bit-identical to a failure-free
 // run, because responses are gathered in partition-ID order.
 //
-// When ctx is canceled the dispatcher stops handing out work,
-// force-closes every connection it opened (unblocking attempts stuck in
-// reads), aborts in-flight dials, waits for all its goroutines, and
-// returns an error wrapping ctx's cause. A ctx deadline also tightens
-// each job attempt's transport deadline, so per-job deadlines flow from
-// context.WithDeadline rather than a bespoke field.
+// When ctx is canceled the dispatcher stops handing out work, ends
+// every attempt in flight — its dial, or its wait for a reply, whose
+// client it closes — waits for all its goroutines, and returns an error
+// wrapping ctx's cause. A ctx deadline also tightens each job attempt's
+// deadline, so per-job deadlines flow from context.WithDeadline rather
+// than a bespoke field.
 func (ms *Master) Optimize(ctx context.Context, q *query.Query, spec core.JobSpec) (*core.Answer, error) {
 	answers, err := ms.OptimizeBatch(ctx, []Job{{Query: q, Spec: spec}})
 	if err != nil {
@@ -355,9 +324,11 @@ func (ms *Master) Optimize(ctx context.Context, q *query.Query, spec core.JobSpe
 // pool of keep-alive worker connections: every (query, partition) pair
 // becomes one unit of work, each worker's queue is seeded with its
 // (weighted) share of every query, and units are executed back to back
-// on the same connections — in a failure-free batch the master dials
-// each worker exactly once instead of once per query (a transport
-// failure drops that worker's connection, so recovery adds redials).
+// on the same connections. A call holds one client per worker, taken
+// warm from an earlier call or dialed, and leaves the healthy ones warm
+// for the next: a failure-free batch dials each worker at most once,
+// and a call after it none (a transport failure drops that worker's
+// client, so recovery adds redials).
 // Which worker runs which unit when — retries, exclusion, stealing,
 // speculation, probes — is decided by internal/sched; worker-exclusion
 // state spans the whole batch.
@@ -390,14 +361,12 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 	// stops receiving.
 	results := make(chan jobResult, k)
 	attempts, cancelAttempts := context.WithCancel(ctx)
-	sts := make([]connState, k)
+	legs := make([]leg, k)
 	var wg sync.WaitGroup
 	defer func() {
-		cancelAttempts() // aborts in-flight dials
-		for i := range sts {
-			sts[i].abort()
-		}
+		cancelAttempts() // ends every attempt in flight, closing its client
 		wg.Wait()
+		ms.release(legs)
 	}()
 
 	// What the loop collects per query: the accepted partition results by
@@ -409,8 +378,8 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 		done[qi] = make([]core.PartResult, job.Spec.Workers)
 	}
 	canceled := func() ([]*core.Answer, error) {
-		// The deferred cleanup force-closes every connection, aborting
-		// in-flight work, and waits for the attempts to return.
+		// The deferred cleanup ends every attempt in flight, closing its
+		// client, and waits for the attempts to return.
 		return nil, fmt.Errorf("netrun: %w", context.Cause(ctx))
 	}
 
@@ -432,7 +401,7 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				results <- ms.runJob(attempts, d.Worker, jobs[d.Unit.Job], d.Unit, &sts[d.Worker])
+				results <- ms.runJob(attempts, d.Worker, jobs[d.Unit.Job], d.Unit, &legs[d.Worker])
 			}()
 		}
 		var wake <-chan time.Time
@@ -446,8 +415,8 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 			bill(nets, res)
 			// A transport failure at or past the caller's deadline is the
 			// deadline's doing, not the worker's: the attempt deadline was
-			// tightened to the ctx deadline, and conn timeouts can fire a
-			// beat before the context's own timer. Wait for the (imminent)
+			// tightened to the ctx deadline, and the attempt's context can
+			// end a beat before the caller's own. Wait for the (imminent)
 			// timer so the error is the deadline, deterministically.
 			if dl, ok := ctx.Deadline(); ok && res.outcome == sched.Failed && !time.Now().Before(dl) {
 				<-ctx.Done()
@@ -466,7 +435,7 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 			// This partition is still running elsewhere: tell the losers to
 			// abort their dynamic programs.
 			for _, nj := range act.Cancel {
-				if n := sts[nj].cancelInFlight(); n > 0 {
+				if n := legs[nj].cancel(); n > 0 {
 					nets[res.unit.Job].BytesSent += uint64(n)
 					nets[res.unit.Job].Messages++
 				}

@@ -36,7 +36,9 @@
 //     replaying middlebox, the chaos proxy's duplicate-response action)
 //     are detected by a per-connection sequence number echoed by the
 //     worker (wire.JobRequest.Seq) and discarded; they are counted in
-//     NetStats.IgnoredFrames and never reach the aggregation.
+//     NetStats.IgnoredFrames of the query that sent that Seq, and never
+//     reach the aggregation. A stale frame from an earlier call, read
+//     on a connection the next call took warm, is counted by no call.
 //
 // Results are aggregated in partition-ID order regardless of arrival
 // order or retries, so whenever at least one worker survives the answer
@@ -58,15 +60,31 @@
 // a time per connection in arrival order; the daemon answers it from
 // its plan cache or queues it.
 //
+// # Clients
+//
+// Every requester is a Client: the master, one per worker connection,
+// and the daemon's client (internal/server). A Client pipelines
+// requests over one connection; one read loop matches each reply to its
+// request by Seq and reports the frames no pending request takes. The
+// daemon's client abandons a request whose caller gave up, which sends
+// the peer a CancelRequest for it; the master closes the client
+// instead, and when a speculative clone wins it cancels the loser's
+// request and still waits for its reply. A caller's deadline bounds
+// only its own wait; the connection fails on a failed or stalled
+// write, or a broken stream.
+//
 // # Cancellation and batches
 //
-// Master.Optimize aborts on context cancellation: the dispatcher
-// stops handing out work, force-closes its connections to unblock
-// reads, and waits for every goroutine before returning. A context
-// deadline tightens each attempt's transport deadline.
+// Master.Optimize aborts on context cancellation: the dispatcher stops
+// handing out work, ends every attempt in flight — closing the client
+// an attempt waited on — and waits for every goroutine before
+// returning. A context deadline tightens each attempt's deadline.
 // Master.OptimizeBatch pipelines the partitions of many independent
-// queries through one pool of keep-alive connections — in a
-// failure-free batch each worker is dialed exactly once; a transport
-// failure drops that worker's connection and the next attempt redials
-// — and returns answers bit-identical to one-query-at-a-time runs.
+// queries through one pool of keep-alive connections, and returns
+// answers bit-identical to one-query-at-a-time runs. The master keeps
+// the connections warm across calls: a call takes an idle one before
+// it dials, so a failure-free batch dials each worker at most once and
+// the call after it none; a transport failure drops that worker's
+// connection and the next attempt redials. Master.Close closes the
+// idle connections.
 package netrun

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -10,42 +9,19 @@ import (
 	"time"
 
 	"mpq"
+	"mpq/internal/netrun"
 	"mpq/internal/wire"
 )
 
 // Client is a wire-protocol client for a resident daemon. It implements
-// mpq.Engine over a single TCP connection, pipelining concurrent
-// requests and matching the daemon's completion-order responses back to
-// callers by Seq — so a cheap query never waits behind an expensive one
-// submitted earlier on the same connection.
+// mpq.Engine over one netrun.Client — the pipelined client the master
+// runs on its worker connections — so concurrent requests share a
+// single TCP connection and the daemon's completion-order replies are
+// matched back to their callers by Seq: a cheap query never waits
+// behind an expensive one submitted earlier on the same connection.
 type Client struct {
-	conn net.Conn
-
-	writeMu sync.Mutex // serializes frame writes
-
-	mu      sync.Mutex // guards seq, pending, err
-	seq     uint32
-	pending map[uint32]chan clientReply
-	err     error // terminal connection error, fails all future calls
-
-	readerDone chan struct{}
+	c *netrun.Client
 }
-
-// clientReply is one decoded response frame.
-type clientReply struct {
-	resp *wire.JobResponse
-	werr *wire.WorkerError
-}
-
-// writeTimeout caps one request-frame send even when the caller's
-// context has no (or a distant) deadline: frames are small, so a write
-// this slow means the daemon has stalled and the connection is dead.
-// cancelWriteTimeout caps the cancel frame an abandoned call sends: its
-// caller has already given up, so it waits for no stalled daemon.
-const (
-	writeTimeout       = 30 * time.Second
-	cancelWriteTimeout = 2 * time.Second
-)
 
 // Dial connects to a daemon's wire listener.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
@@ -53,74 +29,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: dial %s: %w", addr, err)
 	}
-	c := &Client{
-		conn:       conn,
-		pending:    map[uint32]chan clientReply{},
-		readerDone: make(chan struct{}),
-	}
-	go c.readLoop()
-	return c, nil
-}
-
-// readLoop delivers response frames to their waiting callers. On a
-// connection error it fails every pending and future call.
-func (c *Client) readLoop() {
-	defer close(c.readerDone)
-	br := bufio.NewReader(c.conn) // the conn's only reader, for its whole life
-	for {
-		payload, err := wire.ReadFrame(br)
-		if err != nil {
-			c.fail(fmt.Errorf("server: connection lost: %w", err))
-			return
-		}
-		tag, err := wire.MessageTag(payload)
-		if err != nil {
-			c.fail(fmt.Errorf("server: bad frame: %w", err))
-			return
-		}
-		var seq uint32
-		var reply clientReply
-		switch tag {
-		case wire.TagJobResponse:
-			resp, err := wire.DecodeJobResponse(payload)
-			if err != nil {
-				c.fail(fmt.Errorf("server: decode response: %w", err))
-				return
-			}
-			seq, reply = resp.Seq, clientReply{resp: resp}
-		case wire.TagWorkerError:
-			we, err := wire.DecodeWorkerError(payload)
-			if err != nil {
-				c.fail(fmt.Errorf("server: decode error frame: %w", err))
-				return
-			}
-			seq, reply = we.Seq, clientReply{werr: we}
-		default:
-			c.fail(fmt.Errorf("server: unexpected frame tag %d", tag))
-			return
-		}
-		c.mu.Lock()
-		ch := c.pending[seq]
-		delete(c.pending, seq)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- reply // buffered
-		}
-	}
-}
-
-// fail marks the connection dead and wakes every pending caller.
-func (c *Client) fail(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	pending := c.pending
-	c.pending = map[uint32]chan clientReply{}
-	c.mu.Unlock()
-	for _, ch := range pending {
-		close(ch) // a closed channel signals "connection failed"
-	}
+	return &Client{c: netrun.NewClient(conn)}, nil
 }
 
 // Optimize sends one request and waits for its reply. It satisfies
@@ -129,75 +38,18 @@ func (c *Client) fail(err error) {
 // error and cancels the request on the daemon.
 func (c *Client) Optimize(ctx context.Context, q *mpq.Query, spec mpq.JobSpec) (*mpq.Answer, error) {
 	start := time.Now()
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return nil, err
-	}
-	c.seq++
-	seq := c.seq
-	ch := make(chan clientReply, 1)
-	c.pending[seq] = ch
-	c.mu.Unlock()
-
-	// Bound the send so a stalled daemon (full socket buffer) cannot
-	// pin writeMu — and with it every concurrent Optimize on this
-	// connection — indefinitely: use the context deadline, capped at
-	// writeTimeout.
-	deadline := time.Now().Add(writeTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	if err := c.send(wire.JobRequestFrame(&wire.JobRequest{Seq: seq, Spec: spec, Query: q}), deadline); err != nil {
-		return nil, err
-	}
-
-	select {
-	case reply, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			return nil, err
-		}
-		return buildClientAnswer(reply, spec, time.Since(start))
-	case <-ctx.Done():
-		c.abandon(seq)
-		return nil, ctx.Err()
-	}
-}
-
-// send writes one whole frame by the deadline. A failed or timed-out
-// write may have left a partial frame on the stream; the connection is
-// no longer framed, so it fails for every caller rather than letting
-// the next send desync.
-func (c *Client) send(frame []byte, deadline time.Time) error {
-	c.writeMu.Lock()
-	c.conn.SetWriteDeadline(deadline)
-	err := wire.WriteFramed(c.conn, frame)
-	c.conn.SetWriteDeadline(time.Time{})
-	c.writeMu.Unlock()
+	call, err := c.c.Send(ctx, &wire.JobRequest{Spec: spec, Query: q})
 	if err != nil {
-		err = fmt.Errorf("server: send: %w", err)
-		c.fail(err)
-		c.conn.Close()
+		return nil, err
 	}
-	return err
-}
-
-// abandon forgets a request whose caller gave up and, unless its reply
-// already came, sends the daemon a CancelRequest for its Seq: the
-// daemon stops the request, queued or running, and a late reply is
-// dropped by the read loop.
-func (c *Client) abandon(seq uint32) {
-	c.mu.Lock()
-	_, waiting := c.pending[seq]
-	delete(c.pending, seq)
-	c.mu.Unlock()
-	if waiting {
-		c.send(wire.CancelRequestFrame(&wire.CancelRequest{Seq: seq}), time.Now().Add(cancelWriteTimeout))
+	reply, err := c.c.Wait(ctx, call)
+	if err != nil {
+		if ctx.Err() != nil {
+			c.c.Abandon(call.Seq)
+		}
+		return nil, err
 	}
+	return buildClientAnswer(reply, spec, time.Since(start))
 }
 
 // buildClientAnswer reconstructs an mpq.Answer from a reply frame. The
@@ -205,14 +57,14 @@ func (c *Client) abandon(seq uint32) {
 // follows for multi-objective jobs), so the client never re-derives the
 // best-plan tie-break — near-tied cost lines cannot make the daemon
 // engine's Best diverge from the in-process engine's.
-func buildClientAnswer(reply clientReply, spec mpq.JobSpec, elapsed time.Duration) (*mpq.Answer, error) {
-	if we := reply.werr; we != nil {
+func buildClientAnswer(reply netrun.Reply, spec mpq.JobSpec, elapsed time.Duration) (*mpq.Answer, error) {
+	if we := reply.Remote; we != nil {
 		if we.Code == wire.ErrOverloaded {
 			return nil, fmt.Errorf("%w: %s", ErrOverloaded, we.Msg)
 		}
 		return nil, fmt.Errorf("server: remote: %s", we.Msg)
 	}
-	resp := reply.resp
+	resp := reply.Resp
 	if len(resp.Plans) == 0 {
 		return nil, errors.New("server: remote returned no plans")
 	}
@@ -252,8 +104,4 @@ func (c *Client) OptimizeBatch(ctx context.Context, jobs []mpq.Job) ([]*mpq.Answ
 }
 
 // Close tears down the connection; pending calls fail.
-func (c *Client) Close() error {
-	err := c.conn.Close()
-	<-c.readerDone
-	return err
-}
+func (c *Client) Close() error { return c.c.Close() }

@@ -93,8 +93,9 @@ type Config struct {
 	// disables it.
 	WireAddr string
 	// QueueDepth bounds the number of admitted-but-not-yet-dispatched
-	// requests; submissions beyond it fail with ErrOverloaded. Zero
-	// means DefaultQueueDepth.
+	// requests; submissions beyond it fail with ErrOverloaded. A waiting
+	// request whose context has ended holds no slot: a full queue drops
+	// and answers those before it refuses. Zero means DefaultQueueDepth.
 	QueueDepth int
 	// Dispatchers is the number of concurrent engine calls. Zero means
 	// DefaultDispatchers. It bounds requests taken off the queue, not
@@ -308,9 +309,49 @@ func requestID(n uint64) string { return fmt.Sprintf("r-%d", n) }
 // submit admits a request into the arrival queue or rejects it with
 // ErrOverloaded / ErrDraining. On success the dispatcher pool will call
 // req.respond exactly once; on failure the caller answers the client.
+// A full queue first lets go of the requests whose context ended while
+// they waited — a CancelRequest, a disconnect or their deadline — and
+// answers them as a dispatcher would, so dead requests never get live
+// ones refused.
 func (s *Server) submit(req *request) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	var ended []*request
+	if !s.draining && s.queued >= s.cfg.QueueDepth {
+		ended = s.dropEnded()
+	}
+	err := s.admit(req)
+	s.mu.Unlock()
+	for _, r := range ended {
+		s.serve(r) // its context has ended: answered without an engine call
+	}
+	return err
+}
+
+// dropEnded takes the queued requests whose context has ended off the
+// queue, as pop takes a request to serve, and returns them. s.mu is
+// held.
+func (s *Server) dropEnded() []*request {
+	var ended []*request
+	for _, tq := range s.tenants {
+		live := tq.reqs[:0]
+		for _, r := range tq.reqs {
+			if r.ctx.Err() == nil {
+				live = append(live, r)
+				continue
+			}
+			ended = append(ended, r)
+			s.inflight[r] = struct{}{}
+		}
+		clear(tq.reqs[len(live):])
+		tq.reqs = live
+	}
+	s.queued -= len(ended)
+	s.metrics.setQueueDepth(s.queued)
+	return ended
+}
+
+// admit queues req, or refuses it. s.mu is held.
+func (s *Server) admit(req *request) error {
 	if s.draining {
 		s.metrics.reject(req.tenant, req.source, "draining")
 		return ErrDraining

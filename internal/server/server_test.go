@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -1159,5 +1160,82 @@ func TestClientReadsRepliesBackToBack(t *testing.T) {
 	defer cancel()
 	if _, err := c.OptimizeBatch(ctx, []mpq.Job{{Query: q, Spec: js}, {Query: q, Spec: js}}); err != nil {
 		t.Fatalf("two replies in one segment: %v", err)
+	}
+}
+
+// TestExpiredCallKeepsConnection: a call whose deadline passed before
+// it was sent fails alone, and the next call on the same Client is
+// answered. The deadline is the caller's, not the connection's.
+func TestExpiredCallKeepsConnection(t *testing.T) {
+	s := startServer(t, Config{})
+	c, err := Dial(s.WireAddr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	q, js := testQuery(t, 5, 1), mpq.JobSpec{Space: partition.Linear, Workers: 1}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, err := c.Optimize(expired, q, js); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired call: %v, want context.DeadlineExceeded", err)
+	}
+	if _, err := c.Optimize(context.Background(), q, js); err != nil {
+		t.Fatalf("the call after an expired one: %v", err)
+	}
+}
+
+// TestFullQueueDropsCanceledRequests: a request canceled while it waits
+// holds no queue slot. On a one-dispatcher daemon with a one-request
+// queue, a job runs and a second request waits behind it, until a
+// CancelRequest cancels it. A third request is then admitted, not
+// refused ErrOverloaded, and the canceled one is answered ErrCanceled.
+func TestFullQueueDropsCanceledRequests(t *testing.T) {
+	eng := &gatedEngine{inner: mpq.NewSerialEngine(), gate: make(chan struct{}), started: make(chan struct{}, 4)}
+	s := startServer(t, Config{Engine: eng, Dispatchers: 1, QueueDepth: 1})
+	conn, br := wireConn(t, s)
+	q, js := testQuery(t, 5, 1), mpq.JobSpec{Space: partition.Linear, Workers: 1}
+	send := func(frame []byte) {
+		t.Helper()
+		if err := wire.WriteFramed(conn, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() []byte {
+		t.Helper()
+		payload, err := wire.ReadFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+
+	send(wire.JobRequestFrame(&wire.JobRequest{Seq: 1, Spec: js, Query: q}))
+	<-eng.started // seq 1 runs, held at the gate
+	send(wire.JobRequestFrame(&wire.JobRequest{Seq: 2, Spec: js, Query: q}))
+	waitFor(t, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.queued == 1
+	})
+	// The connection's reader takes its frames in order: the cancel has
+	// acted when the third request meets the full queue.
+	send(wire.CancelRequestFrame(&wire.CancelRequest{Seq: 2}))
+	send(wire.JobRequestFrame(&wire.JobRequest{Seq: 3, Spec: js, Query: q}))
+	we, err := wire.DecodeWorkerError(read())
+	if err != nil || we.Seq != 2 || we.Code != wire.ErrCanceled {
+		t.Fatalf("first reply %+v (%v), want seq 2 ErrCanceled", we, err)
+	}
+	close(eng.gate)
+	for _, want := range []uint32{1, 3} {
+		resp, err := wire.DecodeJobResponse(read())
+		if err != nil {
+			t.Fatalf("reply to seq %d: %v", want, err)
+		}
+		if resp.Seq != want {
+			t.Fatalf("reply seq %d, want %d", resp.Seq, want)
+		}
+	}
+	if n := len(eng.started); n != 1 {
+		t.Fatalf("the engine was called %d more times, want 1 (seq 3 alone)", n)
 	}
 }

@@ -124,9 +124,9 @@ func Robust(band float64) Model {
 }
 
 // Validate reports whether the model parameters are usable.
-func (m Model) Validate() error {
+func (m *Model) Validate() error {
 	if !(m.HashFactor > 0) || !(m.SortFactor > 0) || !(m.NLBlock > 0) {
-		return fmt.Errorf("cost: non-positive model parameter: %+v", m)
+		return fmt.Errorf("cost: non-positive model parameter: %+v", *m)
 	}
 	switch m.Second {
 	case BufferFootprint:
@@ -146,10 +146,10 @@ func (m Model) Validate() error {
 
 // ScanCost is the cost of producing a base relation of the given
 // cardinality.
-func (m Model) ScanCost(card float64) float64 { return card }
+func (m *Model) ScanCost(card float64) float64 { return card }
 
 // ScanBuffer is the buffer footprint of a scan (a constant page).
-func (m Model) ScanBuffer(card float64) float64 { return 1 }
+func (m *Model) ScanBuffer(card float64) float64 { return 1 }
 
 func log2(x float64) float64 {
 	if x < 2 {
@@ -166,7 +166,7 @@ func log2(x float64) float64 {
 // stored terms instead of taking logarithms. The conversion rounds the
 // product, so no architecture fuses it into the addition that follows
 // and a stored term is bit-identical to one computed in place.
-func (m Model) SortTerm(card float64) float64 {
+func (m *Model) SortTerm(card float64) float64 {
 	return float64(m.SortFactor * card * log2(card))
 }
 
@@ -186,17 +186,17 @@ func sortMerge(base, lTerm, rTerm float64, leftSorted, rightSorted bool) float64
 // terms lSort = SortTerm(l) and rSort = SortTerm(r) supplied by the
 // caller: l + r + [!leftSorted]·lSort + [!rightSorted]·rSort, in that
 // order.
-func (m Model) SortMergeCost(l, r, lSort, rSort float64, leftSorted, rightSorted bool) float64 {
+func (m *Model) SortMergeCost(l, r, lSort, rSort float64, leftSorted, rightSorted bool) float64 {
 	return sortMerge(l+r, lSort, rSort, leftSorted, rightSorted)
 }
 
 // NestedLoopCost is JoinCost(NestedLoop, l, r, …): every outer block
 // scans the inner input once.
-func (m Model) NestedLoopCost(l, r float64) float64 { return l * r / m.NLBlock }
+func (m *Model) NestedLoopCost(l, r float64) float64 { return l * r / m.NLBlock }
 
 // HashCost is JoinCost(Hash, l, r, …): linear build and probe passes.
 // The conversion keeps the product from fusing into a later addition.
-func (m Model) HashCost(l, r float64) float64 { return float64(m.HashFactor * (l + r)) }
+func (m *Model) HashCost(l, r float64) float64 { return float64(m.HashFactor * (l + r)) }
 
 // JoinCost returns the cost of joining an outer input of cardinality l
 // with an inner input of cardinality r using algorithm alg.
@@ -204,7 +204,7 @@ func (m Model) HashCost(l, r float64) float64 { return float64(m.HashFactor * (l
 // sorted on the join attribute (only SortMerge cares). The per-algorithm
 // methods it dispatches to are the single definitions of the formulas;
 // the dynamic program calls them directly, once per operand split.
-func (m Model) JoinCost(alg JoinAlg, l, r float64, leftSorted, rightSorted bool) float64 {
+func (m *Model) JoinCost(alg JoinAlg, l, r float64, leftSorted, rightSorted bool) float64 {
 	switch alg {
 	case NestedLoop:
 		return m.NestedLoopCost(l, r)
@@ -228,7 +228,7 @@ func (m Model) JoinCost(alg JoinAlg, l, r float64, leftSorted, rightSorted bool)
 // (not including its inputs): the hash join materializes a build table on
 // the inner side; the sort-merge join needs sort space for both unsorted
 // inputs; the nested-loop join streams with a constant footprint.
-func (m Model) JoinBuffer(alg JoinAlg, l, r float64, leftSorted, rightSorted bool) float64 {
+func (m *Model) JoinBuffer(alg JoinAlg, l, r float64, leftSorted, rightSorted bool) float64 {
 	switch alg {
 	case NestedLoop:
 		return 2
@@ -244,7 +244,7 @@ func (m Model) JoinBuffer(alg JoinAlg, l, r float64, leftSorted, rightSorted boo
 // ScanSecond returns a scan's second-metric value. Scan cost does not
 // depend on selectivities, so for RobustCost it equals the nominal scan
 // cost.
-func (m Model) ScanSecond(card float64) float64 {
+func (m *Model) ScanSecond(card float64) float64 {
 	if m.Second == ParametricCost || m.Second == RobustCost {
 		return m.ScanCost(card)
 	}
@@ -257,7 +257,7 @@ func (m Model) ScanSecond(card float64) float64 {
 // must pass the operands' high-endpoint (band-inflated) cardinalities
 // as l and r — the DP tracks them per relation set (see
 // plan.JoinScalarsRobust).
-func (m Model) JoinSecond(alg JoinAlg, l, r float64, leftSorted, rightSorted bool) float64 {
+func (m *Model) JoinSecond(alg JoinAlg, l, r float64, leftSorted, rightSorted bool) float64 {
 	switch m.Second {
 	case ParametricCost:
 		c := m.JoinCost(alg, l, r, leftSorted, rightSorted)
@@ -276,7 +276,7 @@ func (m Model) JoinSecond(alg JoinAlg, l, r float64, leftSorted, rightSorted boo
 // sort term for ParametricCost, and the sort term of its high-endpoint
 // cardinality cardHi for RobustCost. Like SortTerm it depends on the
 // input's table set only.
-func (m Model) SecondSortTerm(card, cardHi float64) float64 {
+func (m *Model) SecondSortTerm(card, cardHi float64) float64 {
 	switch m.Second {
 	case ParametricCost:
 		return m.SortTerm(card)
@@ -289,7 +289,7 @@ func (m Model) SecondSortTerm(card, cardHi float64) float64 {
 // SortMergeSecond is JoinSecond(SortMerge, l, r, …) with the inputs'
 // SecondSortTerm values supplied by the caller (l and r are the
 // high-endpoint cardinalities under RobustCost, as for JoinSecond).
-func (m Model) SortMergeSecond(l, r, lTerm, rTerm float64, leftSorted, rightSorted bool) float64 {
+func (m *Model) SortMergeSecond(l, r, lTerm, rTerm float64, leftSorted, rightSorted bool) float64 {
 	if m.Second == BufferFootprint {
 		return sortMerge(2, lTerm, rTerm, leftSorted, rightSorted)
 	}
@@ -300,7 +300,7 @@ func (m Model) SortMergeSecond(l, r, lTerm, rTerm float64, leftSorted, rightSort
 // max for buffer footprints (concurrent pipeline peak), sum for
 // parametric and robust costs (total work). All are monotone,
 // preserving the DP's principle of optimality.
-func (m Model) CombineSecond(left, right, op float64) float64 {
+func (m *Model) CombineSecond(left, right, op float64) float64 {
 	if m.Second == ParametricCost || m.Second == RobustCost {
 		return left + right + op
 	}

@@ -7,7 +7,8 @@ import (
 )
 
 func TestDefaultValid(t *testing.T) {
-	if err := Default().Validate(); err != nil {
+	m := Default()
+	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

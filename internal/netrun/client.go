@@ -104,9 +104,16 @@ func (c *Client) readLoop() {
 			return
 		}
 		c.mu.Lock()
-		if seq == 0 && r.Remote != nil && len(c.pending) == 1 {
-			// The peer could not read a request's Seq; with one request
-			// pending, the refusal is that request's.
+		if seq == 0 && r.Remote != nil && len(c.pending) > 0 {
+			// The peer could not read a request's Seq. With one request
+			// pending, the refusal is that request's; with more, which
+			// one it refused is unknown, and that one would wait for an
+			// answer forever: the connection fails, every call with it.
+			if len(c.pending) > 1 {
+				c.mu.Unlock()
+				c.fail(&frameError{bytes: r.bytes, err: fmt.Errorf("netrun: refused, Seq unknown: %w", r.Remote)})
+				return
+			}
 			for s := range c.pending {
 				seq = s
 			}

@@ -3,6 +3,7 @@ package netrun
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -19,7 +20,8 @@ import (
 // stream holds responses, worker errors, duplicated and unknown Seqs,
 // truncated frames and garbage. Whatever it holds, nothing panics, and
 // every pending call ends exactly once: with an answer, a remote error,
-// or the connection's error when the stream breaks or ends; no reply to
+// or the connection's error when the stream breaks or ends, or a Seq-0
+// refusal arrives with more than one call pending; no reply to
 // a call that ends with the connection's error went stray before. The
 // abandoned call ends never: a reply to its Seq is a stray. Close then
 // returns, with the read loop gone.
@@ -31,7 +33,7 @@ func FuzzClientReplies(f *testing.F) {
 	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
 	f.Add(cat(resp(1), resp(2), resp(3), resp(4), resp(5)))                               // all answered, 2 a stray
 	f.Add(cat(resp(2), resp(3), resp(3), resp(9), refuse(1, wire.ErrJobFailed)))          // duplicate, unknown Seq
-	f.Add(cat(refuse(0, wire.ErrBadRequest), refuse(4, wire.ErrCanceled), resp(5)))       // a Seq-0 refusal
+	f.Add(cat(refuse(0, wire.ErrBadRequest), refuse(4, wire.ErrCanceled), resp(5)))       // a Seq-0 refusal: fails them all
 	f.Add(cat(resp(1), resp(4)[:9]))                                                      // truncated
 	f.Add(cat(resp(3), []byte{0, 0, 0, 4, 'j', 'u', 'n', 'k'}, resp(4)))                  // garbage
 	f.Add(cat(resp(5), refuse(2, wire.ErrOverloaded), []byte{0xff, 0xff, 0xff, 0xff, 1})) // a lying length prefix
@@ -109,4 +111,44 @@ func FuzzClientReplies(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A Seq-0 refusal — the peer could not read some request's Seq — with
+// several calls pending cannot be matched to one of them: the
+// connection fails with the refusal, so no call waits on a reply that
+// will not come, not even under a context that never ends.
+func TestSeqZeroRefusalFailsPipelinedCalls(t *testing.T) {
+	mine, peer := net.Pipe()
+	c := NewClient(mine)
+	defer c.Close()
+	go io.Copy(io.Discard, peer)
+	req := &wire.JobRequest{Spec: core.JobSpec{Space: partition.Linear, Workers: 1}, Query: gen(t, 3, 1)}
+	calls := make([]Call, 4)
+	for i := range calls {
+		var err error
+		if calls[i], err = c.Send(context.Background(), req); err != nil {
+			t.Fatalf("send %d: %v", i+1, err)
+		}
+	}
+	go peer.Write(wire.WorkerErrorFrame(&wire.WorkerError{Code: wire.ErrBadRequest, Msg: "decode: bad header"}))
+
+	errs := make(chan error, len(calls))
+	for _, call := range calls {
+		go func() {
+			_, err := c.Wait(context.Background(), call)
+			errs <- err
+		}()
+	}
+	timeout := time.After(time.Second)
+	for range calls {
+		select {
+		case err := <-errs:
+			var we *wire.WorkerError
+			if !errors.As(err, &we) || we.Code != wire.ErrBadRequest {
+				t.Fatalf("Wait = %v, want the Seq-0 refusal", err)
+			}
+		case <-timeout:
+			t.Fatal("a call still waits 1 s after the Seq-0 refusal")
+		}
+	}
 }

@@ -60,7 +60,7 @@ func (a *Arena) alloc() *Node {
 // Scan is Scan allocating from the arena.
 func (a *Arena) Scan(m cost.Model, q *query.Query, t int) *Node {
 	n := a.alloc()
-	*n = scanNode(m, q, t)
+	n.setScan(m, q, t)
 	return n
 }
 
@@ -74,14 +74,14 @@ func (a *Arena) Join(m cost.Model, l, r *Node, spec JoinSpec) *Node {
 // DP's survivor path.
 func (a *Arena) JoinWithScalars(l, r *Node, spec JoinSpec, costv, buffer float64) *Node {
 	n := a.alloc()
-	*n = joinNode(l, r, spec, costv, buffer)
+	n.setJoin(l, r, spec, costv, buffer)
 	return n
 }
 
 // Reset recycles every slab for a new run: nodes handed out so far are
 // invalidated (their memory will be overwritten) but no slab memory is
 // released, so a run of similar size allocates nothing. Slot contents
-// are not zeroed — every alloc writes a complete Node value.
+// are not zeroed — setScan and setJoin write every field of a Node.
 func (a *Arena) Reset() {
 	a.si, a.used = 0, 0
 }

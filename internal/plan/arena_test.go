@@ -51,6 +51,41 @@ func TestArenaConstructorsMatchHeap(t *testing.T) {
 	}
 }
 
+// The arena writes a node's fields in place into a recycled slot, so a
+// join built where a scan was, or a scan where a join was, must carry
+// no field of the slot's last node: each equals its heap twin field for
+// field.
+func TestArenaRecycledSlotsMatchHeap(t *testing.T) {
+	q := arenaQuery(t)
+	m := cost.Default()
+	a := &Arena{}
+	l, r := Scan(m, q, 0), Scan(m, q, 1)
+	specs := []JoinSpec{
+		{Alg: cost.Hash, OutCard: 2000, Pred: NoPred, Order: query.NoOrder},
+		{Alg: cost.NestedLoop, OutCard: 2000, Pred: NoPred, Order: query.NoOrder},
+		{Alg: cost.SortMerge, OutCard: 2000, Pred: 0, Order: query.AttrID(0, 1), LSorted: true},
+	}
+	for i := 0; i < slabNodes; i++ {
+		n := a.Scan(m, q, 1+i%2) // Table ≠ 0
+		n.Order = query.AttrID(n.Table, 2)
+	}
+	a.Reset()
+	for i := 0; i < slabNodes; i++ {
+		spec := specs[i%len(specs)]
+		c, buf := JoinScalars(m, l, r, spec)
+		if got, want := a.JoinWithScalars(l, r, spec, c, buf), JoinWithScalars(l, r, spec, c, buf); *got != *want {
+			t.Fatalf("join in a scan's slot %d = %+v, heap %+v", i, *got, *want)
+		}
+	}
+	a.Reset()
+	for i := 0; i < slabNodes; i++ {
+		tbl := i % q.N()
+		if got, want := a.Scan(m, q, tbl), Scan(m, q, tbl); *got != *want {
+			t.Fatalf("scan in a join's slot %d = %+v, heap %+v", i, *got, *want)
+		}
+	}
+}
+
 // Reset must recycle slabs: a second run of the same size allocates no
 // new slab, and Allocated tracks the hand-out count.
 func TestArenaResetRecyclesSlabs(t *testing.T) {

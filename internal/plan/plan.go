@@ -50,26 +50,21 @@ type Node struct {
 
 // Scan builds a scan leaf for table t of q.
 func Scan(m cost.Model, q *query.Query, t int) *Node {
-	n := scanNode(m, q, t)
-	return &n
+	n := new(Node)
+	n.setScan(m, q, t)
+	return n
 }
 
-// scanNode is the shared scan constructor: Scan heap-allocates the value
-// it returns, Arena.Scan writes it into a slab slot. Both paths must
-// produce bit-identical annotations, which sharing this function
-// guarantees.
-func scanNode(m cost.Model, q *query.Query, t int) Node {
+// setScan is the shared scan constructor: Scan writes a heap node,
+// Arena.Scan a slab slot, a recycled one whose every field it writes.
+// Both paths must produce bit-identical annotations, which sharing this
+// function guarantees.
+func (n *Node) setScan(m cost.Model, q *query.Query, t int) {
 	card := q.Card(t)
-	return Node{
-		IsScan: true,
-		Table:  t,
-		Pred:   NoPred,
-		Tables: bitset.Single(t),
-		Card:   card,
-		Cost:   m.ScanCost(card),
-		Buffer: m.ScanSecond(card),
-		Order:  query.NoOrder,
-	}
+	n.IsScan, n.Table = true, t
+	n.Alg, n.Pred, n.Left, n.Right = 0, NoPred, nil, nil
+	n.Tables, n.Card, n.Cost, n.Buffer = bitset.Single(t), card, m.ScanCost(card), m.ScanSecond(card)
+	n.Order = query.NoOrder
 }
 
 // JoinSpec carries the precomputed facts a join constructor needs. The
@@ -120,24 +115,19 @@ func Join(m cost.Model, l, r *Node, spec JoinSpec) *Node {
 // (l, r, spec) — the DP's survivor path, which has just admitted the
 // candidate on those scalars and need not recompute them.
 func JoinWithScalars(l, r *Node, spec JoinSpec, costv, buffer float64) *Node {
-	n := joinNode(l, r, spec, costv, buffer)
-	return &n
+	n := new(Node)
+	n.setJoin(l, r, spec, costv, buffer)
+	return n
 }
 
-// joinNode is the shared join constructor backing JoinWithScalars and
-// Arena.JoinWithScalars (see scanNode).
-func joinNode(l, r *Node, spec JoinSpec, costv, buffer float64) Node {
-	return Node{
-		Alg:    spec.Alg,
-		Pred:   spec.Pred,
-		Left:   l,
-		Right:  r,
-		Tables: l.Tables.Union(r.Tables),
-		Card:   spec.OutCard,
-		Cost:   costv,
-		Buffer: buffer,
-		Order:  spec.Order,
-	}
+// setJoin is the shared join constructor backing JoinWithScalars and
+// Arena.JoinWithScalars (see setScan). It writes the fields one by one:
+// a composite literal would be built on the stack and block-copied.
+func (n *Node) setJoin(l, r *Node, spec JoinSpec, costv, buffer float64) {
+	n.IsScan, n.Table = false, 0
+	n.Alg, n.Pred, n.Left, n.Right = spec.Alg, spec.Pred, l, r
+	n.Tables, n.Card, n.Cost, n.Buffer = l.Tables.Union(r.Tables), spec.OutCard, costv, buffer
+	n.Order = spec.Order
 }
 
 // IsLeftDeep reports whether every join's inner (right) operand is a

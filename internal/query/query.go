@@ -182,6 +182,19 @@ func (q *Query) connects(a, b bitset.Set) bool {
 // product. Returns 1 if no predicate connects them (cross product).
 func (q *Query) SelBetween(a, b bitset.Set) float64 {
 	sel := 1.0
+	q.Freeze()
+	if t := single(a, b); t >= 0 {
+		// Every straddling predicate touches t, and adj[t] lists them in
+		// index order: the product associates as the full scan's does.
+		if q.nbr[t]&(a|b) != 0 {
+			for _, i := range q.adj[t] {
+				if q.ends[i].straddles(a, b) {
+					sel *= q.Preds[i].Selectivity
+				}
+			}
+		}
+		return sel
+	}
 	if !q.connects(a, b) {
 		return sel
 	}
@@ -201,6 +214,17 @@ func (q *Query) SelBetween(a, b bitset.Set) float64 {
 // keeps robust annotations reproducible across engines.
 func (q *Query) SelBetweenInflated(a, b bitset.Set, band float64) float64 {
 	sel := 1.0
+	q.Freeze()
+	if t := single(a, b); t >= 0 {
+		if q.nbr[t]&(a|b) != 0 {
+			for _, i := range q.adj[t] {
+				if q.ends[i].straddles(a, b) {
+					sel *= math.Min(1, q.Preds[i].Selectivity*band)
+				}
+			}
+		}
+		return sel
+	}
 	if !q.connects(a, b) {
 		return sel
 	}
@@ -210,6 +234,19 @@ func (q *Query) SelBetweenInflated(a, b bitset.Set, band float64) float64 {
 		}
 	}
 	return sel
+}
+
+// single returns the table of a if a is a single table, else that of b
+// if b is, else −1. The DP's first split of a set almost always has one,
+// and then only that table's predicates can straddle.
+func single(a, b bitset.Set) int {
+	if a != 0 && a&(a-1) == 0 {
+		return bits.TrailingZeros64(uint64(a))
+	}
+	if b != 0 && b&(b-1) == 0 {
+		return bits.TrailingZeros64(uint64(b))
+	}
+	return -1
 }
 
 // ConnectingPreds appends to dst the indices of predicates with one

@@ -241,18 +241,23 @@ func TestMaskAccessorsMatchDefinitions(t *testing.T) {
 		}
 		a := bitset.Set(rng.Uint64()) & q.All()
 		b := bitset.Set(rng.Uint64()) & q.All()
+		// Random masks are almost never single tables, which the DP's
+		// first split of a set almost always passes: one trial in three
+		// makes a a single table and one makes b, disjoint or not alike.
+		switch trial % 3 {
+		case 1:
+			a = bitset.Single(rng.Intn(n))
+		case 2:
+			b = bitset.Single(rng.Intn(n))
+		}
 		if trial%2 == 0 {
 			b = b.Minus(a) // the DP's case: disjoint operands
 		}
 		band := 1 + 3*rng.Float64()
 
-		sel, selHi := 1.0, 1.0
+		sel, selHi := selDefinition(q, a, b, band)
 		var nbr bitset.Set
 		for _, p := range q.Preds {
-			if (in(a, p.Left) && in(b, p.Right)) || (in(a, p.Right) && in(b, p.Left)) {
-				sel *= p.Selectivity
-				selHi *= math.Min(1, p.Selectivity*band)
-			}
 			if in(a, p.Left) {
 				nbr = nbr.Add(p.Right)
 			}
@@ -318,6 +323,67 @@ func TestMaskAccessorsMatchDefinitions(t *testing.T) {
 			t.Fatalf("Connected(%v) = %v, reachable set is %v", a, got, reach)
 		}
 	}
+}
+
+// selDefinition is SelBetween and SelBetweenInflated by their
+// definition: the product, in predicate index order, over the
+// predicates with one endpoint in a and the other in b.
+func selDefinition(q *Query, a, b bitset.Set, band float64) (sel, selHi float64) {
+	in := func(s bitset.Set, t int) bool { return s&(1<<uint(t)) != 0 }
+	sel, selHi = 1, 1
+	for _, p := range q.Preds {
+		if (in(a, p.Left) && in(b, p.Right)) || (in(a, p.Right) && in(b, p.Left)) {
+			sel *= p.Selectivity
+			selHi *= math.Min(1, p.Selectivity*band)
+		}
+	}
+	return sel, selHi
+}
+
+// FuzzSelBetween checks SelBetween and SelBetweenInflated bit for bit
+// against their definition, for any operands over a generated query:
+// a single table on either side or both (shape 1, 2, 3 turn a, b or
+// both into the table a or b names), overlapping and empty sets. The
+// query has up to 63 tables and parallel predicates, so a table's
+// predicates are many and their order matters to the product.
+func FuzzSelBetween(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint64(0b1110), uint64(0b1), uint8(0), uint8(32))
+	f.Add(int64(2), uint8(12), uint64(3), uint64(0b111100), uint8(1), uint8(0))
+	f.Add(int64(3), uint8(12), uint64(0b111100), uint64(5), uint8(2), uint8(200))
+	f.Add(int64(4), uint8(63), uint64(7), uint64(9), uint8(3), uint8(64))
+	f.Add(int64(5), uint8(16), uint64(0xffff), uint64(0x0f0f), uint8(0), uint8(64)) // overlapping
+	f.Add(int64(6), uint8(16), uint64(4), uint64(0xffff), uint8(1), uint8(16))      // b holds a's table
+	f.Add(int64(7), uint8(16), uint64(0), uint64(0xffff), uint8(0), uint8(16))      // empty a
+	f.Add(int64(8), uint8(2), uint64(1), uint64(0), uint8(0), uint8(16))            // empty b
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, a, b uint64, shape, bandByte uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(size)%bitset.MaxTables
+		ts := make([]Table, n)
+		for i := range ts {
+			ts[i].Cardinality = 1
+		}
+		q := MustNew(ts)
+		for e, edges := 0, rng.Intn(3*n+1); e < edges; e++ {
+			if l, r := rng.Intn(n), rng.Intn(n); l != r {
+				q.MustAddPredicate(Predicate{Left: l, Right: r, Selectivity: 1 - rng.Float64()})
+			}
+		}
+		sa, sb := bitset.Set(a)&q.All(), bitset.Set(b)&q.All()
+		if shape&1 != 0 {
+			sa = bitset.Single(int(a % uint64(n)))
+		}
+		if shape&2 != 0 {
+			sb = bitset.Single(int(b % uint64(n)))
+		}
+		band := 1 + float64(bandByte)/64
+		sel, selHi := selDefinition(q, sa, sb, band)
+		if got := q.SelBetween(sa, sb); math.Float64bits(got) != math.Float64bits(sel) {
+			t.Fatalf("SelBetween(%v, %v) = %b, definition gives %b", sa, sb, got, sel)
+		}
+		if got := q.SelBetweenInflated(sa, sb, band); math.Float64bits(got) != math.Float64bits(selHi) {
+			t.Fatalf("SelBetweenInflated(%v, %v, %g) = %b, definition gives %b", sa, sb, band, got, selHi)
+		}
+	})
 }
 
 // The DP asks SelBetween once per table set, and workload checks ask

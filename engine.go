@@ -214,11 +214,12 @@ func (e *TCPEngine) Close() error { return e.ms.Close() }
 type CacheConfig = cache.Config
 
 // CacheTotals is a snapshot of a CachedEngine's cache-wide counters:
-// hits, misses, singleflight/batch collapses, evictions, fingerprint
-// collisions, and current occupancy.
+// hits, misses, singleflight/batch collapses, evictions, and current
+// occupancy. Collisions is always zero: the cache indexes entries by
+// their full keys.
 type CacheTotals = cache.Totals
 
-// CachedEngine wraps any Engine with a fingerprint-keyed plan cache:
+// CachedEngine wraps any Engine with a plan cache keyed by the job:
 // repeated optimization requests are served from the store instead of
 // re-running the dynamic program, concurrent identical requests
 // collapse onto one computation (singleflight), and the store is kept
@@ -237,7 +238,8 @@ type CacheTotals = cache.Totals
 // join graph, cardinalities, selectivities, plan space, worker count,
 // objective and cost model — so anything that could change the chosen
 // plan changes the key: the spec is the whole job, no engine rewrites
-// it. Parametric jobs (ParametricSpec) are cached like any other; one
+// it. Entries are indexed by those bytes in full, so two jobs share an
+// entry only if their encodings are equal. Parametric jobs (ParametricSpec) are cached like any other; one
 // stored frontier answers every θ through ParametricBest.
 type CachedEngine struct {
 	inner Engine

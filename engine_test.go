@@ -402,6 +402,52 @@ func TestTCPEngineRedialsRestartedWorker(t *testing.T) {
 	}
 }
 
+// TestTCPEngineRedialsWorkerRestartedAtOnce: a call that starts the
+// moment a worker restarted takes the connection the last call left
+// warm before its read loop has seen the hang-up. Its request is lost
+// before any reply, and the attempt redials within itself: no
+// re-dispatch, one dial, the same plan, every time.
+func TestTCPEngineRedialsWorkerRestartedAtOnce(t *testing.T) {
+	workers, addrs := listenWorkers(t, 2)
+	t.Cleanup(func() { workers[1].Close() })
+	w0 := workers[0]
+	t.Cleanup(func() { w0.Close() })
+	eng, err := mpq.NewTCPEngine(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	_, q, err := mpq.GenerateWorkload(mpq.NewWorkloadParams(7, mpq.Chain), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := mpq.JobSpec{Space: mpq.Linear, Workers: 4}
+	ctx := context.Background()
+	first, err := eng.Optimize(ctx, q, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 20 {
+		if _, err := eng.Optimize(ctx, q, spec); err != nil {
+			t.Fatal(err)
+		}
+		w0.Close()
+		if w0, err = mpq.ListenWorker(addrs[0]); err != nil {
+			t.Fatal(err)
+		}
+		second, err := eng.Optimize(ctx, q, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second.Net.Redispatched != 0 || second.Net.Dials != 1 {
+			t.Fatalf("restart %d: %d re-dispatched, %d dials; want 0 and 1", i, second.Net.Redispatched, second.Net.Dials)
+		}
+		if mpq.PlanFingerprint(first.Best) != mpq.PlanFingerprint(second.Best) {
+			t.Fatalf("restart %d: the plan differs", i)
+		}
+	}
+}
+
 // waitReadLoops polls until at most n wire clients' read loops run.
 func waitReadLoops(t *testing.T, n int) {
 	t.Helper()

@@ -30,7 +30,7 @@ type BatchComputeFunc func(ctx context.Context, jobs []BatchJob) ([]*core.Answer
 // unaffected.
 func (c *Cache) OptimizeBatch(ctx context.Context, jobs []BatchJob, computeBatch BatchComputeFunc) ([]*core.Answer, error) {
 	answers := make([]*core.Answer, len(jobs))
-	keys := make([]Key, len(jobs))
+	keys := make([]string, len(jobs))
 	firstOf := make(map[string]int, len(jobs)) // key → position of first miss
 	dups := make(map[int][]int)                // first-miss position → duplicate positions
 	var miss []BatchJob
@@ -46,16 +46,16 @@ func (c *Cache) OptimizeBatch(ctx context.Context, jobs []BatchJob, computeBatch
 	}
 	c.mu.Lock()
 	for i, job := range jobs {
-		if e := c.lookupLocked(keys[i]); e != nil {
+		if e := c.entries[keys[i]]; e != nil {
 			ans, snap := c.hitLocked(e)
 			answers[i] = stamped(ans, snap, true, false)
 			continue
 		}
-		if first, ok := firstOf[keys[i].Bytes]; ok {
+		if first, ok := firstOf[keys[i]]; ok {
 			dups[first] = append(dups[first], i)
 			continue
 		}
-		firstOf[keys[i].Bytes] = i
+		firstOf[keys[i]] = i
 		miss = append(miss, job)
 		missPos = append(missPos, i)
 	}

@@ -1,18 +1,17 @@
-// Package cache implements the fingerprint-keyed plan cache that any
-// execution engine can wear (mpq.WithCache): at served-traffic volumes
-// most optimization requests are exact repeats, and not running the
-// dynamic program at all beats any amount of DP tuning.
+// Package cache implements the plan cache that any execution engine
+// can wear (mpq.WithCache): at served-traffic volumes most optimization
+// requests are exact repeats, and not running the dynamic program at
+// all beats any amount of DP tuning.
 //
 // Three mechanisms compose:
 //
-//   - A canonical, collision-checked fingerprint. The cache key is the
-//     wire encoding of the full job — join-graph shape, table
-//     cardinalities, selectivities, plan space, worker count, objective,
-//     pruner configuration and cost model — so anything that could
-//     change the chosen plan changes the key, and nothing else does.
-//     Keys hash to a 64-bit fingerprint for the index; every lookup
-//     verifies the full encoded key, so a fingerprint collision can
-//     never serve the wrong plan.
+//   - A canonical key. The cache key is the wire encoding of the full
+//     job — join-graph shape, table cardinalities, selectivities, plan
+//     space, worker count, objective, pruner configuration and cost
+//     model — so anything that could change the chosen plan changes the
+//     key, and nothing else does. Stored answers and in-flight work are
+//     both indexed by these bytes in full, so two jobs share an answer
+//     only if their encodings are equal.
 //
 //   - Singleflight collapsing (see singleflight.go). N concurrent
 //     identical requests run one dynamic program; the other N-1 wait
@@ -63,19 +62,6 @@ type Config struct {
 	MaxBytes int64
 }
 
-// Key is the canonical cache key of one optimization request: the wire
-// encoding of the job (query plus complete JobSpec) and its 64-bit
-// fingerprint. Build it with Cache.KeyOf.
-type Key struct {
-	// FP is the FNV-1a fingerprint of Bytes — the index the cache hashes
-	// on.
-	FP uint64
-	// Bytes is the canonical encoding itself — the collision check.
-	// Lookups compare it in full, so equal fingerprints with different
-	// jobs can never alias.
-	Bytes string
-}
-
 // Totals is a snapshot of the cache-wide counters.
 type Totals struct {
 	// Hits counts lookups served from a stored entry.
@@ -88,9 +74,8 @@ type Totals struct {
 	Collapses uint64
 	// Evictions counts entries removed to respect MaxBytes.
 	Evictions uint64
-	// Collisions counts stored key pairs whose 64-bit fingerprints
-	// coincide while their full keys differ (served correctly via the
-	// collision chain; counted for observability).
+	// Collisions is always zero: entries are indexed by their full keys,
+	// so no two jobs share an index. It stays for readers of the field.
 	Collisions uint64
 	// Entries and Bytes are the current occupancy.
 	Entries int
@@ -107,7 +92,7 @@ const freqCap = 15
 // entry is one cached answer with its GreedyDual-Size-Frequency
 // accounting.
 type entry struct {
-	key   Key
+	key   string
 	ans   *core.Answer
 	reply []byte // ans's wire reply frame with Seq 0 (replyOf); read-only
 	bytes int64
@@ -118,29 +103,25 @@ type entry struct {
 	hidx  int     // index in the eviction heap
 }
 
-// Cache is a fingerprint-keyed plan cache with singleflight collapsing
-// and GreedyDual-Size-Frequency eviction. The zero value is not usable;
-// call New. All methods are safe for concurrent use.
+// Cache is a plan cache keyed by canonical job bytes, with singleflight
+// collapsing and GreedyDual-Size-Frequency eviction. The zero value is
+// not usable; call New. All methods are safe for concurrent use.
 type Cache struct {
 	mu       sync.Mutex
-	entries  map[uint64][]*entry // fingerprint → collision chain
-	flights  map[string]*flight  // full key → in-flight computation
+	entries  map[string]*entry  // key → stored answer
+	flights  map[string]*flight // key → in-flight computation
 	evict    entryHeap
 	lval     float64 // GreedyDual inflation level (max evicted priority)
 	bytes    int64
 	maxBytes int64
 	seq      uint64
 	t        Totals
-
-	// hashFn overrides the key fingerprint function in tests (forcing
-	// collisions); nil means FNV-1a.
-	hashFn func([]byte) uint64
 }
 
 // New returns an empty cache.
 func New(cfg Config) *Cache {
 	return &Cache{
-		entries:  make(map[uint64][]*entry),
+		entries:  make(map[string]*entry),
 		flights:  make(map[string]*flight),
 		maxBytes: cfg.MaxBytes,
 	}
@@ -149,31 +130,23 @@ func New(cfg Config) *Cache {
 // KeyOf builds the canonical cache key for (q, spec): the wire job
 // encoding — the exact bytes a master would send a worker for this job
 // — made canonical by wire.CanonicalJobKey (sequence and partition
-// zero, α and the robust band as the objective reads them), and
-// fingerprinted with FNV-1a. Everything that changes the chosen plan
-// (statistics, join graph, plan space, worker count, objective, α,
-// order flags, cost model) is in the encoding; nothing else is. A wire
-// request frame for the job keys to the same bytes, which is how
-// AppendWireHit finds an entry without decoding the frame.
-func (c *Cache) KeyOf(q *query.Query, spec core.JobSpec) Key {
-	b := wire.EncodeJobRequest(&wire.JobRequest{Spec: spec, Query: q})
+// zero, α and the robust band as the objective reads them).
+// Everything that changes the chosen plan (statistics, join graph, plan
+// space, worker count, objective, α, order flags, cost model) is in the
+// encoding; nothing else is. A wire request frame for the job keys to
+// the same bytes, which is how AppendWireHit finds an entry without
+// decoding the frame.
+func (c *Cache) KeyOf(q *query.Query, spec core.JobSpec) string {
+	b := encodeJob(q, spec)
 	wire.CanonicalJobKey(b)
-	return Key{FP: c.fingerprint(b), Bytes: string(b)}
+	return string(b)
 }
 
-// fingerprint hashes a key's bytes with FNV-1a (hash/fnv's New64a),
-// written out so that hashing allocates nothing.
-func (c *Cache) fingerprint(b []byte) uint64 {
-	if c.hashFn != nil {
-		return c.hashFn(b)
-	}
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, x := range b {
-		h ^= uint64(x)
-		h *= prime64
-	}
-	return h
+// encodeJob is a variable so a test can see whether a key is encoded
+// with the cache mutex held. The request is built inside it, so that it
+// does not escape through the indirect call.
+var encodeJob = func(q *query.Query, spec core.JobSpec) []byte {
+	return wire.EncodeJobRequest(&wire.JobRequest{Spec: spec, Query: q})
 }
 
 // AppendWireHit answers a wire job request from the store without
@@ -194,15 +167,8 @@ func (c *Cache) AppendWireHit(dst, req []byte) ([]byte, *core.Answer, bool) {
 	if !wire.CanonicalJobKey(key) {
 		return dst[:n], nil, false
 	}
-	fp := c.fingerprint(key)
 	c.mu.Lock()
-	var e *entry
-	for _, o := range c.entries[fp] {
-		if o.key.Bytes == string(key) {
-			e = o
-			break
-		}
-	}
+	e := c.entries[string(key)]
 	if e == nil || e.reply == nil {
 		c.mu.Unlock()
 		return dst[:n], nil, false
@@ -236,7 +202,7 @@ func (c *Cache) snapshotLocked() Totals {
 func (c *Cache) Lookup(q *query.Query, spec core.JobSpec) (*core.Answer, bool) {
 	key := c.KeyOf(q, spec)
 	c.mu.Lock()
-	e := c.lookupLocked(key)
+	e := c.entries[key]
 	if e == nil {
 		c.mu.Unlock()
 		return nil, false
@@ -254,17 +220,6 @@ func (c *Cache) Insert(q *query.Query, spec core.JobSpec, ans *core.Answer) {
 	c.mu.Lock()
 	c.insertLocked(key, ans, reply, size)
 	c.mu.Unlock()
-}
-
-// lookupLocked finds the entry with exactly this key, walking the
-// fingerprint's collision chain.
-func (c *Cache) lookupLocked(key Key) *entry {
-	for _, e := range c.entries[key.FP] {
-		if e.key.Bytes == key.Bytes {
-			return e
-		}
-	}
-	return nil
 }
 
 // hitLocked counts one reference to a stored entry, the hit counter and
@@ -290,26 +245,23 @@ func (c *Cache) touchLocked(e *entry) {
 // insertLocked stores (key → ans, with its reply frame) at size bytes
 // (replyOf and entrySize, both computed before the lock), replacing an
 // exact-key entry if one exists, with a fresh reference count, and
-// evicting the lowest-priority entries until the budget holds. An answer larger than the whole budget is not
-// cached, and the key's old entry is dropped all the same: the key
-// never serves an answer older than the last one it was given.
-func (c *Cache) insertLocked(key Key, ans *core.Answer, reply []byte, size int64) {
-	old := c.lookupLocked(key)
-	if old != nil {
+// evicting the lowest-priority entries until the budget holds. An
+// answer larger than the whole budget is not cached, and the key's old
+// entry is dropped all the same: the key never serves an answer older
+// than the last one it was given.
+func (c *Cache) insertLocked(key string, ans *core.Answer, reply []byte, size int64) {
+	if old := c.entries[key]; old != nil {
 		c.removeLocked(old)
 	}
 	if c.maxBytes > 0 && size > c.maxBytes {
 		return
-	}
-	if old == nil && len(c.entries[key.FP]) > 0 {
-		c.t.Collisions++
 	}
 	for c.maxBytes > 0 && c.bytes+size > c.maxBytes && len(c.evict) > 0 {
 		victim := heap.Pop(&c.evict).(*entry)
 		if victim.h > c.lval {
 			c.lval = victim.h
 		}
-		c.unchainLocked(victim)
+		delete(c.entries, victim.key)
 		c.bytes -= victim.bytes
 		c.t.Evictions++
 	}
@@ -325,33 +277,16 @@ func (c *Cache) insertLocked(key Key, ans *core.Answer, reply []byte, size int64
 	}
 	e.h = c.lval + float64(e.freq)*e.cost/float64(e.bytes)
 	heap.Push(&c.evict, e)
-	c.entries[key.FP] = append(c.entries[key.FP], e)
+	c.entries[key] = e
 	c.bytes += size
 }
 
-// removeLocked deletes an entry from both the heap and the chain
+// removeLocked deletes an entry from both the heap and the index
 // without eviction accounting (used when replacing an exact key).
 func (c *Cache) removeLocked(e *entry) {
 	heap.Remove(&c.evict, e.hidx)
-	c.unchainLocked(e)
+	delete(c.entries, e.key)
 	c.bytes -= e.bytes
-}
-
-// unchainLocked drops an entry from its fingerprint's collision chain.
-func (c *Cache) unchainLocked(e *entry) {
-	chain := c.entries[e.key.FP]
-	for i, o := range chain {
-		if o == e {
-			chain[i] = chain[len(chain)-1]
-			chain = chain[:len(chain)-1]
-			break
-		}
-	}
-	if len(chain) == 0 {
-		delete(c.entries, e.key.FP)
-	} else {
-		c.entries[e.key.FP] = chain
-	}
 }
 
 // entrySize is the deterministic byte accounting of one entry: the
@@ -359,9 +294,9 @@ func (c *Cache) unchainLocked(e *entry) {
 // put on the wire for this answer, measured by wire.PlanLen without
 // encoding), plus a fixed bookkeeping overhead. The entry's reply frame
 // is not charged.
-func entrySize(key Key, ans *core.Answer) int64 {
-	const overhead = 256 // entry struct, heap slot, chain slot, answer struct
-	size := int64(len(key.Bytes)) + overhead
+func entrySize(key string, ans *core.Answer) int64 {
+	const overhead = 256 // entry struct, heap slot, index slot, answer struct
+	size := int64(len(key)) + overhead
 	if ans.Best != nil {
 		size += int64(wire.PlanLen(ans.Best))
 	}

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"bytes"
 	"context"
+	"math"
 	"testing"
 
 	"mpq/internal/core"
@@ -60,14 +62,14 @@ func TestKeyOfSensitivity(t *testing.T) {
 	add("robust", func(s *core.JobSpec) { s.Objective = core.RobustObjective })
 	add("robustband", func(s *core.JobSpec) { s.Objective = core.RobustObjective; s.RobustBand = 3 })
 	for _, v := range variants {
-		if c.KeyOf(q, v.spec).Bytes == baseKey.Bytes {
+		if c.KeyOf(q, v.spec) == baseKey {
 			t.Errorf("%s: spec change did not change the key", v.name)
 		}
 	}
 
 	// A statistics change — same shape, different selectivities — must
 	// change the key too.
-	if c.KeyOf(genQuery(t, 7, 2), base).Bytes == baseKey.Bytes {
+	if c.KeyOf(genQuery(t, 7, 2), base) == baseKey {
 		t.Error("different query statistics did not change the key")
 	}
 	// And the same (query, spec) must reproduce the identical key.
@@ -260,29 +262,55 @@ func TestOversizeReplacementDropsOldAnswer(t *testing.T) {
 	}
 }
 
-// TestFingerprintCollision: with every key hashed to the same 64-bit
-// fingerprint, different jobs must still be served their own plans via
-// the full-key collision chain.
-func TestFingerprintCollision(t *testing.T) {
-	c := New(Config{})
-	c.hashFn = func([]byte) uint64 { return 42 }
-	qa, qb := genQuery(t, 7, 6), genQuery(t, 7, 7)
+// TestKeysOneByteApart: two jobs whose keys differ in a single byte —
+// the last mantissa bit of one selectivity — are stored side by side,
+// and each is served its own answer through Lookup and through
+// AppendWireHit.
+func TestKeysOneByteApart(t *testing.T) {
+	qa := genQuery(t, 7, 6)
+	qb := query.MustNew(qa.Tables)
+	for i, p := range qa.Preds {
+		if i == len(qa.Preds)-1 {
+			p.Selectivity = math.Float64frombits(math.Float64bits(p.Selectivity) ^ 1)
+		}
+		qb.MustAddPredicate(p)
+	}
 	spec := core.JobSpec{Space: partition.Linear, Workers: 2}
-	ansA, ansB := mustAnswer(t, qa, spec), mustAnswer(t, qb, spec)
+	c := New(Config{})
+	ka, kb := c.KeyOf(qa, spec), c.KeyOf(qb, spec)
+	differ := 0
+	for i := range ka {
+		if ka[i] != kb[i] {
+			differ++
+		}
+	}
+	if len(ka) != len(kb) || differ != 1 {
+		t.Fatalf("keys of %d and %d bytes differ in %d bytes, want one", len(ka), len(kb), differ)
+	}
 
+	ansA, ansB := mustAnswer(t, qa, spec), mustAnswer(t, qb, spec)
 	c.Insert(qa, spec, ansA)
 	c.Insert(qb, spec, ansB)
-	gotA, okA := c.Lookup(qa, spec)
-	gotB, okB := c.Lookup(qb, spec)
-	if !okA || !okB {
-		t.Fatal("collision chain lost an entry")
+	if tt := c.Totals(); tt.Entries != 2 {
+		t.Fatalf("totals = %+v, want 2 entries", tt)
 	}
-	if wire.PlanFingerprint(gotA.Best) != wire.PlanFingerprint(ansA.Best) ||
-		wire.PlanFingerprint(gotB.Best) != wire.PlanFingerprint(ansB.Best) {
-		t.Fatal("colliding fingerprints served the wrong plan")
-	}
-	if tt := c.Totals(); tt.Collisions != 1 || tt.Entries != 2 {
-		t.Fatalf("totals = %+v, want 1 collision and 2 entries", tt)
+	for _, tc := range []struct {
+		name string
+		q    *query.Query
+		ans  *core.Answer
+	}{{"a", qa, ansA}, {"b", qb, ansB}} {
+		got, ok := c.Lookup(tc.q, spec)
+		if !ok || got.Best != tc.ans.Best {
+			t.Fatalf("job %s: Lookup served another answer (hit %v)", tc.name, ok)
+		}
+		req := wire.EncodeJobRequest(&wire.JobRequest{Seq: 5, Spec: spec, Query: tc.q})
+		reply, stored, ok := c.AppendWireHit(nil, req)
+		if !ok || stored != tc.ans {
+			t.Fatalf("job %s: AppendWireHit served another answer (hit %v)", tc.name, ok)
+		}
+		if want := wire.AnswerFrame(5, tc.ans.Best, nil, tc.ans.Stats); !bytes.Equal(reply, want) {
+			t.Fatalf("job %s: AppendWireHit served another reply frame", tc.name)
+		}
 	}
 }
 
@@ -334,21 +362,23 @@ func TestOptimizeMissThenHit(t *testing.T) {
 }
 
 // TestOptimizeBatchKeysOutsideTheLock: a key is a full wire encoding of
-// the job plus a hash pass, and Lookup, Insert and Optimize all compute
-// it before taking the cache mutex. The batch path must too — every
-// concurrent request on the same cache waits behind that mutex. The
-// hash hook runs inside KeyOf, so it can see whether the lock is held.
+// the job, and Lookup, Insert and Optimize all compute it before taking
+// the cache mutex. The batch path must too — every concurrent request
+// on the same cache waits behind that mutex. The encoder runs inside
+// KeyOf, so a probe in its place can see whether the lock is held.
 func TestOptimizeBatchKeysOutsideTheLock(t *testing.T) {
 	c := New(Config{})
 	hashed, locked := 0, 0
-	c.hashFn = func([]byte) uint64 {
+	orig := encodeJob
+	defer func() { encodeJob = orig }()
+	encodeJob = func(q *query.Query, spec core.JobSpec) []byte {
 		hashed++
 		if c.mu.TryLock() {
 			c.mu.Unlock()
 		} else {
 			locked++
 		}
-		return uint64(hashed)
+		return orig(q, spec)
 	}
 	spec := core.JobSpec{Space: partition.Linear, Workers: 2}
 	jobs := make([]BatchJob, 4)

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"mpq/internal/core"
@@ -114,7 +113,7 @@ func resident(c *Cache, q *query.Query, spec core.JobSpec) bool {
 	key := c.KeyOf(q, spec)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lookupLocked(key) != nil
+	return c.entries[key] != nil
 }
 
 // TestHotEntrySurvival: an entry hit k times holds at least k times its
@@ -159,15 +158,13 @@ func TestHotEntrySurvival(t *testing.T) {
 	}
 }
 
-// FuzzEviction feeds two caches the same sequence of Inserts and
-// Lookups and checks the eviction invariants after every operation.
-// budget sets MaxBytes in sixteenths of the smallest entry (0:
-// unlimited). Each byte b of data is one operation on the key whose
-// spec has Workers b&15+1: a Lookup if b < 0x80, else an Insert of an
-// answer with 3, 5 or 7 tables ((b>>4&7)%3 picks) and a recompute cost
-// from the next byte. The second cache hashes every key to one
-// fingerprint, so all its entries share one collision chain;
-// fingerprints must not change what either cache keeps.
+// FuzzEviction feeds a cache a sequence of Inserts and Lookups, checks
+// every Lookup against a model of what each key must serve, and checks
+// the eviction invariants after every operation. budget sets MaxBytes
+// in sixteenths of the smallest entry (0: unlimited). Each byte b of
+// data is one operation on the key whose spec has Workers b&15+1: a
+// Lookup if b < 0x80, else an Insert of an answer with 3, 5 or 7 tables
+// ((b>>4&7)%3 picks) and a recompute cost from the next byte.
 func FuzzEviction(f *testing.F) {
 	q := genQuery(f, 4, 13)
 	tables := []int{3, 5, 7} // plans of three sizes
@@ -192,23 +189,17 @@ func FuzzEviction(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, budget uint8, data []byte) {
 		maxBytes := int64(budget) * unit
-		a := New(Config{MaxBytes: maxBytes})
-		b := New(Config{MaxBytes: maxBytes})
-		b.hashFn = func([]byte) uint64 { return 7 }
+		c := New(Config{MaxBytes: maxBytes})
 		stored := map[byte]*core.Answer{} // key → the answer it must serve
 		for i := 0; i < len(data); i++ {
 			op := data[i]
 			k := op & 15
 			if op < 0x80 {
-				gotA, okA := a.Lookup(q, spec(k))
-				gotB, okB := b.Lookup(q, spec(k))
-				if okA != okB {
-					t.Fatalf("op %d: key %d hit %v in one cache, %v in the other", i, k, okA, okB)
-				}
-				if okA && stored[k] == nil {
+				got, ok := c.Lookup(q, spec(k))
+				if ok && stored[k] == nil {
 					t.Fatalf("op %d: key %d hit, but its last answer was too large to cache", i, k)
 				}
-				if okA && (gotA.Best != stored[k].Best || gotA.Stats != stored[k].Stats || gotB.Best != stored[k].Best || gotB.Stats != stored[k].Stats) {
+				if ok && (got.Best != stored[k].Best || got.Stats != stored[k].Stats) {
 					t.Fatalf("op %d: key %d served an answer it was not given", i, k)
 				}
 			} else {
@@ -218,34 +209,21 @@ func FuzzEviction(f *testing.F) {
 					cost = uint64(data[i]) * uint64(data[i])
 				}
 				ans := withCost(answers[(op>>4&7)%3], cost)
-				a.Insert(q, spec(k), ans)
-				b.Insert(q, spec(k), ans)
+				c.Insert(q, spec(k), ans)
 				// An answer larger than the whole budget is not cached,
 				// and the key's old answer goes with it.
-				if maxBytes == 0 || entrySize(a.KeyOf(q, spec(k)), ans) <= maxBytes {
+				if maxBytes == 0 || entrySize(c.KeyOf(q, spec(k)), ans) <= maxBytes {
 					stored[k] = ans
 				} else {
 					delete(stored, k)
 				}
 			}
-			checkEvictionInvariants(t, i, a)
-			checkEvictionInvariants(t, i, b)
-			ta, tb := a.Totals(), b.Totals()
-			ta.Collisions, tb.Collisions = 0, 0
-			if ta != tb || a.lval != b.lval {
-				t.Fatalf("op %d: the caches diverged: %+v level %g against %+v level %g", i, ta, a.lval, tb, b.lval)
-			}
-			oa, ob := evictionOrder(a), evictionOrder(b)
-			for j := range oa {
-				if oa[j] != ob[j] {
-					t.Fatalf("op %d: eviction order differs at position %d", i, j)
-				}
-			}
+			checkEvictionInvariants(t, i, c)
 		}
 	})
 }
 
-// checkEvictionInvariants checks c's heap, chains, byte accounting and
+// checkEvictionInvariants checks c's heap, index, byte accounting and
 // priorities after operation op.
 func checkEvictionInvariants(t *testing.T, op int, c *Cache) {
 	t.Helper()
@@ -259,8 +237,8 @@ func checkEvictionInvariants(t *testing.T, op int, c *Cache) {
 		if p := (i - 1) / 2; i > 0 && c.evict.Less(i, p) {
 			t.Fatalf("op %d: heap slot %d (priority %g) sorts before its parent (priority %g)", op, i, e.h, c.evict[p].h)
 		}
-		if c.lookupLocked(e.key) != e {
-			t.Fatalf("op %d: heap slot %d is not its key's chain entry", op, i)
+		if c.entries[e.key] != e {
+			t.Fatalf("op %d: heap slot %d is not its key's entry", op, i)
 		}
 		if e.bytes != entrySize(e.key, e.ans) {
 			t.Fatalf("op %d: entry accounted at %d bytes, its size is %d", op, e.bytes, entrySize(e.key, e.ans))
@@ -270,12 +248,8 @@ func checkEvictionInvariants(t *testing.T, op int, c *Cache) {
 		}
 		sum += e.bytes
 	}
-	chained := 0
-	for _, chain := range c.entries {
-		chained += len(chain)
-	}
-	if chained != len(c.evict) {
-		t.Fatalf("op %d: %d chained entries, %d in the heap", op, chained, len(c.evict))
+	if len(c.entries) != len(c.evict) {
+		t.Fatalf("op %d: %d indexed entries, %d in the heap", op, len(c.entries), len(c.evict))
 	}
 	if sum != c.bytes {
 		t.Fatalf("op %d: Bytes %d, resident entries sum to %d", op, c.bytes, sum)
@@ -283,18 +257,4 @@ func checkEvictionInvariants(t *testing.T, op int, c *Cache) {
 	if c.maxBytes > 0 && c.bytes > c.maxBytes {
 		t.Fatalf("op %d: Bytes %d exceed MaxBytes %d", op, c.bytes, c.maxBytes)
 	}
-}
-
-// evictionOrder lists c's resident keys in the order it would evict
-// them.
-func evictionOrder(c *Cache) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	es := append([]*entry(nil), c.evict...)
-	sort.Slice(es, func(i, j int) bool { return entryHeap(es).Less(i, j) })
-	keys := make([]string, len(es))
-	for i, e := range es {
-		keys[i] = e.key.Bytes
-	}
-	return keys
 }

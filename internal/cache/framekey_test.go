@@ -3,7 +3,6 @@ package cache
 import (
 	"bytes"
 	"context"
-	"hash/fnv"
 	"math"
 	"testing"
 
@@ -54,12 +53,12 @@ func FuzzFrameKey(f *testing.F) {
 		}
 
 		// Soundness.
-		if job, err := wire.DecodeJobRequest(key); err == nil && c.KeyOf(job.Query, job.Spec).Bytes == string(key) {
+		if job, err := wire.DecodeJobRequest(key); err == nil && c.KeyOf(job.Query, job.Spec) == string(key) {
 			got, err := wire.DecodeJobRequest(frame)
 			if err != nil {
 				t.Fatalf("the key is a stored job's, but the frame does not decode: %v", err)
 			}
-			if k := c.KeyOf(got.Query, got.Spec); k.Bytes != string(key) {
+			if k := c.KeyOf(got.Query, got.Spec); k != string(key) {
 				t.Fatal("the frame decodes to a job of another key")
 			}
 		}
@@ -84,23 +83,10 @@ func FuzzFrameKey(f *testing.F) {
 			job.Spec.RobustBand = []float64{0, core.DefaultRobustBand}[part%2]
 		}
 		b := wire.EncodeJobRequest(job)
-		if !wire.CanonicalJobKey(b) || string(b) != want.Bytes || c.fingerprint(b) != want.FP {
-			t.Fatalf("request frame keys to\n%x\nKeyOf gives\n%x", b, want.Bytes)
+		if !wire.CanonicalJobKey(b) || string(b) != want {
+			t.Fatalf("request frame keys to\n%x\nKeyOf gives\n%x", b, want)
 		}
 	})
-}
-
-// TestFingerprintIsFNV1a: the written-out hash is hash/fnv's 64-bit
-// FNV-1a, so fingerprints did not move when it replaced the package.
-func TestFingerprintIsFNV1a(t *testing.T) {
-	c := New(Config{})
-	for _, b := range [][]byte{nil, {0}, []byte("mpq"), bytes.Repeat([]byte{0xA5, 3}, 300)} {
-		h := fnv.New64a()
-		h.Write(b)
-		if got, want := c.fingerprint(b), h.Sum64(); got != want {
-			t.Fatalf("fingerprint(%x) = %x, FNV-1a %x", b, got, want)
-		}
-	}
 }
 
 // TestWireHitServesTheStoredReply: a request frame for a stored job is
@@ -147,5 +133,35 @@ func TestWireHitServesTheStoredReply(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("a wire hit into a large enough buffer allocates %.0f objects", allocs)
+	}
+}
+
+// BenchmarkAppendWireHit is the daemon's cache lookup for a request
+// frame that hits, with no socket: the canonical key made in dst, the
+// index, the stored reply appended and its Seq patched. It reads the
+// cost of a hit apart from BenchmarkWireHit's TCP round trip
+// (internal/server), and fails if a hit allocates.
+//
+//	go test ./internal/cache -run '^$' -bench AppendWireHit
+func BenchmarkAppendWireHit(b *testing.B) {
+	c := New(Config{})
+	q := genQuery(b, 8, 1)
+	spec := core.JobSpec{Space: partition.Linear, Workers: 2}
+	c.Insert(q, spec, mustAnswer(b, q, spec))
+	req := wire.EncodeJobRequest(&wire.JobRequest{Seq: 7, Spec: spec, Query: q})
+	dst := make([]byte, 0, 64<<10)
+	hit := func() {
+		var ok bool
+		if dst, _, ok = c.AppendWireHit(dst[:0], req); !ok {
+			b.Fatal("a stored job missed")
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, hit); allocs != 0 {
+		b.Fatalf("a wire hit allocates %.0f objects, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		hit()
 	}
 }

@@ -48,16 +48,16 @@ func (c *Cache) Optimize(ctx context.Context, q *query.Query, spec core.JobSpec,
 	key := c.KeyOf(q, spec)
 
 	c.mu.Lock()
-	if e := c.lookupLocked(key); e != nil {
+	if e := c.entries[key]; e != nil {
 		ans, snap := c.hitLocked(e)
 		c.mu.Unlock()
 		return stamped(ans, snap, true, false), nil
 	}
-	f := c.flights[key.Bytes]
+	f := c.flights[key]
 	if f == nil {
 		f = &flight{token: make(chan struct{}, 1), done: make(chan struct{})}
 		f.token <- struct{}{}
-		c.flights[key.Bytes] = f
+		c.flights[key] = f
 	}
 	f.waiters++
 	c.mu.Unlock()
@@ -90,7 +90,7 @@ func (c *Cache) Optimize(ctx context.Context, q *query.Query, spec core.JobSpec,
 // lead runs the computation as the flight's leader and publishes the
 // outcome. On the leader's own cancellation it hands the token to a
 // waiting follower (or retires the flight if nobody waits).
-func (c *Cache) lead(ctx context.Context, key Key, f *flight, q *query.Query, spec core.JobSpec, compute ComputeFunc) (*core.Answer, error) {
+func (c *Cache) lead(ctx context.Context, key string, f *flight, q *query.Query, spec core.JobSpec, compute ComputeFunc) (*core.Answer, error) {
 	c.mu.Lock()
 	f.waiters--
 	c.mu.Unlock()
@@ -102,7 +102,7 @@ func (c *Cache) lead(ctx context.Context, key Key, f *flight, q *query.Query, sp
 		// none is waiting, retire the flight so the next arrival leads.
 		c.mu.Lock()
 		if f.waiters == 0 {
-			delete(c.flights, key.Bytes)
+			delete(c.flights, key)
 		} else {
 			f.token <- struct{}{}
 		}
@@ -117,7 +117,7 @@ func (c *Cache) lead(ctx context.Context, key Key, f *flight, q *query.Query, sp
 		reply, size = replyOf(ans, spec), entrySize(key, ans)
 	}
 	c.mu.Lock()
-	delete(c.flights, key.Bytes)
+	delete(c.flights, key)
 	c.t.Misses++
 	if err == nil {
 		c.insertLocked(key, ans, reply, size)

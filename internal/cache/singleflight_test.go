@@ -72,12 +72,12 @@ func TestSingleflightOneComputeManyCallers(t *testing.T) {
 // waitWaiters polls until the key's flight has at least n parked
 // followers (the leader has already taken the token and left the
 // waiter count).
-func waitWaiters(t *testing.T, c *Cache, key Key, n int) {
+func waitWaiters(t *testing.T, c *Cache, key string, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		c.mu.Lock()
-		f := c.flights[key.Bytes]
+		f := c.flights[key]
 		w := 0
 		if f != nil {
 			w = f.waiters

@@ -176,13 +176,14 @@ func (lg *leg) cancel() int {
 	return lg.c.Cancel(lg.first + uint32(len(lg.owner)-1))
 }
 
-// take hands lg a warm client to worker ni, or dials one, and reports
-// whether it dialed. A client whose read loop saw its worker hang up
-// while it idled has failed, and is dropped here, never handed out.
-func (ms *Master) take(ctx context.Context, ni int, lg *leg) (dialed bool, err error) {
+// take hands lg a client to worker ni — a warm one if warm is set and
+// one idles, else a new connection — and reports whether it dialed. A
+// client whose read loop saw its worker hang up while it idled has
+// failed, and is dropped here, never handed out.
+func (ms *Master) take(ctx context.Context, ni int, lg *leg, warm bool) (dialed bool, err error) {
 	var c *Client
 	ms.mu.Lock()
-	for c == nil && len(ms.idle[ni]) > 0 {
+	for warm && c == nil && len(ms.idle[ni]) > 0 {
 		idle := ms.idle[ni]
 		c, ms.idle[ni] = idle[len(idle)-1], idle[:len(idle)-1]
 		if c.failed() != nil {
@@ -246,6 +247,11 @@ func (ms *Master) Close() error {
 // client bounds the request write). A timeout, a transport error or a
 // teardown (ctx canceled) closes the client, and the next attempt dials
 // afresh; a reply, answer or WorkerError, leaves it in use.
+//
+// A client taken warm at this attempt may have lost its worker while it
+// idled, before its read loop saw the hang-up. If its connection is
+// lost before any reply frame arrives, the attempt dials once more and
+// sends again; the lost request stays billed.
 func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, lg *leg) (res jobResult) {
 	addr := ms.addrs[ni]
 	res = jobResult{worker: ni, unit: u, outcome: sched.Failed}
@@ -253,37 +259,57 @@ func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, lg 
 	ctx, cancel := context.WithDeadline(ctx, t0.Add(ms.opts.Timeout))
 	defer cancel()
 	defer func() { res.elapsed = time.Since(t0) }()
-	if lg.c == nil {
-		var err error
-		if res.dialed, err = ms.take(ctx, ni, lg); err != nil {
-			res.err = fmt.Errorf("dial %s: %w", addr, err)
+	// warm: whether this attempt takes its client warm; once taken,
+	// whether a connection lost before any reply may still be redialed.
+	warm := lg.c == nil
+	for {
+		if lg.c == nil {
+			var err error
+			if res.dialed, err = ms.take(ctx, ni, lg, warm); err != nil {
+				res.err = fmt.Errorf("dial %s: %w", addr, err)
+				return res
+			}
+			warm = !res.dialed
+		}
+		if !ms.call(ctx, job, u, lg, &res) || !warm || ctx.Err() != nil {
 			return res
 		}
+		warm = false // lost before any reply: redial, once
 	}
-	c := lg.c
+}
+
+// call sends one attempt's request on lg's client and waits for the
+// reply, adding its traffic to res. It reports whether the connection
+// was lost before any reply frame arrived.
+func (ms *Master) call(ctx context.Context, job Job, u sched.Unit, lg *leg, res *jobResult) (lost bool) {
+	addr, c := ms.addrs[res.worker], lg.c
 	call, err := c.Send(ctx, &wire.JobRequest{Spec: job.Spec, PartID: u.Part, Query: job.Query})
 	if err != nil {
 		c.Close()
 		lg.set(nil)
 		res.err = fmt.Errorf("send to %s: %w", addr, err)
-		return res
+		return true
 	}
 	lg.sent(call.Seq, u.Job)
 	rep, err := c.Wait(ctx, call)
-	res.sent, res.rcvd, res.msgs = uint64(call.sent), uint64(rep.bytes), 2
-	res.ignored = lg.bill(u.Job)
-	if fe := (*frameError)(nil); errors.As(err, &fe) {
+	res.sent += uint64(call.sent)
+	res.rcvd, res.msgs = uint64(rep.bytes), res.msgs+2
+	ignored := lg.bill(u.Job)
+	res.ignored = append(res.ignored, ignored...)
+	fe := (*frameError)(nil)
+	if errors.As(err, &fe) {
 		res.rcvd = uint64(fe.bytes) // it arrived whole: billed like a reply
 	} else if err != nil {
-		res.msgs = 1
+		res.msgs--
 	}
 	switch {
 	case err != nil:
 		c.Close()
 		lg.set(nil)
 		res.err = fmt.Errorf("receive from %s: %w", addr, err)
+		return fe == nil && len(ignored) == 0
 	case rep.Remote == nil:
-		res.resp, res.outcome = rep.Resp, sched.OK
+		res.resp, res.outcome, res.err = rep.Resp, sched.OK, nil
 	default: // the frame arrived intact, so the connection stays usable
 		res.err = fmt.Errorf("worker %s partition %d: %w", addr, u.Part, rep.Remote)
 		switch rep.Remote.Code {
@@ -293,7 +319,7 @@ func (ms *Master) runJob(ctx context.Context, ni int, job Job, u sched.Unit, lg 
 			res.outcome = sched.Fatal
 		}
 	}
-	return res
+	return false
 }
 
 // Optimize runs MPQ over the remote workers. The spec's Workers field

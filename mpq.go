@@ -59,10 +59,10 @@
 // points. See docs/api.md for the full engine guide.
 //
 // Any engine composes with WithCache, which serves repeated requests
-// from a fingerprint-keyed plan cache (singleflight collapsing,
-// GreedyDual-Size-Frequency eviction: recompute cost per byte times a
-// hit count that saturates at 15, so a once-hot plan still ages out)
-// with answers bit-identical to the uncached engine's:
+// from a plan cache keyed by the job's canonical encoding (singleflight
+// collapsing, GreedyDual-Size-Frequency eviction: recompute cost per
+// byte times a hit count that saturates at 15, so a once-hot plan still
+// ages out) with answers bit-identical to the uncached engine's:
 //
 //	cached := mpq.WithCache(eng, mpq.CacheConfig{MaxBytes: 1 << 20})
 //

@@ -44,6 +44,11 @@ go run ./cmd/mpqlint ./...
 echo "==> dp job-class microbenchmark, one iteration"
 go test ./internal/dp -run '^$' -bench JobClasses -benchtime 1x
 
+# The plan cache's hit lookup, apart from any socket: one iteration
+# keeps it compiling and fails if a hit allocates.
+echo "==> plan-cache wire-hit microbenchmark, one iteration"
+go test ./internal/cache -run '^$' -bench AppendWireHit -benchtime 1x
+
 # cmd/mpqbench has no test files: one sub-second experiment through the
 # registry keeps its dispatch and -json output working.
 echo "==> mpqbench dispatch smoke (fig3, 2 queries)"

@@ -29,7 +29,7 @@ func freshRuntimeReference(t *testing.T, q *mpq.Query, spec mpq.JobSpec) (best s
 		}
 		opts := spec.DPOptions()
 		opts.Runtime = dp.NewRuntime()
-		res, err := dp.Run(q, cs, opts)
+		res, err := dp.RunContext(context.Background(), q, cs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,6 +47,7 @@ package cache
 import (
 	"container/heap"
 	"sync"
+	"unsafe"
 
 	"mpq/internal/core"
 	"mpq/internal/plan"
@@ -135,11 +136,12 @@ func New(cfg Config) *Cache {
 // space, worker count, objective, α, order flags, cost model) is in the
 // encoding; nothing else is. A wire request frame for the job keys to
 // the same bytes, which is how AppendWireHit finds an entry without
-// decoding the frame.
+// decoding the frame. The key is the encoding's own buffer, which
+// nothing writes after CanonicalJobKey: one allocation, not a copy.
 func (c *Cache) KeyOf(q *query.Query, spec core.JobSpec) string {
 	b := encodeJob(q, spec)
 	wire.CanonicalJobKey(b)
-	return string(b)
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // encodeJob is a variable so a test can see whether a key is encoded

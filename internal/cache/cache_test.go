@@ -78,6 +78,17 @@ func TestKeyOfSensitivity(t *testing.T) {
 	}
 }
 
+// TestKeyOfAllocatesOnce: a key is the job's encoding itself, not a
+// copy of it, so building one allocates once.
+func TestKeyOfAllocatesOnce(t *testing.T) {
+	c := New(Config{})
+	q := genQuery(t, 8, 1)
+	spec := core.JobSpec{Space: partition.Linear, Workers: 2}
+	if allocs := testing.AllocsPerRun(100, func() { _ = c.KeyOf(q, spec) }); allocs != 1 {
+		t.Fatalf("KeyOf allocates %.1f times per call, want 1", allocs)
+	}
+}
+
 // TestKeyOfIgnoresUnreadFields: spec pairs that differ only in a field
 // the objective does not read, or in its zero value versus the value
 // zero stands for, share a key — and the engine indeed returns the same

@@ -214,7 +214,7 @@ func TestMemoryMetricMatchesDP(t *testing.T) {
 	}
 	// Worker memo size equals the DP's count for one partition.
 	cs, _ := partition.ForPartition(partition.Linear, 10, 0, 4)
-	ref, err := dp.Run(q, cs, dp.Options{})
+	ref, err := dp.RunContext(context.Background(), q, cs, dp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mpq/internal/core"
-	"mpq/internal/dp"
 	"mpq/internal/partition"
 	"mpq/internal/query"
 	"mpq/internal/sched"
@@ -235,7 +234,7 @@ func TestSimulatorBoundsResidentMemos(t *testing.T) {
 	var running, peak atomic.Int32
 	orig := runWorker
 	defer func() { runWorker = orig }()
-	runWorker = func(ctx context.Context, q *query.Query, spec core.JobSpec, partID int) (*dp.Result, error) {
+	runWorker = func(ctx context.Context, q *query.Query, spec core.JobSpec, partID int) (core.PartResult, error) {
 		now := running.Add(1)
 		defer running.Add(-1)
 		for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {

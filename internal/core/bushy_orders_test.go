@@ -60,7 +60,7 @@ func TestWorkerRespectsWorkLimit(t *testing.T) {
 	opts := spec.DPOptions()
 	opts.MaxWorkUnits = 10
 	cs := partition.Unconstrained(partition.Linear, 10)
-	if _, err := dp.Run(q, cs, opts); err == nil {
+	if _, err := dp.RunContext(context.Background(), q, cs, opts); err == nil {
 		t.Fatal("work limit not enforced")
 	}
 }

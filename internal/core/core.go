@@ -166,7 +166,8 @@ func (s JobSpec) Validate(n int) error {
 }
 
 // Pruner picks the pruning rule the spec asks for — the only thing that
-// differs between the optimization variants (§4) — from dp's three.
+// differs between the optimization variants (§4) — from dp's two. Both
+// honour the spec's InterestingOrders.
 func (s JobSpec) Pruner() dp.Pruner {
 	if s.Objective.HasFrontier() {
 		// Robust jobs reuse the Pareto rule unchanged: with the Buffer
@@ -174,9 +175,6 @@ func (s JobSpec) Pruner() dp.Pruner {
 		// Buffer) is exactly "never better at either endpoint". Pareto
 		// reads an α below 1 (the zero value) as 1.
 		return dp.Pareto{Alpha: s.Alpha}
-	}
-	if s.InterestingOrders {
-		return dp.OrderAware{}
 	}
 	return dp.SingleBest{}
 }
@@ -220,7 +218,7 @@ func (s JobSpec) DPOptions() dp.Options {
 // Finish deep-copies the surviving plans out of the arenas.
 var slots = make(chan *dp.Runtime, runtime.GOMAXPROCS(0))
 
-// waiting counts the runWorker calls that wait for a slot.
+// waiting counts the RunWorkerContext calls that wait for a slot.
 var waiting atomic.Int32
 
 func init() {
@@ -231,16 +229,6 @@ func init() {
 
 // runDP is a variable so a test can watch which runtimes run at a time.
 var runDP = dp.RunContext
-
-// RunWorkerContext executes one worker task (Algorithm 2) on a runtime
-// slot: decode the partition ID into constraints and run the constrained
-// dynamic program. Every engine's workers go through it. A wait for a
-// slot that ctx ends returns ctx's cause; the dynamic program checks ctx
-// between (and periodically within) cardinality levels.
-func RunWorkerContext(ctx context.Context, q *query.Query, spec JobSpec, partID int) (*dp.Result, error) {
-	res, _, err := runWorker(ctx, q, spec, partID)
-	return res, err
-}
 
 // maxHelpers caps a partition's helpers at the one width measured,
 // w = 2 (docs/perf.md §15). A wider level is cut into the same few
@@ -253,27 +241,32 @@ const maxHelpers = 1
 // (docs/perf.md §15 has the measured table).
 var minWideSlots = [...]uint64{partition.Linear: 8192, partition.Bushy: 2048}
 
-// runWorker is RunWorkerContext plus the task's own run time, measured
-// once it holds its slot. A spec or partition ID that fails validation is
-// refused before the wait for a slot. A job of fewer partitions than
-// slots lends each of its partitions of at least minWideSlots memo slots
-// the cores of up to min(maxHelpers, cap(slots)/Workers − 1) more slots —
-// those idle when the partition starts, without waiting — as the dynamic
-// program's helpers (dp.Options.Helpers), so a partition running alone
-// widens each cardinality level onto an idle core. When another
-// partition waits for a slot, a helper stops at its next task and its
-// slot goes to the waiter (lent.release).
-func runWorker(ctx context.Context, q *query.Query, spec JobSpec, partID int) (*dp.Result, time.Duration, error) {
+// RunWorkerContext executes one worker task (Algorithm 2) on a runtime
+// slot: decode the partition ID into constraints and run the constrained
+// dynamic program. Every engine's workers go through it. The result's
+// Elapsed is the task's own run time, measured once it holds its slot.
+// A spec or partition ID that fails validation is refused before the
+// wait for a slot; a wait that ctx ends returns ctx's cause, and the
+// dynamic program checks ctx between (and periodically within)
+// cardinality levels. A job of fewer partitions than slots lends each of
+// its partitions of at least minWideSlots memo slots the cores of up to
+// min(maxHelpers, cap(slots)/Workers − 1) more slots — those idle when
+// the partition starts, without waiting — as the dynamic program's
+// helpers (dp.Options.Helpers), so a partition running alone widens each
+// cardinality level onto an idle core. When another partition waits for
+// a slot, a helper stops at its next task and its slot goes to the
+// waiter (lent.release).
+func RunWorkerContext(ctx context.Context, q *query.Query, spec JobSpec, partID int) (PartResult, error) {
 	if err := spec.Validate(q.N()); err != nil {
-		return nil, 0, err
+		return PartResult{}, err
 	}
 	cs, err := partition.ForPartition(spec.Space, q.N(), partID, spec.Workers)
 	if err != nil {
-		return nil, 0, err
+		return PartResult{}, err
 	}
 	rt, err := takeSlot(ctx)
 	if err != nil {
-		return nil, 0, err
+		return PartResult{}, err
 	}
 	defer func() { slots <- rt }()
 	start := time.Now()
@@ -285,7 +278,10 @@ func runWorker(ctx context.Context, q *query.Query, spec JobSpec, partID int) (*
 		defer l.giveBack()
 	}
 	res, err := runDP(ctx, q, cs, opts)
-	return res, time.Since(start), err
+	if err != nil {
+		return PartResult{}, err
+	}
+	return PartResult{Plans: res.Plans, Stats: res.Stats, Elapsed: time.Since(start)}, nil
 }
 
 // takeSlot takes a runtime slot, waiting for one as long as ctx lasts.
@@ -518,11 +514,7 @@ func OptimizeContext(ctx context.Context, q *query.Query, spec JobSpec) (*Answer
 	}
 	start := time.Now()
 	parts, err := RunPartitions(ctx, spec.Workers, func(ctx context.Context, partID int) (PartResult, error) {
-		res, elapsed, err := runWorker(ctx, q, spec, partID)
-		if err != nil {
-			return PartResult{}, err
-		}
-		return PartResult{Plans: res.Plans, Stats: res.Stats, Elapsed: elapsed}, nil
+		return RunWorkerContext(ctx, q, spec, partID)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

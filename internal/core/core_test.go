@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"mpq/internal/dp"
 	"mpq/internal/mo"
 	"mpq/internal/partition"
 	"mpq/internal/query"
@@ -80,7 +79,7 @@ func TestMPQEqualsSerialAllWorkerCounts(t *testing.T) {
 	for _, c := range cases {
 		for seed := int64(0); seed < 5; seed++ {
 			q := gen(t, c.n, workload.Star, seed)
-			serial, err := dp.Serial(q, c.space, dp.Options{})
+			serial, err := RunWorkerContext(context.Background(), q, JobSpec{Space: c.space, Workers: 1}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,9 +88,9 @@ func TestMPQEqualsSerialAllWorkerCounts(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !approx(ans.Best.Cost, serial.Best().Cost) {
+				if !approx(ans.Best.Cost, serial.Plans[0].Cost) {
 					t.Fatalf("%v n=%d m=%d seed=%d: MPQ %g != serial %g",
-						c.space, c.n, m, seed, ans.Best.Cost, serial.Best().Cost)
+						c.space, c.n, m, seed, ans.Best.Cost, serial.Plans[0].Cost)
 				}
 			}
 		}
@@ -101,7 +100,7 @@ func TestMPQEqualsSerialAllWorkerCounts(t *testing.T) {
 func TestMPQMultiObjectiveExactMatchesSerialFrontier(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		q := gen(t, 7, workload.Star, seed)
-		serial, err := dp.Serial(q, partition.Linear, dp.Options{Pruner: dp.Pareto{Alpha: 1}})
+		serial, err := RunWorkerContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: 1, Objective: MultiObjective, Alpha: 1}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +131,7 @@ func TestMPQMultiObjectiveExactMatchesSerialFrontier(t *testing.T) {
 
 func TestMPQMultiObjectiveAlphaCoverage(t *testing.T) {
 	q := gen(t, 7, workload.Star, 11)
-	serial, err := dp.Serial(q, partition.Linear, dp.Options{Pruner: dp.Pareto{Alpha: 1}})
+	serial, err := RunWorkerContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: 1, Objective: MultiObjective, Alpha: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +235,7 @@ func TestRunWorkerRespectsPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 		cs, _ := partition.ForPartition(partition.Linear, 6, partID, 8)
-		order := res.Best().JoinOrder()
+		order := res.Plans[0].JoinOrder()
 		pos := make(map[int]int, len(order))
 		for i, tbl := range order {
 			pos[tbl] = i

@@ -114,6 +114,11 @@ func TestPooledRuntimeStaleCapacityBitIdentical(t *testing.T) {
 // distinct runtimes, every one returns the optimum, and no goroutine
 // outlives them.
 func TestOptimizeParallelismCap(t *testing.T) {
+	q := gen(t, 12, workload.Star, 0)
+	serial, err := RunWorkerContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var running, peak atomic.Int32
 	var mu sync.Mutex
 	runtimes := map[*dp.Runtime]bool{}
@@ -130,11 +135,6 @@ func TestOptimizeParallelismCap(t *testing.T) {
 		return orig(ctx, q, cs, opts)
 	}
 
-	q := gen(t, 12, workload.Star, 0)
-	serial, err := dp.Serial(q, partition.Linear, dp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	baseline := runtime.NumGoroutine()
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
@@ -143,8 +143,8 @@ func TestOptimizeParallelismCap(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ans, err := OptimizeContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: 8})
-			if err == nil && !approx(ans.Best.Cost, serial.Best().Cost) {
-				err = fmt.Errorf("cost %g, serial optimum %g", ans.Best.Cost, serial.Best().Cost)
+			if err == nil && !approx(ans.Best.Cost, serial.Plans[0].Cost) {
+				err = fmt.Errorf("cost %g, serial optimum %g", ans.Best.Cost, serial.Plans[0].Cost)
 			}
 			errs[i] = err
 		}()
@@ -175,6 +175,11 @@ func TestOptimizeParallelismCap(t *testing.T) {
 // a helper, none takes more than maxHelpers, every answer is the
 // optimum, and all slots are back after every return.
 func TestOptimizeBorrowsOnlyIdleSlots(t *testing.T) {
+	q := gen(t, 14, workload.Star, 0) // past minWideSlots[Linear] at m = 1 and 2
+	serial, err := RunWorkerContext(context.Background(), q, JobSpec{Space: partition.Linear, Workers: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var inUse, peak, helped atomic.Int32
 	var wideJobErr atomic.Value
 	orig := runDP
@@ -214,15 +219,10 @@ func TestOptimizeBorrowsOnlyIdleSlots(t *testing.T) {
 		}
 	}
 
-	q := gen(t, 14, workload.Star, 0) // past minWideSlots[Linear] at m = 1 and 2
-	serial, err := dp.Serial(q, partition.Linear, dp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	one := JobSpec{Space: partition.Linear, Workers: 1}
 	check := func(ans *Answer, err error) error {
-		if err == nil && !approx(ans.Best.Cost, serial.Best().Cost) {
-			err = fmt.Errorf("cost %g, serial optimum %g", ans.Best.Cost, serial.Best().Cost)
+		if err == nil && !approx(ans.Best.Cost, serial.Plans[0].Cost) {
+			err = fmt.Errorf("cost %g, serial optimum %g", ans.Best.Cost, serial.Plans[0].Cost)
 		}
 		return err
 	}

@@ -42,7 +42,7 @@ func TestProcessSetPrunedCandidatesAllocFree(t *testing.T) {
 		opts dp.Options
 	}{
 		{"SingleBest", dp.Options{}},
-		{"OrderAware", dp.Options{InterestingOrders: true, Pruner: dp.OrderAware{}}},
+		{"OrderAware", dp.Options{InterestingOrders: true}},
 		{"Pareto", dp.Options{Pruner: dp.Pareto{Alpha: 1}}},
 		{"ParetoOrders", dp.Options{InterestingOrders: true, Pruner: dp.Pareto{Alpha: 2}}},
 		{"Robust", dp.Options{Model: cost.Robust(4), Pruner: dp.Pareto{Alpha: 1}}},

@@ -15,14 +15,17 @@ import (
 	"mpq/internal/workload"
 )
 
-// refAdmits and refInsert are the three rules' admission test and
-// insert over a plain slice of built plans: the reference the engine's
-// records are checked against, so they share none of its code.
-func refAdmits(pr Pruner, f []*plan.Node, c, buf float64, order int) bool {
+// refAdmits and refInsert are the admission test and insert of each
+// pair (rule, orders) over a plain slice of built plans: the reference
+// the engine's records are checked against, so they share none of its
+// code. SingleBest keeps one plan without interesting orders and the
+// cheapest per order with them.
+func refAdmits(pr Pruner, orders bool, f []*plan.Node, c, buf float64, order int) bool {
 	switch p := pr.(type) {
 	case SingleBest:
-		return len(f) == 0 || c < f[0].Cost
-	case OrderAware:
+		if !orders {
+			return len(f) == 0 || c < f[0].Cost
+		}
 		for _, q := range f {
 			if q.Cost <= c && refOrderDominates(q.Order, order) {
 				return false
@@ -42,8 +45,8 @@ func refAdmits(pr Pruner, f []*plan.Node, c, buf float64, order int) bool {
 	return true
 }
 
-func refInsert(pr Pruner, f []*plan.Node, p *plan.Node) []*plan.Node {
-	if _, single := pr.(SingleBest); single && len(f) > 0 {
+func refInsert(pr Pruner, orders bool, f []*plan.Node, p *plan.Node) []*plan.Node {
+	if _, single := pr.(SingleBest); single && !orders && len(f) > 0 {
 		f[0] = p
 		return f
 	}
@@ -143,7 +146,7 @@ func referenceDP(q *query.Query, cs *partition.ConstraintSet, model cost.Model, 
 						*op = refOp{true, model.JoinCost(spec.Alg, l.card, r.card, spec.LSorted, spec.RSorted),
 							model.JoinSecond(spec.Alg, lhi, rhi, spec.LSorted, spec.RSorted)}
 					}
-					if !refAdmits(pr, s.plans, lp.Cost+rp.Cost+op.cost, model.CombineSecond(lp.Buffer, rp.Buffer, op.second), spec.Order) {
+					if !refAdmits(pr, orders, s.plans, lp.Cost+rp.Cost+op.cost, model.CombineSecond(lp.Buffer, rp.Buffer, op.second), spec.Order) {
 						st.PlansPruned++
 						continue
 					}
@@ -151,7 +154,7 @@ func referenceDP(q *query.Query, cs *partition.ConstraintSet, model cost.Model, 
 					if robust {
 						c, buf = plan.JoinScalarsRobust(model, lp, rp, spec, l.hi, r.hi)
 					}
-					s.plans = refInsert(pr, s.plans, plan.JoinWithScalars(lp, rp, spec, c, buf))
+					s.plans = refInsert(pr, orders, s.plans, plan.JoinWithScalars(lp, rp, spec, c, buf))
 					st.PlansKept++
 				}
 			}
@@ -201,8 +204,8 @@ var boundAlphas = []float64{1, 1.5, 2, 10, math.Inf(1)}
 // first admitted plan every pair is skipped on +Inf ≥ +Inf; "nlinf" on
 // huge cardinalities makes the nested loop Inf/Inf = NaN wherever an
 // operand product overflows, so minOp is NaN and pairs take the
-// ordinary path. A NaN plan is never dominated, so under OrderAware and
-// Pareto its frontiers grow exponentially: paretoMax caps the tables
+// ordinary path. A NaN plan is never dominated, so where frontiers are
+// kept — SingleBest under orders, and Pareto — they grow exponentially: paretoMax caps the tables
 // there. The parametric and robust models sum the second metric instead
 // of taking its maximum.
 var boundCases = []struct {
@@ -221,11 +224,11 @@ var boundCases = []struct {
 	{"robust-huge", cost.Robust(4), true, 0},
 }
 
-// tooWide reports whether pr keeps frontiers — OrderAware or Pareto —
-// and boundCases[c] caps their runs below n tables.
-func tooWide(c int, pr Pruner, n int) bool {
+// tooWide reports whether pr keeps frontiers — SingleBest under orders,
+// or Pareto — and boundCases[c] caps their runs below n tables.
+func tooWide(c int, pr Pruner, orders bool, n int) bool {
 	_, single := pr.(SingleBest)
-	return !single && boundCases[c].paretoMax > 0 && n > boundCases[c].paretoMax
+	return (!single || orders) && boundCases[c].paretoMax > 0 && n > boundCases[c].paretoMax
 }
 
 func boundQuery(n int, shape workload.Shape, seed int64, huge bool) *query.Query {
@@ -313,8 +316,8 @@ func checkPairBound(t testing.TB, q *query.Query, space partition.Space, m, part
 
 // Every rule, with and without interesting orders, fills every memo
 // entry as the reference DP does: SingleBest's record and whole-pair
-// skip, OrderAware's records, Pareto's records with and without orders
-// and its whole-pair skip, on every shape, both spaces, every partition
+// skip, its records per order under orders, Pareto's records with and
+// without orders and its whole-pair skip, on every shape, both spaces, every partition
 // of m ∈ {1, 2, 4, 8}, the buffer, parametric and robust second
 // metrics, and cost models whose candidates are +Inf or NaN. Each
 // (model, shape) is a parallel subtest; the parent logs how many
@@ -332,24 +335,18 @@ func TestPairBoundEqualsPlainAdmits(t *testing.T) {
 				t.Parallel()
 				for _, n := range ns {
 					q := boundQuery(n, shape, int64(10*si+n), c.huge)
-					// Each α meets every model, shape and size, if not all at once;
-					// at the largest size OrderAware takes every third model × shape.
+					// Each α meets every model, shape and size, if not all at once.
 					rules := []Pruner{SingleBest{}, Pareto{Alpha: boundAlphas[(ci+si+n)%len(boundAlphas)]}}
-					if n < ns[len(ns)-1] || (ci+si)%3 == 0 {
-						rules = append(rules, OrderAware{})
-					}
 					for _, space := range []partition.Space{partition.Linear, partition.Bushy} {
 						for m := 1; m <= min(8, partition.MaxWorkers(space, n)); m *= 2 {
 							for part := 0; part < m; part++ {
 								for _, pr := range rules {
-									if tooWide(ci, pr, n) {
-										continue
-									}
-									checkPairBound(t, q, space, m, part, c.model, false, pr)
-									cases.Add(1)
-									// Frontiers with orders grow fast.
-									if _, single := pr.(SingleBest); single || n < 10 {
-										checkPairBound(t, q, space, m, part, c.model, true, pr)
+									for _, orders := range []bool{false, true} {
+										// Frontiers with orders grow fast.
+										if orders && n >= 10 || tooWide(ci, pr, orders, n) {
+											continue
+										}
+										checkPairBound(t, q, space, m, part, c.model, orders, pr)
 										cases.Add(1)
 									}
 								}
@@ -364,8 +361,8 @@ func TestPairBoundEqualsPlainAdmits(t *testing.T) {
 
 // FuzzPairBound is TestPairBoundEqualsPlainAdmits on any query: a wrong
 // skip or a wrongly built survivor is silent plan corruption, so CI
-// gives it real mutation time. rule picks SingleBest (0), OrderAware (1)
-// or a Pareto factor from boundAlphas.
+// gives it real mutation time. rule picks SingleBest (0 or 1) or a
+// Pareto factor from boundAlphas; orders turns interesting orders on.
 func FuzzPairBound(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(0), uint8(0), uint8(3), uint8(5), uint8(0), false, uint8(0))
 	f.Add(int64(7), uint8(8), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), false, uint8(0))
@@ -382,12 +379,10 @@ func FuzzPairBound(f *testing.F) {
 		ci := int(kind) % len(boundCases)
 		c := boundCases[ci]
 		var pr Pruner = SingleBest{}
-		if r := int(rule) % (2 + len(boundAlphas)); r == 1 {
-			pr = OrderAware{}
-		} else if r > 1 {
+		if r := int(rule) % (2 + len(boundAlphas)); r > 1 {
 			pr = Pareto{Alpha: boundAlphas[r-2]}
 		}
-		if tooWide(ci, pr, tables) {
+		if tooWide(ci, pr, orders, tables) {
 			t.Skip("NaN frontiers grow exponentially")
 		}
 		q := boundQuery(tables, workload.Shapes[int(shape)%len(workload.Shapes)], seed, c.huge)

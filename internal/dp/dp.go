@@ -3,13 +3,16 @@
 // results in ascending cardinality, trying all admissible operand splits
 // and pruning dominated plans.
 //
-// Single-objective, order-aware and multi-objective optimization share
-// this dynamic program and differ only in the pruning function (§4):
-// Options.Pruner picks one of three rules — SingleBest, OrderAware or
-// Pareto. Running the engine on the unconstrained partition with one
-// worker reproduces the classical serial algorithm ([17] for left-deep,
-// [25] for bushy spaces). Prune applies the same rule to the complete
-// plans of all partitions: the master's final prune (Algorithm 1).
+// Single- and multi-objective optimization share this dynamic program
+// and differ only in the pruning function (§4): Options.Pruner picks
+// one of two rules, SingleBest or Pareto. Interesting orders
+// (Options.InterestingOrders) change which plans exist, not the rule,
+// and both rules honour them: a plan is pruned only by one whose order
+// can substitute for its own. Running the engine on the unconstrained
+// partition (RunContext on partition.Unconstrained) reproduces the
+// classical serial algorithm ([17] for left-deep, [25] for bushy
+// spaces). Prune applies the same rule to the complete plans of all
+// partitions: the master's final prune (Algorithm 1).
 //
 // # Closed rules over records
 //
@@ -19,16 +22,16 @@
 // and compares them with the candidates already admitted for the table
 // set. An admitted candidate is kept as a record of its join arguments,
 // not as a plan: SingleBest keeps one record, replaced by every new
-// strict minimum; OrderAware and Pareto keep a list in frontier order,
-// from which an admitted candidate first evicts the records it
-// dominates, in place, and is then written once at the end. Beside the
-// list the runtime keeps each record's cost and second metric as a
-// compact key, index for index; without interesting orders, where no
-// plan has an order, the Pareto rule tests a candidate against the keys
-// alone, in a branch-free scan (docs/perf.md §18). When the set is
-// complete each surviving record is built once, straight into the
-// memo's arena (docs/perf.md, "One survivor, built once" and "One
-// construction path").
+// strict minimum; SingleBest under interesting orders (the order-aware
+// rule) and Pareto keep a list in frontier order, from which an
+// admitted candidate first evicts the records it dominates, in place,
+// and is then written once at the end. Beside the list the runtime
+// keeps each record's cost and second metric as a compact key, index for
+// index; without interesting orders, where no plan has an order, the
+// Pareto rule tests a candidate against the keys alone, in a branch-free
+// scan (docs/perf.md §18). When the set is complete each surviving
+// record is built once, straight into the memo's arena (docs/perf.md,
+// "One survivor, built once" and "One construction path").
 //
 // Most candidates are pruned, so a candidate must cost a handful of flops.
 // Everything a join's scalars read from an operand that depends on the
@@ -101,13 +104,14 @@ import (
 	"mpq/internal/query"
 )
 
-// Pruner is the pruning rule: SingleBest, OrderAware or Pareto. The set
-// is closed — the unexported method keeps other types out — because the
-// engine applies each rule itself; NewEngine resolves it once, with the
-// factor α its dominance test applies.
+// Pruner is the pruning rule: SingleBest or Pareto. The set is closed —
+// the unexported method keeps other types out — because the engine
+// applies each rule itself; NewEngine resolves it once, with the factor
+// α its dominance test applies and whether interesting orders are on.
 type Pruner interface{ rule() (rule, float64) }
 
-// rule names a Pruner to the engine.
+// rule names a resolved Pruner to the engine. ruleOrderAware is
+// SingleBest under interesting orders.
 type rule uint8
 
 const (
@@ -117,19 +121,15 @@ const (
 )
 
 func (SingleBest) rule() (rule, float64) { return ruleSingleBest, 1 }
-func (OrderAware) rule() (rule, float64) { return ruleOrderAware, 1 }
 
-// SingleBest retains exactly one plan: the cheapest by the time metric,
-// the first of equally cheap ones. This is the classical pruning
-// function of [17] without interesting orders.
+// SingleBest retains the cheapest plan by the time metric, the first of
+// equally cheap ones: the classical pruning function of [17]. Under
+// interesting orders it retains the cheapest plan per distinct output
+// order instead: a plan is dominated iff another plan is at most as
+// expensive and produces the same tuples in the same (or a strictly more
+// useful) order — the comparison the paper's Prune function performs
+// [17] — and an admitted plan evicts the retained plans it dominates.
 type SingleBest struct{}
-
-// OrderAware retains the cheapest plan per distinct output order: a plan
-// is dominated iff another plan is at most as expensive and produces the
-// same tuples in the same (or a strictly more useful) order — the
-// comparison the paper's Prune function performs [17]. An admitted plan
-// evicts the retained plans it dominates.
-type OrderAware struct{}
 
 // orderDominates reports whether a plan with order qo can substitute for
 // one with order po in any context: equal orders always can, and any
@@ -167,7 +167,9 @@ type Options struct {
 	Pruner Pruner
 	// InterestingOrders enables sort-order tracking: sort-merge joins
 	// produce ordered output and pre-sorted inputs skip sort passes.
-	// Off by default, matching the paper's complexity analysis (§5).
+	// Both rules honour it: a plan is pruned only by one whose order can
+	// substitute for its own. Off by default, matching the paper's
+	// complexity analysis (§5).
 	InterestingOrders bool
 	// MaxWorkUnits aborts the search once the work meter exceeds this
 	// bound (0 = unlimited). Used by time-budgeted experiments
@@ -208,32 +210,22 @@ func (o Options) withDefaults() Options {
 // Result is the outcome of searching one plan-space partition.
 type Result struct {
 	// Plans holds the retained plans for the full query: exactly one for
-	// SingleBest, one per useful order for OrderAware, a Pareto frontier
-	// for Pareto. Empty only if the partition admits no complete plan
-	// (cannot happen for valid partitions).
+	// SingleBest, one per useful order for SingleBest under interesting
+	// orders, a Pareto frontier for Pareto. Empty only if the partition
+	// admits no complete plan (cannot happen for valid partitions).
 	Plans []*plan.Node
 	// Stats is the work and memory accounting for this run.
 	Stats plan.Stats
-}
-
-// Best returns the cheapest plan by the time metric, the first of
-// equally cheap ones: Prune under SingleBest. It is nil if Plans is
-// empty.
-func (r *Result) Best() *plan.Node {
-	if best := Prune(SingleBest{}, r.Plans); best != nil {
-		return best[0]
-	}
-	return nil
 }
 
 // Prune is the master's FinalPrune (Algorithm 1, lines 8-11): it applies
 // p's rule to complete plans, in the order given, and returns the
 // survivors in ascending cost, ties in that order, or nil if there are
 // none. A completed plan's order no longer matters (§4.2), so every plan
-// is offered with none. SingleBest and OrderAware keep the first
-// strictly cheapest plan, by offer's test; Pareto keeps an α-approximate
-// frontier, by offerPareto — the engine's own rule, applied to the plans
-// as to one table set's candidates.
+// is offered with none. SingleBest keeps the first strictly cheapest
+// plan, by offer's test; Pareto keeps an α-approximate frontier, by
+// offerPareto — the engine's own rule, applied to the plans as to one
+// table set's candidates.
 func Prune(p Pruner, plans ...[]*plan.Node) []*plan.Node {
 	return prune(p, nil, plans)
 }
@@ -297,25 +289,20 @@ func (e *entry) setSortTerms(m *cost.Model) {
 	e.sort2 = m.SecondSortTerm(e.card, e.cardHi)
 }
 
-// Run searches the plan-space partition cs of query q and returns the
-// retained plans for the full query set (Algorithm 2). cs determines the
-// plan space (Linear or Bushy) and the join-order constraints; use
-// partition.Unconstrained for the classical serial algorithm.
-func Run(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Result, error) {
-	return RunContext(context.Background(), q, cs, opts)
-}
-
 // cancelPollInterval is how many processed sets may pass between two
 // context-cancellation checks inside one cardinality level. Checking
 // ctx.Err() takes a mutex, so the hot loop amortizes it; a level's tail
 // is always bounded by this many sets plus the set in flight.
 const cancelPollInterval = 256
 
-// RunContext is Run with cooperative cancellation: the search checks
-// ctx between cardinality levels and every cancelPollInterval table
-// sets within a level, returning an error wrapping ctx's cause as soon
-// as the current set finishes. Partial results are discarded — a
-// canceled partition search yields no plans.
+// RunContext searches the plan-space partition cs of query q and
+// returns the retained plans for the full query set (Algorithm 2). cs
+// determines the plan space (Linear or Bushy) and the join-order
+// constraints; partition.Unconstrained gives the classical serial
+// algorithm. The search checks ctx between cardinality levels and every
+// cancelPollInterval table sets within a level, returning an error
+// wrapping ctx's cause as soon as the current set finishes. Partial
+// results are discarded — a canceled partition search yields no plans.
 func RunContext(ctx context.Context, q *query.Query, cs *partition.ConstraintSet, opts Options) (*Result, error) {
 	eng, err := NewEngine(q, cs, opts)
 	if err != nil {
@@ -505,6 +492,9 @@ func NewEngine(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Engi
 	eng := &Engine{w: worker{q: q, cs: cs, index: cs.Index(), opts: opts}}
 	w := &eng.w
 	w.rule, w.alpha = opts.Pruner.rule()
+	if w.rule == ruleSingleBest && opts.InterestingOrders {
+		w.rule = ruleOrderAware
+	}
 	w.single = w.rule == ruleSingleBest
 	// The memo, the arena, the records and the scan entries are borrowed
 	// from the runtime (and reset), so a worker recycles them across the
@@ -640,10 +630,10 @@ type worker struct {
 	// not on trySplits' stack — so its frontier keeps its spill capacity
 	// from one set to the next.
 	scratch entry
-	// rule is the resolved Pruner. recs are the records OrderAware and
-	// Pareto keep for the set under construction, in frontier order, and
-	// keys their costs and second metrics, index for index: the runtime's
-	// slices, whose capacity is recycled across runs.
+	// rule is the resolved Pruner. recs are the records the order-aware
+	// rule and Pareto keep for the set under construction, in frontier
+	// order, and keys their costs and second metrics, index for index:
+	// the runtime's slices, whose capacity is recycled across runs.
 	rule rule
 	recs *[]record
 	keys *[]key
@@ -965,9 +955,9 @@ func (w *worker) offerPareto(lp, rp *plan.Node, alg cost.JoinAlg, order int, c, 
 // second and order order in the set under construction, and returns the
 // record the caller writes it into, once. It first evicts, in place and
 // in order, the records the candidate dominates exactly: at most as
-// expensive in both metrics, and its order can substitute. Under
-// OrderAware, whose records' second metrics are all zero, that is
-// OrderAware's own rule. The records before the first evicted one stay
+// expensive in both metrics, and its order can substitute. Under the
+// order-aware rule, whose records' second metrics are all zero, that is
+// that rule's own test. The records before the first evicted one stay
 // where they are; the later survivors move down. The candidate goes
 // last, so the frontier keeps admission order, and its key with it.
 func (w *worker) keep(c, second float64, order int) *record {
@@ -1048,10 +1038,11 @@ func (w *worker) offer(lp, rp *plan.Node, alg cost.JoinAlg, pred, order int, lSo
 	w.offerFrontier(lp, rp, alg, pred, order, lSorted, rSorted, c)
 }
 
-// offerFrontier is offer under OrderAware and Pareto: an admitted
-// candidate is kept. OrderAware's rule is Pareto's at α = 1 with every
-// second metric left zero, so only Pareto computes one per candidate. It
-// is a function of its own so that SingleBest's offer stays small.
+// offerFrontier is offer under the order-aware rule and Pareto: an
+// admitted candidate is kept. The order-aware rule is Pareto's at α = 1
+// with every second metric left zero, so only Pareto computes one per
+// candidate. It is a function of its own so that SingleBest's offer
+// stays small.
 func (w *worker) offerFrontier(lp, rp *plan.Node, alg cost.JoinAlg, pred, order int, lSorted, rSorted bool, c float64) {
 	var second float64
 	if w.rule == rulePareto {
@@ -1066,11 +1057,4 @@ func (w *worker) offerFrontier(lp, rp *plan.Node, alg cost.JoinAlg, pred, order 
 	if w.afterKeep != nil {
 		w.afterKeep(w)
 	}
-}
-
-// Serial runs the classical (unpartitioned) dynamic program for the given
-// plan space — the single-worker baseline all speedups are measured
-// against (§6.2).
-func Serial(q *query.Query, space partition.Space, opts Options) (*Result, error) {
-	return Run(q, partition.Unconstrained(space, q.N()), opts)
 }

@@ -29,27 +29,30 @@ func genQuery(t testing.TB, n int, shape workload.Shape, seed int64) *query.Quer
 	return workload.MustGenerate(workload.NewParams(n, shape), seed)
 }
 
+// run is RunContext without a deadline; on partition.Unconstrained it
+// is the classical serial algorithm.
+func run(q *query.Query, cs *partition.ConstraintSet, opts Options) (*Result, error) {
+	return RunContext(context.Background(), q, cs, opts)
+}
+
 func TestSerialMatchesBruteForceLinear(t *testing.T) {
 	for _, shape := range workload.Shapes {
 		for seed := int64(0); seed < 4; seed++ {
 			q := genQuery(t, 6, shape, seed)
 			for _, orders := range []bool{false, true} {
-				res, err := Serial(q, partition.Linear, Options{
-					InterestingOrders: orders,
-					Pruner:            prunerFor(orders),
-				})
+				res, err := run(q, partition.Unconstrained(partition.Linear, q.N()), Options{InterestingOrders: orders})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := res.Best().Cost
+				best := Prune(SingleBest{}, res.Plans)[0]
 				want := brute.BestCost(q, partition.Linear, brute.Options{InterestingOrders: orders})
-				if !approx(got, want) {
-					t.Fatalf("%v seed=%d orders=%v: DP cost %g, brute force %g", shape, seed, orders, got, want)
+				if !approx(best.Cost, want) {
+					t.Fatalf("%v seed=%d orders=%v: DP cost %g, brute force %g", shape, seed, orders, best.Cost, want)
 				}
-				if !res.Best().IsLeftDeep() {
-					t.Fatalf("linear DP returned bushy plan %v", res.Best())
+				if !best.IsLeftDeep() {
+					t.Fatalf("linear DP returned bushy plan %v", best)
 				}
-				if err := res.Best().Validate(q, cost.Default()); err != nil {
+				if err := best.Validate(q, cost.Default()); err != nil {
 					t.Fatalf("invalid plan: %v", err)
 				}
 			}
@@ -62,31 +65,21 @@ func TestSerialMatchesBruteForceBushy(t *testing.T) {
 		for seed := int64(0); seed < 4; seed++ {
 			q := genQuery(t, 5, shape, seed)
 			for _, orders := range []bool{false, true} {
-				res, err := Serial(q, partition.Bushy, Options{
-					InterestingOrders: orders,
-					Pruner:            prunerFor(orders),
-				})
+				res, err := run(q, partition.Unconstrained(partition.Bushy, q.N()), Options{InterestingOrders: orders})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := res.Best().Cost
+				best := Prune(SingleBest{}, res.Plans)[0]
 				want := brute.BestCost(q, partition.Bushy, brute.Options{InterestingOrders: orders})
-				if !approx(got, want) {
-					t.Fatalf("%v seed=%d orders=%v: DP cost %g, brute force %g", shape, seed, orders, got, want)
+				if !approx(best.Cost, want) {
+					t.Fatalf("%v seed=%d orders=%v: DP cost %g, brute force %g", shape, seed, orders, best.Cost, want)
 				}
-				if err := res.Best().Validate(q, cost.Default()); err != nil {
+				if err := best.Validate(q, cost.Default()); err != nil {
 					t.Fatalf("invalid plan: %v", err)
 				}
 			}
 		}
 	}
-}
-
-func prunerFor(orders bool) Pruner {
-	if orders {
-		return OrderAware{}
-	}
-	return SingleBest{}
 }
 
 // The core correctness property of the paper: for every worker count m,
@@ -107,7 +100,7 @@ func TestPartitionsTileThePlanSpace(t *testing.T) {
 		for _, shape := range []workload.Shape{workload.Star, workload.Chain} {
 			for seed := int64(0); seed < 3; seed++ {
 				q := genQuery(t, c.n, shape, seed)
-				serial, err := Serial(q, c.space, Options{})
+				serial, err := run(q, partition.Unconstrained(c.space, q.N()), Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,11 +111,11 @@ func TestPartitionsTileThePlanSpace(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						res, err := Run(q, cs, Options{})
+						res, err := run(q, cs, Options{})
 						if err != nil {
 							t.Fatal(err)
 						}
-						p := res.Best()
+						p := res.Plans[0]
 						if err := p.Validate(q, cost.Default()); err != nil {
 							t.Fatalf("partition %d/%d returned invalid plan: %v", partID, m, err)
 						}
@@ -133,9 +126,9 @@ func TestPartitionsTileThePlanSpace(t *testing.T) {
 							best = p.Cost
 						}
 					}
-					if !approx(best, serial.Best().Cost) {
+					if !approx(best, serial.Plans[0].Cost) {
 						t.Fatalf("%v n=%d m=%d %v seed=%d: partition best %g != serial %g",
-							c.space, c.n, m, shape, seed, best, serial.Best().Cost)
+							c.space, c.n, m, shape, seed, best, serial.Plans[0].Cost)
 					}
 				}
 			}
@@ -158,7 +151,7 @@ func TestPartitionOptimumMatchesConstrainedBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(q, cs, Options{})
+			res, err := run(q, cs, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,9 +167,9 @@ func TestPartitionOptimumMatchesConstrainedBruteForce(t *testing.T) {
 					want = p.Cost
 				}
 			}
-			if !approx(res.Best().Cost, want) {
+			if !approx(res.Plans[0].Cost, want) {
 				t.Fatalf("%v partition %d/%d: DP %g, constrained brute force %g",
-					space, partID, m, res.Best().Cost, want)
+					space, partID, m, res.Plans[0].Cost, want)
 			}
 		}
 	}
@@ -217,7 +210,7 @@ func TestEveryPlanCoveredBySomePartition(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	q := genQuery(t, 8, workload.Star, 1)
 	cs := partition.Unconstrained(partition.Linear, 8)
-	res, err := Run(q, cs, Options{})
+	res, err := run(q, cs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +252,7 @@ func TestPartitioningReducesWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(q, cs, Options{})
+		res, err := run(q, cs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +286,7 @@ func TestWorkerMemoryDecreasesWithParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(q, cs, Options{})
+		res, err := run(q, cs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +299,7 @@ func TestWorkerMemoryDecreasesWithParallelism(t *testing.T) {
 
 func TestOrderAwarePrunerInvariants(t *testing.T) {
 	q := genQuery(t, 6, workload.Chain, 9)
-	res, err := Serial(q, partition.Linear, Options{InterestingOrders: true, Pruner: OrderAware{}})
+	res, err := run(q, partition.Unconstrained(partition.Linear, q.N()), Options{InterestingOrders: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,27 +316,27 @@ func TestOrderAwarePrunerInvariants(t *testing.T) {
 	}
 	// Orders can only help: the order-aware best must not exceed the
 	// order-blind best.
-	blind, err := Serial(q, partition.Linear, Options{})
+	blind, err := run(q, partition.Unconstrained(partition.Linear, q.N()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Best().Cost > blind.Best().Cost+costEps {
-		t.Fatalf("order-aware best %g worse than order-blind %g", res.Best().Cost, blind.Best().Cost)
+	if best := Prune(SingleBest{}, res.Plans)[0]; best.Cost > blind.Plans[0].Cost+costEps {
+		t.Fatalf("order-aware best %g worse than order-blind %g", best.Cost, blind.Plans[0].Cost)
 	}
 }
 
 func TestRunValidation(t *testing.T) {
 	q := genQuery(t, 6, workload.Star, 0)
 	csWrongN := partition.Unconstrained(partition.Linear, 5)
-	if _, err := Run(q, csWrongN, Options{}); err == nil {
+	if _, err := run(q, csWrongN, Options{}); err == nil {
 		t.Error("mismatched constraint set accepted")
 	}
 	bad := query.MustNew([]query.Table{{Cardinality: 1}, {Cardinality: 2}})
 	bad.Preds = append(bad.Preds, query.Predicate{Left: 0, Right: 0, Selectivity: 0.5})
-	if _, err := Run(bad, partition.Unconstrained(partition.Linear, 2), Options{}); err == nil {
+	if _, err := run(bad, partition.Unconstrained(partition.Linear, 2), Options{}); err == nil {
 		t.Error("invalid query accepted")
 	}
-	if _, err := Run(q, partition.Unconstrained(partition.Linear, 6), Options{
+	if _, err := run(q, partition.Unconstrained(partition.Linear, 6), Options{
 		Model: cost.Model{HashFactor: -1, SortFactor: 1, NLBlock: 1},
 	}); err == nil {
 		t.Error("invalid cost model accepted")
@@ -352,12 +345,12 @@ func TestRunValidation(t *testing.T) {
 
 func TestSingleTableQuery(t *testing.T) {
 	q := query.MustNew([]query.Table{{Name: "only", Cardinality: 42}})
-	res, err := Serial(q, partition.Linear, Options{})
+	res, err := run(q, partition.Unconstrained(partition.Linear, q.N()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Best().IsScan || res.Best().Card != 42 {
-		t.Fatalf("single-table plan = %+v", res.Best())
+	if p := res.Plans[0]; !p.IsScan || p.Card != 42 {
+		t.Fatalf("single-table plan = %+v", p)
 	}
 }
 
@@ -366,26 +359,20 @@ func TestTwoTableQuery(t *testing.T) {
 	q.MustAddPredicate(query.Predicate{Left: 0, Right: 1, Selectivity: 0.1})
 	q.Freeze()
 	for _, space := range []partition.Space{partition.Linear, partition.Bushy} {
-		res, err := Serial(q, space, Options{})
+		res, err := run(q, partition.Unconstrained(space, q.N()), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Best().CountJoins() != 1 {
-			t.Fatalf("%v: joins = %d", space, res.Best().CountJoins())
+		best := res.Plans[0]
+		if best.CountJoins() != 1 {
+			t.Fatalf("%v: joins = %d", space, best.CountJoins())
 		}
 		// Both join orders and all operators were considered: best cost
 		// is min over 2 orders x 3 algs (SMJ has a predicate).
 		want := brute.BestCost(q, space, brute.Options{})
-		if !approx(res.Best().Cost, want) {
-			t.Fatalf("%v: cost %g want %g", space, res.Best().Cost, want)
+		if !approx(best.Cost, want) {
+			t.Fatalf("%v: cost %g want %g", space, best.Cost, want)
 		}
-	}
-}
-
-func TestBestOnEmptyResult(t *testing.T) {
-	r := &Result{}
-	if r.Best() != nil {
-		t.Fatal("Best of empty result should be nil")
 	}
 }
 
@@ -628,7 +615,7 @@ func BenchmarkJobClasses(b *testing.B) {
 		{"bushy12w2", partition.Bushy, 12, 1, 2, Options{}},
 		{"linear16m8", partition.Linear, 16, 8, 1, Options{}},
 		{"bushy12m8", partition.Bushy, 12, 8, 1, Options{}},
-		{"linear13orders", partition.Linear, 13, 1, 1, Options{InterestingOrders: true, Pruner: OrderAware{}}},
+		{"linear13orders", partition.Linear, 13, 1, 1, Options{InterestingOrders: true}},
 		{"linear8", partition.Linear, 8, 1, 1, Options{}},
 		{"linear8w2", partition.Linear, 8, 1, 2, Options{}},
 		{"linear8m2", partition.Linear, 8, 2, 1, Options{}},
@@ -648,14 +635,14 @@ func BenchmarkJobClasses(b *testing.B) {
 				opts.Helpers = c.w - 1
 				// One untimed job grows the runtime's memo and slabs, so
 				// B/op and allocs/op are the steady state also at -benchtime 1x.
-				if _, err := Run(q, cs, opts); err != nil {
+				if _, err := run(q, cs, opts); err != nil {
 					b.Fatal(err)
 				}
 				var units uint64
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := Run(q, cs, opts)
+					res, err := run(q, cs, opts)
 					if err != nil {
 						b.Fatal(err)
 					}

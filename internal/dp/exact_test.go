@@ -30,7 +30,7 @@ var exactConfigs = []struct {
 	opts func() dp.Options
 }{
 	{"single", func() dp.Options { return dp.Options{} }},
-	{"orders", func() dp.Options { return dp.Options{InterestingOrders: true, Pruner: dp.OrderAware{}} }},
+	{"orders", func() dp.Options { return dp.Options{InterestingOrders: true} }},
 	{"pareto1", func() dp.Options { return dp.Options{Pruner: dp.Pareto{Alpha: 1}} }},
 	{"pareto2", func() dp.Options { return dp.Options{Pruner: dp.Pareto{Alpha: 2}} }},
 	{"pareto2orders", func() dp.Options {

@@ -19,7 +19,7 @@ var pruneValues = [16]float64{
 var pruneAlphas = [8]float64{math.NaN(), 0, 0.5, 1, 1.25, 2, 10, math.Inf(1)}
 
 // referencePrune is the master's final prune written out plainly: the
-// first strict minimum for SingleBest and OrderAware, and for Pareto
+// first strict minimum for SingleBest, and for Pareto
 // each plan through insertRootPlan with α clamped to ≥ 1, then a stable
 // sort by cost.
 func referencePrune(p Pruner, frontiers [][]*plan.Node) []*plan.Node {
@@ -71,7 +71,7 @@ func insertRootPlan(plans []*plan.Node, p *plan.Node, alpha float64) []*plan.Nod
 }
 
 // FuzzPrune checks Prune against referencePrune. rule picks the Pruner:
-// 0 SingleBest, 1 OrderAware, else Pareto with one of pruneAlphas. Each
+// 0 or 1 SingleBest, else Pareto with one of pruneAlphas. Each
 // byte of data is a plan whose cost and buffer are pruneValues[b>>4] and
 // pruneValues[b&15], except 0xff, which starts the next frontier. Plans
 // carry orders, which Prune must ignore.
@@ -90,9 +90,7 @@ func FuzzPrune(f *testing.F) {
 	f.Add(uint8(5), []byte{0x14, 0x23, 0x32, 0x41, 0x66})
 	f.Fuzz(func(t *testing.T, rule uint8, data []byte) {
 		var p Pruner = SingleBest{}
-		if rule%10 == 1 {
-			p = OrderAware{}
-		} else if rule%10 > 1 {
+		if rule%10 > 1 {
 			p = Pareto{Alpha: pruneAlphas[rule%10-2]}
 		}
 		frontiers := [][]*plan.Node{nil}

@@ -16,7 +16,8 @@ func vecRecord(c, second float64, order int) record {
 }
 
 // ruleWorker returns a worker with no records, applying Pareto with the
-// given factor — or OrderAware, for α = 1 and zero second metrics.
+// given factor — or the order-aware rule, for α = 1 and zero second
+// metrics.
 func ruleWorker(alpha float64) *worker {
 	return &worker{alpha: alpha, recs: new([]record), keys: new([]key)}
 }
@@ -30,7 +31,7 @@ func setRecs(w *worker, recs ...record) {
 }
 
 // offerTo offers a candidate with these scalars the way offer does under
-// OrderAware and Pareto and reports whether it was kept.
+// the order-aware rule and Pareto and reports whether it was kept.
 func offerTo(w *worker, c, second float64, order int) bool {
 	if !w.admits(c, second, order) {
 		return false
@@ -146,15 +147,15 @@ func TestParetoInsertInlineAllocFree(t *testing.T) {
 	}
 }
 
-// OrderAware's admission — Pareto's at α = 1 with zero second metrics —
-// is allocation-free too, and so is SingleBest's, which offer applies
-// to its one record.
+// The order-aware rule's admission — Pareto's at α = 1 with zero second
+// metrics — is allocation-free too, and so is SingleBest's, which offer
+// applies to its one record.
 func TestAdmitsAllocFree(t *testing.T) {
 	w := ruleWorker(1)
 	setRecs(w, vecRecord(10, 0, query.NoOrder), vecRecord(12, 0, 3))
 	var sink bool
 	if allocs := testing.AllocsPerRun(1000, func() { sink = w.admits(11, 0, 3) }); allocs != 0 {
-		t.Errorf("OrderAware admission allocates %.1f times per call", allocs)
+		t.Errorf("order-aware admission allocates %.1f times per call", allocs)
 	}
 	single := &worker{single: true}
 	lp, rp := &plan.Node{Cost: 1}, &plan.Node{Cost: 2}

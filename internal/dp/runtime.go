@@ -5,7 +5,7 @@ import "mpq/internal/plan"
 // Runtime bundles the reusable per-run memory of one DP worker: the
 // plan-node arena the memo's plans are built in, the memo array, the
 // per-table scan entries, the memo frontiers' spill slabs, and the
-// records OrderAware and Pareto keep for the table set under
+// records the order-aware rule and Pareto keep for the table set under
 // construction, with their keys. A fresh run borrows them through Options.Runtime
 // instead of growing them from scratch, so a worker that optimizes a
 // stream of queries — one of core's runtime slots, which every engine's

@@ -50,7 +50,7 @@ func TestArenaOnOffBitIdentical(t *testing.T) {
 	}{
 		{11, workload.Star, partition.Linear, Options{}}, // big first: leaves stale capacity behind
 		{7, workload.Chain, partition.Bushy, Options{}},  // smaller, different space, stale memo
-		{8, workload.Cycle, partition.Linear, Options{InterestingOrders: true, Pruner: OrderAware{}}},
+		{8, workload.Cycle, partition.Linear, Options{InterestingOrders: true}},
 		{7, workload.Clique, partition.Bushy, Options{}},
 		{9, workload.Snowflake, partition.Linear, Options{}},
 	}
@@ -61,14 +61,14 @@ func TestArenaOnOffBitIdentical(t *testing.T) {
 
 			fresh := tc.opts
 			fresh.Runtime = NewRuntime()
-			want, err := Run(q, cs, fresh)
+			want, err := run(q, cs, fresh)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			on := tc.opts
 			on.Runtime = rt // shared and reused across all cases
-			got, err := Run(q, cs, on)
+			got, err := run(q, cs, on)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,15 +102,15 @@ func TestRuntimeReuseNeverReadsAnEarlierRun(t *testing.T) {
 		{12, workload.Chain, partition.Linear, 0, 1, Options{Pruner: Pareto{Alpha: 1}}, false, 1},
 		{6, workload.Star, partition.Bushy, 1, 2, Options{}, false, 1},
 		{9, workload.Chain, partition.Bushy, 5, 8, Options{}, false, 1},
-		{9, workload.Chain, partition.Bushy, 5, 8, Options{InterestingOrders: true, Pruner: OrderAware{}}, false, 1},
+		{9, workload.Chain, partition.Bushy, 5, 8, Options{InterestingOrders: true}, false, 1},
 		{11, workload.Cycle, partition.Linear, 3, 4, Options{MaxWorkUnits: 2000}, true, 1},
 		{11, workload.Cycle, partition.Linear, 3, 4, Options{}, false, 1},
 		{5, workload.Clique, partition.Linear, 2, 4, Options{}, false, 1},
-		{12, workload.Star, partition.Linear, 0, 1, Options{InterestingOrders: true, Pruner: OrderAware{}}, false, 1},
+		{12, workload.Star, partition.Linear, 0, 1, Options{InterestingOrders: true}, false, 1},
 		{10, workload.Cycle, partition.Bushy, 0, 1, Options{MaxWorkUnits: 5000}, true, 1},
 		{10, workload.Star, partition.Linear, 1, 2, Options{Pruner: Pareto{Alpha: 1}}, false, 1},
 		{7, workload.Chain, partition.Bushy, 0, 1, Options{InterestingOrders: true, Pruner: Pareto{Alpha: 2}}, false, 1},
-		{11, workload.Cycle, partition.Linear, 3, 4, Options{InterestingOrders: true, Pruner: OrderAware{}}, false, 1},
+		{11, workload.Cycle, partition.Linear, 3, 4, Options{InterestingOrders: true}, false, 1},
 		{13, workload.Chain, partition.Linear, 0, 1, Options{}, false, 2},
 		{8, workload.Star, partition.Bushy, 1, 2, Options{}, false, 1},
 		{10, workload.Cycle, partition.Bushy, 0, 1, Options{Pruner: Pareto{Alpha: 2}}, false, 3},
@@ -130,8 +130,8 @@ func TestRuntimeReuseNeverReadsAnEarlierRun(t *testing.T) {
 			fresh, pooled := tc.opts, tc.opts
 			fresh.Runtime, pooled.Runtime = NewRuntime(), shared
 			pooled.Helpers = tc.w - 1
-			want, wantErr := Run(q, cs, fresh)
-			got, gotErr := Run(q, cs, pooled)
+			want, wantErr := run(q, cs, fresh)
+			got, gotErr := run(q, cs, pooled)
 			if tc.aborted {
 				if !errors.Is(wantErr, ErrWorkLimit) || !errors.Is(gotErr, ErrWorkLimit) {
 					t.Fatalf("errors %v / %v, want the work limit on both", wantErr, gotErr)
@@ -164,7 +164,7 @@ func TestSingleBestBuildsEachSurvivorOnce(t *testing.T) {
 			}
 			for _, opts := range []Options{
 				{},
-				{InterestingOrders: true, Pruner: OrderAware{}},
+				{InterestingOrders: true},
 				{Pruner: Pareto{Alpha: 1}},
 				{InterestingOrders: true, Pruner: Pareto{Alpha: 2}},
 			} {
@@ -215,7 +215,7 @@ func TestMemoTooLarge(t *testing.T) {
 		if _, err := NewEngine(q, cs, Options{}); !errors.Is(err, ErrMemoTooLarge) {
 			t.Errorf("%v n=%d m=%d: NewEngine returned %v, want ErrMemoTooLarge", tc.space, tc.n, tc.m, err)
 		}
-		if _, err := Run(q, cs, Options{}); !errors.Is(err, ErrMemoTooLarge) {
+		if _, err := run(q, cs, Options{}); !errors.Is(err, ErrMemoTooLarge) {
 			t.Errorf("%v n=%d m=%d: Run returned %v, want ErrMemoTooLarge", tc.space, tc.n, tc.m, err)
 		}
 	}
@@ -227,24 +227,24 @@ func TestMemoTooLarge(t *testing.T) {
 func TestResultSurvivesRuntimeRecycling(t *testing.T) {
 	rt := NewRuntime()
 	q1 := genQuery(t, 9, workload.Star, 1)
-	res, err := Run(q1, partition.Unconstrained(partition.Linear, 9), Options{Runtime: rt})
+	res, err := run(q1, partition.Unconstrained(partition.Linear, 9), Options{Runtime: rt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := planKey(res.Best())
+	want := planKey(res.Plans[0])
 
 	// Recycle the runtime with other queries, overwriting every slab.
 	for seed := int64(0); seed < 3; seed++ {
 		q2 := genQuery(t, 10, workload.Clique, seed)
-		if _, err := Run(q2, partition.Unconstrained(partition.Bushy, 10), Options{Runtime: rt}); err != nil {
+		if _, err := run(q2, partition.Unconstrained(partition.Bushy, 10), Options{Runtime: rt}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	if got := planKey(res.Best()); got != want {
+	if got := planKey(res.Plans[0]); got != want {
 		t.Fatalf("earlier result mutated by runtime recycling:\nbefore %s\nafter  %s", want, got)
 	}
-	if err := res.Best().Validate(q1, Options{}.withDefaults().Model); err != nil {
+	if err := res.Plans[0].Validate(q1, Options{}.withDefaults().Model); err != nil {
 		t.Fatalf("recycled-over plan fails validation: %v", err)
 	}
 }
@@ -260,7 +260,7 @@ func TestRuntimeReuseSteadyStateAllocs(t *testing.T) {
 	}{
 		{"Linear-SingleBest", partition.Linear, Options{}},
 		{"Bushy-SingleBest", partition.Bushy, Options{}},
-		{"Linear-OrderAware", partition.Linear, Options{InterestingOrders: true, Pruner: OrderAware{}}},
+		{"Linear-OrderAware", partition.Linear, Options{InterestingOrders: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q := genQuery(t, 10, workload.Star, 0)
@@ -270,7 +270,7 @@ func TestRuntimeReuseSteadyStateAllocs(t *testing.T) {
 			opts.Runtime = rt
 			var plans int
 			run := func() {
-				res, err := Run(q, cs, opts)
+				res, err := run(q, cs, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -24,7 +24,7 @@ func TestWideLevelsAreExact(t *testing.T) {
 	rules := []struct {
 		name string
 		pr   dp.Pruner
-	}{{"single", dp.SingleBest{}}, {"orderaware", dp.OrderAware{}}, {"pareto", dp.Pareto{Alpha: 2}}}
+	}{{"single", dp.SingleBest{}}, {"pareto", dp.Pareto{Alpha: 2}}}
 	var helperSets atomic.Uint64
 	var cases atomic.Int32
 	// One parallel subtest per (space, shape); the group returns once

@@ -9,7 +9,6 @@ import (
 	"mpq/internal/catalog"
 	"mpq/internal/core"
 	"mpq/internal/cost"
-	"mpq/internal/dp"
 	"mpq/internal/partition"
 	"mpq/internal/plan"
 	"mpq/internal/query"
@@ -113,11 +112,11 @@ func TestAllPlansProduceSameResult(t *testing.T) {
 // The optimizer's chosen plan and a deliberately different plan agree.
 func TestOptimalPlanMatchesReference(t *testing.T) {
 	_, q, db := smallWorkload(t, 5, workload.Cycle, 4)
-	best, err := dp.Serial(q, partition.Bushy, dp.Options{})
+	best, err := core.OptimizeContext(context.Background(), q, core.JobSpec{Space: partition.Bushy, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Execute(best.Best(), q, db, Limits{})
+	opt, err := Execute(best.Best, q, db, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +145,7 @@ func TestMPQPlanExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := dp.Serial(q, partition.Linear, dp.Options{})
+	serial, err := core.OptimizeContext(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func TestMPQPlanExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Execute(serial.Best(), q, db, Limits{})
+	b, err := Execute(serial.Best, q, db, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,15 +181,15 @@ func TestCardinalityEstimateTracksMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dp.Serial(q, partition.Linear, dp.Options{})
+	res, err := core.OptimizeContext(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Execute(res.Best(), q, db, Limits{})
+	out, err := Execute(res.Best, q, db, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := res.Best().Card
+	est := res.Best.Card
 	meas := float64(len(out.Rows))
 	if math.Abs(est-meas)/est > 0.15 {
 		t.Fatalf("estimate %g vs measured %g: relative error too large", est, meas)
@@ -231,11 +230,11 @@ func TestCrossProductExecution(t *testing.T) {
 
 func TestRowLimitEnforced(t *testing.T) {
 	_, q, db := smallWorkload(t, 4, workload.Star, 8)
-	res, err := dp.Serial(q, partition.Linear, dp.Options{})
+	res, err := core.OptimizeContext(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Execute(res.Best(), q, db, Limits{MaxRows: 1}); err == nil {
+	if _, err := Execute(res.Best, q, db, Limits{MaxRows: 1}); err == nil {
 		t.Fatal("row limit not enforced")
 	}
 }

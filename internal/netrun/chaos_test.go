@@ -45,7 +45,8 @@ func startChaosWorkers(t *testing.T, k int, plans []FaultPlan) ([]string, []*Cha
 
 // assertBitIdentical requires the exact same plan bytes and cost from
 // the faulted distributed run, the clean distributed run, and the
-// in-process engine (dp.Run per partition + FinalPrune).
+// in-process engine (core.OptimizeContext: one dp.RunContext per
+// partition + FinalPrune).
 func assertBitIdentical(t *testing.T, faulted *plan.Node, clean *plan.Node, local *plan.Node) {
 	t.Helper()
 	ff, cf, lf := wire.PlanFingerprint(faulted), wire.PlanFingerprint(clean), wire.PlanFingerprint(local)

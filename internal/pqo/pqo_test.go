@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mpq/internal/core"
-	"mpq/internal/dp"
 	"mpq/internal/partition"
 	"mpq/internal/plan"
 	"mpq/internal/query"
@@ -49,15 +48,15 @@ func TestEnvelopeMatchesSpecializedDP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle, err := dp.Serial(q, partition.Linear, dp.Options{
-				Model: SpecializedModel(spill, theta),
+			oracle, err := core.OptimizeContext(context.Background(), q, core.JobSpec{
+				Space: partition.Linear, Workers: 1, CostModel: SpecializedModel(spill, theta),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !approx(CostAt(best, theta), oracle.Best().Cost) {
+			if !approx(CostAt(best, theta), oracle.Best.Cost) {
 				t.Fatalf("seed=%d θ=%g: envelope %g != specialized DP %g",
-					seed, theta, CostAt(best, theta), oracle.Best().Cost)
+					seed, theta, CostAt(best, theta), oracle.Best.Cost)
 			}
 		}
 	}
@@ -169,11 +168,11 @@ func TestSpillOneIsScalar(t *testing.T) {
 	if len(frontier) != 1 {
 		t.Fatalf("spill=1 frontier has %d plans", len(frontier))
 	}
-	serial, err := dp.Serial(q, partition.Linear, dp.Options{})
+	serial, err := core.OptimizeContext(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !approx(frontier[0].Cost, serial.Best().Cost) {
+	if !approx(frontier[0].Cost, serial.Best.Cost) {
 		t.Fatal("spill=1 optimum differs from scalar DP")
 	}
 }

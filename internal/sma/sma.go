@@ -21,9 +21,7 @@ package sma
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"mpq/internal/bitset"
@@ -35,43 +33,13 @@ import (
 	"mpq/internal/query"
 )
 
-// deltaEntry is one new memotable record shipped between master and
-// workers: the table set plus a compact fixed-size plan record (operand
-// sets are referenced by key, as a real shared-memotable implementation
-// would do, rather than shipping whole subtrees).
-type deltaEntry struct {
-	set  bitset.Set
-	plan *plan.Node
-}
-
-// encodeDelta produces the real broadcast bytes for a batch of new
-// memotable entries. Layout per plan: set key (8) + kind/alg (1) +
-// pred (4) + order (4) + card/cost/buffer (24) + left key (8) +
-// right key (8).
-func encodeDelta(entries []deltaEntry) []byte {
-	buf := make([]byte, 0, len(entries)*57)
-	for _, e := range entries {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.set))
-		p := e.plan
-		kind := uint8(0)
-		if !p.IsScan {
-			kind = 1 + uint8(p.Alg)
-		}
-		buf = append(buf, kind)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(p.Pred)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(p.Order)))
-		for _, f := range [3]float64{p.Card, p.Cost, p.Buffer} {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-		}
-		var lk, rk uint64
-		if !p.IsScan {
-			lk, rk = uint64(p.Left.Tables), uint64(p.Right.Tables)
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, lk)
-		buf = binary.LittleEndian.AppendUint64(buf, rk)
-	}
-	return buf
-}
+// deltaEntryBytes is the size of one new memotable record shipped
+// between master and workers: the table set plus a compact fixed-size
+// plan record (operand sets are referenced by key, as a real
+// shared-memotable implementation would do, rather than shipping whole
+// subtrees). Layout per plan: set key (8) + kind/alg (1) + pred (4) +
+// order (4) + card/cost/buffer (24) + left key (8) + right key (8).
+const deltaEntryBytes = 57
 
 // Run simulates SMA on the cluster described by model. spec.Workers may
 // be any count ≥ 1 (SMA has no power-of-two restriction); spec.Space,
@@ -102,12 +70,12 @@ func Run(ctx context.Context, model cluster.Model, q *query.Query, spec core.Job
 	}
 
 	met := cluster.Metrics{}
-	// Round 0 delta: the scan plans every worker needs.
-	var delta []deltaEntry
+	// delta counts the plans of the memotable delta: in round 0, the
+	// scan plans every worker needs.
+	delta := 0
+	count := func(*plan.Node) { delta++ }
 	for t := 0; t < n; t++ {
-		eng.ForEachPlan(bitset.Single(t), func(p *plan.Node) {
-			delta = append(delta, deltaEntry{set: bitset.Single(t), plan: p})
-		})
+		eng.ForEachPlan(bitset.Single(t), count)
 	}
 
 	var virtual time.Duration
@@ -117,8 +85,8 @@ func Run(ctx context.Context, model cluster.Model, q *query.Query, spec core.Job
 	for k := 2; k <= n; k++ {
 		// The previous round's memotable delta, which the master
 		// broadcasts with this round's tasks.
-		deltaBytes := len(encodeDelta(delta))
-		delta = delta[:0]
+		deltaBytes := delta * deltaEntryBytes
+		delta = 0
 		clear(workerUnits)
 		// Workers compute their sets, assigned round-robin. Each set is
 		// processed once (all replicas are identical); its work is
@@ -127,9 +95,7 @@ func Run(ctx context.Context, model cluster.Model, q *query.Query, spec core.Job
 		err := eng.Level(ctx, k, func(u bitset.Set, units uint64) bool {
 			workerUnits[sets%m] += units
 			sets++
-			eng.ForEachPlan(u, func(p *plan.Node) {
-				delta = append(delta, deltaEntry{set: u, plan: p})
-			})
+			eng.ForEachPlan(u, count)
 			return true
 		})
 		if err != nil {
@@ -151,7 +117,7 @@ func Run(ctx context.Context, model cluster.Model, q *query.Query, spec core.Job
 
 		// Workers -> master: the new entries each worker produced.
 		// Attribute response bytes by assigned sets (round-robin).
-		respTotal := len(encodeDelta(delta))
+		respTotal := delta * deltaEntryBytes
 		var maxCompute time.Duration
 		for w := 0; w < m; w++ {
 			if c := compute(model, workerUnits[w]); c > maxCompute {

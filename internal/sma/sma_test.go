@@ -9,7 +9,6 @@ import (
 
 	"mpq/internal/cluster"
 	"mpq/internal/core"
-	"mpq/internal/dp"
 	"mpq/internal/mo"
 	"mpq/internal/partition"
 	"mpq/internal/plan"
@@ -36,7 +35,7 @@ func TestSMAMatchesSerialDP(t *testing.T) {
 		}
 		for seed := int64(0); seed < 3; seed++ {
 			q := gen(t, n, seed)
-			serial, err := dp.Serial(q, space, dp.Options{})
+			serial, err := core.OptimizeContext(context.Background(), q, core.JobSpec{Space: space, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,8 +44,8 @@ func TestSMAMatchesSerialDP(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !approx(res.Best.Cost, serial.Best().Cost) {
-					t.Fatalf("%v n=%d m=%d: SMA %g != serial %g", space, n, m, res.Best.Cost, serial.Best().Cost)
+				if !approx(res.Best.Cost, serial.Best.Cost) {
+					t.Fatalf("%v n=%d m=%d: SMA %g != serial %g", space, n, m, res.Best.Cost, serial.Best.Cost)
 				}
 			}
 		}
@@ -118,6 +117,16 @@ func TestSMARoundsAndMessages(t *testing.T) {
 	// Per round: m task/delta messages down + m responses up.
 	if res.Cluster.Messages != res.Cluster.Rounds*2*m {
 		t.Fatalf("messages = %d want %d", res.Cluster.Messages, res.Cluster.Rounds*2*m)
+	}
+	// Under interesting orders a set keeps a plan per order, and every
+	// plan crosses the wire as one 57-byte delta entry: the bytes are
+	// those the encoded broadcast of this fixed query measured.
+	res, err = Run(context.Background(), cluster.Default(), q, core.JobSpec{Space: partition.Linear, Workers: m, InterestingOrders: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cluster.Bytes != 160819 {
+		t.Fatalf("bytes with orders = %d want 160819", res.Cluster.Bytes)
 	}
 }
 
@@ -235,22 +244,6 @@ func TestRunExactOutput(t *testing.T) {
 				tc.space, tc.n, tc.mo, tc.m, c.Rounds, c.Messages, c.Bytes, int64(c.VirtualTime), ans.Stats,
 				tc.rounds, tc.messages, tc.bytes, int64(tc.virtual), tc.stats)
 		}
-	}
-}
-
-func TestEncodeDeltaSize(t *testing.T) {
-	q := gen(t, 4, 0)
-	res, err := dp.Serial(q, partition.Linear, dp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := []deltaEntry{{set: q.All(), plan: res.Best()}}
-	b := encodeDelta(entries)
-	if len(b) != 57 {
-		t.Fatalf("delta entry size = %d want 57", len(b))
-	}
-	if len(encodeDelta(nil)) != 0 {
-		t.Fatal("empty delta should be empty")
 	}
 }
 

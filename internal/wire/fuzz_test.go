@@ -24,7 +24,7 @@ func seedCorpus(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(EncodePlan(res.Best()))
+	f.Add(EncodePlan(res.Plans[0]))
 	f.Add(EncodeJobResponse(&JobResponse{Plans: res.Plans, Stats: res.Stats}))
 	f.Add(EncodeWorkerError(&WorkerError{Code: ErrBadRequest, Msg: "decode: bad magic"}))
 	f.Add([]byte{})

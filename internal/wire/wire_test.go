@@ -12,7 +12,6 @@ import (
 	"mpq/internal/catalog"
 	"mpq/internal/core"
 	"mpq/internal/cost"
-	"mpq/internal/dp"
 	"mpq/internal/partition"
 	"mpq/internal/plan"
 	"mpq/internal/query"
@@ -137,11 +136,11 @@ func TestDecodersNeverPanicOnGarbage(t *testing.T) {
 
 func bestPlan(t testing.TB, q *query.Query, space partition.Space) *plan.Node {
 	t.Helper()
-	res, err := dp.Serial(q, space, dp.Options{InterestingOrders: true, Pruner: dp.OrderAware{}})
+	ans, err := core.OptimizeContext(context.Background(), q, core.JobSpec{Space: space, Workers: 1, InterestingOrders: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Best()
+	return ans.Best
 }
 
 func TestPlanRoundTrip(t *testing.T) {
@@ -200,16 +199,16 @@ func TestPlanFingerprint(t *testing.T) {
 func TestPlanFingerprintIgnoresTheFrameVersion(t *testing.T) {
 	q := genQuery(t, 7, 3)
 	var plans []*plan.Node
-	for _, opts := range []dp.Options{
-		{},
-		{InterestingOrders: true, Pruner: dp.OrderAware{}},
-		{Pruner: dp.Pareto{Alpha: 1}},
+	for _, spec := range []core.JobSpec{
+		{Space: partition.Bushy, Workers: 1},
+		{Space: partition.Bushy, Workers: 1, InterestingOrders: true},
+		{Space: partition.Bushy, Workers: 1, Objective: core.MultiObjective, Alpha: 1},
 	} {
-		res, err := dp.Serial(q, partition.Bushy, opts)
+		ans, err := core.OptimizeContext(context.Background(), q, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plans = append(plans, res.Best())
+		plans = append(plans, ans.Best)
 	}
 	scan := plans[0]
 	for !scan.IsScan {
